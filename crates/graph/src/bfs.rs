@@ -128,6 +128,16 @@ impl DistanceMap {
     }
 }
 
+impl From<Vec<u32>> for DistanceMap {
+    /// A table whose slot `i` holds `dist[i]`; slots holding [`UNREACHED`]
+    /// are unreached. Lets a BFS that fills raw slots hand them over
+    /// without a per-slot [`DistanceMap::assign`].
+    fn from(dist: Vec<u32>) -> Self {
+        let reached = dist.iter().filter(|&&d| d != UNREACHED).count();
+        DistanceMap { dist, reached }
+    }
+}
+
 impl std::ops::Index<NodeId> for DistanceMap {
     type Output = u32;
 

@@ -39,9 +39,9 @@
 //! single-threaded pass.
 
 use ft_costs::{count, CostResult, OperationCost};
-use ft_graph::bfs::DistanceMap;
+use ft_graph::bfs::{DistanceMap, UNREACHED};
 use ft_graph::{Graph, NodeId};
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// What a sampled stretch pass observed.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -114,18 +114,24 @@ pub(crate) fn priority(seed: u64, v: NodeId) -> u64 {
 /// smallest `(priority, id)` keys, returned in **ascending id order** (the
 /// canonical sample order every fold in this module uses). Deterministic
 /// and history-free: any two callers that agree on `(seed, k)` and the
-/// live set agree on the sample.
+/// live set agree on the sample. `k = 0` is treated as 1.
+///
+/// One streaming pass over the live set keeps the `k` smallest keys in a
+/// bounded max-heap, so no per-node buffer is built.
 pub fn select_sources(g: &Graph, k: usize, seed: u64) -> Vec<NodeId> {
-    let mut keyed: Vec<(u64, NodeId)> = g.nodes().map(|v| (priority(seed, v), v)).collect();
-    let k = k.max(1).min(keyed.len());
-    if k == 0 {
-        return Vec::new();
+    let k = k.max(1).min(g.len());
+    let mut kept: BinaryHeap<(u64, NodeId)> = BinaryHeap::with_capacity(k);
+    for v in g.nodes() {
+        let key = (priority(seed, v), v);
+        if kept.len() < k {
+            kept.push(key);
+        } else if let Some(mut largest) = kept.peek_mut() {
+            if key < *largest {
+                *largest = key;
+            }
+        }
     }
-    if k < keyed.len() {
-        keyed.select_nth_unstable(k - 1);
-        keyed.truncate(k);
-    }
-    let mut picked: Vec<NodeId> = keyed.into_iter().map(|(_, v)| v).collect();
+    let mut picked: Vec<NodeId> = kept.into_iter().map(|(_, v)| v).collect();
     picked.sort_unstable();
     picked
 }
@@ -155,6 +161,223 @@ pub(crate) fn bfs_with_cost(g: &Graph, src: NodeId, cost: &mut OperationCost) ->
         .heap_bytes
         .saturating_add(count(g.capacity() * std::mem::size_of::<u32>()));
     dist
+}
+
+/// Sources one batched BFS carries: one bit of a `u16` lane mask each.
+const LANES: usize = 16;
+
+/// The BFS distance field of every source in `srcs` (in `srcs` order),
+/// equal to one [`bfs_with_cost`] per source and charged to `cost` exactly
+/// as those passes would be: one node visit and `degree(v)` edge scans per
+/// settled (source, node) pair, and one table of `capacity` `u32`s per
+/// live source.
+///
+/// Up to 16 sources share one level-synchronous bit-parallel BFS (Then et
+/// al., "The More the Merrier", PVLDB 2014): every node carries `u16` lane
+/// masks — `seen`, this level's frontier, the next level's — so a node's
+/// adjacency is read once per level for all the lanes that reach it then,
+/// instead of once per source. Each level is expanded in ascending
+/// `NodeId` order over a compact snapshot of the adjacency, which keeps
+/// the adjacency and distance-table walks close to sequential. A sparse
+/// level is a sorted list and a dense one a bitmap, so a level costs
+/// `O(frontier + edges)` either way and deep graphs never pay a
+/// capacity-sized scan per level.
+pub(crate) fn bfs_fields_with_cost(
+    g: &Graph,
+    srcs: &[NodeId],
+    cost: &mut OperationCost,
+) -> Vec<DistanceMap> {
+    let mut bfs = MultiBfs::new(g);
+    let mut fields = Vec::with_capacity(srcs.len());
+    for batch in srcs.chunks(LANES) {
+        fields.extend(bfs.search_batch(g, batch, cost));
+    }
+    fields
+}
+
+/// A node's lane masks. `seen` and the next level's mask are read and
+/// written together for every edge the BFS follows, so they share a cache
+/// line; the two frontier slots trade roles between even and odd levels.
+#[derive(Clone, Copy, Default)]
+#[repr(align(8))]
+struct NodeLanes {
+    /// Lanes that have reached the node.
+    seen: u16,
+    /// Lanes for which the node is on an even level / an odd level.
+    frontier: [u16; 2],
+}
+
+/// Scratch state of [`bfs_fields_with_cost`], reused across its batches.
+struct MultiBfs {
+    /// `targets[offsets[v]..offsets[v + 1]]` are `v`'s neighbors (none for
+    /// a dead slot): the graph's adjacency laid out contiguously.
+    offsets: Vec<u32>,
+    targets: Vec<NodeId>,
+    /// Lane masks per node slot.
+    lanes: Vec<NodeLanes>,
+    /// The current level in ascending order, while it is sparse.
+    cur_list: Vec<NodeId>,
+    /// The next level in discovery order, while it stays sparse.
+    next_list: Vec<NodeId>,
+    /// The current level as a bitmap, while it is dense.
+    cur_bits: Vec<u64>,
+    /// The next level as a bitmap (always kept, so it can turn dense).
+    next_bits: Vec<u64>,
+    /// Levels larger than this are walked through the bitmap: scanning
+    /// its words then costs at most eight per frontier node.
+    dense_at: usize,
+}
+
+impl MultiBfs {
+    fn new(g: &Graph) -> Self {
+        let capacity = g.capacity();
+        let mut offsets = Vec::with_capacity(capacity + 1);
+        let mut targets = Vec::with_capacity(2 * g.num_edges());
+        offsets.push(0);
+        let mut v = NodeId(0);
+        for _ in 0..capacity {
+            if g.is_alive(v) {
+                targets.extend(g.neighbors(v));
+            }
+            offsets.push(u32::try_from(targets.len()).expect("adjacency fits u32 offsets"));
+            v.0 += 1;
+        }
+        let words = capacity.div_ceil(64);
+        MultiBfs {
+            offsets,
+            targets,
+            lanes: vec![NodeLanes::default(); capacity],
+            cur_list: Vec::new(),
+            next_list: Vec::new(),
+            cur_bits: vec![0; words],
+            next_bits: vec![0; words],
+            dense_at: words / 8,
+        }
+    }
+
+    /// One batch of at most [`LANES`] sources.
+    fn search_batch(
+        &mut self,
+        g: &Graph,
+        batch: &[NodeId],
+        cost: &mut OperationCost,
+    ) -> Vec<DistanceMap> {
+        debug_assert!(batch.len() <= LANES);
+        let capacity = g.capacity();
+        let mut fields: Vec<Vec<u32>> = batch.iter().map(|_| vec![UNREACHED; capacity]).collect();
+        for (lane, &src) in batch.iter().enumerate() {
+            if !g.is_alive(src) {
+                continue; // a dead source's field stays empty and uncharged
+            }
+            cost.heap_bytes = cost
+                .heap_bytes
+                .saturating_add(count(capacity * std::mem::size_of::<u32>()));
+            let bit = 1u16 << lane;
+            let node = &mut self.lanes[src.index()];
+            if node.frontier[0] == 0 {
+                self.cur_list.push(src);
+            }
+            node.frontier[0] |= bit;
+            node.seen |= bit;
+        }
+        self.cur_list.sort_unstable();
+
+        let mut dense = false;
+        let mut level = 0u32;
+        loop {
+            if dense {
+                let mut bits = std::mem::take(&mut self.cur_bits);
+                let mut base = 0u32;
+                for word in &mut bits {
+                    let mut w = std::mem::take(word);
+                    while w != 0 {
+                        self.expand_node(
+                            NodeId(base + w.trailing_zeros()),
+                            level,
+                            &mut fields,
+                            cost,
+                        );
+                        w &= w - 1;
+                    }
+                    base += 64;
+                }
+                self.cur_bits = bits;
+            } else {
+                let list = std::mem::take(&mut self.cur_list);
+                for &v in &list {
+                    self.expand_node(v, level, &mut fields, cost);
+                }
+                self.cur_list = list;
+                self.cur_list.clear();
+            }
+            let found = self.next_list.len();
+            if found == 0 {
+                break;
+            }
+            // `next_list` stops growing at `dense_at + 1` entries, so a
+            // full list means the level is dense.
+            dense = found > self.dense_at;
+            if dense {
+                std::mem::swap(&mut self.cur_bits, &mut self.next_bits);
+                self.next_list.clear();
+            } else {
+                self.next_list.sort_unstable();
+                for v in &self.next_list {
+                    self.next_bits[v.index() / 64] = 0;
+                }
+                std::mem::swap(&mut self.cur_list, &mut self.next_list);
+            }
+            level += 1;
+        }
+        // every other buffer drained itself on the way
+        self.lanes.fill(NodeLanes::default());
+        fields.into_iter().map(DistanceMap::from).collect()
+    }
+
+    /// Settles `v` at distance `level` for every lane of its frontier mask
+    /// and pushes the lanes its neighbors have not seen onto the next
+    /// level.
+    fn expand_node(
+        &mut self,
+        v: NodeId,
+        level: u32,
+        fields: &mut [Vec<u32>],
+        cost: &mut OperationCost,
+    ) {
+        let cur = widen(level & 1);
+        let next = cur ^ 1;
+        let i = v.index();
+        let lanes = std::mem::take(&mut self.lanes[i].frontier[cur]);
+        let nbrs = &self.targets[widen(self.offsets[i])..widen(self.offsets[i + 1])];
+        let settled = u64::from(lanes.count_ones());
+        cost.node_visits += settled;
+        cost.edge_scans += settled * count(nbrs.len());
+        let mut m = lanes;
+        while m != 0 {
+            fields[widen(m.trailing_zeros())][i] = level;
+            m &= m - 1;
+        }
+        for &u in nbrs {
+            let node = &mut self.lanes[u.index()];
+            let fresh = lanes & !node.seen;
+            if fresh == 0 {
+                continue;
+            }
+            node.seen |= fresh;
+            if node.frontier[next] == 0 {
+                self.next_bits[u.index() / 64] |= 1 << (u.index() % 64);
+                if self.next_list.len() <= self.dense_at {
+                    self.next_list.push(u);
+                }
+            }
+            node.frontier[next] |= fresh;
+        }
+    }
+}
+
+/// A `u32` offset or bit index as a slice index.
+fn widen(x: u32) -> usize {
+    usize::try_from(x).expect("a u32 fits in usize")
 }
 
 /// Scores every surviving pair owned by `src` against the two distance
@@ -400,6 +623,148 @@ mod tests {
         let c = select_sources(&g3, 10, 5);
         assert_eq!(c.len(), 10);
         assert_eq!(c.iter().filter(|v| a.contains(v)).count(), 9);
+    }
+
+    /// The selection `select_sources` streams, computed by sorting every
+    /// live node's key.
+    fn select_by_sort(g: &Graph, k: usize, seed: u64) -> Vec<NodeId> {
+        let mut keyed: Vec<(u64, NodeId)> = g.nodes().map(|v| (priority(seed, v), v)).collect();
+        keyed.sort_unstable();
+        keyed.truncate(k.max(1));
+        let mut picked: Vec<NodeId> = keyed.into_iter().map(|(_, v)| v).collect();
+        picked.sort_unstable();
+        picked
+    }
+
+    #[test]
+    fn streaming_selection_matches_a_full_sort() {
+        let mut g = gen::kary_tree(500, 3);
+        for v in (0..500).step_by(7) {
+            g.delete_node(NodeId(v)); // id holes
+        }
+        let live = g.len();
+        for seed in [1u64, 9, 42] {
+            for k in [0, 1, 2, 16, 100, live - 1, live, live + 1, 10 * live] {
+                let picked = select_sources(&g, k, seed);
+                assert_eq!(picked, select_by_sort(&g, k, seed), "seed {seed}, k {k}");
+            }
+        }
+        assert_eq!(
+            select_sources(&g, 0, 3).len(),
+            1,
+            "k = 0 samples one source"
+        );
+        assert_eq!(select_sources(&g, usize::MAX, 3).len(), live);
+        assert!(select_sources(&Graph::new(0), 4, 3).is_empty());
+    }
+
+    /// One scalar [`bfs_with_cost`] per source: what the batched BFS
+    /// must reproduce, field for field and counter for counter.
+    fn scalar_fields(g: &Graph, srcs: &[NodeId]) -> (Vec<DistanceMap>, OperationCost) {
+        let mut cost = OperationCost::ZERO;
+        let fields = srcs
+            .iter()
+            .map(|&s| bfs_with_cost(g, s, &mut cost))
+            .collect();
+        (fields, cost)
+    }
+
+    fn assert_batched_matches_scalar(g: &Graph, srcs: &[NodeId]) {
+        let (want, want_cost) = scalar_fields(g, srcs);
+        let mut cost = OperationCost::ZERO;
+        let got = bfs_fields_with_cost(g, srcs, &mut cost);
+        assert_eq!(got.len(), srcs.len());
+        // not assert_eq!: a failure would print two whole tables
+        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert!(a == b, "field of source {:?} (#{i}) diverged", srcs[i]);
+        }
+        assert_eq!(cost, want_cost, "batched cost != sum of scalar passes");
+    }
+
+    /// A random graph with deleted slots, several components, and a
+    /// capacity grown by `add_node` (some newcomers wired, some isolated).
+    fn holey_graph(seed: u64, n: usize) -> Graph {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = gen::random_tree(n, &mut rng);
+        let id = |rng: &mut StdRng, g: &Graph| NodeId(rng.gen_range(0..g.capacity()) as u32);
+        for _ in 0..n / 4 {
+            let (a, b) = (id(&mut rng, &g), id(&mut rng, &g));
+            if a != b && !g.has_edge(a, b) {
+                g.add_edge(a, b);
+            }
+        }
+        for _ in 0..n / 10 {
+            let v = id(&mut rng, &g);
+            if g.is_alive(v) {
+                g.delete_node(v); // unpatched: the graph splits
+            }
+        }
+        for _ in 0..n / 20 + 1 {
+            let v = g.add_node();
+            if rng.gen_bool(0.5) {
+                let u = id(&mut rng, &g);
+                if u != v && g.is_alive(u) {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn batched_fields_equal_scalar_passes_for_every_batch_size() {
+        for (seed, n) in [(1u64, 60), (2, 400), (3, 3000)] {
+            let g = holey_graph(seed, n);
+            assert!(!g.is_connected(), "deletions split the graph");
+            for k in [1, 15, 16, 17, 40] {
+                let srcs = select_sources(&g, k, seed);
+                assert_eq!(srcs.len(), k);
+                assert_batched_matches_scalar(&g, &srcs);
+            }
+        }
+    }
+
+    #[test]
+    fn dead_source_inside_a_batch_gets_an_empty_uncharged_field() {
+        let g = holey_graph(5, 500);
+        let dead = (0..500u32)
+            .map(NodeId)
+            .find(|&v| !g.is_alive(v))
+            .expect("one died");
+        let mut srcs = select_sources(&g, 20, 5);
+        srcs.insert(3, dead); // first batch
+        srcs.insert(18, dead); // second batch
+        srcs.push(NodeId(u32::MAX)); // never a node
+        srcs.push(srcs[0]); // a source twice
+        assert_batched_matches_scalar(&g, &srcs);
+        let mut cost = OperationCost::ZERO;
+        let fields = bfs_fields_with_cost(&g, &[dead], &mut cost);
+        assert!(fields[0].is_empty());
+        assert!(cost.is_zero(), "a dead source is never charged");
+    }
+
+    #[test]
+    fn batched_fields_on_deep_graphs() {
+        for g in [gen::path(100_000), gen::cycle(100_000)] {
+            let srcs = select_sources(&g, 16, 7);
+            assert_batched_matches_scalar(&g, &srcs);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn batched_fields_equal_scalar_passes(
+            seed in 0u64..10_000,
+            n in 2usize..2_500,
+            k in 1usize..40,
+        ) {
+            let g = holey_graph(seed, n);
+            let srcs = select_sources(&g, k, seed);
+            assert_batched_matches_scalar(&g, &srcs);
+        }
     }
 
     #[test]

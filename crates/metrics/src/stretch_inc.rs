@@ -23,11 +23,11 @@
 //!
 //! Sources are re-selected per wave by the same min-wise priority rule the
 //! full pass uses ([`crate::stretch::select_sources`]): a dead source's
-//! state is dropped and the promoted replacement is built fresh; sources
-//! whose membership survives keep their repaired fields. Because the
-//! sample, the distance fields (exact by construction), and the
-//! pair-scoring fold (`pair_pass`, sample order) all
-//! agree with the full pass, [`StretchTracker::report`] is
+//! state is dropped and the promoted replacements are built fresh, all of
+//! them in one batched BFS per graph; sources whose membership survives
+//! keep their repaired fields. Because the sample, the distance fields
+//! (exact by construction), and the pair-scoring fold (`pair_pass`, sample
+//! order) all agree with the full pass, [`StretchTracker::report`] is
 //! **bit-identical** to `measure_stretch_full` on the same graphs — the
 //! full pass is kept as the differential oracle and CI compares the two.
 //!
@@ -38,7 +38,8 @@
 //! independent of the campaign's thread count.
 
 use crate::stretch::{
-    bfs_with_cost, fold_passes, pair_pass, sampled_flags, select_sources, SourcePass, StretchReport,
+    bfs_fields_with_cost, fold_passes, pair_pass, sampled_flags, select_sources, SourcePass,
+    StretchReport,
 };
 use ft_costs::{count, OperationCost};
 use ft_graph::bfs::DistanceMap;
@@ -57,18 +58,27 @@ struct SourceState {
     pristine: DistanceMap,
 }
 
-impl SourceState {
-    /// Builds both fields from scratch (new or promoted source).
-    fn build(healed: &Graph, pristine: &Graph, src: NodeId, cost: &mut OperationCost) -> Self {
-        let dh = bfs_with_cost(healed, src, cost);
-        let dp = bfs_with_cost(pristine, src, cost);
-        SourceState {
+/// Builds every source's fields from scratch (new or promoted sources),
+/// one batched BFS per graph.
+fn build_sources(
+    healed: &Graph,
+    pristine: &Graph,
+    srcs: &[NodeId],
+    cost: &mut OperationCost,
+) -> Vec<SourceState> {
+    let dh = bfs_fields_with_cost(healed, srcs, cost);
+    let dp = bfs_fields_with_cost(pristine, srcs, cost);
+    srcs.iter()
+        .zip(dh.into_iter().zip(dp))
+        .map(|(&src, (healed, pristine))| SourceState {
             src,
-            healed: dh,
-            pristine: dp,
-        }
-    }
+            healed,
+            pristine,
+        })
+        .collect()
+}
 
+impl SourceState {
     /// Repairs both fields against one wave's journal.
     fn repair(
         &mut self,
@@ -225,10 +235,7 @@ impl StretchTracker {
     pub fn new(healed: &Graph, pristine: &Graph, sources: usize, seed: u64) -> Self {
         let picked = select_sources(healed, sources, seed);
         let mut cost = OperationCost::ZERO;
-        let states = picked
-            .iter()
-            .map(|&src| SourceState::build(healed, pristine, src, &mut cost))
-            .collect();
+        let states = build_sources(healed, pristine, &picked, &mut cost);
         StretchTracker {
             k: sources,
             seed,
@@ -248,20 +255,23 @@ impl StretchTracker {
         self.cost.seeks += count(healed.len());
         let mut old = std::mem::take(&mut self.sources).into_iter().peekable();
         let mut cost = OperationCost::ZERO;
+        let mut promoted = Vec::new();
         for &src in &picked {
             // drop states whose source left the sample (died or demoted)
-            while old.peek().is_some_and(|s| s.src < src) {
-                old.next();
-            }
-            let state = match old.peek() {
-                Some(s) if s.src == src => {
-                    let mut s = old.next().expect("peeked");
+            while old.next_if(|s| s.src < src).is_some() {}
+            match old.next_if(|s| s.src == src) {
+                Some(mut s) => {
                     cost += s.repair(healed, pristine, journal);
-                    s
+                    self.sources.push(s);
                 }
-                _ => SourceState::build(healed, pristine, src, &mut cost),
-            };
-            self.sources.push(state);
+                None => promoted.push(src),
+            }
+        }
+        drop(old); // free the dropped states' fields before building new ones
+        if !promoted.is_empty() {
+            let fresh = build_sources(healed, pristine, &promoted, &mut cost);
+            self.sources.extend(fresh);
+            self.sources.sort_unstable_by_key(|s| s.src);
         }
         self.cost += cost;
     }
@@ -374,6 +384,24 @@ mod tests {
         // k >= n: every live node is a source, so deletions always kill
         // sources and force promotion of fresh ones.
         churn_and_check(8, 40, 5, 64);
+    }
+
+    #[test]
+    fn tracker_build_costs_exactly_what_the_full_pass_costs() {
+        // both run one BFS per sampled source in each graph: the batched
+        // build must charge what the oracle's scalar passes charge
+        let mut rng = StdRng::seed_from_u64(12);
+        let pristine = gen::random_tree(700, &mut rng);
+        let mut healed = pristine.clone();
+        for v in [3u32, 50, 51, 400] {
+            healed.delete_node(NodeId(v));
+        }
+        for k in [1, 16, 17, 40] {
+            let tracker = StretchTracker::new(&healed, &pristine, k, 9);
+            let (full, full_cost) = measure_stretch_full(&healed, &pristine, k, 9, 1);
+            assert_eq!(tracker.cost(), full_cost, "k = {k}");
+            assert_eq!(tracker.report(&healed), full, "k = {k}");
+        }
     }
 
     #[test]
