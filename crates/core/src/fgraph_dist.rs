@@ -36,7 +36,6 @@ use crate::fgraph::Haft;
 use crate::report::HealReport;
 use ft_graph::{Graph, NodeId};
 use ft_sim::{Ctx, Network, Process};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Protocol messages of the distributed Forgiving Graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,24 +54,53 @@ pub enum FgMsg {
 }
 
 /// One processor of the distributed Forgiving Graph.
+///
+/// State is flat sorted vectors, the layout [`Graph`] uses for adjacency:
+/// degrees stay O(log n), so a binary search plus a short shift beats a
+/// tree allocation per entry.
 #[derive(Debug)]
 pub struct FgNode {
     id: NodeId,
-    /// My current neighbor set (kept in lockstep with the topology).
-    neighbors: BTreeSet<NodeId>,
-    /// Wills filed with me: each neighbor's current neighbor list.
-    wills: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// My current neighbor set, ascending (kept in lockstep with the
+    /// topology).
+    neighbors: Vec<NodeId>,
+    /// Wills filed with me, ascending by owner: each neighbor's current
+    /// neighbor list, itself ascending.
+    wills: Vec<(NodeId, Vec<NodeId>)>,
     /// Fresh arrival that still has to announce itself on start.
     joiner: bool,
 }
 
+/// Inserts `x` into the ascending `set`; returns whether it was new.
+fn set_insert(set: &mut Vec<NodeId>, x: NodeId) -> bool {
+    match set.binary_search(&x) {
+        Ok(_) => false,
+        Err(pos) => {
+            set.insert(pos, x);
+            true
+        }
+    }
+}
+
+/// Removes `x` from the ascending `set`, if present.
+fn set_remove(set: &mut Vec<NodeId>, x: NodeId) {
+    if let Ok(pos) = set.binary_search(&x) {
+        set.remove(pos);
+    }
+}
+
 impl FgNode {
-    /// A settled node with pre-distributed wills (initial setup).
-    fn settled(id: NodeId, neighbors: BTreeSet<NodeId>) -> Self {
+    /// Node `id` of `initial`, settled with its neighbors' wills
+    /// pre-distributed (initial setup). Adjacency is ascending, so both
+    /// lists come out sorted without sorting.
+    fn settled(id: NodeId, initial: &Graph) -> Self {
         FgNode {
             id,
-            neighbors,
-            wills: BTreeMap::new(),
+            neighbors: initial.neighbors(id).collect(),
+            wills: initial
+                .neighbors(id)
+                .map(|u| (u, initial.neighbors(u).collect()))
+                .collect(),
             joiner: false,
         }
     }
@@ -80,27 +108,37 @@ impl FgNode {
     /// A freshly inserted node wired to `neighbors`; announces its will on
     /// start and collects its anchors' wills in the first exchange.
     pub fn joiner(id: NodeId, neighbors: &[NodeId]) -> Self {
+        let mut neighbors = neighbors.to_vec();
+        neighbors.sort_unstable();
+        neighbors.dedup();
         FgNode {
             id,
-            neighbors: neighbors.iter().copied().collect(),
-            wills: BTreeMap::new(),
+            neighbors,
+            wills: Vec::new(),
             joiner: true,
         }
     }
 
-    /// My current neighbor set, as this processor believes it to be.
-    pub fn neighbors(&self) -> &BTreeSet<NodeId> {
+    /// My current neighbor set (ascending), as this processor believes it
+    /// to be.
+    pub fn neighbors(&self) -> &[NodeId] {
         &self.neighbors
     }
 
-    /// The will `owner` has filed with me, if any.
-    pub fn will_of(&self, owner: NodeId) -> Option<&BTreeSet<NodeId>> {
-        self.wills.get(&owner)
+    /// The will `owner` has filed with me (ascending), if any.
+    pub fn will_of(&self, owner: NodeId) -> Option<&[NodeId]> {
+        let slot = self.will_slot(owner).ok()?;
+        Some(&self.wills[slot].1)
+    }
+
+    /// Position of `owner`'s will in `wills`, or where it would go.
+    fn will_slot(&self, owner: NodeId) -> Result<usize, usize> {
+        self.wills.binary_search_by_key(&owner, |&(o, _)| o)
     }
 
     /// Sends my full will to `to`.
     fn send_will(&self, to: NodeId, ctx: &mut Ctx<'_, FgMsg>) {
-        ctx.send(to, FgMsg::Will(self.neighbors.iter().copied().collect()));
+        ctx.send(to, FgMsg::Will(self.neighbors.clone()));
     }
 
     /// Announces a batched neighborhood change to every retained neighbor
@@ -129,14 +167,14 @@ impl Process for FgNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, FgMsg>) {
         if self.joiner {
             self.joiner = false;
-            for &u in &self.neighbors.clone() {
+            for &u in &self.neighbors {
                 self.send_will(u, ctx);
             }
         }
     }
 
     fn on_neighbor_joined(&mut self, new: NodeId, ctx: &mut Ctx<'_, FgMsg>) {
-        self.neighbors.insert(new);
+        set_insert(&mut self.neighbors, new);
         self.send_will(new, ctx);
         self.send_deltas(&[new], &[], ctx);
     }
@@ -148,14 +186,14 @@ impl Process for FgNode {
         // the heal and let the harness measure the damage (connectivity,
         // `check_wills`, bound booleans). Fault-free runs keep the strict
         // panics — there a missing will is an engine bug, not weather.
-        let Some(will) = self.wills.remove(&dead) else {
+        let Ok(slot) = self.will_slot(dead) else {
             assert!(ctx.faulty(), "{:?}: no will filed by {dead:?}", self.id);
-            self.neighbors.remove(&dead);
+            set_remove(&mut self.neighbors, dead);
             return;
         };
-        self.neighbors.remove(&dead);
-        let members: Vec<NodeId> = will.iter().copied().collect(); // sorted
-        let Some(me) = members.iter().position(|&m| m == self.id) else {
+        let (_, members) = self.wills.remove(slot); // sorted
+        set_remove(&mut self.neighbors, dead);
+        let Ok(me) = members.binary_search(&self.id) else {
             assert!(ctx.faulty(), "{:?}: not in {dead:?}'s will", self.id);
             // A stale will (its refresh was lost) that no longer lists us:
             // healing from it would wire strangers — drop the heal instead.
@@ -171,7 +209,7 @@ impl Process for FgNode {
                 } else {
                     continue;
                 };
-                if self.neighbors.insert(partner) {
+                if set_insert(&mut self.neighbors, partner) {
                     ctx.add_edge(partner);
                     fresh.push(partner);
                 }
@@ -188,18 +226,29 @@ impl Process for FgNode {
     fn on_message(&mut self, from: NodeId, msg: FgMsg, ctx: &mut Ctx<'_, FgMsg>) {
         match msg {
             FgMsg::Will(list) => {
-                self.wills.insert(from, list.into_iter().collect());
-                if self.neighbors.insert(from) {
+                // the sender's own neighbor vector, ascending: file it as-is
+                debug_assert!(
+                    list.windows(2).all(|w| w[0] < w[1]),
+                    "unsorted will from {from:?}"
+                );
+                match self.will_slot(from) {
+                    Ok(slot) => self.wills[slot].1 = list,
+                    Err(slot) => self.wills.insert(slot, (from, list)),
+                }
+                if set_insert(&mut self.neighbors, from) {
                     // defensive: an edge formed without my participation —
                     // complete the handshake so `from` learns my will too.
                     self.send_will(from, ctx);
                 }
             }
             FgMsg::WillDelta { added, removed } => {
-                if let Some(w) = self.wills.get_mut(&from) {
-                    w.extend(added);
+                if let Ok(slot) = self.will_slot(from) {
+                    let w = &mut self.wills[slot].1;
+                    for a in added {
+                        set_insert(w, a);
+                    }
                     for r in removed {
-                        w.remove(&r);
+                        set_remove(w, r);
                     }
                 }
             }
@@ -221,18 +270,8 @@ impl DistributedForgivingGraph {
     /// pre-distributed (the one-time setup phase, performed analytically
     /// like [`crate::distributed::DistributedForgivingTree::new`]).
     pub fn new(initial: &Graph) -> Self {
-        let mut net = Network::new(initial.clone(), |v| {
-            FgNode::settled(v, initial.neighbors(v).collect())
-        });
-        let ids: Vec<NodeId> = initial.nodes().collect();
-        for &v in &ids {
-            let will: BTreeSet<NodeId> = initial.neighbors(v).collect();
-            for u in initial.neighbors(v) {
-                net.process_mut(u).wills.insert(v, will.clone());
-            }
-        }
         DistributedForgivingGraph {
-            net,
+            net: Network::new(initial.clone(), |v| FgNode::settled(v, initial)),
             pristine: initial.clone(),
         }
     }
@@ -382,18 +421,23 @@ impl DistributedForgivingGraph {
     /// the topology, and every filed will matches its owner's true
     /// neighborhood. Returns the first discrepancy found.
     pub fn check_wills(&self) -> Result<(), String> {
-        for v in self.net.nodes() {
-            let actual: BTreeSet<NodeId> = self.net.graph().neighbors(v).collect();
-            let believed = &self.net.process(v).neighbors;
-            if believed != &actual {
+        let graph = self.net.graph();
+        // Holder-major: each processor's state is read once, in slot order;
+        // only the owners' adjacency is visited out of order.
+        for u in self.net.nodes() {
+            let holder = self.net.process(u);
+            let believed = holder.neighbors();
+            if !believed.iter().copied().eq(graph.neighbors(u)) {
+                let actual: Vec<NodeId> = graph.neighbors(u).collect();
                 return Err(format!(
-                    "{v:?} believes neighbors {believed:?}, topology says {actual:?}"
+                    "{u:?} believes neighbors {believed:?}, topology says {actual:?}"
                 ));
             }
-            for u in self.net.graph().neighbors(v) {
-                match self.net.process(u).wills.get(&v) {
+            for &v in believed {
+                match holder.will_of(v) {
                     None => return Err(format!("{u:?} holds no will of {v:?}")),
-                    Some(w) if w != &actual => {
+                    Some(w) if !w.iter().copied().eq(graph.neighbors(v)) => {
+                        let actual: Vec<NodeId> = graph.neighbors(v).collect();
                         return Err(format!(
                             "{u:?} holds a stale will of {v:?}: {w:?} vs {actual:?}"
                         ));
@@ -443,12 +487,31 @@ mod tests {
     #[test]
     fn insertion_exchanges_wills() {
         let mut d = DistributedForgivingGraph::new(&gen::path(4));
-        let v = d.insert(&[n(0), n(3)]);
+        let v = d.insert(&[n(3), n(0)]);
         assert_eq!(v, n(4));
+        assert_eq!(d.node(v).neighbors(), [n(0), n(3)]);
+        assert_eq!(d.node(n(3)).will_of(v), Some(&[n(0), n(3)][..]));
         d.check_wills().expect("joiner and anchors consistent");
         assert!(d.pristine().has_edge(v, n(0)));
         assert_eq!(d.ledger().joins(), 2);
         d.network().check_accounting().expect("books balance");
+    }
+
+    #[test]
+    fn check_wills_reports_tampered_state() {
+        // Path 0-1-2-3: tamper with node 1's private state, one branch of
+        // the audit at a time.
+        let tampered = |tamper: fn(&mut FgNode)| {
+            let mut d = DistributedForgivingGraph::new(&gen::path(4));
+            tamper(d.net.process_mut(n(1)));
+            d.check_wills().expect_err("tampering must be caught")
+        };
+        let err = tampered(|p| p.neighbors.retain(|&u| u != n(2)));
+        assert!(err.contains("n1 believes neighbors [n0]"), "{err}");
+        let err = tampered(|p| p.wills.retain(|&(o, _)| o != n(0)));
+        assert!(err.contains("n1 holds no will of n0"), "{err}");
+        let err = tampered(|p| p.wills[0].1.push(n(3)));
+        assert!(err.contains("n1 holds a stale will of n0"), "{err}");
     }
 
     #[test]
