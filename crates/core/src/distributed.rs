@@ -47,7 +47,7 @@ use crate::shape::{Portion, PortionRef, SubRtShape};
 use ft_graph::tree::RootedTree;
 use ft_graph::{Graph, NodeId};
 use ft_sim::{Ctx, Network, Process};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A virtual-node reference: the real simulator plus which of its (at most
 /// two) virtual nodes is meant.
@@ -254,12 +254,14 @@ pub struct FtNode {
     portion: Option<DPortion>,
     /// My helper-role fields.
     role: Option<DRole>,
-    /// Portions I last sent, for diffing.
-    sent_portions: BTreeMap<NodeId, DPortion>,
+    /// Portions I last sent, ascending by representative; diffed in place
+    /// against the current will on every settle.
+    sent_portions: Vec<(NodeId, DPortion)>,
     /// LeafWill I last sent, and to whom.
     sent_leafwill: Option<(NodeId, Option<DRole>)>,
-    /// Edge interests currently held.
-    desired: BTreeSet<NodeId>,
+    /// Edge interests currently held, ascending; diffed in place like
+    /// `sent_portions`.
+    desired: Vec<NodeId>,
 }
 
 impl FtNode {
@@ -271,9 +273,9 @@ impl FtNode {
             leaf_wills: BTreeMap::new(),
             portion: None,
             role: None,
-            sent_portions: BTreeMap::new(),
+            sent_portions: Vec::new(),
             sent_leafwill: None,
-            desired: BTreeSet::new(),
+            desired: Vec::new(),
         }
     }
 
@@ -298,43 +300,71 @@ impl FtNode {
         }
     }
 
-    /// The neighbor set my fields demand.
-    fn desired_neighbors(&self) -> BTreeSet<NodeId> {
-        let mut out = BTreeSet::new();
-        if let Some(p) = self.pos_parent {
-            out.insert(p.sim);
-        }
-        if let Some(w) = &self.will {
-            out.extend(w.reps());
-        }
-        if let Some(r) = &self.role {
-            if let Some(hp) = r.hparent {
-                out.insert(hp.sim);
+    /// My parent and helper links: the neighbors my fields demand besides
+    /// my will's representatives. A handful, unsorted, possibly repeating
+    /// or naming myself.
+    fn links(&self) -> impl Iterator<Item = NodeId> + Clone + '_ {
+        let role_links = self
+            .role
+            .iter()
+            .flat_map(|r| r.hparent.into_iter().chain(r.hchildren.iter().copied()));
+        self.pos_parent.into_iter().chain(role_links).map(|v| v.sim)
+    }
+
+    /// The neighbor set my fields demand, ascending and without myself:
+    /// my will's representatives merged with my links, the links put in
+    /// order by repeated minimum search so that nothing is allocated.
+    fn interests(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let links = self.links();
+        let mut reps = self.will.iter().flat_map(SubRtShape::reps).peekable();
+        let mut last: Option<NodeId> = None;
+        std::iter::from_fn(move || loop {
+            let link = links.clone().filter(|&u| last.is_none_or(|l| u > l)).min();
+            let next = match (reps.peek().copied(), link) {
+                (Some(r), Some(l)) => r.min(l),
+                (r, l) => r.or(l)?,
+            };
+            reps.next_if_eq(&next);
+            last = Some(next);
+            if next != self.id {
+                return Some(next);
             }
-            out.extend(r.hchildren.iter().map(|c| c.sim));
-        }
-        out.remove(&self.id);
-        out
+        })
     }
 
+    /// Whether my fields demand an edge to `u` (membership in
+    /// [`FtNode::interests`]).
+    fn wants(&self, u: NodeId) -> bool {
+        u != self.id
+            && (self.will.as_ref().is_some_and(|w| w.contains(u)) || self.links().any(|l| l == u))
+    }
+
+    /// Diffs my interests against the held set in place: requests an edge
+    /// for each new interest and releases each one that lapsed, both in
+    /// ascending order.
     fn sync_edges(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
-        let want = self.desired_neighbors();
-        for &u in want.difference(&self.desired) {
-            ctx.add_edge(u);
+        let mut held = std::mem::take(&mut self.desired);
+        let mut i = 0;
+        for u in self.interests() {
+            while let Some(&d) = held.get(i).filter(|&&d| d < u) {
+                ctx.send(d, FtMsg::Release);
+                held.remove(i);
+            }
+            if held.get(i) != Some(&u) {
+                ctx.add_edge(u);
+                held.insert(i, u);
+            }
+            i += 1;
         }
-        for &u in self.desired.difference(&want) {
-            ctx.send(u, FtMsg::Release);
+        for d in held.drain(i..) {
+            ctx.send(d, FtMsg::Release);
         }
-        self.desired = want;
+        self.desired = held;
     }
 
-    /// Computes the portions my current will + fields imply.
-    fn compute_portions(&self) -> BTreeMap<NodeId, DPortion> {
-        let Some(will) = &self.will else {
-            return BTreeMap::new();
-        };
-        let heir = will.heir().expect("nonempty will");
-        let top = match &self.role {
+    /// Where my will's SubRT root attaches once I die.
+    fn subrt_top(&self, heir: NodeId) -> VRef {
+        match &self.role {
             Some(_) => {
                 let t = self.pos_parent.unwrap_or(VRef::helper(heir));
                 if t.sim == self.id {
@@ -347,13 +377,12 @@ impl FtNode {
                 }
             }
             None => VRef::helper(heir),
-        };
-        will.all_portions()
-            .into_iter()
-            .map(|(rep, p)| (rep, self.lower_portion(&p, top, will)))
-            .collect()
+        }
     }
 
+    /// Lowers shape portion `p` into message form. A take-over heir's
+    /// `heir_mode` is left `None`: the caller compares my role by reference
+    /// and clones it only into a portion it sends.
     fn lower_portion(&self, p: &Portion, top: VRef, will: &SubRtShape) -> DPortion {
         let to_vref = |r: &PortionRef| match r {
             PortionRef::Helper(s) => VRef::helper(*s),
@@ -372,11 +401,8 @@ impl FtNode {
                 .map(to_vref);
             (hp, [l, r])
         });
-        let heir_mode = p.is_heir.then(|| match &self.role {
-            None => HeirMode::Ready {
-                subrt_root: will.root_sim().map(VRef::helper),
-            },
-            Some(role) => HeirMode::TakeOver { role: role.clone() },
+        let heir_mode = (p.is_heir && self.role.is_none()).then(|| HeirMode::Ready {
+            subrt_root: will.root_sim().map(VRef::helper),
         });
         // `top` is consumed only by the SubRT-root helper holder and by the
         // single-slot heir; `owner_parent` only by the heir. Normalize the
@@ -395,15 +421,41 @@ impl FtNode {
         }
     }
 
-    /// Sends portions that changed since last time (O(1) per event).
-    fn refresh_portions(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
-        let fresh = self.compute_portions();
-        for (rep, portion) in &fresh {
-            if self.sent_portions.get(rep) != Some(portion) {
-                ctx.send(*rep, FtMsg::Portion(Box::new(portion.clone())));
+    /// Diffs the portions my current will and fields imply against the ones
+    /// last sent, in place, and hands each changed one to `send` in
+    /// ascending representative order (O(1) per event).
+    fn refresh_portions(&mut self, mut send: impl FnMut(NodeId, &DPortion)) {
+        let mut sent = std::mem::take(&mut self.sent_portions);
+        let mut i = 0;
+        if let Some(will) = &self.will {
+            let top = self.subrt_top(will.heir().expect("nonempty will"));
+            for rep in will.reps() {
+                while sent.get(i).is_some_and(|(r, _)| *r < rep) {
+                    sent.remove(i); // that representative left my will
+                }
+                let fresh = self.lower_portion(&will.portion(rep), top, will);
+                let takeover = self.role.as_ref().filter(|_| fresh.is_heir);
+                let known = sent.get(i).is_some_and(|(r, _)| *r == rep);
+                if !(known && same_portion(&sent[i].1, &fresh, takeover)) {
+                    let fresh = match takeover {
+                        Some(role) => DPortion {
+                            heir_mode: Some(HeirMode::TakeOver { role: role.clone() }),
+                            ..fresh
+                        },
+                        None => fresh,
+                    };
+                    send(rep, &fresh);
+                    if known {
+                        sent[i].1 = fresh;
+                    } else {
+                        sent.insert(i, (rep, fresh));
+                    }
+                }
+                i += 1;
             }
         }
-        self.sent_portions = fresh;
+        sent.truncate(i);
+        self.sent_portions = sent;
     }
 
     /// Refreshes the LeafWill my parent holds, when I am a leaf.
@@ -414,10 +466,14 @@ impl FtNode {
         let Some(target) = self.parent_sim() else {
             return;
         };
-        let lw = self.role.clone();
-        if self.sent_leafwill.as_ref() == Some(&(target, lw.clone())) {
+        if self
+            .sent_leafwill
+            .as_ref()
+            .is_some_and(|(t, lw)| *t == target && lw.as_ref() == self.role.as_ref())
+        {
             return;
         }
+        let lw = self.role.clone();
         ctx.send(target, FtMsg::LeafWill(lw.clone()));
         self.sent_leafwill = Some((target, lw));
     }
@@ -425,7 +481,7 @@ impl FtNode {
     /// Post-event bookkeeping: edges, portions, LeafWill.
     fn settle(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
         self.sync_edges(ctx);
-        self.refresh_portions(ctx);
+        self.refresh_portions(|rep, p| ctx.send(rep, FtMsg::Portion(Box::new(p.clone()))));
         self.refresh_leafwill(ctx);
     }
 
@@ -467,7 +523,14 @@ impl FtNode {
                 }
             }
             Some(_) => {
-                unreachable!("rep of a live owner must be free or ready (INV-C)")
+                // Lost mail can leave me busy under a live owner: skip the
+                // heal rather than overwrite my role.
+                assert!(
+                    ctx.faulty(),
+                    "rep of a live owner must be free or ready (INV-C)"
+                );
+                self.settle(ctx);
+                return;
             }
             None => {
                 my_slot_occupant = VRef::pos(self.id);
@@ -503,25 +566,29 @@ impl FtNode {
                     PortionRef::Slot(r) => pending.push(*r),
                 }
             }
-            assert!(self.role.is_none(), "representative already busy");
-            self.role = Some(DRole {
-                hparent: Some(hparent),
-                hchildren,
-                pending_slots: pending,
-                ready: false,
-            });
-            if hparent.sim != self.id {
-                ctx.send(
-                    hparent.sim,
-                    FtMsg::OccupySlot {
-                        slot: self.id,
-                        child: VRef::helper(self.id),
-                        your_end: hparent,
-                        // the SubRT root takes the dead owner's old place
-                        // under the owner's parent vnode
-                        replacing: is_subrt_root.then_some(VRef::pos(owner)),
-                    },
-                );
+            if self.role.is_some() {
+                // lost mail left me busy: skip the helper assignment
+                assert!(ctx.faulty(), "representative already busy");
+            } else {
+                self.role = Some(DRole {
+                    hparent: Some(hparent),
+                    hchildren,
+                    pending_slots: pending,
+                    ready: false,
+                });
+                if hparent.sim != self.id {
+                    ctx.send(
+                        hparent.sim,
+                        FtMsg::OccupySlot {
+                            slot: self.id,
+                            child: VRef::helper(self.id),
+                            your_end: hparent,
+                            // the SubRT root takes the dead owner's old place
+                            // under the owner's parent vnode
+                            replacing: is_subrt_root.then_some(VRef::pos(owner)),
+                        },
+                    );
+                }
             }
         }
 
@@ -530,8 +597,9 @@ impl FtNode {
         if let Some(mode) = heir_mode {
             assert!(portion.is_heir, "heir mode on a non-heir portion");
             match mode {
+                // lost mail left me busy: skip the heir duties
+                _ if self.role.is_some() => assert!(ctx.faulty(), "heir already busy"),
                 HeirMode::Ready { subrt_root } => {
-                    assert!(self.role.is_none(), "heir already busy");
                     self.role = Some(DRole {
                         hparent: portion.owner_parent,
                         hchildren: vec![subrt_root.unwrap_or(my_slot_occupant)],
@@ -550,7 +618,6 @@ impl FtNode {
                     }
                 }
                 HeirMode::TakeOver { role } => {
-                    assert!(self.role.is_none(), "heir already busy");
                     let mut new_role = role;
                     new_role.pending_slots.clear();
                     let ready = new_role.ready;
@@ -591,7 +658,7 @@ impl FtNode {
         // 4. Apply a deferred local occupancy (my own position under my own
         //    freshly installed helper).
         if local_attach {
-            self.apply_occupy(self.id, my_slot_occupant, Some(VRef::pos(owner)));
+            self.apply_occupy(self.id, my_slot_occupant, Some(VRef::pos(owner)), ctx);
         }
         self.settle(ctx);
     }
@@ -599,11 +666,18 @@ impl FtNode {
     /// Records `child` as the occupant of `slot` under my helper, replacing
     /// a stale entry when one is named (shared by the OccupySlot handler and
     /// local self-attachment).
-    fn apply_occupy(&mut self, slot: NodeId, child: VRef, replacing: Option<VRef>) {
-        let role = self
-            .role
-            .as_mut()
-            .unwrap_or_else(|| panic!("{:?}: occupancy without a role", self.id));
+    fn apply_occupy(
+        &mut self,
+        slot: NodeId,
+        child: VRef,
+        replacing: Option<VRef>,
+        ctx: &Ctx<'_, FtMsg>,
+    ) {
+        let Some(role) = self.role.as_mut() else {
+            // the helper this occupancy targets was lost with some mail
+            assert!(ctx.faulty(), "{:?}: occupancy without a role", self.id);
+            return;
+        };
         if let Some(i) = role.pending_slots.iter().position(|s| *s == slot) {
             role.pending_slots.remove(i);
             role.hchildren.push(child);
@@ -631,14 +705,21 @@ impl FtNode {
         let role = self.role.as_mut().expect("helper_lost_child without role");
         let before = role.child_count();
         role.hchildren.retain(|c| *c != gone);
-        assert_eq!(
-            role.child_count() + 1,
-            before,
-            "{:?}: lost child {gone:?} was not mine",
-            self.id
-        );
+        // Under faults the children may not be what the protocol implies;
+        // then keep the helper as it is instead of splicing it.
+        if role.child_count() + 1 != before {
+            assert!(
+                ctx.faulty(),
+                "{:?}: lost child {gone:?} was not mine",
+                self.id
+            );
+            return LostChild::Kept;
+        }
         if role.ready {
-            assert_eq!(role.child_count(), 0, "ready vnodes have one child");
+            if role.child_count() != 0 {
+                assert!(ctx.faulty(), "ready vnodes have one child");
+                return LostChild::Kept;
+            }
             let hp = role.hparent;
             self.role = None;
             match hp {
@@ -659,11 +740,10 @@ impl FtNode {
             return LostChild::Kept;
         }
         // redundant degree-2 helper: short-circuit myself
-        assert!(
-            role.pending_slots.is_empty(),
-            "short-circuit during instantiation"
-        );
-        let survivor = role.hchildren[0];
+        let [survivor] = role.hchildren[..] else {
+            assert!(ctx.faulty(), "short-circuit during instantiation");
+            return LostChild::Kept;
+        };
         let hp = role.hparent;
         self.role = None;
         if let Some(hp) = hp {
@@ -709,11 +789,16 @@ impl FtNode {
 
     /// Adopts a dead leaf's helper duties (LeafWill execution, Alg 3.7).
     fn adopt_leafwill(&mut self, dead: NodeId, lw: DRole, ctx: &mut Ctx<'_, FtMsg>) {
-        assert!(
-            self.role.is_none(),
-            "{:?}: adopter must be free after the splice",
-            self.id
-        );
+        if self.role.is_some() {
+            // Lost mail can leave me holding a role the splice did not
+            // dissolve; adopting would overwrite it. Skip the adoption.
+            assert!(
+                ctx.faulty(),
+                "{:?}: adopter must be free after the splice",
+                self.id
+            );
+            return;
+        }
         let ready = lw.ready;
         for c in lw.hchildren.clone() {
             if c.sim == self.id {
@@ -749,6 +834,33 @@ impl FtNode {
     }
 }
 
+/// Whether `sent` equals `fresh`, a lowering whose take-over heir mode was
+/// left out: that part is compared against `takeover` by reference.
+fn same_portion(sent: &DPortion, fresh: &DPortion, takeover: Option<&DRole>) -> bool {
+    let Some(role) = takeover else {
+        return sent == fresh;
+    };
+    let DPortion {
+        owner,
+        is_heir,
+        next_parent,
+        helper,
+        heir_mode,
+        top,
+        owner_parent,
+    } = sent;
+    matches!(heir_mode, Some(HeirMode::TakeOver { role: r }) if r == role)
+        && (owner, is_heir, next_parent, helper, top, owner_parent)
+            == (
+                &fresh.owner,
+                &fresh.is_heir,
+                &fresh.next_parent,
+                &fresh.helper,
+                &fresh.top,
+                &fresh.owner_parent,
+            )
+}
+
 impl Process for FtNode {
     type Msg = FtMsg;
 
@@ -781,7 +893,8 @@ impl Process for FtNode {
                         self.will = None;
                     }
                 }
-                Some(Some(_)) => unreachable!(
+                Some(Some(_)) => assert!(
+                    ctx.faulty(),
                     "a leaf directly under its live original parent cannot hold a role"
                 ),
                 None => {
@@ -871,7 +984,8 @@ impl Process for FtNode {
                                 },
                             );
                         }
-                        _ => unreachable!("helpers are binary"),
+                        // lost mail left dead's helper with extra children
+                        _ => assert!(ctx.faulty(), "helpers are binary"),
                     }
                     self.settle(ctx);
                     return;
@@ -901,7 +1015,7 @@ impl Process for FtNode {
                 replacing,
             } => {
                 if your_end.helper {
-                    self.apply_occupy(slot, child, replacing);
+                    self.apply_occupy(slot, child, replacing, ctx);
                 } else {
                     // occupant of one of my will slots announcing itself: my
                     // slots are tracked by representative already; nothing
@@ -967,8 +1081,9 @@ impl Process for FtNode {
                 gone,
                 survivor,
             } => {
-                assert!(your_end.helper, "splice-child against a position end");
-                if let Some(role) = &mut self.role {
+                if !your_end.helper {
+                    assert!(ctx.faulty(), "splice-child against a position end");
+                } else if let Some(role) = &mut self.role {
                     if let Some(i) = role.hchildren.iter().position(|c| *c == gone) {
                         if survivor == gone {
                             role.hchildren.remove(i);
@@ -978,8 +1093,11 @@ impl Process for FtNode {
                                     self.helper_dissolved(ctx);
                                 }
                             } else if role.child_count() == 1 {
-                                let g = role.hchildren[0];
-                                self.helper_lost_child_noop_shortcircuit(g, ctx);
+                                if let [g] = role.hchildren[..] {
+                                    self.helper_lost_child_noop_shortcircuit(g, ctx);
+                                } else {
+                                    assert!(ctx.faulty(), "short-circuit during instantiation");
+                                }
                             }
                         } else {
                             role.hchildren[i] = survivor;
@@ -1032,7 +1150,7 @@ impl Process for FtNode {
                 }
             }
             FtMsg::Release => {
-                if !self.desired_neighbors().contains(&from) {
+                if !self.wants(from) {
                     ctx.drop_edge(from);
                 }
                 return;
@@ -1091,6 +1209,51 @@ impl FtNode {
     }
 }
 
+#[cfg(test)]
+impl FtNode {
+    /// Asserts that the in-place caches (`desired`, `sent_portions`) equal
+    /// a from-scratch rebuild of both from my fields, and that
+    /// [`FtNode::wants`] agrees with the rebuilt interest set.
+    pub(crate) fn assert_caches_fresh(&self) {
+        let mut want = std::collections::BTreeSet::new();
+        if let Some(p) = self.pos_parent {
+            want.insert(p.sim);
+        }
+        if let Some(w) = &self.will {
+            want.extend(w.reps());
+        }
+        if let Some(r) = &self.role {
+            want.extend(r.hparent.map(|h| h.sim));
+            want.extend(r.hchildren.iter().map(|c| c.sim));
+        }
+        want.remove(&self.id);
+        assert!(
+            self.desired.iter().eq(&want),
+            "{:?}: held interests {:?} != rebuilt {want:?}",
+            self.id,
+            self.desired
+        );
+        assert!(want.iter().all(|&u| self.wants(u)) && !self.wants(self.id));
+        let rebuilt: Vec<(NodeId, DPortion)> = match &self.will {
+            None => Vec::new(),
+            Some(will) => {
+                let top = self.subrt_top(will.heir().expect("nonempty will"));
+                will.all_portions()
+                    .into_iter()
+                    .map(|(rep, p)| {
+                        let mut d = self.lower_portion(&p, top, will);
+                        if let (true, Some(role)) = (d.is_heir, &self.role) {
+                            d.heir_mode = Some(HeirMode::TakeOver { role: role.clone() });
+                        }
+                        (rep, d)
+                    })
+                    .collect()
+            }
+        };
+        assert_eq!(self.sent_portions, rebuilt, "{:?}: stale portions", self.id);
+    }
+}
+
 /// Driver owning the simulated network; mirrors [`crate::ForgivingTree`]'s
 /// public API so experiments can swap engines.
 #[derive(Debug)]
@@ -1104,13 +1267,13 @@ impl DistributedForgivingTree {
     /// `ft_sim::bfs` + experiment E9).
     pub fn new(tree: &RootedTree) -> Self {
         let mut net = Network::new(tree.to_graph(), FtNode::new);
-        let ids: Vec<NodeId> = tree.nodes().collect();
-        let mut portions: BTreeMap<NodeId, DPortion> = BTreeMap::new();
-        for &v in &ids {
+        for v in tree.nodes() {
             let node = net.process_mut(v);
             node.pos_parent = tree.parent(v).map(VRef::pos);
             let children = tree.children(v);
-            if !children.is_empty() {
+            if children.is_empty() {
+                node.sent_leafwill = node.pos_parent.map(|p| (p.sim, None));
+            } else {
                 node.will = Some(SubRtShape::build(children));
                 for &c in children {
                     if tree.is_leaf(c) {
@@ -1118,21 +1281,15 @@ impl DistributedForgivingTree {
                     }
                 }
             }
-        }
-        for &v in &ids {
-            let node = net.process_mut(v);
-            let computed = node.compute_portions();
-            node.sent_portions = computed.clone();
-            node.desired = node.desired_neighbors();
-            if node.will.is_none() {
-                if let Some(p) = tree.parent(v) {
-                    node.sent_leafwill = Some((p, None));
-                }
+            node.refresh_portions(|_, _| {});
+            node.desired = node.interests().collect();
+            // each representative has exactly one owner: install its
+            // portion straight from the owner's record
+            let sent = std::mem::take(&mut node.sent_portions);
+            for (rep, p) in &sent {
+                net.process_mut(*rep).portion = Some(p.clone());
             }
-            portions.extend(computed);
-        }
-        for (rep, p) in portions {
-            net.process_mut(rep).portion = Some(p);
+            net.process_mut(v).sent_portions = sent;
         }
         DistributedForgivingTree { net }
     }

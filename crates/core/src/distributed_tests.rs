@@ -18,12 +18,14 @@ fn n(i: u32) -> NodeId {
     NodeId(i)
 }
 
-/// Runs both engines in lock-step, asserting graph equality and the O(1)
-/// round/message bounds after every deletion.
+/// Runs both engines in lock-step, asserting graph equality, the O(1)
+/// round/message bounds and every processor's cached interests and
+/// portions after every deletion.
 fn differential_run(tree: &RootedTree, order: &[NodeId]) {
     let mut spec = ForgivingTree::new(tree);
     let mut dist = DistributedForgivingTree::new(tree);
     assert_eq!(spec.graph(), dist.graph(), "initial graphs differ");
+    assert_caches_fresh(&dist);
     for (step, &v) in order.iter().enumerate() {
         let sr = spec.delete(v);
         let dr = dist.delete(v);
@@ -46,12 +48,19 @@ fn differential_run(tree: &RootedTree, order: &[NodeId]) {
             dr.max_messages_per_node
         );
         let _ = sr;
+        assert_caches_fresh(&dist);
     }
     assert!(dist.is_empty());
     // the simulator's books must reconcile after every campaign
     dist.network()
         .check_accounting()
         .expect("message ledger imbalance");
+}
+
+fn assert_caches_fresh(dist: &DistributedForgivingTree) {
+    for v in dist.nodes() {
+        dist.node(v).assert_caches_fresh();
+    }
 }
 
 #[test]
@@ -216,6 +225,41 @@ fn books_balance_after_a_wave_campaign() {
         "campaign report derives from the same ledger"
     );
     assert_eq!(campaign.report().deletions, 63 - dist.len());
+}
+
+/// Folds `x` into an FNV-1a accumulator, byte by byte.
+fn fnv_fold(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+#[test]
+fn golden_heal_trace() {
+    // Pins every heal's rounds, message counts and added edges on a seeded
+    // campaign, so any change in what the processors send fails here (the
+    // graph-equality checks above do not see message counts).
+    let g = gen::kary_tree(2000, 8);
+    let t = RootedTree::from_tree_graph(&g, n(0));
+    let mut dist = DistributedForgivingTree::new(&t);
+    let mut order: Vec<NodeId> = t.nodes().collect();
+    order.shuffle(&mut StdRng::seed_from_u64(15));
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &v in &order[..1000] {
+        let r = dist.delete(v);
+        for x in [
+            u64::from(r.rounds),
+            r.notified as u64,
+            r.total_messages as u64,
+            r.max_messages_per_node as u64,
+        ] {
+            fnv_fold(&mut h, x);
+        }
+        for (a, b) in r.edges_added {
+            fnv_fold(&mut h, u64::from(a.0) << 32 | u64::from(b.0));
+        }
+    }
+    assert_eq!(h, 0x17c1_f797_9b71_9d4e, "heal trace drifted: {h:#018x}");
 }
 
 fn permutations(items: &[u32]) -> Vec<Vec<u32>> {

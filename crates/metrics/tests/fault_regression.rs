@@ -58,3 +58,23 @@ fn seeded_regression_pins_faulty_ten_thousand_node_figures() {
     );
     assert_eq!(rec.cost.messages_delivered, 1105, "engine cost spine");
 }
+
+/// Tree campaigns under loss+crash that once hit protocol assertions
+/// (a leaf-will adopter still busy; a helper short-circuiting mid-build).
+/// Lost mail can break those invariants, so the processors must skip the
+/// impossible step and let the harness record the damage, not panic.
+#[test]
+fn tree_degrades_instead_of_panicking_under_loss_and_crash() {
+    use ft_metrics::{run_stress, StressConfig};
+    for (nodes, deletions, seed) in [(2000, 1000, 1), (2000, 1000, 3), (5000, 2500, 42)] {
+        let rec = run_stress(&StressConfig {
+            nodes,
+            deletions,
+            seed,
+            faults: "loss+crash".into(),
+            ..StressConfig::default()
+        });
+        assert!(rec.balanced, "seed {seed}: faulty ledger out of balance");
+        assert_eq!(rec.deletions, deletions, "seed {seed}: campaign cut short");
+    }
+}
