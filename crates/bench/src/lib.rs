@@ -8,6 +8,8 @@
 //! operation costs (heal latency, setup, SubRT construction, simulator
 //! round throughput).
 
+#![forbid(unsafe_code)]
+
 use ft_adversary::Adversary;
 use ft_baselines::{ForgivingHealer, SelfHealer};
 use ft_metrics::{run_trial, Trial, TrialConfig, Workload};

@@ -555,7 +555,7 @@ mod tests {
         let mut campaign = Campaign::new(CampaignConfig {
             cadence: ft_sim::HealCadence::PerWave,
             max_rounds_per_heal: 8,
-            threads: 1,
+            ..CampaignConfig::default()
         });
         d.run_wave(&mut campaign, &[ChurnEvent::Delete(n(1))]);
     }

@@ -2,9 +2,8 @@
 //!
 //! Wall-clock timing is the weakest regression signal this repository has:
 //! it is noisy on shared runners and useless on the single-core CI box. The
-//! engine's *operation counts*, by contrast, are exact, reproducible, and —
-//! because the sharded round engine is byte-identical to the sequential one —
-//! independent of thread count. This crate provides the [`OperationCost`]
+//! engine's *operation counts*, by contrast, are exact and replay from the
+//! seed on any machine. This crate provides the [`OperationCost`]
 //! vector those counts accumulate into, in the style of grovedb's
 //! `OperationCost`/`CostContext` discipline: every engine operation returns
 //! its result *with* its cost ([`CostResult`]), and harnesses diff whole
@@ -86,7 +85,7 @@ pub struct OperationCost {
     pub edge_scans: u64,
     /// Bytes of message payload staged for delivery — a *model* cost
     /// (count × type size), not allocator telemetry, so it is identical
-    /// across platforms and thread counts.
+    /// across platforms.
     pub heap_bytes: u64,
     /// Random-access probes: per-addressee inbox probes (stale hot entries
     /// included) and priority-queue pops in measurement passes.

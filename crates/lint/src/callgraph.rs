@@ -89,8 +89,8 @@ pub const STD_CONTAINER_METHODS: [&str; 16] = [
 
 /// Whether `file` belongs to a crate whose code can sit on a real call
 /// chain to engine state (the simulator itself, the stretch metrics that
-/// drive it, and the core healer it dispatches into). The shard-isolation
-/// walk and the effects-baseline inference confine propagation here:
+/// drive it, and the core healer it dispatches into). The effects-baseline
+/// inference confines propagation here:
 /// chains detouring through the pure graph crate or the baselines trait
 /// re-enter the engine only via same-name aliasing.
 pub fn engine_crate(file: &str) -> bool {
@@ -191,7 +191,7 @@ impl CallGraph {
         }
     }
 
-    /// Resolution edges for the effect and shard-isolation analyses:
+    /// Resolution edges for the effect analysis:
     /// [`edges`](Self::edges) minus dotted std-container calls
     /// ([`std_container_call`]) — `seen.insert(v)` must not alias a
     /// workspace `insert` and pull the whole engine into a transitive

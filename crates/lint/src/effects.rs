@@ -21,8 +21,7 @@
 //! engine-state field names distinct, and the baseline diff catches any
 //! collision that slips in.
 //!
-//! Two rules live here (the third, shard isolation, is in
-//! [`parallel`](crate::parallel)):
+//! Two rules live here:
 //!
 //! - **ledger-book-coupling** — every mutation site of a `MsgLedger` book
 //!   must lie in a function whose *direct* book-write set is balanced

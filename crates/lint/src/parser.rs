@@ -51,9 +51,8 @@ pub struct CallSite {
     pub recv: Option<String>,
     /// 1-based line of the call.
     pub line: u32,
-    /// Index of the call-name token in the file's token stream (the
-    /// parallel-region analysis tests whether it falls inside a worker
-    /// closure's token range).
+    /// Index of the call-name token in the file's token stream (the call
+    /// graph re-examines the token before it to spot dotted calls).
     pub tok: usize,
     /// Statement context (see [`Discard`]).
     pub discard: Discard,
@@ -114,8 +113,6 @@ pub struct FieldAccess {
     pub field: String,
     /// 1-based line of the field token.
     pub line: u32,
-    /// Index of the field token in the file's token stream.
-    pub tok: usize,
     /// Whether the access mutates: assignment (`=`, `+=`, …), an `&mut`
     /// borrow of the chain, or a mutating-method receiver position.
     pub write: bool,
@@ -484,7 +481,6 @@ fn extract_accesses(toks: &[Token], enclosing: &[Option<usize>], defs: &mut [FnD
             recv,
             field: t.text.clone(),
             line: t.line,
-            tok: idx,
             write: classify_access(toks, idx),
         });
     }
@@ -730,21 +726,20 @@ mod tests {
 
     #[test]
     fn trait_impls_take_the_for_type() {
-        let p =
-            parse_src("impl Drop for WorkerPool {\n    fn drop(&mut self) { self.halt(); }\n}\n");
-        assert_eq!(p.defs[0].qname, "WorkerPool::drop");
+        let p = parse_src("impl Drop for Pool {\n    fn drop(&mut self) { self.halt(); }\n}\n");
+        assert_eq!(p.defs[0].qname, "Pool::drop");
     }
 
     #[test]
     fn calls_carry_qualifier_receiver_and_context() {
         let p = parse_src(
-            "fn f() {\n    let _ = probe();\n    net.step();\n    let x = WorkerPool::new(2);\n    take(inner());\n    self.outbox.push(1);\n}\n",
+            "fn f() {\n    let _ = probe();\n    net.step();\n    let x = Pool::new(2);\n    take(inner());\n    self.outbox.push(1);\n}\n",
         );
         let calls = &p.defs[0].calls;
         let get = |name: &str| calls.iter().find(|c| c.name == name).expect("call present");
         assert_eq!(get("probe").discard, Discard::LetUnderscore);
         assert_eq!(get("step").discard, Discard::Statement);
-        assert_eq!(get("new").qual.as_deref(), Some("WorkerPool"));
+        assert_eq!(get("new").qual.as_deref(), Some("Pool"));
         assert_eq!(get("new").discard, Discard::No);
         assert_eq!(get("inner").discard, Discard::No, "argument position");
         assert_eq!(get("take").discard, Discard::Statement);
@@ -834,11 +829,11 @@ mod tests {
         // regression: calls AND field accesses inside a closure passed as an
         // argument (`pool.run(|shard| { … })`) must land on the enclosing fn
         let p = parse_src(
-            "impl E {\n    fn drive(&mut self, pool: &WorkerPool) {\n        pool.run(|shard| {\n            shard.outbox.clear();\n            deliver_chunk(shard);\n            self.total += 1;\n        });\n    }\n}\n",
+            "impl E {\n    fn drive(&mut self, pool: &Pool) {\n        pool.run(|shard| {\n            shard.outbox.clear();\n            drain_batch(shard);\n            self.total += 1;\n        });\n    }\n}\n",
         );
         assert_eq!(p.defs.len(), 1, "closures are not defs");
         let d = &p.defs[0];
-        assert!(d.calls.iter().any(|c| c.name == "deliver_chunk"));
+        assert!(d.calls.iter().any(|c| c.name == "drain_batch"));
         assert!(d.calls.iter().any(|c| c.name == "run"));
         let acc = accesses(d);
         assert!(acc.contains(&("outbox", true)), "{acc:?}");

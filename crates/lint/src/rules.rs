@@ -26,13 +26,12 @@
 use crate::callgraph::{self, CallGraph};
 use crate::effects;
 use crate::lexer::{lex, Comment, Lexed, TokKind, Token};
-use crate::parallel;
 use crate::parser::{parse, Discard, FnDef, Parsed};
 use crate::taint;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The machine name of every rule, in report order.
-pub const RULE_NAMES: [&str; 14] = [
+pub const RULE_NAMES: [&str; 13] = [
     "nondeterministic-iteration",
     "wall-clock-in-protocol",
     "unseeded-rng",
@@ -44,7 +43,6 @@ pub const RULE_NAMES: [&str; 14] = [
     "uncharged-mutation",
     "dropped-cost-result",
     "panic-reachability",
-    "shared-write-in-parallel-region",
     "ledger-book-coupling",
     "effects-baseline-drift",
 ];
@@ -61,7 +59,7 @@ pub struct RuleInfo {
 }
 
 /// The rule catalog (see `docs/LINT.md` for the full contract).
-pub const RULES: [RuleInfo; 14] = [
+pub const RULES: [RuleInfo; 13] = [
     RuleInfo {
         name: "nondeterministic-iteration",
         summary: "HashMap/HashSet in protocol crates (ft-core, ft-sim, ft-graph): \
@@ -95,8 +93,8 @@ pub const RULES: [RuleInfo; 14] = [
     RuleInfo {
         name: "panic-in-engine",
         summary: "unwrap/expect/panic!/indexing directly inside Network::step*/\
-                  run_until*/deliver*/finish_round: a mid-round panic tears down a \
-                  sharded round and corrupts in-flight accounting",
+                  run_until*/deliver*/finish_round: a mid-round panic leaves the \
+                  round's charges half-applied and corrupts in-flight accounting",
         guards: "crash-consistency of the round engine's books (depth 0; see \
                  panic-reachability for the transitive closure)",
     },
@@ -143,16 +141,6 @@ pub const RULES: [RuleInfo; 14] = [
                   calls deep",
         guards: "crash-consistency of the round engine's books, enforced by \
                  call-graph closure instead of an 8-line token window",
-    },
-    RuleInfo {
-        name: "shared-write-in-parallel-region",
-        summary: "a field write lexically inside — or transitively reachable from — a \
-                  worker closure (WorkerPool/spawn dispatch) that lands in shared \
-                  state: not `// ft-lint: shard-local`, not a non-self &mut param, \
-                  not a local",
-        guards: "the shard-isolation discipline: threaded rounds stay byte-identical \
-                 to sequential only while workers touch per-shard scratch merged \
-                 after the barrier",
     },
     RuleInfo {
         name: "ledger-book-coupling",
@@ -324,13 +312,6 @@ pub fn rule_applies(rule: &str, path: &str) -> bool {
         "determinism-taint" => in_any(&p, &["crates/core/src", "crates/sim/src"]),
         // Costs may be produced anywhere; dropping one is wrong anywhere.
         "dropped-cost-result" => true,
-        // The parallel surfaces: the sharded round engine and the threaded
-        // stretch sweep. Conservative name resolution reaches every crate,
-        // but findings are *reported* only where the shard discipline
-        // binds (a `fn push` on a metrics table is not engine state).
-        "shared-write-in-parallel-region" => {
-            p == "crates/metrics/src/stretch.rs" || in_any(&p, &["crates/sim/src"])
-        }
         // The ledger and everything in ft-sim that could touch its books.
         "ledger-book-coupling" => in_any(&p, &["crates/sim/src"]),
         // The hot paths whose write sets the committed baseline pins: the
@@ -482,7 +463,7 @@ fn detect_lexical(path: &str, lx: &Lexed, parsed: &Parsed) -> Vec<Finding> {
                         t.line,
                         format!(
                             ".{}() in a round-engine hot path: a mid-round panic \
-                             tears down the shard barrier with charges half-applied",
+                             leaves the round's charges half-applied",
                             t.text
                         ),
                     );
@@ -680,7 +661,7 @@ fn is_baseline_hot_fn(def: &FnDef) -> bool {
     is_engine_hot_fn(&def.name) || def.name.starts_with("measure_stretch")
 }
 
-/// Runs the seven call-graph rules over the whole file set. `baseline` is
+/// Runs the six call-graph rules over the whole file set. `baseline` is
 /// the committed effect table (`crates/lint/effects_baseline.json`), when
 /// present, for the drift rule.
 fn detect_semantic(units: &[Unit], baseline: Option<&str>) -> Vec<Finding> {
@@ -814,7 +795,7 @@ fn detect_semantic(units: &[Unit], baseline: Option<&str>) -> Vec<Finding> {
                 line: *line,
                 message: format!(
                     "{site} in `{}` is reachable from a round-engine root \
-                     ({chain}): a panic below the shard barrier leaves charges \
+                     ({chain}): a panic mid-round leaves charges \
                      half-applied — bubble an error, or prove the invariant and \
                      suppress with the proof as the reason",
                     graph.defs[i].qname,
@@ -823,17 +804,6 @@ fn detect_semantic(units: &[Unit], baseline: Option<&str>) -> Vec<Finding> {
         }
     }
 
-    // --- shared-write-in-parallel-region: field writes inside / reachable
-    // from worker closures must land in per-worker state
-    let files: BTreeMap<&str, &Lexed> = units.iter().map(|u| (u.path.as_str(), &u.lx)).collect();
-    let shard_local = parallel::shard_local_fields(files.iter().map(|(&p, &lx)| (p, lx)));
-    out.extend(parallel::detect_shared_writes(
-        &graph,
-        &files,
-        &shard_local,
-        |f| rule_applies("shared-write-in-parallel-region", f),
-    ));
-
     // --- ledger-book-coupling: direct book-write sets must be balanced
     out.extend(effects::detect_book_coupling(&graph, |f| {
         rule_applies("ledger-book-coupling", f)
@@ -841,6 +811,8 @@ fn detect_semantic(units: &[Unit], baseline: Option<&str>) -> Vec<Finding> {
 
     // --- effects-baseline-drift: hot-path write sets vs the committed table
     if let Some(text) = baseline {
+        let files: BTreeMap<&str, &Lexed> =
+            units.iter().map(|u| (u.path.as_str(), &u.lx)).collect();
         let sigs = effects::infer(&graph, &engine_adjacency(&graph, &files));
         let table = effects::parse_table(text);
         out.extend(effects::detect_drift(
@@ -912,13 +884,8 @@ fn parse_allows(comments: &[Comment], path: &str) -> (Vec<Allow>, Vec<Finding>) 
                 message: format!("malformed ft-lint marker: {why}"),
             });
         };
-        // `// ft-lint: shard-local` is the parallel pass's field marker,
-        // not a suppression — collected by `parallel::shard_local_fields`.
-        if rest.starts_with(crate::parallel::SHARD_LOCAL_MARKER) {
-            continue;
-        }
         let Some(args) = rest.strip_prefix("allow") else {
-            fail("expected `allow(<rule>, \"<reason>\")` or `shard-local`");
+            fail("expected `allow(<rule>, \"<reason>\")`");
             continue;
         };
         let args = args.trim_start();

@@ -26,7 +26,7 @@
 //!
 //! Every cell is a pure function of the seed (fault schedules are
 //! [`FaultPlan`](ft_sim::FaultPlan)-driven, planners are seeded), so the
-//! whole matrix replays byte-identically at any thread count.
+//! whole matrix replays byte-identically.
 
 use crate::graph_stress::{run_graph_stress, GraphStressConfig};
 use crate::stress::FAULT_SEED_SALT;
@@ -50,9 +50,6 @@ pub struct FaultMatrixConfig {
     pub wave_size: usize,
     /// Seed shared by workload, planners, and fault plans.
     pub seed: u64,
-    /// Worker threads for the round engine (cells are byte-identical for
-    /// any value).
-    pub threads: usize,
 }
 
 impl Default for FaultMatrixConfig {
@@ -62,7 +59,6 @@ impl Default for FaultMatrixConfig {
             events: 120,
             wave_size: 10,
             seed: 42,
-            threads: 1,
         }
     }
 }
@@ -197,7 +193,6 @@ impl FaultMatrixRecord {
         out.push_str(&format!("  \"events\": {},\n", self.config.events));
         out.push_str(&format!("  \"wave_size\": {},\n", self.config.wave_size));
         out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
-        out.push_str(&format!("  \"threads\": {},\n", self.config.threads));
         out.push_str("  \"cells\": [\n");
         for (i, cell) in self.cells.iter().enumerate() {
             out.push_str(&cell.to_json());
@@ -261,7 +256,6 @@ fn run_tree_cell(cfg: &FaultMatrixConfig, model: &'static str) -> FaultCell {
     }
     let mut planner = make_wave_planner("random", cfg.seed).expect("random planner exists");
     let mut campaign = Campaign::new(CampaignConfig {
-        threads: cfg.threads.max(1),
         cadence: HealCadence::PerDeletion,
         ..CampaignConfig::default()
     });
@@ -328,9 +322,9 @@ fn run_graph_cell(cfg: &FaultMatrixConfig, model: &'static str) -> FaultCell {
         planner: String::from("mixed"),
         seed: cfg.seed,
         stretch_sources: 8,
-        threads: cfg.threads.max(1),
         stretch_mode: String::from("full"),
         faults: String::from(model),
+        ..GraphStressConfig::default()
     });
     let degree_ok = rec.max_degree_increase <= rec.degree_bound;
     let distance_ok =
@@ -391,7 +385,6 @@ mod tests {
             events: 30,
             wave_size: 6,
             seed: 7,
-            threads: 1,
         }
     }
 
@@ -435,11 +428,8 @@ mod tests {
     #[test]
     fn matrix_replays_byte_identically() {
         let a = run_fault_matrix(&small());
-        let b = run_fault_matrix(&FaultMatrixConfig {
-            threads: 4,
-            ..small()
-        });
-        assert_eq!(a.cells, b.cells, "matrix must be thread-count invariant");
+        let b = run_fault_matrix(&small());
+        assert_eq!(a.cells, b.cells, "matrix must replay from its seed");
     }
 
     #[test]
@@ -452,8 +442,8 @@ mod tests {
         assert!(json.contains("\"protocol\": \"tree\""));
         assert!(json.contains("\"model\": \"chaos\""));
         assert!(json.contains("\"verdict\": \"held\""));
-        // 6 header fields + "cells" + 17 fields per cell.
-        let expected = 7 + rec.cells.len() * 17;
+        // 5 header fields + "cells" + 17 fields per cell.
+        let expected = 6 + rec.cells.len() * 17;
         assert_eq!(json.matches(':').count(), expected, "pinned field count");
         let table = rec.summary();
         assert!(table.contains("tree") && table.contains("chaos"));

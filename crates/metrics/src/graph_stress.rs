@@ -16,7 +16,7 @@
 //!
 //! `GraphStressConfig::faults` arms a named deterministic fault model
 //! ([`ft_sim::FaultConfig`]) on the campaign. Faulty runs still replay
-//! byte-identically at any thread count and keep the accounting panics
+//! byte-identically from their seed and keep the accounting panics
 //! armed, but the convergence/will/connectivity/bound panics relax into
 //! recorded booleans — under an adversary that loses mail and crashes
 //! nodes mid-heal, those are the measurements the fault matrix collects.
@@ -52,9 +52,8 @@ pub struct GraphStressConfig {
     pub seed: u64,
     /// BFS sources sampled by the stretch pass.
     pub stretch_sources: usize,
-    /// Worker threads: shards the round engine's heavy rounds *and* the
-    /// full stretch pass's BFS sources (1 = sequential; results are
-    /// byte-identical for any value).
+    /// Ignored; kept only because ftbench's sources are frozen; delete with
+    /// the next benchmark PR.
     pub threads: usize,
     /// Stretch engine: `incremental` (default — per-source distance fields
     /// repaired from the churn journal), `full` (from-scratch re-sweep), or
@@ -103,8 +102,6 @@ pub struct GraphStressRecord {
     pub rounds: u64,
     /// Live nodes remaining.
     pub live_remaining: usize,
-    /// Worker threads the campaign (and stretch pass) ran with.
-    pub threads: usize,
     /// Wall-clock seconds for the campaign (setup and stretch pass
     /// excluded).
     pub elapsed_secs: f64,
@@ -202,7 +199,6 @@ impl GraphStressRecord {
                 "  \"deletions\": {},\n",
                 "  \"rounds\": {},\n",
                 "  \"live_remaining\": {},\n",
-                "  \"threads\": {},\n",
                 "  \"elapsed_secs\": {:.6},\n",
                 "  \"wall_ms\": {:.3},\n",
                 "  \"stretch_wall_ms\": {:.3},\n",
@@ -260,7 +256,6 @@ impl GraphStressRecord {
             self.deletions,
             self.rounds,
             self.live_remaining,
-            self.threads,
             self.elapsed_secs,
             self.wall_ms,
             self.stretch_wall_ms,
@@ -376,10 +371,7 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
     }
     let mut planner = make_churn_planner(&cfg.planner, cfg.seed, cfg.insert_fraction)
         .unwrap_or_else(|| panic!("unknown churn planner: {}", cfg.planner));
-    let mut campaign = Campaign::new(CampaignConfig {
-        threads: cfg.threads.max(1),
-        ..CampaignConfig::default()
-    });
+    let mut campaign = Campaign::new(CampaignConfig::default());
     // The incremental tracker is armed before the first wave and repairs
     // its fields from each wave's drained churn journal; its wall time —
     // build included — is metered separately so `elapsed_secs` stays
@@ -448,13 +440,8 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
     let max_degree_increase = dist.max_degree_increase();
     let full_pass = || {
         let t0 = Instant::now();
-        let (report, cost) = measure_stretch_full(
-            dist.graph(),
-            dist.pristine(),
-            cfg.stretch_sources,
-            cfg.seed,
-            cfg.threads.max(1),
-        );
+        let (report, cost) =
+            measure_stretch_full(dist.graph(), dist.pristine(), cfg.stretch_sources, cfg.seed);
         (report, cost, t0.elapsed().as_secs_f64())
     };
     let mut stretch_modes_agree = true;
@@ -511,7 +498,6 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
         deletions: report.deletions,
         rounds: report.rounds,
         live_remaining: dist.len(),
-        threads: cfg.threads.max(1),
         elapsed_secs: elapsed,
         wall_ms: elapsed * 1e3,
         stretch_wall_ms,
@@ -567,9 +553,9 @@ mod tests {
                 planner: planner.into(),
                 seed: 3,
                 stretch_sources: 8,
-                threads: 1,
                 stretch_mode: "both".into(),
                 faults: "none".into(),
+                ..GraphStressConfig::default()
             };
             let rec = run_graph_stress(&cfg);
             assert_eq!(rec.insertions + rec.deletions, 80, "{planner}");
@@ -585,12 +571,12 @@ mod tests {
         }
     }
 
-    /// Same seed, different thread counts: every deterministic figure of
-    /// the record — campaign, ledger, degree, *and* the floating-point
-    /// stretch pass — must be identical.
+    /// Same seed, second run: every deterministic figure of the record —
+    /// campaign, ledger, degree, *and* the floating-point stretch pass —
+    /// must be identical.
     #[test]
-    fn threaded_graph_record_matches_sequential() {
-        let base = GraphStressConfig {
+    fn graph_record_replays_identically() {
+        let cfg = GraphStressConfig {
             nodes: 300,
             events: 90,
             wave_size: 9,
@@ -599,18 +585,15 @@ mod tests {
             planner: "mixed".into(),
             seed: 17,
             stretch_sources: 8,
-            threads: 1,
             stretch_mode: "both".into(),
             faults: "none".into(),
+            ..GraphStressConfig::default()
         };
-        let rec1 = run_graph_stress(&base);
-        let rec4 = run_graph_stress(&GraphStressConfig {
-            threads: 4,
-            ..base.clone()
-        });
+        let rec1 = run_graph_stress(&cfg);
+        let rec2 = run_graph_stress(&cfg);
         assert_eq!(
             (rec1.waves, rec1.insertions, rec1.deletions, rec1.rounds),
-            (rec4.waves, rec4.insertions, rec4.deletions, rec4.rounds)
+            (rec2.waves, rec2.insertions, rec2.deletions, rec2.rounds)
         );
         assert_eq!(
             (
@@ -621,19 +604,19 @@ mod tests {
                 rec1.joins
             ),
             (
-                rec4.sent,
-                rec4.delivered,
-                rec4.dropped,
-                rec4.notices,
-                rec4.joins
+                rec2.sent,
+                rec2.delivered,
+                rec2.dropped,
+                rec2.notices,
+                rec2.joins
             )
         );
-        assert_eq!(rec1.max_per_node_total, rec4.max_per_node_total);
-        assert_eq!(rec1.max_degree_increase, rec4.max_degree_increase);
-        assert_eq!(rec1.stretch, rec4.stretch, "stretch pass bit-identical");
-        assert_eq!(rec1.cost, rec4.cost, "engine costs bit-identical");
+        assert_eq!(rec1.max_per_node_total, rec2.max_per_node_total);
+        assert_eq!(rec1.max_degree_increase, rec2.max_degree_increase);
+        assert_eq!(rec1.stretch, rec2.stretch, "stretch pass bit-identical");
+        assert_eq!(rec1.cost, rec2.cost, "engine costs bit-identical");
         assert_eq!(
-            rec1.stretch_cost, rec4.stretch_cost,
+            rec1.stretch_cost, rec2.stretch_cost,
             "stretch costs bit-identical"
         );
     }
@@ -649,9 +632,9 @@ mod tests {
             planner: "mixed".into(),
             seed: 2,
             stretch_sources: 4,
-            threads: 2,
             stretch_mode: "incremental".into(),
             faults: "none".into(),
+            ..GraphStressConfig::default()
         });
         let json = rec.to_json();
         assert!(json.starts_with("{\n"));
@@ -661,7 +644,6 @@ mod tests {
         assert!(json.contains("\"max_stretch\""));
         assert!(json.contains("\"within_bounds\": true"));
         assert!(json.contains("\"converged\": true"));
-        assert!(json.contains("\"threads\": 2"));
         assert!(json.contains("\"wall_ms\""));
         assert!(json.contains("\"stretch_mode\": \"incremental\""));
         assert!(json.contains("\"stretch_modes_agree\": true"));
@@ -670,11 +652,11 @@ mod tests {
         assert!(json.contains("\"faults\": \"none\""));
         assert!(json.contains("\"wills_ok\": true"));
         assert!(json.contains("\"connected\": true"));
-        assert_eq!(json.matches(':').count(), 57, "57 fields");
+        assert_eq!(json.matches(':').count(), 56, "56 fields");
     }
 
     /// Faulty churn campaigns keep the books balanced, replay identically
-    /// at any thread count, and report (rather than panic on) whatever the
+    /// from their seed, and report (rather than panic on) whatever the
     /// faults did to convergence, wills, connectivity, and the bounds.
     #[test]
     fn faulty_graph_campaign_balances_and_replays() {
@@ -687,15 +669,12 @@ mod tests {
             planner: "mixed".into(),
             seed: 23,
             stretch_sources: 8,
-            threads: 1,
             stretch_mode: "incremental".into(),
             faults: "chaos".into(),
+            ..GraphStressConfig::default()
         };
         let rec1 = run_graph_stress(&base);
-        let rec2 = run_graph_stress(&GraphStressConfig {
-            threads: 4,
-            ..base.clone()
-        });
+        let rec2 = run_graph_stress(&base);
         assert!(
             rec1.lost + rec1.duplicated + rec1.delayed + rec1.crashes > 0,
             "the chaos model must realize at least one fault"
@@ -709,7 +688,7 @@ mod tests {
                 (r.converged, r.wills_ok, r.connected, r.within_bounds),
             )
         };
-        assert_eq!(fp(&rec1), fp(&rec2), "faulty record thread-invariant");
+        assert_eq!(fp(&rec1), fp(&rec2), "faulty record replays");
         assert_eq!(rec1.cost, rec2.cost, "faulty engine costs bit-identical");
         assert_eq!(rec1.stretch, rec2.stretch, "stretch pass bit-identical");
     }

@@ -15,6 +15,8 @@
 //! combination into the bounds-survival record behind `ftree faults`
 //! (`BENCH_faults.json`).
 
+#![forbid(unsafe_code)]
+
 pub mod fault_matrix;
 pub mod graph_stress;
 pub mod runner;
@@ -30,9 +32,7 @@ pub use graph_stress::{run_graph_stress, GraphStressConfig, GraphStressRecord};
 pub use runner::{run_trial, StepMetrics, Trial, TrialConfig, TrialSummary};
 pub use stats::{log_log_slope, Summary};
 pub use stress::{run_stress, StressConfig, StressRecord};
-pub use stretch::{
-    measure_stretch, measure_stretch_full, measure_stretch_mt, select_sources, StretchReport,
-};
+pub use stretch::{measure_stretch, measure_stretch_full, select_sources, StretchReport};
 pub use stretch_inc::StretchTracker;
 pub use table::Table;
 pub use workload::Workload;

@@ -14,7 +14,7 @@
 //! `StressConfig::faults` arms a named deterministic fault model
 //! ([`ft_sim::FaultConfig`]) on the same campaign: loss, duplication,
 //! delay, partitions, and crash-stop deaths, all a pure function of the
-//! seed, so faulty runs replay byte-identically at any thread count. Under
+//! seed, so faulty runs replay byte-identically. Under
 //! faults the convergence/connectivity panics relax into recorded
 //! booleans; the accounting panics never relax.
 
@@ -45,12 +45,12 @@ pub struct StressConfig {
     pub planner: String,
     /// RNG seed for the planner.
     pub seed: u64,
-    /// Worker threads the round engine shards heavy rounds across
-    /// (1 = sequential; results are byte-identical for any value).
+    /// Ignored; kept only because ftbench's sources are frozen; delete with
+    /// the next benchmark PR.
     pub threads: usize,
     /// Heal cadence: `per-deletion` (Model 2.1, the default) or `per-wave`
     /// (the whole wave strikes before recovery runs — heavier recovery
-    /// rounds, the regime where sharding has real per-round work).
+    /// rounds).
     /// **Caveat**: the Forgiving Tree protocol is specified for one
     /// deletion per time step; under `per-wave` a victim's will-holders
     /// can die with it and the heal may lose connectivity, which the
@@ -95,8 +95,6 @@ pub struct StressRecord {
     pub rounds: u64,
     /// Live nodes remaining.
     pub live_remaining: usize,
-    /// Worker threads the campaign ran with.
-    pub threads: usize,
     /// Wall-clock seconds for the campaign (setup excluded).
     pub elapsed_secs: f64,
     /// The same wall time in milliseconds (the perf-trajectory datapoint).
@@ -165,7 +163,6 @@ impl StressRecord {
                 "  \"deletions\": {},\n",
                 "  \"rounds\": {},\n",
                 "  \"live_remaining\": {},\n",
-                "  \"threads\": {},\n",
                 "  \"elapsed_secs\": {:.6},\n",
                 "  \"wall_ms\": {:.3},\n",
                 "  \"nodes_per_sec\": {:.1},\n",
@@ -204,7 +201,6 @@ impl StressRecord {
             self.deletions,
             self.rounds,
             self.live_remaining,
-            self.threads,
             self.elapsed_secs,
             self.wall_ms,
             self.nodes_per_sec,
@@ -237,15 +233,13 @@ impl StressRecord {
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} deletions over {} waves on n={} ({} planner, {} thread{}): \
+            "{} deletions over {} waves on n={} ({} planner): \
              {:.2}s, {:.0} deletions/s, {:.0} msgs/s, peak node load {}, \
              books balanced",
             self.deletions,
             self.waves,
             self.config.nodes,
             self.config.planner,
-            self.threads,
-            if self.threads == 1 { "" } else { "s" },
             self.elapsed_secs,
             self.nodes_per_sec,
             self.msgs_per_sec,
@@ -281,7 +275,6 @@ pub fn run_stress(cfg: &StressConfig) -> StressRecord {
             .set_fault_plan(Some(fault_cfg.plan(cfg.seed ^ FAULT_SEED_SALT)));
     }
     let mut campaign = Campaign::new(CampaignConfig {
-        threads: cfg.threads.max(1),
         cadence,
         ..CampaignConfig::default()
     });
@@ -333,7 +326,6 @@ pub fn run_stress(cfg: &StressConfig) -> StressRecord {
         deletions: report.deletions,
         rounds: report.rounds,
         live_remaining: dist.len(),
-        threads: cfg.threads.max(1),
         elapsed_secs: elapsed,
         wall_ms: elapsed * 1e3,
         nodes_per_sec: report.deletions as f64 / elapsed,
@@ -372,9 +364,9 @@ mod tests {
                 arity: 4,
                 planner: planner.into(),
                 seed: 1,
-                threads: 1,
                 cadence: "per-deletion".into(),
                 faults: "none".into(),
+                ..StressConfig::default()
             };
             let rec = run_stress(&cfg);
             assert_eq!(rec.deletions, 60, "{planner}");
@@ -388,26 +380,23 @@ mod tests {
         }
     }
 
-    /// The acceptance property at harness level: identical seeds at any
-    /// thread count produce identical campaign figures and ledger books.
+    /// The acceptance property at harness level: a second run of the same
+    /// seed produces identical campaign figures and ledger books.
     #[test]
-    fn threaded_campaign_record_matches_sequential() {
-        let base = StressConfig {
+    fn campaign_record_replays_identically() {
+        let cfg = StressConfig {
             nodes: 600,
             deletions: 120,
             wave_size: 12,
             arity: 4,
             planner: "heavy-tail".into(),
             seed: 9,
-            threads: 1,
             cadence: "per-deletion".into(),
             faults: "none".into(),
+            ..StressConfig::default()
         };
-        let rec1 = run_stress(&base);
-        let rec4 = run_stress(&StressConfig {
-            threads: 4,
-            ..base.clone()
-        });
+        let rec1 = run_stress(&cfg);
+        let rec2 = run_stress(&cfg);
         let fingerprint = |r: &StressRecord| {
             (
                 r.waves,
@@ -423,9 +412,8 @@ mod tests {
                 r.total_messages,
             )
         };
-        assert_eq!(fingerprint(&rec1), fingerprint(&rec4));
-        assert_eq!(rec1.cost, rec4.cost, "engine costs bit-identical");
-        assert_eq!(rec4.threads, 4);
+        assert_eq!(fingerprint(&rec1), fingerprint(&rec2));
+        assert_eq!(rec1.cost, rec2.cost, "engine costs bit-identical");
     }
 
     #[test]
@@ -437,9 +425,9 @@ mod tests {
             arity: 3,
             planner: "random".into(),
             seed: 2,
-            threads: 2,
             cadence: "per-deletion".into(),
             faults: "none".into(),
+            ..StressConfig::default()
         });
         let json = rec.to_json();
         assert!(json.starts_with("{\n"));
@@ -447,7 +435,6 @@ mod tests {
         assert!(json.contains("\"nodes_per_sec\""));
         assert!(json.contains("\"balanced\": true"));
         assert!(json.contains("\"converged\": true"));
-        assert!(json.contains("\"threads\": 2"));
         assert!(json.contains("\"cadence\": \"per-deletion\""));
         assert!(json.contains("\"wall_ms\""));
         assert!(json.contains("\"cost_messages_delivered\""));
@@ -455,11 +442,11 @@ mod tests {
         assert!(json.contains("\"faults\": \"none\""));
         assert!(json.contains("\"lost\": 0"));
         assert!(json.contains("\"connected\": true"));
-        assert_eq!(json.matches(':').count(), 38, "38 fields");
+        assert_eq!(json.matches(':').count(), 37, "37 fields");
     }
 
     /// A faulty tree campaign still balances its books and reconciles
-    /// costs, stays thread-count invariant (fault schedule included), and
+    /// costs, replays from its seed (fault schedule included), and
     /// the `none` model is byte-identical to not arming a plan at all.
     #[test]
     fn faulty_campaign_balances_and_replays() {
@@ -470,15 +457,12 @@ mod tests {
             arity: 4,
             planner: "random".into(),
             seed: 17,
-            threads: 1,
             cadence: "per-deletion".into(),
             faults: "loss+crash".into(),
+            ..StressConfig::default()
         };
         let rec1 = run_stress(&base);
-        let rec2 = run_stress(&StressConfig {
-            threads: 4,
-            ..base.clone()
-        });
+        let rec2 = run_stress(&base);
         assert!(
             rec1.lost > 0,
             "a 5% loss model over 80 heals must lose mail"
@@ -497,7 +481,7 @@ mod tests {
                 (r.converged, r.connected),
             )
         };
-        assert_eq!(fp(&rec1), fp(&rec2), "faulty record thread-invariant");
+        assert_eq!(fp(&rec1), fp(&rec2), "faulty record replays");
         assert_eq!(rec1.cost, rec2.cost, "faulty engine costs bit-identical");
 
         let clean = run_stress(&StressConfig {

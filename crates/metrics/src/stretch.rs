@@ -31,12 +31,10 @@
 //! pairs, silently inflating `pairs` and biasing `mean_stretch` toward
 //! whatever the source set happened to oversample).
 //!
-//! The pass is shardable: `threads > 1` splits the sampled sources across
-//! worker threads (each BFS is independent) and folds the per-source
-//! partial results **in sample order** (ascending source id), so every
-//! figure — including the floating-point `mean_stretch` accumulation and
-//! the [`OperationCost`] counters — is bit-identical to the
-//! single-threaded pass.
+//! Per-source partial results fold **in sample order** (ascending source
+//! id), so every figure — including the floating-point `mean_stretch`
+//! accumulation and the [`OperationCost`] counters — is a pure function of
+//! the graphs, the source count and the seed.
 
 use ft_costs::{count, CostResult, OperationCost};
 use ft_graph::bfs::{DistanceMap, UNREACHED};
@@ -62,7 +60,8 @@ pub struct StretchReport {
 }
 
 /// Everything one source's pair comparison contributes, folded in sample
-/// order so sharded and sequential passes accumulate identically.
+/// order so the full pass and the incremental tracker accumulate
+/// identically.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct SourcePass {
     pub(crate) pairs: usize,
@@ -452,11 +451,9 @@ fn source_pass(
 /// [`OperationCost`] of the sweep (BFS settles as node visits, adjacency
 /// reads as edge scans, distance tables as heap bytes).
 ///
-/// Results — figures *and* cost counters — are bit-identical for any
-/// `threads` value: each worker owns a contiguous run of the sampled
-/// sources and per-source partials are folded in sample order on the
-/// calling thread. This is the differential oracle the incremental
-/// tracker ([`crate::stretch_inc::StretchTracker`]) is checked against.
+/// Per-source partials are folded in sample order. This is the
+/// differential oracle the incremental tracker
+/// ([`crate::stretch_inc::StretchTracker`]) is checked against.
 ///
 /// Nodes alive in `healed` must exist in `pristine` (the engines guarantee
 /// this: insertions grow both graphs in lockstep).
@@ -465,74 +462,30 @@ pub fn measure_stretch_full(
     pristine: &Graph,
     sources: usize,
     seed: u64,
-    threads: usize,
 ) -> CostResult<StretchReport> {
     let picked = select_sources(healed, sources, seed);
     let sampled = sampled_flags(healed.capacity(), &picked);
-
-    let threads = threads.max(1).min(picked.len().max(1));
-    let passes: Vec<(SourcePass, OperationCost)> = if threads <= 1 {
-        picked
-            .iter()
-            .map(|&src| source_pass(healed, pristine, src, &sampled))
-            .collect()
-    } else {
-        // One contiguous chunk of the sample per worker; worker results are
-        // re-concatenated in sample order below, so the fold cannot tell
-        // the difference from the sequential pass.
-        let sampled = &sampled;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = picked.len() * t / threads;
-                    let hi = picked.len() * (t + 1) / threads;
-                    let chunk = &picked[lo..hi];
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|&src| source_pass(healed, pristine, src, sampled))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("stretch worker"))
-                .collect()
-        })
-    };
-
     let mut cost = OperationCost::ZERO;
-    let folded: Vec<SourcePass> = passes
+    let passes: Vec<SourcePass> = picked
         .iter()
-        .map(|&(p, c)| {
+        .map(|&src| {
+            let (pass, c) = source_pass(healed, pristine, src, &sampled);
             cost += c;
-            p
+            pass
         })
         .collect();
-    (fold_passes(picked.len(), &folded), cost)
+    (fold_passes(picked.len(), &passes), cost)
 }
 
-/// [`measure_stretch_full`] with one thread, figures only — the historical
-/// entry point most tests and experiments call.
+/// [`measure_stretch_full`], figures only — the historical entry point
+/// most tests and experiments call.
 pub fn measure_stretch(
     healed: &Graph,
     pristine: &Graph,
     sources: usize,
     seed: u64,
 ) -> StretchReport {
-    measure_stretch_full(healed, pristine, sources, seed, 1).0
-}
-
-/// [`measure_stretch_full`], figures only (compat wrapper).
-pub fn measure_stretch_mt(
-    healed: &Graph,
-    pristine: &Graph,
-    sources: usize,
-    seed: u64,
-    threads: usize,
-) -> StretchReport {
-    measure_stretch_full(healed, pristine, sources, seed, threads).0
+    measure_stretch_full(healed, pristine, sources, seed).0
 }
 
 #[cfg(test)]
@@ -770,7 +723,7 @@ mod tests {
     #[test]
     fn full_pass_charges_costs() {
         let g = gen::kary_tree(50, 2);
-        let (r, cost) = measure_stretch_full(&g, &g, 4, 1, 1);
+        let (r, cost) = measure_stretch_full(&g, &g, 4, 1);
         assert!(r.pairs > 0);
         assert_eq!(
             cost.node_visits,
@@ -780,40 +733,5 @@ mod tests {
         assert!(cost.edge_scans > 0);
         assert!(cost.heap_bytes > 0);
         assert_eq!(cost.messages_sent, 0, "measurement sends nothing");
-    }
-
-    #[test]
-    fn sharded_pass_is_bit_identical_to_sequential() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
-        let pristine = {
-            let mut g = gen::random_tree(400, &mut rng);
-            for _ in 0..80 {
-                let a = NodeId(rng.gen_range(0..400u32));
-                let b = NodeId(rng.gen_range(0..400u32));
-                if a != b && !g.has_edge(a, b) {
-                    g.add_edge(a, b);
-                }
-            }
-            g
-        };
-        let mut healed = pristine.clone();
-        // delete a handful of nodes and patch their neighborhoods closed
-        for dead in [7u32, 42, 99, 250] {
-            let nbrs: Vec<NodeId> = healed.neighbors(NodeId(dead)).collect();
-            healed.delete_node(NodeId(dead));
-            for w in nbrs.windows(2) {
-                if !healed.has_edge(w[0], w[1]) {
-                    healed.add_edge(w[0], w[1]);
-                }
-            }
-        }
-        let (seq, seq_cost) = measure_stretch_full(&healed, &pristine, 24, 5, 1);
-        for threads in [2, 3, 4, 7] {
-            let (par, par_cost) = measure_stretch_full(&healed, &pristine, 24, 5, threads);
-            assert_eq!(seq, par, "threads={threads} diverged");
-            assert_eq!(seq_cost, par_cost, "threads={threads} cost diverged");
-        }
-        assert!(seq.pairs > 0);
     }
 }

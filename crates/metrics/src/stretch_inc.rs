@@ -33,9 +33,7 @@
 //!
 //! Repair work is charged to an [`OperationCost`]: support probes and
 //! Dijkstra settles as `node_visits`, adjacency reads as `edge_scans`,
-//! stale heap pops and per-wave sample-reselection probes as `seeks`. The
-//! tracker is deliberately sequential, so its counters are trivially
-//! independent of the campaign's thread count.
+//! stale heap pops and per-wave sample-reselection probes as `seeks`.
 
 use crate::stretch::{
     bfs_fields_with_cost, fold_passes, pair_pass, sampled_flags, select_sources, SourcePass,
@@ -366,7 +364,7 @@ mod tests {
             }
             tracker.apply_wave(&healed, &pristine, &j);
             let inc = tracker.report(&healed);
-            let (full, _) = measure_stretch_full(&healed, &pristine, k, seed, 1);
+            let (full, _) = measure_stretch_full(&healed, &pristine, k, seed);
             assert_eq!(inc, full, "seed {seed}, wave {wave} diverged from oracle");
         }
         assert!(!tracker.cost().is_zero(), "repairs were charged");
@@ -398,7 +396,7 @@ mod tests {
         }
         for k in [1, 16, 17, 40] {
             let tracker = StretchTracker::new(&healed, &pristine, k, 9);
-            let (full, full_cost) = measure_stretch_full(&healed, &pristine, k, 9, 1);
+            let (full, full_cost) = measure_stretch_full(&healed, &pristine, k, 9);
             assert_eq!(tracker.cost(), full_cost, "k = {k}");
             assert_eq!(tracker.report(&healed), full, "k = {k}");
         }
@@ -420,7 +418,7 @@ mod tests {
         );
         assert_eq!(
             tracker.report(&g),
-            measure_stretch_full(&g, &g, 8, 1, 1).0,
+            measure_stretch_full(&g, &g, 8, 1).0,
             "fields untouched"
         );
     }
@@ -436,7 +434,7 @@ mod tests {
         j.edges_removed.push((NodeId(0), NodeId(7)));
         tracker.apply_wave(&healed, &pristine, &j);
         let inc = tracker.report(&healed);
-        let (full, _) = measure_stretch_full(&healed, &pristine, 8, 2, 1);
+        let (full, _) = measure_stretch_full(&healed, &pristine, 8, 2);
         assert_eq!(inc, full);
         assert_eq!(inc.max_stretch, 7.0, "cycle end-to-end became a path");
     }
@@ -451,7 +449,7 @@ mod tests {
         j.edges_removed.push((NodeId(2), NodeId(3)));
         tracker.apply_wave(&healed, &pristine, &j);
         let inc = tracker.report(&healed);
-        let (full, _) = measure_stretch_full(&healed, &pristine, 6, 4, 1);
+        let (full, _) = measure_stretch_full(&healed, &pristine, 6, 4);
         assert_eq!(inc, full);
         assert!(inc.disconnected_pairs > 0, "split path loses pairs");
         // reconnecting repairs the fields decrease-only
@@ -461,6 +459,6 @@ mod tests {
         tracker.apply_wave(&healed, &pristine, &j2);
         let inc2 = tracker.report(&healed);
         assert_eq!(inc2.disconnected_pairs, 0);
-        assert_eq!(inc2, measure_stretch_full(&healed, &pristine, 6, 4, 1).0);
+        assert_eq!(inc2, measure_stretch_full(&healed, &pristine, 6, 4).0);
     }
 }

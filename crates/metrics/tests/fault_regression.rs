@@ -21,9 +21,9 @@ fn seeded_regression_pins_faulty_ten_thousand_node_figures() {
         planner: "mixed".into(),
         seed: 20_260_807,
         stretch_sources: 8,
-        threads: 2,
         stretch_mode: "full".into(),
         faults: "chaos".into(),
+        ..GraphStressConfig::default()
     });
     // The books must balance on every faulty run — that identity never
     // relaxes — and the campaign must have realized faults on every axis.

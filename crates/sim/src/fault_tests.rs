@@ -1,113 +1,41 @@
 //! Property and locking tests for the fault-injection layer.
 //!
 //! The headline invariants: (1) under *any* fault plan — loss, duplication,
-//! delay, crash-stop, partitions — a campaign at `threads = 4` is
-//! byte-identical to `threads = 1` (reports, ledger books, fault
-//! fingerprint, final graph); (2) the extended conservation identity
+//! delay, crash-stop, partitions — a campaign replays byte for byte from
+//! its seed (reports, ledger books, fault fingerprint, final graph); (2) the extended conservation identity
 //! `sent + duplicated = delivered + dropped + lost + in-flight` and the
 //! cost/ledger reconciliation hold throughout; (3) a plan with all rates
 //! zero is indistinguishable from no plan at all; (4) a crash-stop that
 //! cuts a heal mid-sentence is reported as `converged: false`, never as a
 //! silent quiescence or a panic.
 
+use crate::accounting_tests::{chatter_net, graph_fingerprint, plan_events, Chatter};
 use crate::campaign::{Campaign, CampaignConfig, HealCadence};
 use crate::faults::{FaultConfig, FaultPlan, MsgFate};
 use crate::network::{Ctx, InFlightPolicy, Network, Process, SlotPolicy};
-use ft_graph::{gen, ChurnEvent, NodeId};
+use ft_graph::{gen, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-/// Same chatty protocol shape as the parallel suite: churn triggers
-/// fan-out pings with bounded echo depth, so traffic is heavy but always
-/// quiesces — under faults too (loss only removes work, duplication only
-/// repeats a bounded hop, delay only postpones it).
-#[derive(Debug)]
-struct Chatter {
-    neighbors: Vec<NodeId>,
-    echoes: usize,
-}
-
-impl Process for Chatter {
-    type Msg = u8;
-
-    fn on_message(&mut self, from: NodeId, hop: u8, ctx: &mut Ctx<'_, u8>) {
-        if hop > 0 {
-            ctx.send(from, hop - 1);
-        } else {
-            self.echoes += 1;
-        }
-    }
-
-    fn on_neighbor_deleted(&mut self, dead: NodeId, ctx: &mut Ctx<'_, u8>) {
-        self.neighbors.retain(|&u| u != dead);
-        for &u in &self.neighbors {
-            ctx.send(u, 1);
-        }
-    }
-
-    fn on_neighbor_joined(&mut self, new: NodeId, ctx: &mut Ctx<'_, u8>) {
-        self.neighbors.push(new);
-        ctx.send(new, 1);
-    }
-}
-
-fn chatter_net(g: ft_graph::Graph) -> Network<Chatter> {
-    let nbrs: Vec<Vec<NodeId>> = (0..g.capacity())
-        .map(|i| g.neighbors(NodeId(i as u32)).collect())
-        .collect();
-    Network::new(g, |v| Chatter {
-        neighbors: nbrs[v.index()].clone(),
-        echoes: 0,
-    })
-}
-
-/// Deterministic churn trace planned from the seed alone (lockstep
-/// networks plan identical traces).
-fn plan_events(net: &Network<Chatter>, rng: &mut StdRng, count: usize) -> Vec<ChurnEvent> {
-    let mut events = Vec::new();
-    let mut live: Vec<NodeId> = net.nodes().collect();
-    for _ in 0..count {
-        if live.len() <= 3 {
-            break;
-        }
-        if rng.gen_bool(0.4) {
-            let a = live[rng.gen_range(0..live.len())];
-            let mut nbrs = vec![a];
-            let b = live[rng.gen_range(0..live.len())];
-            if b != a {
-                nbrs.push(b);
-            }
-            events.push(ChurnEvent::Insert { neighbors: nbrs });
-        } else {
-            let victim = live.swap_remove(rng.gen_range(0..live.len()));
-            events.push(ChurnEvent::Delete(victim));
-        }
-    }
-    events
-}
-
-/// Runs one seeded churn campaign with `plan` armed at the given thread
-/// count; returns everything the determinism contract must cover.
+/// Runs one seeded churn campaign with `plan` armed; returns everything
+/// the determinism contract must cover.
 fn run_faulty_campaign(
     seed: u64,
     n: usize,
     waves: usize,
     wave_size: usize,
-    threads: usize,
     plan: Option<FaultPlan>,
 ) -> (Campaign, Network<Chatter>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::random_tree(n, &mut rng);
     let mut net = chatter_net(g);
     net.set_slot_policy(SlotPolicy::Reuse);
-    // force every non-empty round through the sharded merge path
-    net.set_par_min_pending(1);
     net.set_fault_plan(plan);
     let mut campaign = Campaign::new(CampaignConfig {
         cadence: HealCadence::PerWave,
         max_rounds_per_heal: 64,
-        threads,
+        ..CampaignConfig::default()
     });
     let mut plan_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     for _ in 0..waves {
@@ -123,20 +51,6 @@ fn run_faulty_campaign(
     net.check_accounting()
         .expect("ledger + cost identities hold under faults");
     (campaign, net)
-}
-
-/// Edge list + liveness fingerprint of a graph (Graph has no PartialEq).
-fn graph_fingerprint(g: &ft_graph::Graph) -> (Vec<NodeId>, Vec<(NodeId, NodeId)>) {
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    let mut edges = Vec::new();
-    for v in g.nodes() {
-        for u in g.neighbors(v) {
-            if v < u {
-                edges.push((v, u));
-            }
-        }
-    }
-    (nodes, edges)
 }
 
 /// A random fault config spanning all axes, including the degenerate
@@ -167,33 +81,33 @@ fn arb_fault_config() -> impl Strategy<Value = FaultConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Under a random fault plan, threads = 4 replays threads = 1 byte
-    /// for byte: same campaign report (crashes and convergence verdicts
+    /// Under a random fault plan, a second run of the same seed replays
+    /// the first byte for byte: same campaign report (crashes and convergence verdicts
     /// included), same ledger books (fault books included), same realized
     /// fault schedule (FNV fingerprint), same final graph — and the
     /// extended accounting identities hold (asserted inside the driver).
     #[test]
-    fn faulty_campaigns_are_thread_count_invariant(
+    fn faulty_campaigns_replay_identically(
         seed in 0u64..500,
         n in 30usize..100,
         cfg in arb_fault_config(),
     ) {
         let plan = Some(cfg.plan(seed ^ 0xfa17));
-        let (c1, n1) = run_faulty_campaign(seed, n, 4, 10, 1, plan);
-        let (c4, n4) = run_faulty_campaign(seed, n, 4, 10, 4, plan);
-        prop_assert_eq!(c1.report(), c4.report(), "campaign reports diverged");
-        prop_assert_eq!(n1.ledger(), n4.ledger(), "ledger books diverged");
+        let (c1, n1) = run_faulty_campaign(seed, n, 4, 10, plan);
+        let (c2, n2) = run_faulty_campaign(seed, n, 4, 10, plan);
+        prop_assert_eq!(c1.report(), c2.report(), "campaign reports diverged");
+        prop_assert_eq!(n1.ledger(), n2.ledger(), "ledger books diverged");
         prop_assert_eq!(
             n1.fault_fingerprint(),
-            n4.fault_fingerprint(),
+            n2.fault_fingerprint(),
             "realized fault schedules diverged"
         );
-        prop_assert_eq!(n1.crashes(), n4.crashes());
-        prop_assert_eq!(n1.crash_silenced(), n4.crash_silenced());
-        prop_assert_eq!(n1.round(), n4.round(), "round clocks diverged");
+        prop_assert_eq!(n1.crashes(), n2.crashes());
+        prop_assert_eq!(n1.crash_silenced(), n2.crash_silenced());
+        prop_assert_eq!(n1.round(), n2.round(), "round clocks diverged");
         prop_assert_eq!(
             graph_fingerprint(n1.graph()),
-            graph_fingerprint(n4.graph()),
+            graph_fingerprint(n2.graph()),
             "healed graphs diverged"
         );
     }
@@ -208,8 +122,8 @@ proptest! {
         n in 30usize..100,
     ) {
         let zero = Some(FaultConfig::zero().plan(seed));
-        let (c_none, n_none) = run_faulty_campaign(seed, n, 3, 8, 1, None);
-        let (c_zero, n_zero) = run_faulty_campaign(seed, n, 3, 8, 1, zero);
+        let (c_none, n_none) = run_faulty_campaign(seed, n, 3, 8, None);
+        let (c_zero, n_zero) = run_faulty_campaign(seed, n, 3, 8, zero);
         prop_assert_eq!(c_none.report(), c_zero.report(), "reports diverged");
         prop_assert_eq!(n_none.ledger(), n_zero.ledger(), "ledgers diverged");
         prop_assert_eq!(n_none.costs(), n_zero.costs(), "cost counters diverged");
@@ -239,9 +153,9 @@ proptest! {
         n in 40usize..80,
     ) {
         let cfg = FaultConfig::from_name("chaos").expect("chaos parses");
-        let (_, n1) = run_faulty_campaign(seed, n, 3, 8, 1, Some(cfg.plan(1)));
-        let (_, n2) = run_faulty_campaign(seed, n, 3, 8, 1, Some(cfg.plan(1)));
-        let (_, n3) = run_faulty_campaign(seed, n, 3, 8, 1, Some(cfg.plan(2)));
+        let (_, n1) = run_faulty_campaign(seed, n, 3, 8, Some(cfg.plan(1)));
+        let (_, n2) = run_faulty_campaign(seed, n, 3, 8, Some(cfg.plan(1)));
+        let (_, n3) = run_faulty_campaign(seed, n, 3, 8, Some(cfg.plan(2)));
         prop_assert_eq!(n1.fault_fingerprint(), n2.fault_fingerprint());
         prop_assert_eq!(n1.ledger(), n2.ledger());
         // chaos at these sizes always realizes some fault; a different
@@ -476,7 +390,7 @@ fn crash_stop_mid_heal_reports_not_converged() {
     let mut campaign = Campaign::new(CampaignConfig {
         cadence: HealCadence::PerWave,
         max_rounds_per_heal: 16,
-        threads: 1,
+        ..CampaignConfig::default()
     });
     // both deletions in one wave: 1 dies (crash, no mail in flight yet —
     // its neighbors 0 and 2 start pinging), then 2 dies with its heal

@@ -9,8 +9,7 @@
 //! decided (round number, message endpoints, canonical send position) —
 //! exactly the way `ft_metrics::select_sources` derives its sample from
 //! seed + live set. There is no RNG state to advance, so the same plan
-//! over the same campaign makes the same decisions at any thread count
-//! and in any replay.
+//! over the same campaign makes the same decisions in any replay.
 //!
 //! The fault axes:
 //!
@@ -33,9 +32,8 @@
 //!   lost. Rejoin is automatic when the window closes.
 //!
 //! Message fates are decided centrally in the engine's outbox routing
-//! (`finish_round`), which always runs on the calling thread over the
-//! canonically merged outbox — so threaded faulty runs stay byte-identical
-//! to sequential ones by construction.
+//! (`finish_round`), over the outbox in canonical send order — so a faulty
+//! run replays byte-identically from its seed.
 
 use ft_graph::NodeId;
 
@@ -232,7 +230,7 @@ fn threshold(p: f64) -> u64 {
 
 /// A compiled, seeded fault schedule: every decision is a pure function of
 /// `(seed, identity)`, so the schedule is a *value*, not a process — copy
-/// it, replay it, shard it across threads, and it always answers the same.
+/// it, replay it, and it always answers the same.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
     seed: u64,

@@ -30,29 +30,18 @@
 //! reconcile by construction; see the [`crate::ledger`] module docs for the
 //! enforced identities.
 //!
-//! # The sharded round engine
+//! # Canonical delivery order
 //!
 //! Delivery order within a round is **canonical**: addressees are processed
-//! in ascending [`NodeId`] order (the `hot` list is sorted at the top of
-//! every [`Network::step`]). That canonical order is what makes the engine
-//! parallelizable without losing determinism: [`Network::step_mt`] splits
-//! the sorted hot list into contiguous [`NodeId`] shards, hands each shard
-//! to a [`crate::pool::WorkerPool`] worker which drains its shard's inboxes
-//! into *per-worker* outboxes, edge buffers, and delivery logs, and then
-//! merges the shards **in shard order** on the calling thread. Because the
-//! shards partition the sorted order, the merged outbox, edge requests,
-//! ledger books, and [`RoundStats`] are byte-identical to what the
-//! single-threaded engine produces — `threads = 4` and `threads = 1` yield
-//! the same campaign report, the same ledger, and the same final graph.
-//! Rounds carrying fewer than [`PAR_MIN_PENDING`] messages are delivered
-//! sequentially even when `threads > 1` (dispatch would cost more than the
-//! work), which is safe precisely because both paths produce identical
-//! results.
+//! in ascending [`NodeId`] order (the `hot` bitset drains in that order at
+//! the top of every [`Network::step`]), and each addressee drains its inbox
+//! in arrival order. One thread runs every round, so a campaign is a pure
+//! function of its inputs and seeds: the same seed replays the same ledger,
+//! the same [`RoundStats`] and the same final graph.
 
 use crate::faults::{FaultPlan, MsgFate};
 use crate::hotset::HotSet;
 use crate::ledger::MsgLedger;
-use crate::pool::WorkerPool;
 use ft_costs::{CostResult, OperationCost};
 use ft_graph::{Graph, NodeId};
 
@@ -86,11 +75,9 @@ pub struct Ctx<'a, M> {
     me: NodeId,
     round: u64,
     faulty: bool,
-    // Each worker's Ctx borrows its own shard's buffers, merged in shard
-    // order after the barrier — per-worker scratch by construction.
-    outbox: &'a mut Vec<(NodeId, NodeId, M)>, // ft-lint: shard-local
-    edge_adds: &'a mut Vec<(NodeId, NodeId)>, // ft-lint: shard-local
-    edge_drops: &'a mut Vec<(NodeId, NodeId)>, // ft-lint: shard-local
+    outbox: &'a mut Vec<(NodeId, NodeId, M)>,
+    edge_adds: &'a mut Vec<(NodeId, NodeId)>,
+    edge_drops: &'a mut Vec<(NodeId, NodeId)>,
 }
 
 impl<M> Ctx<'_, M> {
@@ -126,7 +113,7 @@ impl<M> Ctx<'_, M> {
 
     /// Requests removal of the undirected edge `{me, to}`.
     pub fn drop_edge(&mut self, to: NodeId) {
-        // ft-lint: allow(uncharged-mutation, "staged churn: finish_round charges edge_scans from the canonical staged quantities after the shard merge")
+        // ft-lint: allow(uncharged-mutation, "staged churn: finish_round charges edge_scans from the canonical staged quantities at the end of the round")
         self.edge_drops.push((self.me, to));
     }
 }
@@ -228,21 +215,8 @@ pub struct Network<P: Process> {
     ledger: MsgLedger,
     /// Cumulative [`OperationCost`] of every engine operation since
     /// construction. The costed entry points ([`Network::step`] and
-    /// friends) return per-call deltas as snapshots of this counter;
-    /// charging happens only in shared code paths (`finish_round`, the
-    /// canonical delivery replay), so the totals are byte-identical across
-    /// thread counts.
+    /// friends) return per-call deltas as snapshots of this counter.
     costs: OperationCost,
-    /// Worker count for [`Network::step_mt`] (1 = sequential).
-    threads: usize,
-    /// Minimum queued messages before a round is sharded (default
-    /// [`PAR_MIN_PENDING`]).
-    par_min_pending: usize,
-    /// Lazily spawned worker pool (`threads - 1` workers; the caller is
-    /// the extra hand).
-    pool: Option<WorkerPool>,
-    /// Per-worker scratch shards; buffers are reused between rounds.
-    shards: Vec<Shard<P::Msg>>,
     /// Arena of retired inbox buffers: a deleted node's (emptied) inbox
     /// vector parks here and the next grown slot draws from it, so churn
     /// campaigns recycle payload capacity instead of leaking it on dead
@@ -256,9 +230,8 @@ pub struct Network<P: Process> {
     /// grows without bound until drained, so only consumers that replay
     /// churn, like the incremental stretch tracker, switch it on).
     journal_on: bool,
-    /// The armed fault schedule (`None` = the lossless engine; faulty
-    /// runs stay byte-identical across thread counts because every fate
-    /// is decided in `finish_round` on the calling thread).
+    /// The armed fault schedule (`None` = the lossless engine; every fate
+    /// is decided in `finish_round`, so faulty runs replay from the seed).
     faults: Option<FaultPlan>,
     /// Delay queue: `(due_round, from, to, msg)` for mail the fault plan
     /// postponed; matured entries re-enter the inboxes in `finish_round`.
@@ -269,8 +242,8 @@ pub struct Network<P: Process> {
     delayed_scratch: Vec<(u64, NodeId, NodeId, P::Msg)>,
     /// Running FNV-1a fingerprint of the realized fault schedule: every
     /// non-[`MsgFate::Deliver`] fate and every crash-stop folds its
-    /// identity in. Pure function of (plan, campaign), thread-independent,
-    /// pinnable in seeded regressions.
+    /// identity in. Pure function of (plan, campaign), pinnable in seeded
+    /// regressions.
     fault_fp: u64,
     /// Crash-stop deletions performed.
     crashes: u64,
@@ -321,44 +294,12 @@ impl ChurnJournal {
     }
 }
 
-/// Minimum queued messages for a round to be worth parallel dispatch.
+/// The queued-message count at which the retired sharded engine split a
+/// round across threads.
 ///
-/// Below this, [`Network::step_mt`] delivers sequentially even when
-/// `threads > 1` — handing a worker a handful of messages costs more than
-/// delivering them. Safe because both paths are byte-identical.
+/// Ignored; kept only because ftbench's sources are frozen; delete with the
+/// next benchmark PR.
 pub const PAR_MIN_PENDING: usize = 192;
-
-/// Per-worker round scratch: everything a shard produces while draining its
-/// inboxes, merged into the engine in shard order after the barrier.
-#[derive(Debug)]
-struct Shard<M> {
-    /// Messages sent by this shard's processes, in delivery order.
-    outbox: Vec<(NodeId, NodeId, M)>,
-    /// Edge insertions requested by this shard.
-    edge_adds: Vec<(NodeId, NodeId)>,
-    /// Edge drops requested by this shard.
-    edge_drops: Vec<(NodeId, NodeId)>,
-    /// `(from, to)` of every message delivered by this shard, in order —
-    /// replayed into the [`MsgLedger`] and load counters at merge time.
-    deliveries: Vec<(NodeId, NodeId)>,
-    /// Messages taken off this shard's inboxes (pending decrement).
-    freed: usize,
-    /// Mail found addressed to a dead process (defensive; normally 0).
-    stale: u64,
-}
-
-impl<M> Default for Shard<M> {
-    fn default() -> Self {
-        Shard {
-            outbox: Vec::new(),
-            edge_adds: Vec::new(),
-            edge_drops: Vec::new(),
-            deliveries: Vec::new(),
-            freed: 0,
-            stale: 0,
-        }
-    }
-}
 
 #[inline]
 fn bump_load(load: &mut [u32], touched: &mut Vec<NodeId>, v: NodeId) {
@@ -367,55 +308,6 @@ fn bump_load(load: &mut [u32], touched: &mut Vec<NodeId>, v: NodeId) {
         touched.push(v);
     }
     *slot += 1;
-}
-
-/// Drains one shard's inboxes on a worker thread. `procs` and `inboxes` are
-/// the dense slices covering exactly this shard's [`NodeId`] range,
-/// `base` the range's first index. Runs the process callbacks; all side
-/// effects land in `shard` for the in-order merge.
-fn deliver_chunk<P: Process>(
-    chunk: &[NodeId],
-    base: usize,
-    procs: &mut [Option<P>],
-    inboxes: &mut [Vec<(NodeId, P::Msg)>],
-    shard: &mut Shard<P::Msg>,
-    round: u64,
-    faulty: bool,
-) {
-    for &to in chunk {
-        let idx = to.index() - base;
-        // ft-lint: allow(panic-in-engine, "chunk ids sit inside this shard's dense slice: idx < hi - base by the split_at_mut construction in deliver_par")
-        if inboxes[idx].is_empty() {
-            continue; // stale hot entry: addressee died, inbox purged
-        }
-        // ft-lint: allow(panic-in-engine, "same shard-slice bound as the emptiness probe above")
-        let mut mail = std::mem::take(&mut inboxes[idx]);
-        shard.freed += mail.len();
-        // ft-lint: allow(panic-in-engine, "procs and inboxes are equal-length slices over the same shard range")
-        match procs[idx].as_mut() {
-            None => {
-                shard.stale += mail.len() as u64;
-                mail.clear();
-            }
-            Some(p) => {
-                for (from, msg) in mail.drain(..) {
-                    shard.deliveries.push((from, to));
-                    let mut ctx = Ctx {
-                        me: to,
-                        round,
-                        faulty,
-                        outbox: &mut shard.outbox,
-                        edge_adds: &mut shard.edge_adds,
-                        edge_drops: &mut shard.edge_drops,
-                    };
-                    p.on_message(from, msg, &mut ctx);
-                }
-            }
-        }
-        // Hand the (empty, capacity-retaining) buffer back.
-        // ft-lint: allow(panic-in-engine, "same shard-slice bound as the emptiness probe above")
-        inboxes[idx] = mail;
-    }
 }
 
 impl<P: Process> Network<P> {
@@ -459,10 +351,6 @@ impl<P: Process> Network<P> {
             slots: SlotPolicy::default(),
             ledger: MsgLedger::new(cap),
             costs: OperationCost::ZERO,
-            threads: 1,
-            par_min_pending: PAR_MIN_PENDING,
-            pool: None,
-            shards: Vec::new(),
             buf_pool: Vec::new(),
             nbr_scratch: Vec::new(),
             journal: ChurnJournal::default(),
@@ -546,24 +434,11 @@ impl<P: Process> Network<P> {
         self.slots = slots;
     }
 
-    /// The worker count [`Network::step_mt`] shards rounds across.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the worker count for [`Network::step_mt`] (clamped to ≥ 1).
-    /// The pool itself is spawned lazily on the first sharded round, so
-    /// `threads = 1` networks never start a thread.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Overrides the minimum queued-message count for a round to be
-    /// sharded (default [`PAR_MIN_PENDING`]). Lowering it never changes
-    /// results — only where the work runs.
-    pub fn set_par_min_pending(&mut self, min: usize) {
-        self.par_min_pending = min;
-    }
+    /// Does nothing: the engine runs every round on the calling thread.
+    ///
+    /// Ignored; kept only because ftbench's sources are frozen; delete with
+    /// the next benchmark PR.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// The message ledger every statistic derives from.
     pub fn ledger(&self) -> &MsgLedger {
@@ -1016,16 +891,24 @@ impl<P: Process> Network<P> {
         self.hot.drain_into(&mut hot);
         // one inbox probe per hot addressee
         self.costs.seeks += hot.len() as u64;
-        let delivered = self.deliver_seq(&hot);
+        let delivered = self.deliver_inboxes(&hot);
         hot.clear();
         self.hot_scratch = hot;
         let stats = self.finish_round(delivered);
         (stats, self.costs - before)
     }
 
-    /// Sequentially drains the inboxes of the (sorted) `hot` addressees,
-    /// charging ledger and load per delivery; returns the delivery count.
-    fn deliver_seq(&mut self, hot: &[NodeId]) -> usize {
+    /// The same round as [`Network::step`].
+    ///
+    /// Ignored; kept only because ftbench's sources are frozen; delete with
+    /// the next benchmark PR.
+    pub fn step_mt(&mut self) -> CostResult<RoundStats> {
+        self.step()
+    }
+
+    /// Drains the inboxes of the (sorted) `hot` addressees, charging
+    /// ledger and load per delivery; returns the delivery count.
+    fn deliver_inboxes(&mut self, hot: &[NodeId]) -> usize {
         let mut delivered = 0usize;
         let faulty = self.faults.is_some();
         let Network {
@@ -1134,9 +1017,7 @@ impl<P: Process> Network<P> {
             ..RoundStats::default()
         };
         // Charge the round's canonical quantities before the buffers drain.
-        // These are the same figures the ledger and stats books see, and
-        // they are computed on the calling thread from merged state, so the
-        // totals cannot depend on how the round was sharded.
+        // These are the same figures the ledger and stats books see.
         self.costs.messages_sent += self.outbox.len() as u64;
         self.costs.heap_bytes +=
             (self.outbox.len() * std::mem::size_of::<(NodeId, NodeId, P::Msg)>()) as u64;
@@ -1208,9 +1089,7 @@ impl<P: Process> Network<P> {
                 Some(plan) => {
                     // Faulty routing. Fates are pure functions of (plan
                     // seed, round, endpoints, canonical send position k),
-                    // decided here on the calling thread over the merged
-                    // outbox — so the realized schedule cannot depend on
-                    // how the round was sharded.
+                    // so the realized schedule replays from the seed.
                     for (k, (from, to, msg)) in outbox.drain(..).enumerate() {
                         ledger.record_sent();
                         let alive =
@@ -1315,167 +1194,6 @@ impl<P: Process> Network<P> {
         }
         self.round += 1;
         stats
-    }
-}
-
-/// The sharded round engine. Only `Send` protocols can cross threads; the
-/// sequential API above stays available for `!Send` processes (e.g. test
-/// harnesses sharing state through `Rc`).
-impl<P> Network<P>
-where
-    P: Process + Send,
-    P::Msg: Send,
-{
-    /// Delivers all queued messages (one synchronous round), sharding the
-    /// work across [`Network::threads`] workers when the round is heavy
-    /// enough ([`PAR_MIN_PENDING`]). Byte-identical to [`Network::step`]:
-    /// same ledger, same stats, same outbox order, same graph, same cost.
-    pub fn step_mt(&mut self) -> CostResult<RoundStats> {
-        let before = self.costs;
-        let mut hot = std::mem::take(&mut self.hot_scratch);
-        debug_assert!(hot.is_empty());
-        // the bitset drain IS the canonical ascending order — no sort
-        self.hot.drain_into(&mut hot);
-        // one inbox probe per hot addressee, exactly as in `step`
-        self.costs.seeks += hot.len() as u64;
-        let delivered = if self.threads > 1 && self.pending >= self.par_min_pending && hot.len() > 1
-        {
-            self.deliver_par(&hot)
-        } else {
-            self.deliver_seq(&hot)
-        };
-        hot.clear();
-        self.hot_scratch = hot;
-        let stats = self.finish_round(delivered);
-        (stats, self.costs - before)
-    }
-
-    /// [`Network::run_until_quiet_capped`] over [`Network::step_mt`]:
-    /// sharded rounds, truncation surfaced as `converged = false`.
-    pub fn run_until_quiet_capped_mt(
-        &mut self,
-        max_rounds: u32,
-    ) -> CostResult<(u32, RoundStats, bool)> {
-        let before = self.costs;
-        let mut rounds = 0;
-        let mut merged = RoundStats::default();
-        while self.has_pending() && rounds < max_rounds {
-            let (s, _) = self.step_mt();
-            rounds += 1;
-            merged.merge(&s);
-        }
-        ((rounds, merged, !self.has_pending()), self.costs - before)
-    }
-
-    /// Drains the sorted `hot` list with one contiguous shard per worker,
-    /// then merges outboxes, edge requests, ledger charges, and load
-    /// counters in shard order — reproducing exactly the state
-    /// [`Network::deliver_seq`] would have built.
-    fn deliver_par(&mut self, hot: &[NodeId]) -> usize {
-        let nshards = self.threads.min(hot.len());
-        if self.shards.len() < nshards {
-            self.shards.resize_with(nshards, Shard::default);
-        }
-        let spawn = self.threads - 1;
-        if self.pool.as_ref().is_none_or(|p| p.workers() < spawn) {
-            self.pool = Some(WorkerPool::new(spawn));
-        }
-        {
-            let faulty = self.faults.is_some();
-            let Network {
-                procs,
-                inboxes,
-                shards,
-                pool,
-                round,
-                ..
-            } = self;
-            let round = *round;
-            let mut procs_rest: &mut [Option<P>] = procs;
-            let mut inboxes_rest: &mut [Vec<(NodeId, P::Msg)>] = inboxes;
-            // ft-lint: allow(panic-in-engine, "shards was resized to at least nshards entries at the top of deliver_par")
-            let mut shards_rest: &mut [Shard<P::Msg>] = &mut shards[..nshards];
-            let mut base = 0usize;
-            let mut start = 0usize;
-            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(nshards);
-            for s in 0..nshards {
-                // Contiguous chunk of the sorted hot list ⇒ the shard owns
-                // a contiguous NodeId range ⇒ disjoint &mut slices.
-                let end = if s + 1 == nshards {
-                    hot.len()
-                } else {
-                    (hot.len() * (s + 1)) / nshards
-                };
-                // ft-lint: allow(panic-in-engine, "start <= end <= hot.len() by the chunk partition arithmetic above")
-                let chunk = &hot[start..end];
-                start = end;
-                // ft-lint: allow(panic-in-engine, "nshards <= hot.len(), so every chunk gets at least one id; an invariant break must stop the round, not limp on")
-                let hi = chunk.last().expect("chunks are non-empty").index() + 1;
-                let (p_mine, p_rest) = procs_rest.split_at_mut(hi - base);
-                let (i_mine, i_rest) = inboxes_rest.split_at_mut(hi - base);
-                // ft-lint: allow(panic-in-engine, "shards_rest starts with nshards entries and each of the nshards iterations consumes exactly one")
-                let (shard, s_rest) = shards_rest.split_first_mut().expect("shard per chunk");
-                procs_rest = p_rest;
-                inboxes_rest = i_rest;
-                shards_rest = s_rest;
-                let my_base = base;
-                base = hi;
-                jobs.push(Box::new(move || {
-                    deliver_chunk(chunk, my_base, p_mine, i_mine, shard, round, faulty);
-                }));
-            }
-            // ft-lint: allow(panic-in-engine, "self.pool is assigned Some(..) unconditionally at the top of deliver_par")
-            pool.as_ref().expect("pool spawned above").run(jobs);
-        }
-        // Merge in shard order: shard boundaries partition the canonical
-        // ascending order, so this replay is the sequential engine's exact
-        // charge/append sequence.
-        let mut delivered = 0usize;
-        let Network {
-            shards,
-            outbox,
-            edge_adds,
-            edge_drops,
-            round_load,
-            touched,
-            pending,
-            ledger,
-            costs,
-            ..
-        } = self;
-        // The replay below is the sequential engine's exact delivery
-        // sequence, so addressee activations can be recovered from it: a
-        // live addressee's deliveries are consecutive (per-inbox drain) and
-        // addressees ascend across shard boundaries, so counting
-        // `to`-transitions equals deliver_seq's one-visit-per-live-addressee
-        // charge. Dead-addressee (stale) mail produces no deliveries and no
-        // visit in either path.
-        let mut last_to: Option<NodeId> = None;
-        // ft-lint: allow(panic-in-engine, "same shard sizing as the delivery loop: shards.len() >= nshards")
-        for shard in shards[..nshards].iter_mut() {
-            *pending -= shard.freed;
-            shard.freed = 0;
-            if shard.stale > 0 {
-                ledger.record_dropped(shard.stale);
-                shard.stale = 0;
-            }
-            delivered += shard.deliveries.len();
-            costs.messages_delivered += shard.deliveries.len() as u64;
-            for &(from, to) in &shard.deliveries {
-                if last_to != Some(to) {
-                    costs.node_visits += 1;
-                    last_to = Some(to);
-                }
-                ledger.record_delivery(from, to);
-                bump_load(round_load, touched, from);
-                bump_load(round_load, touched, to);
-            }
-            shard.deliveries.clear();
-            outbox.append(&mut shard.outbox);
-            edge_adds.append(&mut shard.edge_adds);
-            edge_drops.append(&mut shard.edge_drops);
-        }
-        delivered
     }
 }
 
@@ -1769,33 +1487,25 @@ mod tests {
     }
 
     #[test]
-    fn sharded_flood_is_byte_identical_to_sequential() {
-        // a grid flood generates hundreds of same-round deliveries, enough
-        // to cross PAR_MIN_PENDING with the default threshold
-        let make = || {
-            let g = gen::grid(20, 20);
-            flood_net(g, NodeId(0))
+    fn flood_replays_byte_identically() {
+        // a grid flood generates hundreds of same-round deliveries
+        let run = || {
+            let mut net = flood_net(gen::grid(20, 20), NodeId(0));
+            net.start();
+            let mut rounds = Vec::new();
+            while net.has_pending() {
+                rounds.push(net.step());
+            }
+            net.check_accounting().expect("books balance");
+            let seen: Vec<bool> = net.nodes().map(|v| net.process(v).seen).collect();
+            (rounds, net.ledger().clone(), net.costs(), seen)
         };
-        let mut seq = make();
-        seq.start();
-        let mut rounds_seq = Vec::new();
-        while seq.has_pending() {
-            rounds_seq.push(seq.step());
-        }
-        let mut par = make();
-        par.set_threads(4);
-        par.start();
-        let mut rounds_par = Vec::new();
-        while par.has_pending() {
-            rounds_par.push(par.step_mt());
-        }
-        assert_eq!(rounds_seq, rounds_par, "per-round stats/costs diverged");
-        assert_eq!(seq.ledger(), par.ledger(), "ledger books diverged");
-        assert_eq!(seq.costs(), par.costs(), "cumulative costs diverged");
-        for v in seq.nodes() {
-            assert_eq!(seq.process(v).seen, par.process(v).seen);
-        }
-        par.check_accounting().expect("books balance");
+        let (rounds_a, ledger_a, costs_a, seen_a) = run();
+        let (rounds_b, ledger_b, costs_b, seen_b) = run();
+        assert_eq!(rounds_a, rounds_b, "per-round stats/costs diverged");
+        assert_eq!(ledger_a, ledger_b, "ledger books diverged");
+        assert_eq!(costs_a, costs_b, "cumulative costs diverged");
+        assert_eq!(seen_a, seen_b);
     }
 
     #[test]

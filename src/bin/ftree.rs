@@ -6,14 +6,13 @@
 //! ftree scaling --healer line --adversary diameter-greedy
 //! ftree duel    --workload star:128
 //! ftree stress  --nodes 100k --deletions 1000 --wave 50 \
-//!               --planner heavy-tail --seed 42 --threads 4 \
-//!               --out BENCH_sim.json
+//!               --planner heavy-tail --seed 42 --out BENCH_sim.json
 //! ftree stress  --model graph --nodes 1m --events 2000 --wave 50 \
 //!               --planner mixed --insert-frac 0.4 --seed 42 \
-//!               --stretch incremental --threads 4 --out BENCH_graph.json
+//!               --stretch incremental --out BENCH_graph.json
 //! ftree costs   [--out BENCH_costs.json]
 //! ftree faults  [--nodes 500] [--events 120] [--wave 10] [--seed 42] \
-//!               [--threads 1] [--out BENCH_faults.json]
+//!               [--out BENCH_faults.json]
 //! ftree lint    [--root DIR] [--format human|json|sarif] [--stale]
 //! ftree help
 //! ```
@@ -28,6 +27,10 @@
 //!
 //! Every numeric stress flag accepts scaled forms: `100k`, `1m`, `1e6`,
 //! and decimal mantissas like `2.5m` all parse to the obvious integer.
+//!
+//! A flag the subcommand does not accept (a typo like `--node`, or a
+//! retired one like `--threads`) prints usage and exits 2 rather than
+//! running on defaults.
 
 use forgiving_tree::costs::OperationCost;
 use forgiving_tree::metrics::{
@@ -42,10 +45,10 @@ fn usage() -> ! {
         "usage:\n  ftree attack  --workload W --adversary A --healer H [--fraction F] [--dot] [--csv]\n  \
          ftree scaling --healer H --adversary A\n  \
          ftree duel    --workload W\n  \
-         ftree stress  [--model tree]  [--nodes N] [--deletions D] [--wave K] [--arity A] [--planner P] [--cadence per-deletion|per-wave] [--faults M] [--seed S] [--threads T] [--out FILE]\n  \
-         ftree stress  --model graph [--nodes N] [--events E] [--wave K] [--insert-frac F] [--extra-edges F] [--planner P] [--faults M] [--seed S] [--sources B] [--stretch full|incremental|both] [--threads T] [--out FILE]\n  \
+         ftree stress  [--model tree]  [--nodes N] [--deletions D] [--wave K] [--arity A] [--planner P] [--cadence per-deletion|per-wave] [--faults M] [--seed S] [--out FILE]\n  \
+         ftree stress  --model graph [--nodes N] [--events E] [--wave K] [--insert-frac F] [--extra-edges F] [--planner P] [--faults M] [--seed S] [--sources B] [--stretch full|incremental|both] [--out FILE]\n  \
          ftree costs   [--out FILE]\n  \
-         ftree faults  [--nodes N] [--events E] [--wave K] [--seed S] [--threads T] [--out FILE]\n  \
+         ftree faults  [--nodes N] [--events E] [--wave K] [--seed S] [--out FILE]\n  \
          ftree lint    [--root DIR] [--format human|json|sarif] [--stale] [--rule NAME] [--explain NAME] [--write-effects-baseline]\n\n\
          workloads : path:N star:N kary<K>:N caterpillar:SxL broom:H+B random:N#S pref:N#S\n\
          adversaries: random max-degree min-degree root-attack heir-hunter hub-siphon diameter-greedy\n\
@@ -119,6 +122,24 @@ fn make_healer(name: &str, w: &Workload) -> Box<dyn SelfHealer> {
     }
 }
 
+/// Exits with usage unless every argument is one of `flags` followed by
+/// its value, or one of `switches`: a misspelt or retired flag must not
+/// silently run a campaign on defaults.
+fn check_flags(args: &[String], flags: &[&str], switches: &[&str]) {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if flags.contains(&arg.as_str()) {
+            if it.next().is_none() {
+                eprintln!("missing value for {arg}");
+                usage();
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            eprintln!("unknown flag: {arg}");
+            usage();
+        }
+    }
+}
+
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
@@ -165,6 +186,11 @@ fn parse_fault_model(args: &[String]) -> String {
 }
 
 fn cmd_attack(args: &[String]) {
+    check_flags(
+        args,
+        &["--workload", "--adversary", "--healer", "--fraction"],
+        &["--dot", "--csv"],
+    );
     let w = parse_workload(flag_value(args, "--workload").unwrap_or("kary4:256"));
     let adv_name = flag_value(args, "--adversary").unwrap_or("max-degree");
     let healer_name = flag_value(args, "--healer").unwrap_or("forgiving-tree");
@@ -210,6 +236,7 @@ fn cmd_attack(args: &[String]) {
 }
 
 fn cmd_scaling(args: &[String]) {
+    check_flags(args, &["--healer", "--adversary"], &[]);
     let healer_name = flag_value(args, "--healer").unwrap_or("forgiving-tree");
     let adv_name = flag_value(args, "--adversary").unwrap_or("max-degree");
     let mut deg_points = Vec::new();
@@ -240,6 +267,7 @@ fn cmd_scaling(args: &[String]) {
 }
 
 fn cmd_duel(args: &[String]) {
+    check_flags(args, &["--workload"], &[]);
     let w = parse_workload(flag_value(args, "--workload").unwrap_or("star:128"));
     let mut table = Table::new(
         format!("duel on {}", w.name()),
@@ -285,6 +313,22 @@ fn cmd_stress(args: &[String]) {
 }
 
 fn cmd_stress_tree(args: &[String]) {
+    check_flags(
+        args,
+        &[
+            "--model",
+            "--nodes",
+            "--deletions",
+            "--wave",
+            "--arity",
+            "--planner",
+            "--cadence",
+            "--faults",
+            "--seed",
+            "--out",
+        ],
+        &[],
+    );
     let num = |flag: &str, default: usize| -> usize {
         flag_value(args, flag)
             .map(|s| parse_scaled(s).unwrap_or_else(|| usage()))
@@ -309,9 +353,9 @@ fn cmd_stress_tree(args: &[String]) {
         arity: num("--arity", defaults.arity),
         planner: planner.into(),
         seed: num("--seed", defaults.seed as usize) as u64,
-        threads: num("--threads", defaults.threads).max(1),
         cadence: cadence.into(),
         faults,
+        ..defaults
     };
     // run_stress panics (non-zero exit) on ledger imbalance or (fault-free)
     // a heal that fails to quiesce — exactly the signals CI must treat as
@@ -344,6 +388,24 @@ fn cmd_stress_tree(args: &[String]) {
 }
 
 fn cmd_stress_graph(args: &[String]) {
+    check_flags(
+        args,
+        &[
+            "--model",
+            "--nodes",
+            "--events",
+            "--wave",
+            "--insert-frac",
+            "--extra-edges",
+            "--planner",
+            "--faults",
+            "--seed",
+            "--sources",
+            "--stretch",
+            "--out",
+        ],
+        &[],
+    );
     let num = |flag: &str, default: usize| -> usize {
         flag_value(args, flag)
             .map(|s| parse_scaled(s).unwrap_or_else(|| usage()))
@@ -382,9 +444,9 @@ fn cmd_stress_graph(args: &[String]) {
         planner: planner.into(),
         seed: num("--seed", defaults.seed as usize) as u64,
         stretch_sources: num("--sources", defaults.stretch_sources),
-        threads: num("--threads", defaults.threads).max(1),
         stretch_mode: stretch_mode.into(),
         faults,
+        ..defaults
     };
     // run_graph_stress panics (non-zero exit) on ledger imbalance and, in
     // fault-free runs, on stale wills, lost connectivity, or an O(log n)
@@ -466,8 +528,9 @@ fn push_cost_fields(out: &mut String, prefix: &str, c: &OperationCost) {
 }
 
 fn cmd_costs(args: &[String]) {
+    check_flags(args, &["--out"], &[]);
     // The two CI smoke campaigns, pinned: the exact shapes the workflow's
-    // stress steps run, at threads=1 with incremental stretch. The emitted
+    // stress steps run, with incremental stretch. The emitted
     // record carries counters only — no timing or throughput fields — so
     // the committed baseline is byte-stable across machines and a plain
     // `diff` in CI catches any cost-model drift.
@@ -477,7 +540,6 @@ fn cmd_costs(args: &[String]) {
         wave_size: 25,
         planner: "heavy-tail".into(),
         seed: 1,
-        threads: 1,
         ..StressConfig::default()
     });
     let graph = run_graph_stress(&GraphStressConfig {
@@ -487,7 +549,6 @@ fn cmd_costs(args: &[String]) {
         insert_fraction: 0.4,
         planner: "mixed".into(),
         seed: 1,
-        threads: 1,
         stretch_mode: "incremental".into(),
         ..GraphStressConfig::default()
     });
@@ -525,6 +586,11 @@ fn cmd_costs(args: &[String]) {
 }
 
 fn cmd_faults(args: &[String]) {
+    check_flags(
+        args,
+        &["--nodes", "--events", "--wave", "--seed", "--out"],
+        &[],
+    );
     let num = |flag: &str, default: usize| -> usize {
         flag_value(args, flag)
             .map(|s| parse_scaled(s).unwrap_or_else(|| usage()))
@@ -536,7 +602,6 @@ fn cmd_faults(args: &[String]) {
         events: num("--events", defaults.events),
         wave_size: num("--wave", defaults.wave_size),
         seed: num("--seed", defaults.seed as usize) as u64,
-        threads: num("--threads", defaults.threads).max(1),
     };
     let rec = run_fault_matrix(&cfg);
     print!("{}", rec.summary());

@@ -1,0 +1,47 @@
+//! `ftree` argument handling: an unknown flag is an error (exit 2), never a
+//! silent run on default settings.
+
+use std::process::Command;
+
+/// Runs `ftree` with the whitespace-separated `args` plus `extra`, and
+/// returns its exit code.
+fn ftree(args: &str, extra: &[&str]) -> i32 {
+    Command::new(env!("CARGO_BIN_EXE_ftree"))
+        .args(args.split_whitespace())
+        .args(extra)
+        .output()
+        .expect("ftree runs")
+        .status
+        .code()
+        .expect("ftree exits with a code")
+}
+
+#[test]
+fn misspelt_flag_is_rejected() {
+    // `--node` for `--nodes` once ran a 10⁵-node campaign and exited 0
+    assert_eq!(ftree("stress --node 300 --deletions 10 --seed 1", &[]), 2);
+}
+
+#[test]
+fn retired_threads_flag_is_rejected() {
+    for args in [
+        "stress --nodes 300 --deletions 10 --threads 2",
+        "stress --model graph --nodes 300 --threads 2",
+        "faults --nodes 100 --threads 2",
+    ] {
+        assert_eq!(ftree(args, &[]), 2, "{args}");
+    }
+}
+
+#[test]
+fn flag_without_value_is_rejected() {
+    assert_eq!(ftree("stress --nodes 300 --seed", &[]), 2);
+}
+
+#[test]
+fn valid_small_stress_run_succeeds() {
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_stress.json");
+    let out = out.to_str().expect("utf-8 temp path");
+    let code = ftree("stress --nodes 300 --deletions 10 --seed 1 --out", &[out]);
+    assert_eq!(code, 0);
+}
