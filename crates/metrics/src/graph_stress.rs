@@ -458,7 +458,7 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
                 let (oracle, _, _) = full_pass();
                 stretch_modes_agree = report == oracle;
                 assert!(
-                    stretch_modes_agree || faulty,
+                    stretch_modes_agree,
                     "incremental stretch diverged from the full-sweep oracle"
                 );
             }

@@ -33,6 +33,6 @@ pub use runner::{run_trial, StepMetrics, Trial, TrialConfig, TrialSummary};
 pub use stats::{log_log_slope, Summary};
 pub use stress::{run_stress, StressConfig, StressRecord};
 pub use stretch::{measure_stretch, measure_stretch_full, select_sources, StretchReport};
-pub use stretch_inc::StretchTracker;
+pub use stretch_inc::{StretchPhaseCosts, StretchTracker};
 pub use table::Table;
 pub use workload::Workload;

@@ -1,24 +1,38 @@
 //! Differential properties for the incremental stretch tracker: driven
 //! through the real distributed Forgiving Graph engine (journal and all),
-//! its figures must match the full re-sweep oracle after every wave — plus
-//! a seeded regression pinning the 10⁴-node campaign's headline figures
-//! against silent drift.
+//! fault-free and under the `chaos` fault plan, its figures must match the
+//! full re-sweep oracle after every wave — plus a seeded regression
+//! pinning the 10⁴-node campaign's headline figures against silent drift.
 
 use ft_adversary::{make_churn_planner, AdversaryView};
 use ft_core::DistributedForgivingGraph;
 use ft_graph::gen;
 use ft_metrics::{measure_stretch_full, run_graph_stress, GraphStressConfig, StretchTracker};
-use ft_sim::{Campaign, CampaignConfig};
+use ft_sim::{Campaign, CampaignConfig, FaultConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Runs a mixed-churn campaign with the tracker riding the engine's churn
-/// journal, checking tracker-vs-oracle figure equality after every wave.
-fn drive_and_compare(n: usize, seed: u64, insert_pct: u8, events: usize, k: usize) {
+/// Runs a mixed-churn campaign under the named fault model with the
+/// tracker riding the engine's churn journal, checking tracker-vs-oracle
+/// figure equality after every wave. Returns the largest number of
+/// disconnected pairs any wave's report showed.
+fn drive_and_compare(
+    n: usize,
+    seed: u64,
+    insert_pct: u8,
+    events: usize,
+    k: usize,
+    faults: &str,
+) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::gnp_connected(n, 2.0 / n as f64, &mut rng);
     let mut dist = DistributedForgivingGraph::new(&g);
+    let fault_cfg = FaultConfig::from_name(faults).expect("known fault model");
+    if !fault_cfg.is_zero() {
+        dist.network_mut()
+            .set_fault_plan(Some(fault_cfg.plan(seed)));
+    }
     let mut planner = make_churn_planner("mixed", seed, f64::from(insert_pct) / 100.0)
         .expect("mixed planner exists");
     let mut campaign = Campaign::new(CampaignConfig::default());
@@ -26,6 +40,7 @@ fn drive_and_compare(n: usize, seed: u64, insert_pct: u8, events: usize, k: usiz
     let mut tracker = StretchTracker::new(dist.graph(), dist.pristine(), k, seed);
     let mut remaining = events;
     let mut wave = 0usize;
+    let mut most_disconnected = 0;
     while remaining > 0 && dist.len() > 2 {
         let plan = planner.plan(
             AdversaryView {
@@ -44,9 +59,11 @@ fn drive_and_compare(n: usize, seed: u64, insert_pct: u8, events: usize, k: usiz
         let inc = tracker.report(dist.graph());
         let (full, _) = measure_stretch_full(dist.graph(), dist.pristine(), k, seed);
         assert_eq!(inc, full, "tracker diverged from oracle, wave {wave}");
+        most_disconnected = most_disconnected.max(inc.disconnected_pairs);
         wave += 1;
     }
     assert!(wave > 0, "campaign ran at least one wave");
+    most_disconnected
 }
 
 proptest! {
@@ -60,7 +77,21 @@ proptest! {
         events in 12usize..48,
         k in 4usize..12,
     ) {
-        drive_and_compare(n, seed, insert_pct, events, k);
+        drive_and_compare(n, seed, insert_pct, events, k, "none");
+    }
+
+    /// Lost, delayed and partitioned heal mail can leave the healed graph
+    /// split, so whole components are carved away from a source (and
+    /// relabelled if a later heal reconnects them).
+    #[test]
+    fn incremental_matches_full_oracle_under_chaos_faults(
+        seed in 0u64..10_000,
+        n in 30usize..110,
+        insert_pct in 15u8..70,
+        events in 24usize..64,
+        k in 4usize..12,
+    ) {
+        drive_and_compare(n, seed, insert_pct, events, k, "chaos");
     }
 }
 
@@ -111,4 +142,12 @@ fn seeded_regression_pins_ten_thousand_node_figures() {
     );
     assert_eq!(rec.cost.messages_delivered, 1248, "engine cost spine");
     assert_eq!(rec.stretch_cost.node_visits, 176_526, "tracker repair work");
+}
+
+/// A fixed chaos campaign that does split the healed graph, so the faulted
+/// proptest's agreement is known to cover disconnected sources.
+#[test]
+fn chaos_campaign_disconnects_pairs_and_stays_exact() {
+    let most = drive_and_compare(80, 0, 40, 48, 8, "chaos");
+    assert!(most > 0, "the chaos campaign left every pair connected");
 }
