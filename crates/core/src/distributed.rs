@@ -44,10 +44,10 @@
 
 use crate::report::HealReport;
 use crate::shape::{Portion, PortionRef, SubRtShape};
+use crate::sorted::{map_insert, map_remove};
 use ft_graph::tree::RootedTree;
 use ft_graph::{Graph, NodeId};
 use ft_sim::{Ctx, Network, Process};
-use std::collections::BTreeMap;
 
 /// A virtual-node reference: the real simulator plus which of its (at most
 /// two) virtual nodes is meant.
@@ -108,8 +108,10 @@ pub enum HeirMode {
     },
     /// Owner had helper duties: take them over verbatim.
     TakeOver {
-        /// The owner's role fields as of the last will refresh.
-        role: DRole,
+        /// The owner's role fields as of the last will refresh (boxed: only
+        /// the heir's portion carries one, and every portion pays for the
+        /// largest variant).
+        role: Box<DRole>,
     },
 }
 
@@ -248,8 +250,9 @@ pub struct FtNode {
     pos_parent: Option<VRef>,
     /// My will over my slot representatives (`SubRT(v)`).
     will: Option<SubRtShape>,
-    /// LeafWills filed with me by nodes whose virtual parent I simulate.
-    leaf_wills: BTreeMap<NodeId, Option<DRole>>,
+    /// LeafWills filed with me by nodes whose virtual parent I simulate,
+    /// ascending by filer.
+    leaf_wills: Vec<(NodeId, Option<DRole>)>,
     /// The portion of my owner's will addressed to me.
     portion: Option<DPortion>,
     /// My helper-role fields.
@@ -265,12 +268,12 @@ pub struct FtNode {
 }
 
 impl FtNode {
-    fn new(id: NodeId) -> Self {
+    pub(crate) fn new(id: NodeId) -> Self {
         FtNode {
             id,
             pos_parent: None,
             will: None,
-            leaf_wills: BTreeMap::new(),
+            leaf_wills: Vec::new(),
             portion: None,
             role: None,
             sent_portions: Vec::new(),
@@ -439,7 +442,9 @@ impl FtNode {
                 if !(known && same_portion(&sent[i].1, &fresh, takeover)) {
                     let fresh = match takeover {
                         Some(role) => DPortion {
-                            heir_mode: Some(HeirMode::TakeOver { role: role.clone() }),
+                            heir_mode: Some(HeirMode::TakeOver {
+                                role: Box::new(role.clone()),
+                            }),
                             ..fresh
                         },
                         None => fresh,
@@ -618,7 +623,7 @@ impl FtNode {
                     }
                 }
                 HeirMode::TakeOver { role } => {
-                    let mut new_role = role;
+                    let mut new_role = *role;
                     new_role.pending_slots.clear();
                     let ready = new_role.ready;
                     for c in new_role.hchildren.clone() {
@@ -849,7 +854,7 @@ fn same_portion(sent: &DPortion, fresh: &DPortion, takeover: Option<&DRole>) -> 
         top,
         owner_parent,
     } = sent;
-    matches!(heir_mode, Some(HeirMode::TakeOver { role: r }) if r == role)
+    matches!(heir_mode, Some(HeirMode::TakeOver { role: r }) if **r == *role)
         && (owner, is_heir, next_parent, helper, top, owner_parent)
             == (
                 &fresh.owner,
@@ -871,7 +876,7 @@ impl Process for FtNode {
             self.execute_portion(ctx);
             return;
         }
-        let lw_entry = self.leaf_wills.remove(&dead);
+        let lw_entry = map_remove(&mut self.leaf_wills, dead);
         // Relation: dead was one of my will representatives.
         if self.will.as_ref().is_some_and(|w| w.contains(dead)) {
             match &lw_entry {
@@ -1002,25 +1007,33 @@ impl Process for FtNode {
 
     fn on_message(&mut self, from: NodeId, msg: FtMsg, ctx: &mut Ctx<'_, FtMsg>) {
         match msg {
+            // The next three change nothing `settle` reads (`portion` and
+            // `leaf_wills` are consulted only when a neighbor dies), and
+            // every callback ends settled, so they return unsettled.
             FtMsg::Portion(p) => {
                 self.portion = Some(*p);
+                return;
             }
             FtMsg::LeafWill(lw) => {
-                self.leaf_wills.insert(from, lw);
+                map_insert(&mut self.leaf_wills, from, lw);
+                return;
+            }
+            FtMsg::OccupySlot {
+                your_end: VRef { helper: false, .. },
+                ..
+            } => {
+                // occupant of one of my will slots announcing itself: my
+                // slots are tracked by representative already; nothing
+                // structural to record (edge interest suffices).
+                return;
             }
             FtMsg::OccupySlot {
                 slot,
                 child,
-                your_end,
                 replacing,
+                ..
             } => {
-                if your_end.helper {
-                    self.apply_occupy(slot, child, replacing, ctx);
-                } else {
-                    // occupant of one of my will slots announcing itself: my
-                    // slots are tracked by representative already; nothing
-                    // structural to record (edge interest suffices).
-                }
+                self.apply_occupy(slot, child, replacing, ctx);
             }
             FtMsg::NewSim {
                 old,
@@ -1040,7 +1053,7 @@ impl Process for FtNode {
                         if let Some(w) = &mut self.will {
                             if w.contains(dead) {
                                 w.replace_rep(dead, new.sim);
-                                self.leaf_wills.remove(&dead);
+                                map_remove(&mut self.leaf_wills, dead);
                             }
                         }
                     }
@@ -1072,7 +1085,7 @@ impl Process for FtNode {
                 } else if let Some(w) = &mut self.will {
                     if w.contains(dead) {
                         w.replace_rep(dead, new_rep);
-                        self.leaf_wills.remove(&dead);
+                        map_remove(&mut self.leaf_wills, dead);
                     }
                 }
             }
@@ -1117,7 +1130,7 @@ impl Process for FtNode {
                 if let Some(w) = &mut self.will {
                     if w.contains(rep) {
                         w.remove_slot(rep);
-                        self.leaf_wills.remove(&rep);
+                        map_remove(&mut self.leaf_wills, rep);
                         if w.is_empty() {
                             self.will = None;
                         }
@@ -1243,7 +1256,9 @@ impl FtNode {
                     .map(|(rep, p)| {
                         let mut d = self.lower_portion(&p, top, will);
                         if let (true, Some(role)) = (d.is_heir, &self.role) {
-                            d.heir_mode = Some(HeirMode::TakeOver { role: role.clone() });
+                            d.heir_mode = Some(HeirMode::TakeOver {
+                                role: Box::new(role.clone()),
+                            });
                         }
                         (rep, d)
                     })
@@ -1251,6 +1266,41 @@ impl FtNode {
             }
         };
         assert_eq!(self.sent_portions, rebuilt, "{:?}: stale portions", self.id);
+    }
+}
+
+/// Installs every processor's Table 1 fields and pre-distributed will in
+/// one pass over `tree`. Each processor is reached through `node`, so a
+/// test can wrap [`FtNode`] in a process of its own.
+pub(crate) fn install_fields<P: Process>(
+    net: &mut Network<P>,
+    tree: &RootedTree,
+    node: fn(&mut P) -> &mut FtNode,
+) {
+    for v in tree.nodes() {
+        let ft = node(net.process_mut(v));
+        ft.pos_parent = tree.parent(v).map(VRef::pos);
+        let children = tree.children(v);
+        if children.is_empty() {
+            ft.sent_leafwill = ft.pos_parent.map(|p| (p.sim, None));
+        } else {
+            ft.will = Some(SubRtShape::build(children));
+            // children ascend, so the filed LeafWills do too
+            ft.leaf_wills = children
+                .iter()
+                .filter(|&&c| tree.is_leaf(c))
+                .map(|&c| (c, None))
+                .collect();
+        }
+        ft.refresh_portions(|_, _| {});
+        ft.desired = ft.interests().collect();
+        // each representative has exactly one owner: install its portion
+        // straight from the owner's record
+        let sent = std::mem::take(&mut ft.sent_portions);
+        for (rep, p) in &sent {
+            node(net.process_mut(*rep)).portion = Some(p.clone());
+        }
+        node(net.process_mut(v)).sent_portions = sent;
     }
 }
 
@@ -1267,30 +1317,7 @@ impl DistributedForgivingTree {
     /// `ft_sim::bfs` + experiment E9).
     pub fn new(tree: &RootedTree) -> Self {
         let mut net = Network::new(tree.to_graph(), FtNode::new);
-        for v in tree.nodes() {
-            let node = net.process_mut(v);
-            node.pos_parent = tree.parent(v).map(VRef::pos);
-            let children = tree.children(v);
-            if children.is_empty() {
-                node.sent_leafwill = node.pos_parent.map(|p| (p.sim, None));
-            } else {
-                node.will = Some(SubRtShape::build(children));
-                for &c in children {
-                    if tree.is_leaf(c) {
-                        node.leaf_wills.insert(c, None);
-                    }
-                }
-            }
-            node.refresh_portions(|_, _| {});
-            node.desired = node.interests().collect();
-            // each representative has exactly one owner: install its
-            // portion straight from the owner's record
-            let sent = std::mem::take(&mut node.sent_portions);
-            for (rep, p) in &sent {
-                net.process_mut(*rep).portion = Some(p.clone());
-            }
-            net.process_mut(v).sent_portions = sent;
-        }
+        install_fields(&mut net, tree, |p| p);
         DistributedForgivingTree { net }
     }
 

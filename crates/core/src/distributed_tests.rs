@@ -5,10 +5,13 @@
 //! sets). This is the strongest evidence the message-level protocol realizes
 //! the paper's data structure.
 
-use crate::distributed::DistributedForgivingTree;
+use crate::distributed::{
+    install_fields, DPortion, DRole, DistributedForgivingTree, FtMsg, FtNode, HeirMode, VRef,
+};
 use crate::spec::ForgivingTree;
 use ft_graph::tree::RootedTree;
 use ft_graph::{gen, NodeId};
+use ft_sim::{Ctx, Network, Process};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -225,6 +228,86 @@ fn books_balance_after_a_wave_campaign() {
         "campaign report derives from the same ledger"
     );
     assert_eq!(campaign.report().deletions, 63 - dist.len());
+}
+
+/// A processor that mails a scripted message on start, then behaves as
+/// the [`FtNode`] it wraps: lets a test deliver one message by hand.
+struct Probe {
+    node: FtNode,
+    script: Option<(NodeId, FtMsg)>,
+}
+
+impl Process for Probe {
+    type Msg = FtMsg;
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
+        if let Some((to, msg)) = self.script.take() {
+            ctx.send(to, msg);
+        }
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: FtMsg, ctx: &mut Ctx<'_, FtMsg>) {
+        self.node.on_message(from, msg, ctx);
+    }
+}
+
+#[test]
+fn portion_leafwill_and_position_occupancy_send_nothing() {
+    // kary(15, 2): 1 owns reps 3 and 4; 3 owns leaves 7 and 8
+    let t = RootedTree::from_tree_graph(&gen::kary_tree(15, 2), n(0));
+    let portion = DPortion {
+        owner: n(1),
+        is_heir: true,
+        next_parent: None,
+        helper: None,
+        heir_mode: Some(HeirMode::Ready { subrt_root: None }),
+        top: VRef::helper(n(3)),
+        owner_parent: Some(VRef::pos(n(0))),
+    };
+    let role = DRole {
+        hparent: Some(VRef::pos(n(3))),
+        hchildren: vec![VRef::pos(n(7))],
+        pending_slots: Vec::new(),
+        ready: true,
+    };
+    let occupy = FtMsg::OccupySlot {
+        slot: n(4),
+        child: VRef::pos(n(4)),
+        your_end: VRef::pos(n(1)),
+        replacing: None,
+    };
+    for (from, to, msg) in [
+        (n(1), n(3), FtMsg::Portion(Box::new(portion))),
+        (n(7), n(3), FtMsg::LeafWill(Some(role))),
+        (n(4), n(1), occupy),
+    ] {
+        let mut script = Some((to, msg));
+        let mut net = Network::new(t.to_graph(), |v| Probe {
+            node: FtNode::new(v),
+            script: if v == from { script.take() } else { None },
+        });
+        install_fields(&mut net, &t, |p| &mut p.node);
+        net.start();
+        let (stats, cost) = net.step();
+        assert_eq!(stats.messages, 1, "the scripted message was delivered");
+        assert_eq!(
+            (cost.messages_sent, cost.edge_scans),
+            (0, 0),
+            "{to:?} reacted to a message from {from:?}"
+        );
+        assert!(!net.has_pending());
+        for v in t.nodes() {
+            net.process(v).node.assert_caches_fresh();
+        }
+    }
+}
+
+#[test]
+fn message_layout_is_pinned() {
+    // `cost.heap_bytes` charges each staged message by its size, and every
+    // processor slot holds a DPortion
+    assert_eq!(std::mem::size_of::<FtMsg>(), 64);
+    assert_eq!(std::mem::size_of::<DPortion>(), 72);
 }
 
 /// Folds `x` into an FNV-1a accumulator, byte by byte.

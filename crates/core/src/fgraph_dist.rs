@@ -34,6 +34,7 @@
 
 use crate::fgraph::Haft;
 use crate::report::HealReport;
+use crate::sorted::{map_get, map_get_mut, map_insert, map_remove, set_insert, set_remove};
 use ft_graph::{Graph, NodeId};
 use ft_sim::{Ctx, Network, Process};
 
@@ -69,24 +70,6 @@ pub struct FgNode {
     wills: Vec<(NodeId, Vec<NodeId>)>,
     /// Fresh arrival that still has to announce itself on start.
     joiner: bool,
-}
-
-/// Inserts `x` into the ascending `set`; returns whether it was new.
-fn set_insert(set: &mut Vec<NodeId>, x: NodeId) -> bool {
-    match set.binary_search(&x) {
-        Ok(_) => false,
-        Err(pos) => {
-            set.insert(pos, x);
-            true
-        }
-    }
-}
-
-/// Removes `x` from the ascending `set`, if present.
-fn set_remove(set: &mut Vec<NodeId>, x: NodeId) {
-    if let Ok(pos) = set.binary_search(&x) {
-        set.remove(pos);
-    }
 }
 
 impl FgNode {
@@ -127,13 +110,7 @@ impl FgNode {
 
     /// The will `owner` has filed with me (ascending), if any.
     pub fn will_of(&self, owner: NodeId) -> Option<&[NodeId]> {
-        let slot = self.will_slot(owner).ok()?;
-        Some(&self.wills[slot].1)
-    }
-
-    /// Position of `owner`'s will in `wills`, or where it would go.
-    fn will_slot(&self, owner: NodeId) -> Result<usize, usize> {
-        self.wills.binary_search_by_key(&owner, |&(o, _)| o)
+        map_get(&self.wills, owner).map(Vec::as_slice)
     }
 
     /// Sends my full will to `to`.
@@ -186,12 +163,11 @@ impl Process for FgNode {
         // the heal and let the harness measure the damage (connectivity,
         // `check_wills`, bound booleans). Fault-free runs keep the strict
         // panics — there a missing will is an engine bug, not weather.
-        let Ok(slot) = self.will_slot(dead) else {
+        let Some(members) = map_remove(&mut self.wills, dead) else {
             assert!(ctx.faulty(), "{:?}: no will filed by {dead:?}", self.id);
             set_remove(&mut self.neighbors, dead);
             return;
         };
-        let (_, members) = self.wills.remove(slot); // sorted
         set_remove(&mut self.neighbors, dead);
         let Ok(me) = members.binary_search(&self.id) else {
             assert!(ctx.faulty(), "{:?}: not in {dead:?}'s will", self.id);
@@ -231,10 +207,7 @@ impl Process for FgNode {
                     list.windows(2).all(|w| w[0] < w[1]),
                     "unsorted will from {from:?}"
                 );
-                match self.will_slot(from) {
-                    Ok(slot) => self.wills[slot].1 = list,
-                    Err(slot) => self.wills.insert(slot, (from, list)),
-                }
+                map_insert(&mut self.wills, from, list);
                 if set_insert(&mut self.neighbors, from) {
                     // defensive: an edge formed without my participation —
                     // complete the handshake so `from` learns my will too.
@@ -242,8 +215,7 @@ impl Process for FgNode {
                 }
             }
             FgMsg::WillDelta { added, removed } => {
-                if let Ok(slot) = self.will_slot(from) {
-                    let w = &mut self.wills[slot].1;
+                if let Some(w) = map_get_mut(&mut self.wills, from) {
                     for a in added {
                         set_insert(w, a);
                     }

@@ -54,6 +54,7 @@ pub mod fgraph_dist;
 mod invariants;
 pub mod report;
 pub mod shape;
+mod sorted;
 pub mod spec;
 mod varena;
 

@@ -24,6 +24,7 @@
 //! Shapes only ever shrink, so the initial depth bound `⌈log₂ d⌉ + 1` — the
 //! source of the `log Δ` factor in Theorem 1.2 — is preserved for free.
 
+use crate::sorted::{map_get, map_insert, map_remove, map_slot};
 use ft_graph::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -128,13 +129,17 @@ impl Default for ShapeConfig {
 /// Invariants: every internal position has exactly two children; there is
 /// exactly one helper position per non-heir slot; leaf order (left to right)
 /// is the sorted order of the original children, with in-place replacements.
+///
+/// The arena never reuses a slot: shapes only shrink, so a released slot
+/// stays empty. Both indexes are vectors ascending by node ID.
 #[derive(Clone, Debug)]
 pub struct SubRtShape {
     nodes: Vec<Option<ShapeNode>>,
-    free: Vec<SIdx>,
     root: Option<SIdx>,
-    leaf_of: BTreeMap<NodeId, SIdx>,
-    helper_of: BTreeMap<NodeId, SIdx>,
+    /// Leaf position of each slot, keyed by representative.
+    leaf_of: Vec<(NodeId, SIdx)>,
+    /// Helper position of each non-heir slot, keyed by simulator.
+    helper_of: Vec<(NodeId, SIdx)>,
     heir: Option<NodeId>,
 }
 
@@ -167,15 +172,17 @@ impl SubRtShape {
             *children.last().expect("nonempty")
         };
         let mut shape = SubRtShape {
-            nodes: Vec::with_capacity(2 * children.len()),
-            free: Vec::new(),
+            nodes: Vec::with_capacity(2 * children.len() - 1),
             root: None,
-            leaf_of: BTreeMap::new(),
-            helper_of: BTreeMap::new(),
+            leaf_of: Vec::with_capacity(children.len()),
+            helper_of: Vec::with_capacity(children.len() - 1),
             heir: Some(heir),
         };
         let root = shape.build_range(children, 0, children.len(), config);
         shape.root = Some(root);
+        // leaves come out left to right, so ascending; separators come out
+        // in post-order
+        shape.helper_of.sort_unstable_by_key(|&(sim, _)| sim);
         shape
     }
 
@@ -198,7 +205,7 @@ impl SubRtShape {
                 parent: None,
                 kind: ShapeKind::Leaf { rep },
             });
-            self.leaf_of.insert(rep, idx);
+            self.leaf_of.push((rep, idx));
             return idx;
         }
         let mid = if config.balanced {
@@ -225,23 +232,17 @@ impl SubRtShape {
         });
         self.node_mut(left).parent = Some(idx);
         self.node_mut(right).parent = Some(idx);
-        self.helper_of.insert(sep, idx);
+        self.helper_of.push((sep, idx));
         idx
     }
 
     fn alloc(&mut self, node: ShapeNode) -> SIdx {
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx.i()] = Some(node);
-            idx
-        } else {
-            self.nodes.push(Some(node));
-            SIdx(self.nodes.len() as u32 - 1)
-        }
+        self.nodes.push(Some(node));
+        SIdx(self.nodes.len() as u32 - 1)
     }
 
     fn release(&mut self, idx: SIdx) {
         self.nodes[idx.i()] = None;
-        self.free.push(idx);
     }
 
     fn node(&self, idx: SIdx) -> &ShapeNode {
@@ -269,12 +270,21 @@ impl SubRtShape {
 
     /// Current slot representatives in ascending ID order.
     pub fn reps(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.leaf_of.keys().copied()
+        self.leaf_of.iter().map(|&(rep, _)| rep)
     }
 
     /// Whether `rep` currently represents a slot.
     pub fn contains(&self, rep: NodeId) -> bool {
-        self.leaf_of.contains_key(&rep)
+        map_slot(&self.leaf_of, rep).is_ok()
+    }
+
+    /// The leaf position of slot `rep`.
+    ///
+    /// # Panics
+    /// Panics if `rep` is not a slot representative.
+    fn leaf(&self, rep: NodeId) -> SIdx {
+        *map_get(&self.leaf_of, rep)
+            .unwrap_or_else(|| panic!("{rep:?} is not a slot of this shape"))
     }
 
     /// The simulator of the shape root, or `None` when the root is a leaf
@@ -314,12 +324,9 @@ impl SubRtShape {
     /// # Panics
     /// Panics if `rep` is not a slot representative.
     pub fn portion(&self, rep: NodeId) -> Portion {
-        let leaf = *self
-            .leaf_of
-            .get(&rep)
-            .unwrap_or_else(|| panic!("{rep:?} is not a slot of this shape"));
+        let leaf = self.leaf(rep);
         let is_heir = self.heir == Some(rep);
-        let helper = self.helper_of.get(&rep).copied();
+        let helper = map_get(&self.helper_of, rep).copied();
         // nextparent: parent of the leaf — unless that parent is rep's own
         // helper, in which case skip one level up (the paper's "If hy is
         // ly's parent" rule: the edge would be a self-loop).
@@ -363,11 +370,7 @@ impl SubRtShape {
     /// # Panics
     /// Panics if `rep` is not a slot representative.
     pub fn leaf_parent_of(&self, rep: NodeId) -> Option<PortionRef> {
-        let leaf = *self
-            .leaf_of
-            .get(&rep)
-            .unwrap_or_else(|| panic!("{rep:?} is not a slot of this shape"));
-        self.parent_ref(leaf)
+        self.parent_ref(self.leaf(rep))
     }
 
     /// Removes the slot represented by `rep` (the child died as a tree
@@ -380,9 +383,7 @@ impl SubRtShape {
     /// # Panics
     /// Panics if `rep` is not a slot representative.
     pub fn remove_slot(&mut self, rep: NodeId) -> ShapeDelta {
-        let leaf = self
-            .leaf_of
-            .remove(&rep)
+        let leaf = map_remove(&mut self.leaf_of, rep)
             .unwrap_or_else(|| panic!("{rep:?} is not a slot of this shape"));
         let mut delta = ShapeDelta::default();
         let Some(spliced) = self.node(leaf).parent else {
@@ -434,24 +435,22 @@ impl SubRtShape {
         if self.heir == Some(rep) {
             // The dead child was the heir: the survivor (whose helper just
             // vanished) becomes the new heir.
-            let removed = self.helper_of.remove(&survivor);
+            let removed = map_remove(&mut self.helper_of, survivor);
             debug_assert_eq!(removed, Some(spliced));
             self.heir = Some(survivor);
             delta.new_heir = Some(survivor);
             delta.changed.insert(survivor);
         } else {
             // Relabel the dead child's helper position to the survivor.
-            let dead_helper = self
-                .helper_of
-                .remove(&rep)
-                .expect("non-heir slots have helper positions");
+            let dead_helper =
+                map_remove(&mut self.helper_of, rep).expect("non-heir slots have helper positions");
             if dead_helper == spliced {
                 // the dead child's helper was its own leaf's parent: both are
                 // gone; the survivor is the dead child itself — nothing to
                 // relabel.
                 debug_assert_eq!(survivor, rep);
             } else {
-                let old = self.helper_of.remove(&survivor);
+                let old = map_remove(&mut self.helper_of, survivor);
                 debug_assert_eq!(old, Some(spliced));
                 let ShapeKind::Internal { sim, left, right } = &mut self.node_mut(dead_helper).kind
                 else {
@@ -459,7 +458,7 @@ impl SubRtShape {
                 };
                 *sim = survivor;
                 let (l, r) = (*left, *right);
-                self.helper_of.insert(survivor, dead_helper);
+                map_insert(&mut self.helper_of, survivor, dead_helper);
                 delta.changed.insert(survivor);
                 // neighbors of the relabelled position reference its sim
                 for adj in [Some(l), Some(r), self.node(dead_helper).parent]
@@ -485,20 +484,15 @@ impl SubRtShape {
     /// # Panics
     /// Panics if `old` is not a representative or `new` already is one.
     pub fn replace_rep(&mut self, old: NodeId, new: NodeId) -> ShapeDelta {
-        let leaf = self
-            .leaf_of
-            .remove(&old)
+        let leaf = map_remove(&mut self.leaf_of, old)
             .unwrap_or_else(|| panic!("{old:?} is not a slot of this shape"));
-        assert!(
-            !self.leaf_of.contains_key(&new),
-            "{new:?} already represents a slot"
-        );
+        assert!(!self.contains(new), "{new:?} already represents a slot");
         let mut delta = ShapeDelta::default();
         let ShapeKind::Leaf { rep } = &mut self.node_mut(leaf).kind else {
             unreachable!()
         };
         *rep = new;
-        self.leaf_of.insert(new, leaf);
+        map_insert(&mut self.leaf_of, new, leaf);
         delta.changed.insert(new);
         // the leaf's parent's simulator lists the slot by representative
         if let Some(p) = self.node(leaf).parent {
@@ -510,13 +504,13 @@ impl SubRtShape {
             self.heir = Some(new);
             delta.new_heir = Some(new);
         }
-        if let Some(h) = self.helper_of.remove(&old) {
+        if let Some(h) = map_remove(&mut self.helper_of, old) {
             let ShapeKind::Internal { sim, left, right } = &mut self.node_mut(h).kind else {
                 unreachable!()
             };
             *sim = new;
             let (l, r) = (*left, *right);
-            self.helper_of.insert(new, h);
+            map_insert(&mut self.helper_of, new, h);
             for adj in [Some(l), Some(r), self.node(h).parent]
                 .into_iter()
                 .flatten()
@@ -574,22 +568,31 @@ impl SubRtShape {
             }
         }
         let heir = self.heir.expect("nonempty shape has an heir");
-        assert!(self.leaf_of.contains_key(&heir), "heir is not a slot");
-        assert!(!self.helper_of.contains_key(&heir), "heir has a helper");
+        assert!(self.contains(heir), "heir is not a slot");
+        assert!(
+            map_slot(&self.helper_of, heir).is_err(),
+            "heir has a helper"
+        );
+        for index in [&self.leaf_of, &self.helper_of] {
+            assert!(
+                index.windows(2).all(|w| w[0].0 < w[1].0),
+                "index not strictly ascending"
+            );
+        }
         assert_eq!(
             self.helper_of.len() + 1,
             self.leaf_of.len(),
             "one helper per non-heir slot"
         );
-        for (rep, &leaf) in &self.leaf_of {
+        for &(rep, leaf) in &self.leaf_of {
             match &self.node(leaf).kind {
-                ShapeKind::Leaf { rep: r } => assert_eq!(r, rep),
+                ShapeKind::Leaf { rep: r } => assert_eq!(*r, rep),
                 _ => panic!("leaf_of points at internal node"),
             }
         }
-        for (sim, &h) in &self.helper_of {
+        for &(sim, h) in &self.helper_of {
             match &self.node(h).kind {
-                ShapeKind::Internal { sim: s, .. } => assert_eq!(s, sim),
+                ShapeKind::Internal { sim: s, .. } => assert_eq!(*s, sim),
                 _ => panic!("helper_of points at leaf"),
             }
         }
