@@ -30,8 +30,6 @@
 //! deaths — is built the same way via [`make_fault_plan`] (named models from
 //! [`FaultConfig::from_name`]).
 
-#![forbid(unsafe_code)]
-
 use ft_core::ForgivingTree;
 use ft_graph::bfs::diameter_double_sweep;
 use ft_graph::{ChurnEvent, Graph, NodeId};

@@ -4,11 +4,7 @@
 //! `exp_messages`, `exp_lower_bound`, `exp_baselines`, `exp_figures`,
 //! `exp_setup`, `exp_ablation`, `exp_timeseries`, `exp_stretch`) plus
 //! `run_all`, which executes everything and emits the tables recorded in
-//! EXPERIMENTS.md. The Criterion benches under `benches/` measure raw
-//! operation costs (heal latency, setup, SubRT construction, simulator
-//! round throughput).
-
-#![forbid(unsafe_code)]
+//! EXPERIMENTS.md. Whole-run timing lives in ftbench (`src/bin/ftbench/`).
 
 use ft_adversary::Adversary;
 use ft_baselines::{ForgivingHealer, SelfHealer};

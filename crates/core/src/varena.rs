@@ -122,7 +122,7 @@ impl VArena {
     }
 
     /// Whether `id` currently refers to a live virtual node.
-    #[allow(dead_code)] // used by unit tests and kept for debugging sessions
+    #[cfg(test)]
     pub fn is_live(&self, id: VId) -> bool {
         id.i() < self.nodes.len() && self.nodes[id.i()].is_some()
     }

@@ -55,7 +55,7 @@
 //! assert_eq!(total.node_visits, 1);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::as_conversions)]
 
 use std::fmt;
 use std::iter::Sum;
@@ -66,6 +66,12 @@ use std::ops::{Add, AddAssign, Sub};
 /// Every field is a monotone counter; composition is element-wise
 /// saturating addition ([`AddAssign`]). Deltas between two snapshots of a
 /// cumulative counter come from the saturating [`Sub`] impl.
+///
+/// The type is `#[must_use]`, so a discarded [`CostResult`] is a compile
+/// warning ("unused `OperationCost` in tuple element 1") and `let _ = …`
+/// of one is denied by `clippy::let_underscore_must_use`. A caller that
+/// means to drop a cost names it: `let (stats, _cost) = net.step();`.
+#[must_use = "an engine operation's cost must be charged or explicitly named and dropped"]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OperationCost {
     /// Protocol messages handed to the engine (outbox routed at end of
@@ -101,9 +107,8 @@ pub type CostResult<T> = (T, OperationCost);
 /// `usize` is at most 64 bits on every target Rust supports, so the
 /// conversion is lossless; the fallback arm is unreachable but keeps the
 /// function total and *saturating* rather than panicking, matching the
-/// crate's arithmetic discipline. Charging sites use this instead of
-/// `as u64` so the `lossy-cast-in-accounting` lint never has to take a
-/// cast on faith.
+/// crate's arithmetic discipline. Charging sites in modules that deny
+/// `clippy::as_conversions` use this instead of `as u64`.
 pub fn count(n: usize) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }

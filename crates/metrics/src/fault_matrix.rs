@@ -28,6 +28,8 @@
 //! [`FaultPlan`](ft_sim::FaultPlan)-driven, planners are seeded), so the
 //! whole matrix replays byte-identically.
 
+#![deny(clippy::as_conversions)]
+
 use crate::graph_stress::{run_graph_stress, GraphStressConfig};
 use crate::stress::FAULT_SEED_SALT;
 use ft_adversary::{make_wave_planner, AdversaryView};

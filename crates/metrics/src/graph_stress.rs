@@ -31,7 +31,6 @@ use ft_graph::gen;
 use ft_sim::{Campaign, CampaignConfig, FaultConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// Graph-model stress-campaign parameters.
 #[derive(Clone, Debug)]
@@ -353,7 +352,12 @@ fn initial_graph(cfg: &GraphStressConfig, rng: &mut StdRng) -> ft_graph::Graph {
 /// a non-zero exit is the CI failure signal. Under any other fault model
 /// those outcomes become the recorded `converged` / `wills_ok` /
 /// `connected` / `within_bounds` booleans.
+#[expect(
+    clippy::disallowed_types,
+    reason = "times the campaign and the stretch passes for the record's wall-clock fields; no protocol decision reads the clock"
+)]
 pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
+    use std::time::Instant;
     assert!(
         matches!(cfg.stretch_mode.as_str(), "full" | "incremental" | "both"),
         "unknown stretch mode: {} (full | incremental | both)",

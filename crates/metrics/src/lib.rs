@@ -15,8 +15,6 @@
 //! combination into the bounds-survival record behind `ftree faults`
 //! (`BENCH_faults.json`).
 
-#![forbid(unsafe_code)]
-
 pub mod fault_matrix;
 pub mod graph_stress;
 pub mod runner;

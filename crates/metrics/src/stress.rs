@@ -24,7 +24,6 @@ use ft_costs::OperationCost;
 use ft_graph::tree::RootedTree;
 use ft_graph::{gen, NodeId};
 use ft_sim::{Campaign, CampaignConfig, FaultConfig, HealCadence};
-use std::time::Instant;
 
 /// Salt xor-ed into the campaign seed to derive the fault-plan seed, so the
 /// wave planner and the fault schedule draw from decoupled streams.
@@ -256,7 +255,12 @@ impl StressRecord {
 /// When `faults == "none"` a truncated heal or a disconnected result also
 /// panics; under any other fault model those become the recorded
 /// `converged` / `connected` booleans.
+#[expect(
+    clippy::disallowed_types,
+    reason = "times the campaign for the record's wall-clock fields; no protocol decision reads the clock"
+)]
 pub fn run_stress(cfg: &StressConfig) -> StressRecord {
+    use std::time::Instant;
     let g = gen::kary_tree(cfg.nodes, cfg.arity.max(2));
     let tree = RootedTree::from_tree_graph(&g, NodeId(0));
     let mut dist = DistributedForgivingTree::new(&tree);

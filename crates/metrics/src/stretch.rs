@@ -36,6 +36,8 @@
 //! accumulation and the [`OperationCost`] counters — is a pure function of
 //! the graphs, the source count and the seed.
 
+#![deny(clippy::as_conversions)]
+
 use ft_costs::{count, CostResult, OperationCost};
 use ft_graph::bfs::{DistanceMap, UNREACHED};
 use ft_graph::{Graph, NodeId};
@@ -89,8 +91,11 @@ pub(crate) fn fold_passes(sources: usize, passes: &[SourcePass]) -> StretchRepor
         report.max_healed_distance = report.max_healed_distance.max(pass.max_healed_distance);
         report.disconnected_pairs += pass.disconnected;
     }
+    #[expect(
+        clippy::as_conversions,
+        reason = "pairs < n^2 <= 2^53 at any experiment scale, so the usize->f64 conversion is exact"
+    )]
     if report.pairs > 0 {
-        // ft-lint: allow(lossy-cast-in-accounting, "pairs < n^2 <= 2^53 at any experiment scale, so the usize->f64 conversion is exact")
         report.mean_stretch = sum / report.pairs as f64;
     }
     report
@@ -636,6 +641,10 @@ mod tests {
 
     /// A random graph with deleted slots, several components, and a
     /// capacity grown by `add_node` (some newcomers wired, some isolated).
+    #[expect(
+        clippy::as_conversions,
+        reason = "test fixture: slot ids below 2^32 convert exactly"
+    )]
     fn holey_graph(seed: u64, n: usize) -> Graph {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);

@@ -51,6 +51,8 @@
 //! (seeding adjacency reads and settled neighborhoods as `edge_scans`,
 //! settles as `node_visits`, stale queue entries as `seeks`).
 
+#![deny(clippy::as_conversions)]
+
 use crate::stretch::{
     bfs_fields_with_cost, fold_passes, pair_pass, sampled_flags, select_sources, SourcePass,
     StretchReport,
@@ -427,6 +429,10 @@ impl StretchTracker {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::as_conversions,
+    reason = "test fixtures: ids and counts below 2^32 convert exactly"
+)]
 mod tests {
     use super::*;
     use crate::stretch::measure_stretch_full;

@@ -1,7 +1,5 @@
 //! Minimal table rendering (aligned ASCII and CSV) for experiment output.
 
-use std::fmt::Write as _;
-
 /// A titled table of string cells.
 #[derive(Clone, Debug, Default)]
 pub struct Table {
@@ -53,18 +51,19 @@ impl Table {
             }
         }
         let mut out = String::new();
-        let _ = writeln!(out, "== {} ==", self.title);
+        out.push_str(&format!("== {} ==\n", self.title));
         let line = |out: &mut String, cells: &[String]| {
             let mut s = String::from("|");
             for (i, c) in cells.iter().enumerate() {
-                let _ = write!(s, " {:width$} |", c, width = widths[i]);
+                s.push_str(&format!(" {:width$} |", c, width = widths[i]));
             }
             out.push_str(&s);
             out.push('\n');
         };
         line(&mut out, &self.headers);
         let sep: usize = widths.iter().map(|w| w + 3).sum::<usize>() + 1;
-        let _ = writeln!(out, "{}", "-".repeat(sep));
+        out.push_str(&"-".repeat(sep));
+        out.push('\n');
         for row in &self.rows {
             line(&mut out, row);
         }
@@ -81,13 +80,11 @@ impl Table {
             }
         };
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers.iter().map(esc).collect::<Vec<_>>().join(",")
-        );
+        out.push_str(&self.headers.iter().map(esc).collect::<Vec<_>>().join(","));
+        out.push('\n');
         for row in &self.rows {
-            let _ = writeln!(out, "{}", row.iter().map(esc).collect::<Vec<_>>().join(","));
+            out.push_str(&row.iter().map(esc).collect::<Vec<_>>().join(","));
+            out.push('\n');
         }
         out
     }

@@ -500,7 +500,7 @@ fn reuse_does_not_bleed_in_flight_mail_into_the_new_incarnation() {
         net.ledger().dropped() > before_dropped,
         "the dead incarnation's in-flight mail was unsent"
     );
-    net.run_until_quiet(16);
+    let (_, _cost) = net.run_until_quiet(16);
     // the new incarnation is charged only for its own join traffic
     let l = net.ledger();
     assert_eq!(

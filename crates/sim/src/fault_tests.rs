@@ -209,7 +209,7 @@ fn certain_loss_destroys_the_message_on_the_wire() {
     assert!(!net.has_pending(), "the lost message never queued");
     assert_eq!(net.ledger().lost(), 1);
     assert_eq!(net.ledger().dropped(), 0, "loss is not an endpoint death");
-    net.run_until_quiet(4);
+    let (_, _cost) = net.run_until_quiet(4);
     assert_eq!(net.process(NodeId(1)).received, 0);
     assert_ne!(
         net.fault_fingerprint(),
@@ -228,7 +228,7 @@ fn certain_duplication_delivers_twice() {
     .plan(1);
     let mut net = one_shot_net(Some(plan));
     net.start();
-    net.run_until_quiet(4);
+    let (_, _cost) = net.run_until_quiet(4);
     assert_eq!(net.process(NodeId(1)).received, 2, "original + copy");
     assert_eq!(net.ledger().duplicated(), 1);
     assert_eq!(net.ledger().delivered(), 2);
@@ -300,7 +300,7 @@ fn crash_stop_silences_in_flight_mail_under_deliver_policy() {
         1,
         "the in-flight message was silenced"
     );
-    net.run_until_quiet(4);
+    let (_, _cost) = net.run_until_quiet(4);
     assert_eq!(
         net.process(NodeId(1)).received,
         0,
@@ -329,7 +329,7 @@ fn partition_cuts_cross_side_mail_and_heals_on_rejoin() {
     // after the window closes (round ≥ 2 in the 4-round cycle), a resend
     // gets through
     while net.round() % 4 < 2 {
-        net.step();
+        let (_, _cost) = net.step();
     }
     net.process_mut(NodeId(0)).received = 0;
     let r = net.round();

@@ -35,6 +35,8 @@
 //! (`finish_round`), over the outbox in canonical send order — so a faulty
 //! run replays byte-identically from its seed.
 
+#![deny(clippy::as_conversions)]
+
 use ft_graph::NodeId;
 
 /// SplitMix64 finalizer — one avalanche step, the same mixer the stretch
@@ -217,13 +219,16 @@ impl FaultConfig {
 
 /// Maps a probability to the u64 threshold a hash is compared against:
 /// `hash < threshold(p)` holds with probability ≈ p over a uniform hash.
+#[expect(
+    clippy::as_conversions,
+    reason = "intentional quantization: a probability becomes the nearest representable u64 threshold once at plan-compile time; the per-message path compares integers only"
+)]
 fn threshold(p: f64) -> u64 {
     if p >= 1.0 {
         u64::MAX
     } else if p <= 0.0 {
         0
     } else {
-        // ft-lint: allow(lossy-cast-in-accounting, "intentional quantization: a probability becomes the nearest representable u64 threshold once at plan-compile time; the per-message path compares integers only")
         (p * (u64::MAX as f64)) as u64
     }
 }
@@ -297,7 +302,10 @@ impl FaultPlan {
             return MsgFate::Duplicate;
         }
         if self.delay_t > 0 && self.max_delay > 0 && splitmix64(h ^ SALT_DELAY) < self.delay_t {
-            // ft-lint: allow(lossy-cast-in-accounting, "the remainder is < max_delay, a u32, so the narrowing is exact by construction")
+            #[expect(
+                clippy::as_conversions,
+                reason = "the remainder is < max_delay, a u32, so the narrowing is exact by construction"
+            )]
             let extra = 1 + (splitmix64(h ^ SALT_PICK) % u64::from(self.max_delay)) as u32;
             return MsgFate::Delay(extra);
         }
@@ -396,6 +404,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::as_conversions,
+        reason = "a rate estimate over 20k trials; counts far below 2^53 convert to f64 exactly"
+    )]
     fn rates_land_in_the_right_ballpark() {
         let plan = FaultConfig {
             loss: 0.2,

@@ -69,6 +69,8 @@
 //! ledger.check(0).expect("an empty ledger balances");
 //! ```
 
+#![deny(clippy::as_conversions)]
+
 use ft_graph::NodeId;
 
 /// Dense, allocation-free message accounting for one [`crate::Network`].
@@ -303,6 +305,117 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    const BOOKS: [&str; 8] = [
+        "sent",
+        "delivered",
+        "dropped",
+        "lost",
+        "duplicated",
+        "delayed",
+        "notices",
+        "joins",
+    ];
+
+    /// The fate books, in [`BOOKS`] order.
+    fn books(l: &MsgLedger) -> [u64; 8] {
+        [
+            l.sent(),
+            l.delivered(),
+            l.dropped(),
+            l.lost(),
+            l.duplicated(),
+            l.delayed(),
+            l.notices(),
+            l.joins(),
+        ]
+    }
+
+    /// Each `record_*` method is one whole fate transition: it moves
+    /// exactly one book, by exactly the count it was given, and leaves
+    /// both identities holding for the in-flight count that fate implies.
+    #[test]
+    fn each_record_method_moves_exactly_one_book() {
+        const N: u64 = 3;
+        type Record = fn(&mut MsgLedger);
+        // (method, the book it moves, in-flight after the call). Every
+        // case starts from N sent messages still in flight.
+        let cases: [(&str, Record, &str, u64); 8] = [
+            (
+                "record_sent",
+                |l| (0..N).for_each(|_| l.record_sent()),
+                "sent",
+                2 * N,
+            ),
+            (
+                "record_delivery",
+                |l| (0..N).for_each(|_| l.record_delivery(n(0), n(1))),
+                "delivered",
+                0,
+            ),
+            ("record_dropped", |l| l.record_dropped(N), "dropped", 0),
+            ("record_lost", |l| l.record_lost(N), "lost", 0),
+            (
+                "record_duplicated",
+                |l| l.record_duplicated(N),
+                "duplicated",
+                2 * N,
+            ),
+            ("record_delayed", |l| l.record_delayed(N), "delayed", N),
+            (
+                "record_notice",
+                |l| (0..N).for_each(|_| l.record_notice(n(2))),
+                "notices",
+                N,
+            ),
+            (
+                "record_join",
+                |l| (0..N).for_each(|_| l.record_join(n(3))),
+                "joins",
+                N,
+            ),
+        ];
+        for (method, record, moved, in_flight) in cases {
+            let mut l = MsgLedger::new(4);
+            (0..N).for_each(|_| l.record_sent());
+            let before = books(&l);
+            record(&mut l);
+            for ((book, was), now) in BOOKS.iter().zip(before).zip(books(&l)) {
+                let want = if *book == moved { was + N } else { was };
+                assert_eq!(now, want, "{method} moved the {book} book");
+            }
+            if let Err(e) = l.check(in_flight) {
+                panic!("{method}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn reset_node_retires_every_book_of_the_node_together() {
+        let mut l = MsgLedger::new(3);
+        (0..3).for_each(|_| l.record_sent());
+        l.record_delivery(n(1), n(0));
+        l.record_delivery(n(0), n(1));
+        l.record_delivery(n(2), n(0));
+        l.record_notice(n(1));
+        l.record_join(n(1));
+        let fates = books(&l);
+        let others = [l.per_node(n(0)), l.per_node(n(2))];
+        let charged = l.per_node(n(1));
+        assert_eq!(charged, 4, "one send, one delivery, a notice, a join");
+        l.reset_node(n(1));
+        assert_eq!(l.per_node_sent(n(1)), 0);
+        assert_eq!(l.per_node_received(n(1)), 0);
+        assert_eq!(l.retired(), charged);
+        assert_eq!(l.retired_incarnations(), 1);
+        assert_eq!(
+            [l.per_node(n(0)), l.per_node(n(2))],
+            others,
+            "other nodes untouched"
+        );
+        assert_eq!(books(&l), fates, "fate books untouched");
+        l.check(0).expect("identities hold across the retirement");
     }
 
     #[test]

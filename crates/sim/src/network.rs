@@ -113,7 +113,6 @@ impl<M> Ctx<'_, M> {
 
     /// Requests removal of the undirected edge `{me, to}`.
     pub fn drop_edge(&mut self, to: NodeId) {
-        // ft-lint: allow(uncharged-mutation, "staged churn: finish_round charges edge_scans from the canonical staged quantities at the end of the round")
         self.edge_drops.push((self.me, to));
     }
 }
@@ -883,6 +882,15 @@ impl<P: Process> Network<P> {
     /// Delivers all queued messages (one synchronous round), processing
     /// addressees in the canonical ascending-[`NodeId`] order. Returns the
     /// round's stats together with its exact [`OperationCost`].
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn step(&mut self) -> CostResult<RoundStats> {
         let before = self.costs;
         let mut hot = std::mem::take(&mut self.hot_scratch);
@@ -902,12 +910,30 @@ impl<P: Process> Network<P> {
     ///
     /// Ignored; kept only because ftbench's sources are frozen; delete with
     /// the next benchmark PR.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn step_mt(&mut self) -> CostResult<RoundStats> {
         self.step()
     }
 
     /// Drains the inboxes of the (sorted) `hot` addressees, charging
     /// ledger and load per delivery; returns the delivery count.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn deliver_inboxes(&mut self, hot: &[NodeId]) -> usize {
         let mut delivered = 0usize;
         let faulty = self.faults.is_some();
@@ -925,17 +951,18 @@ impl<P: Process> Network<P> {
             costs,
             ..
         } = self;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "hot holds only ids bounds-checked against procs.len() at enqueue time; inboxes has the same length"
+        )]
         for &to in hot {
             // A hot entry can be stale: the addressee died and its inbox
             // was purged. Nothing to deliver then.
-            // ft-lint: allow(panic-in-engine, "hot holds only ids bounds-checked against procs.len() at enqueue time; inboxes has the same length")
             if inboxes[to.index()].is_empty() {
                 continue;
             }
-            // ft-lint: allow(panic-in-engine, "same hot-list bound as the emptiness probe above")
             let mut mail = std::mem::take(&mut inboxes[to.index()]);
             *pending -= mail.len();
-            // ft-lint: allow(panic-in-engine, "same hot-list bound as the emptiness probe above")
             match procs[to.index()].as_mut() {
                 None => {
                     // Unreachable (deletion purges the inbox), but the
@@ -965,7 +992,6 @@ impl<P: Process> Network<P> {
                 }
             }
             // Hand the (empty, capacity-retaining) buffer back.
-            // ft-lint: allow(panic-in-engine, "same hot-list bound as the emptiness probe above")
             inboxes[to.index()] = mail;
         }
         delivered
@@ -979,6 +1005,15 @@ impl<P: Process> Network<P> {
     /// that chatters forever is a bug). Use
     /// [`Network::run_until_quiet_capped`] to observe truncation instead of
     /// panicking.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn run_until_quiet(&mut self, max_rounds: u32) -> CostResult<(u32, RoundStats)> {
         let ((rounds, merged, converged), cost) = self.run_until_quiet_capped(max_rounds);
         assert!(
@@ -993,6 +1028,15 @@ impl<P: Process> Network<P> {
     /// statistics, and `converged`: `true` iff no mail is pending — a
     /// `false` makes a truncated heal distinguishable from a finished one
     /// (the round budget ran out with messages still in flight).
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn run_until_quiet_capped(
         &mut self,
         max_rounds: u32,
@@ -1011,6 +1055,15 @@ impl<P: Process> Network<P> {
     /// Closes a round: routes the outbox into next round's inboxes, applies
     /// edge changes (drops of pre-existing edges first, then adds), folds
     /// the per-round load into the stats, and advances the clock.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn finish_round(&mut self, delivered: usize) -> RoundStats {
         let mut stats = RoundStats {
             messages: delivered,
@@ -1041,11 +1094,13 @@ impl<P: Process> Network<P> {
                 ..
             } = self;
             for (due, from, to, msg) in queue.drain(..) {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "guarded: to.index() < procs.len() is checked in the condition; inboxes.len() == procs.len()"
+                )]
                 if due > next {
                     delayed.push((due, from, to, msg));
-                    // ft-lint: allow(panic-in-engine, "guarded: to.index() < procs.len() is checked on this line")
                 } else if to.index() < procs.len() && procs[to.index()].is_some() {
-                    // ft-lint: allow(panic-in-engine, "same guard as the line above; inboxes.len() == procs.len()")
                     inboxes[to.index()].push((from, msg));
                     hot.insert(to);
                     *pending += 1;
@@ -1074,9 +1129,11 @@ impl<P: Process> Network<P> {
                 None => {
                     for (from, to, msg) in outbox.drain(..) {
                         ledger.record_sent();
-                        // ft-lint: allow(panic-in-engine, "guarded: to.index() < procs.len() is checked on this line")
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "guarded: to.index() < procs.len() is checked in the condition; inboxes.len() == procs.len()"
+                        )]
                         if to.index() < procs.len() && procs[to.index()].is_some() {
-                            // ft-lint: allow(panic-in-engine, "same guard as the line above; inboxes.len() == procs.len()")
                             inboxes[to.index()].push((from, msg));
                             hot.insert(to); // idempotent bit-set
                             *pending += 1;
@@ -1092,13 +1149,18 @@ impl<P: Process> Network<P> {
                     // so the realized schedule replays from the seed.
                     for (k, (from, to, msg)) in outbox.drain(..).enumerate() {
                         ledger.record_sent();
-                        let alive =
-                            // ft-lint: allow(panic-in-engine, "guarded: to.index() < procs.len() is checked on this line")
-                            to.index() < procs.len() && procs[to.index()].is_some();
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "guarded: to.index() < procs.len() is checked on this line"
+                        )]
+                        let alive = to.index() < procs.len() && procs[to.index()].is_some();
                         match plan.fate(*round, from, to, k as u64) {
                             MsgFate::Deliver => {
                                 if alive {
-                                    // ft-lint: allow(panic-in-engine, "alive implies the bounds guard above held; inboxes.len() == procs.len()")
+                                    #[expect(
+                                        clippy::indexing_slicing,
+                                        reason = "alive implies the bounds guard above held; inboxes.len() == procs.len()"
+                                    )]
                                     inboxes[to.index()].push((from, msg));
                                     hot.insert(to);
                                     *pending += 1;
@@ -1121,9 +1183,15 @@ impl<P: Process> Network<P> {
                                 fnv_fold(fault_fp, (u64::from(from.0) << 32) | u64::from(to.0));
                                 fnv_fold(fault_fp, k as u64);
                                 if alive {
-                                    // ft-lint: allow(panic-in-engine, "alive implies the bounds guard above held; inboxes.len() == procs.len()")
+                                    #[expect(
+                                        clippy::indexing_slicing,
+                                        reason = "alive implies the bounds guard above held; inboxes.len() == procs.len()"
+                                    )]
                                     inboxes[to.index()].push((from, msg.clone()));
-                                    // ft-lint: allow(panic-in-engine, "alive implies the bounds guard above held; inboxes.len() == procs.len()")
+                                    #[expect(
+                                        clippy::indexing_slicing,
+                                        reason = "alive implies the bounds guard above held; inboxes.len() == procs.len()"
+                                    )]
                                     inboxes[to.index()].push((from, msg));
                                     hot.insert(to);
                                     *pending += 2;
@@ -1185,8 +1253,12 @@ impl<P: Process> Network<P> {
                 ..
             } = self;
             let mut max = 0u32;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "touched only lists ids bump_load already indexed into this same slice"
+            )]
             for &v in touched.iter() {
-                max = max.max(round_load[v.index()]); // ft-lint: allow(panic-in-engine, "touched only lists ids bump_load already indexed into this same slice")
+                max = max.max(round_load[v.index()]);
                 round_load[v.index()] = 0;
             }
             touched.clear();
@@ -1363,7 +1435,7 @@ mod tests {
         let mut net = one_shot_net(InFlightPolicy::Deliver);
         net.start();
         net.delete_node(NodeId(0)); // sender dies with mail in flight
-        net.run_until_quiet(4);
+        let (_, _cost) = net.run_until_quiet(4);
         assert_eq!(net.process(NodeId(1)).received, 1, "wire kept the packet");
         assert_eq!(net.ledger().dropped(), 0);
         net.check_accounting().expect("books balance");
@@ -1374,7 +1446,7 @@ mod tests {
         let mut net = one_shot_net(InFlightPolicy::Drop);
         net.start();
         net.delete_node(NodeId(0));
-        net.run_until_quiet(4);
+        let (_, _cost) = net.run_until_quiet(4);
         assert_eq!(net.process(NodeId(1)).received, 0, "victim was silenced");
         assert_eq!(net.ledger().dropped(), 1, "the unsent mail is on the books");
         net.check_accounting().expect("books balance");
@@ -1455,7 +1527,7 @@ mod tests {
         assert!(net.graph().has_edge(v, NodeId(0)));
         assert_eq!(net.process(NodeId(0)).joins, 1);
         assert_eq!(net.process(NodeId(1)).joins, 0, "non-anchor unaware");
-        net.run_until_quiet(4);
+        let (_, _cost) = net.run_until_quiet(4);
         assert_eq!(net.process(v).greetings, 2, "both anchors greeted");
         assert_eq!(net.ledger().joins(), 2);
         net.check_accounting().expect("books balance");
@@ -1473,7 +1545,7 @@ mod tests {
         assert_eq!(net.len(), 3);
         let (w, _) = net.insert_node(&[NodeId(2)], |_| Greeter::default());
         assert_eq!(w, NodeId(3), "no dead slot left: falls back to growing");
-        net.run_until_quiet(4);
+        let (_, _cost) = net.run_until_quiet(4);
         net.check_accounting().expect("books balance");
     }
 
@@ -1514,7 +1586,7 @@ mod tests {
         let mut net = flood_net(g, NodeId(1));
         net.start();
         net.delete_node(NodeId(0)); // hub: 4 surviving neighbors notified
-        net.run_until_quiet(10);
+        let (_, _cost) = net.run_until_quiet(10);
         let ledger = net.ledger();
         assert_eq!(ledger.notices(), 4);
         for v in [1u32, 2, 3, 4] {

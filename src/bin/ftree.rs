@@ -13,7 +13,6 @@
 //! ftree costs   [--out BENCH_costs.json]
 //! ftree faults  [--nodes 500] [--events 120] [--wave 10] [--seed 42] \
 //!               [--out BENCH_faults.json]
-//! ftree lint    [--root DIR] [--format human|json|sarif] [--stale]
 //! ftree help
 //! ```
 //!
@@ -48,8 +47,7 @@ fn usage() -> ! {
          ftree stress  [--model tree]  [--nodes N] [--deletions D] [--wave K] [--arity A] [--planner P] [--cadence per-deletion|per-wave] [--faults M] [--seed S] [--out FILE]\n  \
          ftree stress  --model graph [--nodes N] [--events E] [--wave K] [--insert-frac F] [--extra-edges F] [--planner P] [--faults M] [--seed S] [--sources B] [--stretch full|incremental|both] [--out FILE]\n  \
          ftree costs   [--out FILE]\n  \
-         ftree faults  [--nodes N] [--events E] [--wave K] [--seed S] [--out FILE]\n  \
-         ftree lint    [--root DIR] [--format human|json|sarif] [--stale] [--rule NAME] [--explain NAME] [--write-effects-baseline]\n\n\
+         ftree faults  [--nodes N] [--events E] [--wave K] [--seed S] [--out FILE]\n\n\
          workloads : path:N star:N kary<K>:N caterpillar:SxL broom:H+B random:N#S pref:N#S\n\
          adversaries: random max-degree min-degree root-attack heir-hunter hub-siphon diameter-greedy\n\
          healers   : forgiving-tree forgiving-graph surrogate line binary-tree no-heal\n\
@@ -183,6 +181,19 @@ fn parse_fault_model(args: &[String]) -> String {
         usage();
     }
     model.into()
+}
+
+/// Reads `--nodes` (default `default`). A campaign needs at least its
+/// root, so `0` is rejected here instead of panicking inside the harness.
+fn parse_nodes(args: &[String], default: usize) -> usize {
+    let nodes = flag_value(args, "--nodes")
+        .map(|s| parse_scaled(s).unwrap_or_else(|| usage()))
+        .unwrap_or(default);
+    if nodes == 0 {
+        eprintln!("--nodes must be at least 1");
+        usage();
+    }
+    nodes
 }
 
 fn cmd_attack(args: &[String]) {
@@ -347,7 +358,7 @@ fn cmd_stress_tree(args: &[String]) {
     }
     let faults = parse_fault_model(args);
     let cfg = StressConfig {
-        nodes: num("--nodes", defaults.nodes),
+        nodes: parse_nodes(args, defaults.nodes),
         deletions: num("--deletions", defaults.deletions),
         wave_size: num("--wave", defaults.wave_size),
         arity: num("--arity", defaults.arity),
@@ -436,7 +447,7 @@ fn cmd_stress_graph(args: &[String]) {
     }
     let faults = parse_fault_model(args);
     let cfg = GraphStressConfig {
-        nodes: num("--nodes", defaults.nodes),
+        nodes: parse_nodes(args, defaults.nodes),
         events: num("--events", defaults.events),
         wave_size: num("--wave", defaults.wave_size),
         insert_fraction: frac("--insert-frac", defaults.insert_fraction),
@@ -514,7 +525,6 @@ fn cmd_stress_graph(args: &[String]) {
 /// Appends one JSON line per [`OperationCost`] counter, keyed
 /// `<prefix>_<counter>`, each line comma-terminated.
 fn push_cost_fields(out: &mut String, prefix: &str, c: &OperationCost) {
-    use std::fmt::Write;
     for (key, v) in [
         ("messages_sent", c.messages_sent),
         ("messages_delivered", c.messages_delivered),
@@ -523,7 +533,7 @@ fn push_cost_fields(out: &mut String, prefix: &str, c: &OperationCost) {
         ("heap_bytes", c.heap_bytes),
         ("seeks", c.seeks),
     ] {
-        let _ = writeln!(out, "  \"{prefix}_{key}\": {v},");
+        out.push_str(&format!("  \"{prefix}_{key}\": {v},\n"));
     }
 }
 
@@ -598,7 +608,7 @@ fn cmd_faults(args: &[String]) {
     };
     let defaults = FaultMatrixConfig::default();
     let cfg = FaultMatrixConfig {
-        nodes: num("--nodes", defaults.nodes),
+        nodes: parse_nodes(args, defaults.nodes),
         events: num("--events", defaults.events),
         wave_size: num("--wave", defaults.wave_size),
         seed: num("--seed", defaults.seed as usize) as u64,
@@ -622,7 +632,6 @@ fn main() {
         Some("stress") => cmd_stress(&args[1..]),
         Some("costs") => cmd_costs(&args[1..]),
         Some("faults") => cmd_faults(&args[1..]),
-        Some("lint") => exit(forgiving_tree::lint::run_cli(&args[1..])),
         _ => usage(),
     }
 }

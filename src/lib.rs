@@ -70,7 +70,6 @@ pub use ft_baselines as baselines;
 pub use ft_core as core;
 pub use ft_costs as costs;
 pub use ft_graph as graph;
-pub use ft_lint as lint;
 pub use ft_metrics as metrics;
 pub use ft_sim as sim;
 

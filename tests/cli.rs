@@ -1,5 +1,5 @@
-//! `ftree` argument handling: an unknown flag is an error (exit 2), never a
-//! silent run on default settings.
+//! `ftree` argument handling: an unknown flag or an out-of-range value is
+//! an error (exit 2), never a panic or a silent run on default settings.
 
 use std::process::Command;
 
@@ -44,4 +44,16 @@ fn valid_small_stress_run_succeeds() {
     let out = out.to_str().expect("utf-8 temp path");
     let code = ftree("stress --nodes 300 --deletions 10 --seed 1 --out", &[out]);
     assert_eq!(code, 0);
+}
+
+#[test]
+fn zero_nodes_is_rejected() {
+    // once panicked inside the harness: "root n0 is not alive"
+    for args in [
+        "stress --nodes 0",
+        "stress --model graph --nodes 0",
+        "faults --nodes 0",
+    ] {
+        assert_eq!(ftree(args, &[]), 2, "{args}");
+    }
 }
