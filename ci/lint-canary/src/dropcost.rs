@@ -16,3 +16,10 @@ pub fn spend(x: u64) {
 pub fn spend_quietly(x: u64) {
     let _ = probe(x);
 }
+
+/// Binds the cost by name, which is not a discard.
+pub fn keep(x: u64) -> u64 {
+    let (v, _cost) = probe(x);
+    let whole = probe(v);
+    whole.0
+}

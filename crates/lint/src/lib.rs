@@ -1,408 +1,363 @@
-//! `ft-lint` — the workspace's determinism & accounting static-analysis
-//! pass.
+//! Proves that the workspace's static checks still fire.
 //!
-//! Every campaign replays byte for byte from its seed; the seeded
-//! fault-model axis and the incremental stretch work *build on* that
-//! determinism contract. `ft-lint` turns the contract into CI-red rules
-//! over the source itself — an offline, dependency-free pass built from a
-//! small hand-rolled lexer ([`lexer`]), a shape-only recursive-descent
-//! parser ([`parser`]), a deterministic workspace call graph
-//! ([`callgraph`]), and a thirteen-rule engine ([`rules`]): seven
-//! per-token pattern rules plus six cross-function semantic rules
-//! (determinism taint propagation ([`taint`]), cost-charge coverage,
-//! dropped-`CostResult` discipline, panic reachability from the
-//! round-engine roots, ledger book-coupling, and hot-path effect-baseline
-//! drift ([`effects`])).
+//! rustc and clippy enforce the determinism and accounting contract: bans
+//! in the root `clippy.toml`, `#[must_use]` on `OperationCost`, the levels
+//! in `[workspace.lints]` and scoped `deny` attributes ("Static checks" in
+//! `docs/ARCHITECTURE.md`). A check that quietly stopped firing would pass
+//! every build, so `ci/lint-canary` seeds violations of each one. The tests
+//! of this crate run clippy over the canary and require exactly the
+//! findings in [`rules::EXPECTED`], at the seeded lines, and run it over
+//! the workspace and require none.
 //!
-//! The rule catalog lives in [`RULES`]; the paths each rule binds are in
-//! [`rules::rule_applies`]; the suppression grammar is
-//! `// ft-lint: allow(<rule>, "<reason>")` with a **mandatory** written
-//! reason. See `docs/LINT.md` for the full policy.
-//!
-//! Entry points: [`lint_workspace`] walks a workspace root; `ftree lint`
-//! and the `ft-lint` binary wrap it with human, JSON, and SARIF output
-//! plus the `--stale` suppression audit.
-//!
-//! # Example
+//! [`Report::parse`] reads cargo's `--message-format=json` stream:
 //!
 //! ```
-//! use ft_lint::lint_source;
-//!
-//! let report = lint_source(
-//!     "crates/sim/src/engine.rs",
-//!     "use std::collections::HashMap;\n",
+//! let stream = concat!(
+//!     r#"{"reason":"compiler-message","message":{"level":"error","#,
+//!     r#""code":{"code":"clippy::as_conversions"},"rendered":"","#,
+//!     r#""spans":[{"file_name":"src/ledger.rs","line_start":8,"is_primary":true}]}}"#,
+//!     "\n",
+//!     r#"{"reason":"build-finished","success":false}"#,
 //! );
-//! assert_eq!(report.violations[0].rule, "nondeterministic-iteration");
+//! let report = ft_lint::Report::parse(stream);
+//! assert!(!report.success);
+//! assert_eq!(report.render(), "src/ledger.rs:8: error clippy::as_conversions\n");
 //! ```
 
-pub mod callgraph;
-pub mod effects;
-pub mod lexer;
-pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod taint;
 
-pub use rules::{
-    lint_files, lint_files_with, lint_source, Finding, Suppressed, WorkspaceLint, RULES, RULE_NAMES,
-};
-
-use std::io;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::sync::OnceLock;
 
-/// The whole-workspace lint result.
-#[derive(Clone, Debug, Default)]
+/// One diagnostic, located at its primary span.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Finding {
+    /// Path relative to the checked workspace's root; empty when the
+    /// diagnostic has no span (a bad command-line flag).
+    pub file: String,
+    /// 1-based line of the primary span; 0 without one.
+    pub line: u32,
+    /// The lint (`clippy::…` or a rustc lint name) or the error code.
+    pub lint: String,
+    /// `error` or `warning`.
+    pub level: String,
+    /// The diagnostic as rustc prints it, notes included.
+    pub rendered: String,
+}
+
+/// What one `cargo clippy` run reported.
+#[derive(Debug)]
 pub struct Report {
-    /// Violations that survived suppression, sorted by file then line.
-    pub violations: Vec<Finding>,
-    /// Findings silenced by a well-formed `allow(<rule>, "<reason>")`.
-    pub suppressed: Vec<Suppressed>,
-    /// Stale `allow` markers that silenced nothing: `(file, rule, line)`.
-    pub unused_allows: Vec<(String, String, u32)>,
-    /// Number of `.rs` files actually linted.
-    pub files_scanned: usize,
+    /// Whether the build succeeded.
+    pub success: bool,
+    /// Every diagnostic, sorted and deduplicated: a library checked with
+    /// and without `cfg(test)` reports its findings twice.
+    pub findings: Vec<Finding>,
+    /// Cargo's own error output, for failure messages.
+    pub stderr: String,
 }
 
 impl Report {
-    /// True when the workspace is clean (no unsuppressed violations).
+    /// Reads cargo's `--message-format=json` stream: one JSON object per
+    /// line. Compiler messages without a lint code or a span ("aborting
+    /// due to …") are summaries and are skipped.
+    pub fn parse(stream: &str) -> Report {
+        let mut success = false;
+        let mut findings = BTreeSet::new();
+        for msg in stream.lines().filter_map(parse_json) {
+            match msg.get("reason").and_then(Json::str) {
+                Some("build-finished") => {
+                    success = matches!(msg.get("success"), Some(Json::Bool(true)));
+                }
+                Some("compiler-message") => {
+                    findings.extend(msg.get("message").and_then(Finding::from_message));
+                }
+                _ => {}
+            }
+        }
+        Report {
+            success,
+            findings: findings.into_iter().collect(),
+            stderr: String::new(),
+        }
+    }
+
+    /// The findings on `line` of `file`.
+    pub fn findings_at(&self, file: &str, line: u32) -> Vec<&Finding> {
+        self.findings
+            .iter()
+            .filter(|f| f.file == file && f.line == line)
+            .collect()
+    }
+
+    /// The distinct lints on `line` of `file`, sorted.
+    pub fn lints_at(&self, file: &str, line: u32) -> Vec<&str> {
+        let lints: BTreeSet<&str> = self
+            .findings_at(file, line)
+            .into_iter()
+            .map(|f| f.lint.as_str())
+            .collect();
+        lints.into_iter().collect()
+    }
+
+    /// One `file:line: level lint` line per finding.
+    pub fn render(&self) -> String {
+        self.findings
+            .iter()
+            .map(|f| format!("{}:{}: {} {}\n", f.file, f.line, f.level, f.lint))
+            .collect()
+    }
+
+    /// A successful build with nothing to report.
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
+        self.success && self.findings.is_empty()
     }
+}
 
-    /// Renders the human-readable report (stable ordering; relative
-    /// paths only, so output is host-independent).
-    pub fn to_human(&self) -> String {
-        let mut s = String::new();
-        for v in &self.violations {
-            s.push_str(&format!(
-                "{}:{}: [{}] {}\n",
-                v.file, v.line, v.rule, v.message
-            ));
+impl Finding {
+    fn from_message(msg: &Json) -> Option<Finding> {
+        let lint = msg
+            .get("code")
+            .and_then(|c| c.get("code"))
+            .and_then(Json::str);
+        let span = match msg.get("spans") {
+            Some(Json::Arr(spans)) => spans
+                .iter()
+                .find(|s| matches!(s.get("is_primary"), Some(Json::Bool(true)))),
+            _ => None,
+        };
+        if lint.is_none() && span.is_none() {
+            return None;
         }
-        for (file, rule, line) in &self.unused_allows {
-            s.push_str(&format!(
-                "{file}:{line}: note: unused ft-lint allow({rule}) — the marker is stale\n"
-            ));
-        }
-        s.push_str(&format!(
-            "ft-lint: {} file(s) scanned, {} violation(s), {} suppression(s) honored{}\n",
-            self.files_scanned,
-            self.violations.len(),
-            self.suppressed.len(),
-            if self.unused_allows.is_empty() {
-                String::new()
-            } else {
-                format!(", {} stale allow(s)", self.unused_allows.len())
+        let text = |v: Option<&Json>| v.and_then(Json::str).unwrap_or_default().to_string();
+        Some(Finding {
+            file: text(span.and_then(|s| s.get("file_name"))),
+            line: match span.and_then(|s| s.get("line_start")) {
+                Some(Json::Num(n)) => n.parse().ok()?,
+                _ => 0,
             },
-        ));
-        s
-    }
-
-    /// Renders the machine-readable JSON report (hand-rolled — the linter
-    /// is dependency-free by design). Stable key order and array ordering.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        s.push_str(&format!(
-            "  \"violation_count\": {},\n",
-            self.violations.len()
-        ));
-        s.push_str(&format!(
-            "  \"suppression_count\": {},\n",
-            self.suppressed.len()
-        ));
-        s.push_str("  \"rules\": [\n");
-        for (i, r) in RULES.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": {}, \"summary\": {}, \"guards\": {}}}{}\n",
-                json_str(r.name),
-                json_str(r.summary),
-                json_str(r.guards),
-                comma(i, RULES.len())
-            ));
-        }
-        s.push_str("  ],\n  \"violations\": [\n");
-        for (i, v) in self.violations.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}{}\n",
-                json_str(v.rule),
-                json_str(&v.file),
-                v.line,
-                json_str(&v.message),
-                comma(i, self.violations.len())
-            ));
-        }
-        s.push_str("  ],\n  \"suppressions\": [\n");
-        for (i, v) in self.suppressed.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"reason\": {}}}{}\n",
-                json_str(v.rule),
-                json_str(&v.file),
-                v.line,
-                json_str(&v.reason),
-                comma(i, self.suppressed.len())
-            ));
-        }
-        s.push_str("  ],\n  \"unused_allows\": [\n");
-        for (i, (file, rule, line)) in self.unused_allows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"rule\": {}, \"file\": {}, \"line\": {}}}{}\n",
-                json_str(rule),
-                json_str(file),
-                line,
-                comma(i, self.unused_allows.len())
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Renders the SARIF 2.1.0 log for CI inline annotations.
-    pub fn to_sarif(&self) -> String {
-        sarif::to_sarif(self)
+            lint: lint.unwrap_or_default().to_string(),
+            level: text(msg.get("level")),
+            rendered: text(msg.get("rendered")),
+        })
     }
 }
 
-fn comma(i: usize, len: usize) -> &'static str {
-    if i + 1 == len {
-        ""
-    } else {
-        ","
-    }
+/// The repository root.
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// The seeded-violation package, a workspace of its own.
+pub fn canary_root() -> PathBuf {
+    repo_root().join("ci/lint-canary")
 }
 
-/// Directories the walker never descends into: build output, vendored
-/// shims, VCS metadata, and fixture mini-workspaces (linted *as*
-/// workspaces by the golden tests, never as source of this one). Test,
-/// bench, and example trees ARE walked — the hygiene rules bind them.
-const SKIP_DIRS: [&str; 4] = ["target", "vendor", ".git", "fixtures"];
-
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
-    // deterministic traversal → deterministic report ordering
-    entries.sort();
-    for path in entries {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default();
-        if path.is_dir() {
-            if !SKIP_DIRS.contains(&name) {
-                walk(&path, out)?;
-            }
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
+/// Runs `cargo clippy` on the package or workspace at `root` with
+/// `cargo_args`, passing `lint_args` to clippy.
+pub fn clippy(root: &Path, cargo_args: &[&str], lint_args: &[&str]) -> Report {
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let out = Command::new(cargo)
+        .args([
+            "clippy",
+            "--quiet",
+            "--message-format=json",
+            "--manifest-path",
+        ])
+        .arg(root.join("Cargo.toml"))
+        .args(cargo_args)
+        .arg("--")
+        .args(lint_args)
+        .env_remove("CARGO_TARGET_DIR")
+        .output()
+        .unwrap_or_else(|e| panic!("cannot run cargo clippy: {e}"));
+    let mut report = Report::parse(&String::from_utf8_lossy(&out.stdout));
+    report.success &= out.status.success();
+    report.stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    report
 }
 
-/// Workspace-relative location of the committed effect table, under both
-/// the real root and fixture mini-workspaces.
-pub const EFFECTS_BASELINE_PATH: &str = "crates/lint/effects_baseline.json";
-
-/// Collects the lintable `(relative path, source)` pairs under `root`.
-fn collect_inputs(root: &Path) -> io::Result<Vec<(String, String)>> {
-    let mut files = Vec::new();
-    for top in ["src", "crates", "tests", "examples", "benches"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            walk(&dir, &mut files)?;
-        }
-    }
-    let mut inputs: Vec<(String, String)> = Vec::new();
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if rules::is_exempt_path(&rel) {
-            continue;
-        }
-        inputs.push((rel, std::fs::read_to_string(&path)?));
-    }
-    Ok(inputs)
+/// Clippy over every target of the canary with `-D warnings`, as CI
+/// runs it. Runs once per test binary.
+pub fn canary() -> &'static Report {
+    static RUN: OnceLock<Report> = OnceLock::new();
+    RUN.get_or_init(|| clippy(&canary_root(), &["--all-targets"], &["-D", "warnings"]))
 }
 
-/// Lints every `.rs` file under `root`'s `src/`, `crates/`, `tests/`,
-/// `examples/`, and `benches/` trees (vendored and fixture code excluded
-/// by policy; test-scope files get the hygiene rules only). When the root
-/// carries a committed [`EFFECTS_BASELINE_PATH`], the drift rule runs
-/// against it.
+/// The same run without `-D warnings`: every lint keeps its own level.
+pub fn canary_plain() -> &'static Report {
+    static RUN: OnceLock<Report> = OnceLock::new();
+    RUN.get_or_init(|| clippy(&canary_root(), &["--all-targets"], &[]))
+}
+
+/// The 1-based line of canary file `file` whose trimmed text is `text`.
 ///
-/// `root` is a workspace root — the real repository or a fixture
-/// mini-workspace; reported paths are relative to it.
-pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    let inputs = collect_inputs(root)?;
-    let baseline = std::fs::read_to_string(root.join(EFFECTS_BASELINE_PATH)).ok();
-    let wl = lint_files_with(&inputs, baseline.as_deref());
-    Ok(Report {
-        violations: wl.violations,
-        suppressed: wl.suppressed,
-        unused_allows: wl.unused_allows,
-        files_scanned: inputs.len(),
-    })
+/// # Panics
+/// Unless exactly one line matches.
+pub fn line_of(file: &str, text: &str) -> u32 {
+    let path = canary_root().join(file);
+    let src = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let hits: Vec<usize> = src
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.trim() == text)
+        .map(|(i, _)| i + 1)
+        .collect();
+    match hits[..] {
+        [line] => u32::try_from(line).unwrap_or(u32::MAX),
+        _ => panic!("{file}: {} lines read `{text}`", hits.len()),
+    }
 }
 
-/// Regenerates `root`'s [`EFFECTS_BASELINE_PATH`] from a fresh pass and
-/// returns the rendered table. The render is deterministic, so committing
-/// the file pins every hot-path write set at review time.
-pub fn write_effects_baseline(root: &Path) -> io::Result<String> {
-    let inputs = collect_inputs(root)?;
-    let table = rules::effects_table(&inputs);
-    std::fs::write(root.join(EFFECTS_BASELINE_PATH), &table)?;
-    Ok(table)
+/// A JSON value; numbers keep their source text.
+#[derive(Debug, PartialEq)]
+enum Json {
+    Null,
+    Bool(bool),
+    Num(String),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
 }
 
-const CLI_USAGE: &str = "usage: ft-lint [--root DIR] [--format human|json|sarif] [--stale] \
-     [--rule NAME] [--explain NAME] [--write-effects-baseline]";
-
-/// Prints the catalog entry for `rule` — the same name/summary/guards
-/// block `docs/LINT.md` documents. Returns the exit code.
-fn explain_rule(rule: &str) -> i32 {
-    let Some(info) = RULES.iter().find(|r| r.name == rule) else {
-        eprintln!("unknown rule `{rule}`; known rules:");
-        for name in RULE_NAMES {
-            eprintln!("  {name}");
-        }
-        return 2;
-    };
-    println!("{}", info.name);
-    println!("  summary: {}", info.summary);
-    println!("  guards:  {}", info.guards);
-    println!("  details: docs/LINT.md, section `{}`", info.name);
-    0
-}
-
-/// CLI driver shared by the `ft-lint` binary and `ftree lint`: parses
-/// `--root DIR` / `--format human|json|sarif` / `--stale` / `--rule NAME`
-/// (restrict the report to one rule, for CI bisects) / `--explain NAME`
-/// (print a rule's catalog entry and exit) / `--write-effects-baseline`
-/// (regenerate the committed effect table and exit), prints the report,
-/// and returns the process exit code (0 clean, 1 violations — or, under
-/// `--stale`, stale suppressions — 2 usage error).
-pub fn run_cli(args: &[String]) -> i32 {
-    let mut root = String::from(".");
-    let mut format = String::from("human");
-    let mut stale = false;
-    let mut rule: Option<String> = None;
-    let mut write_baseline = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--root" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("--root needs a directory argument");
-                    return 2;
-                };
-                root = v.clone();
-                i += 2;
-            }
-            "--format" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("--format needs `human`, `json`, or `sarif`");
-                    return 2;
-                };
-                if v != "human" && v != "json" && v != "sarif" {
-                    eprintln!("unknown format `{v}` (human | json | sarif)");
-                    return 2;
-                }
-                format = v.clone();
-                i += 2;
-            }
-            "--stale" => {
-                stale = true;
-                i += 1;
-            }
-            "--rule" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("--rule needs a rule name (see --explain)");
-                    return 2;
-                };
-                if !RULE_NAMES.contains(&v.as_str()) {
-                    eprintln!("unknown rule `{v}`; known rules:");
-                    for name in RULE_NAMES {
-                        eprintln!("  {name}");
-                    }
-                    return 2;
-                }
-                rule = Some(v.clone());
-                i += 2;
-            }
-            "--explain" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("--explain needs a rule name");
-                    return 2;
-                };
-                return explain_rule(v);
-            }
-            "--write-effects-baseline" => {
-                write_baseline = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown ft-lint argument `{other}`");
-                eprintln!("{CLI_USAGE}");
-                return 2;
-            }
+impl Json {
+    fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
         }
     }
-    if write_baseline {
-        return match write_effects_baseline(Path::new(&root)) {
-            Ok(table) => {
-                println!(
-                    "wrote {} ({} entries)",
-                    Path::new(&root).join(EFFECTS_BASELINE_PATH).display(),
-                    table.lines().count().saturating_sub(2),
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("ft-lint: cannot write effects baseline under {root}: {e}");
-                2
+
+    fn str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Parses one JSON document; `None` if it is malformed.
+fn parse_json(text: &str) -> Option<Json> {
+    let mut p = JsonParser {
+        chars: text.chars().peekable(),
+    };
+    let value = p.value()?;
+    p.chars.next().is_none().then_some(value)
+}
+
+struct JsonParser<'a> {
+    chars: std::iter::Peekable<std::str::Chars<'a>>,
+}
+
+impl JsonParser<'_> {
+    fn skip_ws(&mut self) {
+        while self.chars.next_if(char::is_ascii_whitespace).is_some() {}
+    }
+
+    fn eat(&mut self, c: char) -> Option<()> {
+        self.chars.next_if_eq(&c).map(|_| ())
+    }
+
+    fn keyword(&mut self, word: &str, value: Json) -> Option<Json> {
+        word.chars().try_for_each(|c| self.eat(c))?;
+        Some(value)
+    }
+
+    /// A value with the whitespace around it.
+    fn value(&mut self) -> Option<Json> {
+        self.skip_ws();
+        let value = match *self.chars.peek()? {
+            'n' => self.keyword("null", Json::Null)?,
+            't' => self.keyword("true", Json::Bool(true))?,
+            'f' => self.keyword("false", Json::Bool(false))?,
+            '"' => Json::Str(self.string()?),
+            '[' => Json::Arr(self.list(']', Self::value)?),
+            '{' => Json::Obj(self.list('}', |p| {
+                p.skip_ws();
+                let key = p.string()?;
+                p.skip_ws();
+                p.eat(':')?;
+                Some((key, p.value()?))
+            })?),
+            _ => {
+                let num: String = std::iter::from_fn(|| {
+                    self.chars
+                        .next_if(|c| c.is_ascii_digit() || "+-.eE".contains(*c))
+                })
+                .collect();
+                if num.is_empty() {
+                    return None;
+                }
+                Json::Num(num)
             }
         };
+        self.skip_ws();
+        Some(value)
     }
-    let mut report = match lint_workspace(Path::new(&root)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("ft-lint: cannot scan {root}: {e}");
-            return 2;
+
+    /// The comma-separated items of an array or object, brackets included.
+    fn list<T>(&mut self, close: char, item: fn(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        self.chars.next();
+        self.skip_ws();
+        let mut items = Vec::new();
+        if self.eat(close).is_some() {
+            return Some(items);
         }
-    };
-    if let Some(rule) = &rule {
-        report.violations.retain(|v| v.rule == rule.as_str());
-        report.suppressed.retain(|s| s.rule == rule.as_str());
-        report.unused_allows.retain(|(_, r, _)| r == rule.as_str());
+        loop {
+            items.push(item(self)?);
+            self.skip_ws();
+            if self.eat(close).is_some() {
+                return Some(items);
+            }
+            self.eat(',')?;
+        }
     }
-    match format.as_str() {
-        "json" => print!("{}", report.to_json()),
-        "sarif" => print!("{}", report.to_sarif()),
-        _ => print!("{}", report.to_human()),
+
+    fn string(&mut self) -> Option<String> {
+        self.eat('"')?;
+        let mut out = String::new();
+        loop {
+            match self.chars.next()? {
+                '"' => return Some(out),
+                '\\' => out.push(match self.chars.next()? {
+                    c @ ('"' | '\\' | '/') => c,
+                    'b' => '\u{8}',
+                    'f' => '\u{c}',
+                    'n' => '\n',
+                    'r' => '\r',
+                    't' => '\t',
+                    'u' => self.escaped_char()?,
+                    _ => return None,
+                }),
+                c => out.push(c),
+            }
+        }
     }
-    let stale_fail = stale && !report.unused_allows.is_empty();
-    i32::from(!report.is_clean() || stale_fail)
+
+    /// The character of a `\u` escape, joining a UTF-16 surrogate pair.
+    fn escaped_char(&mut self) -> Option<char> {
+        let high = self.hex4()?;
+        if !(0xD800..0xDC00).contains(&high) {
+            return char::from_u32(high);
+        }
+        self.eat('\\')?;
+        self.eat('u')?;
+        let low = self.hex4()?;
+        if !(0xDC00..0xE000).contains(&low) {
+            return None;
+        }
+        char::from_u32(0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00))
+    }
+
+    fn hex4(&mut self) -> Option<u32> {
+        (0..4).try_fold(0, |acc, _| {
+            Some(acc * 16 + self.chars.next()?.to_digit(16)?)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -411,18 +366,66 @@ mod tests {
 
     #[test]
     fn json_escaping_is_sound() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        let s = |text: &str| parse_json(text).and_then(|v| v.str().map(str::to_string));
+        assert_eq!(
+            s(r#""q\"b\\s\/n\nt\tuép😀""#).as_deref(),
+            Some("q\"b\\s/n\nt\tu\u{e9}p\u{1f600}")
+        );
+        assert_eq!(
+            s("\"caf\u{e9} \u{1f600}\"").as_deref(),
+            Some("caf\u{e9} \u{1f600}")
+        );
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83dA""#,
+            r#""\q""#,
+            r#""\u12""#,
+            r#""open"#,
+            r#""one" "two""#,
+        ] {
+            assert_eq!(parse_json(bad), None, "{bad}");
+        }
+        let obj = parse_json(r#" {"a\"k": [1, -2.5e3, true, null, {}], "b": "\\"} "#);
+        assert_eq!(
+            obj,
+            Some(Json::Obj(vec![
+                (
+                    "a\"k".to_string(),
+                    Json::Arr(vec![
+                        Json::Num("1".to_string()),
+                        Json::Num("-2.5e3".to_string()),
+                        Json::Bool(true),
+                        Json::Null,
+                        Json::Obj(vec![]),
+                    ])
+                ),
+                ("b".to_string(), Json::Str("\\".to_string())),
+            ]))
+        );
     }
 
     #[test]
     fn clean_report_renders_and_exits_zero_shaped() {
-        let r = Report {
-            files_scanned: 3,
-            ..Report::default()
-        };
-        assert!(r.is_clean());
-        assert!(r.to_human().contains("3 file(s) scanned"));
-        assert!(r.to_json().contains("\"violation_count\": 0"));
-        assert!(r.to_sarif().contains("\"version\": \"2.1.0\""));
+        let clean = Report::parse(concat!(
+            r#"{"reason":"compiler-artifact","fresh":true}"#,
+            "\n",
+            r#"{"reason":"compiler-message","message":{"level":"error","message":"aborting due to 1 previous error","code":null,"spans":[]}}"#,
+            "\n",
+            r#"{"reason":"build-finished","success":true}"#,
+        ));
+        assert!(clean.is_clean());
+        assert_eq!(clean.render(), "");
+
+        let dirty = Report::parse(concat!(
+            r#"{"reason":"compiler-message","message":{"level":"error","code":{"code":"E0602"},"spans":[]}}"#,
+            "\n",
+            r#"{"reason":"build-finished","success":false}"#,
+        ));
+        assert!(!dirty.is_clean());
+        assert_eq!(dirty.render(), ":0: error E0602\n");
+
+        let unfinished = Report::parse("");
+        assert!(!unfinished.success, "no build-finished line is a failure");
     }
 }

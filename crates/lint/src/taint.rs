@@ -1,190 +1,50 @@
-//! Cross-function determinism-taint analysis.
-//!
-//! The PR 6 bug class, generalized: `stitch_components` drew stitch
-//! endpoints from HashMap-ordered BFS members, so seeded topologies
-//! differed per process — and the per-line `nondeterministic-iteration`
-//! rule only catches the *iteration*, in whatever helper it happens to
-//! live. This pass follows the order through the call graph:
-//!
-//! - a function is a **source** when it both names a hash-ordered
-//!   container (`HashMap`/`HashSet`) and iterates one (`iter`, `keys`,
-//!   `values`, `drain`, …): whatever it returns or feeds onward carries
-//!   process-seeded order;
-//! - taint propagates **callee → caller**: a function that (transitively)
-//!   calls a source computes with order-tainted values;
-//! - a tainted function that reaches a **protocol decision site** — an
-//!   outbox send, an edge mutation, a delivery-order staging buffer — in
-//!   `ft-core`/`ft-sim` is a violation, reported at the decision site
-//!   with the full witness chain back to the iteration.
-//!
-//! The real workspace keeps hash containers out of the protocol crates
-//! entirely (PR 6), so this rule's job is to hold that line *across
-//! function boundaries* as the engine grows.
+//! `determinism-taint` followed hash-container order through calls to a
+//! protocol send. Its sources were the functions that mention a hash
+//! container. `clippy.toml` bans every such container, so no source can
+//! exist and there is no chain left to follow.
 
-use crate::callgraph::CallGraph;
-use crate::parser::FnDef;
-use crate::rules::Finding;
-use std::collections::BTreeMap;
+/// The types whose mention made a function a taint source.
+pub const SOURCES: [&str; 2] = ["std::collections::HashMap", "std::collections::HashSet"];
 
-/// Hash-ordered container type names that mark a function as handling
-/// seeded-order state.
-const HASH_CONTAINERS: [&str; 2] = ["HashMap", "HashSet"];
-
-/// Iteration/draining methods that expose a hash container's order.
-const ORDER_METHODS: [&str; 9] = [
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-    "extend",
-];
-
-/// Protocol decision sites: method/function names whose arguments or
-/// ordering become protocol behavior (outbox routing, edge churn).
-const DECISION_CALLS: [&str; 3] = ["send", "add_edge", "drop_edge"];
-
-/// Delivery-order staging buffers: a `.push`/`.extend`/`.append` on one of
-/// these receivers is a decision site even without a named protocol call.
-const DECISION_BUFFERS: [&str; 4] = ["outbox", "edge_adds", "edge_drops", "delayed"];
-
-/// Whether `def` lexically sources hash-ordered values.
-pub fn is_source(def: &FnDef, container_mentions: &[&str]) -> bool {
-    container_mentions
-        .iter()
-        .any(|m| HASH_CONTAINERS.contains(m))
-        && def
-            .calls
-            .iter()
-            .any(|c| ORDER_METHODS.contains(&c.name.as_str()))
-}
-
-/// The decision sites inside `def`: `(line, description)` pairs.
-pub fn decision_sites(def: &FnDef) -> Vec<(u32, String)> {
-    let mut out = Vec::new();
-    for c in &def.calls {
-        if DECISION_CALLS.contains(&c.name.as_str()) {
-            out.push((c.line, format!("`{}(…)`", c.name)));
-        } else if matches!(c.name.as_str(), "push" | "extend" | "append")
-            && c.recv
-                .as_deref()
-                .is_some_and(|r| DECISION_BUFFERS.contains(&r))
-        {
-            out.push((
-                c.line,
-                format!("`{}.{}(…)`", c.recv.as_deref().unwrap_or(""), c.name),
-            ));
-        }
-    }
-    out
-}
-
-/// Runs the taint pass over the call graph. `container_mentions` maps a
-/// graph node id to the container identifiers its whole definition (body
-/// and signature) mentions; `sink_scope` restricts where violations are
-/// *reported* (ft-core/ft-sim protocol files).
-pub fn detect_taint(
-    graph: &CallGraph,
-    container_mentions: &BTreeMap<usize, Vec<&str>>,
-    sink_scope: impl Fn(&str) -> bool,
-) -> Vec<Finding> {
-    let empty: Vec<&str> = Vec::new();
-    let source_ids: Vec<usize> = (0..graph.defs.len())
-        .filter(|i| is_source(&graph.defs[*i], container_mentions.get(i).unwrap_or(&empty)))
-        .collect();
-    if source_ids.is_empty() {
-        return Vec::new();
-    }
-    // callee → caller propagation: BFS over the reverse adjacency
-    let tainted = graph.closure(&source_ids, &graph.callers, |_| true);
-
-    let mut out = Vec::new();
-    for &node in tainted.keys() {
-        let def = &graph.defs[node];
-        if !sink_scope(&def.file) {
-            continue;
-        }
-        for (line, site) in decision_sites(def) {
-            // walk the witness back to the source that taints this node
-            let chain = graph.witness(&tainted, node);
-            let origin = source_of(&tainted, node);
-            let origin_def = &graph.defs[origin];
-            out.push(Finding {
-                rule: "determinism-taint",
-                file: def.file.clone(),
-                line,
-                message: format!(
-                    "protocol decision {site} in `{}` uses values influenced by \
-                     HashMap/HashSet iteration in `{}` ({}:{}; taint chain {}): \
-                     hash order is seeded per process, so this decision diverges \
-                     between replays",
-                    def.qname, origin_def.qname, origin_def.file, origin_def.line, chain,
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Follows predecessor links back to the BFS root (the source function).
-fn source_of(pred: &BTreeMap<usize, usize>, mut node: usize) -> usize {
-    while let Some(&p) = pred.get(&node) {
-        if p == node {
-            return node;
-        }
-        node = p;
-    }
-    node
+/// The `path` of every `disallowed-types` entry in a `clippy.toml`.
+pub fn banned_types(clippy_toml: &str) -> Vec<&str> {
+    clippy_toml
+        .lines()
+        .filter_map(|l| l.split_once("path = \"")?.1.split_once('"'))
+        .map(|(path, _)| path)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::parser::parse;
+    use crate::{canary, line_of, repo_root};
 
     #[test]
-    fn taint_crosses_two_call_hops() {
-        let src = "\
-use std::collections::HashMap;
-fn leaf(m: &HashMap<u32, u32>) -> Vec<u32> {
-    m.keys().copied().collect()
-}
-fn mid(m: &HashMap<u32, u32>) -> Vec<u32> {
-    leaf(m)
-}
-pub fn top(m: &HashMap<u32, u32>) {
-    for k in mid(m) {
-        ctx.send(k);
-    }
-}
-";
-        let parsed = parse("crates/sim/src/t.rs", &lex(src));
-        let graph = CallGraph::build([&parsed], |_| true);
-        // every def in this fixture mentions HashMap in its signature
-        let mentions: BTreeMap<usize, Vec<&str>> = (0..graph.defs.len())
-            .map(|i| (i, vec!["HashMap"]))
-            .collect();
-        let hits = detect_taint(&graph, &mentions, |f| f.starts_with("crates/sim/src"));
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].rule, "determinism-taint");
-        assert_eq!(hits[0].line, 10, "reported at the decision site");
-        assert!(
-            hits[0].message.contains("leaf → mid → top"),
-            "{}",
-            hits[0].message
-        );
+    fn every_source_is_banned() {
+        let toml = std::fs::read_to_string(repo_root().join("clippy.toml"))
+            .expect("the root clippy.toml is readable");
+        let banned = banned_types(&toml);
+        for source in SOURCES {
+            assert!(banned.contains(&source), "{source} missing from {banned:?}");
+        }
     }
 
     #[test]
     fn iteration_without_a_container_is_not_a_source() {
-        let src = "fn f(v: &[u32]) { for x in v.iter() { ctx.send(*x); } }\n";
-        let parsed = parse("crates/sim/src/t.rs", &lex(src));
-        let graph = CallGraph::build([&parsed], |_| true);
-        let mentions: BTreeMap<usize, Vec<&str>> = BTreeMap::new();
-        assert!(detect_taint(&graph, &mentions, |_| true).is_empty());
+        // Only the two lines that name `HashMap` are reported; the chain
+        // over a `BTreeMap` below them is clean.
+        let file = "src/taint.rs";
+        let lines: Vec<u32> = canary()
+            .findings
+            .iter()
+            .filter(|f| f.file == file)
+            .map(|f| f.line)
+            .collect();
+        let sources = [
+            line_of(file, "use std::collections::HashMap as Hashed;"),
+            line_of(file, "pub type Table = Hashed<u32, u32>;"),
+        ];
+        assert_eq!(lines, sources);
     }
 }

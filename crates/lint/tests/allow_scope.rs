@@ -1,102 +1,33 @@
-//! Property test for the suppression grammar: an `allow(<rule>, "...")`
-//! marker silences exactly its own rule — never a different one — and a
-//! marker that silences nothing is reported as stale.
+//! A waiver is `#[expect(lint, reason = "...")]` on the narrowest item or
+//! statement: it silences exactly its own lint, on exactly that statement.
 
-use ft_lint::{lint_source, RULE_NAMES};
-use proptest::prelude::*;
+use ft_lint::{canary, line_of};
 
-/// `(path, source, line)` with one seeded violation of rule `idx` (the
-/// first six rules; `malformed-suppression` has no code form to seed).
-/// The violation always sits on line 2.
-fn seeded(idx: usize) -> (&'static str, &'static str) {
-    match idx {
-        0 => (
-            "crates/core/src/iter.rs",
-            "pub fn tally() {\n    let m = std::collections::HashMap::<u32, u32>::new();\n    drop(m);\n}\n",
-        ),
-        1 => (
-            "crates/sim/src/clock.rs",
-            "pub fn stamp() {\n    let t = std::time::Instant::now();\n    drop(t);\n}\n",
-        ),
-        2 => (
-            "crates/sim/src/rng.rs",
-            "pub fn roll() {\n    let r = rand::thread_rng();\n    drop(r);\n}\n",
-        ),
-        3 => (
-            "crates/sim/src/ledger.rs",
-            "pub fn shrink(x: u64) -> u32 {\n    x as u32\n}\n",
-        ),
-        4 => (
-            "crates/sim/src/network.rs",
-            "pub fn step_once(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\n",
-        ),
-        5 => (
-            "crates/sim/src/danger.rs",
-            "pub fn zeroed() -> u32 {\n    unsafe { std::mem::zeroed() }\n}\n",
-        ),
-        _ => unreachable!("only the six code rules are seeded"),
-    }
+const FILE: &str = "src/network.rs";
+
+fn lints(text: &str) -> Vec<&'static str> {
+    canary().lints_at(FILE, line_of(FILE, text))
 }
 
-/// Inserts a marker line directly above the violation line (line 2), so the
-/// marker's own-line-plus-next coverage window reaches the violation.
-fn with_marker(src: &str, allow_rule: &str) -> String {
-    let mut lines: Vec<String> = src.lines().map(str::to_string).collect();
-    lines.insert(
-        1,
-        format!("    // ft-lint: allow({allow_rule}, \"property-test marker\")"),
+#[test]
+fn allow_suppresses_exactly_its_own_rule() {
+    // The statement both unwraps and indexes; the waiver names the unwrap.
+    assert_eq!(
+        lints("let first = inboxes.first().unwrap()[0];"),
+        ["clippy::indexing_slicing"]
     );
-    lines.join("\n") + "\n"
+    assert!(
+        lints("#[expect(clippy::unwrap_used, reason = \"canary: waives the unwrap only\")]")
+            .is_empty(),
+        "the waiver is fulfilled, not stale"
+    );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn allow_suppresses_exactly_its_own_rule(vi in 0usize..6, ai in 0usize..6) {
-        let (path, src) = seeded(vi);
-        // Sanity: unmarked source yields exactly the seeded violation.
-        let bare = lint_source(path, src);
-        prop_assert_eq!(bare.violations.len(), 1);
-        prop_assert_eq!(bare.violations[0].rule, RULE_NAMES[vi]);
-
-        let marked = with_marker(src, RULE_NAMES[ai]);
-        let lint = lint_source(path, &marked);
-        if ai == vi {
-            // The matching marker silences the finding — and only as a
-            // recorded suppression, never by losing it.
-            prop_assert!(lint.violations.is_empty(), "violations: {:?}", lint.violations);
-            prop_assert_eq!(lint.suppressed.len(), 1);
-            prop_assert_eq!(lint.suppressed[0].rule, RULE_NAMES[vi]);
-            prop_assert!(lint.unused_allows.is_empty());
-        } else {
-            // A marker for a *different* rule must not leak coverage: the
-            // seeded violation still fires and the marker reports stale.
-            prop_assert_eq!(lint.violations.len(), 1);
-            prop_assert_eq!(lint.violations[0].rule, RULE_NAMES[vi]);
-            prop_assert!(lint.suppressed.is_empty());
-            prop_assert_eq!(lint.unused_allows.len(), 1);
-            prop_assert_eq!(lint.unused_allows[0].0.as_str(), RULE_NAMES[ai]);
-        }
-    }
-
-    #[test]
-    fn marker_window_does_not_reach_past_the_next_line(vi in 0usize..6) {
-        let (path, src) = seeded(vi);
-        // Marker two lines above the violation: outside the coverage
-        // window, so it must NOT suppress.
-        let mut lines: Vec<String> = src.lines().map(str::to_string).collect();
-        lines.insert(
-            0,
-            format!(
-                "// ft-lint: allow({}, \"too far away to count\")",
-                RULE_NAMES[vi]
-            ),
-        );
-        lines.insert(1, "// spacer line".to_string());
-        let far = lines.join("\n") + "\n";
-        let lint = lint_source(path, &far);
-        prop_assert_eq!(lint.violations.len(), 1);
-        prop_assert_eq!(lint.unused_allows.len(), 1);
-    }
+#[test]
+fn marker_window_does_not_reach_past_the_next_line() {
+    assert!(lints("let head = inboxes[0].len();").is_empty());
+    assert_eq!(
+        lints("let tail = inboxes[1].len();"),
+        ["clippy::indexing_slicing"]
+    );
 }
