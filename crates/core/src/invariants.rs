@@ -1,9 +1,9 @@
 //! Invariant checking for the spec engine.
 //!
-//! These are the INV-A … INV-E properties of DESIGN.md §5.2; the property
-//! tests call [`ForgivingTree::validate`] after every single deletion, so a
-//! violation pinpoints the exact adversarial sequence that broke the
-//! structure.
+//! Each check below names the properties INV-A … INV-E it enforces; the
+//! property tests call [`ForgivingTree::validate`] after every single
+//! deletion, so a violation pinpoints the exact adversarial sequence that
+//! broke the structure.
 
 use crate::spec::ForgivingTree;
 use crate::varena::{VId, VKind};

@@ -61,7 +61,7 @@ mod varena;
 pub use fgraph::{fg_degree_bound, fg_stretch_bound, ForgivingGraph, Haft};
 pub use fgraph_dist::DistributedForgivingGraph;
 pub use report::{HealReport, HealStats};
-pub use spec::{ForgivingTree, RoleKind};
+pub use spec::{ft_diameter_bound, ForgivingTree, RoleKind};
 
 #[cfg(test)]
 mod distributed_tests;

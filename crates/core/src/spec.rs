@@ -29,6 +29,19 @@ use ft_graph::tree::RootedTree;
 use ft_graph::{Graph, NodeId};
 use std::collections::BTreeMap;
 
+/// The explicit-constant diameter bound of Theorem 1.2 for a spanning tree
+/// of height `h0` and maximum degree `delta0`:
+/// `max(2, 2·h₀·(⌈log₂ max(Δ₀,2)⌉ + 2) + 2)`, the concrete form of
+/// `O(D log Δ)`.
+pub fn ft_diameter_bound(h0: u32, delta0: usize) -> u32 {
+    (2 * h0 * (ceil_log2(delta0.max(2)) + 2) + 2).max(2)
+}
+
+/// `⌈log₂ x⌉` for `x ≥ 1`, in integer arithmetic.
+pub(crate) fn ceil_log2(x: usize) -> u32 {
+    usize::BITS - (x - 1).leading_zeros()
+}
+
 /// A live node's helper status (Figure 3 of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoleKind {
@@ -192,13 +205,10 @@ impl ForgivingTree {
         self.initial_max_degree
     }
 
-    /// The explicit-constant diameter bound this implementation guarantees:
-    /// `max(2, 2·h₀·(⌈log₂ max(Δ₀,2)⌉ + 2) + 2)` — the concrete form of
-    /// Theorem 1.2's `O(D log Δ)`.
+    /// The explicit-constant diameter bound this implementation guarantees,
+    /// [`ft_diameter_bound`] of the original tree.
     pub fn diameter_bound(&self) -> u32 {
-        let delta = self.initial_max_degree.max(2) as f64;
-        let per_step = delta.log2().ceil() as u32 + 2;
-        (2 * self.initial_height * per_step + 2).max(2)
+        ft_diameter_bound(self.initial_height, self.initial_max_degree)
     }
 
     /// This node's original (spanning-tree) degree.
@@ -565,9 +575,8 @@ impl ForgivingTree {
         match self.arena.node(p_vid).kind.clone() {
             VKind::Real(p) => {
                 // Simple case (§3.1.3): the leaf hung under its original
-                // live parent; it cannot hold helper duties (see DESIGN.md
-                // erratum 1 — the paper's Alg 3.4 line 2 misprints this
-                // condition).
+                // live parent; it cannot hold helper duties (the paper's
+                // Alg 3.4 line 2 misprints this condition).
                 assert!(
                     role.is_none(),
                     "leaf under its live original parent cannot hold a role"

@@ -6,7 +6,7 @@
 //! small-scale tests enumerate all deletion orders; proptest covers random
 //! trees and random orders at larger sizes.
 
-use crate::spec::{ForgivingTree, RoleKind};
+use crate::spec::{ceil_log2, ft_diameter_bound, ForgivingTree, RoleKind};
 use ft_graph::bfs::diameter_exact;
 use ft_graph::tree::RootedTree;
 use ft_graph::{gen, NodeId};
@@ -44,6 +44,22 @@ fn run_sequence(tree: &RootedTree, order: &[NodeId]) -> (i64, u32) {
     assert!(ft.is_empty());
     assert_eq!(ft.deletions(), order.len());
     (max_inc, max_diam)
+}
+
+#[test]
+fn diameter_bound_rounds_log_delta_up() {
+    let deltas = [2, 3, 4, 5, 8, 9, 1024, 1025];
+    let logs = deltas.map(ceil_log2);
+    assert_eq!(
+        logs,
+        [1, 2, 2, 3, 3, 4, 10, 11],
+        "⌈log₂ Δ⌉ for Δ = {deltas:?}"
+    );
+    // 2·h₀·(⌈log₂ 5⌉ + 2) + 2 with h₀ = 4
+    assert_eq!(ft_diameter_bound(4, 5), 42);
+    // Δ₀ below 2 counts as 2; a lone node (h₀ = 0) still gets the floor of 2
+    assert_eq!(ft_diameter_bound(1, 1), 8);
+    assert_eq!(ft_diameter_bound(0, 0), 2);
 }
 
 #[test]

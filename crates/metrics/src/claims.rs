@@ -1,0 +1,384 @@
+//! The claims table behind `ftree reproduce`.
+//!
+//! [`reproduce`] runs one fixed, seeded set of runs and reads it back as
+//! one [`Claim`] per checked statement of the two papers: the Forgiving
+//! Tree (Hayes, Rustagi, Saia, Trehan; PODC 2008, arXiv:0802.3267) and the
+//! Forgiving Graph (arXiv:0902.2501). [`render`] writes the rows as the
+//! markdown table committed as `CLAIMS.md`. Cells hold counts and
+//! fixed-precision ratios only, never timings, so the file is byte-stable
+//! across machines and CI can diff a fresh copy against the committed one.
+
+use crate::{run_graph_stress, run_trial, GraphStressConfig, Table, TrialConfig, Workload};
+use ft_adversary::{standard_suite, HighestDegreeAdversary};
+use ft_baselines::{BinaryTreeHealer, ForgivingHealer, LineHealer, SelfHealer, SurrogateHealer};
+use ft_core::distributed::DistributedForgivingTree;
+use ft_core::shape::{ShapeConfig, SubRtShape};
+use ft_core::{ft_diameter_bound, ForgivingTree, RoleKind};
+use ft_graph::bfs::{diameter_exact, eccentricity};
+use ft_graph::tree::RootedTree;
+use ft_graph::{gen, NodeId};
+use ft_sim::bfs::distributed_bfs_tree;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use std::fmt::Display;
+
+const FT: &str = "Forgiving Tree";
+const FG: &str = "Forgiving Graph";
+
+/// One row of the claims table, rendered, and whether its claim held.
+#[derive(Clone, Debug)]
+pub struct Claim {
+    cells: [String; 8],
+    held: bool,
+}
+
+/// The cells of a row that name its run: paper, what was run, node count
+/// and seed (`None` for runs that draw no randomness). A claim read from
+/// the run completes the row.
+struct Row(&'static str, String, usize, Option<u64>);
+
+impl Row {
+    fn new(paper: &'static str, run: impl Into<String>, n: usize, seed: Option<u64>) -> Row {
+        Row(paper, run.into(), n, seed)
+    }
+
+    fn claim(&self, claim: &str, bound: String, value: String, held: bool) -> Claim {
+        let Row(paper, run, n, seed) = self;
+        let seed = seed.map_or_else(|| "—".into(), |s| s.to_string());
+        let (paper, claim, run, n) = (paper.to_string(), claim.into(), run.clone(), n.to_string());
+        let cells = [paper, claim, run, n, seed, bound, value, held.to_string()];
+        Claim { cells, held }
+    }
+
+    /// Holds when `measured ≤ bound`. Floats render with two decimals,
+    /// integers as they are.
+    fn at_most<T: PartialOrd + Display>(&self, claim: &str, measured: T, bound: T) -> Claim {
+        let (bound_cell, value) = (format!("≤ {bound:.2}"), format!("{measured:.2}"));
+        self.claim(claim, bound_cell, value, measured <= bound)
+    }
+
+    /// Holds when `measured ≥ bound`.
+    fn at_least<T: PartialOrd + Display>(&self, claim: &str, measured: T, bound: T) -> Claim {
+        let (bound_cell, value) = (format!("≥ {bound:.2}"), format!("{measured:.2}"));
+        self.claim(claim, bound_cell, value, measured >= bound)
+    }
+
+    /// Holds when every structural check passes.
+    fn checks(&self, claim: &str, results: &[bool]) -> Claim {
+        let (passed, all) = (results.iter().filter(|&&ok| ok).count(), results.len());
+        let (bound, value) = (format!("all {all} checks"), format!("{passed} pass"));
+        self.claim(claim, bound, value, passed == all)
+    }
+}
+
+/// True when every claim held; `ftree reproduce` exits 1 otherwise.
+pub fn all_held(claims: &[Claim]) -> bool {
+    claims.iter().all(|c| c.held)
+}
+
+/// Renders the claims as the markdown document committed as `CLAIMS.md`.
+pub fn render(claims: &[Claim]) -> String {
+    let headers = [
+        "paper", "claim", "run", "n", "seed", "bound", "measured", "held",
+    ];
+    let mut table = Table::new("claims", &headers);
+    for c in claims {
+        table.push(c.cells.to_vec());
+    }
+    let held = claims.iter().filter(|c| c.held).count();
+    format!(
+        "# Claims\n\n\
+         Written by `ftree reproduce`; regenerate it rather than editing it. \
+         Forgiving Tree: Hayes, Rustagi, Saia and Trehan, PODC 2008 \
+         (arXiv:0802.3267). Forgiving Graph: arXiv:0902.2501. Every run is \
+         seeded and every cell is a count or a fixed-precision ratio, so CI \
+         diffs a fresh copy against this file.\n\n{}\n{held} of {} claims hold.\n",
+        table.to_markdown(),
+        claims.len()
+    )
+}
+
+/// Runs every claim's experiment, in table order.
+pub fn reproduce() -> Vec<Claim> {
+    let mut claims = Vec::new();
+    degree_and_diameter(&mut claims);
+    messages(&mut claims);
+    lower_bound(&mut claims);
+    figures(&mut claims);
+    setup(&mut claims);
+    ablation(&mut claims);
+    forgiving_graph(&mut claims);
+    claims
+}
+
+/// Theorems 1.1 and 1.2, read off one trial grid: every workload of
+/// [`Workload::suite`] against every adversary of `standard_suite`, each
+/// deleting every node. `diameter-greedy` costs `O(n²·m)` per deletion, so
+/// it runs at n = 64 only.
+fn degree_and_diameter(claims: &mut Vec<Claim>) {
+    const SEED: u64 = 42;
+    let mut diameter_rows = Vec::new();
+    for n in [64usize, 256, 1024] {
+        let (mut trials, mut worst_degree) = (0, 0);
+        // (max diameter, its bound, trial) of the trial closest to its bound
+        let mut tightest = (0, 1, String::new());
+        for w in Workload::suite(n) {
+            let tree = w.tree();
+            for adversary in standard_suite(SEED).iter_mut() {
+                if adversary.name() == "diameter-greedy" && n > 64 {
+                    continue;
+                }
+                let measure_every = (tree.len() / 64).max(1);
+                let cfg = TrialConfig {
+                    workload: w.name(),
+                    delete_fraction: 1.0,
+                    measure_every,
+                };
+                let mut healer = ForgivingHealer::new(&tree);
+                let s = run_trial(&cfg, &mut healer, adversary.as_mut()).summary;
+                trials += 1;
+                worst_degree = worst_degree.max(s.max_degree_increase);
+                let bound = ft_diameter_bound(tree.height(), s.delta0);
+                if s.max_diameter * tightest.1 > tightest.0 * bound {
+                    let trial = format!("{} vs {}", w.name(), s.adversary);
+                    tightest = (s.max_diameter, bound, trial);
+                }
+            }
+        }
+        let run = format!("{trials} trials: 9 tree families × adversaries, all nodes deleted");
+        let row = Row::new(FT, run, n, Some(SEED));
+        claims.push(row.at_most("Theorem 1.1: degree increase", worst_degree, 3));
+        let run = format!("same {trials} trials; closest to its bound: {}", tightest.2);
+        let row = Row::new(FT, run, n, Some(SEED));
+        let claim = "Theorem 1.2: diameter ≤ 2h₀(⌈log₂ Δ₀⌉+2)+2";
+        diameter_rows.push(row.at_most(claim, tightest.0, tightest.1));
+    }
+    claims.extend(diameter_rows);
+}
+
+/// Theorem 1.3: per-node messages and rounds per heal stay constant as n
+/// and Δ grow, on the spec engine and (at n ≤ 256) on the distributed
+/// protocol. The ceilings are the ones `tests/theorem_bounds.rs` uses.
+fn messages(claims: &mut Vec<Claim>) {
+    use Workload::{Kary, RandomTree, Star};
+    let mut distributed_rows = Vec::new();
+    for n in [64usize, 256, 1024] {
+        let seed = n as u64;
+        let (mut spec_msgs, mut dist_msgs, mut dist_rounds) = (0, 0, 0);
+        for w in [Star(n), Kary(n, 2), Kary(n, 16), RandomTree(n, 5)] {
+            let tree = w.tree();
+            let mut order: Vec<NodeId> = tree.nodes().collect();
+            order.shuffle(&mut StdRng::seed_from_u64(seed));
+            let mut spec = ForgivingTree::new(&tree);
+            for &v in &order {
+                spec_msgs = spec_msgs.max(spec.delete(v).max_messages_per_node);
+            }
+            if n <= 256 {
+                let mut dist = DistributedForgivingTree::new(&tree);
+                for &v in &order {
+                    let r = dist.delete(v);
+                    dist_msgs = dist_msgs.max(r.max_messages_per_node);
+                    dist_rounds = dist_rounds.max(r.rounds);
+                }
+            }
+        }
+        let run = "star, kary2, kary16, random-tree#5; all nodes in random order";
+        let row = Row::new(FT, run, n, Some(seed));
+        claims.push(row.at_most("Theorem 1.3: messages per node, spec", spec_msgs, 24));
+        if n <= 256 {
+            let msgs = row.at_most("Theorem 1.3: messages per node, distributed", dist_msgs, 40);
+            let rounds = row.at_most("Theorem 1.3: rounds per heal, distributed", dist_rounds, 8);
+            distributed_rows.extend([msgs, rounds]);
+        }
+    }
+    claims.extend(distributed_rows);
+}
+
+/// Theorem 2: on the star `K(1,Δ)`, any healer whose degree increase is
+/// `α` and stretch `β` has `α^(2β+1) ≥ Δ`; §4.2 shows the Forgiving Tree
+/// is near the bound, with `β ≤ 2·log_α Δ + 2`.
+fn lower_bound(claims: &mut Vec<Claim>) {
+    let mut tightness_rows = Vec::new();
+    for delta in [8usize, 32, 128, 512] {
+        let w = Workload::Star(delta + 1);
+        let run = format!("star K(1,{delta}), max-degree adversary, half the nodes deleted");
+        let healers: [Box<dyn SelfHealer>; 4] = [
+            Box::new(ForgivingHealer::new(&w.tree())),
+            Box::new(SurrogateHealer::new(w.graph())),
+            Box::new(LineHealer::new(w.graph())),
+            Box::new(BinaryTreeHealer::new(w.graph())),
+        ];
+        // (α^(2β+1), healer) of the healer closest to the bound
+        let mut weakest = (f64::INFINITY, "");
+        for mut healer in healers {
+            let measure_every = ((delta + 1) / 64).max(1);
+            let cfg = TrialConfig {
+                workload: w.name(),
+                delete_fraction: 0.5,
+                measure_every,
+            };
+            let s = run_trial(&cfg, healer.as_mut(), &mut HighestDegreeAdversary).summary;
+            // the theorem is stated for α ≥ 3
+            let alpha = s.max_degree_increase.max(3) as f64;
+            let tradeoff = alpha.powf(2.0 * s.max_stretch + 1.0);
+            if tradeoff < weakest.0 {
+                weakest = (tradeoff, healer.name());
+            }
+            if healer.name() == "forgiving-tree" {
+                let budget = 2.0 * (delta as f64).ln() / alpha.ln() + 2.0;
+                let claim = "Theorem 2 (§4.2): stretch β ≤ 2·log_α Δ + 2";
+                let row = Row::new(FT, run.clone(), delta + 1, None);
+                tightness_rows.push(row.at_most(claim, s.max_stretch, budget));
+            }
+        }
+        let lowest = format!("{run}; 4 healers, lowest: {}", weakest.1);
+        let row = Row::new(FT, lowest, delta + 1, None);
+        claims.push(row.at_least("Theorem 2: α^(2β+1) ≥ Δ", weakest.0, delta as f64));
+    }
+    claims.extend(tightness_rows);
+}
+
+/// Figures 1 and 2: the structure the paper draws, checked piece by piece.
+fn figures(claims: &mut Vec<Claim>) {
+    let n = NodeId;
+    // Figure 1: v (id 100) has children 1..=8 and parent P (id 0)
+    let pairs: Vec<(NodeId, NodeId)> = (1..=8)
+        .map(|i| (n(i), n(100)))
+        .chain([(n(100), n(0))])
+        .collect();
+    let mut ft = ForgivingTree::new(&RootedTree::from_parent_pairs(n(0), &pairs));
+    let heir = ft.heir_of(n(100));
+    ft.delete(n(100));
+    ft.validate();
+    let figure1 = [
+        // the heir is the highest-ID child h, waiting in ready state under P,
+        heir == Some(n(8)),
+        ft.role_kind(n(8)) == RoleKind::Ready,
+        ft.graph().has_edge(n(0), n(8)),
+        // while the other seven children simulate the helpers
+        (1..=7).all(|c| ft.role_kind(n(c)) == RoleKind::Deployed),
+        diameter_exact(ft.graph()).is_some(),
+    ];
+    let row = Row::new(FT, "v with children 1..=8 under P, v deleted", 10, None);
+    claims.push(row.checks("Figure 1: RT(v) replaces a deleted v", &figure1));
+
+    // Figure 2: the will portions of x with children a, b, c, h = 1..=4
+    let shape = SubRtShape::build(&[n(1), n(2), n(3), n(4)]);
+    let figure2 = [shape.root_sim() == Some(n(2)), shape.heir() == Some(n(4))];
+    let row = Row::new(FT, "x with children a, b, c, h = 1..=4", 5, None);
+    claims.push(row.checks("Figure 2: will portions of RT(x)", &figure2));
+}
+
+/// The setup phase: the distributed BFS spanning tree finishes within
+/// ecc(root) + 2 rounds, with O(1) messages per edge (the paper budgets
+/// O(log n) per edge; a designated root needs only a constant).
+fn setup(claims: &mut Vec<Claim>) {
+    const SEED: u64 = 99;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let gnp = gen::gnp_connected(512, 8.0 / 512.0, &mut rng);
+    let ba = gen::barabasi_albert(512, 3, &mut rng);
+    let regular = gen::random_regular(512, 4, &mut rng);
+    let cases = [
+        ("grid 16x16", gen::grid(16, 16), None),
+        ("hypercube d=8", gen::hypercube(8), None),
+        ("gnp p=8/n", gnp, Some(SEED)),
+        ("barabási-albert m=3", ba, Some(SEED)),
+        ("random 4-regular", regular, Some(SEED)),
+    ];
+    for (name, g, seed) in cases {
+        let ecc = eccentricity(&g, NodeId(0)).expect("setup graphs are connected");
+        let out = distributed_bfs_tree(&g, NodeId(0));
+        let row = Row::new(FT, name, g.len(), seed);
+        claims.push(row.at_most("setup: BFS rounds ≤ ecc(root) + 2", out.rounds, ecc + 2));
+        claims.push(row.at_most("setup: BFS messages per edge", out.messages_per_edge, 4.0));
+    }
+}
+
+/// The ablation behind Theorem 1.2's log Δ: on a star, the balanced SubRT
+/// heals to a diameter no larger than a path-shaped one does.
+fn ablation(claims: &mut Vec<Claim>) {
+    const SEED: u64 = 1234;
+    let tree = Workload::Star(256).tree();
+    let max_diameter = |balanced: bool| {
+        let config = ShapeConfig {
+            balanced,
+            heir_min: false,
+        };
+        let mut ft = ForgivingTree::with_config(&tree, config);
+        let mut order: Vec<NodeId> = tree.nodes().collect();
+        order.shuffle(&mut StdRng::seed_from_u64(SEED));
+        let mut max_d = 0;
+        for (i, &v) in order.iter().enumerate() {
+            ft.delete(v);
+            if i % 8 == 0 && ft.len() > 1 {
+                max_d = max_d.max(diameter_exact(ft.graph()).unwrap_or(0));
+            }
+        }
+        max_d
+    };
+    let run = "star/256, random order, diameter every 8 deletions; bound: path-shaped SubRT";
+    let row = Row::new(FT, run, 256, Some(SEED));
+    let claim = "Theorem 1.2 ablation: balanced SubRT diameter";
+    claims.push(row.at_most(claim, max_diameter(true), max_diameter(false)));
+}
+
+/// The Forgiving Graph's O(log n) stretch and degree increase, at the
+/// shape of CI's graph smoke campaign.
+fn forgiving_graph(claims: &mut Vec<Claim>) {
+    // the defaults supply the rest: `mixed` planner, 40% insertions, no
+    // faults, incremental stretch
+    let cfg = GraphStressConfig {
+        nodes: 2000,
+        events: 400,
+        wave_size: 25,
+        seed: 1,
+        ..GraphStressConfig::default()
+    };
+    let rec = run_graph_stress(&cfg);
+    let run = "mixed churn, 400 events in waves of 25, 40% insertions";
+    let row = Row::new(FG, run, cfg.nodes, Some(cfg.seed));
+    let claim = "Theorem 1: stretch ≤ ⌈log₂ n⌉ + 2";
+    claims.push(row.at_most(claim, rec.stretch.max_stretch, rec.stretch_bound));
+    let claim = "Theorem 1: degree increase ≤ 3⌈log₂ n⌉ + 3";
+    claims.push(row.at_most(claim, rec.max_degree_increase, rec.degree_bound));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn degree(measured: u32, bound: u32) -> Claim {
+        let row = Row::new(FT, "test run", 8, Some(1));
+        row.at_most("Theorem 1.1: degree increase", measured, bound)
+    }
+
+    #[test]
+    fn exceeding_the_bound_fails_the_row_and_the_verdict() {
+        let claims = [degree(3, 3), degree(4, 3)];
+        assert!(!claims[1].held);
+        assert!(render(&claims).contains("| ≤ 3 | 4 | false |\n\n1 of 2 claims hold."));
+        assert!(all_held(&claims[..1]));
+        assert!(!all_held(&claims));
+        let row = Row::new(FG, "y", 1, None);
+        assert!(!row.at_least("x", 1.5, 2.0).held);
+        assert!(!row.checks("x", &[true, false]).held);
+    }
+
+    #[test]
+    fn rendering_is_pinned() {
+        let churn = Row::new(FG, "churn", 2000, None);
+        let claims = [degree(2, 3), churn.at_most("Theorem 1: stretch", 2.5, 13.0)];
+        let table = "\
+| paper | claim | run | n | seed | bound | measured | held |
+| --- | --- | --- | --- | --- | --- | --- | --- |
+| Forgiving Tree | Theorem 1.1: degree increase | test run | 8 | 1 | ≤ 3 | 2 | true |
+| Forgiving Graph | Theorem 1: stretch | churn | 2000 | — | ≤ 13.00 | 2.50 | true |
+
+2 of 2 claims hold.
+";
+        let out = render(&claims);
+        assert!(out.starts_with("# Claims\n\n"));
+        assert!(out.ends_with(table), "{out}");
+    }
+}

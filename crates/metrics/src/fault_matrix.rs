@@ -34,6 +34,7 @@ use crate::graph_stress::{run_graph_stress, GraphStressConfig};
 use crate::stress::FAULT_SEED_SALT;
 use ft_adversary::{make_wave_planner, AdversaryView};
 use ft_core::distributed::DistributedForgivingTree;
+use ft_core::ft_diameter_bound;
 use ft_graph::bfs::diameter_exact;
 use ft_graph::tree::RootedTree;
 use ft_graph::{gen, NodeId};
@@ -234,16 +235,11 @@ impl FaultMatrixRecord {
 /// The Forgiving Tree cell: a deletion-only campaign on the distributed
 /// tree healer, bounds re-measured from the healed graph (the harness
 /// keeps no oracle, so degree increase is checked against the paper's
-/// `+3` and the diameter against `max(2, 2·h₀·(⌈log₂ max(Δ₀,2)⌉+2)+2)`).
+/// `+3` and the diameter against [`ft_diameter_bound`]).
 fn run_tree_cell(cfg: &FaultMatrixConfig, model: &'static str) -> FaultCell {
     let g = gen::kary_tree(cfg.nodes, 4);
     let tree = RootedTree::from_tree_graph(&g, NodeId(0));
-    let h0 = tree.height();
-    let delta0 = tree.max_degree().max(2);
-    // ⌈log₂ Δ₀⌉ in integer arithmetic (Δ₀ ≥ 2) — same value as the float
-    // form in `HealSpec::diameter_bound`, with no lossy cast.
-    let per_step = usize::BITS - (delta0 - 1).leading_zeros() + 2;
-    let diameter_bound = (2 * h0 * per_step + 2).max(2);
+    let diameter_bound = ft_diameter_bound(tree.height(), tree.max_degree());
     let mut orig_degree = vec![0usize; g.capacity()];
     for v in g.nodes() {
         orig_degree[v.index()] = g.degree(v);

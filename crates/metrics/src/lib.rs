@@ -1,20 +1,23 @@
 //! # ft-metrics — experiment harness
 //!
-//! Uniform machinery for every experiment in EXPERIMENTS.md: named
-//! workloads ([`workload`]), a trial runner that drives a
-//! healer–adversary pair while recording time series ([`runner`]),
-//! plain-text/CSV table formatting ([`table`]), the large-scale
-//! wave-campaign stress harnesses behind `ftree stress` — deletion-only
-//! tree campaigns ([`stress`], `BENCH_sim.json`) and mixed insert/delete
-//! Forgiving Graph campaigns ([`graph_stress`], `BENCH_graph.json`) — and
-//! the sampled-pair stretch pass that scores healed networks against their
-//! pristine baseline ([`stretch`]).
+//! Uniform machinery for the experiments: named workloads ([`workload`]),
+//! a trial runner that drives a healer–adversary pair while recording time
+//! series ([`runner`]), plain-text/CSV/markdown tables ([`table`]), the
+//! large-scale wave-campaign stress harnesses behind `ftree stress` —
+//! deletion-only tree campaigns ([`stress`], `BENCH_sim.json`) and mixed
+//! insert/delete Forgiving Graph campaigns ([`graph_stress`],
+//! `BENCH_graph.json`) — and the sampled-pair stretch pass that scores
+//! healed networks against their pristine baseline ([`stretch`]).
 //!
 //! The fault axis rides the same harnesses: both stress configs take a
 //! named fault model, and [`fault_matrix`] sweeps every protocol × model
 //! combination into the bounds-survival record behind `ftree faults`
 //! (`BENCH_faults.json`).
+//!
+//! [`claims`] runs the seeded set behind `ftree reproduce` and renders it
+//! as `CLAIMS.md`, one row per claim of the two papers.
 
+pub mod claims;
 pub mod fault_matrix;
 pub mod graph_stress;
 pub mod runner;

@@ -1,4 +1,5 @@
-//! Minimal table rendering (aligned ASCII and CSV) for experiment output.
+//! Minimal table rendering (aligned ASCII, CSV and markdown) for experiment
+//! output.
 
 /// A titled table of string cells.
 #[derive(Clone, Debug, Default)]
@@ -25,11 +26,6 @@ impl Table {
     pub fn push(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
-    }
-
-    /// Convenience for heterogeneous rows.
-    pub fn push_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.push(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Number of data rows.
@@ -89,6 +85,21 @@ impl Table {
         out
     }
 
+    /// Renders a markdown table (without the title); a `|` inside a cell is
+    /// escaped.
+    pub fn to_markdown(&self) -> String {
+        let line = |cells: &[String]| {
+            let cells: Vec<String> = cells.iter().map(|c| c.replace('|', "\\|")).collect();
+            format!("| {} |\n", cells.join(" | "))
+        };
+        let mut out = line(&self.headers);
+        out.push_str(&line(&vec![String::from("---"); self.headers.len()]));
+        for row in &self.rows {
+            out.push_str(&line(row));
+        }
+        out
+    }
+
     /// Prints the ASCII rendering to stdout.
     pub fn print(&self) {
         print!("{}", self.to_ascii());
@@ -117,6 +128,13 @@ mod tests {
         let s = t.to_csv();
         assert!(s.contains("\"1,2\""));
         assert!(s.contains("\"say \"\"hi\"\"\""));
+    }
+
+    #[test]
+    fn markdown_rows_and_escaping() {
+        let mut t = Table::new("x", &["a", "b"]);
+        t.push(vec!["1".into(), "p|q".into()]);
+        assert_eq!(t.to_markdown(), "| a | b |\n| --- | --- |\n| 1 | p\\|q |\n");
     }
 
     #[test]

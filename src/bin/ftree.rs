@@ -13,8 +13,13 @@
 //! ftree costs   [--out BENCH_costs.json]
 //! ftree faults  [--nodes 500] [--events 120] [--wave 10] [--seed 42] \
 //!               [--out BENCH_faults.json]
+//! ftree reproduce [--out CLAIMS.md]
 //! ftree help
 //! ```
+//!
+//! `reproduce` runs the fixed, seeded set of runs behind `CLAIMS.md`, one
+//! row per claim of the two papers, writes the table, and exits 1 if any
+//! claim did not hold.
 //!
 //! Both `stress` forms take `--faults MODEL` (`none`, `delay`, `loss`,
 //! `dup`, `crash`, `partition`, `chaos`, or `+`-joined combinations like
@@ -22,7 +27,8 @@
 //! `faults` sweeps the full protocol × model bounds-survival matrix.
 //!
 //! Workload syntax: `path:N`, `star:N`, `kary<K>:N`, `caterpillar:SxL`,
-//! `broom:H+B`, `random:N#SEED`, `pref:N#SEED`.
+//! `broom:H+B`, `random:N#SEED`, `pref:N#SEED`. Every count but the legs
+//! `L` and bristles `B` must be at least 1.
 //!
 //! Every numeric stress flag accepts scaled forms: `100k`, `1m`, `1e6`,
 //! and decimal mantissas like `2.5m` all parse to the obvious integer.
@@ -33,8 +39,8 @@
 
 use forgiving_tree::costs::OperationCost;
 use forgiving_tree::metrics::{
-    log_log_slope, run_fault_matrix, run_graph_stress, run_stress, run_trial, FaultMatrixConfig,
-    GraphStressConfig, StressConfig, Table, TrialConfig, Workload,
+    claims, log_log_slope, run_fault_matrix, run_graph_stress, run_stress, run_trial,
+    FaultMatrixConfig, GraphStressConfig, StressConfig, Table, TrialConfig, Workload,
 };
 use forgiving_tree::prelude::*;
 use std::process::exit;
@@ -47,7 +53,8 @@ fn usage() -> ! {
          ftree stress  [--model tree]  [--nodes N] [--deletions D] [--wave K] [--arity A] [--planner P] [--cadence per-deletion|per-wave] [--faults M] [--seed S] [--out FILE]\n  \
          ftree stress  --model graph [--nodes N] [--events E] [--wave K] [--insert-frac F] [--extra-edges F] [--planner P] [--faults M] [--seed S] [--sources B] [--stretch full|incremental|both] [--out FILE]\n  \
          ftree costs   [--out FILE]\n  \
-         ftree faults  [--nodes N] [--events E] [--wave K] [--seed S] [--out FILE]\n\n\
+         ftree faults  [--nodes N] [--events E] [--wave K] [--seed S] [--out FILE]\n  \
+         ftree reproduce [--out FILE]\n\n\
          workloads : path:N star:N kary<K>:N caterpillar:SxL broom:H+B random:N#S pref:N#S\n\
          adversaries: random max-degree min-degree root-attack heir-hunter hub-siphon diameter-greedy\n\
          healers   : forgiving-tree forgiving-graph surrogate line binary-tree no-heal\n\
@@ -60,30 +67,32 @@ fn usage() -> ! {
 
 fn parse_workload(spec: &str) -> Workload {
     let bad = || -> ! {
-        eprintln!("unrecognized workload: {spec}");
+        eprintln!("invalid workload: {spec}");
         usage()
     };
     let (kind, rest) = spec.split_once(':').unwrap_or_else(|| bad());
     let num = |s: &str| s.parse::<usize>().unwrap_or_else(|_| bad());
+    // an empty tree (or a 0-ary one) has no root for the healers to start from
+    let size = |s: &str| Some(num(s)).filter(|&v| v > 0).unwrap_or_else(|| bad());
     match kind {
-        "path" => Workload::Path(num(rest)),
-        "star" => Workload::Star(num(rest)),
-        k if k.starts_with("kary") => Workload::Kary(num(rest), num(&k[4..])),
+        "path" => Workload::Path(size(rest)),
+        "star" => Workload::Star(size(rest)),
+        k if k.starts_with("kary") => Workload::Kary(size(rest), size(&k[4..])),
         "caterpillar" => {
             let (s, l) = rest.split_once('x').unwrap_or_else(|| bad());
-            Workload::Caterpillar(num(s), num(l))
+            Workload::Caterpillar(size(s), num(l))
         }
         "broom" => {
             let (h, b) = rest.split_once('+').unwrap_or_else(|| bad());
-            Workload::Broom(num(h), num(b))
+            Workload::Broom(size(h), num(b))
         }
         "random" => {
             let (n, s) = rest.split_once('#').unwrap_or((rest, "1"));
-            Workload::RandomTree(num(n), num(s) as u64)
+            Workload::RandomTree(size(n), num(s) as u64)
         }
         "pref" => {
             let (n, s) = rest.split_once('#').unwrap_or((rest, "1"));
-            Workload::PrefTree(num(n), num(s) as u64)
+            Workload::PrefTree(size(n), num(s) as u64)
         }
         _ => bad(),
     }
@@ -183,6 +192,29 @@ fn parse_fault_model(args: &[String]) -> String {
     model.into()
 }
 
+/// Reads a fraction flag (default `default`), rejecting values outside
+/// `[0, 1]` and NaN: the harnesses would clamp them silently, and a run
+/// must never describe a campaign that was not actually run.
+fn parse_fraction(args: &[String], flag: &str, default: f64) -> f64 {
+    let f: f64 = flag_value(args, flag)
+        .map(|s| s.parse().unwrap_or_else(|_| usage()))
+        .unwrap_or(default);
+    if !(0.0..=1.0).contains(&f) {
+        eprintln!("{flag} must be in [0, 1], got {f}");
+        usage();
+    }
+    f
+}
+
+/// Writes `contents` to `out`, exiting 1 if it cannot.
+fn write_out(out: &str, contents: &str) {
+    std::fs::write(out, contents).unwrap_or_else(|e| {
+        eprintln!("cannot write {out}: {e}");
+        exit(1);
+    });
+    println!("wrote {out}");
+}
+
 /// Reads `--nodes` (default `default`). A campaign needs at least its
 /// root, so `0` is rejected here instead of panicking inside the harness.
 fn parse_nodes(args: &[String], default: usize) -> usize {
@@ -205,10 +237,7 @@ fn cmd_attack(args: &[String]) {
     let w = parse_workload(flag_value(args, "--workload").unwrap_or("kary4:256"));
     let adv_name = flag_value(args, "--adversary").unwrap_or("max-degree");
     let healer_name = flag_value(args, "--healer").unwrap_or("forgiving-tree");
-    let fraction: f64 = flag_value(args, "--fraction")
-        .unwrap_or("1.0")
-        .parse()
-        .unwrap_or_else(|_| usage());
+    let fraction = parse_fraction(args, "--fraction", 1.0);
     let mut adv = make_adversary(adv_name, 42);
     let mut healer = make_healer(healer_name, &w);
     let cfg = TrialConfig {
@@ -391,11 +420,7 @@ fn cmd_stress_tree(args: &[String]) {
         );
     }
     let out = flag_value(args, "--out").unwrap_or("BENCH_sim.json");
-    std::fs::write(out, rec.to_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        exit(1);
-    });
-    println!("wrote {out}");
+    write_out(out, &rec.to_json());
 }
 
 fn cmd_stress_graph(args: &[String]) {
@@ -422,18 +447,6 @@ fn cmd_stress_graph(args: &[String]) {
             .map(|s| parse_scaled(s).unwrap_or_else(|| usage()))
             .unwrap_or(default)
     };
-    // validate range here: the planners clamp silently, and the emitted
-    // record must never describe a campaign that was not actually run
-    let frac = |flag: &str, default: f64| -> f64 {
-        let f: f64 = flag_value(args, flag)
-            .map(|s| s.parse().unwrap_or_else(|_| usage()))
-            .unwrap_or(default);
-        if !(0.0..=1.0).contains(&f) {
-            eprintln!("{flag} must be in [0, 1], got {f}");
-            usage();
-        }
-        f
-    };
     let defaults = GraphStressConfig::default();
     let planner = flag_value(args, "--planner").unwrap_or("mixed");
     if forgiving_tree::prelude::make_churn_planner(planner, 0, 0.5).is_none() {
@@ -450,8 +463,8 @@ fn cmd_stress_graph(args: &[String]) {
         nodes: parse_nodes(args, defaults.nodes),
         events: num("--events", defaults.events),
         wave_size: num("--wave", defaults.wave_size),
-        insert_fraction: frac("--insert-frac", defaults.insert_fraction),
-        extra_edges: frac("--extra-edges", defaults.extra_edges),
+        insert_fraction: parse_fraction(args, "--insert-frac", defaults.insert_fraction),
+        extra_edges: parse_fraction(args, "--extra-edges", defaults.extra_edges),
         planner: planner.into(),
         seed: num("--seed", defaults.seed as usize) as u64,
         stretch_sources: num("--sources", defaults.stretch_sources),
@@ -515,11 +528,7 @@ fn cmd_stress_graph(args: &[String]) {
         rec.stretch_cost.seeks
     );
     let out = flag_value(args, "--out").unwrap_or("BENCH_graph.json");
-    std::fs::write(out, rec.to_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        exit(1);
-    });
-    println!("wrote {out}");
+    write_out(out, &rec.to_json());
 }
 
 /// Appends one JSON line per [`OperationCost`] counter, keyed
@@ -587,12 +596,10 @@ fn cmd_costs(args: &[String]) {
         graph.stretch_cost.node_visits,
         graph.stretch_cost.seeks
     );
-    let out = flag_value(args, "--out").unwrap_or("BENCH_costs.json");
-    std::fs::write(out, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        exit(1);
-    });
-    println!("wrote {out}");
+    write_out(
+        flag_value(args, "--out").unwrap_or("BENCH_costs.json"),
+        &json,
+    );
 }
 
 fn cmd_faults(args: &[String]) {
@@ -616,11 +623,18 @@ fn cmd_faults(args: &[String]) {
     let rec = run_fault_matrix(&cfg);
     print!("{}", rec.summary());
     let out = flag_value(args, "--out").unwrap_or("BENCH_faults.json");
-    std::fs::write(out, rec.to_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
+    write_out(out, &rec.to_json());
+}
+
+fn cmd_reproduce(args: &[String]) {
+    check_flags(args, &["--out"], &[]);
+    let claims = claims::reproduce();
+    let out = flag_value(args, "--out").unwrap_or("CLAIMS.md");
+    write_out(out, &claims::render(&claims));
+    if !claims::all_held(&claims) {
+        eprintln!("a claim did not hold: see the rows marked false in {out}");
         exit(1);
-    });
-    println!("wrote {out}");
+    }
 }
 
 fn main() {
@@ -632,6 +646,7 @@ fn main() {
         Some("stress") => cmd_stress(&args[1..]),
         Some("costs") => cmd_costs(&args[1..]),
         Some("faults") => cmd_faults(&args[1..]),
+        Some("reproduce") => cmd_reproduce(&args[1..]),
         _ => usage(),
     }
 }

@@ -57,3 +57,31 @@ fn zero_nodes_is_rejected() {
         assert_eq!(ftree(args, &[]), 2, "{args}");
     }
 }
+
+#[test]
+fn empty_workloads_and_bad_fractions_are_rejected() {
+    // the zero-size workloads once panicked in the generators or in
+    // `RootedTree`; a fraction outside [0, 1] ran as 0 or 1 deletions' worth
+    for args in [
+        "attack --workload path:0",
+        "attack --workload star:0",
+        "attack --workload random:0",
+        "attack --workload pref:0",
+        "attack --workload kary0:10",
+        "attack --workload kary4:0",
+        "attack --workload caterpillar:0x3",
+        "attack --workload broom:0+5",
+        "duel --workload star:0",
+        "duel --workload broom:0+5",
+        "attack --workload path:8 --fraction -1",
+        "attack --workload path:8 --fraction NaN",
+        "attack --workload path:8 --fraction 5",
+    ] {
+        assert_eq!(ftree(args, &[]), 2, "{args}");
+    }
+}
+
+#[test]
+fn reproduce_rejects_unknown_flags() {
+    assert_eq!(ftree("reproduce --nodes 5", &[]), 2);
+}

@@ -6,7 +6,7 @@ use forgiving_tree::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -69,6 +69,49 @@ proptest! {
         for v in order {
             ft.delete(v);
             ft.validate();
+        }
+    }
+}
+
+/// Spec engine against the distributed protocol on 200 seeded trees of
+/// 3..=40 nodes (uniform, preferential-attachment, broom), each through a
+/// random prefix of a random deletion order, checked after every deletion.
+#[test]
+fn spec_and_distributed_agree_on_seeded_random_trees() {
+    for iter in 0..200u64 {
+        let seed = 0x5EED_0000 + iter;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nn = rng.gen_range(3..=40);
+        let g = match iter % 3 {
+            0 => gen::random_tree(nn, &mut rng),
+            1 => gen::random_attachment_tree(nn, &mut rng),
+            _ => gen::broom(2 + nn / 4, nn - 2 - nn / 4),
+        };
+        let tree = RootedTree::from_tree_graph(&g, NodeId(0));
+        let mut order: Vec<NodeId> = tree.nodes().collect();
+        order.shuffle(&mut rng);
+        let stop = rng.gen_range(1..=order.len());
+        let mut spec = ForgivingTree::new(&tree);
+        let mut dist = DistributedForgivingTree::new(&tree);
+        let bound = spec.diameter_bound();
+        for &v in order.iter().take(stop) {
+            spec.delete(v);
+            let dr = dist.delete(v);
+            spec.validate();
+            assert_eq!(
+                spec.graph(),
+                dist.graph(),
+                "engines diverged, seed {seed:#x}"
+            );
+            assert!(
+                spec.max_degree_increase() <= 3,
+                "Theorem 1.1, seed {seed:#x}"
+            );
+            assert!(dr.rounds <= 8, "latency not O(1), seed {seed:#x}");
+            if spec.len() > 1 {
+                let d = diameter_exact(spec.graph()).expect("connected");
+                assert!(d <= bound, "Theorem 1.2 budget, seed {seed:#x}");
+            }
         }
     }
 }
