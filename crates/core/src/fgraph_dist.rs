@@ -242,10 +242,16 @@ impl DistributedForgivingGraph {
     /// pre-distributed (the one-time setup phase, performed analytically
     /// like [`crate::distributed::DistributedForgivingTree::new`]).
     pub fn new(initial: &Graph) -> Self {
-        DistributedForgivingGraph {
-            net: Network::new(initial.clone(), |v| FgNode::settled(v, initial)),
-            pristine: initial.clone(),
-        }
+        // the pristine copy is independent of the processors: clone it on
+        // a second thread while they are built
+        std::thread::scope(|scope| {
+            let pristine = scope.spawn(|| initial.clone());
+            let net = Network::new(initial.clone(), |v| FgNode::settled(v, initial));
+            DistributedForgivingGraph {
+                net,
+                pristine: pristine.join().expect("pristine clone panicked"),
+            }
+        })
     }
 
     /// The current healed network.

@@ -94,7 +94,9 @@ pub enum ChurnEvent {
 pub struct Graph {
     /// Sorted neighbor list per slot (ascending, no duplicates).
     adj: Vec<Vec<NodeId>>,
-    alive: Vec<bool>,
+    /// Liveness bitset: bit `v % 64` of word `v / 64` is set iff slot `v`
+    /// is live. The bits past `capacity` in the last word stay clear.
+    alive: Vec<u64>,
     num_alive: usize,
     num_edges: usize,
 }
@@ -102,9 +104,13 @@ pub struct Graph {
 impl Graph {
     /// Creates a graph with `n` isolated live nodes `0..n`.
     pub fn new(n: usize) -> Self {
+        let mut alive = vec![u64::MAX; n / 64];
+        if !n.is_multiple_of(64) {
+            alive.push((1 << (n % 64)) - 1);
+        }
         Graph {
             adj: vec![Vec::new(); n],
-            alive: vec![true; n],
+            alive,
             num_alive: n,
             num_edges: 0,
         }
@@ -144,16 +150,19 @@ impl Graph {
 
     /// Is `v` a live node?
     pub fn is_alive(&self, v: NodeId) -> bool {
-        v.index() < self.alive.len() && self.alive[v.index()]
+        let i = v.index();
+        self.alive
+            .get(i / 64)
+            .is_some_and(|&word| word >> (i % 64) & 1 == 1)
     }
 
     /// Iterator over live node IDs in ascending order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(i, _)| NodeId(i as u32))
+        LiveNodes {
+            words: &self.alive,
+            w: 0,
+            bits: self.alive.first().copied().unwrap_or(0),
+        }
     }
 
     /// Neighbors of `v` in ascending ID order.
@@ -229,11 +238,14 @@ impl Graph {
     /// Graph's *insertion* move: capacity grows by one and the new node
     /// starts isolated — wire it up with [`Graph::add_edge`]).
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.adj.len() as u32);
+        let i = self.adj.len();
         self.adj.push(Vec::new());
-        self.alive.push(true);
+        if i.is_multiple_of(64) {
+            self.alive.push(0);
+        }
+        self.alive[i / 64] |= 1 << (i % 64);
         self.num_alive += 1;
-        id
+        NodeId(i as u32)
     }
 
     /// Revives a previously deleted slot (slot-reuse insertion policy): the
@@ -242,19 +254,20 @@ impl Graph {
     /// # Panics
     /// Panics if `v` is out of range or still alive.
     pub fn revive_node(&mut self, v: NodeId) {
-        assert!(
-            v.index() < self.alive.len(),
-            "revive_node: {v:?} out of range"
-        );
-        assert!(!self.alive[v.index()], "revive_node: {v:?} is alive");
-        debug_assert!(self.adj[v.index()].is_empty(), "dead slot kept edges");
-        self.alive[v.index()] = true;
+        let i = v.index();
+        assert!(i < self.adj.len(), "revive_node: {v:?} out of range");
+        assert!(!self.is_alive(v), "revive_node: {v:?} is alive");
+        debug_assert!(self.adj[i].is_empty(), "dead slot kept edges");
+        self.alive[i / 64] |= 1 << (i % 64);
         self.num_alive += 1;
     }
 
     /// Lowest dead slot ID, if any (for slot-reuse insertion).
     pub fn first_dead_slot(&self) -> Option<NodeId> {
-        self.alive.iter().position(|a| !a).map(|i| NodeId(i as u32))
+        let w = self.alive.iter().position(|&word| word != u64::MAX)?;
+        // the last word's clear high bits are past `capacity`, not dead
+        let i = w * 64 + (!self.alive[w]).trailing_zeros() as usize;
+        (i < self.adj.len()).then_some(NodeId(i as u32))
     }
 
     /// Deletes node `v` (the adversary's move), dropping all incident edges.
@@ -286,7 +299,7 @@ impl Graph {
             }
         }
         self.num_edges -= nbrs.len();
-        self.alive[v.index()] = false;
+        self.alive[v.index() / 64] &= !(1 << (v.index() % 64));
         self.num_alive -= 1;
     }
 
@@ -329,6 +342,29 @@ impl Graph {
         }
         s.push_str("}\n");
         s
+    }
+}
+
+/// [`Graph::nodes`]: the set bits of the liveness words, ascending.
+struct LiveNodes<'a> {
+    words: &'a [u64],
+    /// Index of the word `bits` came from.
+    w: usize,
+    /// That word's live slots not yet yielded.
+    bits: u64,
+}
+
+impl Iterator for LiveNodes<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        while self.bits == 0 {
+            self.w += 1;
+            self.bits = *self.words.get(self.w)?;
+        }
+        let i = self.w * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(NodeId(i as u32))
     }
 }
 
@@ -451,6 +487,46 @@ mod tests {
         assert_eq!(g.len(), 3);
         assert_eq!(g.degree(NodeId(1)), 0, "revived isolated");
         assert_eq!(g.capacity(), 3, "no growth");
+    }
+
+    #[test]
+    fn liveness_bitset_at_word_boundaries() {
+        for n in [0usize, 1, 63, 64, 65, 129] {
+            let mut g = Graph::new(n);
+            let all: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+            assert_eq!(g.nodes().collect::<Vec<_>>(), all, "n = {n}");
+            assert_eq!(g.first_dead_slot(), None, "n = {n}: every slot live");
+            assert!(!g.is_alive(NodeId(n as u32)), "past capacity");
+
+            // grow across the next word boundary: 64 - n % 64 + 1 slots
+            let grown = 65 - n % 64;
+            for i in 0..grown {
+                assert_eq!(g.add_node(), NodeId((n + i) as u32));
+            }
+            let cap = n + grown;
+            assert_eq!(g.first_dead_slot(), None, "n = {n}: grown, all live");
+            assert!(g.nodes().map(|v| v.index()).eq(0..cap), "ascending");
+
+            // delete a spread of slots, then revive them one by one
+            let mut victims: Vec<NodeId> = [0, 63, 64, cap - 1].map(|i| NodeId(i as u32)).to_vec();
+            victims.dedup(); // cap - 1 is 64 when n = 0
+            for &v in &victims {
+                g.delete_node(v);
+                assert!(!g.is_alive(v));
+            }
+            let live: Vec<NodeId> = g.nodes().collect();
+            assert!(live.windows(2).all(|w| w[0] < w[1]), "n = {n}: ascending");
+            assert_eq!(live.len(), cap - victims.len());
+            assert!(live.iter().all(|v| !victims.contains(v)));
+            for &v in &victims {
+                assert_eq!(g.first_dead_slot(), Some(v), "n = {n}: lowest dead");
+                g.revive_node(v);
+                assert!(g.is_alive(v));
+            }
+            assert_eq!(g.first_dead_slot(), None, "n = {n}: all revived");
+            assert_eq!(g.len(), cap);
+            assert!(g.nodes().map(|v| v.index()).eq(0..cap));
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! with the smallest priorities form the sample ([`select_sources`]). The
 //! sample is a pure function of the seed and the live set — no RNG state,
 //! no draw order — so an incremental maintainer can reselect after churn
-//! and land on exactly the set a fresh full pass would pick.
+//! and land on exactly the set a fresh full pass would pick. Finding it
+//! takes one pass over the id space that hashes every slot and looks at a
+//! slot's liveness only when its priority could still make the sample.
 //!
 //! Pairs are counted **once**: when both endpoints of a surviving pair are
 //! sampled as sources, the pair is charged to its lower-ID endpoint only,
@@ -117,22 +119,36 @@ pub(crate) fn priority(seed: u64, v: NodeId) -> u64 {
 /// The min-wise sample: the (up to) `k` live nodes of `g` with the
 /// smallest `(priority, id)` keys, returned in **ascending id order** (the
 /// canonical sample order every fold in this module uses). Deterministic
-/// and history-free: any two callers that agree on `(seed, k)` and the
-/// live set agree on the sample. `k = 0` is treated as 1.
+/// and history-free: the sample is a pure function of `(seed, k, live
+/// set)`, so any two callers that agree on those agree on it. `k = 0` is
+/// treated as 1.
 ///
-/// One streaming pass over the live set keeps the `k` smallest keys in a
-/// bounded max-heap, so no per-node buffer is built.
+/// One pass over the id space computes every slot's key first and keeps
+/// the `k` smallest live keys in a bounded max-heap. A slot whose priority
+/// exceeds the largest kept one cannot enter the sample, so only the rare
+/// slot that could is checked for liveness and offered to the heap; ids
+/// rise through the scan, so a tied priority loses to the kept key just as
+/// the `(priority, id)` order says.
 pub fn select_sources(g: &Graph, k: usize, seed: u64) -> Vec<NodeId> {
     let k = k.max(1).min(g.len());
+    let capacity = u32::try_from(g.capacity()).expect("node ids fit u32");
     let mut kept: BinaryHeap<(u64, NodeId)> = BinaryHeap::with_capacity(k);
-    for v in g.nodes() {
+    // the largest kept priority once the heap is full; nothing beats MAX
+    let mut bar = u64::MAX;
+    for v in (0..capacity).map(NodeId) {
         let key = (priority(seed, v), v);
+        if key.0 > bar || !g.is_alive(v) {
+            continue;
+        }
         if kept.len() < k {
             kept.push(key);
         } else if let Some(mut largest) = kept.peek_mut() {
             if key < *largest {
                 *largest = key;
             }
+        }
+        if kept.len() == k {
+            bar = kept.peek().map_or(u64::MAX, |&(p, _)| p);
         }
     }
     let mut picked: Vec<NodeId> = kept.into_iter().map(|(_, v)| v).collect();
@@ -583,8 +599,8 @@ mod tests {
         assert_eq!(c.iter().filter(|v| a.contains(v)).count(), 9);
     }
 
-    /// The selection `select_sources` streams, computed by sorting every
-    /// live node's key.
+    /// The reference selection: sort every live node's key, keep the `k`
+    /// smallest, return them by id.
     fn select_by_sort(g: &Graph, k: usize, seed: u64) -> Vec<NodeId> {
         let mut keyed: Vec<(u64, NodeId)> = g.nodes().map(|v| (priority(seed, v), v)).collect();
         keyed.sort_unstable();
@@ -711,6 +727,35 @@ mod tests {
         for g in [gen::path(100_000), gen::cycle(100_000)] {
             let srcs = select_sources(&g, 16, 7);
             assert_batched_matches_scalar(&g, &srcs);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn key_first_selection_matches_a_full_sort(
+            seed in 0u64..10_000,
+            n in 1usize..400,
+            dead_pct in 0u32..=100,
+            k_pick in 0usize..10_000,
+        ) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let mut g = holey_graph(seed, n);
+            let mut rng = StdRng::seed_from_u64(!seed);
+            for v in (0u32..).map(NodeId).take(g.capacity()) {
+                if g.is_alive(v) && rng.gen_range(0..100) < dead_pct {
+                    g.delete_node(v);
+                }
+            }
+            let k = k_pick % (g.len() + 3);
+            proptest::prop_assert_eq!(
+                select_sources(&g, k, seed),
+                select_by_sort(&g, k, seed),
+                "k {}, live {}",
+                k,
+                g.len()
+            );
         }
     }
 

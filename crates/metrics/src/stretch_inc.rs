@@ -35,14 +35,17 @@
 //! **bit-identical** to `measure_stretch_full` on the same graphs — the
 //! full pass is kept as the differential oracle and CI compares the two.
 //!
-//! The retained sources' repairs are independent — each reads the shared
-//! graphs and journal and writes only its own two fields — so they run on
-//! scoped worker threads (one per available core, at most one per source)
-//! that take sources one at a time from a shared queue. Which worker
-//! repairs which source changes nothing: every field is a pure function
-//! of its own state and the wave, and the per-source costs are summed
-//! with integer addition, so fields, reports and costs are the same at
-//! any worker count.
+//! The tracker's workers (one per available core) build and repair
+//! fields in parallel. A fresh build runs the healed graph's batched BFS
+//! and the pristine graph's on two scoped threads, one after the other
+//! with one worker. The retained sources' repairs are independent — each
+//! reads the shared graphs and journal and writes only its own two fields
+//! — so they run on scoped threads (at most one per source) that take
+//! sources one at a time from a shared queue. Which thread builds or
+//! repairs what changes nothing: every field is a pure function of its
+//! graph, its own state and the wave, and every pass charges its own
+//! cost, summed with integer addition, so fields, reports and costs are
+//! the same at any worker count.
 //!
 //! Work is charged to an [`OperationCost`] per phase
 //! ([`StretchTracker::cost_by_phase`]): fresh BFS builds, the per-wave
@@ -107,15 +110,32 @@ struct SourceState {
 }
 
 /// Builds every source's fields from scratch (new or promoted sources),
-/// one batched BFS per graph.
+/// one batched BFS per graph. With two or more `workers` the two graphs'
+/// passes run on two threads, else one after the other. Each pass charges
+/// its own [`OperationCost`] and the two are summed, so the fields and the
+/// charge are the same either way.
 fn build_sources(
     healed: &Graph,
     pristine: &Graph,
     srcs: &[NodeId],
     cost: &mut OperationCost,
+    workers: usize,
 ) -> Vec<SourceState> {
-    let dh = bfs_fields_with_cost(healed, srcs, cost);
-    let dp = bfs_fields_with_cost(pristine, srcs, cost);
+    let pass = |g: &Graph| {
+        let mut cost = OperationCost::ZERO;
+        (bfs_fields_with_cost(g, srcs, &mut cost), cost)
+    };
+    let ((dh, healed_cost), (dp, pristine_cost)) = if workers >= 2 {
+        std::thread::scope(|scope| {
+            let pristine_pass = scope.spawn(|| pass(pristine));
+            let healed_pass = pass(healed);
+            let pristine_pass = pristine_pass.join().expect("stretch build worker panicked");
+            (healed_pass, pristine_pass)
+        })
+    } else {
+        (pass(healed), pass(pristine))
+    };
+    *cost += healed_cost + pristine_cost;
     srcs.iter()
         .zip(dh.into_iter().zip(dp))
         .map(|(&src, (healed, pristine))| SourceState {
@@ -336,7 +356,7 @@ pub struct StretchTracker {
     seed: u64,
     /// Maintained per-source state, ascending by source id (sample order).
     sources: Vec<SourceState>,
-    /// Repair threads per wave: the machine's available parallelism.
+    /// Build and repair threads: the machine's available parallelism.
     workers: usize,
     cost: StretchPhaseCosts,
 }
@@ -345,14 +365,21 @@ impl StretchTracker {
     /// Selects the min-wise sample over `healed`'s live set and builds
     /// every source's distance fields from scratch.
     pub fn new(healed: &Graph, pristine: &Graph, sources: usize, seed: u64) -> Self {
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Self::new_on(healed, pristine, sources, seed, workers)
+    }
+
+    /// [`StretchTracker::new`] on `workers` threads, which every later wave
+    /// uses too.
+    fn new_on(healed: &Graph, pristine: &Graph, sources: usize, seed: u64, workers: usize) -> Self {
         let picked = select_sources(healed, sources, seed);
         let mut cost = StretchPhaseCosts::default();
-        let states = build_sources(healed, pristine, &picked, &mut cost.build);
+        let states = build_sources(healed, pristine, &picked, &mut cost.build, workers);
         StretchTracker {
             k: sources,
             seed,
             sources: states,
-            workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            workers,
             cost,
         }
     }
@@ -363,18 +390,6 @@ impl StretchTracker {
     /// graphs; `journal` is everything the engine recorded since the last
     /// call (or since tracker construction).
     pub fn apply_wave(&mut self, healed: &Graph, pristine: &Graph, journal: &ChurnJournal) {
-        self.apply_wave_on(healed, pristine, journal, self.workers);
-    }
-
-    /// [`StretchTracker::apply_wave`] with the retained sources repaired on
-    /// `workers` threads.
-    fn apply_wave_on(
-        &mut self,
-        healed: &Graph,
-        pristine: &Graph,
-        journal: &ChurnJournal,
-        workers: usize,
-    ) {
         let picked = select_sources(healed, self.k, self.seed);
         // one reselection probe per live node (the priority scan)
         self.cost.reselect.seeks += count(healed.len());
@@ -389,9 +404,15 @@ impl StretchTracker {
             }
         }
         drop(old); // free the dropped states' fields before repairing
-        self.cost += repair_all(&mut self.sources, healed, pristine, journal, workers);
+        self.cost += repair_all(&mut self.sources, healed, pristine, journal, self.workers);
         if !promoted.is_empty() {
-            let fresh = build_sources(healed, pristine, &promoted, &mut self.cost.build);
+            let fresh = build_sources(
+                healed,
+                pristine,
+                &promoted,
+                &mut self.cost.build,
+                self.workers,
+            );
             self.sources.extend(fresh);
             self.sources.sort_unstable_by_key(|s| s.src);
         }
@@ -591,15 +612,29 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_fields_reports_or_cost() {
-        let (g, waves) = random_churn(5, 150, 6);
-        let mut one = StretchTracker::new(&g, &g, 12, 5);
-        let mut three = StretchTracker::new(&g, &g, 12, 5);
-        for (i, w) in waves.iter().enumerate() {
-            one.apply_wave_on(&w.healed, &w.pristine, &w.journal, 1);
-            three.apply_wave_on(&w.healed, &w.pristine, &w.journal, 3);
-            assert_eq!(one.sources, three.sources, "fields, wave {i}");
-            assert_eq!(one.report(&w.healed), three.report(&w.healed));
+        // k >= n in the second case: every deletion kills a source, so
+        // promoted sources are built on both paths too
+        for (seed, n, k) in [(5u64, 150, 12), (8, 40, 64)] {
+            let (g, waves) = random_churn(seed, n, 6);
+            let mut one = StretchTracker::new_on(&g, &g, k, seed, 1);
+            let mut three = StretchTracker::new_on(&g, &g, k, seed, 3);
+            assert_eq!(one.sources, three.sources, "fields after construction");
+            assert_eq!(one.report(&g), three.report(&g));
             assert_eq!(one.cost_by_phase(), three.cost_by_phase());
+            let built = one.cost_by_phase().build;
+            for (i, w) in waves.iter().enumerate() {
+                one.apply_wave(&w.healed, &w.pristine, &w.journal);
+                three.apply_wave(&w.healed, &w.pristine, &w.journal);
+                assert_eq!(one.sources, three.sources, "fields, wave {i}");
+                assert_eq!(one.report(&w.healed), three.report(&w.healed));
+                assert_eq!(one.cost_by_phase(), three.cost_by_phase());
+            }
+            if k >= n {
+                assert!(
+                    one.cost_by_phase().build.node_visits > built.node_visits,
+                    "promoted sources were built"
+                );
+            }
         }
     }
 

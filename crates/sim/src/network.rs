@@ -792,8 +792,13 @@ impl<P: Process> Network<P> {
                 "insert_node: duplicate neighbor {u:?}"
             );
         }
-        let v = match (self.slots, self.graph.first_dead_slot()) {
-            (SlotPolicy::Reuse, Some(slot)) => {
+        // only `Reuse` looks for a dead slot: the scan is O(capacity)
+        let dead = match self.slots {
+            SlotPolicy::Reuse => self.graph.first_dead_slot(),
+            SlotPolicy::Grow => None,
+        };
+        let v = match dead {
+            Some(slot) => {
                 self.graph.revive_node(slot);
                 // The slot is a *new* node: retire the dead incarnation's
                 // per-node books so its message history cannot bleed into
@@ -806,7 +811,7 @@ impl<P: Process> Network<P> {
                 self.unsend_in_flight_from(slot);
                 slot
             }
-            _ => {
+            None => {
                 let slot = self.graph.add_node();
                 debug_assert_eq!(slot.index(), self.procs.len());
                 self.procs.push(None);
@@ -1545,6 +1550,19 @@ mod tests {
         assert_eq!(net.len(), 3);
         let (w, _) = net.insert_node(&[NodeId(2)], |_| Greeter::default());
         assert_eq!(w, NodeId(3), "no dead slot left: falls back to growing");
+        let (_, _cost) = net.run_until_quiet(4);
+        net.check_accounting().expect("books balance");
+    }
+
+    #[test]
+    fn grow_policy_appends_even_with_a_dead_slot() {
+        let g = gen::path(3);
+        let mut net = Network::new(g, |_| Greeter::default());
+        net.delete_node(NodeId(1));
+        let (v, _) = net.insert_node(&[NodeId(0)], |_| Greeter::default());
+        assert_eq!(v, NodeId(3), "the new id is the old capacity");
+        assert_eq!(net.graph().capacity(), 4);
+        assert!(!net.graph().is_alive(NodeId(1)), "the dead slot stays dead");
         let (_, _cost) = net.run_until_quiet(4);
         net.check_accounting().expect("books balance");
     }
