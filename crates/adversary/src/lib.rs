@@ -27,8 +27,7 @@
 //! mixed insert/delete [`ChurnPlanner`]s (`mixed`/`surge`) for the
 //! Forgiving Graph's full adversarial model. The orthogonal *fault* axis —
 //! seeded message loss, duplication, delay, partitions, and crash-stop
-//! deaths — is built the same way via [`make_fault_plan`] (named models from
-//! [`FaultConfig::from_name`]).
+//! deaths — is built the same way, by name, via [`FaultConfig::from_name`].
 
 use ft_core::ForgivingTree;
 use ft_graph::bfs::diameter_double_sweep;
@@ -483,14 +482,6 @@ pub fn make_churn_planner(
     }
 }
 
-/// Builds a seeded [`FaultPlan`] from a named fault model (`none`, `delay`,
-/// `loss`, `dup`, `crash`, `partition`, `chaos`, or `+`-joined combinations
-/// like `loss+crash`) — the fault-axis sibling of [`make_wave_planner`] /
-/// [`make_churn_planner`]. Returns `None` for unknown model names.
-pub fn make_fault_plan(name: &str, seed: u64) -> Option<FaultPlan> {
-    FaultConfig::from_name(name).map(|cfg| cfg.plan(seed))
-}
-
 /// Convenience: every strategy boxed, for sweeps.
 pub fn standard_suite(seed: u64) -> Vec<Box<dyn Adversary>> {
     vec![
@@ -519,6 +510,7 @@ mod tests {
 
     #[test]
     fn fault_plans_build_by_name_and_replay() {
+        let plan = |name: &str, seed| FaultConfig::from_name(name).map(|cfg| cfg.plan(seed));
         for name in [
             "none",
             "delay",
@@ -528,14 +520,14 @@ mod tests {
             "partition",
             "chaos",
         ] {
-            let a = make_fault_plan(name, 11).expect("known fault model");
-            let b = make_fault_plan(name, 11).expect("known fault model");
+            let a = plan(name, 11).expect("known fault model");
+            let b = plan(name, 11).expect("known fault model");
             assert_eq!(a, b, "fault model {name} must be pure in its seed");
         }
-        let combo = make_fault_plan("loss+crash", 3).expect("combined model");
+        let combo = plan("loss+crash", 3).expect("combined model");
         assert!(!combo.is_zero());
-        assert!(make_fault_plan("nope", 0).is_none());
-        assert!(make_fault_plan("loss+nope", 0).is_none());
+        assert!(plan("nope", 0).is_none());
+        assert!(plan("loss+nope", 0).is_none());
     }
 
     #[test]

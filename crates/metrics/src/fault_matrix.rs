@@ -31,14 +31,13 @@
 #![deny(clippy::as_conversions)]
 
 use crate::graph_stress::{run_graph_stress, GraphStressConfig};
-use crate::stress::FAULT_SEED_SALT;
-use ft_adversary::{make_wave_planner, AdversaryView};
-use ft_core::distributed::DistributedForgivingTree;
+use crate::record::Record;
+use crate::stress::{run_tree_campaign, StressConfig};
 use ft_core::ft_diameter_bound;
 use ft_graph::bfs::diameter_exact;
 use ft_graph::tree::RootedTree;
 use ft_graph::{gen, NodeId};
-use ft_sim::{Campaign, CampaignConfig, FaultConfig, HealCadence};
+use ft_sim::FaultConfig;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Matrix parameters: one campaign shape shared by every cell.
@@ -67,7 +66,7 @@ impl Default for FaultMatrixConfig {
 }
 
 /// One protocol × fault-model cell of the survival matrix.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultCell {
     /// `tree` (Forgiving Tree) or `graph` (Forgiving Graph).
     pub protocol: &'static str,
@@ -123,56 +122,30 @@ impl FaultCell {
         }
     }
 
-    fn panicked(protocol: &'static str, model: &'static str) -> Self {
-        FaultCell {
-            protocol,
-            model,
-            panicked: true,
-            converged: false,
-            connected: false,
-            wills_ok: false,
-            degree_ok: false,
-            distance_ok: false,
-            sent: 0,
-            delivered: 0,
-            dropped: 0,
-            lost: 0,
-            duplicated: 0,
-            delayed: 0,
-            crashes: 0,
-            fault_fingerprint: 0,
-        }
-    }
-
     /// Serializes the cell as one flat JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "    {{ \"protocol\": \"{}\", \"model\": \"{}\", ",
-                "\"verdict\": \"{}\", \"panicked\": {}, \"converged\": {}, ",
-                "\"connected\": {}, \"wills_ok\": {}, \"degree_ok\": {}, ",
-                "\"distance_ok\": {}, \"sent\": {}, \"delivered\": {}, ",
-                "\"dropped\": {}, \"lost\": {}, \"duplicated\": {}, ",
-                "\"delayed\": {}, \"crashes\": {}, \"fault_fingerprint\": {} }}"
-            ),
-            self.protocol,
-            self.model,
-            self.verdict(),
-            self.panicked,
-            self.converged,
-            self.connected,
-            self.wills_ok,
-            self.degree_ok,
-            self.distance_ok,
-            self.sent,
-            self.delivered,
-            self.dropped,
-            self.lost,
-            self.duplicated,
-            self.delayed,
-            self.crashes,
-            self.fault_fingerprint,
-        )
+        self.record().inline()
+    }
+
+    fn record(&self) -> Record {
+        Record::new()
+            .str("protocol", self.protocol)
+            .str("model", self.model)
+            .str("verdict", self.verdict())
+            .num("panicked", self.panicked)
+            .num("converged", self.converged)
+            .num("connected", self.connected)
+            .num("wills_ok", self.wills_ok)
+            .num("degree_ok", self.degree_ok)
+            .num("distance_ok", self.distance_ok)
+            .num("sent", self.sent)
+            .num("delivered", self.delivered)
+            .num("dropped", self.dropped)
+            .num("lost", self.lost)
+            .num("duplicated", self.duplicated)
+            .num("delayed", self.delayed)
+            .num("crashes", self.crashes)
+            .num("fault_fingerprint", self.fault_fingerprint)
     }
 }
 
@@ -189,24 +162,14 @@ pub struct FaultMatrixRecord {
 impl FaultMatrixRecord {
     /// Serializes the record (header + cells array) as JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"fault_matrix\",\n");
-        out.push_str(&format!("  \"nodes\": {},\n", self.config.nodes));
-        out.push_str(&format!("  \"events\": {},\n", self.config.events));
-        out.push_str(&format!("  \"wave_size\": {},\n", self.config.wave_size));
-        out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            out.push_str(&cell.to_json());
-            out.push_str(if i + 1 == self.cells.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        Record::new()
+            .str("bench", "fault_matrix")
+            .num("nodes", self.config.nodes)
+            .num("events", self.config.events)
+            .num("wave_size", self.config.wave_size)
+            .num("seed", self.config.seed)
+            .rows("cells", self.cells.iter().map(FaultCell::record))
+            .render()
     }
 
     /// Human-readable survival table (one line per cell).
@@ -232,78 +195,50 @@ impl FaultMatrixRecord {
     }
 }
 
-/// The Forgiving Tree cell: a deletion-only campaign on the distributed
-/// tree healer, bounds re-measured from the healed graph (the harness
-/// keeps no oracle, so degree increase is checked against the paper's
-/// `+3` and the diameter against [`ft_diameter_bound`]).
+/// The Forgiving Tree cell: the tree stress campaign (4-ary tree, random
+/// deletion waves) with the named fault model armed, bounds re-measured
+/// from the healed graph (the harness keeps no oracle, so degree increase
+/// is checked against the paper's `+3` and the diameter against
+/// [`ft_diameter_bound`]).
 fn run_tree_cell(cfg: &FaultMatrixConfig, model: &'static str) -> FaultCell {
-    let g = gen::kary_tree(cfg.nodes, 4);
-    let tree = RootedTree::from_tree_graph(&g, NodeId(0));
-    let diameter_bound = ft_diameter_bound(tree.height(), tree.max_degree());
-    let mut orig_degree = vec![0usize; g.capacity()];
-    for v in g.nodes() {
-        orig_degree[v.index()] = g.degree(v);
-    }
-
-    let mut dist = DistributedForgivingTree::new(&tree);
-    let plan = FaultConfig::from_name(model)
-        .expect("model names come from FaultConfig::model_names")
-        .plan(cfg.seed ^ FAULT_SEED_SALT);
-    if !plan.is_zero() {
-        dist.network_mut().set_fault_plan(Some(plan));
-    }
-    let mut planner = make_wave_planner("random", cfg.seed).expect("random planner exists");
-    let mut campaign = Campaign::new(CampaignConfig {
-        cadence: HealCadence::PerDeletion,
-        ..CampaignConfig::default()
+    let (rec, dist) = run_tree_campaign(&StressConfig {
+        nodes: cfg.nodes,
+        deletions: cfg.events,
+        wave_size: cfg.wave_size,
+        arity: 4,
+        planner: String::from("random"),
+        seed: cfg.seed,
+        cadence: String::from("per-deletion"),
+        faults: String::from(model),
+        ..StressConfig::default()
     });
-
-    let mut remaining = cfg.events.min(cfg.nodes.saturating_sub(2));
-    while remaining > 0 && dist.len() > 2 {
-        let k = remaining.min(cfg.wave_size.max(1)).min(dist.len() - 2);
-        let victims = planner.plan(
-            AdversaryView {
-                graph: dist.graph(),
-                ft: None,
-            },
-            k,
-        );
-        if victims.is_empty() {
-            break;
-        }
-        remaining -= victims.len();
-        campaign.run_wave(dist.network_mut(), &victims);
-    }
-
-    dist.network()
-        .check_accounting()
-        .expect("message ledger imbalance in a fault-matrix tree cell");
+    let pristine = gen::kary_tree(cfg.nodes, 4);
+    let tree = RootedTree::from_tree_graph(&pristine, NodeId(0));
     let healed = dist.graph();
-    let connected = healed.is_connected();
     let degree_ok = healed
         .nodes()
-        .all(|v| healed.degree(v) <= orig_degree[v.index()] + 3);
+        .all(|v| healed.degree(v) <= pristine.degree(v) + 3);
     // A disconnected graph has no finite diameter; charge it to the
     // distance bound as well as to connectivity.
-    let distance_ok = diameter_exact(healed).is_some_and(|d| d <= diameter_bound);
-    let ledger = dist.ledger();
+    let distance_ok = diameter_exact(healed)
+        .is_some_and(|d| d <= ft_diameter_bound(tree.height(), tree.max_degree()));
     FaultCell {
         protocol: "tree",
         model,
-        panicked: false,
-        converged: campaign.report().converged,
-        connected,
+        converged: rec.converged,
+        connected: rec.connected,
         wills_ok: true,
         degree_ok,
         distance_ok,
-        sent: ledger.sent(),
-        delivered: ledger.delivered(),
-        dropped: ledger.dropped(),
-        lost: ledger.lost(),
-        duplicated: ledger.duplicated(),
-        delayed: ledger.delayed(),
-        crashes: dist.network().crashes(),
-        fault_fingerprint: dist.network().fault_fingerprint(),
+        sent: rec.sent,
+        delivered: rec.delivered,
+        dropped: rec.dropped,
+        lost: rec.lost,
+        duplicated: rec.duplicated,
+        delayed: rec.delayed,
+        crashes: rec.crashes,
+        fault_fingerprint: rec.fault_fingerprint,
+        ..FaultCell::default()
     }
 }
 
@@ -330,7 +265,6 @@ fn run_graph_cell(cfg: &FaultMatrixConfig, model: &'static str) -> FaultCell {
     FaultCell {
         protocol: "graph",
         model,
-        panicked: false,
         converged: rec.converged,
         connected: rec.connected,
         wills_ok: rec.wills_ok,
@@ -344,6 +278,7 @@ fn run_graph_cell(cfg: &FaultMatrixConfig, model: &'static str) -> FaultCell {
         delayed: rec.delayed,
         crashes: rec.crashes,
         fault_fingerprint: rec.fault_fingerprint,
+        ..FaultCell::default()
     }
 }
 
@@ -362,8 +297,12 @@ pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixRecord {
                 "tree" => run_tree_cell(cfg, model),
                 _ => run_graph_cell(cfg, model),
             };
-            let cell = catch_unwind(AssertUnwindSafe(run))
-                .unwrap_or_else(|_| FaultCell::panicked(protocol, model));
+            let cell = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| FaultCell {
+                protocol,
+                model,
+                panicked: true,
+                ..FaultCell::default()
+            });
             cells.push(cell);
         }
     }

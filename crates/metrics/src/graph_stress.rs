@@ -21,14 +21,15 @@
 //! recorded booleans — under an adversary that loses mail and crashes
 //! nodes mid-heal, those are the measurements the fault matrix collects.
 
-use crate::stress::FAULT_SEED_SALT;
+use crate::record::Record;
+use crate::stress::{arm_faults, audit};
 use crate::stretch::{measure_stretch_full, StretchReport};
 use crate::stretch_inc::StretchTracker;
 use ft_adversary::{make_churn_planner, AdversaryView};
 use ft_core::{fg_degree_bound, fg_stretch_bound, DistributedForgivingGraph};
 use ft_costs::OperationCost;
 use ft_graph::gen;
-use ft_sim::{Campaign, CampaignConfig, FaultConfig};
+use ft_sim::{Campaign, CampaignConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,7 +60,7 @@ pub struct GraphStressConfig {
     /// `both` (run both and panic unless every figure agrees — the
     /// differential-oracle mode CI exercises).
     pub stretch_mode: String,
-    /// Named fault model ([`FaultConfig::from_name`]): `none` (default),
+    /// Named fault model ([`ft_sim::FaultConfig::from_name`]): `none` (default),
     /// `delay`, `loss`, `dup`, `crash`, `partition`, `chaos`, or
     /// `+`-joined combinations. Any model other than `none` relaxes the
     /// convergence/connectivity/will/bound panics into recorded booleans —
@@ -179,126 +180,62 @@ pub struct GraphStressRecord {
 }
 
 impl GraphStressRecord {
-    /// Serializes the record as a flat JSON object (hand-rolled: the
-    /// workspace is offline and vendors no serde).
+    /// Serializes the record as a flat JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"graph_stress\",\n",
-                "  \"nodes\": {},\n",
-                "  \"events\": {},\n",
-                "  \"wave_size\": {},\n",
-                "  \"insert_fraction\": {:.3},\n",
-                "  \"extra_edges\": {:.3},\n",
-                "  \"planner\": \"{}\",\n",
-                "  \"seed\": {},\n",
-                "  \"waves\": {},\n",
-                "  \"insertions\": {},\n",
-                "  \"deletions\": {},\n",
-                "  \"rounds\": {},\n",
-                "  \"live_remaining\": {},\n",
-                "  \"elapsed_secs\": {:.6},\n",
-                "  \"wall_ms\": {:.3},\n",
-                "  \"stretch_wall_ms\": {:.3},\n",
-                "  \"events_per_sec\": {:.1},\n",
-                "  \"msgs_per_sec\": {:.1},\n",
-                "  \"peak_per_node_load\": {},\n",
-                "  \"max_per_node_total\": {},\n",
-                "  \"sent\": {},\n",
-                "  \"delivered\": {},\n",
-                "  \"dropped\": {},\n",
-                "  \"notices\": {},\n",
-                "  \"joins\": {},\n",
-                "  \"total_messages\": {},\n",
-                "  \"max_degree_increase\": {},\n",
-                "  \"degree_bound\": {},\n",
-                "  \"stretch_sources\": {},\n",
-                "  \"stretch_pairs\": {},\n",
-                "  \"max_stretch\": {:.4},\n",
-                "  \"mean_stretch\": {:.4},\n",
-                "  \"stretch_bound\": {:.1},\n",
-                "  \"stretch_mode\": \"{}\",\n",
-                "  \"stretch_modes_agree\": {},\n",
-                "  \"cost_messages_sent\": {},\n",
-                "  \"cost_messages_delivered\": {},\n",
-                "  \"cost_node_visits\": {},\n",
-                "  \"cost_edge_scans\": {},\n",
-                "  \"cost_heap_bytes\": {},\n",
-                "  \"cost_seeks\": {},\n",
-                "  \"stretch_node_visits\": {},\n",
-                "  \"stretch_edge_scans\": {},\n",
-                "  \"stretch_heap_bytes\": {},\n",
-                "  \"stretch_seeks\": {},\n",
-                "  \"balanced\": {},\n",
-                "  \"within_bounds\": {},\n",
-                "  \"converged\": {},\n",
-                "  \"faults\": \"{}\",\n",
-                "  \"wills_ok\": {},\n",
-                "  \"lost\": {},\n",
-                "  \"duplicated\": {},\n",
-                "  \"delayed\": {},\n",
-                "  \"crashes\": {},\n",
-                "  \"fault_fingerprint\": {},\n",
-                "  \"connected\": {}\n",
-                "}}\n"
-            ),
-            self.config.nodes,
-            self.config.events,
-            self.config.wave_size,
-            self.config.insert_fraction,
-            self.config.extra_edges,
-            self.config.planner,
-            self.config.seed,
-            self.waves,
-            self.insertions,
-            self.deletions,
-            self.rounds,
-            self.live_remaining,
-            self.elapsed_secs,
-            self.wall_ms,
-            self.stretch_wall_ms,
-            self.events_per_sec,
-            self.msgs_per_sec,
-            self.peak_per_node_load,
-            self.max_per_node_total,
-            self.sent,
-            self.delivered,
-            self.dropped,
-            self.notices,
-            self.joins,
-            self.total_messages,
-            self.max_degree_increase,
-            self.degree_bound,
-            self.stretch.sources,
-            self.stretch.pairs,
-            self.stretch.max_stretch,
-            self.stretch.mean_stretch,
-            self.stretch_bound,
-            self.stretch_mode,
-            self.stretch_modes_agree,
-            self.cost.messages_sent,
-            self.cost.messages_delivered,
-            self.cost.node_visits,
-            self.cost.edge_scans,
-            self.cost.heap_bytes,
-            self.cost.seeks,
-            self.stretch_cost.node_visits,
-            self.stretch_cost.edge_scans,
-            self.stretch_cost.heap_bytes,
-            self.stretch_cost.seeks,
-            self.balanced,
-            self.within_bounds,
-            self.converged,
-            self.config.faults,
-            self.wills_ok,
-            self.lost,
-            self.duplicated,
-            self.delayed,
-            self.crashes,
-            self.fault_fingerprint,
-            self.connected,
-        )
+        let c = &self.config;
+        Record::new()
+            .str("bench", "graph_stress")
+            .num("nodes", c.nodes)
+            .num("events", c.events)
+            .num("wave_size", c.wave_size)
+            .fixed("insert_fraction", c.insert_fraction, 3)
+            .fixed("extra_edges", c.extra_edges, 3)
+            .str("planner", &c.planner)
+            .num("seed", c.seed)
+            .num("waves", self.waves)
+            .num("insertions", self.insertions)
+            .num("deletions", self.deletions)
+            .num("rounds", self.rounds)
+            .num("live_remaining", self.live_remaining)
+            .fixed("elapsed_secs", self.elapsed_secs, 6)
+            .fixed("wall_ms", self.wall_ms, 3)
+            .fixed("stretch_wall_ms", self.stretch_wall_ms, 3)
+            .fixed("events_per_sec", self.events_per_sec, 1)
+            .fixed("msgs_per_sec", self.msgs_per_sec, 1)
+            .num("peak_per_node_load", self.peak_per_node_load)
+            .num("max_per_node_total", self.max_per_node_total)
+            .num("sent", self.sent)
+            .num("delivered", self.delivered)
+            .num("dropped", self.dropped)
+            .num("notices", self.notices)
+            .num("joins", self.joins)
+            .num("total_messages", self.total_messages)
+            .num("max_degree_increase", self.max_degree_increase)
+            .num("degree_bound", self.degree_bound)
+            .num("stretch_sources", self.stretch.sources)
+            .num("stretch_pairs", self.stretch.pairs)
+            .fixed("max_stretch", self.stretch.max_stretch, 4)
+            .fixed("mean_stretch", self.stretch.mean_stretch, 4)
+            .fixed("stretch_bound", self.stretch_bound, 1)
+            .str("stretch_mode", &self.stretch_mode)
+            .num("stretch_modes_agree", self.stretch_modes_agree)
+            .cost("cost", &self.cost)
+            .num("stretch_node_visits", self.stretch_cost.node_visits)
+            .num("stretch_edge_scans", self.stretch_cost.edge_scans)
+            .num("stretch_heap_bytes", self.stretch_cost.heap_bytes)
+            .num("stretch_seeks", self.stretch_cost.seeks)
+            .num("balanced", self.balanced)
+            .num("within_bounds", self.within_bounds)
+            .num("converged", self.converged)
+            .str("faults", &c.faults)
+            .num("wills_ok", self.wills_ok)
+            .num("lost", self.lost)
+            .num("duplicated", self.duplicated)
+            .num("delayed", self.delayed)
+            .num("crashes", self.crashes)
+            .num("fault_fingerprint", self.fault_fingerprint)
+            .num("connected", self.connected)
+            .render()
     }
 
     /// One-line human summary.
@@ -366,13 +303,7 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let g = initial_graph(cfg, &mut rng);
     let mut dist = DistributedForgivingGraph::new(&g);
-    let fault_cfg = FaultConfig::from_name(&cfg.faults)
-        .unwrap_or_else(|| panic!("unknown fault model: {}", cfg.faults));
-    let faulty = !fault_cfg.is_zero();
-    if faulty {
-        dist.network_mut()
-            .set_fault_plan(Some(fault_cfg.plan(cfg.seed ^ FAULT_SEED_SALT)));
-    }
+    let faulty = arm_faults(dist.network_mut(), &cfg.faults, cfg.seed);
     let mut planner = make_churn_planner(&cfg.planner, cfg.seed, cfg.insert_fraction)
         .unwrap_or_else(|| panic!("unknown churn planner: {}", cfg.planner));
     let mut campaign = Campaign::new(CampaignConfig::default());
@@ -420,9 +351,7 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
     }
     let elapsed = (start.elapsed().as_secs_f64() - stretch_wall).max(1e-9);
 
-    dist.network()
-        .check_accounting()
-        .expect("message ledger imbalance after graph stress campaign");
+    audit(dist.network());
     let converged = campaign.report().converged;
     let wills = dist.check_wills();
     let connected = dist.graph().is_connected();
@@ -489,12 +418,6 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
     }
 
     let ledger = dist.ledger();
-    let cost = dist.network().costs();
-    assert_eq!(
-        cost.messages_delivered,
-        ledger.delivered(),
-        "operation-cost delivery counter diverged from the ledger"
-    );
     let report = campaign.report();
     GraphStressRecord {
         waves: report.waves,
@@ -525,7 +448,7 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
             String::from("incremental")
         },
         stretch_modes_agree,
-        cost,
+        cost: dist.network().costs(),
         stretch_cost,
         balanced: true,
         within_bounds,

@@ -16,10 +16,13 @@
 //!
 //! [`claims`] runs the seeded set behind `ftree reproduce` and renders it
 //! as `CLAIMS.md`, one row per claim of the two papers.
+//!
+//! Every `BENCH_*.json` record is written by one [`Record`].
 
 pub mod claims;
 pub mod fault_matrix;
 pub mod graph_stress;
+mod record;
 pub mod runner;
 pub mod stats;
 pub mod stress;
@@ -30,6 +33,7 @@ pub mod workload;
 
 pub use fault_matrix::{run_fault_matrix, FaultCell, FaultMatrixConfig, FaultMatrixRecord};
 pub use graph_stress::{run_graph_stress, GraphStressConfig, GraphStressRecord};
+pub use record::Record;
 pub use runner::{run_trial, StepMetrics, Trial, TrialConfig, TrialSummary};
 pub use stats::{log_log_slope, Summary};
 pub use stress::{run_stress, StressConfig, StressRecord};

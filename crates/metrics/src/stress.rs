@@ -18,16 +18,16 @@
 //! faults the convergence/connectivity panics relax into recorded
 //! booleans; the accounting panics never relax.
 
+use crate::record::Record;
 use ft_adversary::{make_wave_planner, AdversaryView};
 use ft_core::distributed::DistributedForgivingTree;
 use ft_costs::OperationCost;
 use ft_graph::tree::RootedTree;
 use ft_graph::{gen, NodeId};
-use ft_sim::{Campaign, CampaignConfig, FaultConfig, HealCadence};
+use ft_sim::{Campaign, CampaignConfig, FaultConfig, HealCadence, Network, Process};
 
-/// Salt xor-ed into the campaign seed to derive the fault-plan seed, so the
-/// wave planner and the fault schedule draw from decoupled streams.
-pub(crate) const FAULT_SEED_SALT: u64 = 0xFA17_5EED;
+/// Salt xor-ed into the campaign seed to derive the fault-plan seed.
+const FAULT_SEED_SALT: u64 = 0xFA17_5EED;
 
 /// Stress-campaign parameters.
 #[derive(Clone, Debug)]
@@ -145,88 +145,43 @@ pub struct StressRecord {
 }
 
 impl StressRecord {
-    /// Serializes the record as a flat JSON object (hand-rolled: the
-    /// workspace is offline and vendors no serde).
+    /// Serializes the record as a flat JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"sim_stress\",\n",
-                "  \"nodes\": {},\n",
-                "  \"arity\": {},\n",
-                "  \"planner\": \"{}\",\n",
-                "  \"cadence\": \"{}\",\n",
-                "  \"seed\": {},\n",
-                "  \"wave_size\": {},\n",
-                "  \"waves\": {},\n",
-                "  \"deletions\": {},\n",
-                "  \"rounds\": {},\n",
-                "  \"live_remaining\": {},\n",
-                "  \"elapsed_secs\": {:.6},\n",
-                "  \"wall_ms\": {:.3},\n",
-                "  \"nodes_per_sec\": {:.1},\n",
-                "  \"msgs_per_sec\": {:.1},\n",
-                "  \"peak_per_node_load\": {},\n",
-                "  \"max_per_node_total\": {},\n",
-                "  \"sent\": {},\n",
-                "  \"delivered\": {},\n",
-                "  \"dropped\": {},\n",
-                "  \"notices\": {},\n",
-                "  \"total_messages\": {},\n",
-                "  \"cost_messages_sent\": {},\n",
-                "  \"cost_messages_delivered\": {},\n",
-                "  \"cost_node_visits\": {},\n",
-                "  \"cost_edge_scans\": {},\n",
-                "  \"cost_heap_bytes\": {},\n",
-                "  \"cost_seeks\": {},\n",
-                "  \"balanced\": {},\n",
-                "  \"converged\": {},\n",
-                "  \"faults\": \"{}\",\n",
-                "  \"lost\": {},\n",
-                "  \"duplicated\": {},\n",
-                "  \"delayed\": {},\n",
-                "  \"crashes\": {},\n",
-                "  \"fault_fingerprint\": {},\n",
-                "  \"connected\": {}\n",
-                "}}\n"
-            ),
-            self.config.nodes,
-            self.config.arity,
-            self.config.planner,
-            self.config.cadence,
-            self.config.seed,
-            self.config.wave_size,
-            self.waves,
-            self.deletions,
-            self.rounds,
-            self.live_remaining,
-            self.elapsed_secs,
-            self.wall_ms,
-            self.nodes_per_sec,
-            self.msgs_per_sec,
-            self.peak_per_node_load,
-            self.max_per_node_total,
-            self.sent,
-            self.delivered,
-            self.dropped,
-            self.notices,
-            self.total_messages,
-            self.cost.messages_sent,
-            self.cost.messages_delivered,
-            self.cost.node_visits,
-            self.cost.edge_scans,
-            self.cost.heap_bytes,
-            self.cost.seeks,
-            self.balanced,
-            self.converged,
-            self.config.faults,
-            self.lost,
-            self.duplicated,
-            self.delayed,
-            self.crashes,
-            self.fault_fingerprint,
-            self.connected,
-        )
+        let c = &self.config;
+        Record::new()
+            .str("bench", "sim_stress")
+            .num("nodes", c.nodes)
+            .num("arity", c.arity)
+            .str("planner", &c.planner)
+            .str("cadence", &c.cadence)
+            .num("seed", c.seed)
+            .num("wave_size", c.wave_size)
+            .num("waves", self.waves)
+            .num("deletions", self.deletions)
+            .num("rounds", self.rounds)
+            .num("live_remaining", self.live_remaining)
+            .fixed("elapsed_secs", self.elapsed_secs, 6)
+            .fixed("wall_ms", self.wall_ms, 3)
+            .fixed("nodes_per_sec", self.nodes_per_sec, 1)
+            .fixed("msgs_per_sec", self.msgs_per_sec, 1)
+            .num("peak_per_node_load", self.peak_per_node_load)
+            .num("max_per_node_total", self.max_per_node_total)
+            .num("sent", self.sent)
+            .num("delivered", self.delivered)
+            .num("dropped", self.dropped)
+            .num("notices", self.notices)
+            .num("total_messages", self.total_messages)
+            .cost("cost", &self.cost)
+            .num("balanced", self.balanced)
+            .num("converged", self.converged)
+            .str("faults", &c.faults)
+            .num("lost", self.lost)
+            .num("duplicated", self.duplicated)
+            .num("delayed", self.delayed)
+            .num("crashes", self.crashes)
+            .num("fault_fingerprint", self.fault_fingerprint)
+            .num("connected", self.connected)
+            .render()
     }
 
     /// One-line human summary.
@@ -255,29 +210,59 @@ impl StressRecord {
 /// When `faults == "none"` a truncated heal or a disconnected result also
 /// panics; under any other fault model those become the recorded
 /// `converged` / `connected` booleans.
+pub fn run_stress(cfg: &StressConfig) -> StressRecord {
+    run_tree_campaign(cfg).0
+}
+
+/// Arms the named fault `model` on `net`, its plan seeded from `seed`
+/// xor-ed with a salt, so the planner and the fault schedule draw from
+/// decoupled streams. Returns whether any fault can fire (`none` arms
+/// nothing).
+///
+/// # Panics
+/// Panics on an unknown model name.
+pub(crate) fn arm_faults<P: Process>(net: &mut Network<P>, model: &str, seed: u64) -> bool {
+    let fault_cfg =
+        FaultConfig::from_name(model).unwrap_or_else(|| panic!("unknown fault model: {model}"));
+    let faulty = !fault_cfg.is_zero();
+    if faulty {
+        net.set_fault_plan(Some(fault_cfg.plan(seed ^ FAULT_SEED_SALT)));
+    }
+    faulty
+}
+
+/// The end-of-campaign accounting check every harness runs, faulty or
+/// not.
+///
+/// # Panics
+/// Panics unless the ledger identities hold and the engine's delivered
+/// counter equals the ledger's delivered book.
+pub(crate) fn audit<P: Process>(net: &Network<P>) {
+    net.check_accounting()
+        .expect("message ledger imbalance after the campaign");
+    assert_eq!(
+        net.costs().messages_delivered,
+        net.ledger().delivered(),
+        "operation-cost delivery counter diverged from the ledger"
+    );
+}
+
+/// The tree campaign behind [`run_stress`]; it also returns the healed
+/// network, for callers that check more than the record holds.
 #[expect(
     clippy::disallowed_types,
     reason = "times the campaign for the record's wall-clock fields; no protocol decision reads the clock"
 )]
-pub fn run_stress(cfg: &StressConfig) -> StressRecord {
+pub(crate) fn run_tree_campaign(cfg: &StressConfig) -> (StressRecord, DistributedForgivingTree) {
     use std::time::Instant;
     let g = gen::kary_tree(cfg.nodes, cfg.arity.max(2));
     let tree = RootedTree::from_tree_graph(&g, NodeId(0));
     let mut dist = DistributedForgivingTree::new(&tree);
     let mut planner = make_wave_planner(&cfg.planner, cfg.seed)
         .unwrap_or_else(|| panic!("unknown wave planner: {}", cfg.planner));
-    let cadence = match cfg.cadence.as_str() {
-        "per-deletion" => HealCadence::PerDeletion,
-        "per-wave" => HealCadence::PerWave,
-        other => panic!("unknown heal cadence: {other} (per-deletion | per-wave)"),
-    };
-    let fault_cfg = FaultConfig::from_name(&cfg.faults)
-        .unwrap_or_else(|| panic!("unknown fault model: {}", cfg.faults));
-    let faulty = !fault_cfg.is_zero();
-    if faulty {
-        dist.network_mut()
-            .set_fault_plan(Some(fault_cfg.plan(cfg.seed ^ FAULT_SEED_SALT)));
-    }
+    let cadence = HealCadence::from_name(&cfg.cadence)
+        .unwrap_or_else(|| panic!("unknown heal cadence: {}", cfg.cadence));
+    let faulty = arm_faults(dist.network_mut(), &cfg.faults, cfg.seed);
     let mut campaign = Campaign::new(CampaignConfig {
         cadence,
         ..CampaignConfig::default()
@@ -302,14 +287,12 @@ pub fn run_stress(cfg: &StressConfig) -> StressRecord {
     }
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
 
-    dist.network()
-        .check_accounting()
-        .expect("message ledger imbalance after stress campaign");
-    let converged = campaign.report().converged;
+    audit(dist.network());
+    let report = campaign.report();
     let connected = dist.graph().is_connected();
     if !faulty {
         assert!(
-            converged,
+            report.converged,
             "a heal phase was truncated by the round budget (non-convergence)"
         );
         assert!(
@@ -318,14 +301,7 @@ pub fn run_stress(cfg: &StressConfig) -> StressRecord {
         );
     }
     let ledger = dist.ledger();
-    let cost = dist.network().costs();
-    assert_eq!(
-        cost.messages_delivered,
-        ledger.delivered(),
-        "operation-cost delivery counter diverged from the ledger"
-    );
-    let report = campaign.report();
-    StressRecord {
+    let record = StressRecord {
         waves: report.waves,
         deletions: report.deletions,
         rounds: report.rounds,
@@ -341,9 +317,9 @@ pub fn run_stress(cfg: &StressConfig) -> StressRecord {
         dropped: ledger.dropped(),
         notices: ledger.notices(),
         total_messages: ledger.total_messages(),
-        cost,
+        cost: dist.network().costs(),
         balanced: true,
-        converged,
+        converged: report.converged,
         lost: ledger.lost(),
         duplicated: ledger.duplicated(),
         delayed: ledger.delayed(),
@@ -351,7 +327,8 @@ pub fn run_stress(cfg: &StressConfig) -> StressRecord {
         fault_fingerprint: dist.network().fault_fingerprint(),
         connected,
         config: cfg.clone(),
-    }
+    };
+    (record, dist)
 }
 
 #[cfg(test)]

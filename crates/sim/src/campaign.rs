@@ -35,6 +35,18 @@ pub enum HealCadence {
     PerWave,
 }
 
+impl HealCadence {
+    /// Parses a cadence name: `per-deletion` or `per-wave`. Returns `None`
+    /// for any other name.
+    pub fn from_name(name: &str) -> Option<HealCadence> {
+        match name {
+            "per-deletion" => Some(HealCadence::PerDeletion),
+            "per-wave" => Some(HealCadence::PerWave),
+            _ => None,
+        }
+    }
+}
+
 /// Campaign parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct CampaignConfig {
@@ -353,6 +365,19 @@ mod tests {
     use super::*;
     use crate::network::{Ctx, Process};
     use ft_graph::{gen, NodeId};
+
+    #[test]
+    fn cadence_names_parse() {
+        assert_eq!(
+            HealCadence::from_name("per-deletion"),
+            Some(HealCadence::PerDeletion)
+        );
+        assert_eq!(
+            HealCadence::from_name("per-wave"),
+            Some(HealCadence::PerWave)
+        );
+        assert_eq!(HealCadence::from_name("per-round"), None);
+    }
 
     /// On a neighbor's death, ping every surviving graph neighbor once —
     /// enough traffic to make the ledgers interesting.

@@ -490,6 +490,7 @@ mod tests {
         for name in FaultConfig::model_names() {
             let m = FaultConfig::from_name(name).expect("every listed model parses");
             assert!(m.loss <= chaos.loss && m.crash <= chaos.crash);
+            assert_eq!(m.plan(11), m.plan(11), "{name} must be pure in its seed");
         }
     }
 

@@ -37,10 +37,9 @@
 //! retired one like `--threads`) prints usage and exits 2 rather than
 //! running on defaults.
 
-use forgiving_tree::costs::OperationCost;
 use forgiving_tree::metrics::{
     claims, log_log_slope, run_fault_matrix, run_graph_stress, run_stress, run_trial,
-    FaultMatrixConfig, GraphStressConfig, StressConfig, Table, TrialConfig, Workload,
+    FaultMatrixConfig, GraphStressConfig, Record, StressConfig, Table, TrialConfig, Workload,
 };
 use forgiving_tree::prelude::*;
 use std::process::exit;
@@ -185,7 +184,7 @@ fn parse_scaled(s: &str) -> Option<usize> {
 /// fault models, rejecting unknown names before any campaign runs.
 fn parse_fault_model(args: &[String]) -> String {
     let model = flag_value(args, "--faults").unwrap_or("none");
-    if forgiving_tree::prelude::make_fault_plan(model, 0).is_none() {
+    if FaultConfig::from_name(model).is_none() {
         eprintln!("unknown fault model: {model}");
         usage();
     }
@@ -215,17 +214,20 @@ fn write_out(out: &str, contents: &str) {
     println!("wrote {out}");
 }
 
-/// Reads `--nodes` (default `default`). A campaign needs at least its
-/// root, so `0` is rejected here instead of panicking inside the harness.
-fn parse_nodes(args: &[String], default: usize) -> usize {
-    let nodes = flag_value(args, "--nodes")
+/// Reads a count flag in scaled form (default `default`), rejecting
+/// values below `min`: a campaign needs at least its root (`--nodes`), a
+/// tree at least two children per node (`--arity`), a wave at least one
+/// victim (`--wave`). The harnesses would clamp or panic instead, and a
+/// record must never describe a campaign that was not actually run.
+fn parse_count(args: &[String], flag: &str, default: usize, min: usize) -> usize {
+    let v = flag_value(args, flag)
         .map(|s| parse_scaled(s).unwrap_or_else(|| usage()))
         .unwrap_or(default);
-    if nodes == 0 {
-        eprintln!("--nodes must be at least 1");
+    if v < min {
+        eprintln!("{flag} must be at least {min}");
         usage();
     }
-    nodes
+    v
 }
 
 fn cmd_attack(args: &[String]) {
@@ -369,11 +371,6 @@ fn cmd_stress_tree(args: &[String]) {
         ],
         &[],
     );
-    let num = |flag: &str, default: usize| -> usize {
-        flag_value(args, flag)
-            .map(|s| parse_scaled(s).unwrap_or_else(|| usage()))
-            .unwrap_or(default)
-    };
     let defaults = StressConfig::default();
     let planner = flag_value(args, "--planner").unwrap_or("random");
     if forgiving_tree::prelude::make_wave_planner(planner, 0).is_none() {
@@ -381,18 +378,18 @@ fn cmd_stress_tree(args: &[String]) {
         usage();
     }
     let cadence = flag_value(args, "--cadence").unwrap_or("per-deletion");
-    if !matches!(cadence, "per-deletion" | "per-wave") {
+    if HealCadence::from_name(cadence).is_none() {
         eprintln!("unknown cadence: {cadence} (per-deletion | per-wave)");
         usage();
     }
     let faults = parse_fault_model(args);
     let cfg = StressConfig {
-        nodes: parse_nodes(args, defaults.nodes),
-        deletions: num("--deletions", defaults.deletions),
-        wave_size: num("--wave", defaults.wave_size),
-        arity: num("--arity", defaults.arity),
+        nodes: parse_count(args, "--nodes", defaults.nodes, 1),
+        deletions: parse_count(args, "--deletions", defaults.deletions, 0),
+        wave_size: parse_count(args, "--wave", defaults.wave_size, 1),
+        arity: parse_count(args, "--arity", defaults.arity, 2),
         planner: planner.into(),
-        seed: num("--seed", defaults.seed as usize) as u64,
+        seed: parse_count(args, "--seed", defaults.seed as usize, 0) as u64,
         cadence: cadence.into(),
         faults,
         ..defaults
@@ -442,11 +439,6 @@ fn cmd_stress_graph(args: &[String]) {
         ],
         &[],
     );
-    let num = |flag: &str, default: usize| -> usize {
-        flag_value(args, flag)
-            .map(|s| parse_scaled(s).unwrap_or_else(|| usage()))
-            .unwrap_or(default)
-    };
     let defaults = GraphStressConfig::default();
     let planner = flag_value(args, "--planner").unwrap_or("mixed");
     if forgiving_tree::prelude::make_churn_planner(planner, 0, 0.5).is_none() {
@@ -460,14 +452,14 @@ fn cmd_stress_graph(args: &[String]) {
     }
     let faults = parse_fault_model(args);
     let cfg = GraphStressConfig {
-        nodes: parse_nodes(args, defaults.nodes),
-        events: num("--events", defaults.events),
-        wave_size: num("--wave", defaults.wave_size),
+        nodes: parse_count(args, "--nodes", defaults.nodes, 1),
+        events: parse_count(args, "--events", defaults.events, 0),
+        wave_size: parse_count(args, "--wave", defaults.wave_size, 1),
         insert_fraction: parse_fraction(args, "--insert-frac", defaults.insert_fraction),
         extra_edges: parse_fraction(args, "--extra-edges", defaults.extra_edges),
         planner: planner.into(),
-        seed: num("--seed", defaults.seed as usize) as u64,
-        stretch_sources: num("--sources", defaults.stretch_sources),
+        seed: parse_count(args, "--seed", defaults.seed as usize, 0) as u64,
+        stretch_sources: parse_count(args, "--sources", defaults.stretch_sources, 0),
         stretch_mode: stretch_mode.into(),
         faults,
         ..defaults
@@ -531,21 +523,6 @@ fn cmd_stress_graph(args: &[String]) {
     write_out(out, &rec.to_json());
 }
 
-/// Appends one JSON line per [`OperationCost`] counter, keyed
-/// `<prefix>_<counter>`, each line comma-terminated.
-fn push_cost_fields(out: &mut String, prefix: &str, c: &OperationCost) {
-    for (key, v) in [
-        ("messages_sent", c.messages_sent),
-        ("messages_delivered", c.messages_delivered),
-        ("node_visits", c.node_visits),
-        ("edge_scans", c.edge_scans),
-        ("heap_bytes", c.heap_bytes),
-        ("seeks", c.seeks),
-    ] {
-        out.push_str(&format!("  \"{prefix}_{key}\": {v},\n"));
-    }
-}
-
 fn cmd_costs(args: &[String]) {
     check_flags(args, &["--out"], &[]);
     // The two CI smoke campaigns, pinned: the exact shapes the workflow's
@@ -571,13 +548,15 @@ fn cmd_costs(args: &[String]) {
         stretch_mode: "incremental".into(),
         ..GraphStressConfig::default()
     });
-    let mut json = String::from("{\n  \"bench\": \"costs\",\n");
-    json.push_str(&format!("  \"tree_rounds\": {},\n", tree.rounds));
-    push_cost_fields(&mut json, "tree", &tree.cost);
-    json.push_str(&format!("  \"graph_rounds\": {},\n", graph.rounds));
-    push_cost_fields(&mut json, "graph", &graph.cost);
-    push_cost_fields(&mut json, "graph_stretch", &graph.stretch_cost);
-    json.push_str("  \"schema\": 1\n}\n");
+    let json = Record::new()
+        .str("bench", "costs")
+        .num("tree_rounds", tree.rounds)
+        .cost("tree", &tree.cost)
+        .num("graph_rounds", graph.rounds)
+        .cost("graph", &graph.cost)
+        .cost("graph_stretch", &graph.stretch_cost)
+        .num("schema", 1)
+        .render();
     println!(
         "tree  smoke: rounds {} | sent {} delivered {} | visits {} scans {}",
         tree.rounds,
@@ -608,17 +587,12 @@ fn cmd_faults(args: &[String]) {
         &["--nodes", "--events", "--wave", "--seed", "--out"],
         &[],
     );
-    let num = |flag: &str, default: usize| -> usize {
-        flag_value(args, flag)
-            .map(|s| parse_scaled(s).unwrap_or_else(|| usage()))
-            .unwrap_or(default)
-    };
     let defaults = FaultMatrixConfig::default();
     let cfg = FaultMatrixConfig {
-        nodes: parse_nodes(args, defaults.nodes),
-        events: num("--events", defaults.events),
-        wave_size: num("--wave", defaults.wave_size),
-        seed: num("--seed", defaults.seed as usize) as u64,
+        nodes: parse_count(args, "--nodes", defaults.nodes, 1),
+        events: parse_count(args, "--events", defaults.events, 0),
+        wave_size: parse_count(args, "--wave", defaults.wave_size, 1),
+        seed: parse_count(args, "--seed", defaults.seed as usize, 0) as u64,
     };
     let rec = run_fault_matrix(&cfg);
     print!("{}", rec.summary());

@@ -76,8 +76,8 @@ pub use ft_sim as sim;
 /// The types most programs need.
 pub mod prelude {
     pub use ft_adversary::{
-        make_churn_planner, make_fault_plan, make_wave_planner, Adversary, AdversaryView,
-        ChurnPlanner, DiameterGreedy, HeavyTailWave, HeirHunter, HighestDegreeAdversary, HubSiphon,
+        make_churn_planner, make_wave_planner, Adversary, AdversaryView, ChurnPlanner,
+        DiameterGreedy, HeavyTailWave, HeirHunter, HighestDegreeAdversary, HubSiphon,
         LowestDegreeAdversary, MixedChurn, RandomAdversary, RandomWave, RootAdversary, SurgeChurn,
         TargetedWave, WavePlanner,
     };

@@ -59,6 +59,21 @@ fn zero_nodes_is_rejected() {
 }
 
 #[test]
+fn clamped_arity_and_wave_are_rejected() {
+    // the harnesses ran these as `--arity 2` and `--wave 1`, yet the
+    // record echoed the values given
+    for args in [
+        "stress --nodes 300 --deletions 10 --arity 1",
+        "stress --nodes 300 --deletions 10 --arity 0",
+        "stress --nodes 300 --deletions 10 --wave 0",
+        "stress --model graph --nodes 300 --events 10 --wave 0",
+        "faults --nodes 100 --wave 0",
+    ] {
+        assert_eq!(ftree(args, &[]), 2, "{args}");
+    }
+}
+
+#[test]
 fn empty_workloads_and_bad_fractions_are_rejected() {
     // the zero-size workloads once panicked in the generators or in
     // `RootedTree`; a fraction outside [0, 1] ran as 0 or 1 deletions' worth
