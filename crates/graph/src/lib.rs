@@ -248,28 +248,6 @@ impl Graph {
         NodeId(i as u32)
     }
 
-    /// Revives a previously deleted slot (slot-reuse insertion policy): the
-    /// node returns isolated, under its old ID.
-    ///
-    /// # Panics
-    /// Panics if `v` is out of range or still alive.
-    pub fn revive_node(&mut self, v: NodeId) {
-        let i = v.index();
-        assert!(i < self.adj.len(), "revive_node: {v:?} out of range");
-        assert!(!self.is_alive(v), "revive_node: {v:?} is alive");
-        debug_assert!(self.adj[i].is_empty(), "dead slot kept edges");
-        self.alive[i / 64] |= 1 << (i % 64);
-        self.num_alive += 1;
-    }
-
-    /// Lowest dead slot ID, if any (for slot-reuse insertion).
-    pub fn first_dead_slot(&self) -> Option<NodeId> {
-        let w = self.alive.iter().position(|&word| word != u64::MAX)?;
-        // the last word's clear high bits are past `capacity`, not dead
-        let i = w * 64 + (!self.alive[w]).trailing_zeros() as usize;
-        (i < self.adj.len()).then_some(NodeId(i as u32))
-    }
-
     /// Deletes node `v` (the adversary's move), dropping all incident edges.
     ///
     /// Returns the former neighbors of `v` — exactly the set of processors
@@ -478,24 +456,12 @@ mod tests {
     }
 
     #[test]
-    fn revive_reuses_the_dead_slot() {
-        let mut g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        g.delete_node(NodeId(1));
-        assert_eq!(g.first_dead_slot(), Some(NodeId(1)));
-        g.revive_node(NodeId(1));
-        assert_eq!(g.first_dead_slot(), None);
-        assert_eq!(g.len(), 3);
-        assert_eq!(g.degree(NodeId(1)), 0, "revived isolated");
-        assert_eq!(g.capacity(), 3, "no growth");
-    }
-
-    #[test]
     fn liveness_bitset_at_word_boundaries() {
         for n in [0usize, 1, 63, 64, 65, 129] {
             let mut g = Graph::new(n);
             let all: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
             assert_eq!(g.nodes().collect::<Vec<_>>(), all, "n = {n}");
-            assert_eq!(g.first_dead_slot(), None, "n = {n}: every slot live");
+            assert_eq!(g.len(), n, "n = {n}: every slot live");
             assert!(!g.is_alive(NodeId(n as u32)), "past capacity");
 
             // grow across the next word boundary: 64 - n % 64 + 1 slots
@@ -504,10 +470,10 @@ mod tests {
                 assert_eq!(g.add_node(), NodeId((n + i) as u32));
             }
             let cap = n + grown;
-            assert_eq!(g.first_dead_slot(), None, "n = {n}: grown, all live");
+            assert_eq!(g.len(), cap, "n = {n}: grown, all live");
             assert!(g.nodes().map(|v| v.index()).eq(0..cap), "ascending");
 
-            // delete a spread of slots, then revive them one by one
+            // delete a spread of slots on both sides of the word boundary
             let mut victims: Vec<NodeId> = [0, 63, 64, cap - 1].map(|i| NodeId(i as u32)).to_vec();
             victims.dedup(); // cap - 1 is 64 when n = 0
             for &v in &victims {
@@ -518,22 +484,9 @@ mod tests {
             assert!(live.windows(2).all(|w| w[0] < w[1]), "n = {n}: ascending");
             assert_eq!(live.len(), cap - victims.len());
             assert!(live.iter().all(|v| !victims.contains(v)));
-            for &v in &victims {
-                assert_eq!(g.first_dead_slot(), Some(v), "n = {n}: lowest dead");
-                g.revive_node(v);
-                assert!(g.is_alive(v));
-            }
-            assert_eq!(g.first_dead_slot(), None, "n = {n}: all revived");
-            assert_eq!(g.len(), cap);
-            assert!(g.nodes().map(|v| v.index()).eq(0..cap));
+            assert_eq!(g.len(), live.len());
+            assert_eq!(g.capacity(), cap, "deletion keeps the slots");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "is alive")]
-    fn reviving_a_live_node_panics() {
-        let mut g = Graph::new(1);
-        g.revive_node(NodeId(0));
     }
 
     #[test]

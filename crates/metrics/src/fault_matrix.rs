@@ -255,7 +255,6 @@ fn run_graph_cell(cfg: &FaultMatrixConfig, model: &'static str) -> FaultCell {
         planner: String::from("mixed"),
         seed: cfg.seed,
         stretch_sources: 8,
-        stretch_mode: String::from("full"),
         faults: String::from(model),
         ..GraphStressConfig::default()
     });

@@ -8,8 +8,10 @@
 //! (planned by an `ft-adversary` [`ft_adversary::ChurnPlanner`], applied by
 //! the `ft-sim` [`Campaign`] driver) until the event budget is spent. The resulting
 //! [`GraphStressRecord`] reports throughput, the full message ledger
-//! (join notices included), the sampled stretch against the pristine graph,
-//! and the worst degree increase — and `run_graph_stress` panics if the
+//! (join notices included), the sampled stretch against the pristine graph
+//! (measured by the incremental [`StretchTracker`], which repairs its
+//! distance fields from each wave's churn journal), and the worst degree
+//! increase — and `run_graph_stress` panics if the
 //! books do not balance, a will audit fails, connectivity is lost, or
 //! either O(log n) bound is exceeded, so it doubles as the end-to-end
 //! acceptance check in CI.
@@ -23,7 +25,7 @@
 
 use crate::record::Record;
 use crate::stress::{arm_faults, audit};
-use crate::stretch::{measure_stretch_full, StretchReport};
+use crate::stretch::StretchReport;
 use crate::stretch_inc::StretchTracker;
 use ft_adversary::{make_churn_planner, AdversaryView};
 use ft_core::{fg_degree_bound, fg_stretch_bound, DistributedForgivingGraph};
@@ -55,10 +57,9 @@ pub struct GraphStressConfig {
     /// Ignored; kept only because ftbench's sources are frozen; delete with
     /// the next benchmark PR.
     pub threads: usize,
-    /// Stretch engine: `incremental` (default — per-source distance fields
-    /// repaired from the churn journal), `full` (from-scratch re-sweep), or
-    /// `both` (run both and panic unless every figure agrees — the
-    /// differential-oracle mode CI exercises).
+    /// Ignored (stretch is always measured by the [`StretchTracker`]); kept
+    /// only because ftbench's sources are frozen; delete with the next
+    /// benchmark PR.
     pub stretch_mode: String,
     /// Named fault model ([`ft_sim::FaultConfig::from_name`]): `none` (default),
     /// `delay`, `loss`, `dup`, `crash`, `partition`, `chaos`, or
@@ -107,8 +108,8 @@ pub struct GraphStressRecord {
     pub elapsed_secs: f64,
     /// The same wall time in milliseconds (the perf-trajectory datapoint).
     pub wall_ms: f64,
-    /// Wall-clock milliseconds of stretch measurement: the full pass, or
-    /// the incremental tracker's build, per-wave repairs and final report.
+    /// Wall-clock milliseconds of stretch measurement: the tracker's build,
+    /// per-wave repairs and final report.
     pub stretch_wall_ms: f64,
     /// Healed churn events per second.
     pub events_per_sec: f64,
@@ -138,12 +139,6 @@ pub struct GraphStressRecord {
     pub stretch: StretchReport,
     /// The enforced stretch bound, `⌈log₂ n⌉ + 2`.
     pub stretch_bound: f64,
-    /// Stretch engine the recorded figures came from (`incremental` when
-    /// the mode was `both` — the full pass is the oracle, not the record).
-    pub stretch_mode: String,
-    /// Whether full and incremental figures agreed (vacuously true outside
-    /// `both` mode; a disagreement panics the harness).
-    pub stretch_modes_agree: bool,
     /// Engine-side operation cost of the whole campaign (accumulated by
     /// the round engine; `cost.messages_delivered` reconciles with the
     /// ledger's delivered book by construction).
@@ -217,8 +212,6 @@ impl GraphStressRecord {
             .fixed("max_stretch", self.stretch.max_stretch, 4)
             .fixed("mean_stretch", self.stretch.mean_stretch, 4)
             .fixed("stretch_bound", self.stretch_bound, 1)
-            .str("stretch_mode", &self.stretch_mode)
-            .num("stretch_modes_agree", self.stretch_modes_agree)
             .cost("cost", &self.cost)
             .num("stretch_node_visits", self.stretch_cost.node_visits)
             .num("stretch_edge_scans", self.stretch_cost.edge_scans)
@@ -289,17 +282,24 @@ fn initial_graph(cfg: &GraphStressConfig, rng: &mut StdRng) -> ft_graph::Graph {
 /// a non-zero exit is the CI failure signal. Under any other fault model
 /// those outcomes become the recorded `converged` / `wills_ok` /
 /// `connected` / `within_bounds` booleans.
+pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
+    run_graph_campaign(cfg).0
+}
+
+/// The graph campaign behind [`run_graph_stress`]; it also returns the
+/// healed network, for callers that check more than the record holds
+/// (the tests re-measure its stretch with the full-sweep oracle).
+///
+/// # Panics
+/// As [`run_graph_stress`].
 #[expect(
     clippy::disallowed_types,
-    reason = "times the campaign and the stretch passes for the record's wall-clock fields; no protocol decision reads the clock"
+    reason = "times the campaign and the stretch tracker for the record's wall-clock fields; no protocol decision reads the clock"
 )]
-pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
+pub fn run_graph_campaign(
+    cfg: &GraphStressConfig,
+) -> (GraphStressRecord, DistributedForgivingGraph) {
     use std::time::Instant;
-    assert!(
-        matches!(cfg.stretch_mode.as_str(), "full" | "incremental" | "both"),
-        "unknown stretch mode: {} (full | incremental | both)",
-        cfg.stretch_mode
-    );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let g = initial_graph(cfg, &mut rng);
     let mut dist = DistributedForgivingGraph::new(&g);
@@ -307,22 +307,14 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
     let mut planner = make_churn_planner(&cfg.planner, cfg.seed, cfg.insert_fraction)
         .unwrap_or_else(|| panic!("unknown churn planner: {}", cfg.planner));
     let mut campaign = Campaign::new(CampaignConfig::default());
-    // The incremental tracker is armed before the first wave and repairs
-    // its fields from each wave's drained churn journal; its wall time —
-    // build included — is metered separately so `elapsed_secs` stays
+    // The stretch tracker is armed before the first wave and repairs its
+    // fields from each wave's drained churn journal; its wall time — build
+    // included — is metered separately so `elapsed_secs` stays
     // campaign-only.
     let build_start = Instant::now();
-    let mut tracker = if cfg.stretch_mode == "full" {
-        None
-    } else {
-        dist.network_mut().set_churn_journal(true);
-        Some(StretchTracker::new(
-            dist.graph(),
-            dist.pristine(),
-            cfg.stretch_sources,
-            cfg.seed,
-        ))
-    };
+    dist.network_mut().set_churn_journal(true);
+    let mut tracker =
+        StretchTracker::new(dist.graph(), dist.pristine(), cfg.stretch_sources, cfg.seed);
     let build_wall = build_start.elapsed().as_secs_f64();
     let mut stretch_wall = 0.0f64;
 
@@ -342,12 +334,10 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
         }
         remaining = remaining.saturating_sub(events.len());
         dist.run_wave(&mut campaign, &events);
-        if let Some(t) = tracker.as_mut() {
-            let journal = dist.network_mut().drain_churn_journal();
-            let t0 = Instant::now();
-            t.apply_wave(dist.graph(), dist.pristine(), &journal);
-            stretch_wall += t0.elapsed().as_secs_f64();
-        }
+        let journal = dist.network_mut().drain_churn_journal();
+        let t0 = Instant::now();
+        tracker.apply_wave(dist.graph(), dist.pristine(), &journal);
+        stretch_wall += t0.elapsed().as_secs_f64();
     }
     let elapsed = (start.elapsed().as_secs_f64() - stretch_wall).max(1e-9);
 
@@ -371,33 +361,9 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
     let degree_bound = fg_degree_bound(capacity);
     let stretch_bound = fg_stretch_bound(capacity);
     let max_degree_increase = dist.max_degree_increase();
-    let full_pass = || {
-        let t0 = Instant::now();
-        let (report, cost) =
-            measure_stretch_full(dist.graph(), dist.pristine(), cfg.stretch_sources, cfg.seed);
-        (report, cost, t0.elapsed().as_secs_f64())
-    };
-    let mut stretch_modes_agree = true;
-    let (stretch, stretch_cost, stretch_wall_ms) = match (&tracker, cfg.stretch_mode.as_str()) {
-        (None, _) => {
-            let (report, cost, secs) = full_pass();
-            (report, cost, secs * 1e3)
-        }
-        (Some(t), mode) => {
-            let t0 = Instant::now();
-            let report = t.report(dist.graph());
-            stretch_wall += t0.elapsed().as_secs_f64();
-            if mode == "both" {
-                let (oracle, _, _) = full_pass();
-                stretch_modes_agree = report == oracle;
-                assert!(
-                    stretch_modes_agree,
-                    "incremental stretch diverged from the full-sweep oracle"
-                );
-            }
-            (report, t.cost(), (build_wall + stretch_wall) * 1e3)
-        }
-    };
+    let t0 = Instant::now();
+    let stretch = tracker.report(dist.graph());
+    stretch_wall += t0.elapsed().as_secs_f64();
     let within_bounds = stretch.disconnected_pairs == 0
         && max_degree_increase <= degree_bound
         && stretch.max_stretch <= stretch_bound;
@@ -419,7 +385,7 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
 
     let ledger = dist.ledger();
     let report = campaign.report();
-    GraphStressRecord {
+    let rec = GraphStressRecord {
         waves: report.waves,
         insertions: report.insertions,
         deletions: report.deletions,
@@ -427,7 +393,7 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
         live_remaining: dist.len(),
         elapsed_secs: elapsed,
         wall_ms: elapsed * 1e3,
-        stretch_wall_ms,
+        stretch_wall_ms: (build_wall + stretch_wall) * 1e3,
         events_per_sec: (report.insertions + report.deletions) as f64 / elapsed,
         msgs_per_sec: ledger.total_messages() as f64 / elapsed,
         peak_per_node_load: report.peak_round_load,
@@ -442,14 +408,8 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
         degree_bound,
         stretch,
         stretch_bound,
-        stretch_mode: if cfg.stretch_mode == "full" {
-            String::from("full")
-        } else {
-            String::from("incremental")
-        },
-        stretch_modes_agree,
         cost: dist.network().costs(),
-        stretch_cost,
+        stretch_cost: tracker.cost(),
         balanced: true,
         within_bounds,
         converged,
@@ -461,12 +421,19 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
         fault_fingerprint: dist.network().fault_fingerprint(),
         connected,
         config: cfg.clone(),
-    }
+    };
+    (rec, dist)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stretch::measure_stretch_full;
+
+    /// The full-sweep oracle's figures on the campaign's final graphs.
+    fn full_sweep(cfg: &GraphStressConfig, dist: &DistributedForgivingGraph) -> StretchReport {
+        measure_stretch_full(dist.graph(), dist.pristine(), cfg.stretch_sources, cfg.seed).0
+    }
 
     #[test]
     fn smoke_graph_campaign_balances_and_bounds() {
@@ -480,18 +447,17 @@ mod tests {
                 planner: planner.into(),
                 seed: 3,
                 stretch_sources: 8,
-                stretch_mode: "both".into(),
                 faults: "none".into(),
                 ..GraphStressConfig::default()
             };
-            let rec = run_graph_stress(&cfg);
+            let (rec, dist) = run_graph_campaign(&cfg);
             assert_eq!(rec.insertions + rec.deletions, 80, "{planner}");
             assert!(rec.insertions > 0, "{planner} inserted");
             assert!(rec.balanced && rec.within_bounds && rec.converged);
             assert!(rec.joins > 0, "join notices on the books");
             assert_eq!(rec.total_messages, rec.delivered + rec.notices + rec.joins);
             assert!(rec.stretch.max_stretch >= 1.0);
-            assert!(rec.stretch_modes_agree, "{planner} oracle agreement");
+            assert_eq!(rec.stretch, full_sweep(&cfg, &dist), "{planner} oracle");
             assert_eq!(rec.cost.messages_delivered, rec.delivered);
             assert_eq!(rec.cost.messages_sent, rec.sent);
             assert!(!rec.stretch_cost.is_zero(), "stretch work was charged");
@@ -512,7 +478,6 @@ mod tests {
             planner: "mixed".into(),
             seed: 17,
             stretch_sources: 8,
-            stretch_mode: "both".into(),
             faults: "none".into(),
             ..GraphStressConfig::default()
         };
@@ -559,7 +524,6 @@ mod tests {
             planner: "mixed".into(),
             seed: 2,
             stretch_sources: 4,
-            stretch_mode: "incremental".into(),
             faults: "none".into(),
             ..GraphStressConfig::default()
         });
@@ -572,14 +536,12 @@ mod tests {
         assert!(json.contains("\"within_bounds\": true"));
         assert!(json.contains("\"converged\": true"));
         assert!(json.contains("\"wall_ms\""));
-        assert!(json.contains("\"stretch_mode\": \"incremental\""));
-        assert!(json.contains("\"stretch_modes_agree\": true"));
         assert!(json.contains("\"cost_messages_delivered\""));
         assert!(json.contains("\"stretch_node_visits\""));
         assert!(json.contains("\"faults\": \"none\""));
         assert!(json.contains("\"wills_ok\": true"));
         assert!(json.contains("\"connected\": true"));
-        assert_eq!(json.matches(':').count(), 56, "56 fields");
+        assert_eq!(json.matches(':').count(), 54, "54 fields");
     }
 
     /// Faulty churn campaigns keep the books balanced, replay identically
@@ -596,7 +558,6 @@ mod tests {
             planner: "mixed".into(),
             seed: 23,
             stretch_sources: 8,
-            stretch_mode: "incremental".into(),
             faults: "chaos".into(),
             ..GraphStressConfig::default()
         };
@@ -618,5 +579,28 @@ mod tests {
         assert_eq!(fp(&rec1), fp(&rec2), "faulty record replays");
         assert_eq!(rec1.cost, rec2.cost, "faulty engine costs bit-identical");
         assert_eq!(rec1.stretch, rec2.stretch, "stretch pass bit-identical");
+    }
+
+    /// The tracker's figures equal the full sweep's at the shape of the
+    /// CI graph smoke, fault-free and under chaos (lost, delayed and
+    /// partitioned heal mail can split the healed graph, which exercises
+    /// the tracker's carves of whole components).
+    #[test]
+    fn tracker_matches_the_full_sweep_at_the_ci_smoke_shape() {
+        for faults in ["none", "chaos"] {
+            let cfg = GraphStressConfig {
+                nodes: 2_000,
+                events: 400,
+                wave_size: 25,
+                insert_fraction: 0.4,
+                planner: "mixed".into(),
+                seed: 1,
+                faults: faults.into(),
+                ..GraphStressConfig::default()
+            };
+            let (rec, dist) = run_graph_campaign(&cfg);
+            assert_eq!(rec.insertions + rec.deletions, 400, "{faults}");
+            assert_eq!(rec.stretch, full_sweep(&cfg, &dist), "{faults}");
+        }
     }
 }

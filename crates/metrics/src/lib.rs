@@ -32,12 +32,14 @@ pub mod table;
 pub mod workload;
 
 pub use fault_matrix::{run_fault_matrix, FaultCell, FaultMatrixConfig, FaultMatrixRecord};
-pub use graph_stress::{run_graph_stress, GraphStressConfig, GraphStressRecord};
+pub use graph_stress::{
+    run_graph_campaign, run_graph_stress, GraphStressConfig, GraphStressRecord,
+};
 pub use record::Record;
 pub use runner::{run_trial, StepMetrics, Trial, TrialConfig, TrialSummary};
 pub use stats::{log_log_slope, Summary};
 pub use stress::{run_stress, StressConfig, StressRecord};
-pub use stretch::{measure_stretch, measure_stretch_full, select_sources, StretchReport};
+pub use stretch::{measure_stretch_full, select_sources, StretchReport};
 pub use stretch_inc::{StretchPhaseCosts, StretchTracker};
 pub use table::Table;
 pub use workload::Workload;

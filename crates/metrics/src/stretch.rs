@@ -9,11 +9,11 @@
 //! [`measure_stretch_full`] samples BFS sources among the surviving nodes
 //! and compares the two distance fields pairwise, so the cost is
 //! `O(sources · (V + E))` rather than all-pairs — at 10⁴ nodes a full
-//! campaign's stretch pass runs in milliseconds and scales to 10⁵⁺. For
-//! campaigns where even that re-sweep dominates, the incremental tracker in
-//! [`crate::stretch_inc`] maintains the same distance fields across churn
-//! and produces bit-identical figures; this module is its differential
-//! oracle.
+//! campaign's stretch pass runs in milliseconds and scales to 10⁵⁺. The
+//! stress harness measures with the incremental tracker in
+//! [`crate::stretch_inc`] instead, which maintains the same distance fields
+//! across churn and produces bit-identical figures; this module is its
+//! differential oracle, called only by tests.
 //!
 //! # Source sampling
 //!
@@ -498,17 +498,6 @@ pub fn measure_stretch_full(
     (fold_passes(picked.len(), &passes), cost)
 }
 
-/// [`measure_stretch_full`], figures only — the historical entry point
-/// most tests and experiments call.
-pub fn measure_stretch(
-    healed: &Graph,
-    pristine: &Graph,
-    sources: usize,
-    seed: u64,
-) -> StretchReport {
-    measure_stretch_full(healed, pristine, sources, seed).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,7 +506,7 @@ mod tests {
     #[test]
     fn identical_graphs_have_stretch_one() {
         let g = gen::kary_tree(30, 2);
-        let r = measure_stretch(&g, &g, 8, 1);
+        let (r, _) = measure_stretch_full(&g, &g, 8, 1);
         assert_eq!(r.max_stretch, 1.0);
         assert_eq!(r.mean_stretch, 1.0);
         assert_eq!(r.disconnected_pairs, 0);
@@ -531,7 +520,7 @@ mod tests {
         let pristine = gen::cycle(6);
         let mut healed = pristine.clone();
         healed.remove_edge(NodeId(0), NodeId(5));
-        let r = measure_stretch(&healed, &pristine, 6, 3);
+        let (r, _) = measure_stretch_full(&healed, &pristine, 6, 3);
         assert_eq!(r.max_stretch, 5.0);
         assert!(r.mean_stretch > 1.0);
         assert_eq!(r.disconnected_pairs, 0);
@@ -542,7 +531,7 @@ mod tests {
         let pristine = gen::path(4);
         let mut healed = pristine.clone();
         healed.remove_edge(NodeId(1), NodeId(2));
-        let r = measure_stretch(&healed, &pristine, 4, 5);
+        let (r, _) = measure_stretch_full(&healed, &pristine, 4, 5);
         assert!(r.disconnected_pairs > 0);
     }
 
@@ -553,7 +542,7 @@ mod tests {
         let mut healed = pristine.clone();
         healed.delete_node(NodeId(1));
         healed.add_edge(NodeId(0), NodeId(2));
-        let r = measure_stretch(&healed, &pristine, 3, 7);
+        let (r, _) = measure_stretch_full(&healed, &pristine, 3, 7);
         assert_eq!(r.pairs, 1, "both survivors sampled: the pair counts once");
         assert_eq!(r.max_stretch, 0.5, "the heal shortened the route");
     }
@@ -562,7 +551,7 @@ mod tests {
     fn every_pair_counted_exactly_once_under_full_sampling() {
         // every live node sampled ⇒ pairs must be exactly C(n, 2)
         let g = gen::cycle(7);
-        let r = measure_stretch(&g, &g, 7, 11);
+        let (r, _) = measure_stretch_full(&g, &g, 7, 11);
         assert_eq!(r.sources, 7);
         assert_eq!(r.pairs, 7 * 6 / 2, "unordered pairs, no double count");
         // and on a disconnected healed graph the missing pairs are
@@ -570,7 +559,7 @@ mod tests {
         let mut healed = g.clone();
         healed.remove_edge(NodeId(0), NodeId(1));
         healed.remove_edge(NodeId(3), NodeId(4));
-        let r = measure_stretch(&healed, &g, 7, 11);
+        let (r, _) = measure_stretch_full(&healed, &g, 7, 11);
         assert_eq!(
             r.pairs + r.disconnected_pairs,
             7 * 6 / 2,

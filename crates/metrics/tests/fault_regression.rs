@@ -21,7 +21,6 @@ fn seeded_regression_pins_faulty_ten_thousand_node_figures() {
         planner: "mixed".into(),
         seed: 20_260_807,
         stretch_sources: 8,
-        stretch_mode: "full".into(),
         faults: "chaos".into(),
         ..GraphStressConfig::default()
     });

@@ -7,7 +7,7 @@
 use ft_adversary::{make_churn_planner, AdversaryView};
 use ft_core::DistributedForgivingGraph;
 use ft_graph::gen;
-use ft_metrics::{measure_stretch_full, run_graph_stress, GraphStressConfig, StretchTracker};
+use ft_metrics::{measure_stretch_full, run_graph_campaign, GraphStressConfig, StretchTracker};
 use ft_sim::{Campaign, CampaignConfig, FaultConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -102,7 +102,7 @@ proptest! {
 /// pin is moved.
 #[test]
 fn seeded_regression_pins_ten_thousand_node_figures() {
-    let rec = run_graph_stress(&GraphStressConfig {
+    let cfg = GraphStressConfig {
         nodes: 10_000,
         events: 160,
         wave_size: 20,
@@ -111,11 +111,13 @@ fn seeded_regression_pins_ten_thousand_node_figures() {
         planner: "mixed".into(),
         seed: 20_260_807,
         stretch_sources: 8,
-        stretch_mode: "both".into(),
         faults: "none".into(),
         ..GraphStressConfig::default()
-    });
-    assert!(rec.stretch_modes_agree);
+    };
+    let (rec, dist) = run_graph_campaign(&cfg);
+    let (full, _) =
+        measure_stretch_full(dist.graph(), dist.pristine(), cfg.stretch_sources, cfg.seed);
+    assert_eq!(rec.stretch, full, "tracker agrees with the full sweep");
     assert_eq!(
         (rec.insertions, rec.deletions, rec.waves, rec.rounds),
         (71, 89, 8, 320),

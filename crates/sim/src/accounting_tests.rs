@@ -1,7 +1,7 @@
 //! Property tests for the engine's accounting invariants.
 //!
 //! For arbitrary random protocol traces (seeded gossip over a random tree,
-//! interleaved with adversarial deletions under both in-flight policies),
+//! interleaved with adversarial deletions),
 //! the books must reconcile:
 //!
 //! - conservation: `sent == delivered + dropped` once quiescent;
@@ -11,13 +11,11 @@
 //! - every round's `max_per_node` matches a recount from the trace.
 //!
 //! Alongside them, seeded churn campaigns: the same seed replays the same
-//! report, books and final graph; churn under [`SlotPolicy::Reuse`] keeps
-//! balanced books with per-incarnation per-node counts; and a heal that
-//! exhausts its round budget is reported as non-converged instead of
-//! masquerading as quiescence.
+//! report, books and final graph; and a heal that exhausts its round budget
+//! is reported as non-converged instead of masquerading as quiescence.
 
 use crate::campaign::{Campaign, CampaignConfig, HealCadence};
-use crate::network::{Ctx, InFlightPolicy, Network, Process, RoundStats, SlotPolicy};
+use crate::network::{Ctx, Network, Process, RoundStats};
 use ft_graph::{gen, ChurnEvent, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -100,7 +98,6 @@ fn run_trace(
     seed: u64,
     ttl: u32,
     kills: &[usize],
-    policy: InFlightPolicy,
 ) -> (Network<Gossip>, Vec<(u64, RoundStats)>, Trace) {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::random_tree(n, &mut rng);
@@ -108,7 +105,7 @@ fn run_trace(
         .map(|i| g.neighbors(NodeId(i as u32)).collect())
         .collect();
     let trace: Rc<RefCell<Vec<Ev>>> = Rc::new(RefCell::new(Vec::new()));
-    let mut net = Network::with_policy(g, policy, |v| Gossip {
+    let mut net = Network::new(g, |v| Gossip {
         id: v,
         neighbors: nbrs[v.index()].clone(),
         start_ttl: ttl,
@@ -148,14 +145,8 @@ proptest! {
         seed in 0u64..1000,
         ttl in 1u32..5,
         kills in proptest::collection::vec(0usize..64, 1..8),
-        drop_in_flight in proptest::bool::ANY,
     ) {
-        let policy = if drop_in_flight {
-            InFlightPolicy::Drop
-        } else {
-            InFlightPolicy::Deliver
-        };
-        let (net, per_round, trace) = run_trace(n, seed, ttl, &kills, policy);
+        let (net, per_round, trace) = run_trace(n, seed, ttl, &kills);
         let trace = trace.borrow();
         let ledger = net.ledger();
 
@@ -323,12 +314,10 @@ fn run_campaign(
     n: usize,
     waves: usize,
     wave_size: usize,
-    slots: SlotPolicy,
 ) -> (Campaign, Network<Chatter>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::random_tree(n, &mut rng);
     let mut net = chatter_net(g);
-    net.set_slot_policy(slots);
     let mut campaign = Campaign::new(CampaignConfig {
         cadence: HealCadence::PerWave,
         max_rounds_per_heal: 64,
@@ -373,16 +362,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The same seed replays byte for byte: same report, same ledger
-    /// books, same graph — under both slot policies.
+    /// books, same graph.
     #[test]
     fn campaigns_replay_identically(
         seed in 0u64..500,
         n in 30usize..120,
-        reuse in proptest::bool::ANY,
     ) {
-        let slots = if reuse { SlotPolicy::Reuse } else { SlotPolicy::Grow };
-        let (c1, n1) = run_campaign(seed, n, 4, 10, slots);
-        let (c2, n2) = run_campaign(seed, n, 4, 10, slots);
+        let (c1, n1) = run_campaign(seed, n, 4, 10);
+        let (c2, n2) = run_campaign(seed, n, 4, 10);
         prop_assert_eq!(c1.report(), c2.report(), "campaign reports diverged");
         prop_assert_eq!(n1.ledger(), n2.ledger(), "ledger books diverged");
         prop_assert_eq!(n1.round(), n2.round(), "round clocks diverged");
@@ -391,33 +378,6 @@ proptest! {
             graph_fingerprint(n2.graph()),
             "healed graphs diverged"
         );
-    }
-
-    /// Churn under SlotPolicy::Reuse keeps balanced books, and the books
-    /// stay per-incarnation: whenever a slot was actually reused the
-    /// retired accumulator owns the dead incarnations' charges.
-    #[test]
-    fn reuse_churn_books_balance_per_incarnation(
-        seed in 0u64..500,
-        n in 20usize..80,
-    ) {
-        let (campaign, net) = run_campaign(seed, n, 5, 8, SlotPolicy::Reuse);
-        prop_assert!(campaign.report().converged);
-        // check_accounting passed inside run_campaign; recheck the
-        // reconciliation identity in its per-incarnation form explicitly.
-        let l = net.ledger();
-        prop_assert_eq!(
-            l.sum_per_node() + l.retired(),
-            2 * l.delivered() + l.notices() + l.joins(),
-            "per-incarnation reconciliation"
-        );
-        if campaign.report().insertions > 0 && campaign.report().deletions > 0 {
-            // with interleaved churn, insertions land in recycled slots
-            prop_assert!(
-                l.retired_incarnations() > 0,
-                "churn with deletions before insertions reuses slots"
-            );
-        }
     }
 }
 
@@ -469,45 +429,4 @@ fn capped_runner_reports_convergence_when_quiet() {
     assert!(converged, "vacuously converged when nothing is pending");
     assert_eq!((rounds, stats.messages), (0, 0));
     assert!(cost.is_zero(), "a no-op run charges nothing");
-}
-
-/// The reused slot's fresh incarnation starts with clean books even when
-/// the dead incarnation had in-flight mail (which is unsent, not charged
-/// to the newcomer).
-#[test]
-fn reuse_does_not_bleed_in_flight_mail_into_the_new_incarnation() {
-    // a star: the hub is a victim with queued outbound mail
-    let g = gen::star(4);
-    let mut net = chatter_net(g);
-    net.set_slot_policy(SlotPolicy::Reuse);
-    // leaf 1 dies: hub 0 pings its surviving neighbors (2, 3) — mail from
-    // 0 is now in flight
-    net.delete_node(NodeId(1));
-    assert!(net.has_pending(), "hub's pings are queued");
-    // hub 0 dies too: 2 and 3 are notified (no surviving neighbors to
-    // ping); 0's queued pings to 2 and 3 are still in flight (Deliver
-    // policy) …
-    net.delete_node(NodeId(0));
-    assert!(net.has_pending(), "dead hub's mail still queued");
-    // … until slot 0 is reused: the revival unsends the dead hub's mail
-    let before_dropped = net.ledger().dropped();
-    let (v, _) = net.insert_node(&[NodeId(2)], |_| Chatter {
-        neighbors: vec![NodeId(2)],
-        echoes: 0,
-    });
-    assert_eq!(v, NodeId(0), "lowest dead slot reused");
-    assert!(
-        net.ledger().dropped() > before_dropped,
-        "the dead incarnation's in-flight mail was unsent"
-    );
-    let (_, _cost) = net.run_until_quiet(16);
-    // the new incarnation is charged only for its own join traffic
-    let l = net.ledger();
-    assert_eq!(
-        l.per_node_sent(NodeId(0)),
-        1,
-        "one echoed greeting from the newcomer, no inherited sends"
-    );
-    assert!(l.retired() > 0, "old incarnations' books retired");
-    net.check_accounting().expect("books balance");
 }

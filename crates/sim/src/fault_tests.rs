@@ -12,7 +12,7 @@
 use crate::accounting_tests::{chatter_net, graph_fingerprint, plan_events, Chatter};
 use crate::campaign::{Campaign, CampaignConfig, HealCadence};
 use crate::faults::{FaultConfig, FaultPlan, MsgFate};
-use crate::network::{Ctx, InFlightPolicy, Network, Process, SlotPolicy};
+use crate::network::{Ctx, Network, Process};
 use ft_graph::{gen, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -30,7 +30,6 @@ fn run_faulty_campaign(
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::random_tree(n, &mut rng);
     let mut net = chatter_net(g);
-    net.set_slot_policy(SlotPolicy::Reuse);
     net.set_fault_plan(plan);
     let mut campaign = Campaign::new(CampaignConfig {
         cadence: HealCadence::PerWave,
@@ -290,7 +289,6 @@ fn crash_stop_silences_in_flight_mail_under_deliver_policy() {
         target: (v == NodeId(0)).then_some(NodeId(1)),
         received: 0,
     });
-    assert_eq!(net.in_flight_policy(), InFlightPolicy::Deliver);
     net.start();
     assert!(net.has_pending(), "the message is in flight");
     net.delete_node_crash(NodeId(0));
@@ -305,7 +303,7 @@ fn crash_stop_silences_in_flight_mail_under_deliver_policy() {
         net.process(NodeId(1)).received,
         0,
         "a crash-stop kills the wire's memory of the victim, \
-         even under InFlightPolicy::Deliver"
+         though a deleted node's mail otherwise stays on the wire"
     );
     net.check_accounting().expect("books balance");
 }

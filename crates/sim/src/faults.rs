@@ -22,9 +22,8 @@
 //!   events). Because queued mail re-enters delivery later than its
 //!   neighbors, delay doubles as the model's *reorder* fault;
 //! - **crash-stop** — the adversary kills a victim so abruptly that its
-//!   queued outbound mail is silenced regardless of the engine's
-//!   [`InFlightPolicy`](crate::InFlightPolicy) — the node dies *mid-
-//!   sentence*. Deletion notices still reach the neighbors (they model
+//!   queued outbound mail is silenced, although a deleted node's mail
+//!   otherwise stays on the wire — the node dies *mid-sentence*. Deletion notices still reach the neighbors (they model
 //!   out-of-band failure detection, not a message from the victim);
 //! - **partition** — for windows of `partition_len` rounds out of every
 //!   `partition_period`, the node set splits in two halves (a seeded hash

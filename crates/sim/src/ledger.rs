@@ -15,8 +15,7 @@
 //! - **delivered** — protocol messages actually handed to a live process;
 //! - **dropped** — mail that never arrived because of an *endpoint death*:
 //!   addressee dead at send time, addressee killed while the mail was in
-//!   flight, or — under [`InFlightPolicy::Drop`](crate::InFlightPolicy) or
-//!   a crash-stop — sender killed;
+//!   flight, or — on a crash-stop — sender killed;
 //! - **lost** — mail a [`FaultPlan`](crate::FaultPlan) destroyed on the
 //!   wire (message loss and partition cuts): both endpoints were fine, the
 //!   network was not;
@@ -37,21 +36,16 @@
 //! sender once and its receiver once; a deletion or join notice charges only
 //! the live receiver (the other endpoint is dead resp. not yet wired up).
 //!
-//! Per-node books are **per incarnation**, not per slot: when
-//! [`SlotPolicy::Reuse`](crate::SlotPolicy) revives a dead slot for a fresh
-//! node, the dead incarnation's `per_sent`/`per_recv` totals are *retired* —
-//! moved out of the live books into the `retired` accumulator (and its
-//! incarnation total into `retired_max_per_node`) — so a reused slot's
-//! "per-node" count never spans two distinct nodes and cannot fake an
-//! O(1)-messages-per-node violation. Two identities therefore hold at all
-//! times and are enforced by [`MsgLedger::check`]:
+//! A node ID is never recycled (an inserted node always gets a fresh
+//! slot), so each slot's per-node books belong to exactly one node. Two
+//! identities hold at all times and are enforced by [`MsgLedger::check`]:
 //!
 //! ```text
-//! sent + duplicated      == delivered + dropped + lost + in-flight
-//!                                                         (conservation)
-//! sum_per_node + retired == 2·delivered + notices + joins
-//!                        == 2·total_messages − notices − joins
-//!                                                        (reconciliation)
+//! sent + duplicated == delivered + dropped + lost + in-flight
+//!                                                    (conservation)
+//! sum_per_node      == 2·delivered + notices + joins
+//!                   == 2·total_messages − notices − joins
+//!                                                   (reconciliation)
 //! ```
 //!
 //! In-flight counts both next-round inboxes *and* the engine's delay
@@ -91,12 +85,6 @@ pub struct MsgLedger {
     per_sent: Vec<u64>,
     /// Deliveries plus notices charged to their receiver, indexed by node.
     per_recv: Vec<u64>,
-    /// Sum of all retired incarnations' per-node charges (slot reuse).
-    retired: u64,
-    /// Worst single retired incarnation's per-node total.
-    retired_max_per_node: u64,
-    /// Number of incarnations retired (slot reuses).
-    retired_incarnations: u64,
 }
 
 impl MsgLedger {
@@ -113,30 +101,16 @@ impl MsgLedger {
             joins: 0,
             per_sent: vec![0; capacity],
             per_recv: vec![0; capacity],
-            retired: 0,
-            retired_max_per_node: 0,
-            retired_incarnations: 0,
         }
     }
 
     /// Extends the per-node books to cover IDs `0..capacity` (node
-    /// insertion under the grow policy).
+    /// insertion).
     pub(crate) fn grow(&mut self, capacity: usize) {
         if capacity > self.per_sent.len() {
             self.per_sent.resize(capacity, 0);
             self.per_recv.resize(capacity, 0);
         }
-    }
-
-    /// Retires slot `v`'s per-node books: the dead incarnation's charges
-    /// move into the `retired` accumulator and the slot restarts at zero
-    /// for its next incarnation ([`SlotPolicy::Reuse`](crate::SlotPolicy)).
-    pub(crate) fn reset_node(&mut self, v: NodeId) {
-        let sent = std::mem::take(&mut self.per_sent[v.index()]);
-        let recv = std::mem::take(&mut self.per_recv[v.index()]);
-        self.retired += sent + recv;
-        self.retired_max_per_node = self.retired_max_per_node.max(sent + recv);
-        self.retired_incarnations += 1;
     }
 
     /// A message entered the engine (outbox routed at end of round).
@@ -243,37 +217,23 @@ impl MsgLedger {
         self.per_recv.get(v.index()).copied().unwrap_or(0)
     }
 
-    /// Total messages charged to `v`'s **current incarnation**:
-    /// sent-and-delivered plus received. Retired incarnations of a reused
-    /// slot are excluded (see [`retired`](Self::retired)).
+    /// Total messages charged to `v`: sent-and-delivered plus received.
     pub fn per_node(&self, v: NodeId) -> u64 {
         self.per_node_sent(v) + self.per_node_received(v)
     }
 
-    /// Sum of [`per_node`](Self::per_node) over all current incarnations
-    /// (retired incarnations excluded).
+    /// Sum of [`per_node`](Self::per_node) over all nodes.
     pub fn sum_per_node(&self) -> u64 {
         self.per_sent.iter().sum::<u64>() + self.per_recv.iter().sum::<u64>()
     }
 
-    /// Charges belonging to retired incarnations of reused slots.
-    pub fn retired(&self) -> u64 {
-        self.retired
-    }
-
-    /// Number of incarnations retired by slot reuse.
-    pub fn retired_incarnations(&self) -> u64 {
-        self.retired_incarnations
-    }
-
-    /// Largest per-node charge any single incarnation accumulated — the
-    /// live books *and* retired incarnations both count (0 when empty).
+    /// Largest per-node charge any single node accumulated (0 when
+    /// empty).
     pub fn max_per_node(&self) -> u64 {
         (0..self.per_sent.len())
             .map(|i| self.per_sent[i] + self.per_recv[i])
             .max()
             .unwrap_or(0)
-            .max(self.retired_max_per_node)
     }
 
     /// Verifies both ledger identities given the engine's current count of
@@ -288,11 +248,11 @@ impl MsgLedger {
             ));
         }
         let sum = self.sum_per_node();
-        if sum + self.retired != 2 * self.delivered + self.notices + self.joins {
+        if sum != 2 * self.delivered + self.notices + self.joins {
             return Err(format!(
-                "reconciliation broken: sum per-node {} + retired {} != \
+                "reconciliation broken: sum per-node {} != \
                  2·delivered {} + notices {} + joins {}",
-                sum, self.retired, self.delivered, self.notices, self.joins
+                sum, self.delivered, self.notices, self.joins
             ));
         }
         Ok(())
@@ -392,33 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_node_retires_every_book_of_the_node_together() {
-        let mut l = MsgLedger::new(3);
-        (0..3).for_each(|_| l.record_sent());
-        l.record_delivery(n(1), n(0));
-        l.record_delivery(n(0), n(1));
-        l.record_delivery(n(2), n(0));
-        l.record_notice(n(1));
-        l.record_join(n(1));
-        let fates = books(&l);
-        let others = [l.per_node(n(0)), l.per_node(n(2))];
-        let charged = l.per_node(n(1));
-        assert_eq!(charged, 4, "one send, one delivery, a notice, a join");
-        l.reset_node(n(1));
-        assert_eq!(l.per_node_sent(n(1)), 0);
-        assert_eq!(l.per_node_received(n(1)), 0);
-        assert_eq!(l.retired(), charged);
-        assert_eq!(l.retired_incarnations(), 1);
-        assert_eq!(
-            [l.per_node(n(0)), l.per_node(n(2))],
-            others,
-            "other nodes untouched"
-        );
-        assert_eq!(books(&l), fates, "fate books untouched");
-        l.check(0).expect("identities hold across the retirement");
-    }
-
-    #[test]
     fn books_balance_through_a_lifecycle() {
         let mut l = MsgLedger::new(3);
         l.record_sent();
@@ -450,28 +383,6 @@ mod tests {
         l.record_delivery(n(1), n(4));
         l.check(0).expect("post-growth books balance");
         assert_eq!(l.per_node(n(4)), 1, "grown slot is on the books");
-    }
-
-    #[test]
-    fn reuse_retires_the_dead_incarnations_books() {
-        let mut l = MsgLedger::new(3);
-        l.record_sent();
-        l.record_sent();
-        l.record_delivery(n(1), n(0));
-        l.record_delivery(n(1), n(2));
-        l.record_notice(n(0));
-        assert_eq!(l.per_node(n(1)), 2, "first incarnation's sends");
-        // slot 1 dies and is reused: its books are retired, not inherited
-        l.reset_node(n(1));
-        assert_eq!(l.per_node(n(1)), 0, "fresh incarnation starts clean");
-        assert_eq!(l.retired(), 2);
-        assert_eq!(l.retired_incarnations(), 1);
-        assert_eq!(l.max_per_node(), 2, "retired incarnation still counts");
-        l.check(0).expect("identity holds across the retirement");
-        // the new incarnation's traffic lands on its own books
-        l.record_join(n(1));
-        assert_eq!(l.per_node(n(1)), 1);
-        l.check(0).expect("books balance after the revival");
     }
 
     #[test]

@@ -24,22 +24,22 @@
 //! - Every count — per-round [`RoundStats`], totals, per-node books —
 //!   derives from one [`MsgLedger`] charged at delivery time (deletion
 //!   notices included), enforcing `sent = delivered + dropped + in-flight`
-//!   and `sum(per-node) + retired = 2·total − notices − joins` (per-node
-//!   books are per *incarnation*: slot reuse retires the dead node's
-//!   charges); audit any network with [`Network::check_accounting`].
+//!   and `sum(per-node) = 2·total − notices − joins`; audit any network
+//!   with [`Network::check_accounting`].
 //!
-//! # In-flight policy
+//! # In-flight mail
 //!
 //! Mail addressed *to* a dead node is always dropped (and accounted). Mail a
-//! node sent *before being deleted* is governed by [`InFlightPolicy`]:
-//! `Deliver` (default — the wire keeps packets a crashed peer already sent)
-//! or `Drop` (the adversary silences the victim's unreceived mail too).
+//! node sent *before being deleted* stays on the wire and is delivered (the
+//! model's neighbours are told of the deletion; packets already sent are
+//! not recalled). Only a crash-stop ([`Network::delete_node_crash`])
+//! silences the victim's unreceived mail too.
 //!
 //! # Node arrivals
 //!
 //! The Forgiving Graph model also lets the adversary *insert* nodes:
-//! [`Network::insert_node`] allocates a slot (appended, or a dead slot
-//! reused, per [`SlotPolicy`]), wires the newcomer to its chosen neighbors,
+//! [`Network::insert_node`] appends a fresh slot (IDs are never recycled),
+//! wires the newcomer to its chosen neighbors,
 //! starts its process and delivers join notices
 //! ([`Process::on_neighbor_joined`]) charged to the ledger's joins book.
 //!
@@ -88,7 +88,7 @@ pub use faults::{FaultConfig, FaultPlan, MsgFate};
 pub use ft_costs::{CostResult, OperationCost};
 pub use hotset::HotSet;
 pub use ledger::MsgLedger;
-pub use network::{ChurnJournal, Ctx, InFlightPolicy, Network, Process, RoundStats, SlotPolicy};
+pub use network::{ChurnJournal, Ctx, Network, Process, RoundStats};
 
 #[cfg(test)]
 mod accounting_tests;

@@ -19,11 +19,9 @@
 //! Messages may be addressed to any node whose name the sender has learned
 //! (the model explicitly lets messages "contain the names of other
 //! vertices"); delivery to dead addressees is dropped, mirroring a crashed
-//! peer. What happens to mail a node sent *before it was deleted* is
-//! governed by [`InFlightPolicy`]: [`Deliver`](InFlightPolicy::Deliver)
-//! (default — the wires keep working after the sender crashes) or
-//! [`Drop`](InFlightPolicy::Drop) (the adversary silences the victim's
-//! unreceived mail too).
+//! peer. Mail a node sent *before it was deleted* stays on the wire and is
+//! delivered next round (a deleted node cannot recall packets already
+//! sent); only a crash-stop ([`Network::delete_node_crash`]) silences it.
 //!
 //! Every count the engine reports — [`RoundStats`], totals, per-node books —
 //! derives from one [`MsgLedger`] charged at delivery time, so the books
@@ -117,47 +115,6 @@ impl<M> Ctx<'_, M> {
     }
 }
 
-/// What happens to a deleted node's already-sent, not-yet-delivered mail.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum InFlightPolicy {
-    /// The mail stays in flight and is delivered next round: a crashed peer
-    /// cannot recall packets already on the wire. This is the model the
-    /// paper's heal choreography assumes, and the default.
-    ///
-    /// One exception, regardless of policy: if the dead node's slot is
-    /// later revived under [`SlotPolicy::Reuse`] while its mail is still
-    /// in flight, the revival unsends that mail (accounted as dropped) —
-    /// the per-node books are per incarnation, and a delivery after the
-    /// revival would charge the old node's traffic to the new one's sent
-    /// book. Campaigns that need a recycled identity's last words
-    /// delivered must heal to quiescence before inserting, which the
-    /// per-deletion cadence guarantees.
-    #[default]
-    Deliver,
-    /// The adversary silences the victim entirely: queued mail *from* the
-    /// dead node is dropped (and accounted as dropped) along with mail
-    /// addressed to it.
-    Drop,
-}
-
-/// How [`Network::insert_node`] allocates the newcomer's slot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SlotPolicy {
-    /// Append a fresh slot: every dense vector (and the graph capacity)
-    /// grows by one, IDs are never recycled. The default — pristine-graph
-    /// baselines rely on stable IDs.
-    #[default]
-    Grow,
-    /// Reuse the lowest dead slot when one exists (fall back to growing):
-    /// long churn campaigns stay dense. Reviving a slot *retires* the dead
-    /// incarnation's ledger books (they move into the [`MsgLedger`]'s
-    /// retired accumulator) and unsends the dead incarnation's
-    /// still-undelivered mail, so per-node books are per **incarnation** —
-    /// a recycled identity neither inherits its predecessor's message
-    /// history nor speaks from the grave.
-    Reuse,
-}
-
 /// Per-round accounting, derived from the [`MsgLedger`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoundStats {
@@ -209,8 +166,6 @@ pub struct Network<P: Process> {
     /// Queued (in-flight) message count across all inboxes.
     pending: usize,
     live: usize,
-    policy: InFlightPolicy,
-    slots: SlotPolicy,
     ledger: MsgLedger,
     /// Cumulative [`OperationCost`] of every engine operation since
     /// construction. The costed entry points ([`Network::step`] and
@@ -310,18 +265,8 @@ fn bump_load(load: &mut [u32], touched: &mut Vec<NodeId>, v: NodeId) {
 }
 
 impl<P: Process> Network<P> {
-    /// Builds a network over `graph` with the default in-flight policy,
-    /// creating one process per live node.
-    pub fn new(graph: Graph, make: impl FnMut(NodeId) -> P) -> Self {
-        Self::with_policy(graph, InFlightPolicy::default(), make)
-    }
-
-    /// Builds a network over `graph` with an explicit [`InFlightPolicy`].
-    pub fn with_policy(
-        graph: Graph,
-        policy: InFlightPolicy,
-        mut make: impl FnMut(NodeId) -> P,
-    ) -> Self {
+    /// Builds a network over `graph`, creating one process per live node.
+    pub fn new(graph: Graph, mut make: impl FnMut(NodeId) -> P) -> Self {
         let cap = graph.capacity();
         let mut procs: Vec<Option<P>> = Vec::with_capacity(cap);
         procs.resize_with(cap, || None);
@@ -346,8 +291,6 @@ impl<P: Process> Network<P> {
             round: 0,
             pending: 0,
             live,
-            policy,
-            slots: SlotPolicy::default(),
             ledger: MsgLedger::new(cap),
             costs: OperationCost::ZERO,
             buf_pool: Vec::new(),
@@ -413,26 +356,6 @@ impl<P: Process> Network<P> {
         self.round
     }
 
-    /// The in-flight mail policy applied on node deletion.
-    pub fn in_flight_policy(&self) -> InFlightPolicy {
-        self.policy
-    }
-
-    /// Changes the in-flight mail policy for subsequent deletions.
-    pub fn set_in_flight_policy(&mut self, policy: InFlightPolicy) {
-        self.policy = policy;
-    }
-
-    /// The slot-allocation policy applied on node insertion.
-    pub fn slot_policy(&self) -> SlotPolicy {
-        self.slots
-    }
-
-    /// Changes the slot-allocation policy for subsequent insertions.
-    pub fn set_slot_policy(&mut self, slots: SlotPolicy) {
-        self.slots = slots;
-    }
-
     /// Does nothing: the engine runs every round on the calling thread.
     ///
     /// Ignored; kept only because ftbench's sources are frozen; delete with
@@ -475,22 +398,11 @@ impl<P: Process> Network<P> {
         self.ledger.total_messages() as usize
     }
 
-    /// Total messages charged to `v` (delivery-side: delivered sends +
-    /// receipts + deletion notices).
-    pub fn per_node_messages(&self, v: NodeId) -> u64 {
-        self.ledger.per_node(v)
-    }
-
     /// Arms (or with `None` disarms) the fault schedule for subsequent
     /// rounds. Armed faults decide per-message fates and crash-stops; a
     /// disarmed network is the original lossless engine.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.faults = plan;
-    }
-
-    /// The armed fault schedule, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
     }
 
     /// Running FNV-1a fingerprint of the realized fault schedule: folds
@@ -585,9 +497,7 @@ impl<P: Process> Network<P> {
     /// `v` sent is removed from its addressee's inbox (and from the fault
     /// plan's delay queue) and accounted as dropped. Every non-empty inbox
     /// is in the hot set, so this touches only addressees with pending
-    /// mail. Used by [`InFlightPolicy::Drop`] deletions, crash-stops, and
-    /// slot revival under [`SlotPolicy::Reuse`]. Returns how many messages
-    /// were unsent.
+    /// mail. Used by crash-stops. Returns how many messages were unsent.
     fn unsend_in_flight_from(&mut self, v: NodeId) -> u64 {
         let Network {
             inboxes,
@@ -633,9 +543,9 @@ impl<P: Process> Network<P> {
     }
 
     /// Deletes `v` (the adversary's move): removes it from the topology,
-    /// discards its pending mail (and, under [`InFlightPolicy::Drop`], the
-    /// mail it already sent), and informs its surviving neighbors, whose
-    /// immediate reactions are queued for the next round.
+    /// discards its pending mail (the mail it already sent stays in flight),
+    /// and informs its surviving neighbors, whose immediate reactions are
+    /// queued for the next round.
     ///
     /// # Panics
     /// Panics if `v` is dead.
@@ -644,9 +554,8 @@ impl<P: Process> Network<P> {
     }
 
     /// Deletes `v` as a **crash-stop**: the node dies so abruptly that its
-    /// queued outbound mail is silenced regardless of the engine's
-    /// [`InFlightPolicy`] — any heal conversation it was mid-sentence in
-    /// is cut. Surviving neighbors still receive deletion notices (those
+    /// queued outbound mail is silenced with it — any heal conversation it
+    /// was mid-sentence in is cut. Surviving neighbors still receive deletion notices (those
     /// model out-of-band failure detection, not a message from the
     /// victim). The silenced-message count accumulates in
     /// [`Network::crash_silenced`].
@@ -713,7 +622,7 @@ impl<P: Process> Network<P> {
         }
         if crash {
             // Crash-stop: the victim dies mid-sentence — its queued
-            // outbound mail is silenced no matter the in-flight policy.
+            // outbound mail is silenced.
             self.crashes += 1;
             let silenced = self.unsend_in_flight_from(v);
             self.crash_silenced += silenced;
@@ -721,9 +630,6 @@ impl<P: Process> Network<P> {
             fnv_fold(&mut self.fault_fp, self.round);
             fnv_fold(&mut self.fault_fp, u64::from(v.0));
             fnv_fold(&mut self.fault_fp, silenced);
-        } else if self.policy == InFlightPolicy::Drop {
-            // Silence the victim: unsend its queued outbound mail too.
-            self.unsend_in_flight_from(v);
         }
         let mut delivered = 0usize;
         {
@@ -767,10 +673,10 @@ impl<P: Process> Network<P> {
     /// move of the Forgiving Graph model) and returns its ID plus the
     /// round's stats.
     ///
-    /// The slot comes from the [`SlotPolicy`]: appended ([`SlotPolicy::Grow`],
-    /// default — all dense state and the ledger books grow by one) or the
-    /// lowest dead slot revived ([`SlotPolicy::Reuse`]). The newcomer's
-    /// process is built by `make` and started via [`Process::on_start`];
+    /// The newcomer always gets a fresh slot — all dense state and the
+    /// ledger books grow by one, and IDs are never recycled (pristine-graph
+    /// baselines rely on stable IDs). Its process is built by `make` and
+    /// started via [`Process::on_start`];
     /// each listed neighbor receives a join notice
     /// ([`Process::on_neighbor_joined`]) charged to the [`MsgLedger`]'s
     /// joins book. Reactions are queued for the next round as usual.
@@ -792,37 +698,14 @@ impl<P: Process> Network<P> {
                 "insert_node: duplicate neighbor {u:?}"
             );
         }
-        // only `Reuse` looks for a dead slot: the scan is O(capacity)
-        let dead = match self.slots {
-            SlotPolicy::Reuse => self.graph.first_dead_slot(),
-            SlotPolicy::Grow => None,
-        };
-        let v = match dead {
-            Some(slot) => {
-                self.graph.revive_node(slot);
-                // The slot is a *new* node: retire the dead incarnation's
-                // per-node books so its message history cannot bleed into
-                // the newcomer's O(1)-per-node evidence…
-                self.ledger.reset_node(slot);
-                // …and unsend the dead incarnation's still-undelivered
-                // mail — a recycled identity must not speak from the grave
-                // (deliveries after the revival would otherwise charge the
-                // new incarnation's sent book for the old one's traffic).
-                self.unsend_in_flight_from(slot);
-                slot
-            }
-            None => {
-                let slot = self.graph.add_node();
-                debug_assert_eq!(slot.index(), self.procs.len());
-                self.procs.push(None);
-                // recycle a retired inbox buffer when the arena has one
-                self.inboxes.push(self.buf_pool.pop().unwrap_or_default());
-                self.round_load.push(0);
-                self.ledger.grow(self.graph.capacity());
-                self.hot.grow(self.graph.capacity());
-                slot
-            }
-        };
+        let v = self.graph.add_node();
+        debug_assert_eq!(v.index(), self.procs.len());
+        self.procs.push(None);
+        // recycle a retired inbox buffer when the arena has one
+        self.inboxes.push(self.buf_pool.pop().unwrap_or_default());
+        self.round_load.push(0);
+        self.ledger.grow(self.graph.capacity());
+        self.hot.grow(self.graph.capacity());
         debug_assert!(self.inboxes[v.index()].is_empty());
         self.procs[v.index()] = Some(make(v));
         self.live += 1;
@@ -1408,7 +1291,7 @@ mod tests {
         assert_eq!(rounds, 5);
     }
 
-    /// One-shot sender used by the in-flight policy tests.
+    /// One-shot sender used by the in-flight mail test.
     #[derive(Debug)]
     struct OneShot {
         target: Option<NodeId>,
@@ -1427,9 +1310,9 @@ mod tests {
         }
     }
 
-    fn one_shot_net(policy: InFlightPolicy) -> Network<OneShot> {
+    fn one_shot_net() -> Network<OneShot> {
         let g = gen::path(2);
-        Network::with_policy(g, policy, |v| OneShot {
+        Network::new(g, |v| OneShot {
             target: (v == NodeId(0)).then_some(NodeId(1)),
             received: 0,
         })
@@ -1437,23 +1320,12 @@ mod tests {
 
     #[test]
     fn dead_senders_mail_is_delivered_by_default() {
-        let mut net = one_shot_net(InFlightPolicy::Deliver);
+        let mut net = one_shot_net();
         net.start();
         net.delete_node(NodeId(0)); // sender dies with mail in flight
         let (_, _cost) = net.run_until_quiet(4);
         assert_eq!(net.process(NodeId(1)).received, 1, "wire kept the packet");
         assert_eq!(net.ledger().dropped(), 0);
-        net.check_accounting().expect("books balance");
-    }
-
-    #[test]
-    fn drop_policy_silences_dead_senders() {
-        let mut net = one_shot_net(InFlightPolicy::Drop);
-        net.start();
-        net.delete_node(NodeId(0));
-        let (_, _cost) = net.run_until_quiet(4);
-        assert_eq!(net.process(NodeId(1)).received, 0, "victim was silenced");
-        assert_eq!(net.ledger().dropped(), 1, "the unsent mail is on the books");
         net.check_accounting().expect("books balance");
     }
 
@@ -1526,7 +1398,7 @@ mod tests {
         let g = gen::path(3);
         let mut net = Network::new(g, |_| Greeter::default());
         let (v, stats) = net.insert_node(&[NodeId(0), NodeId(2)], |_| Greeter::default());
-        assert_eq!(v, NodeId(3), "grow policy appends");
+        assert_eq!(v, NodeId(3), "a fresh slot is appended");
         assert_eq!(stats.messages, 2, "two join notices");
         assert_eq!(stats.edges_added, 2);
         assert!(net.graph().has_edge(v, NodeId(0)));
@@ -1535,22 +1407,6 @@ mod tests {
         let (_, _cost) = net.run_until_quiet(4);
         assert_eq!(net.process(v).greetings, 2, "both anchors greeted");
         assert_eq!(net.ledger().joins(), 2);
-        net.check_accounting().expect("books balance");
-    }
-
-    #[test]
-    fn reuse_policy_revives_the_dead_slot() {
-        let g = gen::path(3);
-        let mut net = Network::new(g, |_| Greeter::default());
-        net.set_slot_policy(SlotPolicy::Reuse);
-        net.delete_node(NodeId(1));
-        let (v, _) = net.insert_node(&[NodeId(0)], |_| Greeter::default());
-        assert_eq!(v, NodeId(1), "dead slot reused");
-        assert_eq!(net.graph().capacity(), 3, "no growth");
-        assert_eq!(net.len(), 3);
-        let (w, _) = net.insert_node(&[NodeId(2)], |_| Greeter::default());
-        assert_eq!(w, NodeId(3), "no dead slot left: falls back to growing");
-        let (_, _cost) = net.run_until_quiet(4);
         net.check_accounting().expect("books balance");
     }
 

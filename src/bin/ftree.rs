@@ -9,7 +9,7 @@
 //!               --planner heavy-tail --seed 42 --out BENCH_sim.json
 //! ftree stress  --model graph --nodes 1m --events 2000 --wave 50 \
 //!               --planner mixed --insert-frac 0.4 --seed 42 \
-//!               --stretch incremental --out BENCH_graph.json
+//!               --out BENCH_graph.json
 //! ftree costs   [--out BENCH_costs.json]
 //! ftree faults  [--nodes 500] [--events 120] [--wave 10] [--seed 42] \
 //!               [--out BENCH_faults.json]
@@ -50,7 +50,7 @@ fn usage() -> ! {
          ftree scaling --healer H --adversary A\n  \
          ftree duel    --workload W\n  \
          ftree stress  [--model tree]  [--nodes N] [--deletions D] [--wave K] [--arity A] [--planner P] [--cadence per-deletion|per-wave] [--faults M] [--seed S] [--out FILE]\n  \
-         ftree stress  --model graph [--nodes N] [--events E] [--wave K] [--insert-frac F] [--extra-edges F] [--planner P] [--faults M] [--seed S] [--sources B] [--stretch full|incremental|both] [--out FILE]\n  \
+         ftree stress  --model graph [--nodes N] [--events E] [--wave K] [--insert-frac F] [--extra-edges F] [--planner P] [--faults M] [--seed S] [--sources B] [--out FILE]\n  \
          ftree costs   [--out FILE]\n  \
          ftree faults  [--nodes N] [--events E] [--wave K] [--seed S] [--out FILE]\n  \
          ftree reproduce [--out FILE]\n\n\
@@ -434,7 +434,6 @@ fn cmd_stress_graph(args: &[String]) {
             "--faults",
             "--seed",
             "--sources",
-            "--stretch",
             "--out",
         ],
         &[],
@@ -445,14 +444,10 @@ fn cmd_stress_graph(args: &[String]) {
         eprintln!("unknown churn planner: {planner}");
         usage();
     }
-    let stretch_mode = flag_value(args, "--stretch").unwrap_or("incremental");
-    if !matches!(stretch_mode, "full" | "incremental" | "both") {
-        eprintln!("unknown stretch mode: {stretch_mode} (full | incremental | both)");
-        usage();
-    }
     let faults = parse_fault_model(args);
     let cfg = GraphStressConfig {
-        nodes: parse_count(args, "--nodes", defaults.nodes, 1),
+        // the churn driver plans only while more than two nodes live
+        nodes: parse_count(args, "--nodes", defaults.nodes, 3),
         events: parse_count(args, "--events", defaults.events, 0),
         wave_size: parse_count(args, "--wave", defaults.wave_size, 1),
         insert_fraction: parse_fraction(args, "--insert-frac", defaults.insert_fraction),
@@ -460,7 +455,6 @@ fn cmd_stress_graph(args: &[String]) {
         planner: planner.into(),
         seed: parse_count(args, "--seed", defaults.seed as usize, 0) as u64,
         stretch_sources: parse_count(args, "--sources", defaults.stretch_sources, 0),
-        stretch_mode: stretch_mode.into(),
         faults,
         ..defaults
     };
@@ -483,18 +477,7 @@ fn cmd_stress_graph(args: &[String]) {
         rec.max_degree_increase,
         rec.degree_bound
     );
-    println!(
-        "  stretch engine: {} ({:.1} ms){}",
-        rec.stretch_mode,
-        rec.stretch_wall_ms,
-        // run_graph_stress panics on divergence, so reaching this line in
-        // `both` mode IS the agreement certificate — say so explicitly.
-        if cfg.stretch_mode == "both" && rec.stretch_modes_agree {
-            " | full and incremental figures agree"
-        } else {
-            ""
-        }
-    );
+    println!("  stretch tracker: {:.1} ms", rec.stretch_wall_ms);
     if cfg.faults != "none" {
         println!(
             "  faults ({}): lost {} | duplicated {} | delayed {} | crashes {} | converged {} | wills {} | connected {} | fingerprint {:#018x}",
@@ -526,7 +509,7 @@ fn cmd_stress_graph(args: &[String]) {
 fn cmd_costs(args: &[String]) {
     check_flags(args, &["--out"], &[]);
     // The two CI smoke campaigns, pinned: the exact shapes the workflow's
-    // stress steps run, with incremental stretch. The emitted
+    // stress steps run. The emitted
     // record carries counters only — no timing or throughput fields — so
     // the committed baseline is byte-stable across machines and a plain
     // `diff` in CI catches any cost-model drift.
@@ -545,7 +528,6 @@ fn cmd_costs(args: &[String]) {
         insert_fraction: 0.4,
         planner: "mixed".into(),
         seed: 1,
-        stretch_mode: "incremental".into(),
         ..GraphStressConfig::default()
     });
     let json = Record::new()
@@ -589,7 +571,9 @@ fn cmd_faults(args: &[String]) {
     );
     let defaults = FaultMatrixConfig::default();
     let cfg = FaultMatrixConfig {
-        nodes: parse_count(args, "--nodes", defaults.nodes, 1),
+        // the graph cells' churn driver plans only while more than two
+        // nodes live
+        nodes: parse_count(args, "--nodes", defaults.nodes, 3),
         events: parse_count(args, "--events", defaults.events, 0),
         wave_size: parse_count(args, "--wave", defaults.wave_size, 1),
         seed: parse_count(args, "--seed", defaults.seed as usize, 0) as u64,

@@ -94,14 +94,14 @@ pub mod prelude {
     pub use ft_graph::tree::RootedTree;
     pub use ft_graph::{gen, ChurnEvent, Graph, NodeId};
     pub use ft_metrics::{
-        measure_stretch, measure_stretch_full, run_fault_matrix, run_graph_stress, run_stress,
-        run_trial, select_sources, FaultCell, FaultMatrixConfig, FaultMatrixRecord,
-        GraphStressConfig, GraphStressRecord, StressConfig, StressRecord, StretchReport,
-        StretchTracker, Table, Trial, TrialConfig, Workload,
+        measure_stretch_full, run_fault_matrix, run_graph_stress, run_stress, run_trial,
+        select_sources, FaultCell, FaultMatrixConfig, FaultMatrixRecord, GraphStressConfig,
+        GraphStressRecord, StressConfig, StressRecord, StretchReport, StretchTracker, Table, Trial,
+        TrialConfig, Workload,
     };
     pub use ft_sim::bfs::distributed_bfs_tree;
     pub use ft_sim::{
-        Campaign, CampaignConfig, CampaignReport, FaultConfig, FaultPlan, HealCadence,
-        InFlightPolicy, MsgFate, MsgLedger, SlotPolicy,
+        Campaign, CampaignConfig, CampaignReport, FaultConfig, FaultPlan, HealCadence, MsgFate,
+        MsgLedger,
     };
 }

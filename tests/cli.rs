@@ -28,6 +28,7 @@ fn retired_threads_flag_is_rejected() {
         "stress --nodes 300 --deletions 10 --threads 2",
         "stress --model graph --nodes 300 --threads 2",
         "faults --nodes 100 --threads 2",
+        "stress --model graph --nodes 300 --stretch full",
     ] {
         assert_eq!(ftree(args, &[]), 2, "{args}");
     }
@@ -76,7 +77,8 @@ fn clamped_arity_and_wave_are_rejected() {
 #[test]
 fn empty_workloads_and_bad_fractions_are_rejected() {
     // the zero-size workloads once panicked in the generators or in
-    // `RootedTree`; a fraction outside [0, 1] ran as 0 or 1 deletions' worth
+    // `RootedTree`; a fraction outside [0, 1] ran as 0 or 1 deletions' worth;
+    // a graph campaign on two nodes planned nothing yet reported success
     for args in [
         "attack --workload path:0",
         "attack --workload star:0",
@@ -91,6 +93,8 @@ fn empty_workloads_and_bad_fractions_are_rejected() {
         "attack --workload path:8 --fraction -1",
         "attack --workload path:8 --fraction NaN",
         "attack --workload path:8 --fraction 5",
+        "stress --model graph --nodes 2 --events 5",
+        "faults --nodes 2",
     ] {
         assert_eq!(ftree(args, &[]), 2, "{args}");
     }

@@ -39,7 +39,7 @@ fn run_churn(nn: usize, seed: u64, insert_pct: u8, events: usize) -> Distributed
             "degree increase {deg} exceeds the O(log n) bound {}",
             fg_degree_bound(capacity)
         );
-        let stretch = measure_stretch(dist.graph(), dist.pristine(), 6, seed);
+        let (stretch, _) = measure_stretch_full(dist.graph(), dist.pristine(), 6, seed);
         assert_eq!(
             stretch.disconnected_pairs, 0,
             "surviving pair unreachable in the healed graph"
@@ -107,7 +107,7 @@ fn degree_increase_regression_on_seeded_campaign() {
         "degree increase regressed: +{deg} (was ≤ 6, O(log n) bound {})",
         fg_degree_bound(dist.graph().capacity())
     );
-    let stretch = measure_stretch(dist.graph(), dist.pristine(), 12, 7);
+    let (stretch, _) = measure_stretch_full(dist.graph(), dist.pristine(), 12, 7);
     assert!(
         stretch.max_stretch <= 4.0,
         "stretch regressed: {} (was ≤ 4.0)",
