@@ -4,7 +4,7 @@
 //! it has the ability to delete arbitrary nodes". [`Adversary`]
 //! implementations therefore receive an [`AdversaryView`] exposing the full
 //! current network *and*, when the victim is a Forgiving Tree, read access
-//! to its internal structure (heirs, roles, the virtual root) — strictly
+//! to every processor's fields (heirs, wills, the virtual root) — strictly
 //! more information than any honest peer has.
 //!
 //! The strategies:
@@ -29,7 +29,7 @@
 //! seeded message loss, duplication, delay, partitions, and crash-stop
 //! deaths — is built the same way, by name, via [`FaultConfig::from_name`].
 
-use ft_core::ForgivingTree;
+use ft_core::distributed::DistributedForgivingTree;
 use ft_graph::bfs::diameter_double_sweep;
 use ft_graph::{ChurnEvent, Graph, NodeId};
 pub use ft_sim::{FaultConfig, FaultPlan};
@@ -42,8 +42,8 @@ use rand::{Rng, SeedableRng};
 pub struct AdversaryView<'a> {
     /// The current healed network.
     pub graph: &'a Graph,
-    /// The Forgiving Tree internals, when attacking one.
-    pub ft: Option<&'a ForgivingTree>,
+    /// The Forgiving Tree's processors, when attacking one.
+    pub ft: Option<&'a DistributedForgivingTree>,
 }
 
 /// A deletion strategy.
@@ -556,7 +556,7 @@ mod tests {
     fn root_adversary_tracks_virtual_root() {
         let g = gen::kary_tree(7, 2);
         let t = RootedTree::from_tree_graph(&g, n(0));
-        let mut ft = ForgivingTree::new(&t);
+        let mut ft = DistributedForgivingTree::new(&t);
         let mut adv = RootAdversary;
         let v = AdversaryView {
             graph: ft.graph(),
@@ -576,7 +576,7 @@ mod tests {
     fn heir_hunter_kills_heirs() {
         let g = gen::star(8);
         let t = RootedTree::from_tree_graph(&g, n(0));
-        let ft = ForgivingTree::new(&t);
+        let ft = DistributedForgivingTree::new(&t);
         let mut adv = HeirHunter;
         let v = AdversaryView {
             graph: ft.graph(),

@@ -19,8 +19,14 @@
 //! deletion sweeps), and [`NoHeal`] (a do-nothing reference), so the
 //! experiment harness can sweep them uniformly. Experiment E5 regenerates
 //! the quoted blow-ups.
+//!
+//! The two Forgiving healers run the message-passing engines
+//! ([`DistributedForgivingTree`], [`DistributedForgivingGraph`]): each
+//! heal runs to quiescence and its [`HealReport`] is read from the
+//! simulator's ledger.
 
-use ft_core::{ForgivingGraph, ForgivingTree, HealReport};
+use ft_core::distributed::DistributedForgivingTree;
+use ft_core::{DistributedForgivingGraph, HealReport};
 use ft_graph::tree::RootedTree;
 use ft_graph::{Graph, NodeId};
 
@@ -32,22 +38,25 @@ pub trait SelfHealer {
     /// The current network.
     fn graph(&self) -> &Graph;
 
+    /// The network degree increases are measured against: the initial
+    /// one, or for the Forgiving Graph the pristine one (every insertion,
+    /// no deletion).
+    fn baseline(&self) -> &Graph;
+
     /// Deletes `v` and heals; returns the heal transcript.
     ///
     /// # Panics
     /// Implementations panic when `v` is not alive.
     fn delete(&mut self, v: NodeId) -> HealReport;
 
-    /// Degree increase of `v` over the healer's initial network.
-    fn degree_increase(&self, v: NodeId) -> i64;
+    /// Degree increase of `v` over the baseline network.
+    fn degree_increase(&self, v: NodeId) -> i64 {
+        self.graph().degree(v) as i64 - self.baseline().degree(v) as i64
+    }
 
     /// Largest degree increase any live node currently suffers.
     fn max_degree_increase(&self) -> i64 {
-        self.graph()
-            .nodes()
-            .map(|v| self.degree_increase(v))
-            .max()
-            .unwrap_or(0)
+        self.graph().max_degree_increase_over(self.baseline())
     }
 
     /// Live node count.
@@ -65,9 +74,9 @@ pub trait SelfHealer {
         self.graph().is_alive(v)
     }
 
-    /// Read access to Forgiving Tree internals, when this healer is one —
-    /// used to grant the omniscient adversary structure awareness.
-    fn as_forgiving(&self) -> Option<&ForgivingTree> {
+    /// The Forgiving Tree protocol, when this healer runs one: the
+    /// omniscient adversary reads its processors' fields.
+    fn as_forgiving(&self) -> Option<&DistributedForgivingTree> {
         None
     }
 }
@@ -88,7 +97,6 @@ fn baseline_report(v: NodeId, notified: usize, added: Vec<(NodeId, NodeId)>) -> 
         max_messages_per_node: per_node.values().max().copied().unwrap_or(0) + 1,
         edges_added: added,
         rounds: 1,
-        ..HealReport::default()
     }
 }
 
@@ -96,13 +104,13 @@ fn baseline_report(v: NodeId, notified: usize, added: Vec<(NodeId, NodeId)>) -> 
 #[derive(Clone, Debug)]
 pub struct NoHeal {
     graph: Graph,
-    orig: std::collections::BTreeMap<NodeId, usize>,
+    orig: Graph,
 }
 
 impl NoHeal {
     /// Wraps a network without any healing.
     pub fn new(graph: Graph) -> Self {
-        let orig = graph.degree_map();
+        let orig = graph.clone();
         NoHeal { graph, orig }
     }
 }
@@ -116,13 +124,13 @@ impl SelfHealer for NoHeal {
         &self.graph
     }
 
+    fn baseline(&self) -> &Graph {
+        &self.orig
+    }
+
     fn delete(&mut self, v: NodeId) -> HealReport {
         let nbrs = self.graph.delete_node(v);
         baseline_report(v, nbrs.len(), Vec::new())
-    }
-
-    fn degree_increase(&self, v: NodeId) -> i64 {
-        self.graph.degree(v) as i64 - self.orig[&v] as i64
     }
 }
 
@@ -131,13 +139,13 @@ impl SelfHealer for NoHeal {
 #[derive(Clone, Debug)]
 pub struct SurrogateHealer {
     graph: Graph,
-    orig: std::collections::BTreeMap<NodeId, usize>,
+    orig: Graph,
 }
 
 impl SurrogateHealer {
     /// Wraps a network with surrogate healing.
     pub fn new(graph: Graph) -> Self {
-        let orig = graph.degree_map();
+        let orig = graph.clone();
         SurrogateHealer { graph, orig }
     }
 }
@@ -149,6 +157,10 @@ impl SelfHealer for SurrogateHealer {
 
     fn graph(&self) -> &Graph {
         &self.graph
+    }
+
+    fn baseline(&self) -> &Graph {
+        &self.orig
     }
 
     fn delete(&mut self, v: NodeId) -> HealReport {
@@ -163,10 +175,6 @@ impl SelfHealer for SurrogateHealer {
         }
         baseline_report(v, nbrs.len(), added)
     }
-
-    fn degree_increase(&self, v: NodeId) -> i64 {
-        self.graph.degree(v) as i64 - self.orig[&v] as i64
-    }
 }
 
 /// The straight-line strategy: neighbors of the deleted node are joined in
@@ -174,13 +182,13 @@ impl SelfHealer for SurrogateHealer {
 #[derive(Clone, Debug)]
 pub struct LineHealer {
     graph: Graph,
-    orig: std::collections::BTreeMap<NodeId, usize>,
+    orig: Graph,
 }
 
 impl LineHealer {
     /// Wraps a network with line healing.
     pub fn new(graph: Graph) -> Self {
-        let orig = graph.degree_map();
+        let orig = graph.clone();
         LineHealer { graph, orig }
     }
 }
@@ -194,6 +202,10 @@ impl SelfHealer for LineHealer {
         &self.graph
     }
 
+    fn baseline(&self) -> &Graph {
+        &self.orig
+    }
+
     fn delete(&mut self, v: NodeId) -> HealReport {
         let nbrs = self.graph.delete_node(v); // ascending order already
         let mut added = Vec::new();
@@ -204,10 +216,6 @@ impl SelfHealer for LineHealer {
         }
         baseline_report(v, nbrs.len(), added)
     }
-
-    fn degree_increase(&self, v: NodeId) -> i64 {
-        self.graph.degree(v) as i64 - self.orig[&v] as i64
-    }
 }
 
 /// The binary-tree strategy: neighbors of the deleted node are joined as a
@@ -215,13 +223,13 @@ impl SelfHealer for LineHealer {
 #[derive(Clone, Debug)]
 pub struct BinaryTreeHealer {
     graph: Graph,
-    orig: std::collections::BTreeMap<NodeId, usize>,
+    orig: Graph,
 }
 
 impl BinaryTreeHealer {
     /// Wraps a network with binary-tree healing.
     pub fn new(graph: Graph) -> Self {
-        let orig = graph.degree_map();
+        let orig = graph.clone();
         BinaryTreeHealer { graph, orig }
     }
 }
@@ -233,6 +241,10 @@ impl SelfHealer for BinaryTreeHealer {
 
     fn graph(&self) -> &Graph {
         &self.graph
+    }
+
+    fn baseline(&self) -> &Graph {
+        &self.orig
     }
 
     fn delete(&mut self, v: NodeId) -> HealReport {
@@ -247,13 +259,11 @@ impl SelfHealer for BinaryTreeHealer {
         }
         baseline_report(v, nbrs.len(), added)
     }
-
-    fn degree_increase(&self, v: NodeId) -> i64 {
-        self.graph.degree(v) as i64 - self.orig[&v] as i64
-    }
 }
 
-/// The paper's data structure behind the [`SelfHealer`] interface.
+/// The paper's data structure behind the [`SelfHealer`] interface: the
+/// message-passing [`DistributedForgivingTree`], whose fields the
+/// omniscient adversary reads through [`SelfHealer::as_forgiving`].
 ///
 /// ```
 /// use ft_baselines::{ForgivingHealer, SelfHealer};
@@ -261,21 +271,24 @@ impl SelfHealer for BinaryTreeHealer {
 ///
 /// let mut h = ForgivingHealer::from_tree_graph(&gen::kary_tree(40, 3), NodeId(0));
 /// h.delete(NodeId(0));
-/// h.delete(NodeId(1));
+/// let report = h.delete(NodeId(1));
 /// assert!(h.graph().is_connected());
 /// assert!(h.max_degree_increase() <= 3); // Theorem 1.1
+/// assert!(report.rounds <= 8); // Theorem 1.3
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ForgivingHealer {
-    ft: ForgivingTree,
+    ft: DistributedForgivingTree,
+    /// The spanning tree the structure was armed over.
+    initial: Graph,
 }
 
 impl ForgivingHealer {
     /// Builds the Forgiving Tree over a rooted spanning tree.
     pub fn new(tree: &RootedTree) -> Self {
-        ForgivingHealer {
-            ft: ForgivingTree::new(tree),
-        }
+        let ft = DistributedForgivingTree::new(tree);
+        let initial = ft.graph().clone();
+        ForgivingHealer { ft, initial }
     }
 
     /// Builds over a tree-shaped graph rooted at `root`.
@@ -284,11 +297,6 @@ impl ForgivingHealer {
     /// Panics if `graph` is not a tree.
     pub fn from_tree_graph(graph: &Graph, root: NodeId) -> Self {
         Self::new(&RootedTree::from_tree_graph(graph, root))
-    }
-
-    /// Access to the underlying structure (adversary introspection).
-    pub fn inner(&self) -> &ForgivingTree {
-        &self.ft
     }
 }
 
@@ -301,19 +309,15 @@ impl SelfHealer for ForgivingHealer {
         self.ft.graph()
     }
 
+    fn baseline(&self) -> &Graph {
+        &self.initial
+    }
+
     fn delete(&mut self, v: NodeId) -> HealReport {
         self.ft.delete(v)
     }
 
-    fn degree_increase(&self, v: NodeId) -> i64 {
-        self.ft.degree_increase(v)
-    }
-
-    fn max_degree_increase(&self) -> i64 {
-        self.ft.max_degree_increase()
-    }
-
-    fn as_forgiving(&self) -> Option<&ForgivingTree> {
+    fn as_forgiving(&self) -> Option<&DistributedForgivingTree> {
         Some(&self.ft)
     }
 }
@@ -335,26 +339,27 @@ impl SelfHealer for ForgivingHealer {
 /// assert!(h.graph().is_connected());
 /// assert!(h.max_degree_increase() <= 4);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ForgivingGraphHealer {
-    fg: ForgivingGraph,
+    fg: DistributedForgivingGraph,
 }
 
 impl ForgivingGraphHealer {
     /// Arms the Forgiving Graph over an initial network.
     pub fn new(graph: Graph) -> Self {
         ForgivingGraphHealer {
-            fg: ForgivingGraph::new(&graph),
+            fg: DistributedForgivingGraph::new(&graph),
         }
     }
 
-    /// Access to the underlying structure (adversary introspection).
-    pub fn inner(&self) -> &ForgivingGraph {
+    /// Access to the underlying structure.
+    pub fn inner(&self) -> &DistributedForgivingGraph {
         &self.fg
     }
 
-    /// Mutable access, for the insertion moves ([`ForgivingGraph::insert_node`]).
-    pub fn inner_mut(&mut self) -> &mut ForgivingGraph {
+    /// Mutable access, for the insertion moves
+    /// ([`DistributedForgivingGraph::insert`]).
+    pub fn inner_mut(&mut self) -> &mut DistributedForgivingGraph {
         &mut self.fg
     }
 }
@@ -368,16 +373,12 @@ impl SelfHealer for ForgivingGraphHealer {
         self.fg.graph()
     }
 
+    fn baseline(&self) -> &Graph {
+        self.fg.pristine()
+    }
+
     fn delete(&mut self, v: NodeId) -> HealReport {
         self.fg.delete(v)
-    }
-
-    fn degree_increase(&self, v: NodeId) -> i64 {
-        self.fg.degree_increase(v)
-    }
-
-    fn max_degree_increase(&self) -> i64 {
-        self.fg.max_degree_increase()
     }
 }
 
@@ -461,7 +462,7 @@ mod tests {
         let g = gen::star(9);
         let mut h = ForgivingHealer::from_tree_graph(&g, n(0));
         let r = h.delete(n(0));
-        assert!(!r.was_leaf);
+        assert_eq!(r.notified, 8, "one notice per leaf");
         assert!(h.graph().is_connected());
         assert!(h.max_degree_increase() <= 3);
         assert_eq!(h.name(), "forgiving-tree");
@@ -474,13 +475,15 @@ mod tests {
         g.add_edge(n(0), n(6));
         g.add_edge(n(3), n(9));
         let mut h = ForgivingGraphHealer::new(g);
-        h.inner_mut().insert_node(&[n(1), n(7)]);
+        h.inner_mut().insert(&[n(1), n(7)]);
         for v in [0u32, 6, 3, 12] {
             h.delete(n(v));
             assert!(h.graph().is_connected());
         }
         assert_eq!(h.name(), "forgiving-graph");
-        h.inner().validate();
+        h.inner().check_wills().expect("wills consistent");
+        let bound = ft_core::fg_degree_bound(h.graph().capacity());
+        assert!(h.max_degree_increase() <= bound);
     }
 
     #[test]

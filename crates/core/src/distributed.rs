@@ -1304,8 +1304,9 @@ pub(crate) fn install_fields<P: Process>(
     }
 }
 
-/// Driver owning the simulated network; mirrors [`crate::ForgivingTree`]'s
-/// public API so experiments can swap engines.
+/// Driver owning the simulated network: the Forgiving Tree engine behind
+/// `ft_baselines::ForgivingHealer` and the adversary's view of the
+/// structure. [`crate::spec::ForgivingTree`] is its test oracle.
 #[derive(Debug)]
 pub struct DistributedForgivingTree {
     net: Network<FtNode>,
@@ -1346,6 +1347,36 @@ impl DistributedForgivingTree {
         self.net.nodes()
     }
 
+    /// The live node simulating the virtual root: the one whose position
+    /// vnode or helper has no parent. Reads every processor's fields, as
+    /// only the omniscient adversary may.
+    pub fn root_sim(&self) -> Option<NodeId> {
+        self.nodes().find(|&v| {
+            let p = self.node(v);
+            p.pos_parent.is_none() || p.role.as_ref().is_some_and(|r| r.hparent.is_none())
+        })
+    }
+
+    /// The heir named in `v`'s current will, if `v` is alive and has
+    /// children slots.
+    pub fn heir_of(&self, v: NodeId) -> Option<NodeId> {
+        self.will_of(v)?.heir()
+    }
+
+    /// Current slot representatives of `v`'s will, ascending ("children(v)"
+    /// in Table 1); empty for a dead node or a leaf.
+    pub fn slot_reps(&self, v: NodeId) -> Vec<NodeId> {
+        self.will_of(v)
+            .map(|w| w.reps().collect())
+            .unwrap_or_default()
+    }
+
+    /// The will live node `v` holds, if any.
+    fn will_of(&self, v: NodeId) -> Option<&SubRtShape> {
+        let alive = self.net.graph().is_alive(v);
+        alive.then(|| self.node(v).will.as_ref()).flatten()
+    }
+
     /// The message ledger of the underlying simulator — the single source
     /// of truth for Theorem 1.3's message accounting.
     pub fn ledger(&self) -> &ft_sim::MsgLedger {
@@ -1369,23 +1400,6 @@ impl DistributedForgivingTree {
     /// Panics if `v` is dead or the protocol fails to quiesce within the
     /// O(1) round budget.
     pub fn delete(&mut self, v: NodeId) -> HealReport {
-        let before_graph = self.net.graph().clone();
-        let notice = self.net.delete_node(v);
-        let ((rounds, merged), _) = self.net.run_until_quiet(12);
-        let mut edges_added = Vec::new();
-        for (a, b) in self.net.graph().edges() {
-            if !before_graph.has_edge(a, b) {
-                edges_added.push((a, b));
-            }
-        }
-        HealReport {
-            deleted: Some(v),
-            rounds: rounds + 1,
-            notified: notice.messages,
-            total_messages: notice.messages + merged.messages,
-            max_messages_per_node: notice.max_per_node.max(merged.max_per_node),
-            edges_added,
-            ..HealReport::default()
-        }
+        crate::report::heal(&mut self.net, v, 12)
     }
 }

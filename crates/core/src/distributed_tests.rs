@@ -30,7 +30,7 @@ fn differential_run(tree: &RootedTree, order: &[NodeId]) {
     assert_eq!(spec.graph(), dist.graph(), "initial graphs differ");
     assert_caches_fresh(&dist);
     for (step, &v) in order.iter().enumerate() {
-        let sr = spec.delete(v);
+        spec.delete(v);
         let dr = dist.delete(v);
         spec.validate();
         assert_eq!(
@@ -50,7 +50,7 @@ fn differential_run(tree: &RootedTree, order: &[NodeId]) {
             "a node handled {} messages in one heal",
             dr.max_messages_per_node
         );
-        let _ = sr;
+        assert_same_structure(&spec, &dist);
         assert_caches_fresh(&dist);
     }
     assert!(dist.is_empty());
@@ -58,6 +58,21 @@ fn differential_run(tree: &RootedTree, order: &[NodeId]) {
     dist.network()
         .check_accounting()
         .expect("message ledger imbalance");
+}
+
+/// Asserts that the structure the omniscient adversary reads — the virtual
+/// root's simulator, and every live node's heir and slot representatives
+/// — is the same on both engines.
+fn assert_same_structure(spec: &ForgivingTree, dist: &DistributedForgivingTree) {
+    assert_eq!(spec.root_sim(), dist.root_sim(), "root simulators differ");
+    for v in spec.nodes() {
+        assert_eq!(spec.heir_of(v), dist.heir_of(v), "heirs of {v:?} differ");
+        assert_eq!(
+            spec.slot_reps(v),
+            dist.slot_reps(v),
+            "slots of {v:?} differ"
+        );
+    }
 }
 
 fn assert_caches_fresh(dist: &DistributedForgivingTree) {
@@ -176,6 +191,7 @@ fn heir_chain_stress() {
         dist.delete(target);
         spec.validate();
         assert_eq!(spec.graph(), dist.graph(), "diverged at {target:?}");
+        assert_same_structure(&spec, &dist);
     }
 }
 

@@ -29,8 +29,9 @@
 //! will against its owner's true neighborhood.
 //!
 //! The differential test-suite drives this implementation and the
-//! [`crate::ForgivingGraph`] spec engine with identical churn sequences and
-//! asserts the healed graphs are identical after every event.
+//! [`crate::fgraph::ForgivingGraph`] spec engine, its test oracle, with
+//! identical churn sequences and asserts the healed graphs are identical
+//! after every event.
 
 use crate::fgraph::Haft;
 use crate::report::HealReport;
@@ -228,8 +229,9 @@ impl Process for FgNode {
     }
 }
 
-/// Driver owning the simulated network plus the pristine baseline; mirrors
-/// [`crate::ForgivingGraph`]'s public API so experiments can swap engines.
+/// Driver owning the simulated network plus the pristine baseline: the
+/// Forgiving Graph engine behind `ft_baselines::ForgivingGraphHealer` and
+/// the stress harnesses.
 #[derive(Debug)]
 pub struct DistributedForgivingGraph {
     net: Network<FgNode>,
@@ -360,39 +362,13 @@ impl DistributedForgivingGraph {
     /// Panics if `v` is dead or the protocol fails to quiesce within the
     /// O(1) round budget.
     pub fn delete(&mut self, v: NodeId) -> HealReport {
-        let before_graph = self.net.graph().clone();
-        let notice = self.net.delete_node(v);
-        let ((rounds, merged), _) = self.net.run_until_quiet(8);
-        let mut edges_added = Vec::new();
-        for (a, b) in self.net.graph().edges() {
-            if !before_graph.has_edge(a, b) {
-                edges_added.push((a, b));
-            }
-        }
-        HealReport {
-            deleted: Some(v),
-            rounds: rounds + 1,
-            notified: notice.messages,
-            total_messages: notice.messages + merged.messages,
-            max_messages_per_node: notice.max_per_node.max(merged.max_per_node),
-            edges_added,
-            ..HealReport::default()
-        }
+        crate::report::heal(&mut self.net, v, 8)
     }
 
-    /// Degree increase of live node `v` over the pristine baseline.
-    pub fn degree_increase(&self, v: NodeId) -> i64 {
-        self.net.graph().degree(v) as i64 - self.pristine.degree(v) as i64
-    }
-
-    /// Largest degree increase any live node currently suffers.
+    /// Largest degree increase any live node currently suffers over the
+    /// pristine baseline.
     pub fn max_degree_increase(&self) -> i64 {
-        self.net
-            .graph()
-            .nodes()
-            .map(|v| self.degree_increase(v))
-            .max()
-            .unwrap_or(0)
+        self.net.graph().max_degree_increase_over(&self.pristine)
     }
 
     /// Audits the distributed state: every processor's neighbor set matches
@@ -454,9 +430,9 @@ mod tests {
         let mut d = DistributedForgivingGraph::new(&g);
         let mut s = ForgivingGraph::new(&g);
         let dr = d.delete(n(0));
-        let sr = s.delete(n(0));
+        let added = s.delete(n(0));
         assert_eq!(d.graph(), s.graph(), "healed graphs identical");
-        assert_eq!(dr.edges_added, sr.edges_added);
+        assert_eq!(dr.edges_added, added);
         assert!(d.graph().is_connected());
         d.check_wills().expect("wills refreshed");
         d.network().check_accounting().expect("books balance");

@@ -13,40 +13,42 @@
 //! 3. each heal costs **O(1)** latency and O(1) messages per node
 //!    (Theorem 1.3).
 //!
-//! Two interchangeable engines are provided:
+//! Two engines are provided:
 //!
-//! - [`ForgivingTree`] (module [`spec`]): the exact virtual-tree semantics
-//!   with analytic message accounting — fast, and the reference for
-//!   correctness;
 //! - [`distributed::DistributedForgivingTree`]: per-node processors
-//!   exchanging real messages over the `ft-sim` synchronous network,
-//!   cross-validated against the spec engine.
+//!   exchanging real messages over the `ft-sim` synchronous network. The
+//!   healers, the adversary and the claims table run it, and every
+//!   [`HealReport`] is read from its message ledger;
+//! - [`spec::ForgivingTree`]: the exact virtual-tree semantics in one data
+//!   structure, with a full invariant audit. It is the test oracle the
+//!   differential suites check the protocol against after every deletion.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use ft_core::ForgivingTree;
+//! use ft_core::distributed::DistributedForgivingTree;
 //! use ft_graph::{gen, tree::RootedTree, NodeId};
 //!
 //! // a complete 4-ary tree of 85 nodes
 //! let g = gen::kary_tree(85, 4);
 //! let t = RootedTree::from_tree_graph(&g, NodeId(0));
-//! let mut ft = ForgivingTree::new(&t);
+//! let mut ft = DistributedForgivingTree::new(&t);
 //!
 //! // the adversary deletes the root, then an internal node
 //! ft.delete(NodeId(0));
-//! ft.delete(NodeId(1));
+//! let report = ft.delete(NodeId(1));
 //!
 //! assert!(ft.graph().is_connected());
-//! assert!(ft.max_degree_increase() <= 3);
-//! ft.validate(); // full invariant audit
+//! assert!(ft.graph().max_degree_increase_over(&g) <= 3);
+//! assert!(report.rounds <= 8 && report.max_messages_per_node <= 40);
 //! ```
 //!
 //! The successor paper's structure — *The Forgiving Graph*, healing
 //! interleaved insertions and deletions on general graphs with O(log n)
-//! degree increase and stretch — lives in [`fgraph`] (the [`ForgivingGraph`]
-//! spec engine and the [`Haft`] reconstruction shape) and [`fgraph_dist`]
-//! (the message-level [`DistributedForgivingGraph`]).
+//! degree increase and stretch — lives in [`fgraph_dist`] (the
+//! message-level [`DistributedForgivingGraph`]) and [`fgraph`] (the
+//! [`Haft`] reconstruction shape and the `ForgivingGraph` spec engine, its
+//! test oracle).
 
 pub mod distributed;
 pub mod fgraph;
@@ -58,10 +60,10 @@ mod sorted;
 pub mod spec;
 mod varena;
 
-pub use fgraph::{fg_degree_bound, fg_stretch_bound, ForgivingGraph, Haft};
+pub use fgraph::{fg_degree_bound, fg_stretch_bound, Haft};
 pub use fgraph_dist::DistributedForgivingGraph;
-pub use report::{HealReport, HealStats};
-pub use spec::{ft_diameter_bound, ForgivingTree, RoleKind};
+pub use report::HealReport;
+pub use spec::{ft_diameter_bound, RoleKind};
 
 #[cfg(test)]
 mod distributed_tests;

@@ -1,232 +1,56 @@
-//! Heal transcripts and message accounting.
+//! Heal transcripts, read from the message-passing engines' ledgers.
 //!
 //! Theorem 1.3 claims O(1) latency per deletion and O(1) messages *per node*
-//! per deletion. The spec engine counts every protocol event analytically
-//! while it performs the virtual-tree surgery; the distributed
-//! implementation counts real simulator messages. Both produce a
-//! [`HealReport`], so the two accountings can be compared.
+//! per deletion. Both protocols ([`crate::distributed`] and
+//! [`crate::fgraph_dist`]) heal a deletion by running the `ft-sim` network
+//! to quiescence, and one shared function reads the [`HealReport`] off the
+//! rounds it ran: the simulator's [`ft_sim::MsgLedger`] is the one message
+//! count.
 
 use ft_graph::NodeId;
-use std::collections::BTreeMap;
+use ft_sim::{Network, Process};
 
 /// What happened while healing one deletion.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HealReport {
     /// The node the adversary removed.
     pub deleted: Option<NodeId>,
-    /// Whether it was a leaf of the (virtual) tree at deletion time.
-    pub was_leaf: bool,
-    /// Neighbors informed of the deletion (the model's failure detection).
+    /// Deletion notices delivered to the dead node's neighbors (the
+    /// model's failure detection).
     pub notified: usize,
-    /// Real edges the healer inserted.
+    /// Real edges the heal inserted, as `(a, b)` with `a < b`, ascending.
     pub edges_added: Vec<(NodeId, NodeId)>,
-    /// Real edges the healer dropped (beyond those lost with the deleted
-    /// node itself).
-    pub edges_removed: Vec<(NodeId, NodeId)>,
-    /// Will-portion update messages sent by will owners.
-    pub portion_msgs: usize,
-    /// LeafWill transfers/refreshes (leaf with helper duties → its parent).
-    pub leafwill_msgs: usize,
-    /// Field-update messages caused by simulator handovers (a virtual node's
-    /// simulator changed; its virtual neighbors are told).
-    pub field_update_msgs: usize,
-    /// Total messages across all nodes.
+    /// Total messages across all nodes, notices included.
     pub total_messages: usize,
-    /// Maximum messages charged to any single node (the Theorem 1.3 figure).
+    /// Maximum messages any single node sent and received in one round of
+    /// the heal (the Theorem 1.3 figure).
     pub max_messages_per_node: usize,
-    /// Rounds of communication (the recovery latency).
+    /// Rounds of communication, the notice round included (the recovery
+    /// latency).
     pub rounds: u32,
 }
 
-impl HealReport {
-    /// Messages per notified neighbor — a convenience for per-node claims.
-    pub fn messages_per_neighbor(&self) -> f64 {
-        if self.notified == 0 {
-            0.0
-        } else {
-            self.total_messages as f64 / self.notified as f64
-        }
-    }
-}
-
-/// Running tally while a heal is in progress.
-#[derive(Clone, Debug, Default)]
-pub struct Ledger {
-    report: HealReport,
-    per_node: BTreeMap<NodeId, usize>,
-}
-
-impl Ledger {
-    /// Starts a transcript for the deletion of `deleted`.
-    pub fn new(deleted: NodeId, was_leaf: bool) -> Self {
-        Ledger {
-            report: HealReport {
-                deleted: Some(deleted),
-                was_leaf,
-                rounds: 1,
-                ..HealReport::default()
-            },
-            per_node: BTreeMap::new(),
-        }
-    }
-
-    fn charge(&mut self, v: NodeId, n: usize) {
-        *self.per_node.entry(v).or_insert(0) += n;
-        self.report.total_messages += n;
-    }
-
-    /// Deletion notices delivered to the dead node's neighbors.
-    pub fn notify(&mut self, neighbors: &[NodeId]) {
-        self.report.notified = neighbors.len();
-        for &v in neighbors {
-            self.charge(v, 1);
-        }
-    }
-
-    /// A real edge was inserted (one request, one accept).
-    pub fn edge_added(&mut self, a: NodeId, b: NodeId) {
-        self.report.edges_added.push(order(a, b));
-        self.charge(a, 1);
-        self.charge(b, 1);
-    }
-
-    /// A real edge was dropped (one notice each way).
-    pub fn edge_removed(&mut self, a: NodeId, b: NodeId) {
-        self.report.edges_removed.push(order(a, b));
-        self.charge(a, 1);
-        self.charge(b, 1);
-    }
-
-    /// Will owner `owner` re-sent portions to `reps`.
-    pub fn portions(&mut self, owner: NodeId, reps: impl IntoIterator<Item = NodeId>) {
-        for rep in reps {
-            self.report.portion_msgs += 1;
-            self.charge(owner, 1);
-            self.charge(rep, 1);
-        }
-    }
-
-    /// `leaf` refreshed the LeafWill held by `parent`.
-    pub fn leafwill(&mut self, leaf: NodeId, parent: NodeId) {
-        self.report.leafwill_msgs += 1;
-        self.charge(leaf, 1);
-        self.charge(parent, 1);
-    }
-
-    /// A simulator handover: `new_sim` announces itself to virtual neighbor
-    /// simulators.
-    pub fn field_update(&mut self, new_sim: NodeId, neighbor: NodeId) {
-        self.report.field_update_msgs += 1;
-        self.charge(new_sim, 1);
-        self.charge(neighbor, 1);
-    }
-
-    /// Sets the recovery latency in rounds.
-    pub fn set_rounds(&mut self, rounds: u32) {
-        self.report.rounds = rounds;
-    }
-
-    /// Closes the transcript.
-    pub fn finish(mut self) -> HealReport {
-        self.report.max_messages_per_node = self.per_node.values().max().copied().unwrap_or(0);
-        self.report
-    }
-}
-
-fn order(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// Aggregate over a whole deletion sequence.
-#[derive(Clone, Debug, Default)]
-pub struct HealStats {
-    /// Number of heals recorded.
-    pub heals: usize,
-    /// Total edges inserted by the healer.
-    pub edges_added: usize,
-    /// Total messages.
-    pub total_messages: usize,
-    /// Worst per-node message count in any single heal.
-    pub worst_node_messages: usize,
-    /// Worst total messages in any single heal.
-    pub worst_heal_messages: usize,
-    /// Worst recovery rounds.
-    pub worst_rounds: u32,
-}
-
-impl HealStats {
-    /// Folds one heal into the aggregate.
-    pub fn absorb(&mut self, r: &HealReport) {
-        self.heals += 1;
-        self.edges_added += r.edges_added.len();
-        self.total_messages += r.total_messages;
-        self.worst_node_messages = self.worst_node_messages.max(r.max_messages_per_node);
-        self.worst_heal_messages = self.worst_heal_messages.max(r.total_messages);
-        self.worst_rounds = self.worst_rounds.max(r.rounds);
-    }
-
-    /// Mean messages per heal.
-    pub fn mean_messages(&self) -> f64 {
-        if self.heals == 0 {
-            0.0
-        } else {
-            self.total_messages as f64 / self.heals as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn n(i: u32) -> NodeId {
-        NodeId(i)
-    }
-
-    #[test]
-    fn ledger_counts_and_max() {
-        let mut l = Ledger::new(n(0), false);
-        l.notify(&[n(1), n(2)]);
-        l.edge_added(n(1), n(2));
-        l.edge_added(n(2), n(3));
-        l.portions(n(1), [n(2)]);
-        l.leafwill(n(3), n(2));
-        let r = l.finish();
-        assert_eq!(r.notified, 2);
-        assert_eq!(r.edges_added.len(), 2);
-        assert_eq!(r.portion_msgs, 1);
-        assert_eq!(r.leafwill_msgs, 1);
-        // node 2: notice + 2 edge msgs + portion recv + leafwill recv = 5
-        assert_eq!(r.max_messages_per_node, 5);
-        assert_eq!(r.total_messages, 2 + 4 + 2 + 2);
-    }
-
-    #[test]
-    fn edges_are_canonically_ordered() {
-        let mut l = Ledger::new(n(9), true);
-        l.edge_added(n(5), n(3));
-        let r = l.finish();
-        assert_eq!(r.edges_added, vec![(n(3), n(5))]);
-    }
-
-    #[test]
-    fn stats_absorb() {
-        let mut s = HealStats::default();
-        let mut l = Ledger::new(n(0), false);
-        l.notify(&[n(1)]);
-        s.absorb(&l.finish());
-        assert_eq!(s.heals, 1);
-        assert_eq!(s.worst_node_messages, 1);
-        assert!(s.mean_messages() > 0.0);
-    }
-
-    #[test]
-    fn empty_report_per_neighbor_is_zero() {
-        let r = HealReport::default();
-        assert_eq!(r.messages_per_neighbor(), 0.0);
+/// Deletes `v` from `net` and runs the recovery phase to quiescence within
+/// `budget` rounds, reporting the heal from the rounds it ran.
+///
+/// # Panics
+/// Panics if `v` is dead or the protocol fails to quiesce within `budget`.
+pub(crate) fn heal<P: Process>(net: &mut Network<P>, v: NodeId, budget: u32) -> HealReport {
+    let before = net.graph().clone();
+    let notice = net.delete_node(v);
+    let ((rounds, merged), _) = net.run_until_quiet(budget);
+    let edges_added = net
+        .graph()
+        .edges()
+        .into_iter()
+        .filter(|&(a, b)| !before.has_edge(a, b))
+        .collect();
+    HealReport {
+        deleted: Some(v),
+        notified: notice.messages,
+        edges_added,
+        total_messages: notice.messages + merged.messages,
+        max_messages_per_node: notice.max_per_node.max(merged.max_per_node),
+        rounds: rounds + 1,
     }
 }

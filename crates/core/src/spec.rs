@@ -5,9 +5,12 @@
 //! adversarial deletions, together with the real network as the homomorphic
 //! image of the virtual tree. It is "centralized" only in the sense that one
 //! data structure holds all node states; every heal touches O(degree) state
-//! and produces the same edge/message transcript the distributed protocol
-//! exchanges (the distributed implementation in [`crate::distributed`] is
-//! cross-validated against this engine).
+//! and inserts the same edges the distributed protocol does. It is a test
+//! oracle: the message-passing [`crate::distributed`] engine is what the
+//! healers, the adversary and the claims table run, and the differential
+//! suites check it against this engine after every deletion. Messages are
+//! counted only there. Outside the tests, the Figure 1 row and the SubRT
+//! ablation ([`ShapeConfig`]) of the claims table read this engine.
 //!
 //! Terminology follows §3 of the paper:
 //!
@@ -22,7 +25,6 @@
 //!   ([Algorithm 3.3/3.8/3.9]); deleting a leaf short-circuits redundant
 //!   helpers and passes the leaf's role to its parent ([Algorithm 3.4/3.7]).
 
-use crate::report::{HealReport, Ledger};
 use crate::shape::{PortionRef, ShapeConfig, SubRtShape};
 use crate::varena::{VArena, VId, VKind};
 use ft_graph::tree::RootedTree;
@@ -70,16 +72,16 @@ pub(crate) struct RealInfo {
 /// # Example
 ///
 /// ```
-/// use ft_core::ForgivingTree;
+/// use ft_core::spec::ForgivingTree;
 /// use ft_graph::{gen, tree::RootedTree, NodeId};
 ///
 /// let g = gen::kary_tree(15, 2);
 /// let t = RootedTree::from_tree_graph(&g, NodeId(0));
 /// let mut ft = ForgivingTree::new(&t);
-/// let report = ft.delete(NodeId(1)); // adversary removes an internal node
+/// let added = ft.delete(NodeId(1)); // adversary removes an internal node
 /// assert!(ft.graph().is_connected());
 /// assert!(ft.max_degree_increase() <= 3);
-/// assert!(report.max_messages_per_node <= 16);
+/// assert!(added.iter().all(|&(a, b)| ft.graph().has_edge(a, b)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct ForgivingTree {
@@ -92,6 +94,8 @@ pub struct ForgivingTree {
     pub(crate) initial_height: u32,
     pub(crate) initial_max_degree: usize,
     pub(crate) deletions: usize,
+    /// Real edges the heal in progress has inserted, `(a, b)` with `a < b`.
+    pub(crate) heal_edges: Vec<(NodeId, NodeId)>,
 }
 
 fn ord(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -155,6 +159,7 @@ impl ForgivingTree {
             initial_height: tree.height(),
             initial_max_degree: tree.max_degree(),
             deletions: 0,
+            heal_edges: Vec::new(),
         }
     }
 
@@ -283,33 +288,31 @@ impl ForgivingTree {
     }
 
     /// Deletes node `v` (the adversary's move) and heals the network,
-    /// returning the heal transcript.
+    /// returning the real edges the heal inserted, each as `(a, b)` with
+    /// `a < b`, in the order the heal made them.
     ///
     /// # Panics
     /// Panics if `v` is not alive.
-    pub fn delete(&mut self, v: NodeId) -> HealReport {
+    pub fn delete(&mut self, v: NodeId) -> Vec<(NodeId, NodeId)> {
         let info = self
             .info
             .remove(&v)
             .unwrap_or_else(|| panic!("{v:?} is not alive"));
-        let was_leaf = info.slots.is_empty();
-        let neighbors = self.graph.delete_node(v);
-        let mut led = Ledger::new(v, was_leaf);
-        led.notify(&neighbors);
-        if was_leaf {
-            self.heal_leaf(v, info, &mut led);
+        self.graph.delete_node(v);
+        if info.slots.is_empty() {
+            self.heal_leaf(v, info);
         } else {
-            self.heal_internal(v, info, &mut led);
+            self.heal_internal(v, info);
         }
         self.deletions += 1;
-        led.finish()
+        std::mem::take(&mut self.heal_edges)
     }
 
     // ------------------------------------------------------------------
     // image maintenance
     // ------------------------------------------------------------------
 
-    fn vlink(&mut self, parent: VId, child: VId, led: &mut Ledger) {
+    fn vlink(&mut self, parent: VId, child: VId) {
         self.arena.link(parent, child);
         let (a, b) = (self.arena.sim(parent), self.arena.sim(child));
         if a == b {
@@ -319,11 +322,11 @@ impl ForgivingTree {
         *cnt += 1;
         if *cnt == 1 {
             self.graph.add_edge(a, b);
-            led.edge_added(a, b);
+            self.heal_edges.push(ord(a, b));
         }
     }
 
-    fn vunlink(&mut self, parent: VId, child: VId, led: &mut Ledger, dying: NodeId) {
+    fn vunlink(&mut self, parent: VId, child: VId, dying: NodeId) {
         let (a, b) = (self.arena.sim(parent), self.arena.sim(child));
         self.arena.unlink(parent, child);
         if a == b {
@@ -339,14 +342,13 @@ impl ForgivingTree {
             self.edge_count.remove(&key);
             if a != dying && b != dying {
                 self.graph.remove_edge(a, b);
-                led.edge_removed(a, b);
             }
         }
     }
 
     /// Hands the helper vnode `h` over to a new simulator, updating the
-    /// image and charging field-update messages to the affected neighbors.
-    fn set_sim(&mut self, h: VId, new_sim: NodeId, led: &mut Ledger, dying: NodeId) {
+    /// image.
+    fn set_sim(&mut self, h: VId, new_sim: NodeId, dying: NodeId) {
         let old = self.arena.sim(h);
         if old == new_sim {
             return;
@@ -369,7 +371,6 @@ impl ForgivingTree {
                     self.edge_count.remove(&key);
                     if old != dying && s != dying {
                         self.graph.remove_edge(old, s);
-                        led.edge_removed(old, s);
                     }
                 }
             }
@@ -379,9 +380,8 @@ impl ForgivingTree {
                 *cnt += 1;
                 if *cnt == 1 {
                     self.graph.add_edge(new_sim, s);
-                    led.edge_added(new_sim, s);
+                    self.heal_edges.push(ord(new_sim, s));
                 }
-                led.field_update(new_sim, s);
             }
         }
         match &mut self.arena.node_mut(h).kind {
@@ -396,7 +396,7 @@ impl ForgivingTree {
 
     /// FixNodeDeletion (Algorithm 3.3): replace the dead internal node by
     /// its Reconstruction Tree.
-    fn heal_internal(&mut self, v: NodeId, info: RealInfo, led: &mut Ledger) {
+    fn heal_internal(&mut self, v: NodeId, info: RealInfo) {
         let x = info.pos;
         let role = info.role;
         let will = info.will.expect("internal node has a will");
@@ -415,8 +415,8 @@ impl ForgivingTree {
                         "INV-C: a slot-root role must be a ready heir"
                     );
                     let child = self.arena.node(rv).children[0];
-                    self.vunlink(rv, child, led, v);
-                    self.vunlink(x, rv, led, v);
+                    self.vunlink(rv, child, v);
+                    self.vunlink(x, rv, v);
                     self.arena.release(rv);
                     self.info.get_mut(&rep).expect("rep alive").role = None;
                     slots.insert(rep, child);
@@ -429,14 +429,14 @@ impl ForgivingTree {
                         root, self.info[&rep].pos,
                         "a role-free rep is its own slot root"
                     );
-                    self.vunlink(x, root, led, v);
+                    self.vunlink(x, root, v);
                 }
             }
         }
 
         // B. Detach x from its parent and retire it.
         if let Some(p) = px {
-            self.vunlink(p, x, led, v);
+            self.vunlink(p, x, v);
         }
         self.arena.release(x);
 
@@ -449,8 +449,8 @@ impl ForgivingTree {
             let hv = self.arena.alloc(VKind::Helper { sim, ready: false });
             let li = Self::resolve(&created, &slots, l);
             let ri = Self::resolve(&created, &slots, r);
-            self.vlink(hv, li, led);
-            self.vlink(hv, ri, led);
+            self.vlink(hv, li);
+            self.vlink(hv, ri);
             let rinfo = self.info.get_mut(&sim).expect("rep alive");
             assert!(rinfo.role.is_none(), "rep {sim:?} already busy");
             rinfo.role = Some(hv);
@@ -476,22 +476,21 @@ impl ForgivingTree {
                     assert!(hinfo.role.is_none(), "heir {heir:?} already busy");
                     hinfo.role = Some(rv);
                 }
-                self.vlink(rv, subrt_root, led);
+                self.vlink(rv, subrt_root);
                 match px {
                     None => self.vroot = Some(rv),
                     Some(p) => {
-                        self.vlink(p, rv, led);
+                        self.vlink(p, rv);
                         if let VKind::Real(pid) = self.arena.node(p).kind {
                             // "hparent(h) replaces v by h in SubRT" (Alg 3.3)
                             let pinfo = self.info.get_mut(&pid).expect("parent alive");
                             pinfo.slots.remove(&v).expect("v was a slot of its parent");
                             pinfo.slots.insert(heir, rv);
-                            let delta = pinfo
+                            pinfo
                                 .will
                                 .as_mut()
                                 .expect("parent of a slot has a will")
                                 .replace_rep(v, heir);
-                            led.portions(pid, delta.changed);
                         }
                     }
                 }
@@ -504,11 +503,11 @@ impl ForgivingTree {
                     assert!(hinfo.role.is_none(), "heir {heir:?} already busy");
                     hinfo.role = Some(hv);
                 }
-                self.set_sim(hv, heir, led, v);
+                self.set_sim(hv, heir, v);
                 match px {
                     None => self.vroot = Some(subrt_root),
                     Some(p) => {
-                        self.vlink(p, subrt_root, led);
+                        self.vlink(p, subrt_root);
                         assert!(
                             !matches!(self.arena.node(p).kind, VKind::Real(_)),
                             "a node with helper duties cannot hang under a live original parent"
@@ -524,25 +523,13 @@ impl ForgivingTree {
                             let old = pinfo.slots.remove(&v).expect("v was a rep of its owner");
                             assert_eq!(old, hv);
                             pinfo.slots.insert(heir, hv);
-                            let delta = pinfo
+                            pinfo
                                 .will
                                 .as_mut()
                                 .expect("owner has a will")
                                 .replace_rep(v, heir);
-                            led.portions(pid, delta.changed);
                         }
                     }
-                }
-            }
-        }
-
-        // E. Fresh LeafWills: representatives that are tree leaves and now
-        //    hold helper duties entrust them to their parents (Alg 3.3 l.7-11).
-        for rep in reps {
-            let i = &self.info[&rep];
-            if i.slots.is_empty() && i.role.is_some() {
-                if let Some(par) = self.parent_of(rep) {
-                    led.leafwill(rep, par);
                 }
             }
         }
@@ -561,7 +548,7 @@ impl ForgivingTree {
 
     /// FixLeafDeletion (Algorithm 3.4): short-circuit redundant helpers and
     /// execute the LeafWill.
-    fn heal_leaf(&mut self, v: NodeId, info: RealInfo, led: &mut Ledger) {
+    fn heal_leaf(&mut self, v: NodeId, info: RealInfo) {
         let x = info.pos;
         let role = info.role;
         let Some(p_vid) = self.arena.node(x).parent else {
@@ -581,24 +568,18 @@ impl ForgivingTree {
                     role.is_none(),
                     "leaf under its live original parent cannot hold a role"
                 );
-                self.vunlink(p_vid, x, led, v);
+                self.vunlink(p_vid, x, v);
                 self.arena.release(x);
                 let pinfo = self.info.get_mut(&p).expect("parent alive");
                 pinfo.slots.remove(&v).expect("v was a slot of its parent");
-                let delta = pinfo
+                pinfo
                     .will
                     .as_mut()
                     .expect("parent of a slot has a will")
                     .remove_slot(v);
-                led.portions(p, delta.changed);
                 let became_leaf = pinfo.will.as_ref().expect("just used").is_empty();
                 if became_leaf {
                     pinfo.will = None;
-                    if pinfo.role.is_some() {
-                        if let Some(gp) = self.parent_of(p) {
-                            led.leafwill(p, gp);
-                        }
-                    }
                 }
             }
             VKind::Helper { sim, ready } if sim == v => {
@@ -609,15 +590,15 @@ impl ForgivingTree {
                     Some(p_vid),
                     "helper above v simulated by v is v's role"
                 );
-                self.vunlink(p_vid, x, led, v);
+                self.vunlink(p_vid, x, v);
                 self.arena.release(x);
                 let others: Vec<VId> = self.arena.node(p_vid).children.clone();
                 let pp = self.arena.node(p_vid).parent;
                 for &o in &others {
-                    self.vunlink(p_vid, o, led, v);
+                    self.vunlink(p_vid, o, v);
                 }
                 if let Some(pp2) = pp {
-                    self.vunlink(pp2, p_vid, led, v);
+                    self.vunlink(pp2, p_vid, v);
                 }
                 self.arena.release(p_vid);
                 if ready {
@@ -636,25 +617,19 @@ impl ForgivingTree {
                             VKind::Real(g) => {
                                 let ginfo = self.info.get_mut(&g).expect("owner alive");
                                 ginfo.slots.remove(&v).expect("v was a rep of its owner");
-                                let delta = ginfo
+                                ginfo
                                     .will
                                     .as_mut()
                                     .expect("owner has a will")
                                     .remove_slot(v);
-                                led.portions(g, delta.changed);
                                 if ginfo.will.as_ref().expect("just used").is_empty() {
                                     ginfo.will = None;
-                                    if ginfo.role.is_some() {
-                                        if let Some(ggp) = self.parent_of(g) {
-                                            led.leafwill(g, ggp);
-                                        }
-                                    }
                                 }
                             }
                             VKind::Helper { ready: r2, .. } => {
                                 assert!(!r2, "ready vnodes never parent ready vnodes");
                                 // pp2 dropped from 2 children to 1: redundant
-                                self.short_circuit(pp2, led, v);
+                                self.short_circuit(pp2, v);
                             }
                         },
                     }
@@ -668,7 +643,7 @@ impl ForgivingTree {
                                 !matches!(self.arena.node(pp2).kind, VKind::Real(_)),
                                 "a deployed helper never hangs under a live original parent"
                             );
-                            self.vlink(pp2, y, led);
+                            self.vlink(pp2, y);
                         }
                     }
                 }
@@ -681,7 +656,7 @@ impl ForgivingTree {
                     !ready,
                     "a ready vnode's only child is its simulator's position"
                 );
-                self.vunlink(p_vid, x, led, v);
+                self.vunlink(p_vid, x, v);
                 self.arena.release(x);
                 let y = {
                     let ch = &self.arena.node(p_vid).children;
@@ -689,9 +664,9 @@ impl ForgivingTree {
                     ch[0]
                 };
                 let pp = self.arena.node(p_vid).parent;
-                self.vunlink(p_vid, y, led, v);
+                self.vunlink(p_vid, y, v);
                 if let Some(pp2) = pp {
-                    self.vunlink(pp2, p_vid, led, v);
+                    self.vunlink(pp2, p_vid, v);
                 }
                 self.arena.release(p_vid);
                 {
@@ -704,7 +679,7 @@ impl ForgivingTree {
                 // under, and its simulator must already be q by then.
                 if let Some(hv) = role {
                     assert_ne!(hv, p_vid, "handled by the sim == v branch");
-                    self.set_sim(hv, q, led, v);
+                    self.set_sim(hv, q, v);
                     self.info.get_mut(&q).expect("alive").role = Some(hv);
                 }
                 match pp {
@@ -714,7 +689,7 @@ impl ForgivingTree {
                             !matches!(self.arena.node(pp2).kind, VKind::Real(_)),
                             "a deployed helper never hangs under a live original parent"
                         );
-                        self.vlink(pp2, y, led);
+                        self.vlink(pp2, y);
                     }
                 }
                 if let Some(hv) = role {
@@ -728,21 +703,13 @@ impl ForgivingTree {
                                 let old = winfo.slots.remove(&v).expect("v was a rep of its owner");
                                 assert_eq!(old, hv);
                                 winfo.slots.insert(q, hv);
-                                let delta = winfo
+                                winfo
                                     .will
                                     .as_mut()
                                     .expect("owner has a will")
                                     .replace_rep(v, q);
-                                led.portions(w, delta.changed);
                             }
                         }
-                    }
-                }
-                // q's helper duties changed either way: refresh its LeafWill
-                // if q is itself a tree leaf.
-                if self.info[&q].slots.is_empty() {
-                    if let Some(qp) = self.parent_of(q) {
-                        led.leafwill(q, qp);
                     }
                 }
             }
@@ -752,7 +719,7 @@ impl ForgivingTree {
     /// Short-circuits a deployed helper that dropped to a single child
     /// (§3: "its degree has now reduced from 3 to 2, at which point we
     /// consider it redundant").
-    fn short_circuit(&mut self, h: VId, led: &mut Ledger, dying: NodeId) {
+    fn short_circuit(&mut self, h: VId, dying: NodeId) {
         let s = self.arena.sim(h);
         assert!(
             self.arena.is_helper(h) && !self.arena.is_ready(h),
@@ -764,9 +731,9 @@ impl ForgivingTree {
             ch[0]
         };
         let pp = self.arena.node(h).parent;
-        self.vunlink(h, y, led, dying);
+        self.vunlink(h, y, dying);
         if let Some(pp2) = pp {
-            self.vunlink(pp2, h, led, dying);
+            self.vunlink(pp2, h, dying);
         }
         self.arena.release(h);
         {
@@ -781,13 +748,7 @@ impl ForgivingTree {
                     !matches!(self.arena.node(pp2).kind, VKind::Real(_)),
                     "a deployed helper never hangs under a live original parent"
                 );
-                self.vlink(pp2, y, led);
-            }
-        }
-        // s lost its helper duties: refresh the LeafWill its parent holds.
-        if self.info[&s].slots.is_empty() {
-            if let Some(sp) = self.parent_of(s) {
-                led.leafwill(s, sp);
+                self.vlink(pp2, y);
             }
         }
     }

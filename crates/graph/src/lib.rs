@@ -386,10 +386,18 @@ impl Graph {
         bfs::bfs_distances(self, start).len() == self.num_alive
     }
 
-    /// Degree of every live node keyed by ID (useful for degree-increase
-    /// accounting against the original graph).
-    pub fn degree_map(&self) -> std::collections::BTreeMap<NodeId, usize> {
-        self.nodes().map(|v| (v, self.degree(v))).collect()
+    /// The largest degree increase of any live node over its degree in
+    /// `base`, 0 when no node is live: one pass over the live set reading
+    /// both graphs' list lengths. A slot deleted in `base` counts as
+    /// degree 0 there.
+    ///
+    /// # Panics
+    /// Panics if `base` has fewer slots than a live node of `self` needs.
+    pub fn max_degree_increase_over(&self, base: &Graph) -> i64 {
+        self.nodes()
+            .map(|v| self.nbrs(v).len() as i64 - base.nbrs(v).len() as i64)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Renders the graph in Graphviz DOT format (undirected).
@@ -530,6 +538,30 @@ mod tests {
         assert_eq!(g.max_degree(), 4);
         g.delete_node(NodeId(0));
         assert_eq!(g.max_degree(), 0);
+    }
+
+    #[test]
+    fn max_degree_increase_over_reads_live_nodes_only() {
+        let base = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let mut g = base.clone();
+        assert_eq!(g.max_degree_increase_over(&base), 0);
+        g.delete_node(NodeId(0));
+        // every survivor lost its hub: the largest increase is −1
+        assert_eq!(g.max_degree_increase_over(&base), -1);
+        g.add_edge(NodeId(1), NodeId(2));
+        g.add_edge(NodeId(1), NodeId(3));
+        g.add_edge(NodeId(1), NodeId(4));
+        assert_eq!(g.max_degree_increase_over(&base), 2);
+        // a slot deleted in the base reads degree 0 there
+        let mut thinned = base.clone();
+        thinned.delete_node(NodeId(4));
+        g.delete_node(NodeId(1));
+        g.add_edge(NodeId(4), NodeId(2));
+        assert_eq!(g.max_degree_increase_over(&thinned), 1);
+        for v in [2, 3, 4] {
+            g.delete_node(NodeId(v));
+        }
+        assert_eq!(g.max_degree_increase_over(&base), 0, "no live node");
     }
 
     #[test]

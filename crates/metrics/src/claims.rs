@@ -13,7 +13,8 @@ use ft_adversary::{standard_suite, HighestDegreeAdversary};
 use ft_baselines::{BinaryTreeHealer, ForgivingHealer, LineHealer, SelfHealer, SurrogateHealer};
 use ft_core::distributed::DistributedForgivingTree;
 use ft_core::shape::{ShapeConfig, SubRtShape};
-use ft_core::{ft_diameter_bound, ForgivingTree, RoleKind};
+use ft_core::spec::ForgivingTree;
+use ft_core::{ft_diameter_bound, RoleKind};
 use ft_graph::bfs::{diameter_exact, eccentricity};
 use ft_graph::tree::RootedTree;
 use ft_graph::{gen, NodeId};
@@ -158,41 +159,29 @@ fn degree_and_diameter(claims: &mut Vec<Claim>) {
 }
 
 /// Theorem 1.3: per-node messages and rounds per heal stay constant as n
-/// and Δ grow, on the spec engine and (at n ≤ 256) on the distributed
-/// protocol. The ceilings are the ones `tests/theorem_bounds.rs` uses.
+/// and Δ grow, counted by the distributed protocol's ledger. The ceilings
+/// are the ones `tests/theorem_bounds.rs` uses.
 fn messages(claims: &mut Vec<Claim>) {
     use Workload::{Kary, RandomTree, Star};
-    let mut distributed_rows = Vec::new();
     for n in [64usize, 256, 1024] {
         let seed = n as u64;
-        let (mut spec_msgs, mut dist_msgs, mut dist_rounds) = (0, 0, 0);
+        let (mut msgs, mut rounds) = (0, 0);
         for w in [Star(n), Kary(n, 2), Kary(n, 16), RandomTree(n, 5)] {
             let tree = w.tree();
             let mut order: Vec<NodeId> = tree.nodes().collect();
             order.shuffle(&mut StdRng::seed_from_u64(seed));
-            let mut spec = ForgivingTree::new(&tree);
+            let mut dist = DistributedForgivingTree::new(&tree);
             for &v in &order {
-                spec_msgs = spec_msgs.max(spec.delete(v).max_messages_per_node);
-            }
-            if n <= 256 {
-                let mut dist = DistributedForgivingTree::new(&tree);
-                for &v in &order {
-                    let r = dist.delete(v);
-                    dist_msgs = dist_msgs.max(r.max_messages_per_node);
-                    dist_rounds = dist_rounds.max(r.rounds);
-                }
+                let r = dist.delete(v);
+                msgs = msgs.max(r.max_messages_per_node);
+                rounds = rounds.max(r.rounds);
             }
         }
         let run = "star, kary2, kary16, random-tree#5; all nodes in random order";
         let row = Row::new(FT, run, n, Some(seed));
-        claims.push(row.at_most("Theorem 1.3: messages per node, spec", spec_msgs, 24));
-        if n <= 256 {
-            let msgs = row.at_most("Theorem 1.3: messages per node, distributed", dist_msgs, 40);
-            let rounds = row.at_most("Theorem 1.3: rounds per heal, distributed", dist_rounds, 8);
-            distributed_rows.extend([msgs, rounds]);
-        }
+        claims.push(row.at_most("Theorem 1.3: messages per node, distributed", msgs, 40));
+        claims.push(row.at_most("Theorem 1.3: rounds per heal, distributed", rounds, 8));
     }
-    claims.extend(distributed_rows);
 }
 
 /// Theorem 2: on the star `K(1,Δ)`, any healer whose degree increase is

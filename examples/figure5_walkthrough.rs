@@ -1,11 +1,13 @@
 //! Replays Figure 5 of the paper turn by turn, printing the virtual tree
 //! (helpers, ready heirs) and the real healed network as Graphviz DOT after
-//! every turn, on both the spec engine and the distributed protocol.
+//! every turn. The spec engine draws the virtual tree; the distributed
+//! protocol heals alongside it and reports each heal's rounds and messages.
 //!
 //! ```sh
 //! cargo run --example figure5_walkthrough
 //! ```
 
+use forgiving_tree::core::spec::ForgivingTree;
 use forgiving_tree::prelude::*;
 
 fn n(i: u32) -> NodeId {
@@ -42,8 +44,8 @@ fn main() {
     ];
     for (victim, caption) in turns {
         println!("\n=== {caption} ===");
-        let report = ft.delete(n(victim));
-        let dreport = dft.delete(n(victim));
+        let added = ft.delete(n(victim));
+        let report = dft.delete(n(victim));
         ft.validate();
         assert_eq!(
             ft.graph(),
@@ -51,11 +53,11 @@ fn main() {
             "spec and distributed engines agree"
         );
         println!(
-            "spec heal: {} edges added, {} portion msgs; distributed heal: {} rounds, {} msgs",
-            report.edges_added.len(),
-            report.portion_msgs,
-            dreport.rounds,
-            dreport.total_messages
+            "heal: {} edges added; {} rounds, {} msgs, at most {} per node",
+            added.len(),
+            report.rounds,
+            report.total_messages,
+            report.max_messages_per_node
         );
         println!("virtual tree:\n{}", ft.virtual_dot());
         println!("healed network:\n{}", ft.graph().to_dot("healed"));

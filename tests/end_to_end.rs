@@ -1,6 +1,7 @@
 //! End-to-end integration: generate → distributed setup → heal under attack
 //! → verify every theorem-level guarantee, across crates.
 
+use forgiving_tree::core::spec::ForgivingTree;
 use forgiving_tree::graph::bfs::diameter_exact;
 use forgiving_tree::metrics::{run_trial, TrialConfig};
 use forgiving_tree::prelude::*;
@@ -144,9 +145,9 @@ fn heal_reports_are_consistent_across_engines() {
     let before = tree.to_graph();
     let mut spec = ForgivingTree::new(&tree);
     let mut dist = DistributedForgivingTree::new(&tree);
-    let sr = spec.delete(NodeId(1));
+    let added = spec.delete(NodeId(1));
     let dr = dist.delete(NodeId(1));
-    assert_eq!(sr.deleted, dr.deleted);
+    assert_eq!(dr.deleted, Some(NodeId(1)));
     // both engines produce the same *net* new edges (the spec transcript
     // may additionally log edges that were re-routed within the heal)
     let net: Vec<(NodeId, NodeId)> = spec
@@ -157,6 +158,81 @@ fn heal_reports_are_consistent_across_engines() {
         .collect();
     assert_eq!(net, dr.edges_added);
     for e in &net {
-        assert!(sr.edges_added.contains(e), "spec transcript misses {e:?}");
+        assert!(added.contains(e), "spec transcript misses {e:?}");
+    }
+}
+
+/// Wraps an adversary and records the victims it names.
+struct Recording<'a> {
+    inner: &'a mut dyn Adversary,
+    victims: Vec<NodeId>,
+}
+
+impl Adversary for Recording<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn next_target(&mut self, view: AdversaryView<'_>) -> Option<NodeId> {
+        let target = self.inner.next_target(view);
+        self.victims.extend(target);
+        target
+    }
+}
+
+/// The victim `root-attack` (`root`) or `heir-hunter` names, read from the
+/// spec engine's structure instead of the processors' fields.
+fn spec_victim(spec: &ForgivingTree, root: bool) -> Option<NodeId> {
+    let structural = if root {
+        spec.root_sim()
+    } else {
+        spec.nodes()
+            .filter(|&v| !spec.slot_reps(v).is_empty())
+            .max_by_key(|&v| spec.slot_reps(v).len())
+            .and_then(|v| spec.heir_of(v))
+    };
+    let hub = || {
+        spec.nodes()
+            .max_by_key(|&v| (spec.graph().degree(v), std::cmp::Reverse(v)))
+    };
+    structural.or_else(hub)
+}
+
+#[test]
+fn structure_aware_adversaries_choose_alike_on_both_engines() {
+    for w in [Workload::Kary(256, 4), Workload::PrefTree(256, 1)] {
+        let tree = w.tree();
+        let mut advs: [(Box<dyn Adversary>, bool); 2] = [
+            (Box::new(RootAdversary), true),
+            (Box::new(HeirHunter), false),
+        ];
+        for (adv, root) in &mut advs {
+            let mut rec = Recording {
+                inner: adv.as_mut(),
+                victims: Vec::new(),
+            };
+            let cfg = TrialConfig {
+                workload: w.name(),
+                delete_fraction: 1.0,
+                measure_every: 4,
+            };
+            let s = run_trial(&cfg, &mut ForgivingHealer::new(&tree), &mut rec).summary;
+            assert_eq!(rec.victims.len(), tree.len(), "{}", s);
+
+            // the same attack, on the spec engine
+            let mut spec = ForgivingTree::new(&tree);
+            let (mut max_degree, mut max_diameter) = (0, s.diam0);
+            for (i, &v) in rec.victims.iter().enumerate() {
+                assert_eq!(spec_victim(&spec, *root), Some(v), "step {i} of {s}");
+                spec.delete(v);
+                max_degree = max_degree.max(spec.max_degree_increase());
+                if ((i + 1) % 4 == 0 || spec.len() <= 1) && !spec.is_empty() {
+                    let d = diameter_exact(spec.graph()).expect("connected");
+                    max_diameter = max_diameter.max(d);
+                }
+            }
+            assert_eq!(max_degree, s.max_degree_increase, "{s}");
+            assert_eq!(max_diameter, s.max_diameter, "{s}");
+        }
     }
 }
