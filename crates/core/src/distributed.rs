@@ -243,25 +243,29 @@ enum LostChild {
 }
 
 /// One processor of the distributed Forgiving Tree.
+///
+/// The will and every helper role are boxed: most nodes are leaves or hold
+/// no role, and the network keeps one slot per ID ever seen, dead IDs
+/// included, so only an 8-byte pointer is paid where the field is unset.
 #[derive(Debug)]
 pub struct FtNode {
     id: NodeId,
     /// Parent of my position vnode (`parent(v)` of Table 1).
     pos_parent: Option<VRef>,
     /// My will over my slot representatives (`SubRT(v)`).
-    will: Option<SubRtShape>,
+    will: Option<Box<SubRtShape>>,
     /// LeafWills filed with me by nodes whose virtual parent I simulate,
     /// ascending by filer.
-    leaf_wills: Vec<(NodeId, Option<DRole>)>,
+    leaf_wills: Vec<(NodeId, Option<Box<DRole>>)>,
     /// The portion of my owner's will addressed to me.
     portion: Option<DPortion>,
     /// My helper-role fields.
-    role: Option<DRole>,
+    role: Option<Box<DRole>>,
     /// Portions I last sent, ascending by representative; diffed in place
     /// against the current will on every settle.
     sent_portions: Vec<(NodeId, DPortion)>,
     /// LeafWill I last sent, and to whom.
-    sent_leafwill: Option<(NodeId, Option<DRole>)>,
+    sent_leafwill: Option<(NodeId, Option<Box<DRole>>)>,
     /// Edge interests currently held, ascending; diffed in place like
     /// `sent_portions`.
     desired: Vec<NodeId>,
@@ -319,7 +323,12 @@ impl FtNode {
     /// order by repeated minimum search so that nothing is allocated.
     fn interests(&self) -> impl Iterator<Item = NodeId> + '_ {
         let links = self.links();
-        let mut reps = self.will.iter().flat_map(SubRtShape::reps).peekable();
+        let mut reps = self
+            .will
+            .as_deref()
+            .into_iter()
+            .flat_map(SubRtShape::reps)
+            .peekable();
         let mut last: Option<NodeId> = None;
         std::iter::from_fn(move || loop {
             let link = links.clone().filter(|&u| last.is_none_or(|l| u > l)).min();
@@ -437,7 +446,7 @@ impl FtNode {
                     sent.remove(i); // that representative left my will
                 }
                 let fresh = self.lower_portion(&will.portion(rep), top, will);
-                let takeover = self.role.as_ref().filter(|_| fresh.is_heir);
+                let takeover = self.role.as_deref().filter(|_| fresh.is_heir);
                 let known = sent.get(i).is_some_and(|(r, _)| *r == rep);
                 if !(known && same_portion(&sent[i].1, &fresh, takeover)) {
                     let fresh = match takeover {
@@ -478,9 +487,8 @@ impl FtNode {
         {
             return;
         }
-        let lw = self.role.clone();
-        ctx.send(target, FtMsg::LeafWill(lw.clone()));
-        self.sent_leafwill = Some((target, lw));
+        ctx.send(target, FtMsg::LeafWill(self.role.as_deref().cloned()));
+        self.sent_leafwill = Some((target, self.role.clone()));
     }
 
     /// Post-event bookkeeping: edges, portions, LeafWill.
@@ -575,12 +583,12 @@ impl FtNode {
                 // lost mail left me busy: skip the helper assignment
                 assert!(ctx.faulty(), "representative already busy");
             } else {
-                self.role = Some(DRole {
+                self.role = Some(Box::new(DRole {
                     hparent: Some(hparent),
                     hchildren,
                     pending_slots: pending,
                     ready: false,
-                });
+                }));
                 if hparent.sim != self.id {
                     ctx.send(
                         hparent.sim,
@@ -605,12 +613,12 @@ impl FtNode {
                 // lost mail left me busy: skip the heir duties
                 _ if self.role.is_some() => assert!(ctx.faulty(), "heir already busy"),
                 HeirMode::Ready { subrt_root } => {
-                    self.role = Some(DRole {
+                    self.role = Some(Box::new(DRole {
                         hparent: portion.owner_parent,
                         hchildren: vec![subrt_root.unwrap_or(my_slot_occupant)],
                         pending_slots: Vec::new(),
                         ready: true,
-                    });
+                    }));
                     if let Some(op) = portion.owner_parent {
                         ctx.send(
                             op.sim,
@@ -623,7 +631,7 @@ impl FtNode {
                     }
                 }
                 HeirMode::TakeOver { role } => {
-                    let mut new_role = *role;
+                    let mut new_role = role;
                     new_role.pending_slots.clear();
                     let ready = new_role.ready;
                     for c in new_role.hchildren.clone() {
@@ -793,7 +801,7 @@ impl FtNode {
     }
 
     /// Adopts a dead leaf's helper duties (LeafWill execution, Alg 3.7).
-    fn adopt_leafwill(&mut self, dead: NodeId, lw: DRole, ctx: &mut Ctx<'_, FtMsg>) {
+    fn adopt_leafwill(&mut self, dead: NodeId, lw: Box<DRole>, ctx: &mut Ctx<'_, FtMsg>) {
         if self.role.is_some() {
             // Lost mail can leave me holding a role the splice did not
             // dissolve; adopting would overwrite it. Skip the adoption.
@@ -1015,7 +1023,7 @@ impl Process for FtNode {
                 return;
             }
             FtMsg::LeafWill(lw) => {
-                map_insert(&mut self.leaf_wills, from, lw);
+                map_insert(&mut self.leaf_wills, from, lw.map(Box::new));
                 return;
             }
             FtMsg::OccupySlot {
@@ -1232,7 +1240,7 @@ impl FtNode {
         if let Some(p) = self.pos_parent {
             want.insert(p.sim);
         }
-        if let Some(w) = &self.will {
+        if let Some(w) = self.will.as_deref() {
             want.extend(w.reps());
         }
         if let Some(r) = &self.role {
@@ -1247,7 +1255,7 @@ impl FtNode {
             self.desired
         );
         assert!(want.iter().all(|&u| self.wants(u)) && !self.wants(self.id));
-        let rebuilt: Vec<(NodeId, DPortion)> = match &self.will {
+        let rebuilt: Vec<(NodeId, DPortion)> = match self.will.as_deref() {
             None => Vec::new(),
             Some(will) => {
                 let top = self.subrt_top(will.heir().expect("nonempty will"));
@@ -1255,7 +1263,7 @@ impl FtNode {
                     .into_iter()
                     .map(|(rep, p)| {
                         let mut d = self.lower_portion(&p, top, will);
-                        if let (true, Some(role)) = (d.is_heir, &self.role) {
+                        if let (true, Some(role)) = (d.is_heir, self.role.as_deref()) {
                             d.heir_mode = Some(HeirMode::TakeOver {
                                 role: Box::new(role.clone()),
                             });
@@ -1284,7 +1292,7 @@ pub(crate) fn install_fields<P: Process>(
         if children.is_empty() {
             ft.sent_leafwill = ft.pos_parent.map(|p| (p.sim, None));
         } else {
-            ft.will = Some(SubRtShape::build(children));
+            ft.will = Some(Box::new(SubRtShape::build(children)));
             // children ascend, so the filed LeafWills do too
             ft.leaf_wills = children
                 .iter()
@@ -1374,7 +1382,7 @@ impl DistributedForgivingTree {
     /// The will live node `v` holds, if any.
     fn will_of(&self, v: NodeId) -> Option<&SubRtShape> {
         let alive = self.net.graph().is_alive(v);
-        alive.then(|| self.node(v).will.as_ref()).flatten()
+        alive.then(|| self.node(v).will.as_deref()).flatten()
     }
 
     /// The message ledger of the underlying simulator — the single source

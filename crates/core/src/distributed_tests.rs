@@ -320,10 +320,18 @@ fn portion_leafwill_and_position_occupancy_send_nothing() {
 
 #[test]
 fn message_layout_is_pinned() {
+    use std::mem::size_of;
     // `cost.heap_bytes` charges each staged message by its size, and every
     // processor slot holds a DPortion
-    assert_eq!(std::mem::size_of::<FtMsg>(), 64);
-    assert_eq!(std::mem::size_of::<DPortion>(), 72);
+    assert_eq!(size_of::<FtMsg>(), 64);
+    assert_eq!(size_of::<DPortion>(), 72);
+    // the engine stages each send as `(from, to, msg)` and charges exactly
+    // this many heap bytes for it: a change here moves `cost.heap_bytes`
+    assert_eq!(size_of::<(NodeId, NodeId, FtMsg)>(), 72);
+    // the network keeps one slot per ID ever seen, dead IDs included, so a
+    // 10^6-node tree pays this figure a million times: the will and the
+    // helper roles stay boxed to keep it there
+    assert_eq!(size_of::<Option<FtNode>>(), 200);
 }
 
 /// Folds `x` into an FNV-1a accumulator, byte by byte.

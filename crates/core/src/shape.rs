@@ -17,16 +17,17 @@
 //! - [`SubRtShape::replace_rep`] handles heir promotion: a dead child is
 //!   replaced *in place* by its heir.
 //!
-//! Both return the exact set of children whose will portions changed, which
-//! is how the O(1)-messages claim of Theorem 1.3 is validated: the returned
-//! sets have constant size regardless of the number of children.
+//! Each touches O(1) shape positions, so only a constant number of
+//! children's will portions change, whatever the number of children: the
+//! O(1)-messages claim of Theorem 1.3. The tests check it by diffing
+//! [`SubRtShape::all_portions`] before and after each update.
 //!
 //! Shapes only ever shrink, so the initial depth bound `⌈log₂ d⌉ + 1` — the
 //! source of the `log Δ` factor in Theorem 1.2 — is preserved for free.
 
 use crate::sorted::{map_get, map_insert, map_remove, map_slot};
 use ft_graph::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Index of a node inside a [`SubRtShape`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -91,16 +92,6 @@ pub struct Portion {
     /// `nexthchildren`: the two children of this child's helper position.
     /// Absent for heirs.
     pub next_hchildren: Option<(PortionRef, PortionRef)>,
-}
-
-/// Result of an incremental shape update: which children must be sent fresh
-/// portions, and whether the heir changed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShapeDelta {
-    /// Children whose portion content changed (they get one message each).
-    pub changed: BTreeSet<NodeId>,
-    /// The new heir, if the update changed who the heir is.
-    pub new_heir: Option<NodeId>,
 }
 
 /// Construction-time knobs for [`SubRtShape::build_with`] — the E10
@@ -356,8 +347,8 @@ impl SubRtShape {
         }
     }
 
-    /// All portions keyed by representative (used by tests to cross-check
-    /// the structural deltas, and by `MakeWill` at initialization).
+    /// All portions keyed by representative (used by tests to diff the
+    /// portions an update changed).
     pub fn all_portions(&self) -> BTreeMap<NodeId, Portion> {
         self.reps().map(|r| (r, self.portion(r))).collect()
     }
@@ -375,24 +366,22 @@ impl SubRtShape {
 
     /// Removes the slot represented by `rep` (the child died as a tree
     /// leaf). Splices the leaf's shape parent and relabels the dead child's
-    /// helper position; promotes a new heir when `rep` was the heir.
-    ///
-    /// Returns the set of children whose portions changed — a constant-size
-    /// set (this is the paper's deferred O(1) incremental will update).
+    /// helper position; promotes a new heir when `rep` was the heir. This
+    /// is the paper's deferred O(1) incremental will update: a constant
+    /// number of children's portions change.
     ///
     /// # Panics
     /// Panics if `rep` is not a slot representative.
-    pub fn remove_slot(&mut self, rep: NodeId) -> ShapeDelta {
+    pub fn remove_slot(&mut self, rep: NodeId) {
         let leaf = map_remove(&mut self.leaf_of, rep)
             .unwrap_or_else(|| panic!("{rep:?} is not a slot of this shape"));
-        let mut delta = ShapeDelta::default();
         let Some(spliced) = self.node(leaf).parent else {
             // single-slot shape: the shape empties out
             assert_eq!(self.heir, Some(rep), "single slot must be the heir");
             self.release(leaf);
             self.root = None;
             self.heir = None;
-            return delta;
+            return;
         };
         // `spliced` is the leaf's parent: an internal position that now has
         // a single child; splice it out of the shape.
@@ -414,19 +403,6 @@ impl SubRtShape {
                     debug_assert_eq!(*right, spliced);
                     *right = sibling;
                 }
-                // g's simulator's portion lists its children: one changed.
-                if let PortionRef::Helper(s) = self.ref_of(g) {
-                    delta.changed.insert(s);
-                }
-            }
-        }
-        // the sibling subtree root's owner sees a new parent
-        match self.ref_of(sibling) {
-            PortionRef::Slot(r) => {
-                delta.changed.insert(r);
-            }
-            PortionRef::Helper(s) => {
-                delta.changed.insert(s);
             }
         }
         self.release(leaf);
@@ -438,8 +414,6 @@ impl SubRtShape {
             let removed = map_remove(&mut self.helper_of, survivor);
             debug_assert_eq!(removed, Some(spliced));
             self.heir = Some(survivor);
-            delta.new_heir = Some(survivor);
-            delta.changed.insert(survivor);
         } else {
             // Relabel the dead child's helper position to the survivor.
             let dead_helper =
@@ -452,28 +426,13 @@ impl SubRtShape {
             } else {
                 let old = map_remove(&mut self.helper_of, survivor);
                 debug_assert_eq!(old, Some(spliced));
-                let ShapeKind::Internal { sim, left, right } = &mut self.node_mut(dead_helper).kind
-                else {
+                let ShapeKind::Internal { sim, .. } = &mut self.node_mut(dead_helper).kind else {
                     unreachable!()
                 };
                 *sim = survivor;
-                let (l, r) = (*left, *right);
                 map_insert(&mut self.helper_of, survivor, dead_helper);
-                delta.changed.insert(survivor);
-                // neighbors of the relabelled position reference its sim
-                for adj in [Some(l), Some(r), self.node(dead_helper).parent]
-                    .into_iter()
-                    .flatten()
-                {
-                    match self.ref_of(adj) {
-                        PortionRef::Slot(r) => delta.changed.insert(r),
-                        PortionRef::Helper(s) => delta.changed.insert(s),
-                    };
-                }
             }
         }
-        delta.changed.remove(&rep); // the dead child gets no message
-        delta
     }
 
     /// Replaces representative `old` by `new` in place (heir promotion after
@@ -483,46 +442,25 @@ impl SubRtShape {
     ///
     /// # Panics
     /// Panics if `old` is not a representative or `new` already is one.
-    pub fn replace_rep(&mut self, old: NodeId, new: NodeId) -> ShapeDelta {
+    pub fn replace_rep(&mut self, old: NodeId, new: NodeId) {
         let leaf = map_remove(&mut self.leaf_of, old)
             .unwrap_or_else(|| panic!("{old:?} is not a slot of this shape"));
         assert!(!self.contains(new), "{new:?} already represents a slot");
-        let mut delta = ShapeDelta::default();
         let ShapeKind::Leaf { rep } = &mut self.node_mut(leaf).kind else {
             unreachable!()
         };
         *rep = new;
         map_insert(&mut self.leaf_of, new, leaf);
-        delta.changed.insert(new);
-        // the leaf's parent's simulator lists the slot by representative
-        if let Some(p) = self.node(leaf).parent {
-            if let PortionRef::Helper(s) = self.ref_of(p) {
-                delta.changed.insert(s);
-            }
-        }
         if self.heir == Some(old) {
             self.heir = Some(new);
-            delta.new_heir = Some(new);
         }
         if let Some(h) = map_remove(&mut self.helper_of, old) {
-            let ShapeKind::Internal { sim, left, right } = &mut self.node_mut(h).kind else {
+            let ShapeKind::Internal { sim, .. } = &mut self.node_mut(h).kind else {
                 unreachable!()
             };
             *sim = new;
-            let (l, r) = (*left, *right);
             map_insert(&mut self.helper_of, new, h);
-            for adj in [Some(l), Some(r), self.node(h).parent]
-                .into_iter()
-                .flatten()
-            {
-                match self.ref_of(adj) {
-                    PortionRef::Slot(r) => delta.changed.insert(r),
-                    PortionRef::Helper(s) => delta.changed.insert(s),
-                };
-            }
         }
-        delta.changed.remove(&old);
-        delta
     }
 
     /// Walks the shape bottom-up: calls `on_internal(sim, left_ref,
@@ -714,32 +652,17 @@ mod tests {
         assert_eq!(p4.next_parent, Some(PortionRef::Helper(n(3))));
     }
 
-    /// Brute-force check: the structurally computed `changed` set covers the
-    /// portion-level diff (soundness: every actually-changed portion is
-    /// re-sent) and over-approximates it by at most a constant (the O(1)
-    /// claim: a splice+relabel composition can preserve a referenced name,
-    /// making one re-send a no-op — harmless and idempotent).
-    fn check_delta(before: &BTreeMap<NodeId, Portion>, after: &SubRtShape, delta: &ShapeDelta) {
+    /// The representatives whose portion differs between `before` and the
+    /// validated shape `after` — the owner's update messages. A removed
+    /// representative gets none; a new one always gets one.
+    fn changed_portions(before: &BTreeMap<NodeId, Portion>, after: &SubRtShape) -> Vec<NodeId> {
         after.validate();
-        let now = after.all_portions();
-        let mut expect = BTreeSet::new();
-        for (rep, portion) in &now {
-            if before.get(rep) != Some(portion) {
-                expect.insert(*rep);
-            }
-        }
-        assert!(
-            delta.changed.is_superset(&expect),
-            "unsound delta: changed portions not re-sent: {:?} vs {:?}",
-            delta.changed,
-            expect
-        );
-        assert!(
-            delta.changed.len() <= expect.len() + 2,
-            "delta over-approximates by more than a constant: {:?} vs {:?}",
-            delta.changed,
-            expect
-        );
+        after
+            .all_portions()
+            .into_iter()
+            .filter(|(rep, portion)| before.get(rep) != Some(portion))
+            .map(|(rep, _)| rep)
+            .collect()
     }
 
     #[test]
@@ -749,9 +672,26 @@ mod tests {
                 let children: Vec<NodeId> = (0..d as u32).map(n).collect();
                 let mut s = SubRtShape::build(&children);
                 let before = s.all_portions();
-                let delta = s.remove_slot(n(kill as u32));
-                check_delta(&before, &s, &delta);
+                let heir = s.heir();
+                s.remove_slot(n(kill as u32));
+                let changed = changed_portions(&before, &s);
+                assert!(
+                    changed.len() <= 6,
+                    "d={d} kill={kill}: {changed:?} portions changed"
+                );
                 assert_eq!(s.len(), d - 1);
+                assert!(!s.contains(n(kill as u32)));
+                if heir != Some(n(kill as u32)) {
+                    assert_eq!(s.heir(), heir, "a non-heir death keeps the heir");
+                }
+                // the heir's portion says so, and no other portion does
+                let heirs: Vec<NodeId> = s
+                    .all_portions()
+                    .into_iter()
+                    .filter(|(_, p)| p.is_heir)
+                    .map(|(rep, _)| rep)
+                    .collect();
+                assert_eq!(heirs, s.heir().into_iter().collect::<Vec<_>>());
             }
         }
     }
@@ -759,11 +699,15 @@ mod tests {
     #[test]
     fn remove_heir_promotes_survivor() {
         let mut s = SubRtShape::build(&ids(&[1, 2, 3, 4]));
-        let delta = s.remove_slot(n(4));
+        let before = s.all_portions();
+        s.remove_slot(n(4));
         // heir 4's leaf parent was h3; 3 loses its helper and becomes heir
-        assert_eq!(delta.new_heir, Some(n(3)));
         assert_eq!(s.heir(), Some(n(3)));
-        s.validate();
+        let changed = changed_portions(&before, &s);
+        assert!(changed.contains(&n(3)), "the new heir is told: {changed:?}");
+        let p3 = s.portion(n(3));
+        assert!(p3.is_heir);
+        assert_eq!(p3.next_hchildren, None, "an heir has no helper position");
     }
 
     #[test]
@@ -784,11 +728,13 @@ mod tests {
         for d in [8usize, 64, 256] {
             let children: Vec<NodeId> = (0..d as u32).map(n).collect();
             let mut s = SubRtShape::build(&children);
-            let delta = s.remove_slot(n((d / 2) as u32));
+            let before = s.all_portions();
+            s.remove_slot(n((d / 2) as u32));
+            let changed = changed_portions(&before, &s);
             assert!(
-                delta.changed.len() <= 6,
+                changed.len() <= 6,
                 "d={d}: {} portions changed",
-                delta.changed.len()
+                changed.len()
             );
         }
     }
@@ -800,12 +746,17 @@ mod tests {
                 let children: Vec<NodeId> = (0..d as u32).map(n).collect();
                 let mut s = SubRtShape::build(&children);
                 let before = s.all_portions();
+                let old = n(swap as u32);
                 let new = n(100 + swap as u32);
-                let delta = s.replace_rep(n(swap as u32), new);
-                // the diff check needs the old rep's portion removed and the
-                // new rep's compared against nothing (always changed)
-                check_delta(&before, &s, &delta);
-                assert!(s.contains(new));
+                s.replace_rep(old, new);
+                let changed = changed_portions(&before, &s);
+                assert!(changed.contains(&new), "the new rep gets its portion");
+                assert!(
+                    changed.len() <= 6,
+                    "d={d} swap={swap}: {changed:?} portions changed"
+                );
+                assert!(s.contains(new) && !s.contains(old));
+                assert_eq!(s.len(), d);
             }
         }
     }
@@ -813,9 +764,14 @@ mod tests {
     #[test]
     fn replace_rep_carries_heir_status() {
         let mut s = SubRtShape::build(&ids(&[1, 2, 3]));
-        let delta = s.replace_rep(n(3), n(9));
-        assert_eq!(delta.new_heir, Some(n(9)));
+        s.replace_rep(n(3), n(9));
         assert_eq!(s.heir(), Some(n(9)));
+        assert!(s.portion(n(9)).is_heir);
+        s.validate();
+        // a non-heir replacement leaves the heir alone
+        s.replace_rep(n(1), n(7));
+        assert_eq!(s.heir(), Some(n(9)));
+        assert!(!s.portion(n(7)).is_heir);
         s.validate();
     }
 

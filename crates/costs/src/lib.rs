@@ -27,8 +27,8 @@
 //! - [`heap_bytes`](OperationCost::heap_bytes) — bytes of payload staged for
 //!   delivery (a model cost computed from counts and type sizes, **not**
 //!   allocator telemetry — it must stay identical across platforms);
-//! - [`seeks`](OperationCost::seeks) — random-access probes (inbox probes,
-//!   priority-queue pops): the *memory-system* term.
+//! - [`seeks`](OperationCost::seeks) — random-access probes (mailbox
+//!   probes, priority-queue pops): the *memory-system* term.
 //!
 //! All arithmetic saturates: a cost can never wrap and panic a campaign —
 //! at worst a saturated counter pins at `u64::MAX`, which a baseline diff
@@ -93,8 +93,8 @@ pub struct OperationCost {
     /// (count × type size), not allocator telemetry, so it is identical
     /// across platforms.
     pub heap_bytes: u64,
-    /// Random-access probes: per-addressee inbox probes (stale hot entries
-    /// included) and priority-queue pops in measurement passes.
+    /// Random-access probes: one mailbox probe per addressee with mail
+    /// each round and priority-queue pops in measurement passes.
     pub seeks: u64,
 }
 

@@ -1,25 +1,19 @@
-//! Dense two-level bitset over the node id space — the round engine's
-//! hot-addressee set.
+//! Dense bitset over the node id space — the round engine's "has mail" set.
 //!
-//! Earlier engines kept the per-round "who has mail" list as a `Vec<NodeId>`
-//! that was sorted and deduplicated at the top of every round to recover the
-//! canonical ascending delivery order. [`HotSet`] replaces that with a
-//! bitset reused across rounds: insertion is an idempotent O(1) bit-set, and
-//! [`HotSet::drain_into`] walks the bits in index order, so the canonical
-//! order falls out of the representation instead of an `O(k log k)` sort.
-//! A summary level (one bit per 64-bit word) lets the drain skip empty
-//! regions, keeping sparse rounds cheap even at 10⁶-slot capacity.
+//! The engine keeps all mail in flight in one mailbox and orders it by
+//! addressee at the top of every round, so the set only answers membership:
+//! does this addressee have mail queued? [`HotSet`] answers that with one
+//! bit per id and an O(1) idempotent insert and remove, and keeps the member
+//! count that the engine's `seeks` charges read.
 
 use ft_graph::NodeId;
 
-/// A reusable set of [`NodeId`]s with O(1) idempotent insert and ascending
-/// drain; backing storage is two bit arrays sized by the id-space capacity.
+/// A reusable set of [`NodeId`]s with O(1) idempotent insert and remove;
+/// backing storage is one bit array sized by the id-space capacity.
 #[derive(Debug, Default)]
 pub struct HotSet {
     /// Bit `i % 64` of `words[i / 64]` ⇔ `NodeId(i)` is in the set.
     words: Vec<u64>,
-    /// Bit `w % 64` of `summary[w / 64]` ⇔ `words[w]` is non-zero.
-    summary: Vec<u64>,
     /// Number of ids currently in the set.
     len: usize,
 }
@@ -27,10 +21,8 @@ pub struct HotSet {
 impl HotSet {
     /// An empty set covering ids `0..cap`.
     pub fn with_capacity(cap: usize) -> Self {
-        let nwords = cap.div_ceil(64);
         HotSet {
-            words: vec![0; nwords],
-            summary: vec![0; nwords.div_ceil(64)],
+            words: vec![0; cap.div_ceil(64)],
             len: 0,
         }
     }
@@ -40,7 +32,6 @@ impl HotSet {
         let nwords = cap.div_ceil(64);
         if nwords > self.words.len() {
             self.words.resize(nwords, 0);
-            self.summary.resize(nwords.div_ceil(64), 0);
         }
     }
 
@@ -59,14 +50,12 @@ impl HotSet {
     /// # Panics
     /// Panics when `v` is outside the covered id range (grow first).
     pub fn insert(&mut self, v: NodeId) -> bool {
-        let w = v.index() / 64;
+        let word = &mut self.words[v.index() / 64];
         let bit = 1u64 << (v.index() % 64);
-        let word = &mut self.words[w];
         if *word & bit != 0 {
             return false;
         }
         *word |= bit;
-        self.summary[w / 64] |= 1u64 << (w % 64);
         self.len += 1;
         true
     }
@@ -74,8 +63,7 @@ impl HotSet {
     /// Removes `v`; returns `true` if it was present. Out-of-range ids are
     /// vacuously absent.
     pub fn remove(&mut self, v: NodeId) -> bool {
-        let w = v.index() / 64;
-        let Some(word) = self.words.get_mut(w) else {
+        let Some(word) = self.words.get_mut(v.index() / 64) else {
             return false;
         };
         let bit = 1u64 << (v.index() % 64);
@@ -83,9 +71,6 @@ impl HotSet {
             return false;
         }
         *word &= !bit;
-        if *word == 0 {
-            self.summary[w / 64] &= !(1u64 << (w % 64));
-        }
         self.len -= 1;
         true
     }
@@ -96,70 +81,6 @@ impl HotSet {
             .get(v.index() / 64)
             .is_some_and(|w| w & (1u64 << (v.index() % 64)) != 0)
     }
-
-    /// Appends every id to `out` in ascending order and empties the set.
-    /// `out` is *not* cleared first — callers hand in an empty reused
-    /// buffer. The summary level skips empty 4096-id regions.
-    pub fn drain_into(&mut self, out: &mut Vec<NodeId>) {
-        if self.len == 0 {
-            return;
-        }
-        out.reserve(self.len);
-        for (si, sword) in self.summary.iter_mut().enumerate() {
-            let mut s = *sword;
-            while s != 0 {
-                let wi = si * 64 + s.trailing_zeros() as usize;
-                s &= s - 1;
-                let mut w = self.words[wi];
-                self.words[wi] = 0;
-                let base = (wi * 64) as u32;
-                while w != 0 {
-                    out.push(NodeId(base + w.trailing_zeros()));
-                    w &= w - 1;
-                }
-            }
-            *sword = 0;
-        }
-        self.len = 0;
-    }
-
-    /// Ids currently in the set, ascending (non-destructive).
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.summary
-            .iter()
-            .enumerate()
-            .flat_map(move |(si, &sword)| {
-                BitIter::new(sword).flat_map(move |sb| {
-                    let wi = si * 64 + sb as usize;
-                    let base = (wi * 64) as u32;
-                    BitIter::new(self.words[wi]).map(move |b| NodeId(base + b))
-                })
-            })
-    }
-}
-
-/// Iterates the set bit positions of one word, ascending.
-struct BitIter {
-    word: u64,
-}
-
-impl BitIter {
-    fn new(word: u64) -> Self {
-        BitIter { word }
-    }
-}
-
-impl Iterator for BitIter {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if self.word == 0 {
-            return None;
-        }
-        let b = self.word.trailing_zeros();
-        self.word &= self.word - 1;
-        Some(b)
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +88,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_is_idempotent_and_drain_is_ascending() {
+    fn insert_is_idempotent() {
         let mut s = HotSet::with_capacity(300);
         assert!(s.insert(NodeId(250)));
         assert!(s.insert(NodeId(3)));
@@ -176,25 +97,19 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(s.contains(NodeId(64)));
         assert!(!s.contains(NodeId(65)));
-        let mut out = Vec::new();
-        s.drain_into(&mut out);
-        assert_eq!(out, vec![NodeId(3), NodeId(64), NodeId(250)]);
-        assert!(s.is_empty());
-        s.drain_into(&mut out);
-        assert_eq!(out.len(), 3, "draining an empty set appends nothing");
     }
 
     #[test]
-    fn remove_clears_bits_and_summary() {
+    fn remove_clears_bits() {
         let mut s = HotSet::with_capacity(200);
         s.insert(NodeId(130));
+        s.insert(NodeId(131));
         assert!(s.remove(NodeId(130)));
         assert!(!s.remove(NodeId(130)), "already gone");
         assert!(!s.remove(NodeId(4096)), "out of range is absent");
-        assert!(s.is_empty());
-        let mut out = Vec::new();
-        s.drain_into(&mut out);
-        assert!(out.is_empty(), "summary was cleared with the last bit");
+        assert!(!s.contains(NodeId(130)));
+        assert!(s.contains(NodeId(131)), "the word's other bit survives");
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -204,20 +119,9 @@ mod tests {
         s.grow(5000);
         s.insert(NodeId(4999));
         assert!(!s.contains(NodeId(6000)));
-        let mut out = Vec::new();
-        s.drain_into(&mut out);
-        assert_eq!(out, vec![NodeId(5), NodeId(4999)]);
-    }
-
-    #[test]
-    fn iter_is_non_destructive_and_ascending() {
-        let mut s = HotSet::with_capacity(10_000);
-        for &i in &[9999u32, 0, 63, 64, 4096, 4097] {
-            s.insert(NodeId(i));
-        }
-        let got: Vec<u32> = s.iter().map(|v| v.0).collect();
-        assert_eq!(got, vec![0, 63, 64, 4096, 4097, 9999]);
-        assert_eq!(s.len(), 6, "iter leaves the set intact");
+        assert!(s.contains(NodeId(5)), "growing keeps the members");
+        assert!(s.contains(NodeId(4999)));
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
@@ -227,9 +131,10 @@ mod tests {
             s.insert(NodeId(i));
         }
         assert_eq!(s.len(), 1000);
-        let mut out = Vec::new();
-        s.drain_into(&mut out);
-        assert_eq!(out.len(), 1000);
-        assert!(out.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+        assert!((0..1000u32).all(|i| s.contains(NodeId(i))));
+        for i in 0..1000u32 {
+            assert!(s.remove(NodeId(i)));
+        }
+        assert!(s.is_empty());
     }
 }

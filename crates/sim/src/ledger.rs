@@ -48,7 +48,7 @@
 //!                                                   (reconciliation)
 //! ```
 //!
-//! In-flight counts both next-round inboxes *and* the engine's delay
+//! In-flight counts both the next-round mailbox *and* the engine's delay
 //! queue. On a fault-free run `duplicated` and `lost` are zero and the
 //! conservation identity reduces to the original
 //! `sent == delivered + dropped + in-flight`.

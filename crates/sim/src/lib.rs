@@ -8,12 +8,14 @@
 //!
 //! # The dense engine
 //!
-//! [`Network`] keeps all node-indexed state — process slots, per-node
-//! inboxes, per-round load counters, the per-node message books — in
-//! contiguous `Vec`s indexed by [`ft_graph::NodeId`] (arena-style: deletion
-//! leaves a `None` slot). Inbox, outbox, and scratch buffers are reused
-//! between rounds, so the steady-state round loop allocates nothing and
-//! adversarial campaigns scale to 10⁵+ nodes.
+//! [`Network`] keeps all node-indexed state — process slots, per-round
+//! load counters, the per-node message books — in contiguous `Vec`s
+//! indexed by [`ft_graph::NodeId`] (arena-style: deletion leaves a `None`
+//! slot). The mail in flight is not node-indexed: it sits in one round
+//! mailbox that [`Network::step`] sorts by addressee, so its size follows
+//! the O(Δ) messages in flight, not the node count. Mailbox, outbox, and
+//! scratch buffers are reused between rounds, so the steady-state round
+//! loop allocates nothing and adversarial campaigns scale to 10⁶ nodes.
 //!
 //! # Round & ledger semantics
 //!

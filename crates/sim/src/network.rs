@@ -4,9 +4,9 @@
 //! topology [`Graph`]. All node-indexed state lives in contiguous `Vec`s
 //! indexed by [`NodeId`] (arena-style slots: a deleted node's slot becomes
 //! `None`), so campaigns over 10⁵+ nodes stay cache-friendly and the
-//! steady-state round loop performs no allocation: per-node inboxes, the
-//! shared outbox, edge-request buffers, and the per-round load counters are
-//! all reused between rounds.
+//! steady-state round loop performs no allocation: the round mailbox and
+//! its sort keys, the shared outbox, edge-request buffers, and the
+//! per-round load counters are all reused between rounds.
 //!
 //! Time advances in rounds: all messages sent in round `r` are delivered at
 //! the start of round `r+1`; edge changes requested in round `r` are applied
@@ -31,9 +31,11 @@
 //! # Canonical delivery order
 //!
 //! Delivery order within a round is **canonical**: addressees are processed
-//! in ascending [`NodeId`] order (the `hot` bitset drains in that order at
-//! the top of every [`Network::step`]), and each addressee drains its inbox
-//! in arrival order. One thread runs every round, so a campaign is a pure
+//! in ascending [`NodeId`] order, and each addressee receives its mail in
+//! arrival order. All mail in flight sits in one mailbox in arrival order;
+//! the top of every [`Network::step`] sorts it by addressee (an unstable
+//! sort of `(addressee, arrival index)` keys, applied in place) and
+//! delivers it in runs. One thread runs every round, so a campaign is a pure
 //! function of its inputs and seeds: the same seed replays the same ledger,
 //! the same [`RoundStats`] and the same final graph.
 
@@ -138,22 +140,23 @@ impl RoundStats {
     }
 }
 
-/// The simulator: dense process slots + topology + per-node inboxes +
+/// The simulator: dense process slots + topology + one round mailbox +
 /// the message ledger.
 #[derive(Debug)]
 pub struct Network<P: Process> {
     /// Process slots indexed by `NodeId` (`None` = deleted).
     procs: Vec<Option<P>>,
     graph: Graph,
-    /// Mail awaiting delivery, indexed by addressee; buffers are reused.
-    inboxes: Vec<Vec<(NodeId, P::Msg)>>,
-    /// Addressees with non-empty inboxes — a dense bitset reused across
-    /// rounds. Invariant: exactly the owners of non-empty inboxes are
-    /// members (deletion purges remove the victim's bit), and draining it
-    /// yields the canonical ascending delivery order with no sort.
+    /// Mail awaiting delivery next round as `(to, from, msg)`, in arrival
+    /// order; its buffer is reused. Holds only the O(Δ) messages in flight,
+    /// not one buffer per node.
+    mail: Vec<(NodeId, NodeId, P::Msg)>,
+    /// Reusable sort keys for `mail`: `(addressee << 32) | arrival index`.
+    mail_order: Vec<u64>,
+    /// Addressees with mail queued — a dense bitset reused across rounds.
+    /// Invariant: exactly the addressees of `mail` are members, so a
+    /// deletion scans the mailbox only when its victim's bit is set.
     hot: HotSet,
-    /// Reusable buffer [`HotSet::drain_into`] fills each round.
-    hot_scratch: Vec<NodeId>,
     /// Staging buffer for the current round's sends.
     outbox: Vec<(NodeId, NodeId, P::Msg)>,
     edge_adds: Vec<(NodeId, NodeId)>,
@@ -163,19 +166,12 @@ pub struct Network<P: Process> {
     /// Nodes with a non-zero `round_load` entry (cleared every round).
     touched: Vec<NodeId>,
     round: u64,
-    /// Queued (in-flight) message count across all inboxes.
-    pending: usize,
     live: usize,
     ledger: MsgLedger,
     /// Cumulative [`OperationCost`] of every engine operation since
     /// construction. The costed entry points ([`Network::step`] and
     /// friends) return per-call deltas as snapshots of this counter.
     costs: OperationCost,
-    /// Arena of retired inbox buffers: a deleted node's (emptied) inbox
-    /// vector parks here and the next grown slot draws from it, so churn
-    /// campaigns recycle payload capacity instead of leaking it on dead
-    /// slots and reallocating for newcomers.
-    buf_pool: Vec<Vec<(NodeId, P::Msg)>>,
     /// Reusable neighbor buffer for [`Graph::delete_node_into`].
     nbr_scratch: Vec<NodeId>,
     /// Topology-churn journal; recorded only while `journal_on` is set.
@@ -188,7 +184,7 @@ pub struct Network<P: Process> {
     /// is decided in `finish_round`, so faulty runs replay from the seed).
     faults: Option<FaultPlan>,
     /// Delay queue: `(due_round, from, to, msg)` for mail the fault plan
-    /// postponed; matured entries re-enter the inboxes in `finish_round`.
+    /// postponed; matured entries re-enter the mailbox in `finish_round`.
     /// Entries stay in insertion order (canonical routing order), so the
     /// queue's evolution is deterministic.
     delayed: Vec<(u64, NodeId, NodeId, P::Msg)>,
@@ -275,25 +271,21 @@ impl<P: Process> Network<P> {
             procs[v.index()] = Some(make(v));
             live += 1;
         }
-        let mut inboxes = Vec::with_capacity(cap);
-        inboxes.resize_with(cap, Vec::new);
         Network {
             procs,
             graph,
-            inboxes,
+            mail: Vec::new(),
+            mail_order: Vec::new(),
             hot: HotSet::with_capacity(cap),
-            hot_scratch: Vec::new(),
             outbox: Vec::new(),
             edge_adds: Vec::new(),
             edge_drops: Vec::new(),
             round_load: vec![0; cap],
             touched: Vec::new(),
             round: 0,
-            pending: 0,
             live,
             ledger: MsgLedger::new(cap),
             costs: OperationCost::ZERO,
-            buf_pool: Vec::new(),
             nbr_scratch: Vec::new(),
             journal: ChurnJournal::default(),
             journal_on: false,
@@ -431,9 +423,9 @@ impl<P: Process> Network<P> {
         self.delayed.len()
     }
 
-    /// Are messages waiting for delivery (inboxes or the delay queue)?
+    /// Are messages waiting for delivery (the mailbox or the delay queue)?
     pub fn has_pending(&self) -> bool {
-        self.pending > 0 || !self.delayed.is_empty()
+        !self.mail.is_empty() || !self.delayed.is_empty()
     }
 
     /// Verifies the ledger identities against the live queue state (see
@@ -444,7 +436,7 @@ impl<P: Process> Network<P> {
     /// `costs.messages_delivered == ledger.delivered()` must hold exactly.
     pub fn check_accounting(&self) -> Result<(), String> {
         self.ledger
-            .check(self.pending as u64 + self.delayed.len() as u64)?;
+            .check(self.mail.len() as u64 + self.delayed.len() as u64)?;
         if self.costs.messages_sent != self.ledger.sent() {
             return Err(format!(
                 "cost/ledger split: cost messages_sent {} != ledger sent {}",
@@ -494,41 +486,35 @@ impl<P: Process> Network<P> {
     }
 
     /// Unsends `v`'s queued outbound mail: every still-undelivered message
-    /// `v` sent is removed from its addressee's inbox (and from the fault
-    /// plan's delay queue) and accounted as dropped. Every non-empty inbox
-    /// is in the hot set, so this touches only addressees with pending
-    /// mail. Used by crash-stops. Returns how many messages were unsent.
+    /// `v` sent is removed from the mailbox (and from the fault plan's
+    /// delay queue) and accounted as dropped. Used by crash-stops. Returns
+    /// how many messages were unsent.
     fn unsend_in_flight_from(&mut self, v: NodeId) -> u64 {
         let Network {
-            inboxes,
+            mail,
             hot,
-            pending,
             ledger,
             costs,
             delayed,
             ..
         } = self;
-        // one random-access probe per hot inbox scanned for the victim's mail
+        // one random-access probe per addressee with mail, the charge
+        // `step` makes for the same mailbox
         costs.seeks += hot.len() as u64;
-        let mut unsent = 0u64;
-        let mut emptied: Option<Vec<NodeId>> = None;
-        for d in hot.iter() {
-            let inbox = &mut inboxes[d.index()];
-            let before = inbox.len();
-            inbox.retain(|(from, _)| *from != v);
-            let removed = before - inbox.len();
-            *pending -= removed;
-            unsent += removed as u64;
-            ledger.record_dropped(removed as u64);
-            if removed > 0 && inbox.is_empty() {
-                emptied.get_or_insert_with(Vec::new).push(d);
+        let before = mail.len();
+        mail.retain(|(to, from, _)| {
+            if *from == v {
+                hot.remove(*to);
             }
-        }
-        // An inbox holding only the victim's mail is empty now; its owner
-        // leaves the hot set (membership tracks non-emptiness exactly).
-        if let Some(emptied) = emptied {
-            for d in emptied {
-                hot.remove(d);
+            *from != v
+        });
+        let mut unsent = (before - mail.len()) as u64;
+        ledger.record_dropped(unsent);
+        // An addressee that lost some mail stays hot iff it still has some
+        // (membership tracks the mailbox exactly).
+        if unsent > 0 {
+            for (to, _, _) in mail.iter() {
+                hot.insert(*to);
             }
         }
         // The victim's delayed mail is silenced with it.
@@ -591,7 +577,7 @@ impl<P: Process> Network<P> {
         self.graph.delete_node_into(v, &mut neighbors);
         self.procs[v.index()] = None;
         self.live -= 1;
-        // the victim's inbox purge is one random-access probe; each
+        // the purge of the victim's mail is one random-access probe; each
         // surviving neighbor's deletion-notice callback is one activation
         self.costs.seeks += 1;
         self.costs.node_visits += neighbors.len() as u64;
@@ -601,18 +587,15 @@ impl<P: Process> Network<P> {
                 self.journal.crashed.push(v);
             }
         }
-        // Mail addressed to the dead node is lost with it; the emptied
-        // buffer parks in the arena for the next inserted slot, and the
-        // victim leaves the hot set (its inbox is empty now).
-        let mut purged_buf = std::mem::take(&mut self.inboxes[v.index()]);
-        let purged = purged_buf.len();
-        purged_buf.clear();
-        if purged_buf.capacity() > 0 {
-            self.buf_pool.push(purged_buf);
+        // Mail addressed to the dead node is lost with it. Only a hot
+        // victim has any, so a wave of deletions scans the mailbox only for
+        // victims that have mail.
+        if self.hot.remove(v) {
+            let before = self.mail.len();
+            self.mail.retain(|(to, _, _)| *to != v);
+            self.ledger
+                .record_dropped((before - self.mail.len()) as u64);
         }
-        self.hot.remove(v);
-        self.pending -= purged;
-        self.ledger.record_dropped(purged as u64);
         // Delayed mail addressed to the dead node is lost with it too.
         if !self.delayed.is_empty() {
             let before = self.delayed.len();
@@ -701,12 +684,9 @@ impl<P: Process> Network<P> {
         let v = self.graph.add_node();
         debug_assert_eq!(v.index(), self.procs.len());
         self.procs.push(None);
-        // recycle a retired inbox buffer when the arena has one
-        self.inboxes.push(self.buf_pool.pop().unwrap_or_default());
         self.round_load.push(0);
         self.ledger.grow(self.graph.capacity());
         self.hot.grow(self.graph.capacity());
-        debug_assert!(self.inboxes[v.index()].is_empty());
         self.procs[v.index()] = Some(make(v));
         self.live += 1;
         // the newcomer's on_start plus one join-notice callback per anchor
@@ -781,15 +761,10 @@ impl<P: Process> Network<P> {
     )]
     pub fn step(&mut self) -> CostResult<RoundStats> {
         let before = self.costs;
-        let mut hot = std::mem::take(&mut self.hot_scratch);
-        debug_assert!(hot.is_empty());
-        // the bitset drain IS the canonical ascending order — no sort
-        self.hot.drain_into(&mut hot);
-        // one inbox probe per hot addressee
-        self.costs.seeks += hot.len() as u64;
-        let delivered = self.deliver_inboxes(&hot);
-        hot.clear();
-        self.hot_scratch = hot;
+        // one mailbox probe per addressee with mail
+        self.costs.seeks += self.hot.len() as u64;
+        self.sort_mail();
+        let delivered = self.deliver_mail();
         let stats = self.finish_round(delivered);
         (stats, self.costs - before)
     }
@@ -811,8 +786,56 @@ impl<P: Process> Network<P> {
         self.step()
     }
 
-    /// Drains the inboxes of the (sorted) `hot` addressees, charging
-    /// ledger and load per delivery; returns the delivery count.
+    /// Puts the mailbox in canonical order: ascending addressee, arrival
+    /// order within one addressee. The keys `(addressee << 32) | arrival
+    /// index` are distinct, so an unstable sort of them is exact; the
+    /// mailbox then follows the sorted keys by swapping along each cycle of
+    /// the permutation. Both buffers are reused, so nothing is allocated.
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "mail_order holds one key per mail entry, and each key's low half is an index into mail"
+    )]
+    fn sort_mail(&mut self) {
+        let Network {
+            mail, mail_order, ..
+        } = self;
+        debug_assert!(u32::try_from(mail.len()).is_ok(), "arrival index overflows");
+        mail_order.clear();
+        mail_order.extend(
+            mail.iter()
+                .enumerate()
+                .map(|(i, (to, _, _))| (u64::from(to.0) << 32) | i as u64),
+        );
+        mail_order.sort_unstable();
+        // mail_order[j]'s low half is the arrival index of the entry that
+        // belongs at j. Walk each cycle from its smallest position i: the
+        // entry at j is swapped for the one it needs until the cycle closes
+        // on i's original entry. A visited position is marked j -> j.
+        const LOW: u64 = 0xffff_ffff;
+        for i in 0..mail_order.len() {
+            let mut j = i;
+            loop {
+                let src = (mail_order[j] & LOW) as usize;
+                mail_order[j] = j as u64;
+                if src == i {
+                    break;
+                }
+                mail.swap(j, src);
+                j = src;
+            }
+        }
+    }
+
+    /// Delivers the sorted mailbox, one run per addressee, charging ledger
+    /// and load per delivery; returns the delivery count.
     #[deny(
         clippy::indexing_slicing,
         clippy::unwrap_used,
@@ -822,66 +845,57 @@ impl<P: Process> Network<P> {
         clippy::todo,
         clippy::unimplemented
     )]
-    fn deliver_inboxes(&mut self, hot: &[NodeId]) -> usize {
+    fn deliver_mail(&mut self) -> usize {
         let mut delivered = 0usize;
         let faulty = self.faults.is_some();
         let Network {
             procs,
-            inboxes,
+            mail,
+            hot,
             outbox,
             edge_adds,
             edge_drops,
             round,
             round_load,
             touched,
-            pending,
             ledger,
             costs,
             ..
         } = self;
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "hot holds only ids bounds-checked against procs.len() at enqueue time; inboxes has the same length"
-        )]
-        for &to in hot {
-            // A hot entry can be stale: the addressee died and its inbox
-            // was purged. Nothing to deliver then.
-            if inboxes[to.index()].is_empty() {
-                continue;
-            }
-            let mut mail = std::mem::take(&mut inboxes[to.index()]);
-            *pending -= mail.len();
-            match procs[to.index()].as_mut() {
-                None => {
-                    // Unreachable (deletion purges the inbox), but the
-                    // books must balance even if it ever fires.
-                    ledger.record_dropped(mail.len() as u64);
-                    mail.clear();
-                }
-                Some(p) => {
+        let mut run: Option<NodeId> = None;
+        let mut addressee: Option<&mut P> = None;
+        for (to, from, msg) in mail.drain(..) {
+            if run != Some(to) {
+                run = Some(to);
+                hot.remove(to);
+                addressee = procs.get_mut(to.index()).and_then(Option::as_mut);
+                if addressee.is_some() {
                     // one live addressee activated (however much mail it has)
                     costs.node_visits += 1;
-                    for (from, msg) in mail.drain(..) {
-                        delivered += 1;
-                        costs.messages_delivered += 1;
-                        ledger.record_delivery(from, to);
-                        bump_load(round_load, touched, from);
-                        bump_load(round_load, touched, to);
-                        let mut ctx = Ctx {
-                            me: to,
-                            round: *round,
-                            faulty,
-                            outbox: &mut *outbox,
-                            edge_adds: &mut *edge_adds,
-                            edge_drops: &mut *edge_drops,
-                        };
-                        p.on_message(from, msg, &mut ctx);
-                    }
                 }
             }
-            // Hand the (empty, capacity-retaining) buffer back.
-            inboxes[to.index()] = mail;
+            let Some(p) = addressee.as_deref_mut() else {
+                // Unreachable (deletion purges the victim's mail), but the
+                // books must balance even if it ever fires.
+                ledger.record_dropped(1);
+                continue;
+            };
+            delivered += 1;
+            costs.messages_delivered += 1;
+            ledger.record_delivery(from, to);
+            bump_load(round_load, touched, from);
+            bump_load(round_load, touched, to);
+            let mut ctx = Ctx {
+                me: to,
+                round: *round,
+                faulty,
+                outbox: &mut *outbox,
+                edge_adds: &mut *edge_adds,
+                edge_drops: &mut *edge_drops,
+            };
+            p.on_message(from, msg, &mut ctx);
         }
+        debug_assert!(hot.is_empty(), "every addressee with mail was served");
         delivered
     }
 
@@ -940,7 +954,7 @@ impl<P: Process> Network<P> {
         ((rounds, merged, !self.has_pending()), self.costs - before)
     }
 
-    /// Closes a round: routes the outbox into next round's inboxes, applies
+    /// Closes a round: routes the outbox into next round's mailbox, applies
     /// edge changes (drops of pre-existing edges first, then adds), folds
     /// the per-round load into the stats, and advances the clock.
     #[deny(
@@ -964,7 +978,7 @@ impl<P: Process> Network<P> {
             (self.outbox.len() * std::mem::size_of::<(NodeId, NodeId, P::Msg)>()) as u64;
         self.costs.edge_scans += (self.edge_drops.len() + self.edge_adds.len()) as u64;
         // Mature the fault plan's delay queue first: postponed mail whose
-        // due round is next re-enters the inboxes *ahead* of this round's
+        // due round is next re-enters the mailbox *ahead* of this round's
         // fresh sends (it is older traffic). The guard keeps the fault-free
         // path — where the queue is always empty — byte-for-byte identical
         // to the original engine.
@@ -974,24 +988,18 @@ impl<P: Process> Network<P> {
             std::mem::swap(&mut self.delayed, &mut queue);
             let Network {
                 procs,
-                inboxes,
+                mail,
                 hot,
-                pending,
                 ledger,
                 delayed,
                 ..
             } = self;
             for (due, from, to, msg) in queue.drain(..) {
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "guarded: to.index() < procs.len() is checked in the condition; inboxes.len() == procs.len()"
-                )]
                 if due > next {
                     delayed.push((due, from, to, msg));
-                } else if to.index() < procs.len() && procs[to.index()].is_some() {
-                    inboxes[to.index()].push((from, msg));
+                } else if procs.get(to.index()).is_some_and(Option::is_some) {
+                    mail.push((to, from, msg));
                     hot.insert(to);
-                    *pending += 1;
                 } else {
                     // the addressee died while the mail was parked
                     ledger.record_dropped(1);
@@ -1002,10 +1010,9 @@ impl<P: Process> Network<P> {
         {
             let Network {
                 procs,
-                inboxes,
+                mail,
                 outbox,
                 hot,
-                pending,
                 ledger,
                 faults,
                 delayed,
@@ -1017,14 +1024,9 @@ impl<P: Process> Network<P> {
                 None => {
                     for (from, to, msg) in outbox.drain(..) {
                         ledger.record_sent();
-                        #[expect(
-                            clippy::indexing_slicing,
-                            reason = "guarded: to.index() < procs.len() is checked in the condition; inboxes.len() == procs.len()"
-                        )]
-                        if to.index() < procs.len() && procs[to.index()].is_some() {
-                            inboxes[to.index()].push((from, msg));
+                        if procs.get(to.index()).is_some_and(Option::is_some) {
+                            mail.push((to, from, msg));
                             hot.insert(to); // idempotent bit-set
-                            *pending += 1;
                         } else {
                             // addressee is dead at send time; dropped on the floor
                             ledger.record_dropped(1);
@@ -1037,21 +1039,12 @@ impl<P: Process> Network<P> {
                     // so the realized schedule replays from the seed.
                     for (k, (from, to, msg)) in outbox.drain(..).enumerate() {
                         ledger.record_sent();
-                        #[expect(
-                            clippy::indexing_slicing,
-                            reason = "guarded: to.index() < procs.len() is checked on this line"
-                        )]
-                        let alive = to.index() < procs.len() && procs[to.index()].is_some();
+                        let alive = procs.get(to.index()).is_some_and(Option::is_some);
                         match plan.fate(*round, from, to, k as u64) {
                             MsgFate::Deliver => {
                                 if alive {
-                                    #[expect(
-                                        clippy::indexing_slicing,
-                                        reason = "alive implies the bounds guard above held; inboxes.len() == procs.len()"
-                                    )]
-                                    inboxes[to.index()].push((from, msg));
+                                    mail.push((to, from, msg));
                                     hot.insert(to);
-                                    *pending += 1;
                                 } else {
                                     ledger.record_dropped(1);
                                 }
@@ -1071,18 +1064,9 @@ impl<P: Process> Network<P> {
                                 fnv_fold(fault_fp, (u64::from(from.0) << 32) | u64::from(to.0));
                                 fnv_fold(fault_fp, k as u64);
                                 if alive {
-                                    #[expect(
-                                        clippy::indexing_slicing,
-                                        reason = "alive implies the bounds guard above held; inboxes.len() == procs.len()"
-                                    )]
-                                    inboxes[to.index()].push((from, msg.clone()));
-                                    #[expect(
-                                        clippy::indexing_slicing,
-                                        reason = "alive implies the bounds guard above held; inboxes.len() == procs.len()"
-                                    )]
-                                    inboxes[to.index()].push((from, msg));
+                                    mail.push((to, from, msg.clone()));
+                                    mail.push((to, from, msg));
                                     hot.insert(to);
-                                    *pending += 2;
                                 } else {
                                     // both copies die with the addressee
                                     ledger.record_dropped(2);
@@ -1160,6 +1144,7 @@ impl<P: Process> Network<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultConfig;
     use ft_graph::gen;
     use std::collections::BTreeMap;
 
@@ -1452,6 +1437,204 @@ mod tests {
         assert_eq!(ledger_a, ledger_b, "ledger books diverged");
         assert_eq!(costs_a, costs_b, "cumulative costs diverged");
         assert_eq!(seen_a, seen_b);
+    }
+
+    /// Delivery log shared by every [`Script`] process of one network:
+    /// `(to, from, tag)` in delivery order.
+    type Log = std::rc::Rc<std::cell::RefCell<Vec<(u32, u32, char)>>>;
+
+    /// Sends `start` on start; on a `'g'` message sends `on_go`. Logs
+    /// every delivery.
+    #[derive(Debug)]
+    struct Script {
+        start: Vec<(NodeId, char)>,
+        on_go: Vec<(NodeId, char)>,
+        log: Log,
+    }
+
+    impl Process for Script {
+        type Msg = char;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, char>) {
+            for &(to, tag) in &self.start {
+                ctx.send(to, tag);
+            }
+        }
+        fn on_message(&mut self, from: NodeId, tag: char, ctx: &mut Ctx<'_, char>) {
+            self.log.borrow_mut().push((ctx.me().0, from.0, tag));
+            if tag == 'g' {
+                for &(to, t) in &self.on_go {
+                    ctx.send(to, t);
+                }
+            }
+        }
+    }
+
+    fn script_net(n: usize, mut script: impl FnMut(u32) -> Script) -> Network<Script> {
+        Network::new(ft_graph::Graph::new(n), |v| script(v.0))
+    }
+
+    #[test]
+    fn mailbox_delivers_by_addressee_then_arrival() {
+        // Round 0: node 4 sends 'g' to node 0 and 'L' to node 2, the latter
+        // delayed one round. Round 1: node 0 interleaves sends to 3, 1 and
+        // 2, one of which is duplicated; the delayed 'L' matures in the
+        // same round. Round 2 must deliver by ascending addressee, and in
+        // arrival order within one: the matured copy first, a duplicate
+        // right behind its original.
+        let n = NodeId;
+        let go = [
+            (n(3), 'a'),
+            (n(1), 'b'),
+            (n(2), 'c'),
+            (n(1), 'd'),
+            (n(3), 'e'),
+            (n(2), 'f'),
+        ];
+        let cfg = FaultConfig {
+            duplication: 0.2,
+            delay: 0.2,
+            max_delay: 1,
+            ..FaultConfig::zero()
+        };
+        let wanted = |plan: &FaultPlan| {
+            plan.fate(0, n(4), n(0), 0) == MsgFate::Deliver
+                && plan.fate(0, n(4), n(2), 1) == MsgFate::Delay(1)
+                && go.iter().enumerate().all(|(k, &(to, _))| {
+                    let want = if k == 3 {
+                        MsgFate::Duplicate
+                    } else {
+                        MsgFate::Deliver
+                    };
+                    plan.fate(1, n(0), to, k as u64) == want
+                })
+        };
+        let plan = (0..1_000_000u64)
+            .map(|seed| cfg.plan(seed))
+            .find(wanted)
+            .expect("some seed realizes the scripted fates");
+        let log = Log::default();
+        let mut net = script_net(5, |v| Script {
+            start: if v == 4 {
+                vec![(n(0), 'g'), (n(2), 'L')]
+            } else {
+                Vec::new()
+            },
+            on_go: if v == 0 { go.to_vec() } else { Vec::new() },
+            log: log.clone(),
+        });
+        net.set_fault_plan(Some(plan));
+        net.start();
+        let (_, _cost) = net.step();
+        assert_eq!(*log.borrow(), [(0, 4, 'g')]);
+        log.borrow_mut().clear();
+        let (stats, cost) = net.step();
+        assert_eq!(
+            *log.borrow(),
+            [
+                (1, 0, 'b'),
+                (1, 0, 'd'),
+                (1, 0, 'd'),
+                (2, 4, 'L'),
+                (2, 0, 'c'),
+                (2, 0, 'f'),
+                (3, 0, 'a'),
+                (3, 0, 'e'),
+            ]
+        );
+        assert_eq!(stats.messages, 8);
+        assert_eq!(cost.seeks, 3, "one probe per addressee with mail");
+        assert_eq!(cost.node_visits, 3, "one activation per addressee");
+        assert!(!net.has_pending() && net.hot.is_empty());
+        assert_eq!((net.ledger().duplicated(), net.ledger().delayed()), (1, 1));
+        net.check_accounting().expect("books balance");
+    }
+
+    /// Sends two messages to each neighbor it still has whenever one dies.
+    #[derive(Debug)]
+    struct Mourner {
+        neighbors: Vec<NodeId>,
+    }
+
+    impl Process for Mourner {
+        type Msg = ();
+        fn on_message(&mut self, _: NodeId, _: (), _: &mut Ctx<'_, ()>) {}
+        fn on_neighbor_deleted(&mut self, dead: NodeId, ctx: &mut Ctx<'_, ()>) {
+            self.neighbors.retain(|&u| u != dead);
+            for &u in &self.neighbors {
+                ctx.send(u, ());
+                ctx.send(u, ());
+            }
+        }
+    }
+
+    #[test]
+    fn second_deletion_drops_exactly_the_victims_mail() {
+        // 1 is wired to 0, 2 and 3. Deleting 0 makes 1 mail 2 and 3 twice
+        // each; deleting 2 before any step drops exactly 2's two messages,
+        // and 1's reaction adds two more for 3.
+        let g = ft_graph::Graph::from_edges(4, &[(0, 1), (1, 2), (1, 3)]);
+        let nbrs: Vec<Vec<NodeId>> = (0..4).map(|v| g.neighbors(NodeId(v)).collect()).collect();
+        let mut net = Network::new(g, |v| Mourner {
+            neighbors: nbrs[v.index()].clone(),
+        });
+        net.delete_node(NodeId(0));
+        assert_eq!(net.mail.len(), 4);
+        let dropped = net.ledger().dropped();
+        net.delete_node(NodeId(2));
+        assert_eq!(net.ledger().dropped(), dropped + 2, "2's mail, and only it");
+        assert!(!net.hot.contains(NodeId(2)));
+        assert_eq!(net.mail.len(), 4);
+        assert!(net.mail.iter().all(|(to, _, _)| *to == NodeId(3)));
+        net.check_accounting()
+            .expect("books balance between deletions");
+        let (stats, _cost) = net.step();
+        assert_eq!(stats.messages, 4, "3 receives all four");
+        assert!(!net.has_pending());
+        net.check_accounting().expect("books balance");
+    }
+
+    #[test]
+    fn crash_stop_clears_the_hot_set_with_the_victims_mail() {
+        // node 0 mails 1, 3, 2 and 1 on start and then crash-stops: its
+        // mail was the only mail queued, so nothing stays pending or hot
+        let n = NodeId;
+        let log = Log::default();
+        let mut net = script_net(4, |v| Script {
+            start: if v == 0 {
+                vec![(n(1), 'x'), (n(3), 'x'), (n(2), 'x'), (n(1), 'x')]
+            } else {
+                Vec::new()
+            },
+            on_go: Vec::new(),
+            log: log.clone(),
+        });
+        net.start();
+        assert_eq!(net.hot.len(), 3);
+        net.delete_node_crash(n(0));
+        assert!(!net.has_pending());
+        assert!(net.hot.is_empty());
+        assert!((1..4).all(|v| !net.hot.contains(n(v))));
+        assert_eq!(net.crash_silenced(), 4);
+        net.check_accounting().expect("books balance");
+
+        // with other mail queued, an addressee stays hot iff it keeps some
+        let mut net = script_net(4, |v| Script {
+            start: match v {
+                0 => vec![(n(1), 'x'), (n(2), 'x')],
+                3 => vec![(n(1), 'y')],
+                _ => Vec::new(),
+            },
+            on_go: Vec::new(),
+            log: log.clone(),
+        });
+        net.start();
+        net.delete_node_crash(n(0));
+        assert!(net.hot.contains(n(1)) && !net.hot.contains(n(2)));
+        assert_eq!(net.hot.len(), 1);
+        let (stats, _cost) = net.step();
+        assert_eq!(stats.messages, 1);
+        assert_eq!(log.borrow().last(), Some(&(1, 3, 'y')));
+        net.check_accounting().expect("books balance");
     }
 
     #[test]
