@@ -93,8 +93,10 @@ pub struct OperationCost {
     /// (count × type size), not allocator telemetry, so it is identical
     /// across platforms.
     pub heap_bytes: u64,
-    /// Random-access probes: one mailbox probe per addressee with mail
-    /// each round and priority-queue pops in measurement passes.
+    /// Random-access probes. The round engine charges one per addressee
+    /// run it delivers, 1 per deletion (the purge of the victim's mail)
+    /// and, at a crash-stop, one per distinct addressee in the mailbox it
+    /// unsends from; measurement passes charge priority-queue pops.
     pub seeks: u64,
 }
 

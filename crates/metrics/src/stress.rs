@@ -426,6 +426,38 @@ mod tests {
         assert_eq!(json.matches(':').count(), 37, "37 fields");
     }
 
+    /// Per-wave cadence is the only tree path where a deletion meets a
+    /// non-empty mailbox (the wave strikes before any heal runs), and
+    /// duplication keeps two copies of some mail in it. Pins the mail
+    /// dropped at deletions, the fault schedule and every engine charge.
+    #[test]
+    fn per_wave_duplication_campaign_is_pinned() {
+        let rec = run_stress(&StressConfig {
+            nodes: 600,
+            deletions: 120,
+            wave_size: 12,
+            arity: 4,
+            planner: "heavy-tail".into(),
+            seed: 1,
+            cadence: "per-wave".into(),
+            faults: "dup".into(),
+            ..StressConfig::default()
+        });
+        assert_eq!(rec.dropped, 571);
+        assert_eq!(rec.fault_fingerprint, 12_362_097_735_668_377_898);
+        assert_eq!(
+            rec.cost,
+            OperationCost {
+                messages_sent: 1983,
+                messages_delivered: 1513,
+                node_visits: 1508,
+                edge_scans: 930,
+                heap_bytes: 142_776,
+                seeks: 1112,
+            }
+        );
+    }
+
     /// A faulty tree campaign still balances its books and reconciles
     /// costs, replays from its seed (fault schedule included), and
     /// the `none` model is byte-identical to not arming a plan at all.

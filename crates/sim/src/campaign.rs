@@ -16,10 +16,11 @@
 //!   recovery round runs, modeling correlated failures. Only for protocols
 //!   designed to survive concurrent deletions.
 //!
-//! The campaign accumulates a [`CampaignReport`] (deletions, rounds, edge
-//! churn, the worst per-node round load) whose message figures all derive
-//! from the network's [`MsgLedger`](crate::MsgLedger), so a campaign's books
-//! can always be audited with [`Network::check_accounting`].
+//! The campaign accumulates a [`CampaignReport`] (deletions, rounds, the
+//! worst per-node round load, crashes, the exact operation cost) whose
+//! message figures all derive from the network's
+//! [`MsgLedger`](crate::MsgLedger), so a campaign's books can always be
+//! audited with [`Network::check_accounting`].
 
 use crate::network::{Network, Process, RoundStats};
 use ft_costs::OperationCost;
@@ -74,8 +75,6 @@ impl Default for CampaignConfig {
 /// What one wave did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WaveStats {
-    /// Zero-based wave index within the campaign.
-    pub wave: usize,
     /// Victims actually deleted.
     pub deletions: usize,
     /// Nodes inserted (churn waves only).
@@ -86,10 +85,6 @@ pub struct WaveStats {
     pub messages: usize,
     /// Worst single-node single-round message load within the wave.
     pub max_per_node: usize,
-    /// Edges inserted by the healers.
-    pub edges_added: usize,
-    /// Edges dropped by the healers.
-    pub edges_removed: usize,
     /// Deletions that were crash-stops (fault plan armed on the network).
     pub crashes: usize,
     /// `false` iff some heal phase of this wave exhausted
@@ -109,8 +104,15 @@ impl WaveStats {
         self.rounds += rounds;
         self.messages += s.messages;
         self.max_per_node = self.max_per_node.max(s.max_per_node);
-        self.edges_added += s.edges_added;
-        self.edges_removed += s.edges_removed;
+    }
+
+    /// Deletes `v` (a crash-stop if the armed fault plan says so) and
+    /// books the deletion round.
+    fn delete<P: Process>(&mut self, net: &mut Network<P>, v: NodeId) {
+        let (notice, crashed) = net.delete_node_faulty(v);
+        self.deletions += 1;
+        self.crashes += usize::from(crashed);
+        self.absorb(&notice, 1);
     }
 }
 
@@ -130,12 +132,6 @@ pub struct CampaignReport {
     /// Worst single-node single-round load across the whole campaign — the
     /// "peak per-node load" figure of the stress record.
     pub peak_round_load: usize,
-    /// Worst rounds consumed by any single wave.
-    pub worst_wave_rounds: u32,
-    /// Total edges inserted.
-    pub edges_added: usize,
-    /// Total edges dropped.
-    pub edges_removed: usize,
     /// Total crash-stop deletions across the campaign.
     pub crashes: usize,
     /// `true` iff **every** heal phase of every wave reached quiescence
@@ -156,9 +152,6 @@ impl Default for CampaignReport {
             rounds: 0,
             messages: 0,
             peak_round_load: 0,
-            worst_wave_rounds: 0,
-            edges_added: 0,
-            edges_removed: 0,
             crashes: 0,
             // vacuously true until a wave says otherwise
             converged: true,
@@ -233,43 +226,7 @@ impl Campaign {
     /// # Panics
     /// Panics if a victim is dead.
     pub fn run_wave<P: Process>(&mut self, net: &mut Network<P>, victims: &[NodeId]) -> WaveStats {
-        let cost0 = net.costs();
-        let silenced0 = net.crash_silenced();
-        let mut ws = WaveStats {
-            wave: self.report.waves,
-            converged: true,
-            ..WaveStats::default()
-        };
-        match self.cfg.cadence {
-            HealCadence::PerDeletion => {
-                for &v in victims {
-                    let (notice, crashed) = net.delete_node_faulty(v);
-                    ws.deletions += 1;
-                    ws.crashes += usize::from(crashed);
-                    ws.absorb(&notice, 1);
-                    self.heal(net, &mut ws);
-                }
-            }
-            HealCadence::PerWave => {
-                for &v in victims {
-                    let (notice, crashed) = net.delete_node_faulty(v);
-                    ws.deletions += 1;
-                    ws.crashes += usize::from(crashed);
-                    ws.absorb(&notice, 1);
-                }
-                self.heal(net, &mut ws);
-            }
-        }
-        // A crash-stop that silenced in-flight mail cut a heal
-        // conversation mid-sentence: the network may be quiet, but the
-        // protocol did not finish its recovery. Not convergence.
-        if net.crash_silenced() > silenced0 {
-            ws.converged = false;
-        }
-        // snapshot delta: covers the deletions themselves, not just heals
-        ws.cost = net.costs() - cost0;
-        self.absorb_wave(&ws);
-        ws
+        self.run_events(net, victims, |net, &v, ws| ws.delete(net, v))
     }
 
     /// Applies one mixed insert/delete wave (the Forgiving Graph's churn
@@ -290,73 +247,67 @@ impl Campaign {
         events: &[ChurnEvent],
         mut make: impl FnMut(NodeId, &[NodeId]) -> P,
     ) -> WaveStats {
+        self.run_events(net, events, |net, ev, ws| match ev {
+            ChurnEvent::Delete(v) => ws.delete(net, *v),
+            ChurnEvent::Insert { neighbors } => {
+                let live: Vec<NodeId> = neighbors
+                    .iter()
+                    .copied()
+                    .filter(|&u| net.graph().is_alive(u))
+                    .collect();
+                if live.is_empty() {
+                    return; // every anchor died earlier in the wave
+                }
+                let (_, stats) = net.insert_node(&live, |id| make(id, &live));
+                ws.insertions += 1;
+                ws.absorb(&stats, 1);
+            }
+        })
+    }
+
+    /// Applies `events` in order with `apply`, heals as the cadence says,
+    /// and folds the wave into the report.
+    fn run_events<P: Process, E>(
+        &mut self,
+        net: &mut Network<P>,
+        events: &[E],
+        mut apply: impl FnMut(&mut Network<P>, &E, &mut WaveStats),
+    ) -> WaveStats {
         let cost0 = net.costs();
         let silenced0 = net.crash_silenced();
         let mut ws = WaveStats {
-            wave: self.report.waves,
             converged: true,
             ..WaveStats::default()
         };
-        let mut apply = |net: &mut Network<P>, ev: &ChurnEvent, ws: &mut WaveStats| {
-            match ev {
-                ChurnEvent::Delete(v) => {
-                    let (notice, crashed) = net.delete_node_faulty(*v);
-                    ws.deletions += 1;
-                    ws.crashes += usize::from(crashed);
-                    ws.absorb(&notice, 1);
-                }
-                ChurnEvent::Insert { neighbors } => {
-                    let live: Vec<NodeId> = neighbors
-                        .iter()
-                        .copied()
-                        .filter(|&u| net.graph().is_alive(u))
-                        .collect();
-                    if live.is_empty() {
-                        return; // every anchor died earlier in the wave
-                    }
-                    let (_, stats) = net.insert_node(&live, |id| make(id, &live));
-                    ws.insertions += 1;
-                    ws.absorb(&stats, 1);
-                }
-            }
-        };
-        match self.cfg.cadence {
-            HealCadence::PerDeletion => {
-                for ev in events {
-                    apply(net, ev, &mut ws);
-                    self.heal(net, &mut ws);
-                }
-            }
-            HealCadence::PerWave => {
-                for ev in events {
-                    apply(net, ev, &mut ws);
-                }
+        let per_deletion = self.cfg.cadence == HealCadence::PerDeletion;
+        for ev in events {
+            apply(net, ev, &mut ws);
+            if per_deletion {
                 self.heal(net, &mut ws);
             }
         }
-        // crash-silenced heal mail ⇒ the recovery was cut, not finished
+        if !per_deletion {
+            self.heal(net, &mut ws);
+        }
+        // A crash-stop that silenced in-flight mail cut a heal
+        // conversation mid-sentence: the network may be quiet, but the
+        // protocol did not finish its recovery. Not convergence.
         if net.crash_silenced() > silenced0 {
             ws.converged = false;
         }
-        // snapshot delta: covers the churn events themselves, not just heals
+        // snapshot delta: covers the events themselves, not just heals
         ws.cost = net.costs() - cost0;
-        self.absorb_wave(&ws);
+        let r = &mut self.report;
+        r.waves += 1;
+        r.deletions += ws.deletions;
+        r.insertions += ws.insertions;
+        r.rounds += u64::from(ws.rounds);
+        r.messages += ws.messages as u64;
+        r.peak_round_load = r.peak_round_load.max(ws.max_per_node);
+        r.crashes += ws.crashes;
+        r.converged &= ws.converged;
+        r.cost += ws.cost;
         ws
-    }
-
-    fn absorb_wave(&mut self, ws: &WaveStats) {
-        self.report.waves += 1;
-        self.report.deletions += ws.deletions;
-        self.report.insertions += ws.insertions;
-        self.report.rounds += u64::from(ws.rounds);
-        self.report.messages += ws.messages as u64;
-        self.report.peak_round_load = self.report.peak_round_load.max(ws.max_per_node);
-        self.report.worst_wave_rounds = self.report.worst_wave_rounds.max(ws.rounds);
-        self.report.edges_added += ws.edges_added;
-        self.report.edges_removed += ws.edges_removed;
-        self.report.crashes += ws.crashes;
-        self.report.converged &= ws.converged;
-        self.report.cost += ws.cost;
     }
 }
 

@@ -18,6 +18,16 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// A plan that escalates every deletion to a crash-stop and leaves every
+/// message alone.
+pub(crate) fn crash_only_plan() -> FaultPlan {
+    FaultConfig {
+        crash: 1.0,
+        ..FaultConfig::zero()
+    }
+    .plan(7)
+}
+
 /// Runs one seeded churn campaign with `plan` armed; returns everything
 /// the determinism contract must cover.
 fn run_faulty_campaign(
@@ -291,7 +301,9 @@ fn crash_stop_silences_in_flight_mail_under_deliver_policy() {
     });
     net.start();
     assert!(net.has_pending(), "the message is in flight");
-    net.delete_node_crash(NodeId(0));
+    net.set_fault_plan(Some(crash_only_plan()));
+    let (_, crashed) = net.delete_node_faulty(NodeId(0));
+    assert!(crashed);
     assert_eq!(net.crashes(), 1);
     assert_eq!(
         net.crash_silenced(),
@@ -377,14 +389,7 @@ fn crash_stop_mid_heal_reports_not_converged() {
     let mut net = Network::new(g, |v| TwoPhase {
         neighbors: nbrs[v.index()].clone(),
     });
-    // a plan that crashes every deletion
-    net.set_fault_plan(Some(
-        FaultConfig {
-            crash: 1.0,
-            ..FaultConfig::zero()
-        }
-        .plan(7),
-    ));
+    net.set_fault_plan(Some(crash_only_plan()));
     let mut campaign = Campaign::new(CampaignConfig {
         cadence: HealCadence::PerWave,
         max_rounds_per_heal: 16,
@@ -438,7 +443,8 @@ fn journal_records_crashes_separately() {
     });
     net.set_churn_journal(true);
     net.delete_node(NodeId(0));
-    net.delete_node_crash(NodeId(2));
+    net.set_fault_plan(Some(crash_only_plan()));
+    net.delete_node_faulty(NodeId(2));
     let j = net.drain_churn_journal();
     assert_eq!(j.deleted.len(), 2, "both deaths journaled as deletions");
     assert_eq!(j.crashed, vec![NodeId(2)], "only the crash marked");

@@ -34,8 +34,9 @@
 //! Mail addressed *to* a dead node is always dropped (and accounted). Mail a
 //! node sent *before being deleted* stays on the wire and is delivered (the
 //! model's neighbours are told of the deletion; packets already sent are
-//! not recalled). Only a crash-stop ([`Network::delete_node_crash`])
-//! silences the victim's unreceived mail too.
+//! not recalled). Only a crash-stop (a deletion the armed fault plan
+//! escalates, see [`Network::delete_node_faulty`]) silences the victim's
+//! unreceived mail too.
 //!
 //! # Node arrivals
 //!
@@ -81,14 +82,12 @@
 pub mod bfs;
 pub mod campaign;
 pub mod faults;
-pub mod hotset;
 pub mod ledger;
 pub mod network;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignReport, HealCadence, WaveStats};
 pub use faults::{FaultConfig, FaultPlan, MsgFate};
 pub use ft_costs::{CostResult, OperationCost};
-pub use hotset::HotSet;
 pub use ledger::MsgLedger;
 pub use network::{ChurnJournal, Ctx, Network, Process, RoundStats};
 

@@ -5,8 +5,8 @@
 //! indexed by [`NodeId`] (arena-style slots: a deleted node's slot becomes
 //! `None`), so campaigns over 10⁵+ nodes stay cache-friendly and the
 //! steady-state round loop performs no allocation: the round mailbox and
-//! its sort keys, the shared outbox, edge-request buffers, and the
-//! per-round load counters are all reused between rounds.
+//! its sort keys, the staged sends and edge requests, and the per-round
+//! load counters are all reused between rounds.
 //!
 //! Time advances in rounds: all messages sent in round `r` are delivered at
 //! the start of round `r+1`; edge changes requested in round `r` are applied
@@ -21,7 +21,8 @@
 //! vertices"); delivery to dead addressees is dropped, mirroring a crashed
 //! peer. Mail a node sent *before it was deleted* stays on the wire and is
 //! delivered next round (a deleted node cannot recall packets already
-//! sent); only a crash-stop ([`Network::delete_node_crash`]) silences it.
+//! sent); only a crash-stop (a deletion the armed [`FaultPlan`] escalates,
+//! see [`Network::delete_node_faulty`]) silences it.
 //!
 //! Every count the engine reports — [`RoundStats`], totals, per-node books —
 //! derives from one [`MsgLedger`] charged at delivery time, so the books
@@ -40,7 +41,6 @@
 //! the same [`RoundStats`] and the same final graph.
 
 use crate::faults::{FaultPlan, MsgFate};
-use crate::hotset::HotSet;
 use crate::ledger::MsgLedger;
 use ft_costs::{CostResult, OperationCost};
 use ft_graph::{Graph, NodeId};
@@ -75,9 +75,17 @@ pub struct Ctx<'a, M> {
     me: NodeId,
     round: u64,
     faulty: bool,
-    outbox: &'a mut Vec<(NodeId, NodeId, M)>,
-    edge_adds: &'a mut Vec<(NodeId, NodeId)>,
-    edge_drops: &'a mut Vec<(NodeId, NodeId)>,
+    staged: &'a mut Staged<M>,
+}
+
+/// What the callbacks of one round stage: sends and edge requests, all
+/// applied when the round closes. The buffers are reused between rounds.
+#[derive(Debug)]
+struct Staged<M> {
+    /// Sends as `(from, to, msg)`, in callback order.
+    outbox: Vec<(NodeId, NodeId, M)>,
+    edge_adds: Vec<(NodeId, NodeId)>,
+    edge_drops: Vec<(NodeId, NodeId)>,
 }
 
 impl<M> Ctx<'_, M> {
@@ -103,17 +111,17 @@ impl<M> Ctx<'_, M> {
 
     /// Sends `msg` to `to` (delivered next round; dropped if `to` is dead).
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.outbox.push((self.me, to, msg));
+        self.staged.outbox.push((self.me, to, msg));
     }
 
     /// Requests insertion of the undirected edge `{me, to}`.
     pub fn add_edge(&mut self, to: NodeId) {
-        self.edge_adds.push((self.me, to));
+        self.staged.edge_adds.push((self.me, to));
     }
 
     /// Requests removal of the undirected edge `{me, to}`.
     pub fn drop_edge(&mut self, to: NodeId) {
-        self.edge_drops.push((self.me, to));
+        self.staged.edge_drops.push((self.me, to));
     }
 }
 
@@ -153,14 +161,8 @@ pub struct Network<P: Process> {
     mail: Vec<(NodeId, NodeId, P::Msg)>,
     /// Reusable sort keys for `mail`: `(addressee << 32) | arrival index`.
     mail_order: Vec<u64>,
-    /// Addressees with mail queued — a dense bitset reused across rounds.
-    /// Invariant: exactly the addressees of `mail` are members, so a
-    /// deletion scans the mailbox only when its victim's bit is set.
-    hot: HotSet,
-    /// Staging buffer for the current round's sends.
-    outbox: Vec<(NodeId, NodeId, P::Msg)>,
-    edge_adds: Vec<(NodeId, NodeId)>,
-    edge_drops: Vec<(NodeId, NodeId)>,
+    /// The current round's sends and edge requests.
+    staged: Staged<P::Msg>,
     /// Per-node message load of the current round, indexed by `NodeId`.
     round_load: Vec<u32>,
     /// Nodes with a non-zero `round_load` entry (cleared every round).
@@ -204,14 +206,6 @@ pub struct Network<P: Process> {
 
 /// FNV-1a offset basis — fingerprint accumulator start value.
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds one u64 into an FNV-1a accumulator, byte by byte.
-#[inline]
-fn fnv_fold(fp: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *fp = (*fp ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-}
 
 /// A replayable log of one span of topology churn: every deletion,
 /// insertion, and applied edge change since the journal was last drained,
@@ -276,10 +270,11 @@ impl<P: Process> Network<P> {
             graph,
             mail: Vec::new(),
             mail_order: Vec::new(),
-            hot: HotSet::with_capacity(cap),
-            outbox: Vec::new(),
-            edge_adds: Vec::new(),
-            edge_drops: Vec::new(),
+            staged: Staged {
+                outbox: Vec::new(),
+                edge_adds: Vec::new(),
+                edge_drops: Vec::new(),
+            },
             round_load: vec![0; cap],
             touched: Vec::new(),
             round: 0,
@@ -458,31 +453,65 @@ impl<P: Process> Network<P> {
     pub fn start(&mut self) -> RoundStats {
         // every live process is activated once
         self.costs.node_visits += self.live as u64;
-        {
-            let faulty = self.faults.is_some();
-            let Network {
-                procs,
-                outbox,
-                edge_adds,
-                edge_drops,
-                round,
-                ..
-            } = self;
-            for (i, slot) in procs.iter_mut().enumerate() {
-                if let Some(p) = slot.as_mut() {
-                    let mut ctx = Ctx {
-                        me: NodeId(i as u32),
-                        round: *round,
-                        faulty,
-                        outbox: &mut *outbox,
-                        edge_adds: &mut *edge_adds,
-                        edge_drops: &mut *edge_drops,
-                    };
-                    p.on_start(&mut ctx);
-                }
-            }
+        for i in 0..self.procs.len() {
+            self.callback(NodeId(i as u32), |p, ctx| p.on_start(ctx));
         }
         self.finish_round(0)
+    }
+
+    /// Runs `f` on `me`'s process with a [`Ctx`] that stages into this
+    /// round's buffers. Returns `false`, running nothing, if `me` is dead.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
+    fn callback(&mut self, me: NodeId, f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>)) -> bool {
+        let Some(p) = self.procs.get_mut(me.index()).and_then(Option::as_mut) else {
+            return false;
+        };
+        let mut ctx = Ctx {
+            me,
+            round: self.round,
+            faulty: self.faults.is_some(),
+            staged: &mut self.staged,
+        };
+        f(p, &mut ctx);
+        true
+    }
+
+    /// Delivers one out-of-band notice to each of `nodes` (booked by
+    /// `book`, counted in the round's load, handled by `f`); returns how
+    /// many were delivered.
+    ///
+    /// # Panics
+    /// Panics if one of `nodes` is dead.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
+    fn notify(
+        &mut self,
+        nodes: &[NodeId],
+        book: fn(&mut MsgLedger, NodeId),
+        mut f: impl FnMut(&mut P, &mut Ctx<'_, P::Msg>),
+    ) -> usize {
+        for &u in nodes {
+            book(&mut self.ledger, u);
+            bump_load(&mut self.round_load, &mut self.touched, u);
+            let live = self.callback(u, &mut f);
+            assert!(live, "notice to dead {u:?}");
+        }
+        nodes.len()
     }
 
     /// Unsends `v`'s queued outbound mail: every still-undelivered message
@@ -490,41 +519,24 @@ impl<P: Process> Network<P> {
     /// delay queue) and accounted as dropped. Used by crash-stops. Returns
     /// how many messages were unsent.
     fn unsend_in_flight_from(&mut self, v: NodeId) -> u64 {
-        let Network {
-            mail,
-            hot,
-            ledger,
-            costs,
-            delayed,
-            ..
-        } = self;
-        // one random-access probe per addressee with mail, the charge
-        // `step` makes for the same mailbox
-        costs.seeks += hot.len() as u64;
-        let before = mail.len();
-        mail.retain(|(to, from, _)| {
-            if *from == v {
-                hot.remove(*to);
+        // One random-access probe per addressee with mail, the charge
+        // `step` makes for the same mailbox. Sorted, each addressee is one
+        // run; the sort keeps arrival order within an addressee, and
+        // `step` sorts again anyway.
+        self.sort_mail();
+        let mut run = None;
+        let before = self.mail.len() + self.delayed.len();
+        self.mail.retain(|&(to, from, _)| {
+            if run != Some(to) {
+                run = Some(to);
+                self.costs.seeks += 1;
             }
-            *from != v
+            from != v
         });
-        let mut unsent = (before - mail.len()) as u64;
-        ledger.record_dropped(unsent);
-        // An addressee that lost some mail stays hot iff it still has some
-        // (membership tracks the mailbox exactly).
-        if unsent > 0 {
-            for (to, _, _) in mail.iter() {
-                hot.insert(*to);
-            }
-        }
         // The victim's delayed mail is silenced with it.
-        if !delayed.is_empty() {
-            let before = delayed.len();
-            delayed.retain(|(_, from, _, _)| *from != v);
-            let removed = (before - delayed.len()) as u64;
-            unsent += removed;
-            ledger.record_dropped(removed);
-        }
+        self.delayed.retain(|&(_, from, _, _)| from != v);
+        let unsent = (before - self.mail.len() - self.delayed.len()) as u64;
+        self.ledger.record_dropped(unsent);
         unsent
     }
 
@@ -539,24 +551,18 @@ impl<P: Process> Network<P> {
         self.delete_node_impl(v, false)
     }
 
-    /// Deletes `v` as a **crash-stop**: the node dies so abruptly that its
-    /// queued outbound mail is silenced with it — any heal conversation it
-    /// was mid-sentence in is cut. Surviving neighbors still receive deletion notices (those
-    /// model out-of-band failure detection, not a message from the
-    /// victim). The silenced-message count accumulates in
-    /// [`Network::crash_silenced`].
-    ///
-    /// # Panics
-    /// Panics if `v` is dead.
-    pub fn delete_node_crash(&mut self, v: NodeId) -> RoundStats {
-        self.delete_node_impl(v, true)
-    }
-
     /// Deletes `v`, consulting the armed fault plan to decide whether this
     /// deletion is a crash-stop ([`FaultPlan::crash_stop`] of the current
     /// round and victim) or a clean departure. Returns the round's stats
     /// and whether the deletion crashed. Without an armed plan this is
     /// exactly [`Network::delete_node`].
+    ///
+    /// A crash-stop victim dies so abruptly that its queued outbound mail
+    /// is silenced with it — any heal conversation it was mid-sentence in
+    /// is cut. Surviving neighbors still receive deletion notices (those
+    /// model out-of-band failure detection, not a message from the
+    /// victim). The silenced-message count accumulates in
+    /// [`Network::crash_silenced`].
     ///
     /// # Panics
     /// Panics if `v` is dead.
@@ -587,65 +593,23 @@ impl<P: Process> Network<P> {
                 self.journal.crashed.push(v);
             }
         }
-        // Mail addressed to the dead node is lost with it. Only a hot
-        // victim has any, so a wave of deletions scans the mailbox only for
-        // victims that have mail.
-        if self.hot.remove(v) {
-            let before = self.mail.len();
-            self.mail.retain(|(to, _, _)| *to != v);
-            self.ledger
-                .record_dropped((before - self.mail.len()) as u64);
-        }
-        // Delayed mail addressed to the dead node is lost with it too.
-        if !self.delayed.is_empty() {
-            let before = self.delayed.len();
-            self.delayed.retain(|(_, _, to, _)| *to != v);
-            self.ledger
-                .record_dropped((before - self.delayed.len()) as u64);
-        }
+        // Mail addressed to the dead node, queued or parked, is lost with it.
+        let before = self.mail.len() + self.delayed.len();
+        self.mail.retain(|&(to, _, _)| to != v);
+        self.delayed.retain(|&(_, _, to, _)| to != v);
+        self.ledger
+            .record_dropped((before - self.mail.len() - self.delayed.len()) as u64);
         if crash {
             // Crash-stop: the victim dies mid-sentence — its queued
             // outbound mail is silenced.
             self.crashes += 1;
             let silenced = self.unsend_in_flight_from(v);
             self.crash_silenced += silenced;
-            fnv_fold(&mut self.fault_fp, 4);
-            fnv_fold(&mut self.fault_fp, self.round);
-            fnv_fold(&mut self.fault_fp, u64::from(v.0));
-            fnv_fold(&mut self.fault_fp, silenced);
+            self.fold_fault(&[4, self.round, u64::from(v.0), silenced]);
         }
-        let mut delivered = 0usize;
-        {
-            let faulty = self.faults.is_some();
-            let Network {
-                procs,
-                outbox,
-                edge_adds,
-                edge_drops,
-                round,
-                round_load,
-                touched,
-                ledger,
-                ..
-            } = self;
-            for &u in &neighbors {
-                delivered += 1; // the deletion notice itself
-                ledger.record_notice(u);
-                bump_load(round_load, touched, u);
-                let mut ctx = Ctx {
-                    me: u,
-                    round: *round,
-                    faulty,
-                    outbox: &mut *outbox,
-                    edge_adds: &mut *edge_adds,
-                    edge_drops: &mut *edge_drops,
-                };
-                procs[u.index()]
-                    .as_mut()
-                    .expect("surviving neighbor")
-                    .on_neighbor_deleted(v, &mut ctx);
-            }
-        }
+        let delivered = self.notify(&neighbors, MsgLedger::record_notice, |p, ctx| {
+            p.on_neighbor_deleted(v, ctx);
+        });
         // hand the (capacity-retaining) neighbor buffer back to the scratch
         neighbors.clear();
         self.nbr_scratch = neighbors;
@@ -683,11 +647,9 @@ impl<P: Process> Network<P> {
         }
         let v = self.graph.add_node();
         debug_assert_eq!(v.index(), self.procs.len());
-        self.procs.push(None);
+        self.procs.push(Some(make(v)));
         self.round_load.push(0);
         self.ledger.grow(self.graph.capacity());
-        self.hot.grow(self.graph.capacity());
-        self.procs[v.index()] = Some(make(v));
         self.live += 1;
         // the newcomer's on_start plus one join-notice callback per anchor
         self.costs.node_visits += 1 + neighbors.len() as u64;
@@ -697,50 +659,10 @@ impl<P: Process> Network<P> {
         for &u in neighbors {
             self.graph.add_edge(v, u);
         }
-        let mut delivered = 0usize;
-        {
-            let faulty = self.faults.is_some();
-            let Network {
-                procs,
-                outbox,
-                edge_adds,
-                edge_drops,
-                round,
-                round_load,
-                touched,
-                ledger,
-                ..
-            } = self;
-            let mut ctx = Ctx {
-                me: v,
-                round: *round,
-                faulty,
-                outbox: &mut *outbox,
-                edge_adds: &mut *edge_adds,
-                edge_drops: &mut *edge_drops,
-            };
-            procs[v.index()]
-                .as_mut()
-                .expect("just inserted")
-                .on_start(&mut ctx);
-            for &u in neighbors {
-                delivered += 1; // the join notice itself
-                ledger.record_join(u);
-                bump_load(round_load, touched, u);
-                let mut ctx = Ctx {
-                    me: u,
-                    round: *round,
-                    faulty,
-                    outbox: &mut *outbox,
-                    edge_adds: &mut *edge_adds,
-                    edge_drops: &mut *edge_drops,
-                };
-                procs[u.index()]
-                    .as_mut()
-                    .expect("live neighbor")
-                    .on_neighbor_joined(v, &mut ctx);
-            }
-        }
+        self.callback(v, |p, ctx| p.on_start(ctx));
+        let delivered = self.notify(neighbors, MsgLedger::record_join, |p, ctx| {
+            p.on_neighbor_joined(v, ctx);
+        });
         let mut stats = self.finish_round(delivered);
         // the arrival edges are part of this round's churn figures
         stats.edges_added += neighbors.len();
@@ -761,8 +683,6 @@ impl<P: Process> Network<P> {
     )]
     pub fn step(&mut self) -> CostResult<RoundStats> {
         let before = self.costs;
-        // one mailbox probe per addressee with mail
-        self.costs.seeks += self.hot.len() as u64;
         self.sort_mail();
         let delivered = self.deliver_mail();
         let stats = self.finish_round(delivered);
@@ -804,9 +724,7 @@ impl<P: Process> Network<P> {
         reason = "mail_order holds one key per mail entry, and each key's low half is an index into mail"
     )]
     fn sort_mail(&mut self) {
-        let Network {
-            mail, mail_order, ..
-        } = self;
+        let (mail, mail_order) = (&mut self.mail, &mut self.mail_order);
         debug_assert!(u32::try_from(mail.len()).is_ok(), "arrival index overflows");
         mail_order.clear();
         mail_order.extend(
@@ -834,8 +752,9 @@ impl<P: Process> Network<P> {
         }
     }
 
-    /// Delivers the sorted mailbox, one run per addressee, charging ledger
-    /// and load per delivery; returns the delivery count.
+    /// Delivers the sorted mailbox, one run per addressee, charging one
+    /// mailbox probe per run and ledger and load per delivery; returns the
+    /// delivery count.
     #[deny(
         clippy::indexing_slicing,
         clippy::unwrap_used,
@@ -846,56 +765,30 @@ impl<P: Process> Network<P> {
         clippy::unimplemented
     )]
     fn deliver_mail(&mut self) -> usize {
+        let mut mail = std::mem::take(&mut self.mail);
         let mut delivered = 0usize;
-        let faulty = self.faults.is_some();
-        let Network {
-            procs,
-            mail,
-            hot,
-            outbox,
-            edge_adds,
-            edge_drops,
-            round,
-            round_load,
-            touched,
-            ledger,
-            costs,
-            ..
-        } = self;
-        let mut run: Option<NodeId> = None;
-        let mut addressee: Option<&mut P> = None;
+        let mut run = None;
         for (to, from, msg) in mail.drain(..) {
-            if run != Some(to) {
-                run = Some(to);
-                hot.remove(to);
-                addressee = procs.get_mut(to.index()).and_then(Option::as_mut);
-                if addressee.is_some() {
-                    // one live addressee activated (however much mail it has)
-                    costs.node_visits += 1;
-                }
-            }
-            let Some(p) = addressee.as_deref_mut() else {
+            let first = run != Some(to);
+            run = Some(to);
+            self.costs.seeks += u64::from(first);
+            if !self.callback(to, |p, ctx| p.on_message(from, msg, ctx)) {
                 // Unreachable (deletion purges the victim's mail), but the
                 // books must balance even if it ever fires.
-                ledger.record_dropped(1);
+                self.ledger.record_dropped(1);
                 continue;
-            };
+            }
+            // one live addressee activated (however much mail it has)
+            self.costs.node_visits += u64::from(first);
             delivered += 1;
-            costs.messages_delivered += 1;
-            ledger.record_delivery(from, to);
-            bump_load(round_load, touched, from);
-            bump_load(round_load, touched, to);
-            let mut ctx = Ctx {
-                me: to,
-                round: *round,
-                faulty,
-                outbox: &mut *outbox,
-                edge_adds: &mut *edge_adds,
-                edge_drops: &mut *edge_drops,
-            };
-            p.on_message(from, msg, &mut ctx);
+            self.costs.messages_delivered += 1;
+            self.ledger.record_delivery(from, to);
+            bump_load(&mut self.round_load, &mut self.touched, from);
+            bump_load(&mut self.round_load, &mut self.touched, to);
         }
-        debug_assert!(hot.is_empty(), "every addressee with mail was served");
+        // hand the (capacity-retaining) buffer back; the round's sends
+        // went to the outbox, not here
+        self.mail = mail;
         delivered
     }
 
@@ -973,171 +866,135 @@ impl<P: Process> Network<P> {
         };
         // Charge the round's canonical quantities before the buffers drain.
         // These are the same figures the ledger and stats books see.
-        self.costs.messages_sent += self.outbox.len() as u64;
+        let staged = &self.staged;
+        self.costs.messages_sent += staged.outbox.len() as u64;
         self.costs.heap_bytes +=
-            (self.outbox.len() * std::mem::size_of::<(NodeId, NodeId, P::Msg)>()) as u64;
-        self.costs.edge_scans += (self.edge_drops.len() + self.edge_adds.len()) as u64;
+            (staged.outbox.len() * std::mem::size_of::<(NodeId, NodeId, P::Msg)>()) as u64;
+        self.costs.edge_scans += (staged.edge_drops.len() + staged.edge_adds.len()) as u64;
         // Mature the fault plan's delay queue first: postponed mail whose
         // due round is next re-enters the mailbox *ahead* of this round's
-        // fresh sends (it is older traffic). The guard keeps the fault-free
-        // path — where the queue is always empty — byte-for-byte identical
-        // to the original engine.
+        // fresh sends (it is older traffic); liveness is judged now, as
+        // the addressee may have died while the mail was parked.
         if !self.delayed.is_empty() {
             let next = self.round + 1;
-            let mut queue = std::mem::take(&mut self.delayed_scratch);
-            std::mem::swap(&mut self.delayed, &mut queue);
-            let Network {
-                procs,
-                mail,
-                hot,
-                ledger,
-                delayed,
-                ..
-            } = self;
+            let scratch = std::mem::take(&mut self.delayed_scratch);
+            let mut queue = std::mem::replace(&mut self.delayed, scratch);
             for (due, from, to, msg) in queue.drain(..) {
                 if due > next {
-                    delayed.push((due, from, to, msg));
-                } else if procs.get(to.index()).is_some_and(Option::is_some) {
-                    mail.push((to, from, msg));
-                    hot.insert(to);
+                    self.delayed.push((due, from, to, msg));
                 } else {
-                    // the addressee died while the mail was parked
-                    ledger.record_dropped(1);
+                    self.route(from, to, msg);
                 }
             }
             self.delayed_scratch = queue;
         }
-        {
-            let Network {
-                procs,
-                mail,
-                outbox,
-                hot,
-                ledger,
-                faults,
-                delayed,
-                fault_fp,
-                round,
-                ..
-            } = self;
-            match faults {
-                None => {
-                    for (from, to, msg) in outbox.drain(..) {
-                        ledger.record_sent();
-                        if procs.get(to.index()).is_some_and(Option::is_some) {
-                            mail.push((to, from, msg));
-                            hot.insert(to); // idempotent bit-set
-                        } else {
-                            // addressee is dead at send time; dropped on the floor
-                            ledger.record_dropped(1);
-                        }
-                    }
+        // Fates are pure functions of (plan seed, round, endpoints,
+        // canonical send position k), so the realized schedule replays
+        // from the seed; without a plan every message is delivered.
+        let round = self.round;
+        let mut outbox = std::mem::take(&mut self.staged.outbox);
+        for (k, (from, to, msg)) in outbox.drain(..).enumerate() {
+            self.ledger.record_sent();
+            let k = k as u64;
+            let fate = self
+                .faults
+                .as_ref()
+                .map_or(MsgFate::Deliver, |plan| plan.fate(round, from, to, k));
+            let pair = (u64::from(from.0) << 32) | u64::from(to.0);
+            match fate {
+                MsgFate::Deliver => self.route(from, to, msg),
+                MsgFate::Lose => {
+                    // destroyed on the wire, endpoints fine
+                    self.ledger.record_lost(1);
+                    self.fold_fault(&[1, round, pair, k]);
                 }
-                Some(plan) => {
-                    // Faulty routing. Fates are pure functions of (plan
-                    // seed, round, endpoints, canonical send position k),
-                    // so the realized schedule replays from the seed.
-                    for (k, (from, to, msg)) in outbox.drain(..).enumerate() {
-                        ledger.record_sent();
-                        let alive = procs.get(to.index()).is_some_and(Option::is_some);
-                        match plan.fate(*round, from, to, k as u64) {
-                            MsgFate::Deliver => {
-                                if alive {
-                                    mail.push((to, from, msg));
-                                    hot.insert(to);
-                                } else {
-                                    ledger.record_dropped(1);
-                                }
-                            }
-                            MsgFate::Lose => {
-                                // destroyed on the wire, endpoints fine
-                                ledger.record_lost(1);
-                                fnv_fold(fault_fp, 1);
-                                fnv_fold(fault_fp, *round);
-                                fnv_fold(fault_fp, (u64::from(from.0) << 32) | u64::from(to.0));
-                                fnv_fold(fault_fp, k as u64);
-                            }
-                            MsgFate::Duplicate => {
-                                ledger.record_duplicated(1);
-                                fnv_fold(fault_fp, 2);
-                                fnv_fold(fault_fp, *round);
-                                fnv_fold(fault_fp, (u64::from(from.0) << 32) | u64::from(to.0));
-                                fnv_fold(fault_fp, k as u64);
-                                if alive {
-                                    mail.push((to, from, msg.clone()));
-                                    mail.push((to, from, msg));
-                                    hot.insert(to);
-                                } else {
-                                    // both copies die with the addressee
-                                    ledger.record_dropped(2);
-                                }
-                            }
-                            MsgFate::Delay(extra) => {
-                                ledger.record_delayed(1);
-                                fnv_fold(fault_fp, 3);
-                                fnv_fold(fault_fp, *round);
-                                fnv_fold(fault_fp, (u64::from(from.0) << 32) | u64::from(to.0));
-                                fnv_fold(fault_fp, k as u64);
-                                fnv_fold(fault_fp, u64::from(extra));
-                                // parked until due; liveness is re-judged
-                                // at maturity (the addressee may die or be
-                                // revived while the mail is parked)
-                                delayed.push((*round + 1 + u64::from(extra), from, to, msg));
-                            }
-                        }
-                    }
+                MsgFate::Duplicate => {
+                    self.ledger.record_duplicated(1);
+                    self.fold_fault(&[2, round, pair, k]);
+                    self.route(from, to, msg.clone());
+                    self.route(from, to, msg);
+                }
+                MsgFate::Delay(extra) => {
+                    self.ledger.record_delayed(1);
+                    self.fold_fault(&[3, round, pair, k, u64::from(extra)]);
+                    // parked until due; liveness is re-judged at maturity
+                    // (the addressee may die while the mail is parked)
+                    self.delayed
+                        .push((round + 1 + u64::from(extra), from, to, msg));
                 }
             }
         }
-        {
-            // Drops first: a drop can only remove a pre-existing edge, so an
-            // add requested in the same round always wins.
-            let Network {
-                graph,
-                edge_adds,
-                edge_drops,
-                journal,
-                journal_on,
-                ..
-            } = self;
-            for (a, b) in edge_drops.drain(..) {
-                if graph.remove_edge(a, b) {
-                    stats.edges_removed += 1;
-                    if *journal_on {
-                        journal.edges_removed.push((a, b));
-                    }
-                }
-            }
-            for (a, b) in edge_adds.drain(..) {
-                if a != b && graph.is_alive(a) && graph.is_alive(b) && !graph.has_edge(a, b) {
-                    graph.add_edge(a, b);
-                    stats.edges_added += 1;
-                    if *journal_on {
-                        journal.edges_added.push((a, b));
-                    }
+        self.staged.outbox = outbox;
+        // Drops first: a drop can only remove a pre-existing edge, so an
+        // add requested in the same round always wins.
+        for (a, b) in self.staged.edge_drops.drain(..) {
+            if self.graph.remove_edge(a, b) {
+                stats.edges_removed += 1;
+                if self.journal_on {
+                    self.journal.edges_removed.push((a, b));
                 }
             }
         }
-        {
-            let Network {
-                round_load,
-                touched,
-                ..
-            } = self;
-            let mut max = 0u32;
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "touched only lists ids bump_load already indexed into this same slice"
-            )]
-            for &v in touched.iter() {
-                max = max.max(round_load[v.index()]);
-                round_load[v.index()] = 0;
+        let graph = &mut self.graph;
+        for (a, b) in self.staged.edge_adds.drain(..) {
+            if a != b && graph.is_alive(a) && graph.is_alive(b) && !graph.has_edge(a, b) {
+                graph.add_edge(a, b);
+                stats.edges_added += 1;
+                if self.journal_on {
+                    self.journal.edges_added.push((a, b));
+                }
             }
-            touched.clear();
-            stats.max_per_node = max as usize;
         }
+        let mut max = 0u32;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "touched only lists ids bump_load already indexed into this same slice"
+        )]
+        for &v in &self.touched {
+            max = max.max(self.round_load[v.index()]);
+            self.round_load[v.index()] = 0;
+        }
+        self.touched.clear();
+        stats.max_per_node = max as usize;
         self.round += 1;
         stats
+    }
+
+    /// Queues `msg` from `from` for delivery to `to` next round, or books
+    /// it as dropped if `to` is dead.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
+    fn route(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
+        if self.procs.get(to.index()).is_some_and(Option::is_some) {
+            self.mail.push((to, from, msg));
+        } else {
+            self.ledger.record_dropped(1);
+        }
+    }
+
+    /// Folds one realized fault into the FNV-1a fingerprint, byte by byte:
+    /// its kind (1 lose, 2 duplicate, 3 delay, 4 crash-stop), then the
+    /// words that identify it.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
+    fn fold_fault(&mut self, words: &[u64]) {
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            self.fault_fp = (self.fault_fp ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
     }
 }
 
@@ -1544,7 +1401,7 @@ mod tests {
         assert_eq!(stats.messages, 8);
         assert_eq!(cost.seeks, 3, "one probe per addressee with mail");
         assert_eq!(cost.node_visits, 3, "one activation per addressee");
-        assert!(!net.has_pending() && net.hot.is_empty());
+        assert!(!net.has_pending());
         assert_eq!((net.ledger().duplicated(), net.ledger().delayed()), (1, 1));
         net.check_accounting().expect("books balance");
     }
@@ -1582,7 +1439,6 @@ mod tests {
         let dropped = net.ledger().dropped();
         net.delete_node(NodeId(2));
         assert_eq!(net.ledger().dropped(), dropped + 2, "2's mail, and only it");
-        assert!(!net.hot.contains(NodeId(2)));
         assert_eq!(net.mail.len(), 4);
         assert!(net.mail.iter().all(|(to, _, _)| *to == NodeId(3)));
         net.check_accounting()
@@ -1593,10 +1449,20 @@ mod tests {
         net.check_accounting().expect("books balance");
     }
 
+    /// Deletes `v` as a crash-stop; returns the deletion's cost.
+    fn crash_stop<P: Process>(net: &mut Network<P>, v: NodeId) -> OperationCost {
+        net.set_fault_plan(Some(crate::fault_tests::crash_only_plan()));
+        let before = net.costs();
+        let (_, crashed) = net.delete_node_faulty(v);
+        assert!(crashed);
+        net.costs() - before
+    }
+
     #[test]
-    fn crash_stop_clears_the_hot_set_with_the_victims_mail() {
-        // node 0 mails 1, 3, 2 and 1 on start and then crash-stops: its
-        // mail was the only mail queued, so nothing stays pending or hot
+    fn crash_stop_charges_one_seek_per_addressee_left() {
+        // node 0 mails 1, 3, 2 and 1 on start and then crash-stops: the
+        // purge is one probe and the unsend one per addressee (1, 2, 3);
+        // its mail was the only mail queued, so nothing stays pending
         let n = NodeId;
         let log = Log::default();
         let mut net = script_net(4, |v| Script {
@@ -1609,15 +1475,15 @@ mod tests {
             log: log.clone(),
         });
         net.start();
-        assert_eq!(net.hot.len(), 3);
-        net.delete_node_crash(n(0));
+        assert_eq!(crash_stop(&mut net, n(0)).seeks, 1 + 3);
         assert!(!net.has_pending());
-        assert!(net.hot.is_empty());
-        assert!((1..4).all(|v| !net.hot.contains(n(v))));
         assert_eq!(net.crash_silenced(), 4);
+        let (stats, cost) = net.step();
+        assert_eq!((stats.messages, cost.seeks), (0, 0));
         net.check_accounting().expect("books balance");
 
-        // with other mail queued, an addressee stays hot iff it keeps some
+        // with other mail queued, only the addressees 1 and 2 are probed,
+        // and the next round probes 1, the only one that kept mail
         let mut net = script_net(4, |v| Script {
             start: match v {
                 0 => vec![(n(1), 'x'), (n(2), 'x')],
@@ -1628,11 +1494,9 @@ mod tests {
             log: log.clone(),
         });
         net.start();
-        net.delete_node_crash(n(0));
-        assert!(net.hot.contains(n(1)) && !net.hot.contains(n(2)));
-        assert_eq!(net.hot.len(), 1);
-        let (stats, _cost) = net.step();
-        assert_eq!(stats.messages, 1);
+        assert_eq!(crash_stop(&mut net, n(0)).seeks, 1 + 2);
+        let (stats, cost) = net.step();
+        assert_eq!((stats.messages, cost.seeks), (1, 1));
         assert_eq!(log.borrow().last(), Some(&(1, 3, 'y')));
         net.check_accounting().expect("books balance");
     }
