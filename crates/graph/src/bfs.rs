@@ -24,9 +24,20 @@ pub const UNREACHED: u32 = u32::MAX;
 /// Slot `i` holds the hop distance of `NodeId(i)` from the BFS source, or
 /// [`UNREACHED`]. All iteration ([`DistanceMap::iter`],
 /// [`DistanceMap::nodes`]) is in ascending `NodeId` order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The slots live in two buffers. `base` holds the slots the table was
+/// built with and is never reallocated; [`DistanceMap::grow`] puts the
+/// ids born later in `tail`, so slot `i` is `base[i]` below `base.len()`
+/// and `tail[i - base.len()]` above it. A table kept alive while the id
+/// space grows then copies only its tail, never the (large) field it was
+/// built with. Every accessor, and equality, treats the two buffers as
+/// one slot sequence: where the split falls is invisible.
+#[derive(Clone, Debug)]
 pub struct DistanceMap {
-    dist: Vec<u32>,
+    /// Slots `0..base.len()`: the buffer the table was built with.
+    base: Vec<u32>,
+    /// Slots from `base.len()` on: ids the table grew to cover.
+    tail: Vec<u32>,
     reached: usize,
 }
 
@@ -34,24 +45,54 @@ impl DistanceMap {
     /// An all-[`UNREACHED`] table covering `cap` id-space slots.
     pub fn with_capacity(cap: usize) -> Self {
         DistanceMap {
-            dist: vec![UNREACHED; cap],
+            base: vec![UNREACHED; cap],
+            tail: Vec::new(),
             reached: 0,
         }
     }
 
+    /// Slot `i`, wherever it lives.
+    fn slot(&self, i: usize) -> Option<&u32> {
+        let base = self.base.len();
+        if i < base {
+            self.base.get(i)
+        } else {
+            self.tail.get(i - base)
+        }
+    }
+
+    /// Slot `i` for writing, wherever it lives.
+    fn slot_mut(&mut self, i: usize) -> Option<&mut u32> {
+        let base = self.base.len();
+        if i < base {
+            self.base.get_mut(i)
+        } else {
+            self.tail.get_mut(i - base)
+        }
+    }
+
+    /// Every slot in id order: the base, then the tail.
+    fn slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.base.iter().chain(&self.tail).copied()
+    }
+
     /// Records the first (and only) distance assignment for `v`.
     fn set(&mut self, v: NodeId, d: u32) {
-        debug_assert_eq!(self.dist[v.index()], UNREACHED, "BFS visits once");
-        self.dist[v.index()] = d;
+        let slot = self.slot_mut(v.index()).expect("BFS visits ids in range");
+        debug_assert_eq!(*slot, UNREACHED, "BFS visits once");
+        *slot = d;
         self.reached += 1;
     }
 
     /// Extends the table to cover `cap` id-space slots (new slots start
     /// unreached). A no-op when the table is already large enough —
-    /// incremental maintainers call this as the id space grows.
+    /// incremental maintainers call this as the id space grows. Only the
+    /// tail grows; the base buffer stays where it is.
     pub fn grow(&mut self, cap: usize) {
-        if cap > self.dist.len() {
-            self.dist.resize(cap, UNREACHED);
+        if let Some(extra) = cap.checked_sub(self.base.len()) {
+            if extra > self.tail.len() {
+                self.tail.resize(extra, UNREACHED);
+            }
         }
     }
 
@@ -64,22 +105,23 @@ impl DistanceMap {
     /// `v` is outside the table.
     pub fn assign(&mut self, v: NodeId, d: u32) {
         assert_ne!(d, UNREACHED, "assign cannot unreach; use clear_slot");
-        let slot = &mut self.dist[v.index()];
-        if *slot == UNREACHED {
+        let slot = self
+            .slot_mut(v.index())
+            .unwrap_or_else(|| panic!("{v:?} is outside the table"));
+        let fresh = *slot == UNREACHED;
+        *slot = d;
+        if fresh {
             self.reached += 1;
         }
-        *slot = d;
     }
 
     /// Clears `v`'s slot back to unreached, returning the distance it held
     /// (or `None` when it was already unreached / out of range).
     pub fn clear_slot(&mut self, v: NodeId) -> Option<u32> {
-        let slot = self.dist.get_mut(v.index())?;
-        if *slot == UNREACHED {
+        let d = std::mem::replace(self.slot_mut(v.index())?, UNREACHED);
+        if d == UNREACHED {
             return None;
         }
-        let d = *slot;
-        *slot = UNREACHED;
         self.reached -= 1;
         Some(d)
     }
@@ -87,7 +129,7 @@ impl DistanceMap {
     /// Distance of `v` from the source, or `None` when `v` was not reached
     /// (including ids outside the table's range).
     pub fn get(&self, v: NodeId) -> Option<u32> {
-        match self.dist.get(v.index()) {
+        match self.slot(v.index()) {
             Some(&d) if d != UNREACHED => Some(d),
             _ => None,
         }
@@ -110,16 +152,15 @@ impl DistanceMap {
 
     /// Largest distance over all reached nodes; `None` when empty.
     pub fn max(&self) -> Option<u32> {
-        self.dist.iter().filter(|&&d| d != UNREACHED).max().copied()
+        self.slots().filter(|&d| d != UNREACHED).max()
     }
 
     /// `(node, distance)` pairs in ascending [`NodeId`] order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d != UNREACHED)
-            .map(|(i, &d)| (NodeId(i as u32), d))
+        (0u32..)
+            .zip(self.slots())
+            .filter(|&(_, d)| d != UNREACHED)
+            .map(|(i, d)| (NodeId(i), d))
     }
 
     /// Reached nodes in ascending [`NodeId`] order.
@@ -128,13 +169,29 @@ impl DistanceMap {
     }
 }
 
+impl PartialEq for DistanceMap {
+    /// Equal slot sequences, wherever either table splits base from tail.
+    fn eq(&self, other: &Self) -> bool {
+        self.reached == other.reached
+            && self.base.len() + self.tail.len() == other.base.len() + other.tail.len()
+            && self.slots().eq(other.slots())
+    }
+}
+
+impl Eq for DistanceMap {}
+
 impl From<Vec<u32>> for DistanceMap {
     /// A table whose slot `i` holds `dist[i]`; slots holding [`UNREACHED`]
-    /// are unreached. Lets a BFS that fills raw slots hand them over
-    /// without a per-slot [`DistanceMap::assign`].
+    /// are unreached. The vector becomes the base buffer as it is, so a BFS
+    /// that fills raw slots hands them over without a copy or a per-slot
+    /// [`DistanceMap::assign`].
     fn from(dist: Vec<u32>) -> Self {
         let reached = dist.iter().filter(|&&d| d != UNREACHED).count();
-        DistanceMap { dist, reached }
+        DistanceMap {
+            base: dist,
+            tail: Vec::new(),
+            reached,
+        }
     }
 }
 
@@ -143,7 +200,9 @@ impl std::ops::Index<NodeId> for DistanceMap {
 
     /// Distance of `v`; panics when `v` was not reached.
     fn index(&self, v: NodeId) -> &u32 {
-        let d = &self.dist[v.index()];
+        let d = self
+            .slot(v.index())
+            .unwrap_or_else(|| panic!("{v:?} is outside the table"));
         assert!(*d != UNREACHED, "{v:?} not reached by this BFS");
         d
     }
@@ -374,6 +433,105 @@ mod tests {
         assert_eq!(d.get(NodeId(5)), Some(1));
         d.grow(2); // shrinking is a no-op
         assert_eq!(d.get(NodeId(5)), Some(1));
+    }
+
+    #[test]
+    fn distance_maps_split_differently_compare_equal() {
+        let whole = DistanceMap::from(vec![0, 1, UNREACHED, 2, UNREACHED, 3]);
+        let mut split = DistanceMap::from(vec![0, 1, UNREACHED]);
+        split.grow(6);
+        split.assign(NodeId(3), 2);
+        split.assign(NodeId(5), 3);
+        assert_eq!((split.base.len(), split.tail.len()), (3, 3));
+        assert_eq!(split, whole);
+        assert_eq!(whole, split);
+        let mut empty = DistanceMap::with_capacity(0);
+        empty.grow(6);
+        for (v, d) in whole.iter() {
+            empty.assign(v, d);
+        }
+        assert_eq!(empty, whole, "all slots in the tail");
+        split.grow(7);
+        assert_ne!(split, whole, "one more slot, even an unreached one");
+        let mut relabeled = whole.clone();
+        relabeled.assign(NodeId(5), 4);
+        assert_ne!(relabeled, whole);
+    }
+
+    #[test]
+    fn grow_never_moves_the_base_buffer() {
+        let mut d = DistanceMap::from(vec![UNREACHED; 1000]);
+        let base = d.base.as_ptr();
+        for cap in [1000, 1001, 1500, 4000, 10_000] {
+            d.grow(cap);
+            d.assign(NodeId(cap as u32 - 1), 1);
+            assert_eq!(d.base.as_ptr(), base, "cap {cap}");
+            assert_eq!(d.base.len(), 1000);
+        }
+        assert_eq!(d.len(), 5);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn distance_map_matches_a_vec_model(
+            built in proptest::collection::vec(0u32..6, 0..12),
+            steps in proptest::collection::vec((0u32..3, 0u32..64, 0u32..9), 0..48),
+        ) {
+            // `built` value 5 is an unreached slot of the base buffer
+            let raw: Vec<u32> = built
+                .iter()
+                .map(|&d| if d == 5 { UNREACHED } else { d })
+                .collect();
+            let mut model: Vec<Option<u32>> =
+                raw.iter().map(|&d| (d != UNREACHED).then_some(d)).collect();
+            let mut map = DistanceMap::from(raw);
+            for (op, x, d) in steps {
+                // ids in the base, in the tail and just past the end
+                let i = x as usize % (model.len() + 3);
+                let v = NodeId(i as u32);
+                match op {
+                    0 => {
+                        let cap = model.len() + d as usize % 4;
+                        map.grow(cap);
+                        if cap > model.len() {
+                            model.resize(cap, None);
+                        }
+                        // a shrinking request is a no-op
+                        map.grow(i.min(model.len()));
+                    }
+                    1 if i < model.len() => {
+                        map.assign(v, d);
+                        model[i] = Some(d);
+                    }
+                    1 => {}
+                    _ => {
+                        let want = model.get_mut(i).and_then(Option::take);
+                        proptest::prop_assert_eq!(map.clear_slot(v), want);
+                    }
+                }
+                for (j, want) in (0..model.len() + 3).map(|j| (j, model.get(j).copied().flatten())) {
+                    let u = NodeId(j as u32);
+                    proptest::prop_assert_eq!(map.get(u), want, "slot {}", j);
+                    proptest::prop_assert_eq!(map.contains(u), want.is_some());
+                }
+                let reached: Vec<(NodeId, u32)> = model
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(j, d)| d.map(|d| (NodeId(j as u32), d)))
+                    .collect();
+                proptest::prop_assert_eq!(map.len(), reached.len());
+                proptest::prop_assert_eq!(map.is_empty(), reached.is_empty());
+                proptest::prop_assert_eq!(map.max(), reached.iter().map(|&(_, d)| d).max());
+                proptest::prop_assert!(map.iter().eq(reached.iter().copied()));
+                proptest::prop_assert!(map.nodes().eq(reached.iter().map(|&(u, _)| u)));
+                let rebuilt = DistanceMap::from(
+                    model.iter().map(|d| d.unwrap_or(UNREACHED)).collect::<Vec<u32>>(),
+                );
+                proptest::prop_assert_eq!(&map, &rebuilt);
+            }
+        }
     }
 
     #[test]

@@ -123,16 +123,32 @@ pub(crate) fn priority(seed: u64, v: NodeId) -> u64 {
 /// set)`, so any two callers that agree on those agree on it. `k = 0` is
 /// treated as 1.
 ///
-/// One pass over the id space computes every slot's key first and keeps
-/// the `k` smallest live keys in a bounded max-heap. A slot whose priority
-/// exceeds the largest kept one cannot enter the sample, so only the rare
-/// slot that could is checked for liveness and offered to the heap; ids
-/// rise through the scan, so a tied priority loses to the kept key just as
-/// the `(priority, id)` order says.
+/// The sample is the first `k` keys of one scan that keeps the `2k`
+/// smallest, the scan the incremental tracker keeps its reserve from.
 pub fn select_sources(g: &Graph, k: usize, seed: u64) -> Vec<NodeId> {
-    let k = k.max(1).min(g.len());
+    let k = k.max(1);
+    let mut picked: Vec<NodeId> = source_pool(g, k.saturating_mul(2), seed)
+        .into_iter()
+        .take(k)
+        .map(|(_, v)| v)
+        .collect();
+    picked.sort_unstable();
+    picked
+}
+
+/// The (up to) `m` live nodes of `g` with the smallest `(priority, id)`
+/// keys, ascending by key.
+///
+/// One pass over the id space computes every slot's key first and keeps
+/// the `m` smallest live keys in a bounded max-heap. A slot whose priority
+/// exceeds the largest kept one cannot enter, so only the rare slot that
+/// could is checked for liveness and offered to the heap; ids rise through
+/// the scan, so a tied priority loses to the kept key just as the
+/// `(priority, id)` order says.
+pub(crate) fn source_pool(g: &Graph, m: usize, seed: u64) -> Vec<(u64, NodeId)> {
+    let m = m.min(g.len());
     let capacity = u32::try_from(g.capacity()).expect("node ids fit u32");
-    let mut kept: BinaryHeap<(u64, NodeId)> = BinaryHeap::with_capacity(k);
+    let mut kept: BinaryHeap<(u64, NodeId)> = BinaryHeap::with_capacity(m);
     // the largest kept priority once the heap is full; nothing beats MAX
     let mut bar = u64::MAX;
     for v in (0..capacity).map(NodeId) {
@@ -140,20 +156,18 @@ pub fn select_sources(g: &Graph, k: usize, seed: u64) -> Vec<NodeId> {
         if key.0 > bar || !g.is_alive(v) {
             continue;
         }
-        if kept.len() < k {
+        if kept.len() < m {
             kept.push(key);
         } else if let Some(mut largest) = kept.peek_mut() {
             if key < *largest {
                 *largest = key;
             }
         }
-        if kept.len() == k {
+        if kept.len() == m {
             bar = kept.peek().map_or(u64::MAX, |&(p, _)| p);
         }
     }
-    let mut picked: Vec<NodeId> = kept.into_iter().map(|(_, v)| v).collect();
-    picked.sort_unstable();
-    picked
+    kept.into_sorted_vec()
 }
 
 /// BFS distances from `src`, charging the pass to `cost`: one node visit

@@ -29,7 +29,11 @@
 //! full pass uses ([`crate::stretch::select_sources`]): a dead source's
 //! state is dropped and the promoted replacements are built fresh, all of
 //! them in one batched BFS per graph; sources whose membership survives
-//! keep their repaired fields. Because the sample, the distance fields
+//! keep their repaired fields. Reselection reads the journal, not the id
+//! space: the tracker keeps the `2k` smallest keys of its last scan, which
+//! are exactly the live ids up to the largest of them, drops the wave's
+//! deleted ids, adds its surviving inserted ids below that key, and scans
+//! again only when fewer than `min(k, live)` ids remain. Because the sample, the distance fields
 //! (exact by construction), and the pair-scoring fold (`pair_pass`, sample
 //! order) all agree with the full pass, [`StretchTracker::report`] is
 //! **bit-identical** to `measure_stretch_full` on the same graphs — the
@@ -48,16 +52,19 @@
 //! the same at any worker count.
 //!
 //! Work is charged to an [`OperationCost`] per phase
-//! ([`StretchTracker::cost_by_phase`]): fresh BFS builds, the per-wave
-//! reselection scan (one `seek` per live node), carve support probes
-//! (`node_visits`, with adjacency reads as `edge_scans`), and the settle
-//! (seeding adjacency reads and settled neighborhoods as `edge_scans`,
-//! settles as `node_visits`, stale queue entries as `seeks`).
+//! ([`StretchTracker::cost_by_phase`]): fresh BFS builds, reselection,
+//! carve support probes (`node_visits`, with adjacency reads as
+//! `edge_scans`), and the settle (seeding adjacency reads and settled
+//! neighborhoods as `edge_scans`, settles as `node_visits`, stale queue
+//! entries as `seeks`). Reselection is charged one `seek` per live node per
+//! wave: the modelled full priority scan, not the journal reads it does.
+//! The charge is kept so that ftbench's frozen `pins.txt` and
+//! `BENCH_costs.json` stay byte-identical.
 
 #![deny(clippy::as_conversions)]
 
 use crate::stretch::{
-    bfs_fields_with_cost, fold_passes, pair_pass, sampled_flags, select_sources, SourcePass,
+    bfs_fields_with_cost, fold_passes, pair_pass, priority, sampled_flags, source_pool, SourcePass,
     StretchReport,
 };
 use ft_costs::{count, OperationCost};
@@ -75,7 +82,10 @@ use std::sync::Mutex;
 pub struct StretchPhaseCosts {
     /// Fresh BFS builds: the initial sample and every promoted source.
     pub build: OperationCost,
-    /// Per-wave sample reselection: one probe per live node.
+    /// Per-wave sample reselection: one `seek` per live node. This is the
+    /// modelled full priority scan, kept for ftbench's frozen pins;
+    /// reselection reads the journal and rescans only when its pool runs
+    /// dry.
     pub reselect: OperationCost,
     /// Support probes that clear invalidated healed labels.
     pub carve: OperationCost,
@@ -163,8 +173,8 @@ impl SourceState {
         let carve = &mut cost.carve;
         let mut recheck: VecDeque<NodeId> = VecDeque::new();
         let mut carved: Vec<NodeId> = Vec::new();
-        for (dead, nbrs) in &journal.deleted {
-            self.healed.clear_slot(*dead);
+        for (dead, nbrs) in journal.deleted() {
+            self.healed.clear_slot(dead);
             recheck.extend(nbrs.iter().copied());
         }
         for &(a, b) in &journal.edges_removed {
@@ -208,17 +218,13 @@ impl SourceState {
                 seeds.push((best + 1, v.0));
             }
         }
-        for (v, _) in &journal.inserted {
-            if !healed.is_alive(*v) {
+        for (v, _) in journal.inserted() {
+            if !healed.is_alive(v) {
                 continue; // inserted then deleted within the span
             }
-            settle.edge_scans += count(healed.degree(*v));
-            if let Some(best) = healed
-                .neighbors(*v)
-                .filter_map(|u| self.healed.get(u))
-                .min()
-            {
-                if self.healed.get(*v).is_none_or(|d| best + 1 < d) {
+            settle.edge_scans += count(healed.degree(v));
+            if let Some(best) = healed.neighbors(v).filter_map(|u| self.healed.get(u)).min() {
+                if self.healed.get(v).is_none_or(|d| best + 1 < d) {
                     seeds.push((best + 1, v.0));
                 }
             }
@@ -238,15 +244,15 @@ impl SourceState {
         *settle += bucket_settle(&mut self.healed, healed, &mut seeds);
 
         // --- pristine: decrease-only (that graph only ever grows) ------
-        for (v, _) in &journal.inserted {
+        for (v, _) in journal.inserted() {
             // insertions are permanent in the pristine baseline
-            settle.edge_scans += count(pristine.degree(*v));
+            settle.edge_scans += count(pristine.degree(v));
             if let Some(best) = pristine
-                .neighbors(*v)
+                .neighbors(v)
                 .filter_map(|u| self.pristine.get(u))
                 .min()
             {
-                if self.pristine.get(*v).is_none_or(|d| best + 1 < d) {
+                if self.pristine.get(v).is_none_or(|d| best + 1 < d) {
                     seeds.push((best + 1, v.0));
                 }
             }
@@ -351,9 +357,15 @@ fn repair_all(
 /// actually applied rather than to the graph.
 #[derive(Debug)]
 pub struct StretchTracker {
-    /// Requested sample size (clamped to the live set at selection time).
+    /// Requested sample size, at least 1 (clamped to the live set at
+    /// selection time).
     k: usize,
     seed: u64,
+    /// The reserve the sample is read from: exactly the live ids whose
+    /// `(priority, id)` key is at most the largest key here, ascending by
+    /// key and at most `2k` long. Its first `min(k, live)` ids are then the
+    /// `select_sources` sample.
+    pool: Vec<(u64, NodeId)>,
     /// Maintained per-source state, ascending by source id (sample order).
     sources: Vec<SourceState>,
     /// Build and repair threads: the machine's available parallelism.
@@ -372,16 +384,59 @@ impl StretchTracker {
     /// [`StretchTracker::new`] on `workers` threads, which every later wave
     /// uses too.
     fn new_on(healed: &Graph, pristine: &Graph, sources: usize, seed: u64, workers: usize) -> Self {
-        let picked = select_sources(healed, sources, seed);
-        let mut cost = StretchPhaseCosts::default();
-        let states = build_sources(healed, pristine, &picked, &mut cost.build, workers);
-        StretchTracker {
-            k: sources,
+        let k = sources.max(1);
+        let mut tracker = StretchTracker {
+            k,
             seed,
-            sources: states,
+            pool: source_pool(healed, k.saturating_mul(2), seed),
+            sources: Vec::new(),
             workers,
-            cost,
+            cost: StretchPhaseCosts::default(),
+        };
+        let picked = tracker.sample(healed);
+        tracker.sources =
+            build_sources(healed, pristine, &picked, &mut tracker.cost.build, workers);
+        tracker
+    }
+
+    /// The sample: the pool's first `min(k, live)` ids, by id.
+    fn sample(&self, healed: &Graph) -> Vec<NodeId> {
+        let want = self.k.min(healed.len());
+        let mut picked: Vec<NodeId> = self.pool[..want].iter().map(|&(_, v)| v).collect();
+        picked.sort_unstable();
+        picked
+    }
+
+    /// Brings the pool up to date with the journal and reads the sample
+    /// off it, equal to `select_sources(healed, k, seed)`.
+    ///
+    /// Dropping the deleted ids and adding the surviving inserted ids
+    /// whose keys fall below the pool's largest keeps the pool exactly the
+    /// live ids up to that key. Its first keys are then the smallest live
+    /// keys, as long as at least `min(k, live)` remain; when fewer do, the
+    /// pool is scanned afresh.
+    fn reselect(&mut self, healed: &Graph, journal: &ChurnJournal) -> Vec<NodeId> {
+        for (v, _) in journal.deleted() {
+            if let Ok(i) = self.pool.binary_search(&(priority(self.seed, v), v)) {
+                self.pool.remove(i);
+            }
         }
+        if let Some(&largest) = self.pool.last() {
+            for (v, _) in journal.inserted() {
+                let key = (priority(self.seed, v), v);
+                if key < largest && healed.is_alive(v) {
+                    if let Err(i) = self.pool.binary_search(&key) {
+                        self.pool.insert(i, key);
+                    }
+                }
+            }
+            // any prefix of the pool is a valid pool too
+            self.pool.truncate(self.k.saturating_mul(2));
+        }
+        if self.pool.len() < self.k.min(healed.len()) {
+            self.pool = source_pool(healed, self.k.saturating_mul(2), self.seed);
+        }
+        self.sample(healed)
     }
 
     /// Re-selects the sample against the post-wave live set, repairs every
@@ -390,8 +445,8 @@ impl StretchTracker {
     /// graphs; `journal` is everything the engine recorded since the last
     /// call (or since tracker construction).
     pub fn apply_wave(&mut self, healed: &Graph, pristine: &Graph, journal: &ChurnJournal) {
-        let picked = select_sources(healed, self.k, self.seed);
-        // one reselection probe per live node (the priority scan)
+        let picked = self.reselect(healed, journal);
+        // the modelled full priority scan: one probe per live node
         self.cost.reselect.seeks += count(healed.len());
         let mut old = std::mem::take(&mut self.sources).into_iter().peekable();
         let mut promoted = Vec::new();
@@ -456,7 +511,7 @@ impl StretchTracker {
 )]
 mod tests {
     use super::*;
-    use crate::stretch::measure_stretch_full;
+    use crate::stretch::{measure_stretch_full, select_sources};
     use ft_graph::gen;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -500,7 +555,7 @@ mod tests {
                 }
                 let v = live[rng.gen_range(0..live.len())];
                 let nbrs = healed.delete_node(v);
-                j.deleted.push((v, nbrs.clone()));
+                j.record_deleted(v, &nbrs);
                 for w in nbrs.windows(2) {
                     if healed.add_edge(w[0], w[1]) {
                         j.edges_added.push((w[0], w[1]));
@@ -520,7 +575,7 @@ mod tests {
                     healed.add_edge(v, u);
                     pristine.add_edge(v, u);
                 }
-                j.inserted.push((v, anchors));
+                j.record_inserted(v, &anchors);
             }
             // the odd healer chord between surviving nodes
             let live: Vec<NodeId> = healed.nodes().collect();
@@ -564,6 +619,97 @@ mod tests {
         // k >= n: every live node is a source, so deletions always kill
         // sources and force promotion of fresh ones.
         churn_and_check(8, 40, 5, 64);
+    }
+
+    /// The tracker's sample against a fresh [`select_sources`] scan.
+    fn assert_sample_is_fresh(tracker: &StretchTracker, healed: &Graph, what: &str) {
+        let got: Vec<NodeId> = tracker.sources.iter().map(|s| s.src).collect();
+        let want = select_sources(healed, tracker.k, tracker.seed);
+        assert_eq!(got, want, "{what}");
+    }
+
+    /// Deletes `v` from `healed`, heals its neighbours into a path and
+    /// journals both, as the engine would.
+    fn delete_and_heal(healed: &mut Graph, v: NodeId, j: &mut ChurnJournal) {
+        let nbrs = healed.delete_node(v);
+        j.record_deleted(v, &nbrs);
+        for w in nbrs.windows(2) {
+            if healed.add_edge(w[0], w[1]) {
+                j.edges_added.push((w[0], w[1]));
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_sample_matches_select_sources() {
+        // random churn; k >= n makes every deletion kill a pool member
+        for (seed, n, k) in [(3u64, 120, 10), (17, 60, 1), (8, 40, 64), (9, 30, 30)] {
+            let (g, waves) = random_churn(seed, n, 8);
+            let mut tracker = StretchTracker::new(&g, &g, k, seed);
+            assert_sample_is_fresh(&tracker, &g, "construction");
+            for (i, w) in waves.iter().enumerate() {
+                tracker.apply_wave(&w.healed, &w.pristine, &w.journal);
+                assert_sample_is_fresh(&tracker, &w.healed, &format!("seed {seed}, wave {i}"));
+            }
+        }
+
+        // each wave deletes the k + 1 lowest-key live nodes: more pool
+        // members than the k-id reserve holds, so the pool runs dry
+        let (k, seed) = (4, 21);
+        let mut healed = gen::random_tree(90, &mut StdRng::seed_from_u64(seed));
+        let pristine = healed.clone();
+        let mut tracker = StretchTracker::new(&healed, &pristine, k, seed);
+        for wave in 0..6 {
+            let victims: Vec<NodeId> = source_pool(&healed, k + 1, seed)
+                .into_iter()
+                .map(|(_, v)| v)
+                .collect();
+            let in_pool = tracker
+                .pool
+                .iter()
+                .filter(|(_, v)| victims.contains(v))
+                .count();
+            assert!(
+                in_pool > tracker.pool.len() - k,
+                "wave {wave} drains the pool"
+            );
+            let mut j = ChurnJournal::default();
+            for v in victims {
+                delete_and_heal(&mut healed, v, &mut j);
+            }
+            tracker.apply_wave(&healed, &pristine, &j);
+            assert_sample_is_fresh(&tracker, &healed, &format!("draining wave {wave}"));
+            assert_eq!(tracker.pool.len(), 2 * k, "rescanned to a full pool");
+        }
+
+        // nodes inserted and deleted within one span never join the pool,
+        // though most of their keys fall below its largest
+        let (k, seed) = (10, 5);
+        let mut healed = gen::random_tree(30, &mut StdRng::seed_from_u64(seed));
+        let mut pristine = healed.clone();
+        let mut tracker = StretchTracker::new(&healed, &pristine, k, seed);
+        let mut below = 0;
+        for wave in 0..5 {
+            let mut j = ChurnJournal::default();
+            let largest = *tracker.pool.last().expect("a live pool");
+            for _ in 0..4 {
+                let anchor = healed.nodes().next().expect("a live node");
+                let v = healed.add_node();
+                assert_eq!(v, pristine.add_node(), "lockstep capacities");
+                healed.add_edge(v, anchor);
+                pristine.add_edge(v, anchor);
+                j.record_inserted(v, &[anchor]);
+                below += usize::from((priority(seed, v), v) < largest);
+                delete_and_heal(&mut healed, v, &mut j);
+            }
+            tracker.apply_wave(&healed, &pristine, &j);
+            assert_sample_is_fresh(&tracker, &healed, &format!("transient wave {wave}"));
+            assert!(tracker.pool.iter().all(|&(_, v)| healed.is_alive(v)));
+        }
+        assert!(
+            below > 0,
+            "some transient key fell below the pool's largest"
+        );
     }
 
     #[test]

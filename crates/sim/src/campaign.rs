@@ -187,6 +187,8 @@ impl Default for CampaignReport {
 pub struct Campaign {
     cfg: CampaignConfig,
     report: CampaignReport,
+    /// An insert event's live anchors; reused across events and waves.
+    anchors: Vec<NodeId>,
 }
 
 impl Campaign {
@@ -195,6 +197,7 @@ impl Campaign {
         Campaign {
             cfg,
             report: CampaignReport::default(),
+            anchors: Vec::new(),
         }
     }
 
@@ -247,22 +250,27 @@ impl Campaign {
         events: &[ChurnEvent],
         mut make: impl FnMut(NodeId, &[NodeId]) -> P,
     ) -> WaveStats {
-        self.run_events(net, events, |net, ev, ws| match ev {
+        let mut anchors = std::mem::take(&mut self.anchors);
+        let ws = self.run_events(net, events, |net, ev, ws| match ev {
             ChurnEvent::Delete(v) => ws.delete(net, *v),
             ChurnEvent::Insert { neighbors } => {
-                let live: Vec<NodeId> = neighbors
-                    .iter()
-                    .copied()
-                    .filter(|&u| net.graph().is_alive(u))
-                    .collect();
-                if live.is_empty() {
+                anchors.clear();
+                anchors.extend(
+                    neighbors
+                        .iter()
+                        .copied()
+                        .filter(|&u| net.graph().is_alive(u)),
+                );
+                if anchors.is_empty() {
                     return; // every anchor died earlier in the wave
                 }
-                let (_, stats) = net.insert_node(&live, |id| make(id, &live));
+                let (_, stats) = net.insert_node(&anchors, |id| make(id, &anchors));
                 ws.insertions += 1;
                 ws.absorb(&stats, 1);
             }
-        })
+        });
+        self.anchors = anchors;
+        ws
     }
 
     /// Applies `events` in order with `apply`, heals as the cadence says,

@@ -446,6 +446,6 @@ fn journal_records_crashes_separately() {
     net.set_fault_plan(Some(crash_only_plan()));
     net.delete_node_faulty(NodeId(2));
     let j = net.drain_churn_journal();
-    assert_eq!(j.deleted.len(), 2, "both deaths journaled as deletions");
+    assert_eq!(j.deleted().len(), 2, "both deaths journaled as deletions");
     assert_eq!(j.crashed, vec![NodeId(2)], "only the crash marked");
 }

@@ -44,6 +44,7 @@ use crate::faults::{FaultPlan, MsgFate};
 use crate::ledger::MsgLedger;
 use ft_costs::{CostResult, OperationCost};
 use ft_graph::{Graph, NodeId};
+use std::ops::Range;
 
 /// A node-local protocol endpoint.
 ///
@@ -211,17 +212,23 @@ const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// insertion, and applied edge change since the journal was last drained,
 /// in application order. Incremental measurement passes (the stretch
 /// tracker) consume this instead of re-scanning the whole graph.
+///
+/// The neighbour lists of all deletions and insertions sit back to back in
+/// one id buffer, and each event keeps the range of its list, so recording
+/// an event copies its list into spare capacity instead of allocating one.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChurnJournal {
-    /// Deleted nodes with the neighbors each had at deletion time.
-    pub deleted: Vec<(NodeId, Vec<NodeId>)>,
-    /// Inserted nodes with the live anchors each was wired to.
-    pub inserted: Vec<(NodeId, Vec<NodeId>)>,
+    /// Every recorded neighbour list, in recording order.
+    ids: Vec<NodeId>,
+    /// Deleted nodes with the range of `ids` listing their neighbours.
+    deleted: Vec<(NodeId, Range<usize>)>,
+    /// Inserted nodes with the range of `ids` listing their anchors.
+    inserted: Vec<(NodeId, Range<usize>)>,
     /// Healer edges actually inserted (requests that changed the graph).
     pub edges_added: Vec<(NodeId, NodeId)>,
     /// Healer edges actually removed (requests that changed the graph).
     pub edges_removed: Vec<(NodeId, NodeId)>,
-    /// The subset of `deleted` that were crash-stops (victims whose
+    /// The subset of the deletions that were crash-stops (victims whose
     /// in-flight mail was silenced). Topology consumers can ignore this;
     /// it exists so fault post-mortems can tell crashes from departures.
     pub crashed: Vec<NodeId>,
@@ -235,6 +242,39 @@ impl ChurnJournal {
             && self.edges_added.is_empty()
             && self.edges_removed.is_empty()
             && self.crashed.is_empty()
+    }
+
+    /// Appends `list` to the id buffer and returns its range there.
+    fn push_list(&mut self, list: &[NodeId]) -> Range<usize> {
+        let start = self.ids.len();
+        self.ids.extend_from_slice(list);
+        start..self.ids.len()
+    }
+
+    /// Records the deletion of `v`, which had `neighbors` when it died.
+    pub fn record_deleted(&mut self, v: NodeId, neighbors: &[NodeId]) {
+        let range = self.push_list(neighbors);
+        self.deleted.push((v, range));
+    }
+
+    /// Records the insertion of `v`, wired to the live `anchors`.
+    pub fn record_inserted(&mut self, v: NodeId, anchors: &[NodeId]) {
+        let range = self.push_list(anchors);
+        self.inserted.push((v, range));
+    }
+
+    /// Deleted nodes with the neighbours each had at deletion time, in
+    /// deletion order.
+    pub fn deleted(&self) -> impl ExactSizeIterator<Item = (NodeId, &[NodeId])> + '_ {
+        self.deleted.iter().map(|(v, r)| (*v, &self.ids[r.clone()]))
+    }
+
+    /// Inserted nodes with the live anchors each was wired to, in
+    /// insertion order.
+    pub fn inserted(&self) -> impl ExactSizeIterator<Item = (NodeId, &[NodeId])> + '_ {
+        self.inserted
+            .iter()
+            .map(|(v, r)| (*v, &self.ids[r.clone()]))
     }
 }
 
@@ -588,7 +628,7 @@ impl<P: Process> Network<P> {
         self.costs.seeks += 1;
         self.costs.node_visits += neighbors.len() as u64;
         if self.journal_on {
-            self.journal.deleted.push((v, neighbors.clone()));
+            self.journal.record_deleted(v, &neighbors);
             if crash {
                 self.journal.crashed.push(v);
             }
@@ -654,7 +694,7 @@ impl<P: Process> Network<P> {
         // the newcomer's on_start plus one join-notice callback per anchor
         self.costs.node_visits += 1 + neighbors.len() as u64;
         if self.journal_on {
-            self.journal.inserted.push((v, neighbors.to_vec()));
+            self.journal.record_inserted(v, neighbors);
         }
         for &u in neighbors {
             self.graph.add_edge(v, u);
