@@ -297,7 +297,7 @@ impl FtNode {
     }
 
     /// The paper's `parent(v)` field.
-    pub fn parent_sim(&self) -> Option<NodeId> {
+    fn parent_sim(&self) -> Option<NodeId> {
         let p = self.pos_parent?;
         if p.sim == self.id {
             // my parent vnode is my own helper: skip to its parent
@@ -1107,19 +1107,8 @@ impl Process for FtNode {
                 } else if let Some(role) = &mut self.role {
                     if let Some(i) = role.hchildren.iter().position(|c| *c == gone) {
                         if survivor == gone {
-                            role.hchildren.remove(i);
-                            // re-check my own degree after an outright loss
-                            if role.ready {
-                                if role.child_count() == 0 {
-                                    self.helper_dissolved(ctx);
-                                }
-                            } else if role.child_count() == 1 {
-                                if let [g] = role.hchildren[..] {
-                                    self.helper_lost_child_noop_shortcircuit(g, ctx);
-                                } else {
-                                    assert!(ctx.faulty(), "short-circuit during instantiation");
-                                }
-                            }
+                            // an outright loss: re-check my own degree
+                            self.helper_lost_child(gone, None, ctx);
                         } else {
                             role.hchildren[i] = survivor;
                         }
@@ -1178,55 +1167,6 @@ impl Process for FtNode {
             }
         }
         self.settle(ctx);
-    }
-}
-
-impl FtNode {
-    /// My ready vnode lost its only child through a cascade.
-    fn helper_dissolved(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
-        let hp = self.role.as_ref().expect("checked").hparent;
-        self.role = None;
-        match hp {
-            Some(hp) if hp.helper => ctx.send(
-                hp.sim,
-                FtMsg::SpliceChild {
-                    your_end: hp,
-                    gone: VRef::helper(self.id),
-                    survivor: VRef::helper(self.id),
-                },
-            ),
-            Some(hp) => ctx.send(hp.sim, FtMsg::SlotDissolved { rep: self.id }),
-            None => {}
-        }
-    }
-
-    /// My deployed helper dropped to one child through a cascade:
-    /// short-circuit (the survivor is alive — message it normally).
-    fn helper_lost_child_noop_shortcircuit(&mut self, survivor: VRef, ctx: &mut Ctx<'_, FtMsg>) {
-        let hp = self.role.as_ref().expect("checked").hparent;
-        self.role = None;
-        if let Some(hp) = hp {
-            ctx.send(
-                hp.sim,
-                FtMsg::SpliceChild {
-                    your_end: hp,
-                    gone: VRef::helper(self.id),
-                    survivor,
-                },
-            );
-        }
-        if survivor.sim == self.id {
-            self.apply_splice_parent(survivor, VRef::helper(self.id), hp);
-        } else {
-            ctx.send(
-                survivor.sim,
-                FtMsg::SpliceParent {
-                    your_end: survivor,
-                    gone: VRef::helper(self.id),
-                    new_parent: hp.unwrap_or(survivor),
-                },
-            );
-        }
     }
 }
 

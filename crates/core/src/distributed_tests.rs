@@ -9,6 +9,7 @@ use crate::distributed::{
     install_fields, DPortion, DRole, DistributedForgivingTree, FtMsg, FtNode, HeirMode, VRef,
 };
 use crate::spec::ForgivingTree;
+use ft_graph::hash::{fnv1a, FNV_BASIS};
 use ft_graph::tree::RootedTree;
 use ft_graph::{gen, NodeId};
 use ft_sim::{Ctx, Network, Process};
@@ -334,13 +335,6 @@ fn message_layout_is_pinned() {
     assert_eq!(size_of::<Option<FtNode>>(), 200);
 }
 
-/// Folds `x` into an FNV-1a accumulator, byte by byte.
-fn fnv_fold(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 #[test]
 fn golden_heal_trace() {
     // Pins every heal's rounds, message counts and added edges on a seeded
@@ -351,7 +345,7 @@ fn golden_heal_trace() {
     let mut dist = DistributedForgivingTree::new(&t);
     let mut order: Vec<NodeId> = t.nodes().collect();
     order.shuffle(&mut StdRng::seed_from_u64(15));
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_BASIS;
     for &v in &order[..1000] {
         let r = dist.delete(v);
         for x in [
@@ -360,10 +354,10 @@ fn golden_heal_trace() {
             r.total_messages as u64,
             r.max_messages_per_node as u64,
         ] {
-            fnv_fold(&mut h, x);
+            h = fnv1a(h, x.to_le_bytes());
         }
         for (a, b) in r.edges_added {
-            fnv_fold(&mut h, u64::from(a.0) << 32 | u64::from(b.0));
+            h = fnv1a(h, (u64::from(a.0) << 32 | u64::from(b.0)).to_le_bytes());
         }
     }
     assert_eq!(h, 0x17c1_f797_9b71_9d4e, "heal trace drifted: {h:#018x}");

@@ -8,7 +8,7 @@
 //! - the adversary may **insert** a fresh node attached to chosen live
 //!   nodes, or **delete** any live node;
 //! - each deletion is healed by a **reconstruction tree** shaped as a
-//!   *half-full tree* ([`Haft`]) whose leaves are the victim's surviving
+//!   *half-full tree* ([`haft_edges`]) whose leaves are the victim's surviving
 //!   neighbors in ascending-ID order, with each internal helper position
 //!   simulated by a distinct member (the in-order rule: a helper is played
 //!   by the rightmost leaf of its left subtree);
@@ -26,134 +26,55 @@
 
 use ft_graph::{Graph, NodeId};
 
-/// Half-full tree (haft) shapes: the reconstruction-tree geometry of the
-/// Forgiving Graph.
+/// The member-level edges of the half-full tree (haft) over `d` members:
+/// the Forgiving Graph's reconstruction tree.
 ///
 /// A haft over `d` leaves is a binary tree in which every internal node has
 /// exactly two children, all leaves live on the bottom two levels, and the
 /// bottom-level leaves are as far left as possible — so its height is
 /// `⌈log₂ d⌉` and any two hafts merge with at most one level of growth.
-///
-/// The struct is a *shape*: it knows leaf positions `0..d`, not node
-/// identities. Callers order the members (ascending ID) and map positions to
-/// members. Each internal helper position is simulated by a distinct member
-/// via the in-order rule, so the collapsed member-level graph
-/// ([`Haft::member_edges`]) adds at most [`Haft::MAX_MEMBER_DEGREE`] edges
-/// per member while spanning all members with `O(log d)` hops.
-#[derive(Clone, Debug)]
-pub struct Haft {
-    /// Arena of shape nodes; the last entry is the root.
-    nodes: Vec<HaftNode>,
-    /// Number of leaves.
-    leaves: usize,
-}
-
-/// One position of a haft shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum HaftNode {
-    /// Leaf position `i` (the `i`-th member in ascending-ID order).
-    Leaf(usize),
-    /// Internal helper with two children (arena indices).
-    Helper {
-        left: usize,
-        right: usize,
-        /// The leaf position simulating this helper (in-order rule:
-        /// rightmost leaf of the left subtree) — distinct per helper.
-        sim: usize,
-    },
-}
-
-impl Haft {
-    /// Largest degree [`Haft::member_edges`] can give a member: one edge as
-    /// a leaf plus at most three as the simulator of one helper.
-    pub const MAX_MEMBER_DEGREE: usize = 4;
-
-    /// Builds the haft shape over `d` leaves.
-    ///
-    /// # Panics
-    /// Panics when `d == 0` — an empty reconstruction tree is meaningless.
-    pub fn new(d: usize) -> Self {
-        assert!(d > 0, "haft over zero leaves");
-        let mut nodes = Vec::with_capacity(2 * d - 1);
-        build(&mut nodes, 0, d);
-        Haft { nodes, leaves: d }
-    }
-
-    /// Number of leaves.
-    pub fn leaves(&self) -> usize {
-        self.leaves
-    }
-
-    /// Height of the shape: `⌈log₂ d⌉`.
-    pub fn height(&self) -> u32 {
-        fn h(nodes: &[HaftNode], i: usize) -> u32 {
-            match nodes[i] {
-                HaftNode::Leaf(_) => 0,
-                HaftNode::Helper { left, right, .. } => 1 + h(nodes, left).max(h(nodes, right)),
+/// Leaf `i` is the `i`-th member in ascending-ID order; each internal helper
+/// is simulated by a distinct member, the rightmost leaf of its left subtree
+/// (the in-order rule). Collapsing every helper into its simulator leaves
+/// these edges: pairs `(i, j)` of member positions with `i < j`, sorted and
+/// without duplicates. They span all `d` members with `O(log d)` hops and
+/// give each member degree at most 4: one edge as a leaf plus at most three
+/// as the simulator of one helper.
+pub fn haft_edges(d: usize) -> Vec<(usize, usize)> {
+    /// Adds the edges of the subtree over leaves `lo..hi`; returns the
+    /// member simulating its root.
+    fn build(lo: usize, hi: usize, out: &mut Vec<(usize, usize)>) -> usize {
+        if hi - lo == 1 {
+            return lo;
+        }
+        let l = haft_split(hi - lo);
+        let sim = lo + l - 1;
+        for child in [build(lo, lo + l, out), build(lo + l, hi, out)] {
+            if child != sim {
+                out.push((sim.min(child), sim.max(child)));
             }
         }
-        h(&self.nodes, self.nodes.len() - 1)
+        sim
     }
-
-    /// The member-level edges of the reconstruction tree: each helper is
-    /// collapsed into its simulating member, self-edges vanish, duplicates
-    /// are removed. Pairs are `(i, j)` leaf positions with `i < j`, sorted.
-    ///
-    /// The result spans all `d` members (the quotient of a tree is
-    /// connected) and gives each member degree ≤ [`Self::MAX_MEMBER_DEGREE`].
-    pub fn member_edges(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::with_capacity(2 * self.leaves);
-        for node in &self.nodes {
-            if let HaftNode::Helper { left, right, sim } = *node {
-                for child in [left, right] {
-                    let c = self.sim_of(child);
-                    if c != sim {
-                        out.push((sim.min(c), sim.max(c)));
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+    let mut out = Vec::with_capacity(2 * d);
+    if d >= 2 {
+        build(0, d, &mut out);
     }
-
-    /// The simulating member of an arena position.
-    fn sim_of(&self, i: usize) -> usize {
-        match self.nodes[i] {
-            HaftNode::Leaf(l) => l,
-            HaftNode::Helper { sim, .. } => sim,
-        }
-    }
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
-/// Builds the shape over leaf positions `lo..hi`; returns the arena index of
-/// the subtree root. The split keeps the bottom level left-packed: with
-/// `d > 2` leaves and `h = ⌈log₂ d⌉`, the left subtree takes
-/// `min(2^(h−1), d − 2^(h−2))` leaves.
-fn build(nodes: &mut Vec<HaftNode>, lo: usize, hi: usize) -> usize {
-    let d = hi - lo;
-    if d == 1 {
-        nodes.push(HaftNode::Leaf(lo));
-        return nodes.len() - 1;
+/// Leaves in the left subtree of a haft over `d ≥ 2` leaves. The split keeps
+/// the bottom level left-packed: with `d > 2` and `h = ⌈log₂ d⌉`, the left
+/// subtree takes `min(2^(h−1), d − 2^(h−2))` leaves.
+fn haft_split(d: usize) -> usize {
+    if d == 2 {
+        return 1;
     }
-    let l = if d == 2 {
-        1
-    } else {
-        let h = usize::BITS - (d - 1).leading_zeros(); // ⌈log₂ d⌉
-        let half = 1usize << (h - 1);
-        half.min(d - half / 2)
-    };
-    let left = build(nodes, lo, lo + l);
-    let right = build(nodes, lo + l, hi);
-    // in-order rule: the helper is simulated by the rightmost leaf of its
-    // left subtree, i.e. member position lo + l − 1 — injective per haft.
-    nodes.push(HaftNode::Helper {
-        left,
-        right,
-        sim: lo + l - 1,
-    });
-    nodes.len() - 1
+    let h = usize::BITS - (d - 1).leading_zeros(); // ⌈log₂ d⌉
+    let half = 1usize << (h - 1);
+    half.min(d - half / 2)
 }
 
 /// The degree-increase bound the Forgiving Graph test-suite enforces:
@@ -267,19 +188,9 @@ impl ForgivingGraph {
         v
     }
 
-    /// Inserts the edge `{a, b}` (the adversary may also insert edges
-    /// between live nodes). Returns `true` when it was new.
-    pub fn insert_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let fresh = self.graph.add_edge(a, b);
-        if self.pristine.is_alive(a) && self.pristine.is_alive(b) {
-            self.pristine.add_edge(a, b);
-        }
-        fresh
-    }
-
     /// Deletes `v` (the adversary's move) and heals: the surviving
     /// neighbors are joined by the member-level edges of the haft over
-    /// them ([`Haft::member_edges`]). Returns the edges the heal inserted,
+    /// them ([`haft_edges`]). Returns the edges the heal inserted,
     /// as `(a, b)` with `a < b`, ascending.
     ///
     /// # Panics
@@ -288,7 +199,7 @@ impl ForgivingGraph {
         let members = self.graph.delete_node(v); // ascending-ID order
         let mut added = Vec::new();
         if members.len() >= 2 {
-            for (i, j) in Haft::new(members.len()).member_edges() {
+            for (i, j) in haft_edges(members.len()) {
                 if self.graph.add_edge(members[i], members[j]) {
                     added.push((members[i], members[j]));
                 }
@@ -333,6 +244,7 @@ impl ForgivingGraph {
 mod tests {
     use super::*;
     use ft_graph::gen;
+    use ft_graph::hash::{fnv1a, FNV_BASIS};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -343,7 +255,7 @@ mod tests {
     /// Degrees of the member-level haft graph.
     fn member_degrees(d: usize) -> Vec<usize> {
         let mut deg = vec![0usize; d];
-        for (i, j) in Haft::new(d).member_edges() {
+        for (i, j) in haft_edges(d) {
             deg[i] += 1;
             deg[j] += 1;
         }
@@ -352,8 +264,15 @@ mod tests {
 
     #[test]
     fn haft_height_is_ceil_log2() {
+        fn height(d: usize) -> u32 {
+            if d == 1 {
+                return 0;
+            }
+            let l = haft_split(d);
+            1 + height(l).max(height(d - l))
+        }
         for d in 1..=130 {
-            let h = Haft::new(d).height();
+            let h = height(d);
             let expect = usize::BITS - (d - 1).leading_zeros(); // ⌈log₂ d⌉, 0 for d=1
             assert_eq!(h, expect, "height of haft({d})");
         }
@@ -362,32 +281,29 @@ mod tests {
     #[test]
     fn haft_member_edges_span_and_bound_degree() {
         for d in 1..=256 {
-            let edges = Haft::new(d).member_edges();
+            let edges = haft_edges(d);
             let mut g = Graph::new(d);
             for &(i, j) in &edges {
                 g.add_edge(NodeId(i as u32), NodeId(j as u32));
             }
             assert!(g.is_connected(), "haft({d}) member graph disconnected");
             for (i, deg) in member_degrees(d).iter().enumerate() {
-                assert!(
-                    *deg <= Haft::MAX_MEMBER_DEGREE,
-                    "haft({d}) member {i} has degree {deg}"
-                );
+                assert!(*deg <= 4, "haft({d}) member {i} has degree {deg}");
             }
         }
     }
 
     #[test]
     fn haft_of_two_is_a_single_edge() {
-        assert_eq!(Haft::new(2).member_edges(), vec![(0, 1)]);
-        assert!(Haft::new(1).member_edges().is_empty());
+        assert_eq!(haft_edges(2), vec![(0, 1)]);
+        assert!(haft_edges(1).is_empty());
     }
 
     #[test]
     fn haft_member_diameter_is_logarithmic() {
         for d in [4usize, 16, 64, 200] {
             let mut g = Graph::new(d);
-            for (i, j) in Haft::new(d).member_edges() {
+            for (i, j) in haft_edges(d) {
                 g.add_edge(NodeId(i as u32), NodeId(j as u32));
             }
             let diam = ft_graph::bfs::diameter_exact(&g).expect("connected");
@@ -400,9 +316,9 @@ mod tests {
     fn delete_reconnects_via_haft() {
         let mut fg = ForgivingGraph::new(&gen::star(9));
         let added = fg.delete(n(0));
-        assert_eq!(added.len(), Haft::new(8).member_edges().len());
+        assert_eq!(added.len(), haft_edges(8).len());
         assert!(fg.graph().is_connected());
-        assert!(fg.max_degree_increase() <= Haft::MAX_MEMBER_DEGREE as i64);
+        assert!(fg.max_degree_increase() <= 4);
     }
 
     #[test]
@@ -460,6 +376,21 @@ mod tests {
         }
         assert!(fg.inserts() > 10);
         assert!(heals > 10);
+    }
+
+    #[test]
+    fn haft_edges_are_pinned() {
+        // FNV-1a over every haft's member edges for d = 1..=512, in order:
+        // `FgNode` sends its fresh-partner wills in this order, so the
+        // order is part of the protocol's message trace.
+        let mut h = FNV_BASIS;
+        for d in 1..=512usize {
+            h = fnv1a(h, (d as u64).to_le_bytes());
+            for (i, j) in haft_edges(d) {
+                h = fnv1a(h, ((i as u64) << 32 | j as u64).to_le_bytes());
+            }
+        }
+        assert_eq!(h, 0xdb23_1976_a740_afc1, "haft edges drifted: {h:#018x}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! - **deletion**: the environment informs the victim's neighbors. Each
 //!   survivor holds the victim's will, so all survivors compute the *same*
 //!   reconstruction tree — the member-level haft edges
-//!   ([`crate::Haft::member_edges`]) over the will's ID-sorted entries —
+//!   ([`haft_edges`]) over the will's ID-sorted entries —
 //!   without any coordination. Each survivor inserts the edges it is an
 //!   endpoint of, exchanges full wills with its fresh partners, and sends
 //!   one batched [`FgMsg::WillDelta`] to every retained neighbor. Two
@@ -33,7 +33,7 @@
 //! identical churn sequences and asserts the healed graphs are identical
 //! after every event.
 
-use crate::fgraph::Haft;
+use crate::fgraph::haft_edges;
 use crate::report::HealReport;
 use crate::sorted::{map_get, map_get_mut, map_insert, map_remove, set_insert, set_remove};
 use ft_graph::{Graph, NodeId};
@@ -178,7 +178,7 @@ impl Process for FgNode {
         };
         let mut fresh: Vec<NodeId> = Vec::new();
         if members.len() >= 2 {
-            for (i, j) in Haft::new(members.len()).member_edges() {
+            for (i, j) in haft_edges(members.len()) {
                 let partner = if i == me {
                     members[j]
                 } else if j == me {
@@ -230,8 +230,8 @@ impl Process for FgNode {
 }
 
 /// Driver owning the simulated network plus the pristine baseline: the
-/// Forgiving Graph engine behind `ft_baselines::ForgivingGraphHealer` and
-/// the stress harnesses.
+/// Forgiving Graph engine the stress harnesses drive, and a healer of its
+/// own behind `ft_baselines::SelfHealer`.
 #[derive(Debug)]
 pub struct DistributedForgivingGraph {
     net: Network<FgNode>,

@@ -47,8 +47,8 @@
 //! interleaved insertions and deletions on general graphs with O(log n)
 //! degree increase and stretch — lives in [`fgraph_dist`] (the
 //! message-level [`DistributedForgivingGraph`]) and [`fgraph`] (the
-//! [`Haft`] reconstruction shape and the `ForgivingGraph` spec engine, its
-//! test oracle).
+//! [`fgraph::haft_edges`] reconstruction tree and the `ForgivingGraph` spec engine,
+//! its test oracle).
 
 pub mod distributed;
 pub mod fgraph;
@@ -60,7 +60,7 @@ mod sorted;
 pub mod spec;
 mod varena;
 
-pub use fgraph::{fg_degree_bound, fg_stretch_bound, Haft};
+pub use fgraph::{fg_degree_bound, fg_stretch_bound};
 pub use fgraph_dist::DistributedForgivingGraph;
 pub use report::HealReport;
 pub use spec::{ft_diameter_bound, RoleKind};

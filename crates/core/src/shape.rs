@@ -95,22 +95,17 @@ pub struct Portion {
 }
 
 /// Construction-time knobs for [`SubRtShape::build_with`] — the E10
-/// ablations. The paper's choice is `balanced: true, heir_min: false`.
+/// ablation. The paper's choice is `balanced: true`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShapeConfig {
     /// Balanced recursive halving (paper) vs a path-shaped SubRT (depth
     /// `d-1`, demonstrating why balance buys the `log Δ` in Theorem 1.2).
     pub balanced: bool,
-    /// Heir = lowest-ID child instead of the paper's highest-ID child.
-    pub heir_min: bool,
 }
 
 impl Default for ShapeConfig {
     fn default() -> Self {
-        ShapeConfig {
-            balanced: true,
-            heir_min: false,
-        }
+        ShapeConfig { balanced: true }
     }
 }
 
@@ -147,7 +142,7 @@ impl SubRtShape {
     }
 
     /// Builds a shape under an explicit [`ShapeConfig`] (the E10 ablation
-    /// hooks: balanced vs path-shaped SubRTs, max-ID vs min-ID heirs).
+    /// hook: balanced vs path-shaped SubRTs).
     ///
     /// # Panics
     /// Panics if `children` is empty or not strictly ascending.
@@ -157,11 +152,7 @@ impl SubRtShape {
             children.windows(2).all(|w| w[0] < w[1]),
             "children must be strictly ascending"
         );
-        let heir = if config.heir_min {
-            *children.first().expect("nonempty")
-        } else {
-            *children.last().expect("nonempty")
-        };
+        let heir = *children.last().expect("nonempty");
         let mut shape = SubRtShape {
             nodes: Vec::with_capacity(2 * children.len() - 1),
             root: None,
@@ -179,9 +170,8 @@ impl SubRtShape {
 
     /// Recursive construction over `children[lo..hi]`. Balanced mode splits
     /// at the middle; path mode splits off one leaf per level. The separator
-    /// of a split is the maximum of the left part (max-ID heirs) or the
-    /// minimum of the right part (min-ID heirs), keeping BST order while
-    /// exempting the heir from helper duty.
+    /// of a split is the maximum of the left part, keeping BST order while
+    /// exempting the heir (the maximum of all) from helper duty.
     fn build_range(
         &mut self,
         children: &[NodeId],
@@ -201,16 +191,10 @@ impl SubRtShape {
         }
         let mid = if config.balanced {
             lo + (hi - lo).div_ceil(2)
-        } else if config.heir_min {
-            hi - 1 // peel leaves off the right; heir (min) sits leftmost
         } else {
-            lo + 1 // peel leaves off the left; heir (max) sits rightmost
+            lo + 1 // peel leaves off the left; the heir sits rightmost
         };
-        let sep = if config.heir_min {
-            children[mid]
-        } else {
-            children[mid - 1]
-        };
+        let sep = children[mid - 1];
         let left = self.build_range(children, lo, mid, config);
         let right = self.build_range(children, mid, hi, config);
         let idx = self.alloc(ShapeNode {
@@ -816,21 +800,11 @@ mod config_tests {
         NodeId(i)
     }
 
-    fn ids(v: &[u32]) -> Vec<NodeId> {
-        v.iter().map(|&i| n(i)).collect()
-    }
-
     #[test]
     fn path_shape_has_linear_depth() {
         for d in 2..=20usize {
             let children: Vec<NodeId> = (0..d as u32).map(n).collect();
-            let s = SubRtShape::build_with(
-                &children,
-                ShapeConfig {
-                    balanced: false,
-                    heir_min: false,
-                },
-            );
+            let s = SubRtShape::build_with(&children, ShapeConfig { balanced: false });
             s.validate();
             assert_eq!(s.depth(), d as u32 - 1, "path shape depth is d-1");
             assert_eq!(s.heir(), Some(n(d as u32 - 1)));
@@ -838,58 +812,9 @@ mod config_tests {
     }
 
     #[test]
-    fn min_heir_balanced_shape_validates() {
-        for d in 1..=24usize {
-            let children: Vec<NodeId> = (0..d as u32).map(n).collect();
-            let s = SubRtShape::build_with(
-                &children,
-                ShapeConfig {
-                    balanced: true,
-                    heir_min: true,
-                },
-            );
-            s.validate();
-            assert_eq!(s.heir(), Some(n(0)), "min-ID heir");
-            let max_depth = (d as f64).log2().ceil() as u32 + 1;
-            assert!(s.depth() <= max_depth.max(1));
-        }
-    }
-
-    #[test]
-    fn min_heir_path_shape_validates() {
-        let s = SubRtShape::build_with(
-            &ids(&[1, 2, 3, 4, 5]),
-            ShapeConfig {
-                balanced: false,
-                heir_min: true,
-            },
-        );
-        s.validate();
-        assert_eq!(s.heir(), Some(n(1)));
-        assert_eq!(s.depth(), 4);
-    }
-
-    #[test]
     fn incremental_ops_work_on_all_configs() {
-        let configs = [
-            ShapeConfig {
-                balanced: true,
-                heir_min: false,
-            },
-            ShapeConfig {
-                balanced: true,
-                heir_min: true,
-            },
-            ShapeConfig {
-                balanced: false,
-                heir_min: false,
-            },
-            ShapeConfig {
-                balanced: false,
-                heir_min: true,
-            },
-        ];
-        for cfg in configs {
+        for balanced in [true, false] {
+            let cfg = ShapeConfig { balanced };
             let children: Vec<NodeId> = (0..9u32).map(n).collect();
             let mut s = SubRtShape::build_with(&children, cfg);
             for k in [4u32, 0, 8, 2, 6, 1, 7, 3, 5] {
@@ -905,13 +830,7 @@ mod config_tests {
     #[test]
     fn depth_never_grows_on_path_shapes_either() {
         let children: Vec<NodeId> = (0..16u32).map(n).collect();
-        let mut s = SubRtShape::build_with(
-            &children,
-            ShapeConfig {
-                balanced: false,
-                heir_min: false,
-            },
-        );
+        let mut s = SubRtShape::build_with(&children, ShapeConfig { balanced: false });
         let mut depth = s.depth();
         for k in 0..15u32 {
             s.remove_slot(n(k));

@@ -216,14 +216,6 @@ impl ForgivingTree {
         ft_diameter_bound(self.initial_height, self.initial_max_degree)
     }
 
-    /// This node's original (spanning-tree) degree.
-    ///
-    /// # Panics
-    /// Panics for IDs that were never part of the tree.
-    pub fn original_degree(&self, v: NodeId) -> usize {
-        self.orig_degree[&v]
-    }
-
     /// Degree increase of `v` over its original degree (0 for dead nodes).
     pub fn degree_increase(&self, v: NodeId) -> i64 {
         if !self.is_alive(v) {

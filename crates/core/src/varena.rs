@@ -121,12 +121,6 @@ impl VArena {
         self.nodes[id.i()].as_mut().expect("stale vnode id")
     }
 
-    /// Whether `id` currently refers to a live virtual node.
-    #[cfg(test)]
-    pub fn is_live(&self, id: VId) -> bool {
-        id.i() < self.nodes.len() && self.nodes[id.i()].is_some()
-    }
-
     /// The real node simulating `id` (a real node simulates itself).
     pub fn sim(&self, id: VId) -> NodeId {
         match self.node(id).kind {
@@ -231,7 +225,6 @@ mod tests {
         let y = a.alloc(VKind::Real(n(1)));
         assert_eq!(x, y, "slot reused");
         assert_eq!(a.len(), 1);
-        assert!(a.is_live(y));
     }
 
     #[test]

@@ -131,17 +131,6 @@ impl OperationCost {
         *self == Self::ZERO
     }
 
-    /// Sum of all counters — a single scalar for coarse comparisons
-    /// (saturating).
-    pub fn total_ops(&self) -> u64 {
-        self.messages_sent
-            .saturating_add(self.messages_delivered)
-            .saturating_add(self.node_visits)
-            .saturating_add(self.edge_scans)
-            .saturating_add(self.heap_bytes)
-            .saturating_add(self.seeks)
-    }
-
     /// Element-wise saturating addition (the composition law).
     pub fn saturating_add(self, rhs: OperationCost) -> OperationCost {
         OperationCost {
@@ -253,7 +242,6 @@ mod tests {
         acc += sample(1);
         acc += sample(2);
         assert_eq!(acc, sample(3));
-        assert_eq!(acc.total_ops(), 3 * (1 + 2 + 3 + 4 + 5 + 6));
     }
 
     #[test]
@@ -265,7 +253,6 @@ mod tests {
         near_max += sample(5);
         assert_eq!(near_max.messages_sent, u64::MAX, "pinned, not wrapped");
         assert_eq!(near_max.messages_delivered, 10, "other fields unaffected");
-        assert_eq!(near_max.total_ops(), u64::MAX, "scalar sum saturates too");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! check plus an array load.
 
 use crate::{Graph, NodeId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Sentinel distance for a slot BFS never reached (dead node, different
 /// component, or an id-space hole).
@@ -313,18 +313,6 @@ pub fn diameter_double_sweep(g: &Graph) -> Option<u32> {
     bfs_distances(g, u).max()
 }
 
-/// All-pairs shortest path distances as an ordered map; `O(n·m)` time,
-/// `O(n²)` space. Intended for stretch experiments at modest n.
-pub fn all_pairs_distances(g: &Graph) -> BTreeMap<(NodeId, NodeId), u32> {
-    let mut out = BTreeMap::new();
-    for v in g.nodes() {
-        for (u, d) in bfs_distances(g, v).iter() {
-            out.insert((v, u), d);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,17 +520,5 @@ mod tests {
                 proptest::prop_assert_eq!(&map, &rebuilt);
             }
         }
-    }
-
-    #[test]
-    fn all_pairs_symmetric() {
-        let g = gen::cycle(6);
-        let ap = all_pairs_distances(&g);
-        for v in g.nodes() {
-            for u in g.nodes() {
-                assert_eq!(ap[&(v, u)], ap[&(u, v)]);
-            }
-        }
-        assert_eq!(ap[&(NodeId(0), NodeId(3))], 3);
     }
 }

@@ -357,6 +357,7 @@ fn stitch_components<R: Rng + ?Sized>(g: &mut Graph, rng: &mut R) {
 mod tests {
     use super::*;
     use crate::bfs::diameter_exact;
+    use crate::hash::{fnv1a, FNV_BASIS};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -490,16 +491,9 @@ mod tests {
     fn topology_hash(g: &Graph) -> u64 {
         let mut edges = g.edges();
         edges.sort();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (a, b) in edges {
-            for w in [a.0, b.0] {
-                for byte in w.to_le_bytes() {
-                    h ^= u64::from(byte);
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-            }
-        }
-        h
+        edges.iter().fold(FNV_BASIS, |h, (a, b)| {
+            fnv1a(fnv1a(h, a.0.to_le_bytes()), b.0.to_le_bytes())
+        })
     }
 
     #[test]

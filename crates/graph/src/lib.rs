@@ -21,6 +21,7 @@
 
 pub mod bfs;
 pub mod gen;
+pub mod hash;
 pub mod tree;
 
 use std::fmt;

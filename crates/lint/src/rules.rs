@@ -93,7 +93,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_rule_is_function_scoped() {
+    fn engine_rule_is_module_scoped() {
         let r = canary();
         let file = "src/network.rs";
         assert_eq!(

@@ -10,7 +10,7 @@
 
 use crate::{run_graph_stress, run_trial, GraphStressConfig, Table, TrialConfig, Workload};
 use ft_adversary::{standard_suite, HighestDegreeAdversary};
-use ft_baselines::{BinaryTreeHealer, ForgivingHealer, LineHealer, SelfHealer, SurrogateHealer};
+use ft_baselines::{ForgivingHealer, LocalHealer, LocalRule, SelfHealer};
 use ft_core::distributed::DistributedForgivingTree;
 use ft_core::shape::{ShapeConfig, SubRtShape};
 use ft_core::spec::ForgivingTree;
@@ -194,9 +194,9 @@ fn lower_bound(claims: &mut Vec<Claim>) {
         let run = format!("star K(1,{delta}), max-degree adversary, half the nodes deleted");
         let healers: [Box<dyn SelfHealer>; 4] = [
             Box::new(ForgivingHealer::new(&w.tree())),
-            Box::new(SurrogateHealer::new(w.graph())),
-            Box::new(LineHealer::new(w.graph())),
-            Box::new(BinaryTreeHealer::new(w.graph())),
+            Box::new(LocalHealer::new(LocalRule::Surrogate, w.graph())),
+            Box::new(LocalHealer::new(LocalRule::Line, w.graph())),
+            Box::new(LocalHealer::new(LocalRule::BinaryTree, w.graph())),
         ];
         // (α^(2β+1), healer) of the healer closest to the bound
         let mut weakest = (f64::INFINITY, "");
@@ -290,11 +290,7 @@ fn ablation(claims: &mut Vec<Claim>) {
     const SEED: u64 = 1234;
     let tree = Workload::Star(256).tree();
     let max_diameter = |balanced: bool| {
-        let config = ShapeConfig {
-            balanced,
-            heir_min: false,
-        };
-        let mut ft = ForgivingTree::with_config(&tree, config);
+        let mut ft = ForgivingTree::with_config(&tree, ShapeConfig { balanced });
         let mut order: Vec<NodeId> = tree.nodes().collect();
         order.shuffle(&mut StdRng::seed_from_u64(SEED));
         let mut max_d = 0;

@@ -37,7 +37,7 @@ pub use graph_stress::{
 };
 pub use record::Record;
 pub use runner::{run_trial, StepMetrics, Trial, TrialConfig, TrialSummary};
-pub use stats::{log_log_slope, Summary};
+pub use stats::log_log_slope;
 pub use stress::{run_stress, StressConfig, StressRecord};
 pub use stretch::{measure_stretch_full, select_sources, StretchReport};
 pub use stretch_inc::{StretchPhaseCosts, StretchTracker};

@@ -222,7 +222,7 @@ mod tests {
     use super::*;
     use crate::workload::Workload;
     use ft_adversary::{HighestDegreeAdversary, RandomAdversary};
-    use ft_baselines::{ForgivingHealer, LineHealer};
+    use ft_baselines::{ForgivingHealer, LocalHealer, LocalRule};
 
     #[test]
     fn full_deletion_trial_on_forgiving_tree() {
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn partial_deletion_respects_budget() {
         let w = Workload::Path(40);
-        let mut healer = LineHealer::new(w.graph());
+        let mut healer = LocalHealer::new(LocalRule::Line, w.graph());
         let mut adv = HighestDegreeAdversary;
         let cfg = TrialConfig {
             workload: w.name(),

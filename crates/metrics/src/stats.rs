@@ -1,82 +1,4 @@
-//! Summary statistics for multi-seed experiment aggregation.
-//!
-//! Experiment tables report a single adversarial run per cell where the
-//! adversary is deterministic; for randomized adversaries the harness runs
-//! several seeds and reports [`Summary`] rows (mean, standard deviation,
-//! percentiles, extremes) computed here.
-
-/// Streaming-friendly summary of a sample of `f64` observations.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (n−1 denominator; 0 for n < 2).
-    pub std_dev: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-    /// Median (p50).
-    pub median: f64,
-    /// 95th percentile (nearest-rank).
-    pub p95: f64,
-}
-
-impl Summary {
-    /// Summarizes a sample.
-    ///
-    /// # Panics
-    /// Panics on an empty sample or NaN observations.
-    pub fn of(sample: &[f64]) -> Self {
-        assert!(!sample.is_empty(), "empty sample");
-        assert!(sample.iter().all(|x| !x.is_nan()), "NaN in sample");
-        let mut sorted = sample.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        let count = sorted.len();
-        let mean = sorted.iter().sum::<f64>() / count as f64;
-        let var = if count < 2 {
-            0.0
-        } else {
-            sorted.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (count as f64 - 1.0)
-        };
-        Summary {
-            count,
-            mean,
-            std_dev: var.sqrt(),
-            min: sorted[0],
-            max: sorted[count - 1],
-            median: percentile_sorted(&sorted, 0.50),
-            p95: percentile_sorted(&sorted, 0.95),
-        }
-    }
-
-    /// Summarizes integer observations.
-    ///
-    /// # Panics
-    /// Panics on an empty sample.
-    pub fn of_ints<I: IntoIterator<Item = i64>>(sample: I) -> Self {
-        let v: Vec<f64> = sample.into_iter().map(|x| x as f64).collect();
-        Self::of(&v)
-    }
-
-    /// `mean ± std` rendered for tables.
-    pub fn mean_pm_std(&self) -> String {
-        format!("{:.2} ± {:.2}", self.mean, self.std_dev)
-    }
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice, `q ∈ [0, 1]`.
-///
-/// # Panics
-/// Panics on an empty slice or out-of-range `q`.
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "empty sample");
-    assert!((0.0..=1.0).contains(&q), "q out of range");
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx]
-}
+//! Growth-exponent estimation for the scaling experiments.
 
 /// Least-squares slope of `log(y)` against `log(x)` — the growth-exponent
 /// estimator used to distinguish Θ(n) blow-ups from O(log n) growth in the
@@ -104,45 +26,6 @@ pub fn log_log_slope(points: &[(f64, f64)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_of_known_sample() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(s.count, 5);
-        assert!((s.mean - 3.0).abs() < 1e-12);
-        assert!((s.std_dev - 1.5811388).abs() < 1e-6);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.p95, 5.0);
-    }
-
-    #[test]
-    fn summary_single_observation() {
-        let s = Summary::of(&[7.5]);
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.median, 7.5);
-    }
-
-    #[test]
-    fn of_ints_and_formatting() {
-        let s = Summary::of_ints([1i64, 2, 3]);
-        assert_eq!(s.mean_pm_std(), "2.00 ± 1.00");
-    }
-
-    #[test]
-    #[should_panic(expected = "empty sample")]
-    fn empty_sample_panics() {
-        Summary::of(&[]);
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let sorted = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile_sorted(&sorted, 0.0), 10.0);
-        assert_eq!(percentile_sorted(&sorted, 1.0), 40.0);
-        assert_eq!(percentile_sorted(&sorted, 0.5), 30.0);
-    }
 
     #[test]
     fn log_log_slope_detects_linear_growth() {

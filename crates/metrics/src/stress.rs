@@ -482,7 +482,8 @@ mod tests {
         );
         assert!(rec1.crashes > 0, "a 50% crash model must crash someone");
         assert_ne!(
-            rec1.fault_fingerprint, 0xcbf2_9ce4_8422_2325,
+            rec1.fault_fingerprint,
+            ft_graph::hash::FNV_BASIS,
             "realized faults must move the fingerprint off the FNV basis"
         );
         let fp = |r: &StressRecord| {

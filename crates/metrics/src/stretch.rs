@@ -42,6 +42,7 @@
 
 use ft_costs::{count, CostResult, OperationCost};
 use ft_graph::bfs::{DistanceMap, UNREACHED};
+use ft_graph::hash::splitmix64;
 use ft_graph::{Graph, NodeId};
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -101,14 +102,6 @@ pub(crate) fn fold_passes(sources: usize, passes: &[SourcePass]) -> StretchRepor
         report.mean_stretch = sum / report.pairs as f64;
     }
     report
-}
-
-/// SplitMix64 finalizer — the priority hash behind min-wise sampling.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The fixed pseudorandom priority of node `v` under `seed`. Lower wins.

@@ -36,17 +36,9 @@
 
 #![deny(clippy::as_conversions)]
 
+// Every fault decision is a threshold over this hash.
+use ft_graph::hash::splitmix64;
 use ft_graph::NodeId;
-
-/// SplitMix64 finalizer — one avalanche step, the same mixer the stretch
-/// sampler uses. All fault decisions are thresholds over this hash.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 // Distinct salts keep the per-axis decision streams independent: a message
 // that would be lost under the loss stream is judged afresh (not

@@ -38,9 +38,9 @@ fn main() {
     // The cascade: always kill the highest-degree surviving peer.
     let mut contenders: Vec<Box<dyn SelfHealer>> = vec![
         Box::new(ForgivingHealer::new(&tree)),
-        Box::new(SurrogateHealer::new(tree.to_graph())),
-        Box::new(LineHealer::new(tree.to_graph())),
-        Box::new(BinaryTreeHealer::new(tree.to_graph())),
+        Box::new(LocalHealer::new(LocalRule::Surrogate, tree.to_graph())),
+        Box::new(LocalHealer::new(LocalRule::Line, tree.to_graph())),
+        Box::new(LocalHealer::new(LocalRule::BinaryTree, tree.to_graph())),
     ];
     println!("\ncascade: deleting the 600 highest-degree peers, one per round\n");
     for healer in &mut contenders {

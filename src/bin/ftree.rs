@@ -116,11 +116,11 @@ fn make_adversary(name: &str, seed: u64) -> Box<dyn Adversary> {
 fn make_healer(name: &str, w: &Workload) -> Box<dyn SelfHealer> {
     match name {
         "forgiving-tree" => Box::new(ForgivingHealer::new(&w.tree())),
-        "forgiving-graph" => Box::new(ForgivingGraphHealer::new(w.graph())),
-        "surrogate" => Box::new(SurrogateHealer::new(w.graph())),
-        "line" => Box::new(LineHealer::new(w.graph())),
-        "binary-tree" => Box::new(BinaryTreeHealer::new(w.graph())),
-        "no-heal" => Box::new(NoHeal::new(w.graph())),
+        "forgiving-graph" => Box::new(DistributedForgivingGraph::new(&w.graph())),
+        "surrogate" => Box::new(LocalHealer::new(LocalRule::Surrogate, w.graph())),
+        "line" => Box::new(LocalHealer::new(LocalRule::Line, w.graph())),
+        "binary-tree" => Box::new(LocalHealer::new(LocalRule::BinaryTree, w.graph())),
+        "no-heal" => Box::new(LocalHealer::new(LocalRule::NoRepair, w.graph())),
         _ => {
             eprintln!("unknown healer: {name}");
             usage()

@@ -27,7 +27,7 @@
 //! | [`core`] (`ft-core`) | both data structures: message-passing protocols + the spec engines they are tested against |
 //! | [`graph`] (`ft-graph`) | graphs (insert + delete), BFS/diameter, rooted trees, generators |
 //! | [`sim`] (`ft-sim`) | synchronous simulator (arrivals + deletions) + BFS setup |
-//! | [`baselines`] (`ft-baselines`) | the two Forgiving healers (on the protocols) + surrogate/line/binary-tree + `SelfHealer` |
+//! | [`baselines`] (`ft-baselines`) | `SelfHealer`, implemented by both Forgiving protocols and by `LocalHealer`'s naive rules (surrogate/line/binary-tree/no-heal) |
 //! | [`adversary`] (`ft-adversary`) | omniscient deletion strategies + wave/churn planners |
 //! | [`metrics`] (`ft-metrics`) | experiment runner, workloads, tables, stretch pass, stress harnesses |
 //!
@@ -83,13 +83,10 @@ pub mod prelude {
         LowestDegreeAdversary, MixedChurn, RandomAdversary, RandomWave, RootAdversary, SurgeChurn,
         TargetedWave, WavePlanner,
     };
-    pub use ft_baselines::{
-        BinaryTreeHealer, ForgivingGraphHealer, ForgivingHealer, LineHealer, NoHeal, SelfHealer,
-        SurrogateHealer,
-    };
+    pub use ft_baselines::{ForgivingHealer, LocalHealer, LocalRule, SelfHealer};
     pub use ft_core::distributed::DistributedForgivingTree;
     pub use ft_core::{
-        fg_degree_bound, fg_stretch_bound, DistributedForgivingGraph, Haft, HealReport, RoleKind,
+        fg_degree_bound, fg_stretch_bound, DistributedForgivingGraph, HealReport, RoleKind,
     };
     pub use ft_costs::{CostResult, OperationCost};
     pub use ft_graph::tree::RootedTree;

@@ -76,9 +76,9 @@ fn theorem2_tradeoff_holds_for_all_healers() {
     let w = Workload::Star(delta + 1);
     let healers: Vec<Box<dyn SelfHealer>> = vec![
         Box::new(ForgivingHealer::new(&w.tree())),
-        Box::new(SurrogateHealer::new(w.graph())),
-        Box::new(LineHealer::new(w.graph())),
-        Box::new(BinaryTreeHealer::new(w.graph())),
+        Box::new(LocalHealer::new(LocalRule::Surrogate, w.graph())),
+        Box::new(LocalHealer::new(LocalRule::Line, w.graph())),
+        Box::new(LocalHealer::new(LocalRule::BinaryTree, w.graph())),
     ];
     for mut h in healers {
         let mut adv = HighestDegreeAdversary;
@@ -104,7 +104,7 @@ fn forgiving_tree_beats_baselines_where_the_paper_says() {
     let nn = 65;
     let w = Workload::Star(nn);
     let mut ft = ForgivingHealer::new(&w.tree());
-    let mut line = LineHealer::new(w.graph());
+    let mut line = LocalHealer::new(LocalRule::Line, w.graph());
     ft.delete(NodeId(0));
     line.delete(NodeId(0));
     let d_ft = diameter_exact(ft.graph()).expect("connected");
@@ -115,7 +115,7 @@ fn forgiving_tree_beats_baselines_where_the_paper_says() {
 
     // hub-siphon: surrogate blows up degree, FT stays ≤ +3
     let w2 = Workload::Kary(63, 2);
-    let mut sur = SurrogateHealer::new(w2.graph());
+    let mut sur = LocalHealer::new(LocalRule::Surrogate, w2.graph());
     let mut ft2 = ForgivingHealer::new(&w2.tree());
     let mut adv = HubSiphon;
     for _ in 0..30 {

@@ -58,13 +58,12 @@ proptest! {
     /// trade the diameter constant).
     #[test]
     fn ablation_configs_stay_safe(nn in 6usize..32, seed in 0u64..200,
-                                  balanced in proptest::bool::ANY,
-                                  heir_min in proptest::bool::ANY) {
+                                  balanced in proptest::bool::ANY) {
         use forgiving_tree::core::shape::ShapeConfig;
         let mut rng = StdRng::seed_from_u64(seed);
         let g = gen::random_tree(nn, &mut rng);
         let tree = RootedTree::from_tree_graph(&g, NodeId(0));
-        let mut ft = ForgivingTree::with_config(&tree, ShapeConfig { balanced, heir_min });
+        let mut ft = ForgivingTree::with_config(&tree, ShapeConfig { balanced });
         let mut order: Vec<NodeId> = tree.nodes().collect();
         order.shuffle(&mut rng);
         for v in order {
