@@ -46,7 +46,7 @@ use crate::report::HealReport;
 use crate::shape::{Portion, PortionRef, SubRtShape};
 use crate::sorted::{map_insert, map_remove};
 use ft_graph::tree::RootedTree;
-use ft_graph::{Graph, NodeId};
+use ft_graph::{Graph, NodeId, SortedIds};
 use ft_sim::{Ctx, Network, Process};
 
 /// A virtual-node reference: the real simulator plus which of its (at most
@@ -97,41 +97,48 @@ impl DRole {
     }
 }
 
-/// What the heir does when the owner dies (Algorithm 3.6 lines 8-17).
+/// What one representative does when its owner dies: exactly one of the
+/// three duties of Algorithm 3.6. The heir alone deploys no helper.
+///
+/// `R` is how a take-over heir's role is held: boxed in a portion that is
+/// stored or sent, borrowed from the owner's fields while the owner diffs
+/// its will against what it sent, so an unchanged role is never cloned.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum HeirMode {
-    /// Owner had no helper duties: become a ready heir above the SubRT root.
+pub enum Duty<R = Box<DRole>> {
+    /// Non-heir: deploy my SubRT helper.
+    Helper {
+        /// `nexthparent`: `None` when this helper is the SubRT root, which
+        /// attaches to the portion's `top`.
+        hparent: Option<VRef>,
+        /// `nexthchildren`, as shape references.
+        children: [PortionRef; 2],
+    },
+    /// Heir of an owner with no helper duties: become a ready heir above
+    /// the SubRT root.
     Ready {
         /// The SubRT root helper; `None` when the heir's own slot occupant
         /// is the entire SubRT (single-slot shape).
         subrt_root: Option<VRef>,
     },
-    /// Owner had helper duties: take them over verbatim.
-    TakeOver {
-        /// The owner's role fields as of the last will refresh (boxed: only
-        /// the heir's portion carries one, and every portion pays for the
-        /// largest variant).
-        role: Box<DRole>,
-    },
+    /// Heir of an owner with helper duties: take them over verbatim, as of
+    /// the last will refresh (boxed: only the heir's portion carries one,
+    /// and every portion pays for the largest variant).
+    TakeOver(R),
 }
 
 /// The portion of a will addressed to one representative.
+///
+/// `R` is the take-over role's holder, as in [`Duty`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DPortion {
+pub struct DPortion<R = Box<DRole>> {
     /// The will's owner.
     pub owner: NodeId,
-    /// Whether this representative is the heir.
-    pub is_heir: bool,
     /// Where this rep's slot occupant re-attaches (`nextparent`); `None`
     /// means "at the top" (single-slot shape: under the heir's ready vnode
     /// or the owner's parent).
     pub next_parent: Option<VRef>,
-    /// Helper assignment for non-heirs: `nexthparent` (`None` = this helper
-    /// is the SubRT root and attaches to `top`) and the two children as
-    /// shape references.
-    pub helper: Option<(Option<VRef>, [PortionRef; 2])>,
-    /// Heir-only: ready vs take-over data.
-    pub heir_mode: Option<HeirMode>,
+    /// What this representative does when the owner dies.
+    pub duty: Duty<R>,
     /// Where the SubRT root attaches: the heir's ready vnode when the owner
     /// is role-free, else the owner's parent vnode.
     pub top: VRef,
@@ -140,11 +147,52 @@ pub struct DPortion {
     pub owner_parent: Option<VRef>,
 }
 
+impl DPortion {
+    /// This portion with its take-over role borrowed.
+    fn borrowed(&self) -> DPortion<&DRole> {
+        let duty = match &self.duty {
+            Duty::Helper { hparent, children } => Duty::Helper {
+                hparent: *hparent,
+                children: *children,
+            },
+            Duty::Ready { subrt_root } => Duty::Ready {
+                subrt_root: *subrt_root,
+            },
+            Duty::TakeOver(role) => Duty::TakeOver(&**role),
+        };
+        DPortion {
+            owner: self.owner,
+            next_parent: self.next_parent,
+            duty,
+            top: self.top,
+            owner_parent: self.owner_parent,
+        }
+    }
+}
+
+impl DPortion<&DRole> {
+    /// This portion with its take-over role cloned into a box.
+    fn into_owned(self) -> DPortion {
+        let duty = match self.duty {
+            Duty::Helper { hparent, children } => Duty::Helper { hparent, children },
+            Duty::Ready { subrt_root } => Duty::Ready { subrt_root },
+            Duty::TakeOver(role) => Duty::TakeOver(Box::new(role.clone())),
+        };
+        DPortion {
+            owner: self.owner,
+            next_parent: self.next_parent,
+            duty,
+            top: self.top,
+            owner_parent: self.owner_parent,
+        }
+    }
+}
+
 /// Protocol messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FtMsg {
     /// Will owner → representative: a fresh portion.
-    Portion(Box<DPortion>),
+    Portion(DPortion),
     /// Leaf → its parent: helper duties to inherit (`None` = no duties).
     LeafWill(Option<DRole>),
     /// Slot occupant → parent helper's simulator: "vnode `child` now hangs
@@ -242,18 +290,30 @@ enum LostChild {
     },
 }
 
+/// A will owner's will and the portions of it last sent.
+#[derive(Debug)]
+struct Will {
+    /// My will over my slot representatives (`SubRT(v)`).
+    shape: SubRtShape,
+    /// Portions I last sent, ascending by representative; diffed in place
+    /// against `shape` on every settle.
+    sent: Vec<(NodeId, DPortion)>,
+}
+
 /// One processor of the distributed Forgiving Tree.
 ///
-/// The will and every helper role are boxed: most nodes are leaves or hold
-/// no role, and the network keeps one slot per ID ever seen, dead IDs
-/// included, so only an 8-byte pointer is paid where the field is unset.
+/// The will (with the portions sent from it) and every helper role are
+/// boxed: most nodes are leaves or hold no role, and the network keeps one
+/// slot per ID ever seen, dead IDs included, so only an 8-byte pointer is
+/// paid where the field is unset. A node without a will has sent no
+/// portions, by construction.
 #[derive(Debug)]
 pub struct FtNode {
     id: NodeId,
     /// Parent of my position vnode (`parent(v)` of Table 1).
     pos_parent: Option<VRef>,
-    /// My will over my slot representatives (`SubRT(v)`).
-    will: Option<Box<SubRtShape>>,
+    /// My will, if I have children slots.
+    will: Option<Box<Will>>,
     /// LeafWills filed with me by nodes whose virtual parent I simulate,
     /// ascending by filer.
     leaf_wills: Vec<(NodeId, Option<Box<DRole>>)>,
@@ -261,14 +321,11 @@ pub struct FtNode {
     portion: Option<DPortion>,
     /// My helper-role fields.
     role: Option<Box<DRole>>,
-    /// Portions I last sent, ascending by representative; diffed in place
-    /// against the current will on every settle.
-    sent_portions: Vec<(NodeId, DPortion)>,
     /// LeafWill I last sent, and to whom.
     sent_leafwill: Option<(NodeId, Option<Box<DRole>>)>,
-    /// Edge interests currently held, ascending; diffed in place like
-    /// `sent_portions`.
-    desired: Vec<NodeId>,
+    /// Edge interests currently held; diffed in place like the portions
+    /// in my will. A leaf's one or two sit inline.
+    desired: SortedIds,
 }
 
 impl FtNode {
@@ -280,9 +337,8 @@ impl FtNode {
             leaf_wills: Vec::new(),
             portion: None,
             role: None,
-            sent_portions: Vec::new(),
             sent_leafwill: None,
-            desired: Vec::new(),
+            desired: SortedIds::new(),
         }
     }
 
@@ -327,7 +383,7 @@ impl FtNode {
             .will
             .as_deref()
             .into_iter()
-            .flat_map(SubRtShape::reps)
+            .flat_map(|w| w.shape.reps())
             .peekable();
         let mut last: Option<NodeId> = None;
         std::iter::from_fn(move || loop {
@@ -348,7 +404,8 @@ impl FtNode {
     /// [`FtNode::interests`]).
     fn wants(&self, u: NodeId) -> bool {
         u != self.id
-            && (self.will.as_ref().is_some_and(|w| w.contains(u)) || self.links().any(|l| l == u))
+            && (self.will.as_ref().is_some_and(|w| w.shape.contains(u))
+                || self.links().any(|l| l == u))
     }
 
     /// Diffs my interests against the held set in place: requests an edge
@@ -360,17 +417,18 @@ impl FtNode {
         for u in self.interests() {
             while let Some(&d) = held.get(i).filter(|&&d| d < u) {
                 ctx.send(d, FtMsg::Release);
-                held.remove(i);
+                held.remove(d);
             }
             if held.get(i) != Some(&u) {
                 ctx.add_edge(u);
-                held.insert(i, u);
+                held.insert(u);
             }
             i += 1;
         }
-        for d in held.drain(i..) {
+        for &d in &held[i..] {
             ctx.send(d, FtMsg::Release);
         }
+        held.truncate(i);
         self.desired = held;
     }
 
@@ -392,10 +450,9 @@ impl FtNode {
         }
     }
 
-    /// Lowers shape portion `p` into message form. A take-over heir's
-    /// `heir_mode` is left `None`: the caller compares my role by reference
-    /// and clones it only into a portion it sends.
-    fn lower_portion(&self, p: &Portion, top: VRef, will: &SubRtShape) -> DPortion {
+    /// Lowers shape portion `p` into message form, borrowing a take-over
+    /// heir's role from my fields.
+    fn lower_portion(&self, p: &Portion, top: VRef, will: &SubRtShape) -> DPortion<&DRole> {
         let to_vref = |r: &PortionRef| match r {
             PortionRef::Helper(s) => VRef::helper(*s),
             // a slot's occupant is simulated by its representative (INV-C)
@@ -405,29 +462,35 @@ impl FtNode {
         // the distributed model tracks real virtual links and drops
         // self-loops only at the edge level.
         let next_parent = will.leaf_parent_of(p.rep).as_ref().map(to_vref);
-        let helper = p.next_hchildren.map(|(l, r)| {
-            let hp = p
-                .next_hparent
-                .expect("helper has an hparent entry")
-                .as_ref()
-                .map(to_vref);
-            (hp, [l, r])
-        });
-        let heir_mode = (p.is_heir && self.role.is_none()).then(|| HeirMode::Ready {
-            subrt_root: will.root_sim().map(VRef::helper),
-        });
+        debug_assert_eq!(
+            p.is_heir,
+            p.next_hchildren.is_none(),
+            "the heir alone has no helper"
+        );
+        let duty = match (p.next_hchildren, self.role.as_deref()) {
+            (Some((l, r)), _) => Duty::Helper {
+                hparent: p
+                    .next_hparent
+                    .expect("helper has an hparent entry")
+                    .as_ref()
+                    .map(to_vref),
+                children: [l, r],
+            },
+            (None, None) => Duty::Ready {
+                subrt_root: will.root_sim().map(VRef::helper),
+            },
+            (None, Some(role)) => Duty::TakeOver(role),
+        };
         // `top` is consumed only by the SubRT-root helper holder and by the
         // single-slot heir; `owner_parent` only by the heir. Normalize the
         // fields everywhere else so an heir change does not perturb every
         // portion — otherwise the owner would re-send Θ(Δ) portions and
         // break Theorem 1.3's O(1) messages per event.
-        let reads_top = matches!(&helper, Some((None, _))) || next_parent.is_none();
+        let reads_top = matches!(duty, Duty::Helper { hparent: None, .. }) || next_parent.is_none();
         DPortion {
             owner: self.id,
-            is_heir: p.is_heir,
             next_parent,
-            helper,
-            heir_mode,
+            duty,
             top: if reads_top { top } else { VRef::pos(self.id) },
             owner_parent: if p.is_heir { self.pos_parent } else { None },
         }
@@ -437,39 +500,31 @@ impl FtNode {
     /// last sent, in place, and hands each changed one to `send` in
     /// ascending representative order (O(1) per event).
     fn refresh_portions(&mut self, mut send: impl FnMut(NodeId, &DPortion)) {
-        let mut sent = std::mem::take(&mut self.sent_portions);
+        let Some(mut will) = self.will.take() else {
+            return;
+        };
+        let Will { shape, sent } = &mut *will;
+        let top = self.subrt_top(shape.heir().expect("nonempty will"));
         let mut i = 0;
-        if let Some(will) = &self.will {
-            let top = self.subrt_top(will.heir().expect("nonempty will"));
-            for rep in will.reps() {
-                while sent.get(i).is_some_and(|(r, _)| *r < rep) {
-                    sent.remove(i); // that representative left my will
-                }
-                let fresh = self.lower_portion(&will.portion(rep), top, will);
-                let takeover = self.role.as_deref().filter(|_| fresh.is_heir);
-                let known = sent.get(i).is_some_and(|(r, _)| *r == rep);
-                if !(known && same_portion(&sent[i].1, &fresh, takeover)) {
-                    let fresh = match takeover {
-                        Some(role) => DPortion {
-                            heir_mode: Some(HeirMode::TakeOver {
-                                role: Box::new(role.clone()),
-                            }),
-                            ..fresh
-                        },
-                        None => fresh,
-                    };
-                    send(rep, &fresh);
-                    if known {
-                        sent[i].1 = fresh;
-                    } else {
-                        sent.insert(i, (rep, fresh));
-                    }
-                }
-                i += 1;
+        for rep in shape.reps() {
+            while sent.get(i).is_some_and(|(r, _)| *r < rep) {
+                sent.remove(i); // that representative left my will
             }
+            let fresh = self.lower_portion(&shape.portion(rep), top, shape);
+            let known = sent.get(i).is_some_and(|(r, _)| *r == rep);
+            if !(known && sent[i].1.borrowed() == fresh) {
+                let fresh = fresh.into_owned();
+                send(rep, &fresh);
+                if known {
+                    sent[i].1 = fresh;
+                } else {
+                    sent.insert(i, (rep, fresh));
+                }
+            }
+            i += 1;
         }
         sent.truncate(i);
-        self.sent_portions = sent;
+        self.will = Some(will);
     }
 
     /// Refreshes the LeafWill my parent holds, when I am a leaf.
@@ -494,7 +549,7 @@ impl FtNode {
     /// Post-event bookkeeping: edges, portions, LeafWill.
     fn settle(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
         self.sync_edges(ctx);
-        self.refresh_portions(|rep, p| ctx.send(rep, FtMsg::Portion(Box::new(p.clone()))));
+        self.refresh_portions(|rep, p| ctx.send(rep, FtMsg::Portion(p.clone())));
         self.refresh_leafwill(ctx);
     }
 
@@ -511,7 +566,7 @@ impl FtNode {
         //    a promoted representative) and plan its re-attachment. When the
         //    occupant is my own position and the destination one of my own
         //    vnodes, the occupancy is applied locally *after* my new role is
-        //    installed (step 4).
+        //    installed (step 3).
         let my_slot_occupant: VRef;
         let mut local_attach = false;
         match &self.role {
@@ -563,26 +618,26 @@ impl FtNode {
             );
         }
 
-        // 2. Take on my assigned SubRT helper (non-heirs).
-        if let Some((hp, kids)) = &portion.helper {
-            let is_subrt_root = hp.is_none();
-            let hparent = hp.unwrap_or(portion.top);
-            let mut hchildren = Vec::new();
-            let mut pending = Vec::new();
-            for k in kids {
-                match k {
-                    PortionRef::Helper(s) => hchildren.push(VRef::helper(*s)),
-                    PortionRef::Slot(r) if *r == self.id => {
-                        // my own slot: I know the occupant locally
-                        hchildren.push(my_slot_occupant);
+        // 2. Take on my duty: my assigned SubRT helper (non-heirs), or one
+        //    of the heir's two modes (Algorithm 3.6).
+        match portion.duty {
+            // lost mail left me busy: skip the duty
+            _ if self.role.is_some() => assert!(ctx.faulty(), "representative already busy"),
+            Duty::Helper { hparent, children } => {
+                let is_subrt_root = hparent.is_none();
+                let hparent = hparent.unwrap_or(portion.top);
+                let mut hchildren = Vec::new();
+                let mut pending = Vec::new();
+                for k in children {
+                    match k {
+                        PortionRef::Helper(s) => hchildren.push(VRef::helper(s)),
+                        PortionRef::Slot(r) if r == self.id => {
+                            // my own slot: I know the occupant locally
+                            hchildren.push(my_slot_occupant);
+                        }
+                        PortionRef::Slot(r) => pending.push(r),
                     }
-                    PortionRef::Slot(r) => pending.push(*r),
                 }
-            }
-            if self.role.is_some() {
-                // lost mail left me busy: skip the helper assignment
-                assert!(ctx.faulty(), "representative already busy");
-            } else {
                 self.role = Some(Box::new(DRole {
                     hparent: Some(hparent),
                     hchildren,
@@ -603,72 +658,61 @@ impl FtNode {
                     );
                 }
             }
-        }
-
-        let heir_mode = portion.heir_mode.clone();
-        // 3. Heir duties (Algorithm 3.6's two modes).
-        if let Some(mode) = heir_mode {
-            assert!(portion.is_heir, "heir mode on a non-heir portion");
-            match mode {
-                // lost mail left me busy: skip the heir duties
-                _ if self.role.is_some() => assert!(ctx.faulty(), "heir already busy"),
-                HeirMode::Ready { subrt_root } => {
-                    self.role = Some(Box::new(DRole {
-                        hparent: portion.owner_parent,
-                        hchildren: vec![subrt_root.unwrap_or(my_slot_occupant)],
-                        pending_slots: Vec::new(),
-                        ready: true,
-                    }));
-                    if let Some(op) = portion.owner_parent {
-                        ctx.send(
-                            op.sim,
-                            FtMsg::ReplaceRep {
-                                dead: owner,
-                                new_rep: self.id,
-                                your_end: op,
-                            },
-                        );
-                    }
+            Duty::Ready { subrt_root } => {
+                self.role = Some(Box::new(DRole {
+                    hparent: portion.owner_parent,
+                    hchildren: vec![subrt_root.unwrap_or(my_slot_occupant)],
+                    pending_slots: Vec::new(),
+                    ready: true,
+                }));
+                if let Some(op) = portion.owner_parent {
+                    ctx.send(
+                        op.sim,
+                        FtMsg::ReplaceRep {
+                            dead: owner,
+                            new_rep: self.id,
+                            your_end: op,
+                        },
+                    );
                 }
-                HeirMode::TakeOver { role } => {
-                    let mut new_role = role;
-                    new_role.pending_slots.clear();
-                    let ready = new_role.ready;
-                    for c in new_role.hchildren.clone() {
-                        if c.sim == self.id {
-                            // the owner's helper parented my own position
-                            self.pos_parent = Some(VRef::helper(self.id));
-                        } else {
-                            ctx.send(
-                                c.sim,
-                                FtMsg::NewSim {
-                                    old: VRef::helper(owner),
-                                    new: VRef::helper(self.id),
-                                    receiver_is_parent: false,
-                                    your_end: c,
-                                    ready_rep_replace: None,
-                                },
-                            );
-                        }
-                    }
-                    if let Some(hp) = new_role.hparent {
+            }
+            Duty::TakeOver(mut new_role) => {
+                new_role.pending_slots.clear();
+                let ready = new_role.ready;
+                for c in new_role.hchildren.clone() {
+                    if c.sim == self.id {
+                        // the owner's helper parented my own position
+                        self.pos_parent = Some(VRef::helper(self.id));
+                    } else {
                         ctx.send(
-                            hp.sim,
+                            c.sim,
                             FtMsg::NewSim {
                                 old: VRef::helper(owner),
                                 new: VRef::helper(self.id),
-                                receiver_is_parent: true,
-                                your_end: hp,
-                                ready_rep_replace: ready.then_some(owner),
+                                receiver_is_parent: false,
+                                your_end: c,
+                                ready_rep_replace: None,
                             },
                         );
                     }
-                    self.role = Some(new_role);
                 }
+                if let Some(hp) = new_role.hparent {
+                    ctx.send(
+                        hp.sim,
+                        FtMsg::NewSim {
+                            old: VRef::helper(owner),
+                            new: VRef::helper(self.id),
+                            receiver_is_parent: true,
+                            your_end: hp,
+                            ready_rep_replace: ready.then_some(owner),
+                        },
+                    );
+                }
+                self.role = Some(new_role);
             }
         }
 
-        // 4. Apply a deferred local occupancy (my own position under my own
+        // 3. Apply a deferred local occupancy (my own position under my own
         //    freshly installed helper).
         if local_attach {
             self.apply_occupy(self.id, my_slot_occupant, Some(VRef::pos(owner)), ctx);
@@ -800,6 +844,24 @@ impl FtNode {
         }
     }
 
+    /// Drops `rep`'s slot from my will, and the will once it is empty.
+    fn remove_slot(&mut self, rep: NodeId) {
+        let will = self.will.as_mut().expect("have will");
+        will.shape.remove_slot(rep);
+        if will.shape.is_empty() {
+            self.will = None;
+        }
+    }
+
+    /// Hands dead representative `dead`'s slot to `new_rep`, if my will
+    /// still names `dead`.
+    fn replace_rep(&mut self, dead: NodeId, new_rep: NodeId) {
+        if let Some(w) = self.will.as_mut().filter(|w| w.shape.contains(dead)) {
+            w.shape.replace_rep(dead, new_rep);
+            map_remove(&mut self.leaf_wills, dead);
+        }
+    }
+
     /// Adopts a dead leaf's helper duties (LeafWill execution, Alg 3.7).
     fn adopt_leafwill(&mut self, dead: NodeId, lw: Box<DRole>, ctx: &mut Ctx<'_, FtMsg>) {
         if self.role.is_some() {
@@ -847,33 +909,6 @@ impl FtNode {
     }
 }
 
-/// Whether `sent` equals `fresh`, a lowering whose take-over heir mode was
-/// left out: that part is compared against `takeover` by reference.
-fn same_portion(sent: &DPortion, fresh: &DPortion, takeover: Option<&DRole>) -> bool {
-    let Some(role) = takeover else {
-        return sent == fresh;
-    };
-    let DPortion {
-        owner,
-        is_heir,
-        next_parent,
-        helper,
-        heir_mode,
-        top,
-        owner_parent,
-    } = sent;
-    matches!(heir_mode, Some(HeirMode::TakeOver { role: r }) if **r == *role)
-        && (owner, is_heir, next_parent, helper, top, owner_parent)
-            == (
-                &fresh.owner,
-                &fresh.is_heir,
-                &fresh.next_parent,
-                &fresh.helper,
-                &fresh.top,
-                &fresh.owner_parent,
-            )
-}
-
 impl Process for FtNode {
     type Msg = FtMsg;
 
@@ -886,25 +921,17 @@ impl Process for FtNode {
         }
         let lw_entry = map_remove(&mut self.leaf_wills, dead);
         // Relation: dead was one of my will representatives.
-        if self.will.as_ref().is_some_and(|w| w.contains(dead)) {
+        if self.will.as_ref().is_some_and(|w| w.shape.contains(dead)) {
             match &lw_entry {
-                Some(None) => {
-                    // plain leaf child: prune the slot
-                    self.will.as_mut().expect("have will").remove_slot(dead);
-                    if self.will.as_ref().expect("have will").is_empty() {
-                        self.will = None;
-                    }
-                }
+                // plain leaf child: prune the slot
+                Some(None) => self.remove_slot(dead),
+                // promoted rep whose ready vnode carried only its own
+                // position: the whole slot dissolves
                 Some(Some(r))
                     if r.hparent == Some(VRef::pos(self.id))
                         && r.hchildren.iter().all(|c| c.sim == dead) =>
                 {
-                    // promoted rep whose ready vnode carried only its own
-                    // position: the whole slot dissolves
-                    self.will.as_mut().expect("have will").remove_slot(dead);
-                    if self.will.as_ref().expect("have will").is_empty() {
-                        self.will = None;
-                    }
+                    self.remove_slot(dead)
                 }
                 Some(Some(_)) => assert!(
                     ctx.faulty(),
@@ -1019,7 +1046,7 @@ impl Process for FtNode {
             // `leaf_wills` are consulted only when a neighbor dies), and
             // every callback ends settled, so they return unsettled.
             FtMsg::Portion(p) => {
-                self.portion = Some(*p);
+                self.portion = Some(p);
                 return;
             }
             FtMsg::LeafWill(lw) => {
@@ -1058,12 +1085,7 @@ impl Process for FtNode {
                             }
                         }
                     } else if let Some(dead) = ready_rep_replace {
-                        if let Some(w) = &mut self.will {
-                            if w.contains(dead) {
-                                w.replace_rep(dead, new.sim);
-                                map_remove(&mut self.leaf_wills, dead);
-                            }
-                        }
+                        self.replace_rep(dead, new.sim);
                     }
                 } else {
                     if self.pos_parent == Some(old) {
@@ -1090,11 +1112,8 @@ impl Process for FtNode {
                             *e = VRef::helper(new_rep);
                         }
                     }
-                } else if let Some(w) = &mut self.will {
-                    if w.contains(dead) {
-                        w.replace_rep(dead, new_rep);
-                        map_remove(&mut self.leaf_wills, dead);
-                    }
+                } else {
+                    self.replace_rep(dead, new_rep);
                 }
             }
             FtMsg::SpliceChild {
@@ -1124,14 +1143,9 @@ impl Process for FtNode {
                 self.apply_splice_parent(your_end, gone, new_p);
             }
             FtMsg::SlotDissolved { rep } => {
-                if let Some(w) = &mut self.will {
-                    if w.contains(rep) {
-                        w.remove_slot(rep);
-                        map_remove(&mut self.leaf_wills, rep);
-                        if w.is_empty() {
-                            self.will = None;
-                        }
-                    }
+                if self.will.as_ref().is_some_and(|w| w.shape.contains(rep)) {
+                    self.remove_slot(rep);
+                    map_remove(&mut self.leaf_wills, rep);
                 }
             }
             FtMsg::Reattach {
@@ -1172,16 +1186,16 @@ impl Process for FtNode {
 
 #[cfg(test)]
 impl FtNode {
-    /// Asserts that the in-place caches (`desired`, `sent_portions`) equal
-    /// a from-scratch rebuild of both from my fields, and that
-    /// [`FtNode::wants`] agrees with the rebuilt interest set.
+    /// Asserts that the in-place caches (`desired`, the portions sent
+    /// from my will) equal a from-scratch rebuild of both from my fields,
+    /// and that [`FtNode::wants`] agrees with the rebuilt interest set.
     pub(crate) fn assert_caches_fresh(&self) {
         let mut want = std::collections::BTreeSet::new();
         if let Some(p) = self.pos_parent {
             want.insert(p.sim);
         }
         if let Some(w) = self.will.as_deref() {
-            want.extend(w.reps());
+            want.extend(w.shape.reps());
         }
         if let Some(r) = &self.role {
             want.extend(r.hparent.map(|h| h.sim));
@@ -1195,25 +1209,21 @@ impl FtNode {
             self.desired
         );
         assert!(want.iter().all(|&u| self.wants(u)) && !self.wants(self.id));
-        let rebuilt: Vec<(NodeId, DPortion)> = match self.will.as_deref() {
-            None => Vec::new(),
-            Some(will) => {
-                let top = self.subrt_top(will.heir().expect("nonempty will"));
-                will.all_portions()
-                    .into_iter()
-                    .map(|(rep, p)| {
-                        let mut d = self.lower_portion(&p, top, will);
-                        if let (true, Some(role)) = (d.is_heir, self.role.as_deref()) {
-                            d.heir_mode = Some(HeirMode::TakeOver {
-                                role: Box::new(role.clone()),
-                            });
-                        }
-                        (rep, d)
-                    })
-                    .collect()
-            }
-        };
-        assert_eq!(self.sent_portions, rebuilt, "{:?}: stale portions", self.id);
+        if let Some(will) = self.will.as_deref() {
+            let top = self.subrt_top(will.shape.heir().expect("nonempty will"));
+            let rebuilt: Vec<(NodeId, DPortion)> = will
+                .shape
+                .all_portions()
+                .into_iter()
+                .map(|(rep, p)| (rep, self.lower_portion(&p, top, &will.shape).into_owned()))
+                .collect();
+            assert_eq!(will.sent, rebuilt, "{:?}: stale portions", self.id);
+        }
+    }
+
+    /// Whether my held edge interests have outgrown their inline set.
+    pub(crate) fn desired_spilled(&self) -> bool {
+        self.desired.is_spilled()
     }
 }
 
@@ -1232,7 +1242,10 @@ pub(crate) fn install_fields<P: Process>(
         if children.is_empty() {
             ft.sent_leafwill = ft.pos_parent.map(|p| (p.sim, None));
         } else {
-            ft.will = Some(Box::new(SubRtShape::build(children)));
+            ft.will = Some(Box::new(Will {
+                shape: SubRtShape::build(children),
+                sent: Vec::with_capacity(children.len()),
+            }));
             // children ascend, so the filed LeafWills do too
             ft.leaf_wills = children
                 .iter()
@@ -1244,11 +1257,13 @@ pub(crate) fn install_fields<P: Process>(
         ft.desired = ft.interests().collect();
         // each representative has exactly one owner: install its portion
         // straight from the owner's record
-        let sent = std::mem::take(&mut ft.sent_portions);
-        for (rep, p) in &sent {
+        let Some(will) = ft.will.take() else {
+            continue;
+        };
+        for (rep, p) in &will.sent {
             node(net.process_mut(*rep)).portion = Some(p.clone());
         }
-        node(net.process_mut(v)).sent_portions = sent;
+        node(net.process_mut(v)).will = Some(will);
     }
 }
 
@@ -1321,8 +1336,10 @@ impl DistributedForgivingTree {
 
     /// The will live node `v` holds, if any.
     fn will_of(&self, v: NodeId) -> Option<&SubRtShape> {
-        let alive = self.net.graph().is_alive(v);
-        alive.then(|| self.node(v).will.as_deref()).flatten()
+        if !self.net.graph().is_alive(v) {
+            return None;
+        }
+        self.node(v).will.as_deref().map(|w| &w.shape)
     }
 
     /// The message ledger of the underlying simulator — the single source

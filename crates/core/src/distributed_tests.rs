@@ -6,7 +6,7 @@
 //! the paper's data structure.
 
 use crate::distributed::{
-    install_fields, DPortion, DRole, DistributedForgivingTree, FtMsg, FtNode, HeirMode, VRef,
+    install_fields, DPortion, DRole, DistributedForgivingTree, Duty, FtMsg, FtNode, VRef,
 };
 use crate::spec::ForgivingTree;
 use ft_graph::hash::{fnv1a, FNV_BASIS};
@@ -274,10 +274,8 @@ fn portion_leafwill_and_position_occupancy_send_nothing() {
     let t = RootedTree::from_tree_graph(&gen::kary_tree(15, 2), n(0));
     let portion = DPortion {
         owner: n(1),
-        is_heir: true,
         next_parent: None,
-        helper: None,
-        heir_mode: Some(HeirMode::Ready { subrt_root: None }),
+        duty: Duty::Ready { subrt_root: None },
         top: VRef::helper(n(3)),
         owner_parent: Some(VRef::pos(n(0))),
     };
@@ -294,7 +292,7 @@ fn portion_leafwill_and_position_occupancy_send_nothing() {
         replacing: None,
     };
     for (from, to, msg) in [
-        (n(1), n(3), FtMsg::Portion(Box::new(portion))),
+        (n(1), n(3), FtMsg::Portion(portion)),
         (n(7), n(3), FtMsg::LeafWill(Some(role))),
         (n(4), n(1), occupy),
     ] {
@@ -323,16 +321,32 @@ fn portion_leafwill_and_position_occupancy_send_nothing() {
 fn message_layout_is_pinned() {
     use std::mem::size_of;
     // `cost.heap_bytes` charges each staged message by its size, and every
-    // processor slot holds a DPortion
+    // processor slot holds a DPortion; a portion travels unboxed, so it
+    // must fit the message
     assert_eq!(size_of::<FtMsg>(), 64);
-    assert_eq!(size_of::<DPortion>(), 72);
+    assert_eq!(size_of::<DPortion>(), 56);
     // the engine stages each send as `(from, to, msg)` and charges exactly
     // this many heap bytes for it: a change here moves `cost.heap_bytes`
     assert_eq!(size_of::<(NodeId, NodeId, FtMsg)>(), 72);
     // the network keeps one slot per ID ever seen, dead IDs included, so a
-    // 10^6-node tree pays this figure a million times: the will and the
-    // helper roles stay boxed to keep it there
-    assert_eq!(size_of::<Option<FtNode>>(), 200);
+    // 10^6-node tree pays this figure a million times: the will (with the
+    // portions sent from it) and the helper roles stay boxed, and the held
+    // edge interests sit inline, to keep it there
+    assert_eq!(size_of::<Option<FtNode>>(), 168);
+}
+
+#[test]
+fn leaf_interests_sit_inline() {
+    // a leaf wants only its parent: its interest set must not allocate
+    let t = RootedTree::from_tree_graph(&gen::kary_tree(4096, 8), n(0));
+    let dist = DistributedForgivingTree::new(&t);
+    let leaves: Vec<NodeId> = t.nodes().filter(|&v| t.is_leaf(v)).collect();
+    assert_eq!(leaves.len(), 3584);
+    for v in leaves {
+        assert!(!dist.node(v).desired_spilled(), "{v:?} spilled");
+    }
+    // a node with eight children and a parent wants nine: it spills
+    assert!(dist.node(n(1)).desired_spilled());
 }
 
 #[test]

@@ -22,7 +22,10 @@
 pub mod bfs;
 pub mod gen;
 pub mod hash;
+mod sorted_ids;
 pub mod tree;
+
+pub use sorted_ids::SortedIds;
 
 use std::fmt;
 
@@ -84,98 +87,28 @@ pub enum ChurnEvent {
 /// deletion (the adversary's move) and edge insertion/removal (the healer's
 /// move).
 ///
-/// Adjacency is kept as one sorted neighbor list per node, stored in a
-/// 32-byte slot: up to seven IDs sit in the slot itself and only a longer
-/// list spills to the heap. Iteration order stays deterministic ascending
-/// — which keeps every experiment and property test reproducible — and a
-/// neighbor walk of a node with at most seven neighbors reads the slot in
-/// place, with no second load through a heap pointer. How many lists fit
-/// depends on the input's degree distribution: the healers bound only the
-/// increase over a node's original degree (at most 3 for the Forgiving
-/// Tree, O(log n) for the Forgiving Graph), so healing keeps a low-degree
-/// node low but cannot make a high-degree input inline. A spilled slot
-/// costs 8 bytes more than a bare `Vec` header. Membership tests and
-/// mutations are `O(log d)` binary searches plus an `O(d)` shift.
+/// Adjacency is kept as one sorted neighbor list per node, a
+/// [`SortedIds`] set in a 32-byte slot: up to seven IDs sit in the slot
+/// itself and only a longer list spills to the heap. Iteration order stays
+/// deterministic ascending — which keeps every experiment and property
+/// test reproducible — and a neighbor walk of a node with at most seven
+/// neighbors reads the slot in place, with no second load through a heap
+/// pointer. How many lists fit depends on the input's degree distribution:
+/// the healers bound only the increase over a node's original degree (at
+/// most 3 for the Forgiving Tree, O(log n) for the Forgiving Graph), so
+/// healing keeps a low-degree node low but cannot make a high-degree input
+/// inline. A spilled slot costs 8 bytes more than a bare `Vec` header.
+/// Membership tests and mutations are `O(log d)` binary searches plus an
+/// `O(d)` shift.
 #[derive(Clone, Default)]
 pub struct Graph {
-    /// Sorted neighbor list per slot (ascending, no duplicates).
-    adj: Vec<Adjacency>,
+    /// Sorted neighbor list per slot.
+    adj: Vec<SortedIds>,
     /// Liveness bitset: bit `v % 64` of word `v / 64` is set iff slot `v`
     /// is live. The bits past `capacity` in the last word stay clear.
     alive: Vec<u64>,
     num_alive: usize,
     num_edges: usize,
-}
-
-/// The most neighbor IDs an [`Adjacency`] holds without a heap list: with
-/// the length byte and the tag they fill the 32 bytes a spilled `Vec`
-/// needs anyway.
-const INLINE: usize = 7;
-
-/// One node's sorted neighbor list: inline while it holds at most
-/// [`INLINE`] IDs, a heap `Vec` once it has outgrown them. A spilled list
-/// stays on the heap when it shrinks again (no reallocation at the
-/// boundary) until the node is deleted.
-#[derive(Clone)]
-enum Adjacency {
-    /// The first `len` entries are the list.
-    Inline {
-        len: u8,
-        ids: [NodeId; INLINE],
-    },
-    Spilled(Vec<NodeId>),
-}
-
-impl Default for Adjacency {
-    fn default() -> Self {
-        Adjacency::Inline {
-            len: 0,
-            ids: [NodeId(0); INLINE],
-        }
-    }
-}
-
-impl Adjacency {
-    fn as_slice(&self) -> &[NodeId] {
-        match self {
-            Adjacency::Inline { len, ids } => &ids[..usize::from(*len)],
-            Adjacency::Spilled(list) => list,
-        }
-    }
-
-    /// Inserts `id` at `pos`, shifting the tail right; spills a full
-    /// inline list.
-    fn insert(&mut self, pos: usize, id: NodeId) {
-        match self {
-            Adjacency::Inline { len, ids } if usize::from(*len) < INLINE => {
-                let n = usize::from(*len);
-                ids.copy_within(pos..n, pos + 1);
-                ids[pos] = id;
-                *len += 1;
-            }
-            Adjacency::Inline { ids, .. } => {
-                let mut list = Vec::with_capacity(2 * INLINE);
-                list.extend_from_slice(&ids[..pos]);
-                list.push(id);
-                list.extend_from_slice(&ids[pos..]);
-                *self = Adjacency::Spilled(list);
-            }
-            Adjacency::Spilled(list) => list.insert(pos, id),
-        }
-    }
-
-    /// Removes the entry at `pos`, shifting the tail left.
-    fn remove(&mut self, pos: usize) {
-        match self {
-            Adjacency::Inline { len, ids } => {
-                ids.copy_within(pos + 1..usize::from(*len), pos);
-                *len -= 1;
-            }
-            Adjacency::Spilled(list) => {
-                list.remove(pos);
-            }
-        }
-    }
 }
 
 impl Graph {
@@ -186,7 +119,7 @@ impl Graph {
             alive.push((1 << (n % 64)) - 1);
         }
         Graph {
-            adj: vec![Adjacency::default(); n],
+            adj: vec![SortedIds::new(); n],
             alive,
             num_alive: n,
             num_edges: 0,
@@ -252,7 +185,7 @@ impl Graph {
 
     /// The sorted neighbor list of slot `v` (empty once deleted).
     fn nbrs(&self, v: NodeId) -> &[NodeId] {
-        self.adj[v.index()].as_slice()
+        &self.adj[v.index()]
     }
 
     /// The degree of `v` (0 for deleted nodes).
@@ -283,19 +216,13 @@ impl Graph {
         assert_ne!(a, b, "self-loop {a:?}");
         assert!(self.is_alive(a), "add_edge: {a:?} is not alive");
         assert!(self.is_alive(b), "add_edge: {b:?} is not alive");
-        match self.nbrs(a).binary_search(&b) {
-            Ok(_) => false,
-            Err(pos_a) => {
-                self.adj[a.index()].insert(pos_a, b);
-                let pos_b = match self.nbrs(b).binary_search(&a) {
-                    Err(p) => p,
-                    Ok(_) => unreachable!("adjacency symmetry broken: {b:?} lists {a:?}"),
-                };
-                self.adj[b.index()].insert(pos_b, a);
-                self.num_edges += 1;
-                true
-            }
+        if !self.adj[a.index()].insert(b) {
+            return false;
         }
+        let fresh = self.adj[b.index()].insert(a);
+        assert!(fresh, "adjacency symmetry broken: {b:?} lists {a:?}");
+        self.num_edges += 1;
+        true
     }
 
     /// Removes the undirected edge `{a, b}`. Returns `true` if it existed.
@@ -303,17 +230,12 @@ impl Graph {
         if a.index() >= self.adj.len() || b.index() >= self.adj.len() {
             return false;
         }
-        match self.nbrs(a).binary_search(&b) {
-            Err(_) => false,
-            Ok(pos_a) => {
-                self.adj[a.index()].remove(pos_a);
-                if let Ok(pos_b) = self.nbrs(b).binary_search(&a) {
-                    self.adj[b.index()].remove(pos_b);
-                }
-                self.num_edges -= 1;
-                true
-            }
+        if !self.adj[a.index()].remove(b) {
+            return false;
         }
+        self.adj[b.index()].remove(a);
+        self.num_edges -= 1;
+        true
     }
 
     /// Appends a fresh live node slot and returns its ID (the Forgiving
@@ -321,7 +243,7 @@ impl Graph {
     /// starts isolated — wire it up with [`Graph::add_edge`]).
     pub fn add_node(&mut self) -> NodeId {
         let i = self.adj.len();
-        self.adj.push(Adjacency::default());
+        self.adj.push(SortedIds::new());
         if i.is_multiple_of(64) {
             self.alive.push(0);
         }
@@ -354,11 +276,9 @@ impl Graph {
         nbrs.clear();
         nbrs.extend_from_slice(self.nbrs(v));
         // frees a spilled list
-        self.adj[v.index()] = Adjacency::default();
+        self.adj[v.index()] = SortedIds::new();
         for &u in nbrs.iter() {
-            if let Ok(pos) = self.nbrs(u).binary_search(&v) {
-                self.adj[u.index()].remove(pos);
-            }
+            self.adj[u.index()].remove(v);
         }
         self.num_edges -= nbrs.len();
         self.alive[v.index() / 64] &= !(1 << (v.index() % 64));

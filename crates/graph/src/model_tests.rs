@@ -1,8 +1,10 @@
 //! [`Graph`] against a `BTreeMap<NodeId, BTreeSet<NodeId>>` reference
 //! model under random edit sequences, with two hubs driven past the inline
-//! adjacency capacity and back below it.
+//! adjacency capacity and back below it. Each hub's neighbour set is also
+//! mirrored in a standalone [`SortedIds`] through its public API.
 
-use super::{Adjacency, Graph, NodeId, INLINE};
+use super::sorted_ids::INLINE;
+use super::{Graph, NodeId, SortedIds};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,7 +15,7 @@ type Model = BTreeMap<NodeId, BTreeSet<NodeId>>;
 #[test]
 fn adjacency_layout_is_pinned() {
     // a spilled Vec (24 B) plus the tag: the inline IDs fill the rest
-    assert_eq!(std::mem::size_of::<Adjacency>(), 32);
+    assert_eq!(std::mem::size_of::<SortedIds>(), 32);
 }
 
 #[test]
@@ -73,6 +75,32 @@ fn model_connected(model: &Model) -> bool {
     seen.len() == model.len()
 }
 
+/// One hub's hand-kept [`SortedIds`] against its model set: the same IDs,
+/// spilled exactly when it has ever held more than [`INLINE`], equal to
+/// any set built from the same IDs, and truncated to a prefix.
+fn check_mirror(set: &SortedIds, want: Option<&BTreeSet<NodeId>>, step: usize, peak: &mut usize) {
+    assert!(
+        set.iter().eq(want.into_iter().flatten()),
+        "{set:?} vs {want:?}"
+    );
+    *peak = (*peak).max(set.len());
+    assert_eq!(set.is_spilled(), *peak > INLINE, "{set:?}");
+    for u in (0..24).map(NodeId) {
+        assert_eq!(set.contains(&u), want.is_some_and(|w| w.contains(&u)));
+    }
+    let rebuilt: SortedIds = set.iter().rev().chain(set.iter()).copied().collect();
+    assert_eq!(rebuilt, *set, "equality ignores where the IDs are stored");
+    assert_eq!(rebuilt.is_spilled(), set.len() > INLINE);
+    let k = step % (set.len() + 2);
+    let mut cut = set.clone();
+    cut.truncate(k);
+    assert!(
+        cut.iter().eq(set.iter().take(k)),
+        "truncate({k}) of {set:?}"
+    );
+    assert_eq!(cut.is_spilled(), set.is_spilled());
+}
+
 /// The hubs of [`run`].
 const HUBS: [NodeId; 2] = [NodeId(0), NodeId(1)];
 
@@ -91,6 +119,9 @@ fn run(n: usize, steps: usize, seed: u64) {
     // the inline capacity and, after that, back within it
     let mut growing = [true; HUBS.len()];
     let mut crossed = [(false, false); HUBS.len()];
+    // per hub: its neighbour set kept by hand, and the largest size it had
+    let mut mirrors = [SortedIds::new(), SortedIds::new()];
+    let mut peaks = [0; HUBS.len()];
     for step in 0..steps {
         let live: Vec<NodeId> = model.keys().copied().collect();
         let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
@@ -122,6 +153,13 @@ fn run(n: usize, steps: usize, seed: u64) {
                 };
                 g.delete_node_into(v, &mut nbrs);
                 let want = model.remove(&v).unwrap();
+                for (&h, set) in HUBS.iter().zip(&mut mirrors) {
+                    if h == v {
+                        set.truncate(0);
+                    } else {
+                        assert_eq!(set.remove(v), want.contains(&h));
+                    }
+                }
                 assert!(nbrs.iter().copied().eq(want.iter().copied()));
                 for u in &want {
                     model.get_mut(u).unwrap().remove(&v);
@@ -143,6 +181,13 @@ fn run(n: usize, steps: usize, seed: u64) {
                         let new = model.get_mut(&a).unwrap().insert(b);
                         model.get_mut(&b).unwrap().insert(a);
                         assert_eq!(g.add_edge(a, b), new);
+                        for (&h, set) in HUBS.iter().zip(&mut mirrors) {
+                            for (x, y) in [(a, b), (b, a)] {
+                                if x == h {
+                                    assert_eq!(set.insert(y), new);
+                                }
+                            }
+                        }
                     }
                 } else {
                     let set = &model[&a];
@@ -155,10 +200,20 @@ fn run(n: usize, steps: usize, seed: u64) {
                         model.get_mut(&b).unwrap().remove(&a);
                     }
                     assert_eq!(g.remove_edge(a, b), had);
+                    for (&h, set) in HUBS.iter().zip(&mut mirrors) {
+                        for (x, y) in [(a, b), (b, a)] {
+                            if x == h {
+                                assert_eq!(set.remove(y), had);
+                            }
+                        }
+                    }
                 }
             }
         }
         check(&g, &model);
+        for ((h, set), peak) in HUBS.iter().zip(&mirrors).zip(&mut peaks) {
+            check_mirror(set, model.get(h), step, peak);
+        }
         for (i, &h) in HUBS.iter().enumerate() {
             let d = g.degree(h);
             if d > INLINE {
@@ -213,7 +268,7 @@ fn hubs_cross_the_inline_capacity_both_ways() {
         g.add_edge(NodeId(0), NodeId(u));
         assert_eq!(g.degree(NodeId(0)), u as usize);
     }
-    assert!(matches!(g.adj[0], Adjacency::Spilled(_)));
+    assert!(g.adj[0].is_spilled());
     for u in (1..20).rev() {
         g.remove_edge(NodeId(0), NodeId(u));
         assert!(g.neighbors(NodeId(0)).map(|v| v.0).eq(1..u));
@@ -222,7 +277,7 @@ fn hubs_cross_the_inline_capacity_both_ways() {
     g.add_edge(NodeId(0), NodeId(5));
     let before = g.clone();
     g.delete_node(NodeId(0));
-    assert!(matches!(g.adj[0], Adjacency::Inline { len: 0, .. }));
+    assert!(!g.adj[0].is_spilled() && g.adj[0].is_empty());
     assert_ne!(before, g);
 }
 
@@ -236,7 +291,7 @@ fn deleting_a_spilled_hub_next_to_another() {
             g.add_edge(NodeId(1), NodeId(u));
         }
     }
-    assert!(matches!(g.adj[1], Adjacency::Spilled(_)));
+    assert!(g.adj[1].is_spilled());
     assert!(g.delete_node(NodeId(0)).into_iter().map(|v| v.0).eq(1..20));
     assert!(g.neighbors(NodeId(1)).map(|v| v.0).eq(2..20));
     for u in 2..20 {

@@ -394,9 +394,9 @@ fn cmd_stress_tree(args: &[String]) {
         faults,
         ..defaults
     };
-    // run_stress panics (non-zero exit) on ledger imbalance or (fault-free)
-    // a heal that fails to quiesce — exactly the signals CI must treat as
-    // failures.
+    // run_stress panics (non-zero exit) on a ledger imbalance; a fault-free
+    // run that did not converge or lost connectivity exits 1 below — the
+    // signals CI must treat as failures.
     let rec = run_stress(&cfg);
     println!("{}", rec.summary());
     println!(
@@ -415,6 +415,15 @@ fn cmd_stress_tree(args: &[String]) {
             rec.connected,
             rec.fault_fingerprint
         );
+    }
+    // like every failing campaign, exit before writing the record, so a
+    // written record is itself the green signal
+    if let Some(verdict) = rec.failed_verdict() {
+        eprintln!(
+            "verdict failed: {verdict} (fault-free {} campaign)",
+            cfg.cadence
+        );
+        exit(1);
     }
     let out = flag_value(args, "--out").unwrap_or("BENCH_sim.json");
     write_out(out, &rec.to_json());

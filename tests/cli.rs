@@ -1,16 +1,21 @@
 //! `ftree` argument handling: an unknown flag or an out-of-range value is
 //! an error (exit 2), never a panic or a silent run on default settings.
+//! A campaign that failed a verdict exits 1, not with a panic.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// Runs `ftree` with the whitespace-separated `args` plus `extra`, and
-/// returns its exit code.
-fn ftree(args: &str, extra: &[&str]) -> i32 {
+/// Runs `ftree` with the whitespace-separated `args` plus `extra`.
+fn run(args: &str, extra: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ftree"))
         .args(args.split_whitespace())
         .args(extra)
         .output()
         .expect("ftree runs")
+}
+
+/// Runs `ftree` like [`run`] and returns its exit code.
+fn ftree(args: &str, extra: &[&str]) -> i32 {
+    run(args, extra)
         .status
         .code()
         .expect("ftree exits with a code")
@@ -45,6 +50,29 @@ fn valid_small_stress_run_succeeds() {
     let out = out.to_str().expect("utf-8 temp path");
     let code = ftree("stress --nodes 300 --deletions 10 --seed 1 --out", &[out]);
     assert_eq!(code, 0);
+}
+
+#[test]
+fn fault_free_per_wave_disconnection_is_a_failed_verdict() {
+    // a wave strikes before recovery runs, so a victim's will-holders can
+    // die with it: at this size and seed the healed tree ends disconnected,
+    // which once panicked the harness (exit 101)
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_per_wave.json");
+    let out_str = out.to_str().expect("utf-8 temp path");
+    if out.exists() {
+        std::fs::remove_file(&out).expect("an earlier run's record is removable");
+    }
+    let o = run(
+        "stress --nodes 5000 --cadence per-wave --seed 42 --out",
+        &[out_str],
+    );
+    assert_eq!(o.status.code(), Some(1));
+    let stderr = String::from_utf8(o.stderr).expect("utf-8 stderr");
+    assert_eq!(
+        stderr.trim_end(),
+        "verdict failed: connected (fault-free per-wave campaign)"
+    );
+    assert!(!out.exists(), "a failed campaign writes no record");
 }
 
 #[test]
