@@ -95,6 +95,13 @@ impl DRole {
     fn child_count(&self) -> usize {
         self.hchildren.len() + self.pending_slots.len()
     }
+
+    /// Replaces the first of my children that `is_old` picks by `new`;
+    /// false when it picks none.
+    fn replace_child(&mut self, is_old: impl Fn(VRef) -> bool, new: VRef) -> bool {
+        let found = self.hchildren.iter_mut().find(|c| is_old(**c));
+        found.map(|e| *e = new).is_some()
+    }
 }
 
 /// What one representative does when its owner dies: exactly one of the
@@ -678,37 +685,7 @@ impl FtNode {
             }
             Duty::TakeOver(mut new_role) => {
                 new_role.pending_slots.clear();
-                let ready = new_role.ready;
-                for c in new_role.hchildren.clone() {
-                    if c.sim == self.id {
-                        // the owner's helper parented my own position
-                        self.pos_parent = Some(VRef::helper(self.id));
-                    } else {
-                        ctx.send(
-                            c.sim,
-                            FtMsg::NewSim {
-                                old: VRef::helper(owner),
-                                new: VRef::helper(self.id),
-                                receiver_is_parent: false,
-                                your_end: c,
-                                ready_rep_replace: None,
-                            },
-                        );
-                    }
-                }
-                if let Some(hp) = new_role.hparent {
-                    ctx.send(
-                        hp.sim,
-                        FtMsg::NewSim {
-                            old: VRef::helper(owner),
-                            new: VRef::helper(self.id),
-                            receiver_is_parent: true,
-                            your_end: hp,
-                            ready_rep_replace: ready.then_some(owner),
-                        },
-                    );
-                }
-                self.role = Some(new_role);
+                self.inherit_role(owner, new_role, ctx);
             }
         }
 
@@ -738,10 +715,9 @@ impl FtNode {
         if let Some(i) = role.pending_slots.iter().position(|s| *s == slot) {
             role.pending_slots.remove(i);
             role.hchildren.push(child);
-        } else if let Some(e) = replacing.and_then(|r| role.hchildren.iter_mut().find(|c| **c == r))
+        } else if !replacing.is_some_and(|r| role.replace_child(|c| c == r, child))
+            && !role.hchildren.contains(&child)
         {
-            *e = child;
-        } else if !role.hchildren.contains(&child) {
             role.hchildren.push(child);
         }
     }
@@ -862,50 +838,29 @@ impl FtNode {
         }
     }
 
-    /// Adopts a dead leaf's helper duties (LeafWill execution, Alg 3.7).
-    fn adopt_leafwill(&mut self, dead: NodeId, lw: Box<DRole>, ctx: &mut Ctx<'_, FtMsg>) {
-        if self.role.is_some() {
-            // Lost mail can leave me holding a role the splice did not
-            // dissolve; adopting would overwrite it. Skip the adoption.
-            assert!(
-                ctx.faulty(),
-                "{:?}: adopter must be free after the splice",
-                self.id
-            );
-            return;
-        }
-        let ready = lw.ready;
-        for c in lw.hchildren.clone() {
+    /// Takes over dead `from`'s helper role verbatim, as its heir
+    /// (Alg 3.6) or from its LeafWill (Alg 3.7): every other simulator
+    /// adjacent to the helper learns that I simulate it now.
+    fn inherit_role(&mut self, from: NodeId, role: Box<DRole>, ctx: &mut Ctx<'_, FtMsg>) {
+        let new_sim = |your_end: VRef, receiver_is_parent: bool| FtMsg::NewSim {
+            old: VRef::helper(from),
+            new: VRef::helper(self.id),
+            receiver_is_parent,
+            your_end,
+            ready_rep_replace: (receiver_is_parent && role.ready).then_some(from),
+        };
+        for &c in &role.hchildren {
             if c.sim == self.id {
+                // the helper parented my own position
                 self.pos_parent = Some(VRef::helper(self.id));
             } else {
-                ctx.send(
-                    c.sim,
-                    FtMsg::NewSim {
-                        old: VRef::helper(dead),
-                        new: VRef::helper(self.id),
-                        receiver_is_parent: false,
-                        your_end: c,
-                        ready_rep_replace: None,
-                    },
-                );
+                ctx.send(c.sim, new_sim(c, false));
             }
         }
-        if let Some(hp) = lw.hparent {
-            if hp.sim != self.id {
-                ctx.send(
-                    hp.sim,
-                    FtMsg::NewSim {
-                        old: VRef::helper(dead),
-                        new: VRef::helper(self.id),
-                        receiver_is_parent: true,
-                        your_end: hp,
-                        ready_rep_replace: ready.then_some(dead),
-                    },
-                );
-            }
+        if let Some(hp) = role.hparent.filter(|hp| hp.sim != self.id) {
+            ctx.send(hp.sim, new_sim(hp, true));
         }
-        self.role = Some(lw);
+        self.role = Some(role);
     }
 }
 
@@ -962,11 +917,19 @@ impl Process for FtNode {
                 ctx,
             );
             if let Some(mut lw) = lw {
-                // The adopted fields may reference my own helper, which the
-                // splice above just dissolved: rewire those references to
-                // the splice's outcome (the spec engine gets this for free
-                // from shared vnode surgery).
-                if self.role.is_none() {
+                if self.role.is_some() {
+                    // Lost mail can leave me holding a role the splice did
+                    // not dissolve; adopting would overwrite it. Skip it.
+                    assert!(
+                        ctx.faulty(),
+                        "{:?}: adopter must be free after the splice",
+                        self.id
+                    );
+                } else {
+                    // The adopted fields may reference my own helper, which
+                    // the splice above just dissolved: rewire those
+                    // references to the splice's outcome (the spec engine
+                    // gets this for free from shared vnode surgery).
                     if let LostChild::ShortCircuited {
                         survivor,
                         new_parent,
@@ -981,8 +944,8 @@ impl Process for FtNode {
                             }
                         }
                     }
+                    self.inherit_role(dead, lw, ctx);
                 }
-                self.adopt_leafwill(dead, lw, ctx);
             }
             self.settle(ctx);
             return;
@@ -1009,12 +972,7 @@ impl Process for FtNode {
                         }
                         [c] => {
                             let role = self.role.as_mut().expect("checked");
-                            let e = role
-                                .hchildren
-                                .iter_mut()
-                                .find(|x| **x == VRef::helper(dead))
-                                .expect("checked");
-                            *e = *c;
+                            role.replace_child(|x| x == VRef::helper(dead), *c);
                             ctx.send(
                                 c.sim,
                                 FtMsg::SpliceParent {
@@ -1080,9 +1038,7 @@ impl Process for FtNode {
                 if receiver_is_parent {
                     if your_end.helper {
                         if let Some(role) = &mut self.role {
-                            if let Some(e) = role.hchildren.iter_mut().find(|c| **c == old) {
-                                *e = new;
-                            }
+                            role.replace_child(|c| c == old, new);
                         }
                     } else if let Some(dead) = ready_rep_replace {
                         self.replace_rep(dead, new.sim);
@@ -1095,9 +1051,7 @@ impl Process for FtNode {
                         if r.hparent == Some(old) {
                             r.hparent = Some(new);
                         }
-                        if let Some(e) = r.hchildren.iter_mut().find(|c| **c == old) {
-                            *e = new;
-                        }
+                        r.replace_child(|c| c == old, new);
                     }
                 }
             }
@@ -1108,9 +1062,7 @@ impl Process for FtNode {
             } => {
                 if your_end.helper {
                     if let Some(role) = &mut self.role {
-                        if let Some(e) = role.hchildren.iter_mut().find(|c| c.sim == dead) {
-                            *e = VRef::helper(new_rep);
-                        }
+                        role.replace_child(|c| c.sim == dead, VRef::helper(new_rep));
                     }
                 } else {
                     self.replace_rep(dead, new_rep);
@@ -1124,13 +1076,11 @@ impl Process for FtNode {
                 if !your_end.helper {
                     assert!(ctx.faulty(), "splice-child against a position end");
                 } else if let Some(role) = &mut self.role {
-                    if let Some(i) = role.hchildren.iter().position(|c| *c == gone) {
-                        if survivor == gone {
-                            // an outright loss: re-check my own degree
-                            self.helper_lost_child(gone, None, ctx);
-                        } else {
-                            role.hchildren[i] = survivor;
-                        }
+                    if survivor != gone {
+                        role.replace_child(|c| c == gone, survivor);
+                    } else if role.hchildren.contains(&gone) {
+                        // an outright loss: re-check my own degree
+                        self.helper_lost_child(gone, None, ctx);
                     }
                 }
             }

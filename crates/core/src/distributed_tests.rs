@@ -133,6 +133,15 @@ fn wide_star_with_root_first() {
     // root first, then leaves in an interleaved order
     order.sort_by_key(|v| (v.0 != 0, v.0 % 3, v.0));
     differential_run(&t, &order);
+    // the claims table's Figure 1: v (id 100) with children 1..=8 under
+    // P (id 0), v deleted first
+    let pairs: Vec<(NodeId, NodeId)> = (1..=8)
+        .map(|i| (n(i), n(100)))
+        .chain([(n(100), n(0))])
+        .collect();
+    let t = RootedTree::from_parent_pairs(n(0), &pairs);
+    let order: Vec<NodeId> = [100, 0, 8, 3, 1, 7, 2, 6, 4, 5].map(n).to_vec();
+    differential_run(&t, &order);
 }
 
 #[test]

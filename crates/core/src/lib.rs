@@ -63,7 +63,7 @@ mod varena;
 pub use fgraph::{fg_degree_bound, fg_stretch_bound};
 pub use fgraph_dist::DistributedForgivingGraph;
 pub use report::HealReport;
-pub use spec::{ft_diameter_bound, RoleKind};
+pub use spec::ft_diameter_bound;
 
 #[cfg(test)]
 mod distributed_tests;

@@ -9,8 +9,8 @@
 //! oracle: the message-passing [`crate::distributed`] engine is what the
 //! healers, the adversary and the claims table run, and the differential
 //! suites check it against this engine after every deletion. Messages are
-//! counted only there. Outside the tests, the Figure 1 row and the SubRT
-//! ablation ([`ShapeConfig`]) of the claims table read this engine.
+//! counted only there. Outside the tests, only the SubRT ablation row
+//! ([`ShapeConfig`]) of the claims table reads this engine.
 //!
 //! Terminology follows §3 of the paper:
 //!
@@ -304,9 +304,9 @@ impl ForgivingTree {
     // image maintenance
     // ------------------------------------------------------------------
 
-    fn vlink(&mut self, parent: VId, child: VId) {
-        self.arena.link(parent, child);
-        let (a, b) = (self.arena.sim(parent), self.arena.sim(child));
+    /// Counts one more virtual edge between simulators `a` and `b`; the
+    /// first one inserts the real edge.
+    fn add_image(&mut self, a: NodeId, b: NodeId) {
         if a == b {
             return;
         }
@@ -318,9 +318,9 @@ impl ForgivingTree {
         }
     }
 
-    fn vunlink(&mut self, parent: VId, child: VId, dying: NodeId) {
-        let (a, b) = (self.arena.sim(parent), self.arena.sim(child));
-        self.arena.unlink(parent, child);
+    /// Retracts one virtual edge between simulators `a` and `b`; the last
+    /// one removes the real edge, unless an endpoint is the dying node.
+    fn retract_image(&mut self, a: NodeId, b: NodeId, dying: NodeId) {
         if a == b {
             return;
         }
@@ -338,11 +338,24 @@ impl ForgivingTree {
         }
     }
 
-    /// Hands the helper vnode `h` over to a new simulator, updating the
-    /// image.
-    fn set_sim(&mut self, h: VId, new_sim: NodeId, dying: NodeId) {
+    fn vlink(&mut self, parent: VId, child: VId) {
+        self.arena.link(parent, child);
+        self.add_image(self.arena.sim(parent), self.arena.sim(child));
+    }
+
+    fn vunlink(&mut self, parent: VId, child: VId, dying: NodeId) {
+        self.arena.unlink(parent, child);
+        self.retract_image(self.arena.sim(parent), self.arena.sim(child), dying);
+    }
+
+    /// Makes live node `s` the simulator of helper vnode `h` and records
+    /// `h` as its role, moving `h`'s image edges from the old simulator.
+    fn take_role(&mut self, h: VId, s: NodeId, dying: NodeId) {
+        let info = self.info.get_mut(&s).expect("new simulator alive");
+        assert!(info.role.is_none(), "{s:?} already busy");
+        info.role = Some(h);
         let old = self.arena.sim(h);
-        if old == new_sim {
+        if old == s {
             return;
         }
         let node = self.arena.node(h);
@@ -350,35 +363,13 @@ impl ForgivingTree {
         if let Some(p) = node.parent {
             nbrs.push(self.arena.sim(p));
         }
-        for &s in &nbrs {
-            // retract the old image edge
-            if s != old {
-                let key = ord(old, s);
-                let cnt = self
-                    .edge_count
-                    .get_mut(&key)
-                    .expect("image edge accounting out of sync");
-                *cnt -= 1;
-                if *cnt == 0 {
-                    self.edge_count.remove(&key);
-                    if old != dying && s != dying {
-                        self.graph.remove_edge(old, s);
-                    }
-                }
-            }
-            // assert the new image edge
-            if s != new_sim {
-                let cnt = self.edge_count.entry(ord(new_sim, s)).or_insert(0);
-                *cnt += 1;
-                if *cnt == 1 {
-                    self.graph.add_edge(new_sim, s);
-                    self.heal_edges.push(ord(new_sim, s));
-                }
-            }
+        for n in nbrs {
+            self.retract_image(old, n, dying);
+            self.add_image(s, n);
         }
         match &mut self.arena.node_mut(h).kind {
-            VKind::Helper { sim, .. } => *sim = new_sim,
-            VKind::Real(_) => panic!("set_sim on a real vnode"),
+            VKind::Helper { sim, .. } => *sim = s,
+            VKind::Real(_) => panic!("take_role on a real vnode"),
         }
     }
 
@@ -406,12 +397,9 @@ impl ForgivingTree {
                         self.arena.is_ready(rv),
                         "INV-C: a slot-root role must be a ready heir"
                     );
-                    let child = self.arena.node(rv).children[0];
-                    self.vunlink(rv, child, v);
-                    self.vunlink(x, rv, v);
-                    self.arena.release(rv);
+                    let (children, _) = self.dissolve(rv, v);
                     self.info.get_mut(&rep).expect("rep alive").role = None;
-                    slots.insert(rep, child);
+                    slots.insert(rep, children[0]);
                 }
                 Some(other) => panic!(
                     "INV-C violated: slot rep {rep:?} holds role {other:?} ≠ slot root {root:?}"
@@ -437,105 +425,43 @@ impl ForgivingTree {
         let mut created: BTreeMap<NodeId, VId> = BTreeMap::new();
         let mut plan: Vec<(NodeId, PortionRef, PortionRef)> = Vec::new();
         let root_ref = will.visit_internals(|sim, l, r| plan.push((sim, l, r)));
-        for (sim, l, r) in plan {
-            let hv = self.arena.alloc(VKind::Helper { sim, ready: false });
-            let li = Self::resolve(&created, &slots, l);
-            let ri = Self::resolve(&created, &slots, r);
-            self.vlink(hv, li);
-            self.vlink(hv, ri);
-            let rinfo = self.info.get_mut(&sim).expect("rep alive");
-            assert!(rinfo.role.is_none(), "rep {sim:?} already busy");
-            rinfo.role = Some(hv);
-            created.insert(sim, hv);
-        }
-        let subrt_root = match root_ref.expect("internal node has ≥1 slot") {
-            PortionRef::Helper(s) => created[&s],
-            PortionRef::Slot(r) => slots[&r],
-        };
-        let heir = will.heir().expect("nonempty will");
-
-        // D. Place the heir (Algorithm 3.6's two modes).
-        match role {
-            None => {
-                // v had no helper duties: the heir becomes a ready-state
-                // heir above the SubRT root, under v's old parent.
-                let rv = self.arena.alloc(VKind::Helper {
-                    sim: heir,
-                    ready: true,
-                });
-                {
-                    let hinfo = self.info.get_mut(&heir).expect("heir alive");
-                    assert!(hinfo.role.is_none(), "heir {heir:?} already busy");
-                    hinfo.role = Some(rv);
-                }
-                self.vlink(rv, subrt_root);
-                match px {
-                    None => self.vroot = Some(rv),
-                    Some(p) => {
-                        self.vlink(p, rv);
-                        if let VKind::Real(pid) = self.arena.node(p).kind {
-                            // "hparent(h) replaces v by h in SubRT" (Alg 3.3)
-                            let pinfo = self.info.get_mut(&pid).expect("parent alive");
-                            pinfo.slots.remove(&v).expect("v was a slot of its parent");
-                            pinfo.slots.insert(heir, rv);
-                            pinfo
-                                .will
-                                .as_mut()
-                                .expect("parent of a slot has a will")
-                                .replace_rep(v, heir);
-                        }
-                    }
-                }
-            }
-            Some(hv) => {
-                // v had helper duties: the heir takes them over wholesale
-                // (ready stays ready, deployed stays deployed).
-                {
-                    let hinfo = self.info.get_mut(&heir).expect("heir alive");
-                    assert!(hinfo.role.is_none(), "heir {heir:?} already busy");
-                    hinfo.role = Some(hv);
-                }
-                self.set_sim(hv, heir, v);
-                match px {
-                    None => self.vroot = Some(subrt_root),
-                    Some(p) => {
-                        self.vlink(p, subrt_root);
-                        assert!(
-                            !matches!(self.arena.node(p).kind, VKind::Real(_)),
-                            "a node with helper duties cannot hang under a live original parent"
-                        );
-                    }
-                }
-                if self.arena.is_ready(hv) {
-                    // v was a promoted slot representative: its owner's will
-                    // now addresses the heir.
-                    if let Some(pp) = self.arena.node(hv).parent {
-                        if let VKind::Real(pid) = self.arena.node(pp).kind {
-                            let pinfo = self.info.get_mut(&pid).expect("owner alive");
-                            let old = pinfo.slots.remove(&v).expect("v was a rep of its owner");
-                            assert_eq!(old, hv);
-                            pinfo.slots.insert(heir, hv);
-                            pinfo
-                                .will
-                                .as_mut()
-                                .expect("owner has a will")
-                                .replace_rep(v, heir);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn resolve(
-        created: &BTreeMap<NodeId, VId>,
-        slots: &BTreeMap<NodeId, VId>,
-        r: PortionRef,
-    ) -> VId {
-        match r {
+        let resolve = |created: &BTreeMap<NodeId, VId>, r: PortionRef| match r {
             PortionRef::Helper(s) => created[&s],
             PortionRef::Slot(rep) => slots[&rep],
+        };
+        for (sim, l, r) in plan {
+            let hv = self.arena.alloc(VKind::Helper { sim, ready: false });
+            let (li, ri) = (resolve(&created, l), resolve(&created, r));
+            self.vlink(hv, li);
+            self.vlink(hv, ri);
+            self.take_role(hv, sim, v);
+            created.insert(sim, hv);
         }
+        let subrt_root = resolve(&created, root_ref.expect("internal node has ≥1 slot"));
+        let heir = will.heir().expect("nonempty will");
+
+        // D. Place the heir (Algorithm 3.6's two modes). If v had no helper
+        //    duties, the heir becomes a ready-state heir above the SubRT
+        //    root, under v's old parent; otherwise it takes them over
+        //    wholesale (ready stays ready, deployed stays deployed).
+        let hv = role.unwrap_or_else(|| {
+            self.arena.alloc(VKind::Helper {
+                sim: heir,
+                ready: true,
+            })
+        });
+        self.take_role(hv, heir, v);
+        if role.is_some() {
+            self.hang(px, subrt_root);
+        } else {
+            self.vlink(hv, subrt_root);
+            match px {
+                None => self.vroot = Some(hv),
+                Some(p) => self.vlink(p, hv),
+            }
+        }
+        // "hparent(h) replaces v by h in SubRT" (Alg 3.3)
+        self.hand_slot(hv, v, heir);
     }
 
     /// FixLeafDeletion (Algorithm 3.4): short-circuit redundant helpers and
@@ -551,7 +477,9 @@ impl ForgivingTree {
             self.vroot = None;
             return;
         };
-        match self.arena.node(p_vid).kind.clone() {
+        self.vunlink(p_vid, x, v);
+        self.arena.release(x);
+        match self.arena.node(p_vid).kind {
             VKind::Real(p) => {
                 // Simple case (§3.1.3): the leaf hung under its original
                 // live parent; it cannot hold helper duties (the paper's
@@ -560,19 +488,7 @@ impl ForgivingTree {
                     role.is_none(),
                     "leaf under its live original parent cannot hold a role"
                 );
-                self.vunlink(p_vid, x, v);
-                self.arena.release(x);
-                let pinfo = self.info.get_mut(&p).expect("parent alive");
-                pinfo.slots.remove(&v).expect("v was a slot of its parent");
-                pinfo
-                    .will
-                    .as_mut()
-                    .expect("parent of a slot has a will")
-                    .remove_slot(v);
-                let became_leaf = pinfo.will.as_ref().expect("just used").is_empty();
-                if became_leaf {
-                    pinfo.will = None;
-                }
+                self.prune_slot(p, v);
             }
             VKind::Helper { sim, ready } if sim == v => {
                 // v's virtual parent is v's own helper: both vanish together
@@ -582,127 +498,45 @@ impl ForgivingTree {
                     Some(p_vid),
                     "helper above v simulated by v is v's role"
                 );
-                self.vunlink(p_vid, x, v);
-                self.arena.release(x);
-                let others: Vec<VId> = self.arena.node(p_vid).children.clone();
-                let pp = self.arena.node(p_vid).parent;
-                for &o in &others {
-                    self.vunlink(p_vid, o, v);
+                let (others, pp) = self.dissolve(p_vid, v);
+                if !ready {
+                    let [y] = others[..] else {
+                        panic!("deployed helper has two children")
+                    };
+                    self.hang(pp, y);
+                    return;
                 }
-                if let Some(pp2) = pp {
-                    self.vunlink(pp2, p_vid, v);
-                }
-                self.arena.release(p_vid);
-                if ready {
-                    // the ready vnode lost its only child: the whole slot
-                    // dissolves.
-                    assert!(others.is_empty(), "ready vnode has one child");
-                    match pp {
-                        None => {
-                            self.vroot = None;
-                            assert!(
-                                self.info.is_empty(),
-                                "root ready-heir chain implies v was the last node"
-                            );
-                        }
-                        Some(pp2) => match self.arena.node(pp2).kind.clone() {
-                            VKind::Real(g) => {
-                                let ginfo = self.info.get_mut(&g).expect("owner alive");
-                                ginfo.slots.remove(&v).expect("v was a rep of its owner");
-                                ginfo
-                                    .will
-                                    .as_mut()
-                                    .expect("owner has a will")
-                                    .remove_slot(v);
-                                if ginfo.will.as_ref().expect("just used").is_empty() {
-                                    ginfo.will = None;
-                                }
-                            }
-                            VKind::Helper { ready: r2, .. } => {
-                                assert!(!r2, "ready vnodes never parent ready vnodes");
-                                // pp2 dropped from 2 children to 1: redundant
-                                self.short_circuit(pp2, v);
-                            }
-                        },
+                // the ready vnode lost its only child: the whole slot
+                // dissolves.
+                assert!(others.is_empty(), "ready vnode has one child");
+                match pp.map(|pp| (pp, self.arena.node(pp).kind)) {
+                    None => {
+                        self.vroot = None;
+                        assert!(
+                            self.info.is_empty(),
+                            "root ready-heir chain implies v was the last node"
+                        );
                     }
-                } else {
-                    assert_eq!(others.len(), 1, "deployed helper has two children");
-                    let y = others[0];
-                    match pp {
-                        None => self.vroot = Some(y),
-                        Some(pp2) => {
-                            assert!(
-                                !matches!(self.arena.node(pp2).kind, VKind::Real(_)),
-                                "a deployed helper never hangs under a live original parent"
-                            );
-                            self.vlink(pp2, y);
-                        }
+                    Some((_, VKind::Real(g))) => self.prune_slot(g, v),
+                    Some((pp, VKind::Helper { ready, .. })) => {
+                        assert!(!ready, "ready vnodes never parent ready vnodes");
+                        // pp dropped from 2 children to 1: redundant
+                        self.short_circuit(pp, v, None);
                     }
                 }
             }
             VKind::Helper { sim: q, ready } => {
                 // General helper-parent case: P drops to one child, is
                 // short-circuited, and q inherits v's helper duties from the
-                // LeafWill (Alg 3.4 lines 7-16).
+                // LeafWill (Alg 3.4 lines 7-16); "p detects this and sets
+                // its flags accordingly".
                 assert!(
                     !ready,
                     "a ready vnode's only child is its simulator's position"
                 );
-                self.vunlink(p_vid, x, v);
-                self.arena.release(x);
-                let y = {
-                    let ch = &self.arena.node(p_vid).children;
-                    assert_eq!(ch.len(), 1, "P had two children before v died");
-                    ch[0]
-                };
-                let pp = self.arena.node(p_vid).parent;
-                self.vunlink(p_vid, y, v);
-                if let Some(pp2) = pp {
-                    self.vunlink(pp2, p_vid, v);
-                }
-                self.arena.release(p_vid);
-                {
-                    let qinfo = self.info.get_mut(&q).expect("simulator alive");
-                    assert_eq!(qinfo.role, Some(p_vid), "q simulates P");
-                    qinfo.role = None;
-                }
-                // Execute the LeafWill *before* re-linking: v's old role
-                // vnode may be the very parent the spliced child re-attaches
-                // under, and its simulator must already be q by then.
+                self.short_circuit(p_vid, v, role);
                 if let Some(hv) = role {
-                    assert_ne!(hv, p_vid, "handled by the sim == v branch");
-                    self.set_sim(hv, q, v);
-                    self.info.get_mut(&q).expect("alive").role = Some(hv);
-                }
-                match pp {
-                    None => self.vroot = Some(y),
-                    Some(pp2) => {
-                        assert!(
-                            !matches!(self.arena.node(pp2).kind, VKind::Real(_)),
-                            "a deployed helper never hangs under a live original parent"
-                        );
-                        self.vlink(pp2, y);
-                    }
-                }
-                if let Some(hv) = role {
-                    if self.arena.is_ready(hv) {
-                        // v was a promoted representative: its owner's will
-                        // now addresses q ("p detects this and sets its
-                        // flags accordingly").
-                        if let Some(hp) = self.arena.node(hv).parent {
-                            if let VKind::Real(w) = self.arena.node(hp).kind {
-                                let winfo = self.info.get_mut(&w).expect("owner alive");
-                                let old = winfo.slots.remove(&v).expect("v was a rep of its owner");
-                                assert_eq!(old, hv);
-                                winfo.slots.insert(q, hv);
-                                winfo
-                                    .will
-                                    .as_mut()
-                                    .expect("owner has a will")
-                                    .replace_rep(v, q);
-                            }
-                        }
-                    }
+                    self.hand_slot(hv, v, q);
                 }
             }
         }
@@ -710,38 +544,89 @@ impl ForgivingTree {
 
     /// Short-circuits a deployed helper that dropped to a single child
     /// (§3: "its degree has now reduced from 3 to 2, at which point we
-    /// consider it redundant").
-    fn short_circuit(&mut self, h: VId, dying: NodeId) {
+    /// consider it redundant"). Its simulator then inherits `leaf_role`,
+    /// a dead leaf's helper, *before* the survivor is re-linked: that
+    /// helper may be the very parent the survivor re-attaches under.
+    fn short_circuit(&mut self, h: VId, dying: NodeId, leaf_role: Option<VId>) {
         let s = self.arena.sim(h);
         assert!(
             self.arena.is_helper(h) && !self.arena.is_ready(h),
             "short-circuit expects a deployed helper"
         );
-        let y = {
-            let ch = &self.arena.node(h).children;
-            assert_eq!(ch.len(), 1, "short-circuit expects a single child");
-            ch[0]
+        let (children, pp) = self.dissolve(h, dying);
+        let [y] = children[..] else {
+            panic!("short-circuit expects a single child")
         };
-        let pp = self.arena.node(h).parent;
-        self.vunlink(h, y, dying);
-        if let Some(pp2) = pp {
-            self.vunlink(pp2, h, dying);
-        }
-        self.arena.release(h);
         {
             let sinfo = self.info.get_mut(&s).expect("simulator alive");
             assert_eq!(sinfo.role, Some(h), "s simulates h");
             sinfo.role = None;
         }
+        if let Some(hv) = leaf_role {
+            self.take_role(hv, s, dying);
+        }
+        self.hang(pp, y);
+    }
+
+    /// Unlinks helper `h` from its children and its parent and retires it,
+    /// returning both.
+    fn dissolve(&mut self, h: VId, dying: NodeId) -> (Vec<VId>, Option<VId>) {
+        let children = self.arena.node(h).children.clone();
+        let pp = self.arena.node(h).parent;
+        for &c in &children {
+            self.vunlink(h, c, dying);
+        }
+        if let Some(pp) = pp {
+            self.vunlink(pp, h, dying);
+        }
+        self.arena.release(h);
+        (children, pp)
+    }
+
+    /// Hangs the surviving subtree `y` under `pp`, or makes it the root.
+    fn hang(&mut self, pp: Option<VId>, y: VId) {
         match pp {
             None => self.vroot = Some(y),
-            Some(pp2) => {
+            Some(pp) => {
                 assert!(
-                    !matches!(self.arena.node(pp2).kind, VKind::Real(_)),
+                    !matches!(self.arena.node(pp).kind, VKind::Real(_)),
                     "a deployed helper never hangs under a live original parent"
                 );
-                self.vlink(pp2, y);
+                self.vlink(pp, y);
             }
+        }
+    }
+
+    /// When ready vnode `rv` roots a slot of its owner's will, the will
+    /// now names `new` for dead representative `dead`'s slot.
+    fn hand_slot(&mut self, rv: VId, dead: NodeId, new: NodeId) {
+        let Some(p) = self
+            .arena
+            .node(rv)
+            .parent
+            .filter(|_| self.arena.is_ready(rv))
+        else {
+            return;
+        };
+        if let VKind::Real(owner) = self.arena.node(p).kind {
+            let info = self.info.get_mut(&owner).expect("owner alive");
+            info.slots
+                .remove(&dead)
+                .expect("dead was a rep of its owner");
+            info.slots.insert(new, rv);
+            let will = info.will.as_mut().expect("owner has a will");
+            will.replace_rep(dead, new);
+        }
+    }
+
+    /// Prunes `v`'s slot from `owner`'s will, and the will once empty.
+    fn prune_slot(&mut self, owner: NodeId, v: NodeId) {
+        let info = self.info.get_mut(&owner).expect("owner alive");
+        info.slots.remove(&v).expect("v was a slot of its owner");
+        let will = info.will.as_mut().expect("owner has a will");
+        will.remove_slot(v);
+        if will.is_empty() {
+            info.will = None;
         }
     }
 

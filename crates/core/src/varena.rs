@@ -20,7 +20,7 @@ impl VId {
 }
 
 /// What a virtual node is.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VKind {
     /// A surviving real node, simulated by itself.
     Real(NodeId),

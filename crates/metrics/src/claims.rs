@@ -12,9 +12,9 @@ use crate::{run_graph_stress, run_trial, GraphStressConfig, Table, TrialConfig, 
 use ft_adversary::{standard_suite, HighestDegreeAdversary};
 use ft_baselines::{ForgivingHealer, LocalHealer, LocalRule, SelfHealer};
 use ft_core::distributed::DistributedForgivingTree;
+use ft_core::ft_diameter_bound;
 use ft_core::shape::{ShapeConfig, SubRtShape};
 use ft_core::spec::ForgivingTree;
-use ft_core::{ft_diameter_bound, RoleKind};
 use ft_graph::bfs::{diameter_exact, eccentricity};
 use ft_graph::tree::RootedTree;
 use ft_graph::{gen, NodeId};
@@ -236,17 +236,17 @@ fn figures(claims: &mut Vec<Claim>) {
         .map(|i| (n(i), n(100)))
         .chain([(n(100), n(0))])
         .collect();
-    let mut ft = ForgivingTree::new(&RootedTree::from_parent_pairs(n(0), &pairs));
+    let mut ft = DistributedForgivingTree::new(&RootedTree::from_parent_pairs(n(0), &pairs));
     let heir = ft.heir_of(n(100));
     ft.delete(n(100));
-    ft.validate();
+    let deployed = |c| ft.node(n(c)).is_helper() && !ft.node(n(c)).is_ready_heir();
     let figure1 = [
         // the heir is the highest-ID child h, waiting in ready state under P,
         heir == Some(n(8)),
-        ft.role_kind(n(8)) == RoleKind::Ready,
+        ft.node(n(8)).is_ready_heir(),
         ft.graph().has_edge(n(0), n(8)),
         // while the other seven children simulate the helpers
-        (1..=7).all(|c| ft.role_kind(n(c)) == RoleKind::Deployed),
+        (1..=7).all(deployed),
         diameter_exact(ft.graph()).is_some(),
     ];
     let row = Row::new(FT, "v with children 1..=8 under P, v deleted", 10, None);

@@ -217,7 +217,8 @@ fn write_out(out: &str, contents: &str) {
 /// Reads a count flag in scaled form (default `default`), rejecting
 /// values below `min`: a campaign needs at least its root (`--nodes`), a
 /// tree at least two children per node (`--arity`), a wave at least one
-/// victim (`--wave`). The harnesses would clamp or panic instead, and a
+/// victim (`--wave`), a stretch sample at least one source (`--sources`).
+/// The harnesses would clamp or panic instead, and a
 /// record must never describe a campaign that was not actually run.
 fn parse_count(args: &[String], flag: &str, default: usize, min: usize) -> usize {
     let v = flag_value(args, flag)
@@ -463,7 +464,7 @@ fn cmd_stress_graph(args: &[String]) {
         extra_edges: parse_fraction(args, "--extra-edges", defaults.extra_edges),
         planner: planner.into(),
         seed: parse_count(args, "--seed", defaults.seed as usize, 0) as u64,
-        stretch_sources: parse_count(args, "--sources", defaults.stretch_sources, 0),
+        stretch_sources: parse_count(args, "--sources", defaults.stretch_sources, 1),
         faults,
         ..defaults
     };

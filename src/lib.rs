@@ -85,9 +85,7 @@ pub mod prelude {
     };
     pub use ft_baselines::{ForgivingHealer, LocalHealer, LocalRule, SelfHealer};
     pub use ft_core::distributed::DistributedForgivingTree;
-    pub use ft_core::{
-        fg_degree_bound, fg_stretch_bound, DistributedForgivingGraph, HealReport, RoleKind,
-    };
+    pub use ft_core::{fg_degree_bound, fg_stretch_bound, DistributedForgivingGraph, HealReport};
     pub use ft_costs::{CostResult, OperationCost};
     pub use ft_graph::tree::RootedTree;
     pub use ft_graph::{gen, ChurnEvent, Graph, NodeId};

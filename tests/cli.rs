@@ -89,13 +89,15 @@ fn zero_nodes_is_rejected() {
 
 #[test]
 fn clamped_arity_and_wave_are_rejected() {
-    // the harnesses ran these as `--arity 2` and `--wave 1`, yet the
-    // record echoed the values given
+    // the harnesses ran these as `--arity 2`, `--wave 1` and `--sources 1`,
+    // yet the record echoed the values given (or, for `--sources`, a value
+    // that was never asked for)
     for args in [
         "stress --nodes 300 --deletions 10 --arity 1",
         "stress --nodes 300 --deletions 10 --arity 0",
         "stress --nodes 300 --deletions 10 --wave 0",
         "stress --model graph --nodes 300 --events 10 --wave 0",
+        "stress --model graph --nodes 300 --events 10 --sources 0",
         "faults --nodes 100 --wave 0",
     ] {
         assert_eq!(ftree(args, &[]), 2, "{args}");
@@ -131,4 +133,26 @@ fn empty_workloads_and_bad_fractions_are_rejected() {
 #[test]
 fn reproduce_rejects_unknown_flags() {
     assert_eq!(ftree("reproduce --nodes 5", &[]), 2);
+}
+
+#[test]
+fn cost_and_fault_records_match_the_committed_ones() {
+    // the only committed pins on the tree protocol's fault-skip paths (the
+    // tree × loss/crash/chaos cells): any diff means a figure moved
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (cmd, record) in [
+        ("costs", "BENCH_costs.json"),
+        ("faults", "BENCH_faults.json"),
+    ] {
+        let out = tmp.join(format!("cli_{record}"));
+        let out_str = out.to_str().expect("utf-8 temp path");
+        assert_eq!(ftree(&format!("{cmd} --out"), &[out_str]), 0, "{cmd}");
+        let fresh = std::fs::read_to_string(&out).expect("the record was written");
+        let committed = std::fs::read_to_string(root.join(record)).expect("committed record");
+        assert!(
+            fresh == committed,
+            "`ftree {cmd}` no longer matches {record}"
+        );
+    }
 }
