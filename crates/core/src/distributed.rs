@@ -43,7 +43,7 @@
 //! are identical after every step.
 
 use crate::report::HealReport;
-use crate::shape::{Portion, PortionRef, SubRtShape};
+use crate::shape::{HelperPlan, Portion, PortionRef, SubRtShape};
 use crate::sorted::{map_insert, map_remove};
 use ft_graph::tree::RootedTree;
 use ft_graph::{Graph, NodeId, SortedIds};
@@ -96,10 +96,9 @@ impl DRole {
         self.hchildren.len() + self.pending_slots.len()
     }
 
-    /// Replaces the first of my children that `is_old` picks by `new`;
-    /// false when it picks none.
-    fn replace_child(&mut self, is_old: impl Fn(VRef) -> bool, new: VRef) -> bool {
-        let found = self.hchildren.iter_mut().find(|c| is_old(**c));
+    /// Replaces my child `old` by `new`; false when `old` is not a child.
+    fn replace_child(&mut self, old: VRef, new: VRef) -> bool {
+        let found = self.hchildren.iter_mut().find(|c| **c == old);
         found.map(|e| *e = new).is_some()
     }
 }
@@ -239,26 +238,24 @@ pub enum FtMsg {
         your_end: VRef,
     },
     /// Short-circuit, parent side: child vnode `gone` under your `your_end`
-    /// is replaced by `survivor` (`survivor == gone` is the sentinel for
-    /// "dissolved with no survivor").
+    /// is replaced by `survivor`, or dissolved with no survivor.
     SpliceChild {
         /// Receiver's vnode.
         your_end: VRef,
         /// Removed child vnode.
         gone: VRef,
-        /// Surviving grandchild subtree root, or `== gone` for none.
-        survivor: VRef,
+        /// Surviving grandchild subtree root; `None` when there is none.
+        survivor: Option<VRef>,
     },
     /// Short-circuit, child side: your parent vnode `gone` is replaced by
-    /// `new_parent` (`new_parent == your_end` is the sentinel for "you are
-    /// now the virtual root").
+    /// `new_parent`.
     SpliceParent {
         /// Receiver's vnode.
         your_end: VRef,
         /// Removed parent vnode.
         gone: VRef,
-        /// New parent, or `== your_end` for root.
-        new_parent: VRef,
+        /// New parent; `None` when you are now the virtual root.
+        new_parent: Option<VRef>,
     },
     /// A ready vnode rooting one of your will slots dissolved entirely.
     SlotDissolved {
@@ -458,48 +455,44 @@ impl FtNode {
     }
 
     /// Lowers shape portion `p` into message form, borrowing a take-over
-    /// heir's role from my fields.
-    fn lower_portion(&self, p: &Portion, top: VRef, will: &SubRtShape) -> DPortion<&DRole> {
-        let to_vref = |r: &PortionRef| match r {
-            PortionRef::Helper(s) => VRef::helper(*s),
+    /// heir's role from my fields. `root_sim` simulates my will's SubRT
+    /// root, if that root is a helper position.
+    fn lower_portion(&self, p: Portion, top: VRef, root_sim: Option<NodeId>) -> DPortion<&DRole> {
+        let to_vref = |r: PortionRef| match r {
+            PortionRef::Helper(s) => VRef::helper(s),
             // a slot's occupant is simulated by its representative (INV-C)
-            PortionRef::Slot(r) => VRef::pos(*r),
+            PortionRef::Slot(r) => VRef::pos(r),
         };
-        // true virtual parent of this rep's leaf slot (no self-loop skip):
-        // the distributed model tracks real virtual links and drops
-        // self-loops only at the edge level.
-        let next_parent = will.leaf_parent_of(p.rep).as_ref().map(to_vref);
-        debug_assert_eq!(
-            p.is_heir,
-            p.next_hchildren.is_none(),
-            "the heir alone has no helper"
-        );
-        let duty = match (p.next_hchildren, self.role.as_deref()) {
-            (Some((l, r)), _) => Duty::Helper {
-                hparent: p
-                    .next_hparent
-                    .expect("helper has an hparent entry")
-                    .as_ref()
-                    .map(to_vref),
-                children: [l, r],
-            },
-            (None, None) => Duty::Ready {
-                subrt_root: will.root_sim().map(VRef::helper),
-            },
-            (None, Some(role)) => Duty::TakeOver(role),
+        // `owner_parent` is consumed only by the heir.
+        let (duty, owner_parent) = match (p.helper, self.role.as_deref()) {
+            (Some(HelperPlan { hparent, children }), _) => (
+                Duty::Helper {
+                    hparent: hparent.map(to_vref),
+                    children,
+                },
+                None,
+            ),
+            (None, None) => (
+                Duty::Ready {
+                    subrt_root: root_sim.map(VRef::helper),
+                },
+                self.pos_parent,
+            ),
+            (None, Some(role)) => (Duty::TakeOver(role), self.pos_parent),
         };
+        let next_parent = p.next_parent.map(to_vref);
         // `top` is consumed only by the SubRT-root helper holder and by the
-        // single-slot heir; `owner_parent` only by the heir. Normalize the
-        // fields everywhere else so an heir change does not perturb every
-        // portion — otherwise the owner would re-send Θ(Δ) portions and
-        // break Theorem 1.3's O(1) messages per event.
+        // single-slot heir. Normalize it everywhere else, as `owner_parent`
+        // above, so an heir change does not perturb every portion —
+        // otherwise the owner would re-send Θ(Δ) portions and break
+        // Theorem 1.3's O(1) messages per event.
         let reads_top = matches!(duty, Duty::Helper { hparent: None, .. }) || next_parent.is_none();
         DPortion {
             owner: self.id,
             next_parent,
             duty,
             top: if reads_top { top } else { VRef::pos(self.id) },
-            owner_parent: if p.is_heir { self.pos_parent } else { None },
+            owner_parent,
         }
     }
 
@@ -512,12 +505,13 @@ impl FtNode {
         };
         let Will { shape, sent } = &mut *will;
         let top = self.subrt_top(shape.heir().expect("nonempty will"));
+        let root_sim = shape.root_sim();
         let mut i = 0;
         for rep in shape.reps() {
             while sent.get(i).is_some_and(|(r, _)| *r < rep) {
                 sent.remove(i); // that representative left my will
             }
-            let fresh = self.lower_portion(&shape.portion(rep), top, shape);
+            let fresh = self.lower_portion(shape.portion(rep), top, root_sim);
             let known = sent.get(i).is_some_and(|(r, _)| *r == rep);
             if !(known && sent[i].1.borrowed() == fresh) {
                 let fresh = fresh.into_owned();
@@ -564,8 +558,7 @@ impl FtNode {
     // portion execution (makeRT + MakeHelper, Algorithms 3.8/3.9)
     // ------------------------------------------------------------------
 
-    fn execute_portion(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
-        let portion = self.portion.take().expect("portion present");
+    fn execute_portion(&mut self, portion: DPortion, ctx: &mut Ctx<'_, FtMsg>) {
         let owner = portion.owner;
         let dest = portion.next_parent.unwrap_or(portion.top);
 
@@ -715,7 +708,7 @@ impl FtNode {
         if let Some(i) = role.pending_slots.iter().position(|s| *s == slot) {
             role.pending_slots.remove(i);
             role.hchildren.push(child);
-        } else if !replacing.is_some_and(|r| role.replace_child(|c| c == r, child))
+        } else if !replacing.is_some_and(|r| role.replace_child(r, child))
             && !role.hchildren.contains(&child)
         {
             role.hchildren.push(child);
@@ -761,7 +754,7 @@ impl FtNode {
                     FtMsg::SpliceChild {
                         your_end: hp,
                         gone: VRef::helper(self.id),
-                        survivor: VRef::helper(self.id),
+                        survivor: None,
                     },
                 ),
                 Some(hp) => ctx.send(hp.sim, FtMsg::SlotDissolved { rep: self.id }),
@@ -785,7 +778,7 @@ impl FtNode {
                 FtMsg::SpliceChild {
                     your_end: hp,
                     gone: VRef::helper(self.id),
-                    survivor,
+                    survivor: Some(survivor),
                 },
             );
         }
@@ -795,7 +788,7 @@ impl FtNode {
                 FtMsg::SpliceParent {
                     your_end: survivor,
                     gone: VRef::helper(self.id),
-                    new_parent: hp.unwrap_or(survivor),
+                    new_parent: hp,
                 },
             );
         } else if survivor.sim == self.id {
@@ -870,8 +863,8 @@ impl Process for FtNode {
     fn on_neighbor_deleted(&mut self, dead: NodeId, ctx: &mut Ctx<'_, FtMsg>) {
         // Relation: dead owned my portion — execute it (this also covers
         // "dead was my parent / my ready vnode's parent").
-        if self.portion.as_ref().is_some_and(|p| p.owner == dead) {
-            self.execute_portion(ctx);
+        if let Some(portion) = self.portion.take_if(|p| p.owner == dead) {
+            self.execute_portion(portion, ctx);
             return;
         }
         let lw_entry = map_remove(&mut self.leaf_wills, dead);
@@ -972,13 +965,13 @@ impl Process for FtNode {
                         }
                         [c] => {
                             let role = self.role.as_mut().expect("checked");
-                            role.replace_child(|x| x == VRef::helper(dead), *c);
+                            role.replace_child(VRef::helper(dead), *c);
                             ctx.send(
                                 c.sim,
                                 FtMsg::SpliceParent {
                                     your_end: *c,
                                     gone: VRef::helper(dead),
-                                    new_parent: VRef::helper(self.id),
+                                    new_parent: Some(VRef::helper(self.id)),
                                 },
                             );
                         }
@@ -1038,7 +1031,7 @@ impl Process for FtNode {
                 if receiver_is_parent {
                     if your_end.helper {
                         if let Some(role) = &mut self.role {
-                            role.replace_child(|c| c == old, new);
+                            role.replace_child(old, new);
                         }
                     } else if let Some(dead) = ready_rep_replace {
                         self.replace_rep(dead, new.sim);
@@ -1051,7 +1044,7 @@ impl Process for FtNode {
                         if r.hparent == Some(old) {
                             r.hparent = Some(new);
                         }
-                        r.replace_child(|c| c == old, new);
+                        r.replace_child(old, new);
                     }
                 }
             }
@@ -1062,7 +1055,7 @@ impl Process for FtNode {
             } => {
                 if your_end.helper {
                     if let Some(role) = &mut self.role {
-                        role.replace_child(|c| c.sim == dead, VRef::helper(new_rep));
+                        role.replace_child(VRef::pos(dead), VRef::helper(new_rep));
                     }
                 } else {
                     self.replace_rep(dead, new_rep);
@@ -1076,11 +1069,15 @@ impl Process for FtNode {
                 if !your_end.helper {
                     assert!(ctx.faulty(), "splice-child against a position end");
                 } else if let Some(role) = &mut self.role {
-                    if survivor != gone {
-                        role.replace_child(|c| c == gone, survivor);
-                    } else if role.hchildren.contains(&gone) {
+                    match survivor {
+                        Some(survivor) => {
+                            role.replace_child(gone, survivor);
+                        }
                         // an outright loss: re-check my own degree
-                        self.helper_lost_child(gone, None, ctx);
+                        None if role.hchildren.contains(&gone) => {
+                            self.helper_lost_child(gone, None, ctx);
+                        }
+                        None => {}
                     }
                 }
             }
@@ -1088,10 +1085,7 @@ impl Process for FtNode {
                 your_end,
                 gone,
                 new_parent,
-            } => {
-                let new_p = (new_parent != your_end).then_some(new_parent);
-                self.apply_splice_parent(your_end, gone, new_p);
-            }
+            } => self.apply_splice_parent(your_end, gone, new_parent),
             FtMsg::SlotDissolved { rep } => {
                 if self.will.as_ref().is_some_and(|w| w.shape.contains(rep)) {
                     self.remove_slot(rep);
@@ -1160,12 +1154,14 @@ impl FtNode {
         );
         assert!(want.iter().all(|&u| self.wants(u)) && !self.wants(self.id));
         if let Some(will) = self.will.as_deref() {
-            let top = self.subrt_top(will.shape.heir().expect("nonempty will"));
-            let rebuilt: Vec<(NodeId, DPortion)> = will
-                .shape
-                .all_portions()
-                .into_iter()
-                .map(|(rep, p)| (rep, self.lower_portion(&p, top, &will.shape).into_owned()))
+            let shape = &will.shape;
+            let top = self.subrt_top(shape.heir().expect("nonempty will"));
+            let rebuilt: Vec<(NodeId, DPortion)> = shape
+                .reps()
+                .map(|rep| {
+                    let p = self.lower_portion(shape.portion(rep), top, shape.root_sim());
+                    (rep, p.into_owned())
+                })
                 .collect();
             assert_eq!(will.sent, rebuilt, "{:?}: stale portions", self.id);
         }

@@ -22,8 +22,11 @@ pub struct HealReport {
     pub edges_added: Vec<(NodeId, NodeId)>,
     /// Total messages across all nodes, notices included.
     pub total_messages: usize,
-    /// Maximum messages any single node sent and received in one round of
-    /// the heal (the Theorem 1.3 figure).
+    /// The largest load one node carried in one *round* of the heal:
+    /// messages it sent and received that round, the worst over the
+    /// heal's rounds. It is not the node's total over the whole heal,
+    /// which is what Theorem 1.3's "messages per node" bounds and can be
+    /// larger.
     pub max_messages_per_node: usize,
     /// Rounds of communication, the notice round included (the recovery
     /// latency).

@@ -19,15 +19,14 @@
 //!
 //! Each touches O(1) shape positions, so only a constant number of
 //! children's will portions change, whatever the number of children: the
-//! O(1)-messages claim of Theorem 1.3. The tests check it by diffing
-//! [`SubRtShape::all_portions`] before and after each update.
+//! O(1)-messages claim of Theorem 1.3. The tests check it by diffing every
+//! child's [`SubRtShape::portion`] before and after each update.
 //!
 //! Shapes only ever shrink, so the initial depth bound `⌈log₂ d⌉ + 1` — the
 //! source of the `log Δ` factor in Theorem 1.2 — is preserved for free.
 
 use crate::sorted::{map_get, map_insert, map_remove, map_slot};
 use ft_graph::NodeId;
-use std::collections::BTreeMap;
 
 /// Index of a node inside a [`SubRtShape`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -68,30 +67,31 @@ pub enum PortionRef {
     Slot(NodeId),
 }
 
-/// The part of a will relevant to one child: its reconstruction fields
-/// (`nextparent`, `nexthparent`, `nexthchildren` of Table 1), plus whether
-/// the child is the heir.
-///
-/// This is exactly the data transmitted to that child by `MakeWill`
-/// (Algorithm 3.6); comparing portions before and after a will update yields
-/// the number of update messages the owner must send.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The part of a will relevant to one child (Table 1's `nextparent`,
+/// `nexthparent` and `nexthchildren`): exactly what `MakeWill`
+/// (Algorithm 3.6) transmits to that child, so comparing portions before
+/// and after a will update yields the update messages the owner must send.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Portion {
-    /// The child this portion is addressed to.
-    pub rep: NodeId,
-    /// Whether this child is the current heir.
-    pub is_heir: bool,
-    /// `nextparent`: the shape position this child's own subtree will hang
-    /// from once the RT is instantiated. `None` for the heir of a
-    /// single-child shape (it attaches through its ready-heir virtual node).
+    /// `nextparent`: the shape parent of this child's leaf, where its
+    /// slot's subtree hangs once the RT is instantiated. It may be the
+    /// child's own helper position; both engines drop the self-loop at the
+    /// edge level. `None` for the heir of a single-child shape (it
+    /// attaches at the top, through its ready-heir virtual node).
     pub next_parent: Option<PortionRef>,
-    /// `nexthparent`: parent of this child's helper position. `None` when
-    /// the helper position is the shape root (its parent is decided at heal
-    /// time: the deleted node's parent or the ready heir). Absent for heirs.
-    pub next_hparent: Option<Option<PortionRef>>,
-    /// `nexthchildren`: the two children of this child's helper position.
-    /// Absent for heirs.
-    pub next_hchildren: Option<(PortionRef, PortionRef)>,
+    /// This child's helper position; `None` exactly when it is the heir.
+    pub helper: Option<HelperPlan>,
+}
+
+/// A non-heir child's helper position in the shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HelperPlan {
+    /// `nexthparent`: `None` when the helper position is the shape root
+    /// (its parent is decided at heal time: the deleted node's parent or
+    /// the ready heir).
+    pub hparent: Option<PortionRef>,
+    /// `nexthchildren`: the helper position's two children, left to right.
+    pub children: [PortionRef; 2],
 }
 
 /// Construction-time knobs for [`SubRtShape::build_with`] — the E10
@@ -299,53 +299,19 @@ impl SubRtShape {
     /// # Panics
     /// Panics if `rep` is not a slot representative.
     pub fn portion(&self, rep: NodeId) -> Portion {
-        let leaf = self.leaf(rep);
-        let is_heir = self.heir == Some(rep);
-        let helper = map_get(&self.helper_of, rep).copied();
-        // nextparent: parent of the leaf — unless that parent is rep's own
-        // helper, in which case skip one level up (the paper's "If hy is
-        // ly's parent" rule: the edge would be a self-loop).
-        let next_parent = match self.node(leaf).parent {
-            None => None,
-            Some(p) if helper == Some(p) => self.parent_ref(p),
-            Some(p) => Some(self.ref_of(p)),
-        };
-        let (next_hparent, next_hchildren) = match helper {
-            None => (None, None),
-            Some(h) => {
-                let ShapeKind::Internal { left, right, .. } = &self.node(h).kind else {
-                    unreachable!("helper positions are internal")
-                };
-                (
-                    Some(self.parent_ref(h)),
-                    Some((self.ref_of(*left), self.ref_of(*right))),
-                )
+        let helper = map_get(&self.helper_of, rep).map(|&h| {
+            let ShapeKind::Internal { left, right, .. } = self.node(h).kind else {
+                unreachable!("helper positions are internal")
+            };
+            HelperPlan {
+                hparent: self.parent_ref(h),
+                children: [self.ref_of(left), self.ref_of(right)],
             }
-        };
+        });
         Portion {
-            rep,
-            is_heir,
-            next_parent,
-            next_hparent,
-            next_hchildren,
+            next_parent: self.parent_ref(self.leaf(rep)),
+            helper,
         }
-    }
-
-    /// All portions keyed by representative (used by tests to diff the
-    /// portions an update changed).
-    pub fn all_portions(&self) -> BTreeMap<NodeId, Portion> {
-        self.reps().map(|r| (r, self.portion(r))).collect()
-    }
-
-    /// The *raw* shape parent of `rep`'s leaf, without the self-loop skip
-    /// of [`SubRtShape::portion`]: the distributed implementation tracks
-    /// true virtual parents (a node's position may hang under its own
-    /// helper) and suppresses self-loops at the edge level instead.
-    ///
-    /// # Panics
-    /// Panics if `rep` is not a slot representative.
-    pub fn leaf_parent_of(&self, rep: NodeId) -> Option<PortionRef> {
-        self.parent_ref(self.leaf(rep))
     }
 
     /// Removes the slot represented by `rep` (the child died as a tree
@@ -557,18 +523,24 @@ mod tests {
         assert_eq!(s.heir(), Some(n(2)));
         assert_eq!(s.root_sim(), Some(n(1)));
         assert_eq!(s.depth(), 1);
-        let p1 = s.portion(n(1));
-        // child 1's helper is its own leaf parent: nextparent skips to the
-        // helper's parent (the root has none => attaches at the top).
-        assert_eq!(p1.next_parent, None);
-        assert_eq!(p1.next_hparent, Some(None));
+        // child 1's helper is the shape root and its own leaf's parent
         assert_eq!(
-            p1.next_hchildren,
-            Some((PortionRef::Slot(n(1)), PortionRef::Slot(n(2))))
+            s.portion(n(1)),
+            Portion {
+                next_parent: Some(PortionRef::Helper(n(1))),
+                helper: Some(HelperPlan {
+                    hparent: None,
+                    children: [PortionRef::Slot(n(1)), PortionRef::Slot(n(2))],
+                }),
+            }
         );
-        let p2 = s.portion(n(2));
-        assert!(p2.is_heir);
-        assert_eq!(p2.next_parent, Some(PortionRef::Helper(n(1))));
+        assert_eq!(
+            s.portion(n(2)),
+            Portion {
+                next_parent: Some(PortionRef::Helper(n(1))),
+                helper: None,
+            }
+        );
     }
 
     #[test]
@@ -578,10 +550,13 @@ mod tests {
         assert_eq!(s.heir(), Some(n(5)));
         assert_eq!(s.root_sim(), None);
         assert_eq!(s.depth(), 0);
-        let p = s.portion(n(5));
-        assert!(p.is_heir);
-        assert_eq!(p.next_parent, None);
-        assert_eq!(p.next_hparent, None);
+        assert_eq!(
+            s.portion(n(5)),
+            Portion {
+                next_parent: None,
+                helper: None,
+            }
+        );
     }
 
     #[test]
@@ -618,44 +593,50 @@ mod tests {
         let s = SubRtShape::build(&ids(&[1, 2, 3, 4]));
         // shape: root h2 {h1 {l1, l2}, h3 {l3, l4}}
         assert_eq!(s.root_sim(), Some(n(2)));
-        let p3 = s.portion(n(3));
+        // 3's helper h3 is l3's own parent, under the root h2
         assert_eq!(
-            p3.next_parent,
-            Some(PortionRef::Helper(n(3))).map(|_| {
-                // 3's helper h3 is l3's parent: skip to h3's parent = root h2
-                PortionRef::Helper(n(2))
-            })
+            s.portion(n(3)),
+            Portion {
+                next_parent: Some(PortionRef::Helper(n(3))),
+                helper: Some(HelperPlan {
+                    hparent: Some(PortionRef::Helper(n(2))),
+                    children: [PortionRef::Slot(n(3)), PortionRef::Slot(n(4))],
+                }),
+            }
         );
-        assert_eq!(p3.next_hparent, Some(Some(PortionRef::Helper(n(2)))));
         assert_eq!(
-            p3.next_hchildren,
-            Some((PortionRef::Slot(n(3)), PortionRef::Slot(n(4))))
+            s.portion(n(4)),
+            Portion {
+                next_parent: Some(PortionRef::Helper(n(3))),
+                helper: None,
+            }
         );
-        let p4 = s.portion(n(4));
-        assert!(p4.is_heir);
-        assert_eq!(p4.next_parent, Some(PortionRef::Helper(n(3))));
+    }
+
+    /// Every representative's portion, ascending by representative.
+    fn portions(s: &SubRtShape) -> Vec<(NodeId, Portion)> {
+        s.reps().map(|rep| (rep, s.portion(rep))).collect()
     }
 
     /// The representatives whose portion differs between `before` and the
     /// validated shape `after` — the owner's update messages. A removed
     /// representative gets none; a new one always gets one.
-    fn changed_portions(before: &BTreeMap<NodeId, Portion>, after: &SubRtShape) -> Vec<NodeId> {
+    fn changed_portions(before: &[(NodeId, Portion)], after: &SubRtShape) -> Vec<NodeId> {
         after.validate();
-        after
-            .all_portions()
+        portions(after)
             .into_iter()
-            .filter(|(rep, portion)| before.get(rep) != Some(portion))
+            .filter(|entry| !before.contains(entry))
             .map(|(rep, _)| rep)
             .collect()
     }
 
     #[test]
     fn remove_slot_deltas_match_portion_diffs() {
-        for d in 2..=12usize {
+        for d in 2..=64usize {
             for kill in 0..d {
                 let children: Vec<NodeId> = (0..d as u32).map(n).collect();
                 let mut s = SubRtShape::build(&children);
-                let before = s.all_portions();
+                let before = portions(&s);
                 let heir = s.heir();
                 s.remove_slot(n(kill as u32));
                 let changed = changed_portions(&before, &s);
@@ -669,10 +650,9 @@ mod tests {
                     assert_eq!(s.heir(), heir, "a non-heir death keeps the heir");
                 }
                 // the heir's portion says so, and no other portion does
-                let heirs: Vec<NodeId> = s
-                    .all_portions()
+                let heirs: Vec<NodeId> = portions(&s)
                     .into_iter()
-                    .filter(|(_, p)| p.is_heir)
+                    .filter(|(_, p)| p.helper.is_none())
                     .map(|(rep, _)| rep)
                     .collect();
                 assert_eq!(heirs, s.heir().into_iter().collect::<Vec<_>>());
@@ -683,15 +663,17 @@ mod tests {
     #[test]
     fn remove_heir_promotes_survivor() {
         let mut s = SubRtShape::build(&ids(&[1, 2, 3, 4]));
-        let before = s.all_portions();
+        let before = portions(&s);
         s.remove_slot(n(4));
         // heir 4's leaf parent was h3; 3 loses its helper and becomes heir
         assert_eq!(s.heir(), Some(n(3)));
         let changed = changed_portions(&before, &s);
         assert!(changed.contains(&n(3)), "the new heir is told: {changed:?}");
-        let p3 = s.portion(n(3));
-        assert!(p3.is_heir);
-        assert_eq!(p3.next_hchildren, None, "an heir has no helper position");
+        assert_eq!(
+            s.portion(n(3)).helper,
+            None,
+            "an heir has no helper position"
+        );
     }
 
     #[test]
@@ -712,7 +694,7 @@ mod tests {
         for d in [8usize, 64, 256] {
             let children: Vec<NodeId> = (0..d as u32).map(n).collect();
             let mut s = SubRtShape::build(&children);
-            let before = s.all_portions();
+            let before = portions(&s);
             s.remove_slot(n((d / 2) as u32));
             let changed = changed_portions(&before, &s);
             assert!(
@@ -725,11 +707,11 @@ mod tests {
 
     #[test]
     fn replace_rep_deltas_match_portion_diffs() {
-        for d in 1..=10usize {
+        for d in 1..=64usize {
             for swap in 0..d {
                 let children: Vec<NodeId> = (0..d as u32).map(n).collect();
                 let mut s = SubRtShape::build(&children);
-                let before = s.all_portions();
+                let before = portions(&s);
                 let old = n(swap as u32);
                 let new = n(100 + swap as u32);
                 s.replace_rep(old, new);
@@ -750,12 +732,12 @@ mod tests {
         let mut s = SubRtShape::build(&ids(&[1, 2, 3]));
         s.replace_rep(n(3), n(9));
         assert_eq!(s.heir(), Some(n(9)));
-        assert!(s.portion(n(9)).is_heir);
+        assert_eq!(s.portion(n(9)).helper, None);
         s.validate();
         // a non-heir replacement leaves the heir alone
         s.replace_rep(n(1), n(7));
         assert_eq!(s.heir(), Some(n(9)));
-        assert!(!s.portion(n(7)).is_heir);
+        assert!(s.portion(n(7)).helper.is_some());
         s.validate();
     }
 

@@ -269,16 +269,6 @@ impl ForgivingTree {
         }
     }
 
-    /// The will portions `v` currently has distributed (for Figure 2 style
-    /// introspection).
-    pub fn will_portions(&self, v: NodeId) -> Vec<crate::shape::Portion> {
-        self.info
-            .get(&v)
-            .and_then(|i| i.will.as_ref())
-            .map(|w| w.all_portions().into_values().collect())
-            .unwrap_or_default()
-    }
-
     /// Deletes node `v` (the adversary's move) and heals the network,
     /// returning the real edges the heal inserted, each as `(a, b)` with
     /// `a < b`, in the order the heal made them.

@@ -530,17 +530,18 @@ fn parent_of_tracks_virtual_structure() {
 }
 
 #[test]
-fn will_portions_expose_figure2_structure() {
+fn root_will_exposes_figure2_portions() {
     let t = RootedTree::from_parent_pairs(
         n(0),
         &[(n(1), n(0)), (n(2), n(0)), (n(3), n(0)), (n(4), n(0))],
     );
     let ft = ForgivingTree::new(&t);
-    let portions = ft.will_portions(n(0));
-    assert_eq!(portions.len(), 4, "one portion per child");
-    assert_eq!(portions.iter().filter(|p| p.is_heir).count(), 1);
-    // non-heirs carry helper assignments; the heir does not
-    for p in &portions {
-        assert_eq!(p.next_hchildren.is_some(), !p.is_heir);
+    let will = ft.info[&n(0)].will.as_ref().expect("the root has a will");
+    let reps: Vec<NodeId> = will.reps().collect();
+    assert_eq!(reps, [n(1), n(2), n(3), n(4)], "one portion per child");
+    // non-heirs carry helper assignments; the heir, alone, does not
+    for rep in reps {
+        let heir = will.heir() == Some(rep);
+        assert_eq!(will.portion(rep).helper.is_none(), heir, "{rep:?}");
     }
 }

@@ -59,17 +59,6 @@ pub fn star(n: usize) -> Graph {
     g
 }
 
-/// The complete graph `K_n`.
-pub fn complete(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            g.add_edge(NodeId(i as u32), NodeId(j as u32));
-        }
-    }
-    g
-}
-
 /// A complete `k`-ary tree with `n` nodes in heap layout: node `i`'s children
 /// are `k*i + 1 … k*i + k` (when < n). `k = 2` gives a complete binary tree.
 ///
@@ -375,13 +364,6 @@ mod tests {
         assert_eq!(g.degree(NodeId(0)), 5);
         assert_eq!(g.num_edges(), 5);
         assert_eq!(diameter_exact(&g), Some(2));
-    }
-
-    #[test]
-    fn complete_shape() {
-        let g = complete(5);
-        assert_eq!(g.num_edges(), 10);
-        assert_eq!(diameter_exact(&g), Some(1));
     }
 
     #[test]

@@ -284,8 +284,8 @@ fn run_graph_cell(cfg: &FaultMatrixConfig, model: &'static str) -> FaultCell {
 /// Each cell runs inside `catch_unwind`, so a blown-up harness is a
 /// recorded `panicked` verdict rather than a lost matrix. The `none`
 /// column doubles as the in-matrix control: it must always come back
-/// `held` (and does — the fault-free asserts in the underlying harnesses
-/// stay armed there).
+/// `held`, and the tests check that it does (the underlying harnesses
+/// record their fault-free verdicts rather than assert them).
 pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixRecord {
     let mut cells = Vec::new();
     for protocol in ["tree", "graph"] {

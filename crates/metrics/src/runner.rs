@@ -5,7 +5,7 @@
 //! exact diameters cost `O(n·m)`) and a [`TrialSummary`] holding exactly
 //! the quantities the paper's theorems bound: maximum degree increase
 //! (Theorem 1.1), maximum diameter stretch (Theorem 1.2), and worst-case
-//! per-node messages and rounds per heal (Theorem 1.3).
+//! per-node messages per heal (Theorem 1.3).
 
 use ft_adversary::{Adversary, AdversaryView};
 use ft_baselines::SelfHealer;
@@ -23,14 +23,6 @@ pub struct StepMetrics {
     pub diameter: Option<u32>,
     /// Current max degree increase over the initial network.
     pub max_degree_increase: i64,
-    /// Messages spent on the most recent heal.
-    pub heal_messages: usize,
-    /// Worst per-node messages of the most recent heal.
-    pub heal_max_node_messages: usize,
-    /// Rounds of the most recent heal.
-    pub heal_rounds: u32,
-    /// Edges the most recent heal inserted.
-    pub heal_edges_added: usize,
 }
 
 /// Whole-trial aggregates.
@@ -60,12 +52,6 @@ pub struct TrialSummary {
     pub worst_node_messages: usize,
     /// Worst total messages in any single heal.
     pub worst_heal_messages: usize,
-    /// Mean messages per heal.
-    pub mean_heal_messages: f64,
-    /// Worst heal latency in rounds.
-    pub worst_rounds: u32,
-    /// Total edges inserted across all heals.
-    pub total_edges_added: usize,
     /// Whether the network stayed connected at every measured step.
     pub stayed_connected: bool,
 }
@@ -136,9 +122,6 @@ pub fn run_trial(
     let mut max_deg = 0i64;
     let mut worst_node_msgs = 0usize;
     let mut worst_heal_msgs = 0usize;
-    let mut total_msgs = 0usize;
-    let mut worst_rounds = 0u32;
-    let mut total_edges = 0usize;
     let mut stayed_connected = true;
     let mut deletions = 0usize;
 
@@ -156,9 +139,6 @@ pub fn run_trial(
         max_deg = max_deg.max(healer.max_degree_increase());
         worst_node_msgs = worst_node_msgs.max(report.max_messages_per_node);
         worst_heal_msgs = worst_heal_msgs.max(report.total_messages);
-        total_msgs += report.total_messages;
-        worst_rounds = worst_rounds.max(report.rounds);
-        total_edges += report.edges_added.len();
 
         let measure = deletions.is_multiple_of(cfg.measure_every.max(1)) || healer.len() <= 1;
         let diameter = if measure && !healer.is_empty() {
@@ -181,10 +161,6 @@ pub fn run_trial(
             alive: healer.len(),
             diameter,
             max_degree_increase: healer.max_degree_increase(),
-            heal_messages: report.total_messages,
-            heal_max_node_messages: report.max_messages_per_node,
-            heal_rounds: report.rounds,
-            heal_edges_added: report.edges_added.len(),
         });
     }
 
@@ -205,13 +181,6 @@ pub fn run_trial(
         max_degree_increase: max_deg,
         worst_node_messages: worst_node_msgs,
         worst_heal_messages: worst_heal_msgs,
-        mean_heal_messages: if deletions == 0 {
-            0.0
-        } else {
-            total_msgs as f64 / deletions as f64
-        },
-        worst_rounds,
-        total_edges_added: total_edges,
         stayed_connected,
     };
     Trial { steps, summary }

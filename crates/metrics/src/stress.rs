@@ -149,15 +149,10 @@ impl StressRecord {
     /// `connected`; `None` when both held or when faults were armed, which
     /// makes both measurements.
     pub fn failed_verdict(&self) -> Option<&'static str> {
-        if FaultConfig::from_name(&self.config.faults).is_some_and(|f| !f.is_zero()) {
-            None
-        } else if !self.converged {
-            Some("converged")
-        } else if !self.connected {
-            Some("connected")
-        } else {
-            None
-        }
+        first_failed(
+            &self.config.faults,
+            &[("converged", self.converged), ("connected", self.connected)],
+        )
     }
 
     /// Serializes the record as a flat JSON object.
@@ -230,21 +225,31 @@ pub fn run_stress(cfg: &StressConfig) -> StressRecord {
     run_tree_campaign(cfg).0
 }
 
+/// The name of the first of `verdicts` that failed; `None` when all held
+/// or when the fault `model` can fire, which makes them measurements. Both
+/// stress records name their failed verdict through it.
+pub(crate) fn first_failed(model: &str, verdicts: &[(&'static str, bool)]) -> Option<&'static str> {
+    if FaultConfig::from_name(model).is_some_and(|f| !f.is_zero()) {
+        return None;
+    }
+    verdicts
+        .iter()
+        .find(|(_, held)| !held)
+        .map(|(name, _)| *name)
+}
+
 /// Arms the named fault `model` on `net`, its plan seeded from `seed`
 /// xor-ed with a salt, so the planner and the fault schedule draw from
-/// decoupled streams. Returns whether any fault can fire (`none` arms
-/// nothing).
+/// decoupled streams (`none` arms nothing).
 ///
 /// # Panics
 /// Panics on an unknown model name.
-pub(crate) fn arm_faults<P: Process>(net: &mut Network<P>, model: &str, seed: u64) -> bool {
+pub(crate) fn arm_faults<P: Process>(net: &mut Network<P>, model: &str, seed: u64) {
     let fault_cfg =
         FaultConfig::from_name(model).unwrap_or_else(|| panic!("unknown fault model: {model}"));
-    let faulty = !fault_cfg.is_zero();
-    if faulty {
+    if !fault_cfg.is_zero() {
         net.set_fault_plan(Some(fault_cfg.plan(seed ^ FAULT_SEED_SALT)));
     }
-    faulty
 }
 
 /// The end-of-campaign accounting check every harness runs, faulty or
@@ -463,6 +468,27 @@ mod tests {
                 seeks: 1112,
             }
         );
+    }
+
+    /// The smallest seeded chaos campaign found where `ReplaceRep` meets a
+    /// helper whose only child is the dead owner's stale helper vnode, not
+    /// its position: the exact match leaves that child in place, where a
+    /// match on the simulator alone would replace it and send two more
+    /// messages under the same fault schedule.
+    #[test]
+    fn chaos_replace_rep_matches_the_position_only() {
+        let rec = run_stress(&StressConfig {
+            nodes: 100,
+            deletions: 40,
+            wave_size: 20,
+            arity: 2,
+            planner: "random".into(),
+            seed: 12,
+            faults: "chaos".into(),
+            ..StressConfig::default()
+        });
+        assert_eq!((rec.sent, rec.dropped), (233, 68));
+        assert_eq!(rec.fault_fingerprint, 10_330_576_534_655_175_372);
     }
 
     /// A fault-free per-wave campaign can lose connectivity (a wave kills

@@ -136,10 +136,6 @@ pub struct RoundStats {
     pub messages: usize,
     /// Maximum messages any single node sent+received this round.
     pub max_per_node: usize,
-    /// Edges inserted this round.
-    pub edges_added: usize,
-    /// Edges dropped this round.
-    pub edges_removed: usize,
 }
 
 impl RoundStats {
@@ -147,8 +143,6 @@ impl RoundStats {
     pub fn merge(&mut self, other: &RoundStats) {
         self.messages += other.messages;
         self.max_per_node = self.max_per_node.max(other.max_per_node);
-        self.edges_added += other.edges_added;
-        self.edges_removed += other.edges_removed;
     }
 }
 
@@ -648,10 +642,7 @@ impl<P: Process> Network<P> {
         let delivered = self.notify(neighbors, MsgLedger::record_join, |p, ctx| {
             p.on_neighbor_joined(v, ctx);
         });
-        let mut stats = self.finish_round(delivered);
-        // the arrival edges are part of this round's churn figures
-        stats.edges_added += neighbors.len();
-        (v, stats)
+        (v, self.finish_round(delivered))
     }
 }
 
@@ -751,8 +742,10 @@ mod tests {
         }
         let g = ft_graph::Graph::new(2);
         let mut net = Network::new(g, |v| Linker(NodeId(1 - v.0)));
-        let stats = net.start();
-        assert_eq!(stats.edges_added, 1, "duplicate request deduped");
+        net.set_churn_journal(true);
+        net.start();
+        let journal = net.drain_churn_journal();
+        assert_eq!(journal.edges_added.len(), 1, "duplicate request deduped");
         assert!(net.graph().has_edge(NodeId(0), NodeId(1)));
     }
 
@@ -856,9 +849,14 @@ mod tests {
             adds: (v == NodeId(0)).then_some(NodeId(1)).into_iter().collect(),
             drops: (v == NodeId(0)).then_some(NodeId(1)).into_iter().collect(),
         });
-        let stats = net.start();
+        net.set_churn_journal(true);
+        net.start();
         assert!(net.graph().has_edge(NodeId(0), NodeId(1)), "add wins");
-        assert_eq!((stats.edges_added, stats.edges_removed), (1, 0));
+        let journal = net.drain_churn_journal();
+        assert_eq!(
+            (journal.edges_added.len(), journal.edges_removed.len()),
+            (1, 0)
+        );
     }
 
     #[test]
@@ -869,9 +867,14 @@ mod tests {
             adds: (v == NodeId(1)).then_some(NodeId(0)).into_iter().collect(),
             drops: (v == NodeId(0)).then_some(NodeId(1)).into_iter().collect(),
         });
-        let stats = net.start();
+        net.set_churn_journal(true);
+        net.start();
         assert!(net.graph().has_edge(NodeId(0), NodeId(1)), "add wins");
-        assert_eq!((stats.edges_added, stats.edges_removed), (1, 1));
+        let journal = net.drain_churn_journal();
+        assert_eq!(
+            (journal.edges_added.len(), journal.edges_removed.len()),
+            (1, 1)
+        );
     }
 
     /// Joiner-aware process: counts join notices and greets newcomers.
@@ -896,10 +899,13 @@ mod tests {
     fn insert_node_grows_and_notifies_neighbors() {
         let g = gen::path(3);
         let mut net = Network::new(g, |_| Greeter::default());
+        net.set_churn_journal(true);
         let (v, stats) = net.insert_node(&[NodeId(0), NodeId(2)], |_| Greeter::default());
         assert_eq!(v, NodeId(3), "a fresh slot is appended");
         assert_eq!(stats.messages, 2, "two join notices");
-        assert_eq!(stats.edges_added, 2);
+        let journal = net.drain_churn_journal();
+        let arrivals: Vec<_> = journal.inserted().collect();
+        assert_eq!(arrivals, [(v, &[NodeId(0), NodeId(2)][..])]);
         assert!(net.graph().has_edge(v, NodeId(0)));
         assert_eq!(net.process(NodeId(0)).joins, 1);
         assert_eq!(net.process(NodeId(1)).joins, 0, "non-anchor unaware");

@@ -260,18 +260,14 @@ impl<P: Process> Network<P> {
         // Drops first: a drop can only remove a pre-existing edge, so an
         // add requested in the same round always wins.
         for (a, b) in self.staged.edge_drops.drain(..) {
-            if self.graph.remove_edge(a, b) {
-                stats.edges_removed += 1;
-                if self.journal_on {
-                    self.journal.edges_removed.push((a, b));
-                }
+            if self.graph.remove_edge(a, b) && self.journal_on {
+                self.journal.edges_removed.push((a, b));
             }
         }
         let graph = &mut self.graph;
         for (a, b) in self.staged.edge_adds.drain(..) {
             if a != b && graph.is_alive(a) && graph.is_alive(b) && !graph.has_edge(a, b) {
                 graph.add_edge(a, b);
-                stats.edges_added += 1;
                 if self.journal_on {
                     self.journal.edges_added.push((a, b));
                 }

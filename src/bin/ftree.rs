@@ -417,17 +417,19 @@ fn cmd_stress_tree(args: &[String]) {
             rec.fault_fingerprint
         );
     }
-    // like every failing campaign, exit before writing the record, so a
-    // written record is itself the green signal
-    if let Some(verdict) = rec.failed_verdict() {
-        eprintln!(
-            "verdict failed: {verdict} (fault-free {} campaign)",
-            cfg.cadence
-        );
-        exit(1);
-    }
+    exit_on_failed_verdict(rec.failed_verdict(), &cfg.cadence);
     let out = flag_value(args, "--out").unwrap_or("BENCH_sim.json");
     write_out(out, &rec.to_json());
+}
+
+/// Exits 1 naming a fault-free `campaign`'s failed verdict. Like every
+/// failing campaign, it exits before the record is written, so a written
+/// record is itself the green signal.
+fn exit_on_failed_verdict(verdict: Option<&str>, campaign: &str) {
+    if let Some(verdict) = verdict {
+        eprintln!("verdict failed: {verdict} (fault-free {campaign} campaign)");
+        exit(1);
+    }
 }
 
 fn cmd_stress_graph(args: &[String]) {
@@ -468,9 +470,9 @@ fn cmd_stress_graph(args: &[String]) {
         faults,
         ..defaults
     };
-    // run_graph_stress panics (non-zero exit) on ledger imbalance and, in
-    // fault-free runs, on stale wills, lost connectivity, or an O(log n)
-    // bound violation — exactly the signals CI must treat as failures.
+    // run_graph_stress panics (non-zero exit) on a ledger imbalance; a
+    // fault-free run that failed a verdict exits 1 below — the signals CI
+    // must treat as failures.
     let rec = run_graph_stress(&cfg);
     println!("{}", rec.summary());
     println!(
@@ -512,6 +514,7 @@ fn cmd_stress_graph(args: &[String]) {
         rec.stretch_cost.heap_bytes,
         rec.stretch_cost.seeks
     );
+    exit_on_failed_verdict(rec.failed_verdict(), "graph");
     let out = flag_value(args, "--out").unwrap_or("BENCH_graph.json");
     write_out(out, &rec.to_json());
 }
