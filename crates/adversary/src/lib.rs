@@ -25,7 +25,8 @@
 //! Batched attacks come in two flavors: deletion-only [`WavePlanner`]s
 //! (`random`/`targeted`/`heavy-tail`) for the Forgiving Tree campaigns, and
 //! mixed insert/delete [`ChurnPlanner`]s (`mixed`/`surge`) for the
-//! Forgiving Graph's full adversarial model. The orthogonal *fault* axis —
+//! Forgiving Graph's full adversarial model; [`PlannerKind`] names them
+//! all. The orthogonal *fault* axis —
 //! seeded message loss, duplication, delay, partitions, and crash-stop
 //! deaths — is built the same way, by name, via [`FaultConfig::from_name`].
 
@@ -340,12 +341,7 @@ impl WavePlanner for HeavyTailWave {
 
 /// Builds a wave planner by name (`random`, `targeted`, `heavy-tail`).
 pub fn make_wave_planner(name: &str, seed: u64) -> Option<Box<dyn WavePlanner>> {
-    match name {
-        "random" => Some(Box::new(RandomWave::new(seed))),
-        "targeted" => Some(Box::new(TargetedWave)),
-        "heavy-tail" => Some(Box::new(HeavyTailWave::new(seed))),
-        _ => None,
-    }
+    PlannerKind::from_name(name)?.wave_planner(seed)
 }
 
 // ---------------------------------------------------------------------
@@ -475,10 +471,90 @@ pub fn make_churn_planner(
     seed: u64,
     insert_fraction: f64,
 ) -> Option<Box<dyn ChurnPlanner>> {
-    match name {
-        "mixed" => Some(Box::new(MixedChurn::new(seed, insert_fraction))),
-        "surge" => Some(Box::new(SurgeChurn::new(seed, insert_fraction))),
-        _ => None,
+    let kind = PlannerKind::from_name(name).filter(|k| k.inserts())?;
+    Some(kind.churn_planner(seed, insert_fraction))
+}
+
+/// A planner named once, at the boundary: the deletion-only wave planners
+/// and the insert/delete churn planners.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlannerKind {
+    /// [`RandomWave`].
+    Random,
+    /// [`TargetedWave`].
+    Targeted,
+    /// [`HeavyTailWave`].
+    HeavyTail,
+    /// [`MixedChurn`].
+    Mixed,
+    /// [`SurgeChurn`].
+    Surge,
+}
+
+impl PlannerKind {
+    /// Every kind, wave planners first.
+    pub const ALL: [PlannerKind; 5] = [
+        PlannerKind::Random,
+        PlannerKind::Targeted,
+        PlannerKind::HeavyTail,
+        PlannerKind::Mixed,
+        PlannerKind::Surge,
+    ];
+
+    /// The kind's name: `random`, `targeted`, `heavy-tail`, `mixed` or
+    /// `surge`.
+    pub fn name(self) -> &'static str {
+        match self {
+            PlannerKind::Random => "random",
+            PlannerKind::Targeted => "targeted",
+            PlannerKind::HeavyTail => "heavy-tail",
+            PlannerKind::Mixed => "mixed",
+            PlannerKind::Surge => "surge",
+        }
+    }
+
+    /// Parses a [`PlannerKind::name`]; `None` for any other name.
+    pub fn from_name(name: &str) -> Option<PlannerKind> {
+        PlannerKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+
+    /// Whether the kind plans insertions (the churn planners).
+    pub fn inserts(self) -> bool {
+        matches!(self, PlannerKind::Mixed | PlannerKind::Surge)
+    }
+
+    /// The kind's wave planner; `None` for the churn planners.
+    pub fn wave_planner(self, seed: u64) -> Option<Box<dyn WavePlanner>> {
+        match self {
+            PlannerKind::Random => Some(Box::new(RandomWave::new(seed))),
+            PlannerKind::Targeted => Some(Box::new(TargetedWave)),
+            PlannerKind::HeavyTail => Some(Box::new(HeavyTailWave::new(seed))),
+            PlannerKind::Mixed | PlannerKind::Surge => None,
+        }
+    }
+
+    /// The kind as a churn planner. A wave planner plans its victims as
+    /// [`ChurnEvent::Delete`]s and ignores `insert_fraction`.
+    pub fn churn_planner(self, seed: u64, insert_fraction: f64) -> Box<dyn ChurnPlanner> {
+        match self.wave_planner(seed) {
+            Some(wave) => Box::new(Deletions(wave)),
+            None if self == PlannerKind::Surge => Box::new(SurgeChurn::new(seed, insert_fraction)),
+            None => Box::new(MixedChurn::new(seed, insert_fraction)),
+        }
+    }
+}
+
+/// A wave planner's victims as deletion events.
+struct Deletions(Box<dyn WavePlanner>);
+
+impl ChurnPlanner for Deletions {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn plan(&mut self, view: AdversaryView<'_>, k: usize) -> Vec<ChurnEvent> {
+        let victims = self.0.plan(view, k);
+        victims.into_iter().map(ChurnEvent::Delete).collect()
     }
 }
 
@@ -715,6 +791,22 @@ mod tests {
         assert!(plan[first_delete..]
             .iter()
             .all(|e| matches!(e, ChurnEvent::Delete(_))));
+    }
+
+    #[test]
+    fn planner_kinds_round_trip_their_names() {
+        for kind in PlannerKind::ALL {
+            assert_eq!(PlannerKind::from_name(kind.name()), Some(kind));
+            assert_eq!(kind.churn_planner(3, 0.5).name(), kind.name());
+            assert_eq!(kind.wave_planner(3).is_none(), kind.inserts());
+        }
+        assert_eq!(PlannerKind::from_name("nope"), None);
+        // a wave planner's churn form plans the same victims as deletions
+        let g = gen::kary_tree(40, 3);
+        let wave = RandomWave::new(5).plan(view(&g), 9);
+        let events = PlannerKind::Random.churn_planner(5, 0.9).plan(view(&g), 9);
+        let deletes: Vec<ChurnEvent> = wave.into_iter().map(ChurnEvent::Delete).collect();
+        assert_eq!(events, deletes);
     }
 
     #[test]

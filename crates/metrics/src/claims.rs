@@ -8,8 +8,9 @@
 //! fixed-precision ratios only, never timings, so the file is byte-stable
 //! across machines and CI can diff a fresh copy against the committed one.
 
-use crate::{run_graph_stress, run_trial, GraphStressConfig, Table, TrialConfig, Workload};
-use ft_adversary::{standard_suite, HighestDegreeAdversary};
+use crate::scenario::{run, Events, Faults, Initial, Protocol, Scenario};
+use crate::{run_trial, Table, TrialConfig, Workload};
+use ft_adversary::{standard_suite, HighestDegreeAdversary, PlannerKind};
 use ft_baselines::{ForgivingHealer, LocalHealer, LocalRule, SelfHealer};
 use ft_core::distributed::DistributedForgivingTree;
 use ft_core::ft_diameter_bound;
@@ -309,24 +310,36 @@ fn ablation(claims: &mut Vec<Claim>) {
 }
 
 /// The Forgiving Graph's O(log n) stretch and degree increase, at the
-/// shape of CI's graph smoke campaign.
+/// shape of CI's graph smoke campaign. The planner deletes uniformly at
+/// random, and the stretch is sampled from 16 sources, so neither row
+/// speaks for an adversary that targets hubs (a star under max-degree
+/// deletions breaks the stretch bound: see `docs/ARCHITECTURE.md`).
 fn forgiving_graph(claims: &mut Vec<Claim>) {
-    // the defaults supply the rest: `mixed` planner, 40% insertions, no
-    // faults, incremental stretch
-    let cfg = GraphStressConfig {
-        nodes: 2000,
-        events: 400,
-        wave_size: 25,
+    let sc = Scenario {
+        protocol: Protocol::Graph {
+            extra_edges: 0.2,
+            insert_fraction: 0.4,
+            stretch_sources: 16,
+        },
+        initial: Initial::Nodes(2000),
+        events: Events::Planned {
+            budget: 400,
+            wave_size: 25,
+            planner: PlannerKind::Mixed,
+        },
+        faults: Faults::default(),
         seed: 1,
-        ..GraphStressConfig::default()
     };
-    let rec = run_graph_stress(&cfg);
-    let run = "mixed churn, 400 events in waves of 25, 40% insertions";
-    let row = Row::new(FG, run, cfg.nodes, Some(cfg.seed));
+    let v = run(&sc).verdicts;
+    let (stretch, stretch_bound) = v.stretch.expect("a graph run samples its stretch");
+    let (n, seed) = (sc.initial.nodes(), Some(sc.seed));
+    let run = "uniform random churn only: 400 events in waves of 25, 40% insertions";
+    let sampled = format!("{run}; sampled from 16 sources, so a lower bound");
     let claim = "Theorem 1: stretch ≤ ⌈log₂ n⌉ + 2";
-    claims.push(row.at_most(claim, rec.stretch.max_stretch, rec.stretch_bound));
+    claims.push(Row::new(FG, sampled, n, seed).at_most(claim, stretch.max_stretch, stretch_bound));
+    let row = Row::new(FG, run, n, seed);
     let claim = "Theorem 1: degree increase ≤ 3⌈log₂ n⌉ + 3";
-    claims.push(row.at_most(claim, rec.max_degree_increase, rec.degree_bound));
+    claims.push(row.at_most(claim, v.max_degree_increase, v.degree_bound));
 }
 
 #[cfg(test)]

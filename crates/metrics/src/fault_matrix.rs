@@ -9,9 +9,8 @@
 //! survives when the network itself misbehaves: for each protocol
 //! (`tree` = Forgiving Tree, `graph` = Forgiving Graph) and each named
 //! [`FaultConfig`] model (`none`, `delay`, `loss`, `dup`, `crash`,
-//! `partition`, `chaos`) it drives a seeded churn campaign and records
-//! which bounds held, one [`FaultCell`] per combination, each with a
-//! verdict:
+//! `partition`, `chaos`) it runs one seeded [`Scenario`] and records which
+//! bounds held, one [`FaultCell`] per combination, each with a verdict:
 //!
 //! - `held` — every audited bound survived;
 //! - `degraded` — connectivity survived but convergence, a will audit, or
@@ -30,14 +29,14 @@
 
 #![deny(clippy::as_conversions)]
 
-use crate::graph_stress::{run_graph_stress, GraphStressConfig};
 use crate::record::Record;
-use crate::stress::{run_tree_campaign, StressConfig};
+use crate::scenario::{run, Events, Faults, Initial, Protocol, Scenario};
+use ft_adversary::PlannerKind;
 use ft_core::ft_diameter_bound;
 use ft_graph::bfs::diameter_exact;
 use ft_graph::tree::RootedTree;
-use ft_graph::{gen, NodeId};
-use ft_sim::FaultConfig;
+use ft_graph::NodeId;
+use ft_sim::{Books, FaultConfig, HealCadence};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Matrix parameters: one campaign shape shared by every cell.
@@ -65,13 +64,47 @@ impl Default for FaultMatrixConfig {
     }
 }
 
+impl FaultMatrixConfig {
+    /// Every cell's scenario, protocols outer, models in
+    /// [`FaultConfig::model_names`] order: the tree on a 4-ary tree under
+    /// random deletion waves, the graph under mixed churn.
+    pub fn scenarios(&self) -> Vec<Scenario> {
+        let tree = Protocol::Tree {
+            arity: 4,
+            cadence: HealCadence::PerDeletion,
+        };
+        let graph = Protocol::Graph {
+            extra_edges: 0.2,
+            insert_fraction: 0.4,
+            stretch_sources: 8,
+        };
+        let mut scenarios = Vec::new();
+        for (protocol, planner) in [(tree, PlannerKind::Random), (graph, PlannerKind::Mixed)] {
+            for model in FaultConfig::model_names() {
+                scenarios.push(Scenario {
+                    protocol: protocol.clone(),
+                    initial: Initial::Nodes(self.nodes),
+                    events: Events::Planned {
+                        budget: self.events,
+                        wave_size: self.wave_size,
+                        planner,
+                    },
+                    faults: Faults::named(model).expect("every preset parses"),
+                    seed: self.seed,
+                });
+            }
+        }
+        scenarios
+    }
+}
+
 /// One protocol × fault-model cell of the survival matrix.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultCell {
     /// `tree` (Forgiving Tree) or `graph` (Forgiving Graph).
     pub protocol: &'static str,
     /// Named fault model the cell ran under.
-    pub model: &'static str,
+    pub model: String,
     /// Whether the harness panicked (caught — the remaining figures are
     /// zeroed when it did).
     pub panicked: bool,
@@ -89,22 +122,8 @@ pub struct FaultCell {
     /// tree, sampled stretch ≤ `⌈log₂ n⌉ + 2` (every pair reachable) for
     /// the graph.
     pub distance_ok: bool,
-    /// Ledger: messages handed to the engine.
-    pub sent: u64,
-    /// Ledger: messages delivered.
-    pub delivered: u64,
-    /// Ledger: messages dropped on dead endpoints.
-    pub dropped: u64,
-    /// Ledger: messages destroyed on the wire.
-    pub lost: u64,
-    /// Ledger: surplus copies minted by duplication.
-    pub duplicated: u64,
-    /// Ledger: messages that spent extra rounds in the delay queue.
-    pub delayed: u64,
-    /// Deletions escalated to crash-stops by the plan.
-    pub crashes: u64,
-    /// FNV-1a fingerprint of the realized fault schedule.
-    pub fault_fingerprint: u64,
+    /// The run's ledger and fault counters (zero when it panicked).
+    pub books: Books,
 }
 
 impl FaultCell {
@@ -122,15 +141,11 @@ impl FaultCell {
         }
     }
 
-    /// Serializes the cell as one flat JSON object.
-    pub fn to_json(&self) -> String {
-        self.record().inline()
-    }
-
     fn record(&self) -> Record {
+        let b = &self.books;
         Record::new()
             .str("protocol", self.protocol)
-            .str("model", self.model)
+            .str("model", &self.model)
             .str("verdict", self.verdict())
             .num("panicked", self.panicked)
             .num("converged", self.converged)
@@ -138,14 +153,14 @@ impl FaultCell {
             .num("wills_ok", self.wills_ok)
             .num("degree_ok", self.degree_ok)
             .num("distance_ok", self.distance_ok)
-            .num("sent", self.sent)
-            .num("delivered", self.delivered)
-            .num("dropped", self.dropped)
-            .num("lost", self.lost)
-            .num("duplicated", self.duplicated)
-            .num("delayed", self.delayed)
-            .num("crashes", self.crashes)
-            .num("fault_fingerprint", self.fault_fingerprint)
+            .num("sent", b.sent)
+            .num("delivered", b.delivered)
+            .num("dropped", b.dropped)
+            .num("lost", b.lost)
+            .num("duplicated", b.duplicated)
+            .num("delayed", b.delayed)
+            .num("crashes", b.crashes)
+            .num("fault_fingerprint", b.fault_fingerprint)
     }
 }
 
@@ -187,125 +202,64 @@ impl FaultMatrixRecord {
                 c.wills_ok,
                 c.degree_ok,
                 c.distance_ok,
-                c.crashes,
-                c.lost,
+                c.books.crashes,
+                c.books.lost,
             ));
         }
         out
     }
 }
 
-/// The Forgiving Tree cell: the tree stress campaign (4-ary tree, random
-/// deletion waves) with the named fault model armed, bounds re-measured
-/// from the healed graph (the harness keeps no oracle, so degree increase
-/// is checked against the paper's `+3` and the diameter against
-/// [`ft_diameter_bound`]).
-fn run_tree_cell(cfg: &FaultMatrixConfig, model: &'static str) -> FaultCell {
-    let (rec, dist) = run_tree_campaign(&StressConfig {
-        nodes: cfg.nodes,
-        deletions: cfg.events,
-        wave_size: cfg.wave_size,
-        arity: 4,
-        planner: String::from("random"),
-        seed: cfg.seed,
-        cadence: String::from("per-deletion"),
-        faults: String::from(model),
-        ..StressConfig::default()
-    });
-    let pristine = gen::kary_tree(cfg.nodes, 4);
-    let tree = RootedTree::from_tree_graph(&pristine, NodeId(0));
-    let healed = dist.graph();
-    let degree_ok = healed.max_degree_increase_over(&pristine) <= 3;
-    // A disconnected graph has no finite diameter; charge it to the
-    // distance bound as well as to connectivity.
-    let distance_ok = diameter_exact(healed)
-        .is_some_and(|d| d <= ft_diameter_bound(tree.height(), tree.max_degree()));
+/// One cell: `sc` run to its end and its verdict inputs read. The tree
+/// keeps no oracle, so its healed diameter is checked against
+/// [`ft_diameter_bound`] of the pristine tree; the graph's sampled stretch
+/// must reach every pair within its bound.
+fn cell(sc: &Scenario) -> FaultCell {
+    let out = run(sc);
+    let v = &out.verdicts;
+    let distance_ok = match &v.stretch {
+        Some((stretch, bound)) => stretch.disconnected_pairs == 0 && stretch.max_stretch <= *bound,
+        None => {
+            let tree = RootedTree::from_tree_graph(out.healed.pristine(), NodeId(0));
+            let bound = ft_diameter_bound(tree.height(), tree.max_degree());
+            // A disconnected graph has no finite diameter; charge it to the
+            // distance bound as well as to connectivity.
+            diameter_exact(out.healed.graph()).is_some_and(|d| d <= bound)
+        }
+    };
     FaultCell {
-        protocol: "tree",
-        model,
-        converged: rec.converged,
-        connected: rec.connected,
-        wills_ok: true,
-        degree_ok,
+        protocol: sc.protocol.name(),
+        model: sc.faults.name.clone(),
+        panicked: false,
+        converged: v.converged,
+        connected: v.connected,
+        wills_ok: v.wills_ok,
+        degree_ok: v.max_degree_increase <= v.degree_bound,
         distance_ok,
-        sent: rec.sent,
-        delivered: rec.delivered,
-        dropped: rec.dropped,
-        lost: rec.lost,
-        duplicated: rec.duplicated,
-        delayed: rec.delayed,
-        crashes: rec.crashes,
-        fault_fingerprint: rec.fault_fingerprint,
-        ..FaultCell::default()
+        books: out.books,
     }
 }
 
-/// The Forgiving Graph cell: the mixed-churn stress harness with the
-/// named fault model armed; its relaxed booleans are the cell's verdict
-/// inputs.
-fn run_graph_cell(cfg: &FaultMatrixConfig, model: &'static str) -> FaultCell {
-    let rec = run_graph_stress(&GraphStressConfig {
-        nodes: cfg.nodes,
-        events: cfg.events,
-        wave_size: cfg.wave_size,
-        insert_fraction: 0.4,
-        extra_edges: 0.2,
-        planner: String::from("mixed"),
-        seed: cfg.seed,
-        stretch_sources: 8,
-        faults: String::from(model),
-        ..GraphStressConfig::default()
-    });
-    let degree_ok = rec.max_degree_increase <= rec.degree_bound;
-    let distance_ok =
-        rec.stretch.disconnected_pairs == 0 && rec.stretch.max_stretch <= rec.stretch_bound;
-    FaultCell {
-        protocol: "graph",
-        model,
-        converged: rec.converged,
-        connected: rec.connected,
-        wills_ok: rec.wills_ok,
-        degree_ok,
-        distance_ok,
-        sent: rec.sent,
-        delivered: rec.delivered,
-        dropped: rec.dropped,
-        lost: rec.lost,
-        duplicated: rec.duplicated,
-        delayed: rec.delayed,
-        crashes: rec.crashes,
-        fault_fingerprint: rec.fault_fingerprint,
-        ..FaultCell::default()
-    }
-}
-
-/// Runs the full protocol × fault-model matrix described by `cfg`.
+/// Runs the full protocol × fault-model matrix described by `cfg`, one
+/// cell per [`FaultMatrixConfig::scenarios`] entry.
 ///
 /// Each cell runs inside `catch_unwind`, so a blown-up harness is a
 /// recorded `panicked` verdict rather than a lost matrix. The `none`
 /// column doubles as the in-matrix control: it must always come back
-/// `held`, and the tests check that it does (the underlying harnesses
-/// record their fault-free verdicts rather than assert them).
+/// `held`, and the tests check that it does (the scenarios record their
+/// fault-free verdicts rather than assert them).
 pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixRecord {
-    let mut cells = Vec::new();
-    for protocol in ["tree", "graph"] {
-        for &model in FaultConfig::model_names() {
-            let run = || match protocol {
-                "tree" => run_tree_cell(cfg, model),
-                _ => run_graph_cell(cfg, model),
-            };
-            let cell = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| FaultCell {
-                protocol,
-                model,
-                panicked: true,
-                ..FaultCell::default()
-            });
-            cells.push(cell);
-        }
-    }
+    let cells = cfg.scenarios().into_iter().map(|sc| {
+        catch_unwind(AssertUnwindSafe(|| cell(&sc))).unwrap_or_else(|_| FaultCell {
+            protocol: sc.protocol.name(),
+            model: sc.faults.name,
+            panicked: true,
+            ..FaultCell::default()
+        })
+    });
     FaultMatrixRecord {
         config: cfg.clone(),
-        cells,
+        cells: cells.collect(),
     }
 }
 
@@ -331,7 +285,7 @@ mod tests {
                 assert!(
                     rec.cells
                         .iter()
-                        .any(|c| c.protocol == protocol && c.model == model),
+                        .any(|c| c.protocol == protocol && c.model == *model),
                     "missing cell {protocol}/{model}"
                 );
             }
@@ -342,9 +296,10 @@ mod tests {
     fn fault_free_control_column_holds() {
         let rec = run_fault_matrix(&small());
         for cell in rec.cells.iter().filter(|c| c.model == "none") {
+            let b = &cell.books;
             assert_eq!(cell.verdict(), "held", "{} control cell", cell.protocol);
             assert_eq!(
-                (cell.lost, cell.duplicated, cell.delayed, cell.crashes),
+                (b.lost, b.duplicated, b.delayed, b.crashes),
                 (0, 0, 0, 0),
                 "{} control cell realized faults",
                 cell.protocol
@@ -354,7 +309,7 @@ mod tests {
         let realized: u64 = rec
             .cells
             .iter()
-            .map(|c| c.lost + c.duplicated + c.delayed + c.crashes)
+            .map(|c| c.books.lost + c.books.duplicated + c.books.delayed + c.books.crashes)
             .sum();
         assert!(realized > 0, "no fault ever fired across the matrix");
     }

@@ -9,10 +9,14 @@
 //! `BENCH_graph.json`) — and the sampled-pair stretch pass that scores
 //! healed networks against their pristine baseline ([`stretch`]).
 //!
-//! The fault axis rides the same harnesses: both stress configs take a
-//! named fault model, and [`fault_matrix`] sweeps every protocol × model
-//! combination into the bounds-survival record behind `ftree faults`
-//! (`BENCH_faults.json`).
+//! Every campaign is one [`Scenario`] value ([`scenario`]): a protocol, an
+//! initial graph, planned or explicit churn waves and a parsed fault
+//! model. [`run`] drives it through the one wave loop both protocols share
+//! and returns an [`Outcome`]: the report, the [`Books`](ft_sim::Books), the verdict
+//! inputs and the realised waves, which replay the run as explicit events.
+//! The stress records read outcomes, and [`fault_matrix`] sweeps every
+//! protocol × fault model scenario into the bounds-survival record behind
+//! `ftree faults` (`BENCH_faults.json`).
 //!
 //! [`claims`] runs the seeded set behind `ftree reproduce` and renders it
 //! as `CLAIMS.md`, one row per claim of the two papers.
@@ -24,6 +28,7 @@ pub mod fault_matrix;
 pub mod graph_stress;
 mod record;
 pub mod runner;
+pub mod scenario;
 pub mod stats;
 pub mod stress;
 pub mod stretch;
@@ -32,11 +37,10 @@ pub mod table;
 pub mod workload;
 
 pub use fault_matrix::{run_fault_matrix, FaultCell, FaultMatrixConfig, FaultMatrixRecord};
-pub use graph_stress::{
-    run_graph_campaign, run_graph_stress, GraphStressConfig, GraphStressRecord,
-};
+pub use graph_stress::{run_graph_stress, GraphStressConfig, GraphStressRecord};
 pub use record::Record;
 pub use runner::{run_trial, StepMetrics, Trial, TrialConfig, TrialSummary};
+pub use scenario::{run, Events, Faults, Healed, Initial, Outcome, Protocol, Scenario, Verdicts};
 pub use stats::log_log_slope;
 pub use stress::{run_stress, StressConfig, StressRecord};
 pub use stretch::{measure_stretch_full, select_sources, StretchReport};

@@ -1,36 +1,27 @@
 //! Scale stress harness: 10⁵-node adversarial campaigns on the distributed
-//! engine, with a machine-readable perf record (`BENCH_sim.json`).
+//! Forgiving Tree, and the perf record of both stress harnesses
+//! (`BENCH_sim.json`, and `BENCH_graph.json` for [`crate::graph_stress`]).
 //!
-//! [`run_stress`] builds a k-ary tree workload, arms the message-level
-//! [`DistributedForgivingTree`], and drives wave after wave of deletions
-//! (planned by an `ft-adversary` [`ft_adversary::WavePlanner`], applied by
-//! the `ft-sim` [`Campaign`] driver) until the deletion budget is spent. The
-//! resulting [`StressRecord`] reports throughput (deletions/sec and
-//! messages/sec), the peak per-node round load, the full message ledger,
-//! and whether every heal converged and the healed graph stayed connected.
-//! `run_stress` panics if the books do not balance, so it doubles as an
-//! end-to-end accounting check in CI; a fault-free run that failed a
-//! verdict is named by [`StressRecord::failed_verdict`].
+//! A tree [`Scenario`] builds a k-ary tree workload and [`run`] drives wave
+//! after wave of deletions through it until the deletion budget is spent.
+//! [`StressRecord::new`] reads the outcome: throughput, the peak per-node
+//! round load, the message ledger, and whether every heal converged and
+//! the healed graph stayed connected. `run` panics if the books do not
+//! balance, so a stress run doubles as an end-to-end accounting check in
+//! CI; a fault-free run that failed a verdict is named by
+//! [`StressRecord::failed_verdict`]. Under a fault model those verdicts are
+//! measurements, and the accounting panics never relax.
 //!
-//! `StressConfig::faults` arms a named deterministic fault model
-//! ([`ft_sim::FaultConfig`]) on the same campaign: loss, duplication,
-//! delay, partitions, and crash-stop deaths, all a pure function of the
-//! seed, so faulty runs replay byte-identically. Under faults the
-//! convergence and connectivity booleans are measurements, not verdicts;
-//! the accounting panics never relax.
+//! [`StressConfig`] and [`run_stress`] are a thin shim over a scenario.
 
 use crate::record::Record;
-use ft_adversary::{make_wave_planner, AdversaryView};
-use ft_core::distributed::DistributedForgivingTree;
+use crate::scenario::{run, Events, Faults, Initial, Outcome, Protocol, Scenario};
+use crate::stretch::StretchReport;
+use ft_adversary::PlannerKind;
 use ft_costs::OperationCost;
-use ft_graph::tree::RootedTree;
-use ft_graph::{gen, NodeId};
-use ft_sim::{Campaign, CampaignConfig, FaultConfig, HealCadence, Network, Process};
+use ft_sim::{Books, HealCadence};
 
-/// Salt xor-ed into the campaign seed to derive the fault-plan seed.
-const FAULT_SEED_SALT: u64 = 0xFA17_5EED;
-
-/// Stress-campaign parameters.
+/// Stress-campaign parameters, as names.
 #[derive(Clone, Debug)]
 pub struct StressConfig {
     /// Initial node count (the paper's `n`).
@@ -45,146 +36,251 @@ pub struct StressConfig {
     pub planner: String,
     /// RNG seed for the planner.
     pub seed: u64,
-    /// Ignored; kept only because ftbench's sources are frozen; delete with
-    /// the next benchmark PR.
+    /// Ignored; kept only because ftbench's sources are frozen.
     pub threads: usize,
-    /// Heal cadence: `per-deletion` (Model 2.1, the default) or `per-wave`
-    /// (the whole wave strikes before recovery runs — heavier recovery
-    /// rounds).
-    /// **Caveat**: the Forgiving Tree protocol is specified for one
-    /// deletion per time step; under `per-wave` a victim's will-holders
-    /// can die with it and the heal may lose connectivity, which the
-    /// record then reports as a failed `connected` verdict — the honest
-    /// measurement of an out-of-contract adversary.
+    /// Heal cadence: `per-deletion` or `per-wave` (see [`Protocol::Tree`]).
     pub cadence: String,
-    /// Named fault model ([`FaultConfig::from_name`]): `none` (default),
-    /// `delay`, `loss`, `dup`, `crash`, `partition`, `chaos`, or
-    /// `+`-joined combinations. Any model other than `none` turns the
-    /// convergence/connectivity verdicts into plain measurements — under
-    /// faults those are not contract violations — while the
-    /// ledger-balance and cost-reconciliation panics stay armed.
+    /// Named fault model ([`Faults::named`]).
     pub faults: String,
 }
 
-impl Default for StressConfig {
-    fn default() -> Self {
-        StressConfig {
-            nodes: 100_000,
-            deletions: 1_000,
-            wave_size: 50,
-            arity: 8,
-            planner: String::from("random"),
-            seed: 42,
-            threads: 1,
-            cadence: String::from("per-deletion"),
-            faults: String::from("none"),
+impl StressConfig {
+    /// The tree scenario this config describes.
+    ///
+    /// # Panics
+    /// Panics on a planner, cadence or fault-model name that does not
+    /// parse.
+    pub fn scenario(&self) -> Scenario {
+        let planner = PlannerKind::from_name(&self.planner).filter(|k| !k.inserts());
+        Scenario {
+            protocol: Protocol::Tree {
+                arity: self.arity,
+                cadence: HealCadence::from_name(&self.cadence).expect("a heal cadence"),
+            },
+            initial: Initial::Nodes(self.nodes),
+            events: Events::Planned {
+                budget: self.deletions,
+                wave_size: self.wave_size,
+                planner: planner.expect("a wave planner"),
+            },
+            faults: Faults::named(&self.faults).expect("a fault model"),
+            seed: self.seed,
         }
     }
 }
 
-/// The perf record emitted as `BENCH_sim.json`.
+/// Runs the stress campaign described by `cfg`: [`run`] of its
+/// [`StressConfig::scenario`].
+///
+/// # Panics
+/// As [`StressConfig::scenario`] and [`run`].
+pub fn run_stress(cfg: &StressConfig) -> StressRecord {
+    let scenario = cfg.scenario();
+    let outcome = run(&scenario);
+    StressRecord::new(scenario, &outcome)
+}
+
+/// The perf record of a stress scenario's outcome: `BENCH_sim.json` for
+/// the Forgiving Tree, `BENCH_graph.json` for the Forgiving Graph. The
+/// stretch fields are zero for the tree, whose will audit reads `true`.
+/// Its [`Books`] read as the record's own fields (`rec.sent`) through
+/// `Deref`.
 #[derive(Clone, Debug)]
 pub struct StressRecord {
-    /// Echo of the configuration.
-    pub config: StressConfig,
+    /// The scenario that ran.
+    pub scenario: Scenario,
+    /// The ledger and fault counters.
+    pub books: Books,
     /// Waves applied.
     pub waves: usize,
-    /// Deletions actually performed.
+    /// Nodes inserted.
+    pub insertions: usize,
+    /// Nodes deleted.
     pub deletions: usize,
     /// Engine rounds consumed.
     pub rounds: u64,
     /// Live nodes remaining.
     pub live_remaining: usize,
-    /// Wall-clock seconds for the campaign (setup excluded).
+    /// Wall-clock seconds of the campaign (setup and stretch excluded).
     pub elapsed_secs: f64,
-    /// The same wall time in milliseconds (the perf-trajectory datapoint).
-    pub wall_ms: f64,
-    /// Healed deletions per second.
-    pub nodes_per_sec: f64,
-    /// Delivered messages (notices included) per second.
-    pub msgs_per_sec: f64,
+    /// Wall-clock milliseconds of stretch tracking: build, repairs, report.
+    pub stretch_wall_ms: f64,
     /// Worst single-node single-round message load.
     pub peak_per_node_load: usize,
-    /// Worst lifetime per-node message total.
-    pub max_per_node_total: u64,
-    /// Ledger: messages handed to the engine.
-    pub sent: u64,
-    /// Ledger: protocol messages delivered.
-    pub delivered: u64,
-    /// Ledger: messages dropped on dead endpoints.
-    pub dropped: u64,
-    /// Ledger: deletion notices delivered.
-    pub notices: u64,
-    /// Ledger: deliveries + notices.
-    pub total_messages: u64,
-    /// Engine-side operation cost of the whole campaign (accumulated by
-    /// the round engine; `cost.messages_delivered` reconciles with the
-    /// ledger's delivered book by construction).
-    pub cost: OperationCost,
-    /// Whether both ledger identities held at the end (always true when
-    /// `run_stress` returns — it panics otherwise).
-    pub balanced: bool,
-    /// Whether every heal phase reached quiescence within its round budget
-    /// (a verdict of a fault-free run; under faults a measurement).
+    /// Worst degree increase over the pristine baseline.
+    pub max_degree_increase: i64,
+    /// The degree bound: 3 for the tree, `3·⌈log₂ n⌉ + 3` for the graph.
+    pub degree_bound: i64,
+    /// The sampled stretch pass (graph).
+    pub stretch: StretchReport,
+    /// The enforced stretch bound (graph: `⌈log₂ n⌉ + 2`).
+    pub stretch_bound: f64,
+    /// Operation cost of the stretch measurement (graph).
+    pub stretch_cost: OperationCost,
+    /// Whether every heal quiesced within its round budget.
     pub converged: bool,
-    /// Ledger: messages destroyed on the wire (loss + partition cuts).
-    pub lost: u64,
-    /// Ledger: surplus copies minted by duplication.
-    pub duplicated: u64,
-    /// Ledger: messages that took at least one extra round in the delay
-    /// queue (observability book; delayed mail still delivers or drops).
-    pub delayed: u64,
-    /// Deletions the fault plan escalated to crash-stops.
-    pub crashes: u64,
-    /// FNV-1a fingerprint of the realized fault schedule (the basis value
-    /// when no fault fired).
-    pub fault_fingerprint: u64,
-    /// Whether the healed graph was still connected at the end (a verdict
-    /// of a fault-free run; under faults a measurement).
+    /// Whether the will audit passed.
+    pub wills_ok: bool,
+    /// Whether the healed graph was still connected at the end.
     pub connected: bool,
 }
 
+impl std::ops::Deref for StressRecord {
+    type Target = Books;
+
+    fn deref(&self) -> &Books {
+        &self.books
+    }
+}
+
 impl StressRecord {
-    /// The first verdict a fault-free run failed, `converged` or
-    /// `connected`; `None` when both held or when faults were armed, which
-    /// makes both measurements.
+    /// The record of `scenario`'s `outcome`.
+    pub fn new(scenario: Scenario, outcome: &Outcome) -> StressRecord {
+        let (report, v) = (&outcome.report, &outcome.verdicts);
+        let (stretch, stretch_bound) = v.stretch.clone().unwrap_or_default();
+        StressRecord {
+            scenario,
+            books: outcome.books.clone(),
+            waves: report.waves,
+            insertions: report.insertions,
+            deletions: report.deletions,
+            rounds: report.rounds,
+            live_remaining: outcome.healed.graph().len(),
+            elapsed_secs: outcome.campaign_secs,
+            stretch_wall_ms: outcome.stretch_secs * 1e3,
+            peak_per_node_load: report.peak_round_load,
+            max_degree_increase: v.max_degree_increase,
+            degree_bound: v.degree_bound,
+            stretch,
+            stretch_bound,
+            stretch_cost: outcome.stretch_cost,
+            converged: v.converged,
+            wills_ok: v.wills_ok,
+            connected: v.connected,
+        }
+    }
+
+    /// The verdicts of a fault-free run, in the order they are read: the
+    /// tree's are the first three, the graph's all six.
+    fn verdicts(&self) -> Vec<(&'static str, bool)> {
+        let s = &self.stretch;
+        let all = [
+            ("converged", self.converged),
+            ("wills_ok", self.wills_ok),
+            ("connected", self.connected),
+            ("disconnected_pairs", s.disconnected_pairs == 0),
+            (
+                "degree_bound",
+                self.max_degree_increase <= self.degree_bound,
+            ),
+            ("stretch_bound", s.max_stretch <= self.stretch_bound),
+        ];
+        let tree = matches!(self.scenario.protocol, Protocol::Tree { .. });
+        all[..if tree { 3 } else { 6 }].to_vec()
+    }
+
+    /// The first verdict a fault-free run failed (`converged`, `wills_ok`,
+    /// `connected`, and for the graph `disconnected_pairs`, `degree_bound`
+    /// and `stretch_bound`); `None` when all held or when faults were
+    /// armed, which makes them measurements.
     pub fn failed_verdict(&self) -> Option<&'static str> {
-        first_failed(
-            &self.config.faults,
-            &[("converged", self.converged), ("connected", self.connected)],
-        )
+        let failed = self.verdicts().into_iter().find(|(_, held)| !held);
+        failed
+            .filter(|_| self.scenario.faults.config.is_zero())
+            .map(|(name, _)| name)
+    }
+
+    /// Healed churn events and delivered messages (notices and joins
+    /// included) per second.
+    pub fn rates(&self) -> (f64, f64) {
+        let (secs, events) = (self.elapsed_secs, self.insertions + self.deletions);
+        (events as f64 / secs, self.total_messages as f64 / secs)
     }
 
     /// Serializes the record as a flat JSON object.
     pub fn to_json(&self) -> String {
-        let c = &self.config;
-        Record::new()
-            .str("bench", "sim_stress")
-            .num("nodes", c.nodes)
-            .num("arity", c.arity)
-            .str("planner", &c.planner)
-            .str("cadence", &c.cadence)
-            .num("seed", c.seed)
-            .num("wave_size", c.wave_size)
-            .num("waves", self.waves)
-            .num("deletions", self.deletions)
-            .num("rounds", self.rounds)
-            .num("live_remaining", self.live_remaining)
-            .fixed("elapsed_secs", self.elapsed_secs, 6)
-            .fixed("wall_ms", self.wall_ms, 3)
-            .fixed("nodes_per_sec", self.nodes_per_sec, 1)
-            .fixed("msgs_per_sec", self.msgs_per_sec, 1)
-            .num("peak_per_node_load", self.peak_per_node_load)
-            .num("max_per_node_total", self.max_per_node_total)
-            .num("sent", self.sent)
-            .num("delivered", self.delivered)
-            .num("dropped", self.dropped)
-            .num("notices", self.notices)
-            .num("total_messages", self.total_messages)
-            .cost("cost", &self.cost)
-            .num("balanced", self.balanced)
-            .num("converged", self.converged)
-            .str("faults", &c.faults)
+        let sc = &self.scenario;
+        let (events, wave_size, planner) = sc.events.echo();
+        let (events_per_sec, msgs_per_sec) = self.rates();
+        let wall_ms = self.elapsed_secs * 1e3;
+        let record = match sc.protocol {
+            Protocol::Tree { arity, cadence } => Record::new()
+                .str("bench", "sim_stress")
+                .num("nodes", sc.initial.nodes())
+                .num("arity", arity)
+                .str("planner", planner)
+                .str("cadence", cadence.name())
+                .num("seed", sc.seed)
+                .num("wave_size", wave_size)
+                .num("waves", self.waves)
+                .num("deletions", self.deletions)
+                .num("rounds", self.rounds)
+                .num("live_remaining", self.live_remaining)
+                .fixed("elapsed_secs", self.elapsed_secs, 6)
+                .fixed("wall_ms", wall_ms, 3)
+                .fixed("nodes_per_sec", events_per_sec, 1)
+                .fixed("msgs_per_sec", msgs_per_sec, 1)
+                .num("peak_per_node_load", self.peak_per_node_load)
+                .num("max_per_node_total", self.max_per_node_total)
+                .num("sent", self.sent)
+                .num("delivered", self.delivered)
+                .num("dropped", self.dropped)
+                .num("notices", self.notices)
+                .num("total_messages", self.total_messages)
+                .cost("cost", &self.cost)
+                .num("balanced", true)
+                .num("converged", self.converged)
+                .str("faults", &sc.faults.name),
+            Protocol::Graph {
+                extra_edges,
+                insert_fraction,
+                ..
+            } => Record::new()
+                .str("bench", "graph_stress")
+                .num("nodes", sc.initial.nodes())
+                .num("events", events)
+                .num("wave_size", wave_size)
+                .fixed("insert_fraction", insert_fraction, 3)
+                .fixed("extra_edges", extra_edges, 3)
+                .str("planner", planner)
+                .num("seed", sc.seed)
+                .num("waves", self.waves)
+                .num("insertions", self.insertions)
+                .num("deletions", self.deletions)
+                .num("rounds", self.rounds)
+                .num("live_remaining", self.live_remaining)
+                .fixed("elapsed_secs", self.elapsed_secs, 6)
+                .fixed("wall_ms", wall_ms, 3)
+                .fixed("stretch_wall_ms", self.stretch_wall_ms, 3)
+                .fixed("events_per_sec", events_per_sec, 1)
+                .fixed("msgs_per_sec", msgs_per_sec, 1)
+                .num("peak_per_node_load", self.peak_per_node_load)
+                .num("max_per_node_total", self.max_per_node_total)
+                .num("sent", self.sent)
+                .num("delivered", self.delivered)
+                .num("dropped", self.dropped)
+                .num("notices", self.notices)
+                .num("joins", self.joins)
+                .num("total_messages", self.total_messages)
+                .num("max_degree_increase", self.max_degree_increase)
+                .num("degree_bound", self.degree_bound)
+                .num("stretch_sources", self.stretch.sources)
+                .num("stretch_pairs", self.stretch.pairs)
+                .fixed("max_stretch", self.stretch.max_stretch, 4)
+                .fixed("mean_stretch", self.stretch.mean_stretch, 4)
+                .fixed("stretch_bound", self.stretch_bound, 1)
+                .cost("cost", &self.cost)
+                .num("stretch_node_visits", self.stretch_cost.node_visits)
+                .num("stretch_edge_scans", self.stretch_cost.edge_scans)
+                .num("stretch_heap_bytes", self.stretch_cost.heap_bytes)
+                .num("stretch_seeks", self.stretch_cost.seeks)
+                .num("balanced", true)
+                .num("within_bounds", self.verdicts()[3..].iter().all(|v| v.1))
+                .num("converged", self.converged)
+                .str("faults", &sc.faults.name)
+                .num("wills_ok", self.wills_ok),
+        };
+        record
             .num("lost", self.lost)
             .num("duplicated", self.duplicated)
             .num("delayed", self.delayed)
@@ -196,174 +292,80 @@ impl StressRecord {
 
     /// One-line human summary.
     pub fn summary(&self) -> String {
-        format!(
-            "{} deletions over {} waves on n={} ({} planner): \
-             {:.2}s, {:.0} deletions/s, {:.0} msgs/s, peak node load {}, \
-             books balanced",
-            self.deletions,
-            self.waves,
-            self.config.nodes,
-            self.config.planner,
-            self.elapsed_secs,
-            self.nodes_per_sec,
-            self.msgs_per_sec,
-            self.peak_per_node_load,
-        )
-    }
-}
-
-/// Runs the stress campaign described by `cfg`.
-///
-/// A truncated heal or a disconnected result is recorded in `converged` /
-/// `connected`; [`StressRecord::failed_verdict`] names it when no fault
-/// was armed.
-///
-/// # Panics
-/// Panics on an unknown planner/cadence/fault-model name or a
-/// message-ledger imbalance — a non-zero exit is the CI failure signal.
-pub fn run_stress(cfg: &StressConfig) -> StressRecord {
-    run_tree_campaign(cfg).0
-}
-
-/// The name of the first of `verdicts` that failed; `None` when all held
-/// or when the fault `model` can fire, which makes them measurements. Both
-/// stress records name their failed verdict through it.
-pub(crate) fn first_failed(model: &str, verdicts: &[(&'static str, bool)]) -> Option<&'static str> {
-    if FaultConfig::from_name(model).is_some_and(|f| !f.is_zero()) {
-        return None;
-    }
-    verdicts
-        .iter()
-        .find(|(_, held)| !held)
-        .map(|(name, _)| *name)
-}
-
-/// Arms the named fault `model` on `net`, its plan seeded from `seed`
-/// xor-ed with a salt, so the planner and the fault schedule draw from
-/// decoupled streams (`none` arms nothing).
-///
-/// # Panics
-/// Panics on an unknown model name.
-pub(crate) fn arm_faults<P: Process>(net: &mut Network<P>, model: &str, seed: u64) {
-    let fault_cfg =
-        FaultConfig::from_name(model).unwrap_or_else(|| panic!("unknown fault model: {model}"));
-    if !fault_cfg.is_zero() {
-        net.set_fault_plan(Some(fault_cfg.plan(seed ^ FAULT_SEED_SALT)));
-    }
-}
-
-/// The end-of-campaign accounting check every harness runs, faulty or
-/// not.
-///
-/// # Panics
-/// Panics unless the ledger identities hold and the engine's delivered
-/// counter equals the ledger's delivered book.
-pub(crate) fn audit<P: Process>(net: &Network<P>) {
-    net.check_accounting()
-        .expect("message ledger imbalance after the campaign");
-    assert_eq!(
-        net.costs().messages_delivered,
-        net.ledger().delivered(),
-        "operation-cost delivery counter diverged from the ledger"
-    );
-}
-
-/// The tree campaign behind [`run_stress`]; it also returns the healed
-/// network, for callers that check more than the record holds.
-#[expect(
-    clippy::disallowed_types,
-    reason = "times the campaign for the record's wall-clock fields; no protocol decision reads the clock"
-)]
-pub(crate) fn run_tree_campaign(cfg: &StressConfig) -> (StressRecord, DistributedForgivingTree) {
-    use std::time::Instant;
-    let g = gen::kary_tree(cfg.nodes, cfg.arity.max(2));
-    let tree = RootedTree::from_tree_graph(&g, NodeId(0));
-    let mut dist = DistributedForgivingTree::new(&tree);
-    let mut planner = make_wave_planner(&cfg.planner, cfg.seed)
-        .unwrap_or_else(|| panic!("unknown wave planner: {}", cfg.planner));
-    let cadence = HealCadence::from_name(&cfg.cadence)
-        .unwrap_or_else(|| panic!("unknown heal cadence: {}", cfg.cadence));
-    arm_faults(dist.network_mut(), &cfg.faults, cfg.seed);
-    let mut campaign = Campaign::new(CampaignConfig {
-        cadence,
-        ..CampaignConfig::default()
-    });
-
-    let start = Instant::now();
-    let mut remaining = cfg.deletions.min(cfg.nodes.saturating_sub(1));
-    while remaining > 0 && dist.len() > 1 {
-        let k = remaining.min(cfg.wave_size.max(1)).min(dist.len() - 1);
-        let victims = planner.plan(
-            AdversaryView {
-                graph: dist.graph(),
-                ft: None,
-            },
-            k,
-        );
-        if victims.is_empty() {
-            break;
+        let (events_per_sec, msgs_per_sec) = self.rates();
+        let (nodes, planner) = (self.scenario.initial.nodes(), self.scenario.events.echo().2);
+        let secs = self.elapsed_secs;
+        match self.scenario.protocol {
+            Protocol::Tree { .. } => format!(
+                "{} deletions over {} waves on n={nodes} ({planner} planner): \
+                 {secs:.2}s, {events_per_sec:.0} deletions/s, {msgs_per_sec:.0} msgs/s, \
+                 peak node load {}, books balanced",
+                self.deletions, self.waves, self.peak_per_node_load,
+            ),
+            Protocol::Graph { .. } => format!(
+                "{} inserts + {} deletes over {} waves on n={nodes} ({planner} planner): \
+                 {secs:.2}s, {events_per_sec:.0} events/s, {msgs_per_sec:.0} msgs/s, \
+                 max stretch {:.2} (bound {:.0}), max degree +{} (bound {}), books balanced",
+                self.insertions,
+                self.deletions,
+                self.waves,
+                self.stretch.max_stretch,
+                self.stretch_bound,
+                self.max_degree_increase,
+                self.degree_bound,
+            ),
         }
-        remaining -= victims.len();
-        campaign.run_wave(dist.network_mut(), &victims);
     }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-
-    audit(dist.network());
-    let report = campaign.report();
-    let connected = dist.graph().is_connected();
-    let ledger = dist.ledger();
-    let record = StressRecord {
-        waves: report.waves,
-        deletions: report.deletions,
-        rounds: report.rounds,
-        live_remaining: dist.len(),
-        elapsed_secs: elapsed,
-        wall_ms: elapsed * 1e3,
-        nodes_per_sec: report.deletions as f64 / elapsed,
-        msgs_per_sec: ledger.total_messages() as f64 / elapsed,
-        peak_per_node_load: report.peak_round_load,
-        max_per_node_total: ledger.max_per_node(),
-        sent: ledger.sent(),
-        delivered: ledger.delivered(),
-        dropped: ledger.dropped(),
-        notices: ledger.notices(),
-        total_messages: ledger.total_messages(),
-        cost: dist.network().costs(),
-        balanced: true,
-        converged: report.converged,
-        lost: ledger.lost(),
-        duplicated: ledger.duplicated(),
-        delayed: ledger.delayed(),
-        crashes: dist.network().crashes(),
-        fault_fingerprint: dist.network().fault_fingerprint(),
-        connected,
-        config: cfg.clone(),
-    };
-    (record, dist)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A fault-free per-deletion scenario on a 4-ary tree.
+    fn tree(
+        nodes: usize,
+        deletions: usize,
+        wave: usize,
+        planner: PlannerKind,
+        seed: u64,
+    ) -> Scenario {
+        Scenario {
+            protocol: Protocol::Tree {
+                arity: 4,
+                cadence: HealCadence::PerDeletion,
+            },
+            initial: Initial::Nodes(nodes),
+            events: Events::Planned {
+                budget: deletions,
+                wave_size: wave,
+                planner,
+            },
+            faults: Faults::default(),
+            seed,
+        }
+    }
+
+    fn faults(name: &str) -> Faults {
+        Faults::named(name).expect("a fault model")
+    }
+
+    fn record(scenario: Scenario) -> StressRecord {
+        let outcome = run(&scenario);
+        StressRecord::new(scenario, &outcome)
+    }
+
     #[test]
     fn smoke_scale_campaign_balances() {
-        for planner in ["random", "targeted", "heavy-tail"] {
-            let cfg = StressConfig {
-                nodes: 300,
-                deletions: 60,
-                wave_size: 7,
-                arity: 4,
-                planner: planner.into(),
-                seed: 1,
-                cadence: "per-deletion".into(),
-                faults: "none".into(),
-                ..StressConfig::default()
-            };
-            let rec = run_stress(&cfg);
-            assert_eq!(rec.deletions, 60, "{planner}");
-            assert!(rec.balanced && rec.converged);
-            assert_eq!(rec.failed_verdict(), None, "{planner}");
+        for planner in [
+            PlannerKind::Random,
+            PlannerKind::Targeted,
+            PlannerKind::HeavyTail,
+        ] {
+            let rec = record(tree(300, 60, 7, planner, 1));
+            assert_eq!(rec.deletions, 60, "{planner:?}");
+            assert!(rec.converged);
+            assert_eq!(rec.failed_verdict(), None, "{planner:?}");
             assert_eq!(rec.live_remaining, 240);
             assert_eq!(rec.total_messages, rec.delivered + rec.notices);
             assert!(rec.peak_per_node_load > 0);
@@ -377,19 +379,9 @@ mod tests {
     /// seed produces identical campaign figures and ledger books.
     #[test]
     fn campaign_record_replays_identically() {
-        let cfg = StressConfig {
-            nodes: 600,
-            deletions: 120,
-            wave_size: 12,
-            arity: 4,
-            planner: "heavy-tail".into(),
-            seed: 9,
-            cadence: "per-deletion".into(),
-            faults: "none".into(),
-            ..StressConfig::default()
-        };
-        let rec1 = run_stress(&cfg);
-        let rec2 = run_stress(&cfg);
+        let sc = tree(600, 120, 12, PlannerKind::HeavyTail, 9);
+        let rec1 = record(sc.clone());
+        let rec2 = record(sc);
         let fingerprint = |r: &StressRecord| {
             (
                 r.waves,
@@ -411,16 +403,12 @@ mod tests {
 
     #[test]
     fn json_record_is_well_formed_enough() {
-        let rec = run_stress(&StressConfig {
-            nodes: 50,
-            deletions: 10,
-            wave_size: 5,
-            arity: 3,
-            planner: "random".into(),
-            seed: 2,
-            cadence: "per-deletion".into(),
-            faults: "none".into(),
-            ..StressConfig::default()
+        let rec = record(Scenario {
+            protocol: Protocol::Tree {
+                arity: 3,
+                cadence: HealCadence::PerDeletion,
+            },
+            ..tree(50, 10, 5, PlannerKind::Random, 2)
         });
         let json = rec.to_json();
         assert!(json.starts_with("{\n"));
@@ -444,16 +432,13 @@ mod tests {
     /// dropped at deletions, the fault schedule and every engine charge.
     #[test]
     fn per_wave_duplication_campaign_is_pinned() {
-        let rec = run_stress(&StressConfig {
-            nodes: 600,
-            deletions: 120,
-            wave_size: 12,
-            arity: 4,
-            planner: "heavy-tail".into(),
-            seed: 1,
-            cadence: "per-wave".into(),
-            faults: "dup".into(),
-            ..StressConfig::default()
+        let rec = record(Scenario {
+            protocol: Protocol::Tree {
+                arity: 4,
+                cadence: HealCadence::PerWave,
+            },
+            faults: faults("dup"),
+            ..tree(600, 120, 12, PlannerKind::HeavyTail, 1)
         });
         assert_eq!(rec.dropped, 571);
         assert_eq!(rec.fault_fingerprint, 12_362_097_735_668_377_898);
@@ -477,15 +462,13 @@ mod tests {
     /// messages under the same fault schedule.
     #[test]
     fn chaos_replace_rep_matches_the_position_only() {
-        let rec = run_stress(&StressConfig {
-            nodes: 100,
-            deletions: 40,
-            wave_size: 20,
-            arity: 2,
-            planner: "random".into(),
-            seed: 12,
-            faults: "chaos".into(),
-            ..StressConfig::default()
+        let rec = record(Scenario {
+            protocol: Protocol::Tree {
+                arity: 2,
+                cadence: HealCadence::PerDeletion,
+            },
+            faults: faults("chaos"),
+            ..tree(100, 40, 20, PlannerKind::Random, 12)
         });
         assert_eq!((rec.sent, rec.dropped), (233, 68));
         assert_eq!(rec.fault_fingerprint, 10_330_576_534_655_175_372);
@@ -496,19 +479,20 @@ mod tests {
     /// harness panicking.
     #[test]
     fn per_wave_disconnection_is_a_recorded_verdict() {
-        let rec = run_stress(&StressConfig {
-            nodes: 5000,
-            cadence: "per-wave".into(),
-            seed: 42,
-            ..StressConfig::default()
+        let rec = record(Scenario {
+            protocol: Protocol::Tree {
+                arity: 8,
+                cadence: HealCadence::PerWave,
+            },
+            ..tree(5000, 1000, 50, PlannerKind::Random, 42)
         });
-        assert!(rec.balanced && rec.converged && !rec.connected);
+        assert!(rec.converged && !rec.connected);
         assert_eq!(rec.failed_verdict(), Some("connected"));
         assert!(rec.to_json().contains("\"connected\": false"));
         // under faults the same booleans are measurements, not verdicts
-        let dup = run_stress(&StressConfig {
-            faults: "dup".into(),
-            ..rec.config.clone()
+        let dup = record(Scenario {
+            faults: faults("dup"),
+            ..rec.scenario.clone()
         });
         assert!(!dup.connected);
         assert_eq!(dup.failed_verdict(), None);
@@ -519,19 +503,12 @@ mod tests {
     /// the `none` model is byte-identical to not arming a plan at all.
     #[test]
     fn faulty_campaign_balances_and_replays() {
-        let base = StressConfig {
-            nodes: 400,
-            deletions: 80,
-            wave_size: 8,
-            arity: 4,
-            planner: "random".into(),
-            seed: 17,
-            cadence: "per-deletion".into(),
-            faults: "loss+crash".into(),
-            ..StressConfig::default()
+        let base = Scenario {
+            faults: faults("loss+crash"),
+            ..tree(400, 80, 8, PlannerKind::Random, 17)
         };
-        let rec1 = run_stress(&base);
-        let rec2 = run_stress(&base);
+        let rec1 = record(base.clone());
+        let rec2 = record(base.clone());
         assert!(
             rec1.lost > 0,
             "a 5% loss model over 80 heals must lose mail"
@@ -554,9 +531,9 @@ mod tests {
         assert_eq!(fp(&rec1), fp(&rec2), "faulty record replays");
         assert_eq!(rec1.cost, rec2.cost, "faulty engine costs bit-identical");
 
-        let clean = run_stress(&StressConfig {
-            faults: "none".into(),
-            ..base.clone()
+        let clean = record(Scenario {
+            faults: Faults::default(),
+            ..base
         });
         assert_eq!(clean.lost, 0);
         assert_eq!(clean.crashes, 0);

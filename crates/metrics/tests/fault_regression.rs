@@ -8,25 +8,34 @@
 //! being deterministic (or changed semantics) and must be understood
 //! before the pin is moved.
 
-use ft_metrics::{run_graph_stress, GraphStressConfig};
+use ft_adversary::PlannerKind;
+use ft_metrics::{run, Events, Faults, Initial, Protocol, Scenario, StressRecord};
+use ft_sim::HealCadence;
+
+fn chaos() -> Faults {
+    Faults::named("chaos").expect("a fault model")
+}
 
 #[test]
 fn seeded_regression_pins_faulty_ten_thousand_node_figures() {
-    let rec = run_graph_stress(&GraphStressConfig {
-        nodes: 10_000,
-        events: 160,
-        wave_size: 20,
-        insert_fraction: 0.4,
-        extra_edges: 0.2,
-        planner: "mixed".into(),
+    let sc = Scenario {
+        protocol: Protocol::Graph {
+            extra_edges: 0.2,
+            insert_fraction: 0.4,
+            stretch_sources: 8,
+        },
+        initial: Initial::Nodes(10_000),
+        events: Events::Planned {
+            budget: 160,
+            wave_size: 20,
+            planner: PlannerKind::Mixed,
+        },
+        faults: chaos(),
         seed: 20_260_807,
-        stretch_sources: 8,
-        faults: "chaos".into(),
-        ..GraphStressConfig::default()
-    });
-    // The books must balance on every faulty run — that identity never
-    // relaxes — and the campaign must have realized faults on every axis.
-    assert!(rec.balanced, "faulty ledger out of balance");
+    };
+    let rec = StressRecord::new(sc.clone(), &run(&sc));
+    // The books balance on every faulty run (`run` panics otherwise), and
+    // the campaign must have realized faults on every axis.
     assert!(rec.lost > 0, "chaos lost no messages");
     assert!(rec.duplicated > 0, "chaos duplicated no messages");
     assert!(rec.delayed > 0, "chaos delayed no messages");
@@ -64,16 +73,23 @@ fn seeded_regression_pins_faulty_ten_thousand_node_figures() {
 /// impossible step and let the harness record the damage, not panic.
 #[test]
 fn tree_degrades_instead_of_panicking_under_loss_and_crash() {
-    use ft_metrics::{run_stress, StressConfig};
     for (nodes, deletions, seed) in [(2000, 1000, 1), (2000, 1000, 3), (5000, 2500, 42)] {
-        let rec = run_stress(&StressConfig {
-            nodes,
-            deletions,
+        let sc = Scenario {
+            protocol: Protocol::Tree {
+                arity: 8,
+                cadence: HealCadence::PerDeletion,
+            },
+            initial: Initial::Nodes(nodes),
+            events: Events::Planned {
+                budget: deletions,
+                wave_size: 50,
+                planner: PlannerKind::Random,
+            },
+            faults: Faults::named("loss+crash").expect("a fault model"),
             seed,
-            faults: "loss+crash".into(),
-            ..StressConfig::default()
-        });
-        assert!(rec.balanced, "seed {seed}: faulty ledger out of balance");
-        assert_eq!(rec.deletions, deletions, "seed {seed}: campaign cut short");
+        };
+        // `run` panics on an unbalanced ledger
+        let deleted = run(&sc).report.deletions;
+        assert_eq!(deleted, deletions, "seed {seed}: campaign cut short");
     }
 }

@@ -4,10 +4,14 @@
 //! full re-sweep oracle after every wave — plus a seeded regression
 //! pinning the 10⁴-node campaign's headline figures against silent drift.
 
+use ft_adversary::PlannerKind;
 use ft_adversary::{make_churn_planner, AdversaryView};
 use ft_core::DistributedForgivingGraph;
 use ft_graph::gen;
-use ft_metrics::{measure_stretch_full, run_graph_campaign, GraphStressConfig, StretchTracker};
+use ft_metrics::{
+    measure_stretch_full, run, Events, Faults, Initial, Protocol, Scenario, StressRecord,
+    StretchTracker,
+};
 use ft_sim::{Campaign, CampaignConfig, FaultConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -102,21 +106,24 @@ proptest! {
 /// pin is moved.
 #[test]
 fn seeded_regression_pins_ten_thousand_node_figures() {
-    let cfg = GraphStressConfig {
-        nodes: 10_000,
-        events: 160,
-        wave_size: 20,
-        insert_fraction: 0.4,
-        extra_edges: 0.2,
-        planner: "mixed".into(),
+    let sc = Scenario {
+        protocol: Protocol::Graph {
+            extra_edges: 0.2,
+            insert_fraction: 0.4,
+            stretch_sources: 8,
+        },
+        initial: Initial::Nodes(10_000),
+        events: Events::Planned {
+            budget: 160,
+            wave_size: 20,
+            planner: PlannerKind::Mixed,
+        },
+        faults: Faults::default(),
         seed: 20_260_807,
-        stretch_sources: 8,
-        faults: "none".into(),
-        ..GraphStressConfig::default()
     };
-    let (rec, dist) = run_graph_campaign(&cfg);
-    let (full, _) =
-        measure_stretch_full(dist.graph(), dist.pristine(), cfg.stretch_sources, cfg.seed);
+    let out = run(&sc);
+    let rec = StressRecord::new(sc.clone(), &out);
+    let (full, _) = measure_stretch_full(out.healed.graph(), out.healed.pristine(), 8, sc.seed);
     assert_eq!(rec.stretch, full, "tracker agrees with the full sweep");
     assert_eq!(
         (rec.insertions, rec.deletions, rec.waves, rec.rounds),

@@ -46,6 +46,14 @@ impl HealCadence {
             _ => None,
         }
     }
+
+    /// The cadence's name, as [`HealCadence::from_name`] reads it.
+    pub fn name(self) -> &'static str {
+        match self {
+            HealCadence::PerDeletion => "per-deletion",
+            HealCadence::PerWave => "per-wave",
+        }
+    }
 }
 
 /// Campaign parameters.
@@ -336,6 +344,9 @@ mod tests {
             Some(HealCadence::PerWave)
         );
         assert_eq!(HealCadence::from_name("per-round"), None);
+        for cadence in [HealCadence::PerDeletion, HealCadence::PerWave] {
+            assert_eq!(HealCadence::from_name(cadence.name()), Some(cadence));
+        }
     }
 
     /// On a neighbor's death, ping every surviving graph neighbor once —

@@ -27,7 +27,7 @@
 //!   derives from one [`MsgLedger`] charged at delivery time (deletion
 //!   notices included), enforcing `sent = delivered + dropped + in-flight`
 //!   and `sum(per-node) = 2·total − notices − joins`; audit any network
-//!   with [`Network::check_accounting`].
+//!   with [`Network::check_accounting`], or read its checked [`Books`].
 //!
 //! # In-flight mail
 //!
@@ -89,7 +89,7 @@ pub use campaign::{Campaign, CampaignConfig, CampaignReport, HealCadence, WaveSt
 pub use faults::{FaultConfig, FaultPlan, MsgFate};
 pub use ft_costs::{CostResult, OperationCost};
 pub use ledger::MsgLedger;
-pub use network::{ChurnJournal, Ctx, Network, Process, RoundStats};
+pub use network::{Books, ChurnJournal, Ctx, Network, Process, RoundStats};
 
 #[cfg(test)]
 mod accounting_tests;

@@ -146,6 +146,39 @@ impl RoundStats {
     }
 }
 
+/// A network's books at one moment: the [`MsgLedger`] totals, the fault
+/// counters and the cumulative [`OperationCost`], as
+/// [`Network::books`] reads them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Books {
+    /// Messages handed to the engine.
+    pub sent: u64,
+    /// Protocol messages delivered.
+    pub delivered: u64,
+    /// Messages dropped on dead endpoints.
+    pub dropped: u64,
+    /// Deletion notices delivered.
+    pub notices: u64,
+    /// Join notices delivered.
+    pub joins: u64,
+    /// Deliveries, notices and joins.
+    pub total_messages: u64,
+    /// Worst lifetime per-node message total.
+    pub max_per_node_total: u64,
+    /// Messages destroyed on the wire (loss and partition cuts).
+    pub lost: u64,
+    /// Surplus copies minted by duplication.
+    pub duplicated: u64,
+    /// Messages that took at least one extra round in the delay queue.
+    pub delayed: u64,
+    /// Crash-stop deletions.
+    pub crashes: u64,
+    /// [`Network::fault_fingerprint`].
+    pub fault_fingerprint: u64,
+    /// [`Network::costs`].
+    pub cost: OperationCost,
+}
+
 /// The simulator: dense process slots + topology + one round mailbox +
 /// the message ledger.
 #[derive(Debug)]
@@ -481,6 +514,28 @@ impl<P: Process> Network<P> {
             ));
         }
         Ok(())
+    }
+
+    /// The books, once [`Network::check_accounting`] passes; its error
+    /// otherwise.
+    pub fn books(&self) -> Result<Books, String> {
+        self.check_accounting()?;
+        let ledger = &self.ledger;
+        Ok(Books {
+            sent: ledger.sent(),
+            delivered: ledger.delivered(),
+            dropped: ledger.dropped(),
+            notices: ledger.notices(),
+            joins: ledger.joins(),
+            total_messages: ledger.total_messages(),
+            max_per_node_total: ledger.max_per_node(),
+            lost: ledger.lost(),
+            duplicated: ledger.duplicated(),
+            delayed: ledger.delayed(),
+            crashes: self.crashes,
+            fault_fingerprint: self.fault_fp,
+            cost: self.costs,
+        })
     }
 
     /// Runs `on_start` on every process and applies side effects (round 0).

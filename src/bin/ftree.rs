@@ -38,8 +38,8 @@
 //! running on defaults.
 
 use forgiving_tree::metrics::{
-    claims, log_log_slope, run_fault_matrix, run_graph_stress, run_stress, run_trial,
-    FaultMatrixConfig, GraphStressConfig, Record, StressConfig, Table, TrialConfig, Workload,
+    claims, log_log_slope, run, run_fault_matrix, run_trial, Events, FaultMatrixConfig, Faults,
+    Initial, Protocol, Record, Scenario, StressRecord, Table, TrialConfig, Workload,
 };
 use forgiving_tree::prelude::*;
 use std::process::exit;
@@ -178,17 +178,6 @@ fn parse_scaled(s: &str) -> Option<usize> {
         return approx(t.parse::<f64>().ok()?);
     }
     None
-}
-
-/// Reads and validates `--faults` (default `none`) against the named
-/// fault models, rejecting unknown names before any campaign runs.
-fn parse_fault_model(args: &[String]) -> String {
-    let model = flag_value(args, "--faults").unwrap_or("none");
-    if FaultConfig::from_name(model).is_none() {
-        eprintln!("unknown fault model: {model}");
-        usage();
-    }
-    model.into()
 }
 
 /// Reads a fraction flag (default `default`), rejecting values outside
@@ -344,70 +333,134 @@ fn cmd_duel(args: &[String]) {
     table.print();
 }
 
+/// Reads a named value (default `default`) through `parse`, exiting with
+/// usage on a name it does not know: the scenario holds parsed values only.
+fn parse_name<T>(
+    args: &[String],
+    flag: &str,
+    default: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> T {
+    let name = flag_value(args, flag).unwrap_or(default);
+    parse(name).unwrap_or_else(|| {
+        eprintln!("unknown {flag} value: {name}");
+        usage()
+    })
+}
+
+/// Reads `--planner`: a churn planner for the graph model, a deletion-only
+/// wave planner for the tree.
+fn parse_planner(args: &[String], default: &str, graph: bool) -> PlannerKind {
+    parse_name(args, "--planner", default, |name| {
+        PlannerKind::from_name(name).filter(|kind| kind.inserts() == graph)
+    })
+}
+
+/// The tree scenario the `stress` flags describe.
+fn tree_scenario(args: &[String]) -> Scenario {
+    Scenario {
+        protocol: Protocol::Tree {
+            arity: parse_count(args, "--arity", 8, 2),
+            cadence: parse_name(args, "--cadence", "per-deletion", HealCadence::from_name),
+        },
+        initial: Initial::Nodes(parse_count(args, "--nodes", 100_000, 1)),
+        events: Events::Planned {
+            budget: parse_count(args, "--deletions", 1_000, 0),
+            wave_size: parse_count(args, "--wave", 50, 1),
+            planner: parse_planner(args, "random", false),
+        },
+        faults: parse_name(args, "--faults", "none", Faults::named),
+        seed: parse_count(args, "--seed", 42, 0) as u64,
+    }
+}
+
+/// The graph scenario the `stress --model graph` flags describe.
+fn graph_scenario(args: &[String]) -> Scenario {
+    Scenario {
+        protocol: Protocol::Graph {
+            extra_edges: parse_fraction(args, "--extra-edges", 0.2),
+            insert_fraction: parse_fraction(args, "--insert-frac", 0.4),
+            stretch_sources: parse_count(args, "--sources", 16, 1),
+        },
+        // the churn planners need more than two live nodes
+        initial: Initial::Nodes(parse_count(args, "--nodes", 10_000, 3)),
+        events: Events::Planned {
+            budget: parse_count(args, "--events", 2_000, 0),
+            wave_size: parse_count(args, "--wave", 50, 1),
+            planner: parse_planner(args, "mixed", true),
+        },
+        faults: parse_name(args, "--faults", "none", Faults::named),
+        seed: parse_count(args, "--seed", 42, 0) as u64,
+    }
+}
+
 fn cmd_stress(args: &[String]) {
-    match flag_value(args, "--model").unwrap_or("tree") {
-        "tree" => cmd_stress_tree(args),
-        "graph" => cmd_stress_graph(args),
+    let common = [
+        "--model",
+        "--nodes",
+        "--wave",
+        "--planner",
+        "--faults",
+        "--seed",
+        "--out",
+    ];
+    let scenario = match flag_value(args, "--model").unwrap_or("tree") {
+        "tree" => {
+            let own = ["--deletions", "--arity", "--cadence"];
+            check_flags(args, &[&common[..], &own].concat(), &[]);
+            tree_scenario(args)
+        }
+        "graph" => {
+            let own = ["--events", "--insert-frac", "--extra-edges", "--sources"];
+            check_flags(args, &[&common[..], &own].concat(), &[]);
+            graph_scenario(args)
+        }
         other => {
             eprintln!("unknown stress model: {other} (tree | graph)");
             usage();
         }
-    }
-}
-
-fn cmd_stress_tree(args: &[String]) {
-    check_flags(
-        args,
-        &[
-            "--model",
-            "--nodes",
-            "--deletions",
-            "--wave",
-            "--arity",
-            "--planner",
-            "--cadence",
-            "--faults",
-            "--seed",
-            "--out",
-        ],
-        &[],
-    );
-    let defaults = StressConfig::default();
-    let planner = flag_value(args, "--planner").unwrap_or("random");
-    if forgiving_tree::prelude::make_wave_planner(planner, 0).is_none() {
-        eprintln!("unknown wave planner: {planner}");
-        usage();
-    }
-    let cadence = flag_value(args, "--cadence").unwrap_or("per-deletion");
-    if HealCadence::from_name(cadence).is_none() {
-        eprintln!("unknown cadence: {cadence} (per-deletion | per-wave)");
-        usage();
-    }
-    let faults = parse_fault_model(args);
-    let cfg = StressConfig {
-        nodes: parse_count(args, "--nodes", defaults.nodes, 1),
-        deletions: parse_count(args, "--deletions", defaults.deletions, 0),
-        wave_size: parse_count(args, "--wave", defaults.wave_size, 1),
-        arity: parse_count(args, "--arity", defaults.arity, 2),
-        planner: planner.into(),
-        seed: parse_count(args, "--seed", defaults.seed as usize, 0) as u64,
-        cadence: cadence.into(),
-        faults,
-        ..defaults
     };
-    // run_stress panics (non-zero exit) on a ledger imbalance; a fault-free
-    // run that did not converge or lost connectivity exits 1 below — the
-    // signals CI must treat as failures.
-    let rec = run_stress(&cfg);
+    // run panics (non-zero exit) on a ledger imbalance; a fault-free run
+    // that failed a verdict exits 1 below — the signals CI must treat as
+    // failures.
+    let outcome = run(&scenario);
+    let rec = StressRecord::new(scenario, &outcome);
+    let (campaign, graph) = match rec.scenario.protocol {
+        Protocol::Tree { cadence, .. } => (cadence.name(), false),
+        Protocol::Graph { .. } => ("graph", true),
+    };
     println!("{}", rec.summary());
+    let joins = if graph {
+        format!("joins {} | ", rec.joins)
+    } else {
+        String::new()
+    };
     println!(
-        "  ledger: sent {} = delivered {} + dropped {} (+0 in flight) | notices {} | total {}",
+        "  ledger: sent {} = delivered {} + dropped {} (+0 in flight) | notices {} | {joins}total {}",
         rec.sent, rec.delivered, rec.dropped, rec.notices, rec.total_messages
     );
-    if cfg.faults != "none" {
+    if graph {
         println!(
-            "  faults ({}): lost {} | duplicated {} | delayed {} | crashes {} | converged {} | connected {} | fingerprint {:#018x}",
-            cfg.faults,
+            "  stretch: {} pairs from {} sources, max {:.2} mean {:.2} (bound {:.0}) | degree +{} (bound {})",
+            rec.stretch.pairs,
+            rec.stretch.sources,
+            rec.stretch.max_stretch,
+            rec.stretch.mean_stretch,
+            rec.stretch_bound,
+            rec.max_degree_increase,
+            rec.degree_bound
+        );
+        println!("  stretch tracker: {:.1} ms", rec.stretch_wall_ms);
+    }
+    let faults = &rec.scenario.faults.name;
+    if faults != "none" {
+        let wills = if graph {
+            format!(" | wills {}", rec.wills_ok)
+        } else {
+            String::new()
+        };
+        println!(
+            "  faults ({faults}): lost {} | duplicated {} | delayed {} | crashes {} | converged {}{wills} | connected {} | fingerprint {:#018x}",
             rec.lost,
             rec.duplicated,
             rec.delayed,
@@ -417,156 +470,76 @@ fn cmd_stress_tree(args: &[String]) {
             rec.fault_fingerprint
         );
     }
-    exit_on_failed_verdict(rec.failed_verdict(), &cfg.cadence);
-    let out = flag_value(args, "--out").unwrap_or("BENCH_sim.json");
-    write_out(out, &rec.to_json());
-}
-
-/// Exits 1 naming a fault-free `campaign`'s failed verdict. Like every
-/// failing campaign, it exits before the record is written, so a written
-/// record is itself the green signal.
-fn exit_on_failed_verdict(verdict: Option<&str>, campaign: &str) {
-    if let Some(verdict) = verdict {
+    if graph {
+        let (cost, stretch) = (&rec.cost, &rec.stretch_cost);
+        println!(
+            "  cost: visits {} scans {} heap {} B | stretch visits {} scans {} heap {} B seeks {}",
+            cost.node_visits,
+            cost.edge_scans,
+            cost.heap_bytes,
+            stretch.node_visits,
+            stretch.edge_scans,
+            stretch.heap_bytes,
+            stretch.seeks
+        );
+    }
+    // Like every failing campaign, a failed verdict exits before the record
+    // is written, so a written record is itself the green signal.
+    if let Some(verdict) = rec.failed_verdict() {
         eprintln!("verdict failed: {verdict} (fault-free {campaign} campaign)");
         exit(1);
     }
-}
-
-fn cmd_stress_graph(args: &[String]) {
-    check_flags(
-        args,
-        &[
-            "--model",
-            "--nodes",
-            "--events",
-            "--wave",
-            "--insert-frac",
-            "--extra-edges",
-            "--planner",
-            "--faults",
-            "--seed",
-            "--sources",
-            "--out",
-        ],
-        &[],
-    );
-    let defaults = GraphStressConfig::default();
-    let planner = flag_value(args, "--planner").unwrap_or("mixed");
-    if forgiving_tree::prelude::make_churn_planner(planner, 0, 0.5).is_none() {
-        eprintln!("unknown churn planner: {planner}");
-        usage();
-    }
-    let faults = parse_fault_model(args);
-    let cfg = GraphStressConfig {
-        // the churn driver plans only while more than two nodes live
-        nodes: parse_count(args, "--nodes", defaults.nodes, 3),
-        events: parse_count(args, "--events", defaults.events, 0),
-        wave_size: parse_count(args, "--wave", defaults.wave_size, 1),
-        insert_fraction: parse_fraction(args, "--insert-frac", defaults.insert_fraction),
-        extra_edges: parse_fraction(args, "--extra-edges", defaults.extra_edges),
-        planner: planner.into(),
-        seed: parse_count(args, "--seed", defaults.seed as usize, 0) as u64,
-        stretch_sources: parse_count(args, "--sources", defaults.stretch_sources, 1),
-        faults,
-        ..defaults
+    let default_out = if graph {
+        "BENCH_graph.json"
+    } else {
+        "BENCH_sim.json"
     };
-    // run_graph_stress panics (non-zero exit) on a ledger imbalance; a
-    // fault-free run that failed a verdict exits 1 below — the signals CI
-    // must treat as failures.
-    let rec = run_graph_stress(&cfg);
-    println!("{}", rec.summary());
-    println!(
-        "  ledger: sent {} = delivered {} + dropped {} (+0 in flight) | notices {} | joins {} | total {}",
-        rec.sent, rec.delivered, rec.dropped, rec.notices, rec.joins, rec.total_messages
+    write_out(
+        flag_value(args, "--out").unwrap_or(default_out),
+        &rec.to_json(),
     );
-    println!(
-        "  stretch: {} pairs from {} sources, max {:.2} mean {:.2} (bound {:.0}) | degree +{} (bound {})",
-        rec.stretch.pairs,
-        rec.stretch.sources,
-        rec.stretch.max_stretch,
-        rec.stretch.mean_stretch,
-        rec.stretch_bound,
-        rec.max_degree_increase,
-        rec.degree_bound
-    );
-    println!("  stretch tracker: {:.1} ms", rec.stretch_wall_ms);
-    if cfg.faults != "none" {
-        println!(
-            "  faults ({}): lost {} | duplicated {} | delayed {} | crashes {} | converged {} | wills {} | connected {} | fingerprint {:#018x}",
-            cfg.faults,
-            rec.lost,
-            rec.duplicated,
-            rec.delayed,
-            rec.crashes,
-            rec.converged,
-            rec.wills_ok,
-            rec.connected,
-            rec.fault_fingerprint
-        );
-    }
-    println!(
-        "  cost: visits {} scans {} heap {} B | stretch visits {} scans {} heap {} B seeks {}",
-        rec.cost.node_visits,
-        rec.cost.edge_scans,
-        rec.cost.heap_bytes,
-        rec.stretch_cost.node_visits,
-        rec.stretch_cost.edge_scans,
-        rec.stretch_cost.heap_bytes,
-        rec.stretch_cost.seeks
-    );
-    exit_on_failed_verdict(rec.failed_verdict(), "graph");
-    let out = flag_value(args, "--out").unwrap_or("BENCH_graph.json");
-    write_out(out, &rec.to_json());
 }
 
 fn cmd_costs(args: &[String]) {
     check_flags(args, &["--out"], &[]);
-    // The two CI smoke campaigns, pinned: the exact shapes the workflow's
-    // stress steps run. The emitted
-    // record carries counters only — no timing or throughput fields — so
-    // the committed baseline is byte-stable across machines and a plain
-    // `diff` in CI catches any cost-model drift.
-    let tree = run_stress(&StressConfig {
-        nodes: 2000,
-        deletions: 400,
-        wave_size: 25,
-        planner: "heavy-tail".into(),
-        seed: 1,
-        ..StressConfig::default()
-    });
-    let graph = run_graph_stress(&GraphStressConfig {
-        nodes: 2000,
-        events: 400,
-        wave_size: 25,
-        insert_fraction: 0.4,
-        planner: "mixed".into(),
-        seed: 1,
-        ..GraphStressConfig::default()
-    });
+    // The two CI smoke campaigns, pinned: the exact flags the workflow's
+    // stress steps pass. The emitted record carries counters only — no
+    // timing or throughput fields — so the committed baseline is
+    // byte-stable across machines and a plain `diff` in CI catches any
+    // cost-model drift.
+    let smoke =
+        |flags: &str| -> Vec<String> { flags.split_whitespace().map(String::from).collect() };
+    let tree = run(&tree_scenario(&smoke(
+        "--nodes 2000 --deletions 400 --wave 25 --planner heavy-tail --seed 1",
+    )));
+    let graph = run(&graph_scenario(&smoke(
+        "--nodes 2000 --events 400 --wave 25 --planner mixed --insert-frac 0.4 --seed 1",
+    )));
+    let (tree_cost, graph_cost) = (&tree.books.cost, &graph.books.cost);
     let json = Record::new()
         .str("bench", "costs")
-        .num("tree_rounds", tree.rounds)
-        .cost("tree", &tree.cost)
-        .num("graph_rounds", graph.rounds)
-        .cost("graph", &graph.cost)
+        .num("tree_rounds", tree.report.rounds)
+        .cost("tree", tree_cost)
+        .num("graph_rounds", graph.report.rounds)
+        .cost("graph", graph_cost)
         .cost("graph_stretch", &graph.stretch_cost)
         .num("schema", 1)
         .render();
     println!(
         "tree  smoke: rounds {} | sent {} delivered {} | visits {} scans {}",
-        tree.rounds,
-        tree.cost.messages_sent,
-        tree.cost.messages_delivered,
-        tree.cost.node_visits,
-        tree.cost.edge_scans
+        tree.report.rounds,
+        tree_cost.messages_sent,
+        tree_cost.messages_delivered,
+        tree_cost.node_visits,
+        tree_cost.edge_scans
     );
     println!(
         "graph smoke: rounds {} | sent {} delivered {} | visits {} scans {} | stretch visits {} seeks {}",
-        graph.rounds,
-        graph.cost.messages_sent,
-        graph.cost.messages_delivered,
-        graph.cost.node_visits,
-        graph.cost.edge_scans,
+        graph.report.rounds,
+        graph_cost.messages_sent,
+        graph_cost.messages_delivered,
+        graph_cost.node_visits,
+        graph_cost.edge_scans,
         graph.stretch_cost.node_visits,
         graph.stretch_cost.seeks
     );

@@ -29,7 +29,7 @@
 //! | [`sim`] (`ft-sim`) | synchronous simulator (arrivals + deletions) + BFS setup |
 //! | [`baselines`] (`ft-baselines`) | `SelfHealer`, implemented by both Forgiving protocols and by `LocalHealer`'s naive rules (surrogate/line/binary-tree/no-heal) |
 //! | [`adversary`] (`ft-adversary`) | omniscient deletion strategies + wave/churn planners |
-//! | [`metrics`] (`ft-metrics`) | experiment runner, workloads, tables, stretch pass, stress harnesses |
+//! | [`metrics`] (`ft-metrics`) | experiment runner, workloads, tables, stretch pass, one `Scenario` value and its `run` behind the stress harnesses and the fault matrix |
 //!
 //! # Quickstart
 //!
@@ -80,8 +80,8 @@ pub mod prelude {
     pub use ft_adversary::{
         make_churn_planner, make_wave_planner, Adversary, AdversaryView, ChurnPlanner,
         DiameterGreedy, HeavyTailWave, HeirHunter, HighestDegreeAdversary, HubSiphon,
-        LowestDegreeAdversary, MixedChurn, RandomAdversary, RandomWave, RootAdversary, SurgeChurn,
-        TargetedWave, WavePlanner,
+        LowestDegreeAdversary, MixedChurn, PlannerKind, RandomAdversary, RandomWave, RootAdversary,
+        SurgeChurn, TargetedWave, WavePlanner,
     };
     pub use ft_baselines::{ForgivingHealer, LocalHealer, LocalRule, SelfHealer};
     pub use ft_core::distributed::DistributedForgivingTree;
@@ -90,14 +90,15 @@ pub mod prelude {
     pub use ft_graph::tree::RootedTree;
     pub use ft_graph::{gen, ChurnEvent, Graph, NodeId};
     pub use ft_metrics::{
-        measure_stretch_full, run_fault_matrix, run_graph_stress, run_stress, run_trial,
-        select_sources, FaultCell, FaultMatrixConfig, FaultMatrixRecord, GraphStressConfig,
-        GraphStressRecord, StressConfig, StressRecord, StretchReport, StretchTracker, Table, Trial,
-        TrialConfig, Workload,
+        measure_stretch_full, run, run_fault_matrix, run_graph_stress, run_stress, run_trial,
+        select_sources, Events, FaultCell, FaultMatrixConfig, FaultMatrixRecord, Faults,
+        GraphStressConfig, GraphStressRecord, Healed, Initial, Outcome, Protocol, Scenario,
+        StressConfig, StressRecord, StretchReport, StretchTracker, Table, Trial, TrialConfig,
+        Verdicts, Workload,
     };
     pub use ft_sim::bfs::distributed_bfs_tree;
     pub use ft_sim::{
-        Campaign, CampaignConfig, CampaignReport, FaultConfig, FaultPlan, HealCadence, MsgFate,
-        MsgLedger,
+        Books, Campaign, CampaignConfig, CampaignReport, FaultConfig, FaultPlan, HealCadence,
+        MsgFate, MsgLedger,
     };
 }

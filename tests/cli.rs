@@ -40,6 +40,25 @@ fn retired_threads_flag_is_rejected() {
 }
 
 #[test]
+fn unknown_names_are_rejected_and_echoed() {
+    // names are parsed once, here: the library takes typed values only
+    for (args, bad) in [
+        ("stress --model tree --planner nope", "nope"),
+        ("stress --model tree --planner mixed", "mixed"),
+        ("stress --model graph --planner nope", "nope"),
+        ("stress --model graph --planner heavy-tail", "heavy-tail"),
+        ("stress --cadence per-round", "per-round"),
+        ("stress --faults loss+bogus", "loss+bogus"),
+        ("stress --model graph --faults bogus", "bogus"),
+    ] {
+        let o = run(args, &[]);
+        assert_eq!(o.status.code(), Some(2), "{args}");
+        let stderr = String::from_utf8(o.stderr).expect("utf-8 stderr");
+        assert!(stderr.contains(bad), "{args}: stderr lacks {bad}: {stderr}");
+    }
+}
+
+#[test]
 fn flag_without_value_is_rejected() {
     assert_eq!(ftree("stress --nodes 300 --seed", &[]), 2);
 }
