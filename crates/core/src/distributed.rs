@@ -46,12 +46,13 @@ use crate::report::HealReport;
 use crate::shape::{HelperPlan, Portion, PortionRef, SubRtShape};
 use crate::sorted::{map_insert, map_remove};
 use ft_graph::tree::RootedTree;
-use ft_graph::{Graph, NodeId, SortedIds};
+use ft_graph::{Graph, InlineVec, NodeId, SortedIds};
 use ft_sim::{Ctx, Network, Process};
 
 /// A virtual-node reference: the real simulator plus which of its (at most
-/// two) virtual nodes is meant.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+/// two) virtual nodes is meant. The default, node 0's position, only fills
+/// the unused inline slots of a [`DRole`]'s child list.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub struct VRef {
     /// The simulating real node.
     pub sim: NodeId,
@@ -78,17 +79,79 @@ impl VRef {
 }
 
 /// Helper-role fields (`hparent`, `hchildren`, `isreadyheir` of Table 1).
+///
+/// Helpers are binary, so a role keeps its lists inline and owns no heap
+/// memory; only faulty mail that gives a helper a third child spills
+/// `hchildren`. Each copy a processor keeps is one 56-byte box, in the
+/// allocator's 64-byte class; a LeafWill carries the role unboxed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DRole {
     /// Parent of the simulated helper (`None` = it is the virtual root).
     pub hparent: Option<VRef>,
-    /// Children of the simulated helper.
-    pub hchildren: Vec<VRef>,
+    /// Children of the simulated helper, in the order they attached: the
+    /// order the helper's messages go out in.
+    pub hchildren: InlineVec<VRef, 2>,
     /// Slots of an under-construction SubRT whose occupants have not yet
     /// attached (drained within the heal's O(1) rounds).
-    pub pending_slots: Vec<NodeId>,
+    pub pending_slots: PendingSlots,
     /// Ready-state heir (exactly one child).
     pub ready: bool,
+}
+
+/// A helper's pending slots, in plan order. Only deployment adds to them,
+/// from the helper's two planned children, so they never outgrow two and
+/// need no heap fallback: 12 bytes, where a spilling list takes 24.
+#[derive(Clone, Copy, Default)]
+pub struct PendingSlots {
+    len: u8,
+    slots: [NodeId; 2],
+}
+
+impl PendingSlots {
+    /// Appends `slot`.
+    ///
+    /// # Panics
+    /// Panics on a third slot.
+    fn push(&mut self, slot: NodeId) {
+        self.slots[usize::from(self.len)] = slot;
+        self.len += 1;
+    }
+
+    /// Drops `slot`; false when it was not pending.
+    fn take(&mut self, slot: NodeId) -> bool {
+        let Some(i) = self.iter().position(|s| *s == slot) else {
+            return false;
+        };
+        self.slots.copy_within(i + 1.., i);
+        self.len -= 1;
+        true
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+}
+
+impl std::ops::Deref for PendingSlots {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for PendingSlots {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for PendingSlots {}
+
+impl std::fmt::Debug for PendingSlots {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl DRole {
@@ -626,8 +689,8 @@ impl FtNode {
             Duty::Helper { hparent, children } => {
                 let is_subrt_root = hparent.is_none();
                 let hparent = hparent.unwrap_or(portion.top);
-                let mut hchildren = Vec::new();
-                let mut pending = Vec::new();
+                let mut hchildren = InlineVec::new();
+                let mut pending_slots = PendingSlots::default();
                 for k in children {
                     match k {
                         PortionRef::Helper(s) => hchildren.push(VRef::helper(s)),
@@ -635,13 +698,13 @@ impl FtNode {
                             // my own slot: I know the occupant locally
                             hchildren.push(my_slot_occupant);
                         }
-                        PortionRef::Slot(r) => pending.push(r),
+                        PortionRef::Slot(r) => pending_slots.push(r),
                     }
                 }
                 self.role = Some(Box::new(DRole {
                     hparent: Some(hparent),
                     hchildren,
-                    pending_slots: pending,
+                    pending_slots,
                     ready: false,
                 }));
                 if hparent.sim != self.id {
@@ -661,8 +724,10 @@ impl FtNode {
             Duty::Ready { subrt_root } => {
                 self.role = Some(Box::new(DRole {
                     hparent: portion.owner_parent,
-                    hchildren: vec![subrt_root.unwrap_or(my_slot_occupant)],
-                    pending_slots: Vec::new(),
+                    hchildren: [subrt_root.unwrap_or(my_slot_occupant)]
+                        .into_iter()
+                        .collect(),
+                    pending_slots: PendingSlots::default(),
                     ready: true,
                 }));
                 if let Some(op) = portion.owner_parent {
@@ -705,12 +770,12 @@ impl FtNode {
             assert!(ctx.faulty(), "{:?}: occupancy without a role", self.id);
             return;
         };
-        if let Some(i) = role.pending_slots.iter().position(|s| *s == slot) {
-            role.pending_slots.remove(i);
-            role.hchildren.push(child);
-        } else if !replacing.is_some_and(|r| role.replace_child(r, child))
-            && !role.hchildren.contains(&child)
-        {
+        // a pending slot's occupant is new; any other one replaces the
+        // stale entry named, or is recorded once
+        let known = !role.pending_slots.take(slot)
+            && (replacing.is_some_and(|r| role.replace_child(r, child))
+                || role.hchildren.contains(&child));
+        if !known {
             role.hchildren.push(child);
         }
     }
@@ -952,24 +1017,24 @@ impl Process for FtNode {
         if helper_child {
             if let Some(Some(r)) = &lw_entry {
                 if r.hparent == Some(VRef::helper(self.id)) {
-                    let survivors: Vec<VRef> = r
+                    let survivors: InlineVec<VRef, 2> = r
                         .hchildren
                         .iter()
                         .copied()
                         .filter(|c| c.sim != dead)
                         .collect();
-                    match survivors.as_slice() {
+                    match *survivors {
                         [] => {
                             // dead's (ready) helper carried only dead itself
                             self.helper_lost_child(VRef::helper(dead), None, ctx);
                         }
                         [c] => {
                             let role = self.role.as_mut().expect("checked");
-                            role.replace_child(VRef::helper(dead), *c);
+                            role.replace_child(VRef::helper(dead), c);
                             ctx.send(
                                 c.sim,
                                 FtMsg::SpliceParent {
-                                    your_end: *c,
+                                    your_end: c,
                                     gone: VRef::helper(dead),
                                     new_parent: Some(VRef::helper(self.id)),
                                 },
@@ -1170,6 +1235,17 @@ impl FtNode {
     /// Whether my held edge interests have outgrown their inline set.
     pub(crate) fn desired_spilled(&self) -> bool {
         self.desired.is_spilled()
+    }
+
+    /// My helper role and the roles in the LeafWills filed with me: how
+    /// many there are, and how many have spilled their children to the
+    /// heap.
+    pub(crate) fn roles_spilled(&self) -> (usize, usize) {
+        let filed = self.leaf_wills.iter().filter_map(|(_, lw)| lw.as_deref());
+        let roles = self.role.as_deref().into_iter().chain(filed);
+        roles.fold((0, 0), |(n, s), r| {
+            (n + 1, s + usize::from(r.hchildren.is_spilled()))
+        })
     }
 }
 

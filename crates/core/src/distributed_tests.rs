@@ -6,7 +6,8 @@
 //! the paper's data structure.
 
 use crate::distributed::{
-    install_fields, DPortion, DRole, DistributedForgivingTree, Duty, FtMsg, FtNode, VRef,
+    install_fields, DPortion, DRole, DistributedForgivingTree, Duty, FtMsg, FtNode, PendingSlots,
+    VRef,
 };
 use crate::spec::ForgivingTree;
 use ft_graph::hash::{fnv1a, FNV_BASIS};
@@ -290,8 +291,8 @@ fn portion_leafwill_and_position_occupancy_send_nothing() {
     };
     let role = DRole {
         hparent: Some(VRef::pos(n(3))),
-        hchildren: vec![VRef::pos(n(7))],
-        pending_slots: Vec::new(),
+        hchildren: [VRef::pos(n(7))].into_iter().collect(),
+        pending_slots: PendingSlots::default(),
         ready: true,
     };
     let occupy = FtMsg::OccupySlot {
@@ -334,6 +335,9 @@ fn message_layout_is_pinned() {
     // must fit the message
     assert_eq!(size_of::<FtMsg>(), 64);
     assert_eq!(size_of::<DPortion>(), 56);
+    // every role copy a processor keeps is boxed: at 56 bytes a box takes
+    // the allocator's 64-byte class, at 64 bytes it would take 80
+    assert_eq!(size_of::<DRole>(), 56);
     // the engine stages each send as `(from, to, msg)` and charges exactly
     // this many heap bytes for it: a change here moves `cost.heap_bytes`
     assert_eq!(size_of::<(NodeId, NodeId, FtMsg)>(), 72);
@@ -356,6 +360,26 @@ fn leaf_interests_sit_inline() {
     }
     // a node with eight children and a parent wants nine: it spills
     assert!(dist.node(n(1)).desired_spilled());
+}
+
+#[test]
+fn helper_roles_sit_inline() {
+    // helpers are binary: on a fault-free campaign no role, live or filed
+    // in a LeafWill, ever holds a list on the heap
+    let t = RootedTree::from_tree_graph(&gen::kary_tree(4096, 8), n(0));
+    let mut dist = DistributedForgivingTree::new(&t);
+    let mut order: Vec<NodeId> = t.nodes().collect();
+    order.shuffle(&mut StdRng::seed_from_u64(7));
+    let mut roles_seen = 0;
+    for &v in &order[..2000] {
+        dist.delete(v);
+        for u in dist.nodes() {
+            let (roles, spilled) = dist.node(u).roles_spilled();
+            assert_eq!(spilled, 0, "{u:?} spilled a role after deleting {v:?}");
+            roles_seen += roles;
+        }
+    }
+    assert!(roles_seen > 0, "the campaign deployed no helper");
 }
 
 #[test]

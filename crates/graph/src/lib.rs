@@ -22,9 +22,11 @@
 pub mod bfs;
 pub mod gen;
 pub mod hash;
+mod inline_vec;
 mod sorted_ids;
 pub mod tree;
 
+pub use inline_vec::InlineVec;
 pub use sorted_ids::SortedIds;
 
 use std::fmt;

@@ -1,19 +1,20 @@
 //! [`SortedIds`]: a small ascending set of node IDs that keeps up to seven
 //! of them inline.
 
-use crate::NodeId;
+use crate::{InlineVec, NodeId};
 use std::fmt;
 use std::ops::Deref;
 
 /// The most IDs a [`SortedIds`] holds without a heap list: with the length
-/// byte and the tag they fill the 32 bytes a spilled `Vec` needs anyway.
+/// byte and the tag of its [`InlineVec`] they fill the 32 bytes a spilled
+/// `Vec` needs anyway.
 pub(crate) const INLINE: usize = 7;
 
-/// An ascending set of distinct node IDs, stored in 32 bytes: up to
-/// seven IDs sit in the value itself, and only a longer set
-/// spills to a heap `Vec`. A spilled set stays on the heap when it shrinks
-/// again, so a set that hovers at the boundary does not reallocate, until
-/// it is replaced by a fresh one.
+/// An ascending set of distinct node IDs, stored in 32 bytes: a sorted
+/// view over an [`InlineVec`] of up to seven inline IDs, so only a longer
+/// set spills to a heap `Vec`. A spilled set stays on the heap when it
+/// shrinks again, so a set that hovers at the boundary does not
+/// reallocate, until it is replaced by a fresh one.
 ///
 /// It is the one sorted-ID-set type of the workspace: each [`crate::Graph`]
 /// slot's neighbour list, and each Forgiving Tree processor's set of held
@@ -31,45 +32,7 @@ pub(crate) const INLINE: usize = 7;
 /// assert!(!ids.is_spilled());
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
-pub struct SortedIds(Repr);
-
-/// The storage of a [`SortedIds`].
-#[derive(Clone)]
-enum Repr {
-    /// The first `len` entries are the set.
-    Inline {
-        len: u8,
-        ids: [NodeId; INLINE],
-    },
-    Spilled(Vec<NodeId>),
-}
-
-impl Default for Repr {
-    fn default() -> Self {
-        Repr::Inline {
-            len: 0,
-            ids: [NodeId(0); INLINE],
-        }
-    }
-}
-
-impl PartialEq for Repr {
-    /// Equal sets, wherever either one is stored.
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Repr {}
-
-impl Repr {
-    fn as_slice(&self) -> &[NodeId] {
-        match self {
-            Repr::Inline { len, ids } => &ids[..usize::from(*len)],
-            Repr::Spilled(list) => list,
-        }
-    }
-}
+pub struct SortedIds(InlineVec<NodeId, INLINE>);
 
 impl SortedIds {
     /// An empty set.
@@ -80,7 +43,7 @@ impl SortedIds {
     /// Whether the set has outgrown its inline capacity and lives on the
     /// heap.
     pub fn is_spilled(&self) -> bool {
-        matches!(self.0, Repr::Spilled(_))
+        self.0.is_spilled()
     }
 
     /// Adds `id`; returns whether it was new.
@@ -88,22 +51,7 @@ impl SortedIds {
         let Err(pos) = self.binary_search(&id) else {
             return false;
         };
-        match &mut self.0 {
-            Repr::Inline { len, ids } if usize::from(*len) < INLINE => {
-                let n = usize::from(*len);
-                ids.copy_within(pos..n, pos + 1);
-                ids[pos] = id;
-                *len += 1;
-            }
-            Repr::Inline { ids, .. } => {
-                let mut list = Vec::with_capacity(2 * INLINE);
-                list.extend_from_slice(&ids[..pos]);
-                list.push(id);
-                list.extend_from_slice(&ids[pos..]);
-                self.0 = Repr::Spilled(list);
-            }
-            Repr::Spilled(list) => list.insert(pos, id),
-        }
+        self.0.insert(pos, id);
         true
     }
 
@@ -112,27 +60,14 @@ impl SortedIds {
         let Ok(pos) = self.binary_search(&id) else {
             return false;
         };
-        match &mut self.0 {
-            Repr::Inline { len, ids } => {
-                ids.copy_within(pos + 1..usize::from(*len), pos);
-                *len -= 1;
-            }
-            Repr::Spilled(list) => {
-                list.remove(pos);
-            }
-        }
+        self.0.remove(pos);
         true
     }
 
     /// Keeps the `len` smallest IDs and drops the rest (a no-op when the
     /// set is no larger).
     pub fn truncate(&mut self, len: usize) {
-        match &mut self.0 {
-            Repr::Inline { len: n, .. } => {
-                *n = (*n).min(u8::try_from(len).unwrap_or(u8::MAX));
-            }
-            Repr::Spilled(list) => list.truncate(len),
-        }
+        self.0.truncate(len);
     }
 }
 
@@ -140,7 +75,7 @@ impl Deref for SortedIds {
     type Target = [NodeId];
 
     fn deref(&self) -> &[NodeId] {
-        self.0.as_slice()
+        &self.0
     }
 }
 

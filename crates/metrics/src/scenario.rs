@@ -205,14 +205,16 @@ impl Healed {
     }
 
     /// The most events the next planned wave may hold; `None` when none
-    /// can be planned. A tree keeps one survivor; the churn planners need
-    /// more than two live nodes.
+    /// can be planned. A wave leaves at least one survivor even if every
+    /// event is a deletion; the churn planners need more than two live
+    /// nodes.
     fn room(&self) -> Option<usize> {
         let live = self.graph().len();
-        match self {
-            Healed::Tree(..) => (live > 1).then(|| live - 1),
-            Healed::Graph(_) => (live > 2).then_some(usize::MAX),
-        }
+        let floor = match self {
+            Healed::Tree(..) => 1,
+            Healed::Graph(_) => 2,
+        };
+        (live > floor).then(|| live - 1)
     }
 
     fn apply(&mut self, campaign: &mut Campaign, wave: &[ChurnEvent]) {

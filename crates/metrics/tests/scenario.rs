@@ -218,6 +218,21 @@ fn eight_node_witness_breaks_the_per_node_degree_bound() {
     assert_eq!(spec.graph().degree(NodeId(4)), 4, "spec engine");
 }
 
+/// A deletion-only planner may meet a graph smaller than its wave: the
+/// wave stops one node short of emptying the graph.
+#[test]
+fn a_graph_wave_leaves_a_survivor() {
+    let sc = planned(graph(4), 10, 20, 20, PlannerKind::Random);
+    let out = run(&sc);
+    let live = out.healed.graph().len();
+    assert!(live >= 1, "{live} live nodes after {:?}", out.waves);
+    assert!(out
+        .waves
+        .iter()
+        .flatten()
+        .all(|e| matches!(e, ChurnEvent::Delete(_))));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

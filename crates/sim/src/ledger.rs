@@ -48,6 +48,12 @@
 //!                                                   (reconciliation)
 //! ```
 //!
+//! Each node's two books are one `[u32; 2]` row, so a charge touches one
+//! cache line and 10⁶ IDs take 8 MB. A book that would pass `u32::MAX`
+//! stays there instead of wrapping: the per-node sum then falls short of
+//! the totals, so a saturated book surfaces as a reconciliation error in
+//! [`MsgLedger::check`] rather than as a silently wrong count.
+//!
 //! In-flight counts both the next-round mailbox *and* the engine's delay
 //! queue. On a fault-free run `duplicated` and `lost` are zero and the
 //! conservation identity reduces to the original
@@ -69,8 +75,9 @@ use ft_graph::NodeId;
 
 /// Dense, allocation-free message accounting for one [`crate::Network`].
 ///
-/// Per-node books are contiguous `Vec`s indexed by [`NodeId`], sized once at
-/// construction from the graph capacity; nothing is allocated per round.
+/// The per-node books are one contiguous `Vec` of rows indexed by
+/// [`NodeId`], sized once at construction from the graph capacity; nothing
+/// is allocated per round.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MsgLedger {
     sent: u64,
@@ -81,11 +88,16 @@ pub struct MsgLedger {
     delayed: u64,
     notices: u64,
     joins: u64,
-    /// Delivered messages charged to their sender, indexed by node.
-    per_sent: Vec<u64>,
-    /// Deliveries plus notices charged to their receiver, indexed by node.
-    per_recv: Vec<u64>,
+    /// Per node: `[SENT]` counts delivered messages charged to it as their
+    /// sender, `[RECV]` deliveries plus notices charged to it as their
+    /// receiver. Each saturates at `u32::MAX`.
+    per_node: Vec<[u32; 2]>,
 }
+
+/// The sender book of a [`MsgLedger`] row.
+const SENT: usize = 0;
+/// The receiver book of a [`MsgLedger`] row.
+const RECV: usize = 1;
 
 impl MsgLedger {
     /// An empty ledger with per-node books for IDs `0..capacity`.
@@ -99,17 +111,15 @@ impl MsgLedger {
             delayed: 0,
             notices: 0,
             joins: 0,
-            per_sent: vec![0; capacity],
-            per_recv: vec![0; capacity],
+            per_node: vec![[0; 2]; capacity],
         }
     }
 
     /// Extends the per-node books to cover IDs `0..capacity` (node
     /// insertion).
     pub(crate) fn grow(&mut self, capacity: usize) {
-        if capacity > self.per_sent.len() {
-            self.per_sent.resize(capacity, 0);
-            self.per_recv.resize(capacity, 0);
+        if capacity > self.per_node.len() {
+            self.per_node.resize(capacity, [0; 2]);
         }
     }
 
@@ -143,21 +153,27 @@ impl MsgLedger {
     /// A message from `from` was delivered to the live process `to`.
     pub(crate) fn record_delivery(&mut self, from: NodeId, to: NodeId) {
         self.delivered += 1;
-        self.per_sent[from.index()] += 1;
-        self.per_recv[to.index()] += 1;
+        self.charge(from, SENT);
+        self.charge(to, RECV);
+    }
+
+    /// Adds one to `v`'s `book`, saturating.
+    fn charge(&mut self, v: NodeId, book: usize) {
+        let count = &mut self.per_node[v.index()][book];
+        *count = count.saturating_add(1);
     }
 
     /// A deletion notice was delivered to the surviving neighbor `to`.
     pub(crate) fn record_notice(&mut self, to: NodeId) {
         self.notices += 1;
-        self.per_recv[to.index()] += 1;
+        self.charge(to, RECV);
     }
 
     /// A join notice was delivered to `to`, a chosen neighbor of a freshly
     /// inserted node.
     pub(crate) fn record_join(&mut self, to: NodeId) {
         self.joins += 1;
-        self.per_recv[to.index()] += 1;
+        self.charge(to, RECV);
     }
 
     /// Protocol messages handed to the engine (delivered or not).
@@ -207,38 +223,50 @@ impl MsgLedger {
         self.delivered + self.notices + self.joins
     }
 
-    /// Delivered messages `v` sent (delivery-side charge).
-    pub fn per_node_sent(&self, v: NodeId) -> u64 {
-        self.per_sent.get(v.index()).copied().unwrap_or(0)
+    /// `v`'s row: its sender and receiver books.
+    fn row(&self, v: NodeId) -> [u32; 2] {
+        self.per_node.get(v.index()).copied().unwrap_or_default()
     }
 
-    /// Messages (and notices) delivered to `v`.
+    /// Delivered messages `v` sent (delivery-side charge; saturates at
+    /// `u32::MAX`).
+    pub fn per_node_sent(&self, v: NodeId) -> u64 {
+        u64::from(self.row(v)[SENT])
+    }
+
+    /// Messages (and notices) delivered to `v` (saturates at `u32::MAX`).
     pub fn per_node_received(&self, v: NodeId) -> u64 {
-        self.per_recv.get(v.index()).copied().unwrap_or(0)
+        u64::from(self.row(v)[RECV])
     }
 
     /// Total messages charged to `v`: sent-and-delivered plus received.
     pub fn per_node(&self, v: NodeId) -> u64 {
-        self.per_node_sent(v) + self.per_node_received(v)
+        let [sent, recv] = self.row(v);
+        u64::from(sent) + u64::from(recv)
     }
 
     /// Sum of [`per_node`](Self::per_node) over all nodes.
     pub fn sum_per_node(&self) -> u64 {
-        self.per_sent.iter().sum::<u64>() + self.per_recv.iter().sum::<u64>()
+        self.per_node
+            .iter()
+            .map(|&[sent, recv]| u64::from(sent) + u64::from(recv))
+            .sum()
     }
 
     /// Largest per-node charge any single node accumulated (0 when
     /// empty).
     pub fn max_per_node(&self) -> u64 {
-        (0..self.per_sent.len())
-            .map(|i| self.per_sent[i] + self.per_recv[i])
+        self.per_node
+            .iter()
+            .map(|&[sent, recv]| u64::from(sent) + u64::from(recv))
             .max()
             .unwrap_or(0)
     }
 
     /// Verifies both ledger identities given the engine's current count of
     /// queued (in-flight) messages. Returns a description of the first
-    /// imbalance found.
+    /// imbalance found; a per-node book saturated at `u32::MAX` breaks
+    /// reconciliation.
     pub fn check(&self, in_flight: u64) -> Result<(), String> {
         if self.sent + self.duplicated != self.delivered + self.dropped + self.lost + in_flight {
             return Err(format!(
@@ -407,6 +435,34 @@ mod tests {
         l.record_lost(5);
         let err = l.check(0).unwrap_err();
         assert!(err.contains("lost 6"), "{err}");
+    }
+
+    #[test]
+    fn a_saturated_book_breaks_reconciliation() {
+        let mut l = MsgLedger::new(2);
+        l.per_node[0][SENT] = u32::MAX - 1;
+        l.per_node[1][RECV] = u32::MAX - 1;
+        // the seeded counts stand for as many earlier deliveries
+        l.delivered = u64::from(u32::MAX - 1);
+        l.sent = l.delivered;
+        l.record_sent();
+        l.record_delivery(n(0), n(1));
+        l.check(0).expect("books at the ceiling still balance");
+        assert_eq!(l.per_node_sent(n(0)), u64::from(u32::MAX));
+        l.record_sent();
+        l.record_delivery(n(0), n(1));
+        assert_eq!(l.per_node_sent(n(0)), u64::from(u32::MAX), "saturated");
+        assert_eq!(l.per_node_received(n(1)), u64::from(u32::MAX));
+        assert_eq!(l.max_per_node(), u64::from(u32::MAX));
+        let err = l.check(0).unwrap_err();
+        assert!(err.contains("reconciliation broken"), "{err}");
+        // a notice to the saturated receiver is lost from the books the same way
+        let mut l = MsgLedger::new(1);
+        l.per_node[0][RECV] = u32::MAX;
+        l.notices = u64::from(u32::MAX);
+        l.check(0).expect("a full book balances");
+        l.record_notice(n(0));
+        assert!(l.check(0).unwrap_err().contains("reconciliation broken"));
     }
 
     #[test]
