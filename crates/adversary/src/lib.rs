@@ -187,19 +187,13 @@ impl Adversary for HubSiphon {
 /// instead scores a victim by the double-sweep diameter of `G - v` with
 /// `v`'s neighbors joined in a line (a worst-case-ish reconnection), which
 /// empirically drives both line and binary-tree healing to Θ(n) diameters
-/// while staying polynomial. Candidates can be capped for large graphs.
-#[derive(Debug)]
-pub struct DiameterGreedy {
-    /// Evaluate at most this many candidates per round (highest degree
-    /// first); `usize::MAX` for exhaustive search.
-    pub max_candidates: usize,
-}
+/// while staying polynomial. It scores the 32 highest-degree nodes each
+/// round.
+#[derive(Debug, Default)]
+pub struct DiameterGreedy;
 
-impl Default for DiameterGreedy {
-    fn default() -> Self {
-        DiameterGreedy { max_candidates: 32 }
-    }
-}
+/// Candidates [`DiameterGreedy`] scores per round, highest degree first.
+const DIAMETER_GREEDY_CANDIDATES: usize = 32;
 
 impl Adversary for DiameterGreedy {
     fn name(&self) -> &'static str {
@@ -213,7 +207,7 @@ impl Adversary for DiameterGreedy {
         }
         let mut candidates: Vec<NodeId> = g.nodes().collect();
         candidates.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
-        candidates.truncate(self.max_candidates);
+        candidates.truncate(DIAMETER_GREEDY_CANDIDATES);
         let mut best: Option<(u32, NodeId)> = None;
         for v in candidates {
             let mut trial = g.clone();
@@ -296,24 +290,25 @@ impl WavePlanner for TargetedWave {
 }
 
 /// Degree-biased sampling without replacement: victim weights follow
-/// `(degree + 1)^exponent`, so hubs die disproportionately often but leaves
-/// still churn — the heavy-tailed failure mix of real overlays.
+/// `(degree + 1)²`, so hubs die disproportionately often but leaves still
+/// churn — the heavy-tailed failure mix of real overlays.
 ///
 /// Sampling uses the exponential-keys scheme (Efraimidis–Spirakis A-Res):
 /// draw `u^(1/w)` per node and keep the `k` largest keys.
 #[derive(Debug)]
 pub struct HeavyTailWave {
     rng: StdRng,
-    /// Weight exponent; 0 degenerates to uniform, large values to targeted.
-    pub exponent: f64,
 }
 
+/// [`HeavyTailWave`]'s weight exponent; 0 would degenerate to uniform,
+/// large values to targeted.
+const HEAVY_TAIL_EXPONENT: f64 = 2.0;
+
 impl HeavyTailWave {
-    /// Creates the planner from a seed with the default exponent (2.0).
+    /// Creates the planner from a seed.
     pub fn new(seed: u64) -> Self {
         HeavyTailWave {
             rng: StdRng::seed_from_u64(seed),
-            exponent: 2.0,
         }
     }
 }
@@ -328,7 +323,7 @@ impl WavePlanner for HeavyTailWave {
         let mut keyed: Vec<(f64, NodeId)> = g
             .nodes()
             .map(|v| {
-                let w = ((g.degree(v) + 1) as f64).powf(self.exponent);
+                let w = ((g.degree(v) + 1) as f64).powf(HEAVY_TAIL_EXPONENT);
                 let u: f64 = self.rng.gen();
                 (u.powf(1.0 / w), v)
             })
@@ -566,7 +561,7 @@ pub fn standard_suite(seed: u64) -> Vec<Box<dyn Adversary>> {
         Box::new(LowestDegreeAdversary),
         Box::new(RootAdversary),
         Box::new(HeirHunter),
-        Box::new(DiameterGreedy::default()),
+        Box::new(DiameterGreedy),
     ]
 }
 
@@ -672,7 +667,7 @@ mod tests {
     #[test]
     fn diameter_greedy_runs_to_completion() {
         let mut g = gen::kary_tree(15, 2);
-        let mut adv = DiameterGreedy::default();
+        let mut adv = DiameterGreedy;
         while !g.is_empty() {
             let t = adv.next_target(view(&g)).expect("nonempty");
             g.delete_node(t);

@@ -836,6 +836,16 @@ impl FtNode {
             return LostChild::Kept;
         };
         let hp = role.hparent;
+        if hp == Some(survivor) {
+            // a vnode cycle only lost mail builds: the splice would make
+            // the survivor its own parent
+            assert!(
+                ctx.faulty(),
+                "{:?}: my helper's parent is its survivor",
+                self.id
+            );
+            return LostChild::Kept;
+        }
         self.role = None;
         if let Some(hp) = hp {
             ctx.send(
@@ -1028,6 +1038,13 @@ impl Process for FtNode {
                             // dead's (ready) helper carried only dead itself
                             self.helper_lost_child(VRef::helper(dead), None, ctx);
                         }
+                        // a vnode cycle only lost mail builds: the splice
+                        // would make my helper its own child
+                        [c] if c == VRef::helper(self.id) => assert!(
+                            ctx.faulty(),
+                            "{:?}: dead's helper survives as my own",
+                            self.id
+                        ),
                         [c] => {
                             let role = self.role.as_mut().expect("checked");
                             role.replace_child(VRef::helper(dead), c);
@@ -1230,6 +1247,25 @@ impl FtNode {
                 .collect();
             assert_eq!(will.sent, rebuilt, "{:?}: stale portions", self.id);
         }
+    }
+
+    /// Sets my helper role and the LeafWills filed with me (ascending by
+    /// filer), as lost mail might have left them.
+    pub(crate) fn force_role(&mut self, role: DRole, leaf_wills: Vec<(NodeId, Option<DRole>)>) {
+        self.role = Some(Box::new(role));
+        let filed = leaf_wills.into_iter().map(|(v, lw)| (v, lw.map(Box::new)));
+        self.leaf_wills = filed.collect();
+    }
+
+    /// Whether one of my vnodes is its own parent, or my helper its own
+    /// child.
+    pub(crate) fn has_vnode_self_loop(&self) -> bool {
+        let me = VRef::helper(self.id);
+        self.pos_parent == Some(VRef::pos(self.id))
+            || self
+                .role
+                .as_ref()
+                .is_some_and(|r| r.hparent == Some(me) || r.hchildren.contains(&me))
     }
 
     /// Whether my held edge interests have outgrown their inline set.

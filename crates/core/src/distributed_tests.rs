@@ -12,12 +12,13 @@ use crate::distributed::{
 use crate::spec::ForgivingTree;
 use ft_graph::hash::{fnv1a, FNV_BASIS};
 use ft_graph::tree::RootedTree;
-use ft_graph::{gen, NodeId};
-use ft_sim::{Ctx, Network, Process};
+use ft_graph::{gen, Graph, NodeId};
+use ft_sim::{Ctx, FaultConfig, Network, Process};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn n(i: u32) -> NodeId {
     NodeId(i)
@@ -324,6 +325,77 @@ fn portion_leafwill_and_position_occupancy_send_nothing() {
         for v in t.nodes() {
             net.process(v).node.assert_caches_fresh();
         }
+    }
+}
+
+fn pos(i: u32) -> VRef {
+    VRef::pos(n(i))
+}
+
+fn helper(i: u32) -> VRef {
+    VRef::helper(n(i))
+}
+
+/// A helper role with `hchildren` under `hparent`, not ready.
+fn helper_role(hparent: VRef, hchildren: &[VRef]) -> DRole {
+    DRole {
+        hparent: Some(hparent),
+        hchildren: hchildren.iter().copied().collect(),
+        pending_slots: PendingSlots::default(),
+        ready: false,
+    }
+}
+
+/// Deletes node 1 of the path 2–0–1 once `plant` has set up a vnode
+/// cycle only lost mail builds, and runs the heal out; returns the nodes
+/// left with a vnode that is its own parent or helper child.
+fn heal_planted_cycle(plant: fn(&mut Network<FtNode>), faulty: bool) -> Vec<NodeId> {
+    let mut net = Network::new(Graph::from_edges(3, &[(0, 1), (0, 2)]), FtNode::new);
+    if faulty {
+        // armed but empty: the processors degrade, yet no fault fires
+        net.set_fault_plan(Some(FaultConfig::zero().plan(1)));
+    }
+    plant(&mut net);
+    let _ = net.delete_node(n(1));
+    for _ in 0..12 {
+        let (_stats, _cost) = net.step();
+    }
+    assert!(!net.has_pending(), "the heal quiesces");
+    [n(0), n(2)]
+        .into_iter()
+        .filter(|&v| net.process(v).has_vnode_self_loop())
+        .collect()
+}
+
+#[test]
+fn splice_sites_skip_vnode_cycles_under_faults_only() {
+    // 0's helper hangs under 2's helper and has it as its other child:
+    // losing leaf 1 would short-circuit 0's helper onto 2's as its parent
+    let short_circuit: fn(&mut Network<FtNode>) = |net| {
+        let own = helper_role(helper(2), &[pos(1), helper(2)]);
+        net.process_mut(n(0)).force_role(own, vec![(n(1), None)]);
+        let other = helper_role(helper(0), &[helper(0)]);
+        net.process_mut(n(2)).force_role(other, Vec::new());
+    };
+    // 1's helper hangs under 0's helper, and 1's LeafWill names 0's
+    // helper as its surviving child: splicing it would make 0's helper
+    // its own child
+    let splice: fn(&mut Network<FtNode>) = |net| {
+        let dead = helper_role(helper(0), &[pos(1), helper(0)]);
+        let own = helper_role(helper(1), &[helper(1)]);
+        net.process_mut(n(0))
+            .force_role(own, vec![(n(1), Some(dead))]);
+    };
+    let sites = [
+        (short_circuit, "my helper's parent is its survivor"),
+        (splice, "dead's helper survives as my own"),
+    ];
+    for (plant, guard) in sites {
+        let fault_free = catch_unwind(AssertUnwindSafe(|| heal_planted_cycle(plant, false)));
+        let message = fault_free.expect_err("a fault-free run must panic");
+        let message = message.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains(guard), "{message}");
+        assert_eq!(heal_planted_cycle(plant, true), Vec::new(), "{guard}");
     }
 }
 

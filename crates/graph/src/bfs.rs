@@ -300,17 +300,64 @@ pub fn diameter_double_sweep(g: &Graph) -> Option<u32> {
     if d1.len() != g.len() {
         return None;
     }
-    // Farthest node, lowest id on ties: ascending iteration + strict `>`
-    // keeps the first (smallest-id) maximum.
-    let mut u = start;
-    let mut du = 0;
-    for (v, d) in d1.iter() {
-        if d > du {
-            u = v;
-            du = d;
+    bfs_distances(g, farthest(&d1).0).max()
+}
+
+/// Whether `g` is connected with a diameter of at most `bound`.
+///
+/// Decided by the iFUB argument (Crescenzi et al., 2013) cut down to the
+/// question: two nodes within `bound / 2` of a source `u` are within
+/// `bound` of each other, so only the nodes farther from `u` need a BFS of
+/// their own, and the first of them with an eccentricity above `bound`
+/// disproves it. `2·ecc(start) ≤ bound` proves it in one BFS; the double
+/// sweep's lower bound above `bound` disproves it in a second; otherwise
+/// `u` is the midpoint of the sweep's path, whose eccentricity is about
+/// half the diameter, and its fringe is checked deepest first. On a tree
+/// the fringe is empty unless `bound` is the (odd) diameter itself.
+pub fn diameter_within(g: &Graph, bound: u32) -> bool {
+    let Some(start) = g.nodes().next() else {
+        return false;
+    };
+    let from_start = bfs_distances(g, start);
+    if from_start.len() != g.len() {
+        return false;
+    }
+    let (far, ecc) = farthest(&from_start);
+    if 2 * ecc <= bound {
+        return true;
+    }
+    let (from_far, parents) = bfs_tree(g, far);
+    let (end, sweep) = farthest(&from_far);
+    if sweep > bound {
+        return false;
+    }
+    let mut up = vec![NodeId(0); g.capacity()];
+    for (child, parent) in parents {
+        up[child.index()] = parent;
+    }
+    let mid = (0..sweep - sweep / 2).fold(end, |v, _| up[v.index()]);
+    let from_mid = bfs_distances(g, mid);
+    let mut fringe: Vec<(u32, NodeId)> = from_mid
+        .iter()
+        .filter(|&(_, d)| 2 * d > bound)
+        .map(|(v, d)| (d, v))
+        .collect();
+    fringe.sort_unstable_by(|a, b| b.cmp(a));
+    fringe
+        .into_iter()
+        .all(|(_, v)| eccentricity(g, v).is_some_and(|e| e <= bound))
+}
+
+/// The farthest node of a BFS table and its distance, lowest id on ties.
+fn farthest(dist: &DistanceMap) -> (NodeId, u32) {
+    let mut best = dist.nodes().next().expect("a BFS reaches its source");
+    let mut far = 0;
+    for (v, d) in dist.iter() {
+        if d > far {
+            (best, far) = (v, d);
         }
     }
-    bfs_distances(g, u).max()
+    (best, far)
 }
 
 #[cfg(test)]
@@ -395,6 +442,43 @@ mod tests {
             let g = gen::random_tree(40, &mut rng);
             assert_eq!(diameter_exact(&g), diameter_double_sweep(&g));
         }
+    }
+
+    #[test]
+    fn diameter_within_agrees_with_the_exact_diameter() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut graphs = Vec::new();
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut g = gen::random_tree(30, &mut rng);
+            // chords make 2·ecc a loose upper bound and the sweep inexact
+            for _ in 0..seed {
+                let (a, b) = (rng.gen_range(0..30), rng.gen_range(0..30));
+                if a != b && !g.has_edge(NodeId(a), NodeId(b)) {
+                    g.add_edge(NodeId(a), NodeId(b));
+                }
+            }
+            graphs.push(g);
+        }
+        // odd and even diameters, with and without a central node
+        for n in 2..10 {
+            graphs.extend([gen::path(n), gen::cycle(n + 1), gen::grid(2, n)]);
+            graphs.extend([gen::caterpillar(n, 2), gen::broom(n, 3)]);
+            // a path whose lowest id is a hole
+            let mut holed = gen::cycle(n + 2);
+            holed.delete_node(NodeId(0));
+            graphs.push(holed);
+        }
+        for (i, g) in graphs.iter().enumerate() {
+            let exact = diameter_exact(g).expect("connected");
+            for bound in 0..=exact + 2 {
+                assert_eq!(diameter_within(g, bound), exact <= bound, "{i}/{bound}");
+            }
+        }
+        let split = Graph::from_edges(4, &[(0, 1), (2, 3)]);
+        assert!(!diameter_within(&split, 10));
+        assert!(!diameter_within(&Graph::new(0), 10));
+        assert!(diameter_within(&Graph::new(1), 0));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! (`tree` = Forgiving Tree, `graph` = Forgiving Graph) and each named
 //! [`FaultConfig`] model (`none`, `delay`, `loss`, `dup`, `crash`,
 //! `partition`, `chaos`) it runs one seeded [`Scenario`] and records which
-//! bounds held, one [`FaultCell`] per combination, each with a verdict:
+//! bounds held, one [`FaultCell`] per combination, each with the class of
+//! its run's [`Verdicts`]:
 //!
 //! - `held` — every audited bound survived;
 //! - `degraded` — connectivity survived but convergence, a will audit, or
@@ -30,12 +31,8 @@
 #![deny(clippy::as_conversions)]
 
 use crate::record::Record;
-use crate::scenario::{run, Events, Faults, Initial, Protocol, Scenario};
+use crate::scenario::{run, Events, Faults, Initial, Protocol, Scenario, Verdicts};
 use ft_adversary::PlannerKind;
-use ft_core::ft_diameter_bound;
-use ft_graph::bfs::diameter_exact;
-use ft_graph::tree::RootedTree;
-use ft_graph::NodeId;
 use ft_sim::{Books, FaultConfig, HealCadence};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -99,60 +96,48 @@ impl FaultMatrixConfig {
 }
 
 /// One protocol × fault-model cell of the survival matrix.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultCell {
     /// `tree` (Forgiving Tree) or `graph` (Forgiving Graph).
     pub protocol: &'static str,
     /// Named fault model the cell ran under.
     pub model: String,
-    /// Whether the harness panicked (caught — the remaining figures are
-    /// zeroed when it did).
-    pub panicked: bool,
-    /// Every heal quiesced within its round budget.
-    pub converged: bool,
-    /// The healed graph stayed connected.
-    pub connected: bool,
-    /// The will audit passed (the tree protocol exposes no audit; its
-    /// cells record `true`).
-    pub wills_ok: bool,
-    /// Degree increase stayed within the theorem bound (≤ 3 for the tree,
-    /// `3·⌈log₂ n⌉ + 3` for the graph).
-    pub degree_ok: bool,
-    /// The distance bound held: healed diameter ≤ `O(D log Δ)` for the
-    /// tree, sampled stretch ≤ `⌈log₂ n⌉ + 2` (every pair reachable) for
-    /// the graph.
-    pub distance_ok: bool,
+    /// The run's judgement; `None` when the harness panicked (caught).
+    pub verdicts: Option<Verdicts>,
     /// The run's ledger and fault counters (zero when it panicked).
     pub books: Books,
 }
 
 impl FaultCell {
-    /// The cell's one-word verdict: `panicked`, `broke` (disconnected),
-    /// `degraded` (connected but some audited bound failed), or `held`.
+    /// The cell's one-word verdict: `panicked`, or its run's
+    /// [`Verdicts::class`].
     pub fn verdict(&self) -> &'static str {
-        if self.panicked {
-            "panicked"
-        } else if !self.connected {
-            "broke"
-        } else if self.converged && self.wills_ok && self.degree_ok && self.distance_ok {
-            "held"
-        } else {
-            "degraded"
-        }
+        self.verdicts.as_ref().map_or("panicked", Verdicts::class)
+    }
+
+    /// The checks the record and the table show, by name; all `false`
+    /// when the harness panicked.
+    fn flags(&self) -> [(&'static str, bool); 5] {
+        let flag = |f: fn(&Verdicts) -> bool| self.verdicts.as_ref().is_some_and(f);
+        [
+            ("converged", flag(|v| v.converged)),
+            ("connected", flag(|v| v.connected)),
+            ("wills_ok", flag(|v| v.wills_ok)),
+            ("degree_ok", flag(Verdicts::degree_ok)),
+            ("distance_ok", flag(Verdicts::distance_ok)),
+        ]
     }
 
     fn record(&self) -> Record {
         let b = &self.books;
-        Record::new()
+        let head = Record::new()
             .str("protocol", self.protocol)
             .str("model", &self.model)
             .str("verdict", self.verdict())
-            .num("panicked", self.panicked)
-            .num("converged", self.converged)
-            .num("connected", self.connected)
-            .num("wills_ok", self.wills_ok)
-            .num("degree_ok", self.degree_ok)
-            .num("distance_ok", self.distance_ok)
+            .num("panicked", self.verdicts.is_none());
+        let flags = self.flags().into_iter();
+        flags
+            .fold(head, |record, (name, flag)| record.num(name, flag))
             .num("sent", b.sent)
             .num("delivered", b.delivered)
             .num("dropped", b.dropped)
@@ -193,50 +178,18 @@ impl FaultMatrixRecord {
         out.push_str("protocol  model      verdict    conv conn wills degree dist  crashes lost\n");
         for c in &self.cells {
             out.push_str(&format!(
-                "{:<9} {:<10} {:<10} {:<4} {:<4} {:<5} {:<6} {:<5} {:<7} {}\n",
+                "{:<9} {:<10} {:<10}",
                 c.protocol,
                 c.model,
-                c.verdict(),
-                c.converged,
-                c.connected,
-                c.wills_ok,
-                c.degree_ok,
-                c.distance_ok,
-                c.books.crashes,
-                c.books.lost,
+                c.verdict()
             ));
+            // each flag under its column: conv, conn, wills, degree, dist
+            for ((_, flag), width) in c.flags().into_iter().zip([4, 4, 5, 6, 5]) {
+                out.push_str(&format!(" {flag:<width$}"));
+            }
+            out.push_str(&format!(" {:<7} {}\n", c.books.crashes, c.books.lost));
         }
         out
-    }
-}
-
-/// One cell: `sc` run to its end and its verdict inputs read. The tree
-/// keeps no oracle, so its healed diameter is checked against
-/// [`ft_diameter_bound`] of the pristine tree; the graph's sampled stretch
-/// must reach every pair within its bound.
-fn cell(sc: &Scenario) -> FaultCell {
-    let out = run(sc);
-    let v = &out.verdicts;
-    let distance_ok = match &v.stretch {
-        Some((stretch, bound)) => stretch.disconnected_pairs == 0 && stretch.max_stretch <= *bound,
-        None => {
-            let tree = RootedTree::from_tree_graph(out.healed.pristine(), NodeId(0));
-            let bound = ft_diameter_bound(tree.height(), tree.max_degree());
-            // A disconnected graph has no finite diameter; charge it to the
-            // distance bound as well as to connectivity.
-            diameter_exact(out.healed.graph()).is_some_and(|d| d <= bound)
-        }
-    };
-    FaultCell {
-        protocol: sc.protocol.name(),
-        model: sc.faults.name.clone(),
-        panicked: false,
-        converged: v.converged,
-        connected: v.connected,
-        wills_ok: v.wills_ok,
-        degree_ok: v.max_degree_increase <= v.degree_bound,
-        distance_ok,
-        books: out.books,
     }
 }
 
@@ -250,12 +203,13 @@ fn cell(sc: &Scenario) -> FaultCell {
 /// fault-free verdicts rather than assert them).
 pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixRecord {
     let cells = cfg.scenarios().into_iter().map(|sc| {
-        catch_unwind(AssertUnwindSafe(|| cell(&sc))).unwrap_or_else(|_| FaultCell {
+        let out = catch_unwind(AssertUnwindSafe(|| run(&sc))).ok();
+        FaultCell {
             protocol: sc.protocol.name(),
             model: sc.faults.name,
-            panicked: true,
-            ..FaultCell::default()
-        })
+            books: out.as_ref().map(|o| o.books.clone()).unwrap_or_default(),
+            verdicts: out.map(|o| o.verdicts),
+        }
     });
     FaultMatrixRecord {
         config: cfg.clone(),

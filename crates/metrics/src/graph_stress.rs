@@ -88,7 +88,7 @@ pub type GraphStressRecord = StressRecord;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Outcome;
+    use crate::scenario::{Distance, Outcome, Verdicts};
     use crate::stretch::{measure_stretch_full, StretchReport};
 
     /// A fault-free mixed-churn graph scenario: 40% insertions, extra
@@ -141,8 +141,12 @@ mod tests {
             };
             let out = run(&sc);
             let rec = StressRecord::new(sc.clone(), &out);
-            assert_eq!(rec.insertions + rec.deletions, 80, "{planner:?}");
-            assert!(rec.insertions > 0, "{planner:?} inserted");
+            assert_eq!(
+                rec.report.insertions + rec.report.deletions,
+                80,
+                "{planner:?}"
+            );
+            assert!(rec.report.insertions > 0, "{planner:?} inserted");
             assert_eq!(rec.failed_verdict(), None, "{planner:?}");
             assert!(rec.joins > 0, "join notices on the books");
             assert_eq!(rec.total_messages, rec.delivered + rec.notices + rec.joins);
@@ -156,22 +160,42 @@ mod tests {
 
     /// A failed fault-free verdict is recorded, not asserted, and named in
     /// the harness's order; under faults every verdict is a measurement.
+    /// A stretch above its bound and an unreachable sampled pair each fail
+    /// `stretch_bound`.
     #[test]
     fn failed_verdicts_are_named_in_order() {
         let mut rec = record(graph(60, 20, 5, 2, 4));
         assert_eq!(rec.failed_verdict(), None);
-        rec.stretch.max_stretch = rec.stretch_bound + 1.0;
-        assert_eq!(rec.failed_verdict(), Some("stretch_bound"));
-        rec.max_degree_increase = rec.degree_bound + 1;
-        assert_eq!(rec.failed_verdict(), Some("degree_bound"));
-        rec.stretch.disconnected_pairs = 1;
-        assert_eq!(rec.failed_verdict(), Some("disconnected_pairs"));
-        rec.connected = false;
-        assert_eq!(rec.failed_verdict(), Some("connected"));
-        rec.wills_ok = false;
-        assert_eq!(rec.failed_verdict(), Some("wills_ok"));
-        rec.converged = false;
-        assert_eq!(rec.failed_verdict(), Some("converged"));
+        let fresh = rec.verdicts.clone();
+        type Stretched = fn(&mut StretchReport, f64);
+        let stretched: [Stretched; 2] = [
+            |s, bound| s.max_stretch = bound + 1.0,
+            |s, _| s.disconnected_pairs = 1,
+        ];
+        // each on a fresh judgement; the last one stays for the flips below
+        for flip in stretched {
+            rec.verdicts = fresh.clone();
+            let Distance::Stretch(report, bound) = &mut rec.verdicts.distance else {
+                panic!("a graph run samples its stretch")
+            };
+            flip(report, *bound);
+            assert_eq!(rec.failed_verdict(), Some("stretch_bound"));
+            assert_eq!(rec.verdicts.class(), "degraded");
+        }
+        type Flip = (fn(&mut Verdicts), &'static str);
+        let flips: [Flip; 4] = [
+            (
+                |v| v.max_degree_increase = v.degree_bound + 1,
+                "degree_bound",
+            ),
+            (|v| v.connected = false, "connected"),
+            (|v| v.wills_ok = false, "wills_ok"),
+            (|v| v.converged = false, "converged"),
+        ];
+        for (flip, name) in flips {
+            flip(&mut rec.verdicts);
+            assert_eq!(rec.failed_verdict(), Some(name));
+        }
         rec.scenario.faults = Faults::named("dup").expect("a fault model");
         assert_eq!(rec.failed_verdict(), None);
     }
@@ -185,8 +209,18 @@ mod tests {
         let rec1 = record(sc.clone());
         let rec2 = record(sc);
         assert_eq!(
-            (rec1.waves, rec1.insertions, rec1.deletions, rec1.rounds),
-            (rec2.waves, rec2.insertions, rec2.deletions, rec2.rounds)
+            (
+                rec1.report.waves,
+                rec1.report.insertions,
+                rec1.report.deletions,
+                rec1.rounds
+            ),
+            (
+                rec2.report.waves,
+                rec2.report.insertions,
+                rec2.report.deletions,
+                rec2.rounds
+            )
         );
         assert_eq!(
             (
@@ -205,7 +239,7 @@ mod tests {
             )
         );
         assert_eq!(rec1.max_per_node_total, rec2.max_per_node_total);
-        assert_eq!(rec1.max_degree_increase, rec2.max_degree_increase);
+        assert_eq!(rec1.verdicts, rec2.verdicts);
         assert_eq!(rec1.stretch, rec2.stretch, "stretch pass bit-identical");
         assert_eq!(rec1.cost, rec2.cost, "engine costs bit-identical");
         assert_eq!(
@@ -258,11 +292,16 @@ mod tests {
         );
         let fp = |r: &StressRecord| {
             (
-                (r.waves, r.insertions, r.deletions, r.rounds),
+                (
+                    r.report.waves,
+                    r.report.insertions,
+                    r.report.deletions,
+                    r.rounds,
+                ),
                 (r.sent, r.delivered, r.dropped, r.notices, r.joins),
                 (r.lost, r.duplicated, r.delayed, r.crashes),
                 r.fault_fingerprint,
-                (r.converged, r.wills_ok, r.connected, r.max_degree_increase),
+                r.verdicts.clone(),
             )
         };
         assert_eq!(fp(&rec1), fp(&rec2), "faulty record replays");
@@ -283,7 +322,11 @@ mod tests {
             };
             let out = run(&sc);
             let rec = StressRecord::new(sc.clone(), &out);
-            assert_eq!(rec.insertions + rec.deletions, 400, "{faults}");
+            assert_eq!(
+                rec.report.insertions + rec.report.deletions,
+                400,
+                "{faults}"
+            );
             assert_eq!(rec.stretch, full_sweep(&sc, &out), "{faults}");
         }
     }

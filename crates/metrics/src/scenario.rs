@@ -10,8 +10,9 @@ use crate::stretch::StretchReport;
 use crate::stretch_inc::StretchTracker;
 use ft_adversary::{AdversaryView, PlannerKind};
 use ft_core::distributed::{DistributedForgivingTree, FtNode};
-use ft_core::{fg_degree_bound, fg_stretch_bound, DistributedForgivingGraph};
+use ft_core::{fg_degree_bound, fg_stretch_bound, ft_diameter_bound, DistributedForgivingGraph};
 use ft_costs::OperationCost;
+use ft_graph::bfs::diameter_within;
 use ft_graph::{gen, tree::RootedTree, ChurnEvent, Graph, NodeId};
 use ft_sim::{Books, Campaign, CampaignConfig, CampaignReport, FaultConfig, HealCadence};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -159,39 +160,118 @@ impl Faults {
     }
 }
 
-/// What a run's verdicts read: each a verdict of a fault-free run and a
-/// plain measurement under faults.
+/// What a run's checks found, and the one judgement of them. Each check is
+/// a verdict of a fault-free run and a plain measurement under faults.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Verdicts {
     /// Every heal quiesced within its round budget.
     pub converged: bool,
-    /// The healed graph is connected.
-    pub connected: bool,
     /// The will audit passed; the Forgiving Tree has none and reads `true`.
     pub wills_ok: bool,
+    /// The healed graph is connected.
+    pub connected: bool,
     /// Worst degree increase of a live node over the pristine graph.
     pub max_degree_increase: i64,
     /// The degree bound: 3 for the tree, `3·⌈log₂ n⌉ + 3` for the graph.
     pub degree_bound: i64,
-    /// The Forgiving Graph's sampled stretch and its bound `⌈log₂ n⌉ + 2`.
-    pub stretch: Option<(StretchReport, f64)>,
+    /// The distance check, for the tree or the graph.
+    pub distance: Distance,
 }
 
-/// The engine a run healed with.
+/// What a run's distance check measured.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Distance {
+    /// The Forgiving Tree: the healed graph is connected, with a diameter
+    /// within Theorem 1.2's [`ft_diameter_bound`] of the initial tree.
+    Diameter(bool),
+    /// The Forgiving Graph's sampled stretch and its bound `⌈log₂ n⌉ + 2`.
+    Stretch(StretchReport, f64),
+}
+
+impl Verdicts {
+    /// Every check, in the order a failure is named: `converged`,
+    /// `wills_ok`, `connected`, `degree_bound`, and the tree's
+    /// `diameter_bound` or the graph's `stretch_bound`.
+    fn checks(&self) -> [(&'static str, bool); 5] {
+        let distance = match self.distance {
+            Distance::Diameter(_) => "diameter_bound",
+            Distance::Stretch(..) => "stretch_bound",
+        };
+        [
+            ("converged", self.converged),
+            ("wills_ok", self.wills_ok),
+            ("connected", self.connected),
+            ("degree_bound", self.degree_ok()),
+            (distance, self.distance_ok()),
+        ]
+    }
+
+    /// The first check that failed; `None` when all held.
+    pub fn failed(&self) -> Option<&'static str> {
+        self.checks().into_iter().find(|c| !c.1).map(|c| c.0)
+    }
+
+    /// The degree increase is within its bound.
+    pub fn degree_ok(&self) -> bool {
+        self.max_degree_increase <= self.degree_bound
+    }
+
+    /// The distance bound held: the tree's diameter check, or the graph's
+    /// sampled stretch within its bound with every sampled pair reachable.
+    pub fn distance_ok(&self) -> bool {
+        match &self.distance {
+            &Distance::Diameter(held) => held,
+            Distance::Stretch(report, bound) => {
+                report.disconnected_pairs == 0 && report.max_stretch <= *bound
+            }
+        }
+    }
+
+    /// The graph's sampled stretch and its bound; `None` for the tree.
+    pub fn stretch(&self) -> Option<(&StretchReport, f64)> {
+        match &self.distance {
+            Distance::Diameter(_) => None,
+            Distance::Stretch(report, bound) => Some((report, *bound)),
+        }
+    }
+
+    /// `broke` when the healed graph disconnected, `held` when every check
+    /// held, `degraded` otherwise.
+    pub fn class(&self) -> &'static str {
+        match self.failed() {
+            None => "held",
+            Some(_) if self.connected => "degraded",
+            Some(_) => "broke",
+        }
+    }
+}
+
+/// The engine a run healed with, and what its distance check measures
+/// against.
 #[derive(Debug)]
 pub enum Healed {
-    /// The Forgiving Tree's processors, and the tree they started from.
-    Tree(DistributedForgivingTree, Graph),
-    /// The Forgiving Graph's processors.
-    Graph(DistributedForgivingGraph),
+    /// The Forgiving Tree's processors, the tree they started from, and
+    /// [`ft_diameter_bound`] of that tree.
+    Tree(DistributedForgivingTree, Graph, u32),
+    /// The Forgiving Graph's processors and the stretch tracker that
+    /// followed their waves.
+    Graph(DistributedForgivingGraph, Box<StretchTracker>),
 }
 
 impl Healed {
     /// The healed graph.
     pub fn graph(&self) -> &Graph {
         match self {
-            Healed::Tree(dist, _) => dist.graph(),
-            Healed::Graph(dist) => dist.graph(),
+            Healed::Tree(dist, ..) => dist.graph(),
+            Healed::Graph(dist, _) => dist.graph(),
+        }
+    }
+
+    /// Operation cost of the stretch sample (zero for the tree).
+    pub fn stretch_cost(&self) -> OperationCost {
+        match self {
+            Healed::Tree(..) => OperationCost::ZERO,
+            Healed::Graph(_, tracker) => tracker.cost(),
         }
     }
 
@@ -199,8 +279,8 @@ impl Healed {
     /// landed: the baseline of degree and stretch.
     pub fn pristine(&self) -> &Graph {
         match self {
-            Healed::Tree(_, pristine) => pristine,
-            Healed::Graph(dist) => dist.pristine(),
+            Healed::Tree(_, pristine, _) => pristine,
+            Healed::Graph(dist, _) => dist.pristine(),
         }
     }
 
@@ -212,7 +292,7 @@ impl Healed {
         let live = self.graph().len();
         let floor = match self {
             Healed::Tree(..) => 1,
-            Healed::Graph(_) => 2,
+            Healed::Graph(..) => 2,
         };
         (live > floor).then(|| live - 1)
     }
@@ -220,10 +300,10 @@ impl Healed {
     fn apply(&mut self, campaign: &mut Campaign, wave: &[ChurnEvent]) {
         let no_insertion = |_, _: &[NodeId]| -> FtNode { panic!("a tree takes no insertions") };
         match self {
-            Healed::Tree(dist, _) => {
+            Healed::Tree(dist, ..) => {
                 campaign.run_churn_wave(dist.network_mut(), wave, no_insertion)
             }
-            Healed::Graph(dist) => dist.run_wave(campaign, wave),
+            Healed::Graph(dist, _) => dist.run_wave(campaign, wave),
         };
     }
 }
@@ -237,12 +317,10 @@ pub struct Outcome {
     pub books: Books,
     /// Every wave as applied; as [`Events::Explicit`] they replay the run.
     pub waves: Vec<Vec<ChurnEvent>>,
-    /// The verdict inputs.
+    /// The one judgement of the run.
     pub verdicts: Verdicts,
     /// The healed engine, with its pristine graph.
     pub healed: Healed,
-    /// Operation cost of the stretch sample (zero for the tree).
-    pub stretch_cost: OperationCost,
     /// Wall-clock seconds of the campaign, stretch tracking excluded.
     pub campaign_secs: f64,
     /// Wall-clock seconds of stretch tracking: build, repairs and report.
@@ -268,12 +346,13 @@ pub fn run(sc: &Scenario) -> Outcome {
     // The graph's stretch tracker repairs its fields from each wave's churn
     // journal; its time is kept apart from the campaign's.
     let (mut stretch_secs, mut campaign_secs) = (0.0, 0.0);
-    let (mut healed, mut tracker, cadence, insert_fraction) = match sc.protocol {
+    let (mut healed, cadence, insert_fraction) = match sc.protocol {
         Protocol::Tree { cadence, .. } => {
             let tree = RootedTree::from_tree_graph(&initial, NodeId(0));
+            let bound = ft_diameter_bound(tree.height(), tree.max_degree());
             let mut dist = DistributedForgivingTree::new(&tree);
             dist.network_mut().set_fault_plan(plan);
-            (Healed::Tree(dist, initial), None, cadence, 0.0)
+            (Healed::Tree(dist, initial, bound), cadence, 0.0)
         }
         Protocol::Graph {
             insert_fraction,
@@ -286,8 +365,8 @@ pub fn run(sc: &Scenario) -> Outcome {
             let tracker = timed(&mut stretch_secs, || {
                 StretchTracker::new(dist.graph(), dist.pristine(), stretch_sources, sc.seed)
             });
-            let cadence = HealCadence::PerDeletion;
-            (Healed::Graph(dist), Some(tracker), cadence, insert_fraction)
+            let healed = Healed::Graph(dist, Box::new(tracker));
+            (healed, HealCadence::PerDeletion, insert_fraction)
         }
     };
 
@@ -302,7 +381,7 @@ pub fn run(sc: &Scenario) -> Outcome {
         healed.apply(&mut campaign, &wave);
         Some(wave)
     }) {
-        if let (Healed::Graph(dist), Some(tracker)) = (&mut healed, &mut tracker) {
+        if let Healed::Graph(dist, tracker) = &mut healed {
             let journal = dist.network_mut().drain_churn_journal();
             let repair = || tracker.apply_wave(dist.graph(), dist.pristine(), &journal);
             timed(&mut stretch_secs, repair);
@@ -311,36 +390,36 @@ pub fn run(sc: &Scenario) -> Outcome {
     }
 
     let books = match &healed {
-        Healed::Tree(dist, _) => dist.network().books(),
-        Healed::Graph(dist) => dist.network().books(),
+        Healed::Tree(dist, ..) => dist.network().books(),
+        Healed::Graph(dist, _) => dist.network().books(),
     };
     let books = books.expect("message ledger imbalance after the campaign");
     let report = campaign.report().clone();
     let graph = healed.graph();
-    let mut verdicts = Verdicts {
-        converged: report.converged,
-        connected: graph.is_connected(),
-        wills_ok: true,
-        max_degree_increase: graph.max_degree_increase_over(healed.pristine()),
-        degree_bound: 3,
-        stretch: None,
+    let connected = graph.is_connected();
+    let (wills_ok, degree_bound, distance) = match &healed {
+        &Healed::Tree(.., bound) => (true, 3, Distance::Diameter(diameter_within(graph, bound))),
+        Healed::Graph(dist, tracker) => {
+            let report = timed(&mut stretch_secs, || tracker.report(graph));
+            let n = graph.capacity();
+            let distance = Distance::Stretch(report, fg_stretch_bound(n));
+            (dist.check_wills().is_ok(), fg_degree_bound(n), distance)
+        }
     };
-    let mut stretch_cost = OperationCost::ZERO;
-    if let (Healed::Graph(dist), Some(tracker)) = (&healed, &tracker) {
-        let capacity = dist.graph().capacity();
-        let stretch = timed(&mut stretch_secs, || tracker.report(dist.graph()));
-        stretch_cost = tracker.cost();
-        verdicts.wills_ok = dist.check_wills().is_ok();
-        verdicts.degree_bound = fg_degree_bound(capacity);
-        verdicts.stretch = Some((stretch, fg_stretch_bound(capacity)));
-    }
+    let verdicts = Verdicts {
+        converged: report.converged,
+        wills_ok,
+        connected,
+        max_degree_increase: graph.max_degree_increase_over(healed.pristine()),
+        degree_bound,
+        distance,
+    };
     Outcome {
         report,
         books,
         waves,
         verdicts,
         healed,
-        stretch_cost,
         campaign_secs: campaign_secs.max(1e-9),
         stretch_secs,
     }

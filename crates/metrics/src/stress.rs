@@ -5,21 +5,21 @@
 //! A tree [`Scenario`] builds a k-ary tree workload and [`run`] drives wave
 //! after wave of deletions through it until the deletion budget is spent.
 //! [`StressRecord::new`] reads the outcome: throughput, the peak per-node
-//! round load, the message ledger, and whether every heal converged and
-//! the healed graph stayed connected. `run` panics if the books do not
-//! balance, so a stress run doubles as an end-to-end accounting check in
-//! CI; a fault-free run that failed a verdict is named by
-//! [`StressRecord::failed_verdict`]. Under a fault model those verdicts are
-//! measurements, and the accounting panics never relax.
+//! round load, the message ledger and the run's [`Verdicts`]. `run`
+//! panics if the books do not balance, so a stress run doubles as an
+//! end-to-end accounting check in CI; a fault-free run that failed a
+//! verdict is named by [`StressRecord::failed_verdict`]. Under a fault
+//! model those verdicts are measurements, and the accounting panics never
+//! relax.
 //!
 //! [`StressConfig`] and [`run_stress`] are a thin shim over a scenario.
 
 use crate::record::Record;
-use crate::scenario::{run, Events, Faults, Initial, Outcome, Protocol, Scenario};
+use crate::scenario::{run, Events, Faults, Initial, Outcome, Protocol, Scenario, Verdicts};
 use crate::stretch::StretchReport;
 use ft_adversary::PlannerKind;
 use ft_costs::OperationCost;
-use ft_sim::{Books, HealCadence};
+use ft_sim::{Books, CampaignReport, HealCadence};
 
 /// Stress-campaign parameters, as names.
 #[derive(Clone, Debug)]
@@ -81,23 +81,18 @@ pub fn run_stress(cfg: &StressConfig) -> StressRecord {
 }
 
 /// The perf record of a stress scenario's outcome: `BENCH_sim.json` for
-/// the Forgiving Tree, `BENCH_graph.json` for the Forgiving Graph. The
-/// stretch fields are zero for the tree, whose will audit reads `true`.
-/// Its [`Books`] read as the record's own fields (`rec.sent`) through
-/// `Deref`.
+/// the Forgiving Tree, `BENCH_graph.json` for the Forgiving Graph. Its
+/// [`Books`] read as the record's own fields (`rec.sent`) through `Deref`;
+/// its [`Verdicts`] judge the run.
 #[derive(Clone, Debug)]
 pub struct StressRecord {
     /// The scenario that ran.
     pub scenario: Scenario,
     /// The ledger and fault counters.
     pub books: Books,
-    /// Waves applied.
-    pub waves: usize,
-    /// Nodes inserted.
-    pub insertions: usize,
-    /// Nodes deleted.
-    pub deletions: usize,
-    /// Engine rounds consumed.
+    /// The campaign's aggregates: waves, events, rounds, peak round load.
+    pub report: CampaignReport,
+    /// Engine rounds consumed; echoes `report` for ftbench's frozen sources.
     pub rounds: u64,
     /// Live nodes remaining.
     pub live_remaining: usize,
@@ -105,20 +100,13 @@ pub struct StressRecord {
     pub elapsed_secs: f64,
     /// Wall-clock milliseconds of stretch tracking: build, repairs, report.
     pub stretch_wall_ms: f64,
-    /// Worst single-node single-round message load.
-    pub peak_per_node_load: usize,
-    /// Worst degree increase over the pristine baseline.
-    pub max_degree_increase: i64,
-    /// The degree bound: 3 for the tree, `3·⌈log₂ n⌉ + 3` for the graph.
-    pub degree_bound: i64,
-    /// The sampled stretch pass (graph).
-    pub stretch: StretchReport,
-    /// The enforced stretch bound (graph: `⌈log₂ n⌉ + 2`).
-    pub stretch_bound: f64,
     /// Operation cost of the stretch measurement (graph).
     pub stretch_cost: OperationCost,
-    /// Whether every heal quiesced within its round budget.
-    pub converged: bool,
+    /// The run's judgement.
+    pub verdicts: Verdicts,
+    /// The sampled stretch pass (graph; zero for the tree). This and the
+    /// next two fields echo `verdicts` for ftbench's frozen sources.
+    pub stretch: StretchReport,
     /// Whether the will audit passed.
     pub wills_ok: bool,
     /// Whether the healed graph was still connected at the end.
@@ -137,63 +125,36 @@ impl StressRecord {
     /// The record of `scenario`'s `outcome`.
     pub fn new(scenario: Scenario, outcome: &Outcome) -> StressRecord {
         let (report, v) = (&outcome.report, &outcome.verdicts);
-        let (stretch, stretch_bound) = v.stretch.clone().unwrap_or_default();
+        let stretch = v.stretch().map(|s| s.0.clone()).unwrap_or_default();
         StressRecord {
             scenario,
             books: outcome.books.clone(),
-            waves: report.waves,
-            insertions: report.insertions,
-            deletions: report.deletions,
+            report: report.clone(),
             rounds: report.rounds,
             live_remaining: outcome.healed.graph().len(),
             elapsed_secs: outcome.campaign_secs,
             stretch_wall_ms: outcome.stretch_secs * 1e3,
-            peak_per_node_load: report.peak_round_load,
-            max_degree_increase: v.max_degree_increase,
-            degree_bound: v.degree_bound,
+            stretch_cost: outcome.healed.stretch_cost(),
+            verdicts: v.clone(),
             stretch,
-            stretch_bound,
-            stretch_cost: outcome.stretch_cost,
-            converged: v.converged,
             wills_ok: v.wills_ok,
             connected: v.connected,
         }
     }
 
-    /// The verdicts of a fault-free run, in the order they are read: the
-    /// tree's are the first three, the graph's all six.
-    fn verdicts(&self) -> Vec<(&'static str, bool)> {
-        let s = &self.stretch;
-        let all = [
-            ("converged", self.converged),
-            ("wills_ok", self.wills_ok),
-            ("connected", self.connected),
-            ("disconnected_pairs", s.disconnected_pairs == 0),
-            (
-                "degree_bound",
-                self.max_degree_increase <= self.degree_bound,
-            ),
-            ("stretch_bound", s.max_stretch <= self.stretch_bound),
-        ];
-        let tree = matches!(self.scenario.protocol, Protocol::Tree { .. });
-        all[..if tree { 3 } else { 6 }].to_vec()
-    }
-
-    /// The first verdict a fault-free run failed (`converged`, `wills_ok`,
-    /// `connected`, and for the graph `disconnected_pairs`, `degree_bound`
-    /// and `stretch_bound`); `None` when all held or when faults were
-    /// armed, which makes them measurements.
+    /// The first verdict a fault-free run failed ([`Verdicts::failed`]);
+    /// `None` when all held or when faults were armed, which makes them
+    /// measurements.
     pub fn failed_verdict(&self) -> Option<&'static str> {
-        let failed = self.verdicts().into_iter().find(|(_, held)| !held);
-        failed
-            .filter(|_| self.scenario.faults.config.is_zero())
-            .map(|(name, _)| name)
+        let fault_free = self.scenario.faults.config.is_zero();
+        self.verdicts.failed().filter(|_| fault_free)
     }
 
     /// Healed churn events and delivered messages (notices and joins
     /// included) per second.
     pub fn rates(&self) -> (f64, f64) {
-        let (secs, events) = (self.elapsed_secs, self.insertions + self.deletions);
+        let r = &self.report;
+        let (secs, events) = (self.elapsed_secs, r.insertions + r.deletions);
         (events as f64 / secs, self.total_messages as f64 / secs)
     }
 
@@ -203,6 +164,8 @@ impl StressRecord {
         let (events, wave_size, planner) = sc.events.echo();
         let (events_per_sec, msgs_per_sec) = self.rates();
         let wall_ms = self.elapsed_secs * 1e3;
+        let v = &self.verdicts;
+        let stretch_bound = v.stretch().map_or(0.0, |s| s.1);
         let record = match sc.protocol {
             Protocol::Tree { arity, cadence } => Record::new()
                 .str("bench", "sim_stress")
@@ -212,15 +175,15 @@ impl StressRecord {
                 .str("cadence", cadence.name())
                 .num("seed", sc.seed)
                 .num("wave_size", wave_size)
-                .num("waves", self.waves)
-                .num("deletions", self.deletions)
+                .num("waves", self.report.waves)
+                .num("deletions", self.report.deletions)
                 .num("rounds", self.rounds)
                 .num("live_remaining", self.live_remaining)
                 .fixed("elapsed_secs", self.elapsed_secs, 6)
                 .fixed("wall_ms", wall_ms, 3)
                 .fixed("nodes_per_sec", events_per_sec, 1)
                 .fixed("msgs_per_sec", msgs_per_sec, 1)
-                .num("peak_per_node_load", self.peak_per_node_load)
+                .num("peak_per_node_load", self.report.peak_round_load)
                 .num("max_per_node_total", self.max_per_node_total)
                 .num("sent", self.sent)
                 .num("delivered", self.delivered)
@@ -229,7 +192,7 @@ impl StressRecord {
                 .num("total_messages", self.total_messages)
                 .cost("cost", &self.cost)
                 .num("balanced", true)
-                .num("converged", self.converged)
+                .num("converged", v.converged)
                 .str("faults", &sc.faults.name),
             Protocol::Graph {
                 extra_edges,
@@ -244,9 +207,9 @@ impl StressRecord {
                 .fixed("extra_edges", extra_edges, 3)
                 .str("planner", planner)
                 .num("seed", sc.seed)
-                .num("waves", self.waves)
-                .num("insertions", self.insertions)
-                .num("deletions", self.deletions)
+                .num("waves", self.report.waves)
+                .num("insertions", self.report.insertions)
+                .num("deletions", self.report.deletions)
                 .num("rounds", self.rounds)
                 .num("live_remaining", self.live_remaining)
                 .fixed("elapsed_secs", self.elapsed_secs, 6)
@@ -254,7 +217,7 @@ impl StressRecord {
                 .fixed("stretch_wall_ms", self.stretch_wall_ms, 3)
                 .fixed("events_per_sec", events_per_sec, 1)
                 .fixed("msgs_per_sec", msgs_per_sec, 1)
-                .num("peak_per_node_load", self.peak_per_node_load)
+                .num("peak_per_node_load", self.report.peak_round_load)
                 .num("max_per_node_total", self.max_per_node_total)
                 .num("sent", self.sent)
                 .num("delivered", self.delivered)
@@ -262,23 +225,23 @@ impl StressRecord {
                 .num("notices", self.notices)
                 .num("joins", self.joins)
                 .num("total_messages", self.total_messages)
-                .num("max_degree_increase", self.max_degree_increase)
-                .num("degree_bound", self.degree_bound)
+                .num("max_degree_increase", v.max_degree_increase)
+                .num("degree_bound", v.degree_bound)
                 .num("stretch_sources", self.stretch.sources)
                 .num("stretch_pairs", self.stretch.pairs)
                 .fixed("max_stretch", self.stretch.max_stretch, 4)
                 .fixed("mean_stretch", self.stretch.mean_stretch, 4)
-                .fixed("stretch_bound", self.stretch_bound, 1)
+                .fixed("stretch_bound", stretch_bound, 1)
                 .cost("cost", &self.cost)
                 .num("stretch_node_visits", self.stretch_cost.node_visits)
                 .num("stretch_edge_scans", self.stretch_cost.edge_scans)
                 .num("stretch_heap_bytes", self.stretch_cost.heap_bytes)
                 .num("stretch_seeks", self.stretch_cost.seeks)
                 .num("balanced", true)
-                .num("within_bounds", self.verdicts()[3..].iter().all(|v| v.1))
-                .num("converged", self.converged)
+                .num("within_bounds", v.degree_ok() && v.distance_ok())
+                .num("converged", v.converged)
                 .str("faults", &sc.faults.name)
-                .num("wills_ok", self.wills_ok),
+                .num("wills_ok", v.wills_ok),
         };
         record
             .num("lost", self.lost)
@@ -286,7 +249,7 @@ impl StressRecord {
             .num("delayed", self.delayed)
             .num("crashes", self.crashes)
             .num("fault_fingerprint", self.fault_fingerprint)
-            .num("connected", self.connected)
+            .num("connected", v.connected)
             .render()
     }
 
@@ -300,19 +263,19 @@ impl StressRecord {
                 "{} deletions over {} waves on n={nodes} ({planner} planner): \
                  {secs:.2}s, {events_per_sec:.0} deletions/s, {msgs_per_sec:.0} msgs/s, \
                  peak node load {}, books balanced",
-                self.deletions, self.waves, self.peak_per_node_load,
+                self.report.deletions, self.report.waves, self.report.peak_round_load,
             ),
             Protocol::Graph { .. } => format!(
                 "{} inserts + {} deletes over {} waves on n={nodes} ({planner} planner): \
                  {secs:.2}s, {events_per_sec:.0} events/s, {msgs_per_sec:.0} msgs/s, \
                  max stretch {:.2} (bound {:.0}), max degree +{} (bound {}), books balanced",
-                self.insertions,
-                self.deletions,
-                self.waves,
+                self.report.insertions,
+                self.report.deletions,
+                self.report.waves,
                 self.stretch.max_stretch,
-                self.stretch_bound,
-                self.max_degree_increase,
-                self.degree_bound,
+                self.verdicts.stretch().map_or(0.0, |s| s.1),
+                self.verdicts.max_degree_increase,
+                self.verdicts.degree_bound,
             ),
         }
     }
@@ -321,6 +284,7 @@ impl StressRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Distance;
 
     /// A fault-free per-deletion scenario on a 4-ary tree.
     fn tree(
@@ -363,16 +327,48 @@ mod tests {
             PlannerKind::HeavyTail,
         ] {
             let rec = record(tree(300, 60, 7, planner, 1));
-            assert_eq!(rec.deletions, 60, "{planner:?}");
-            assert!(rec.converged);
+            assert_eq!(rec.report.deletions, 60, "{planner:?}");
+            assert!(rec.verdicts.converged);
             assert_eq!(rec.failed_verdict(), None, "{planner:?}");
             assert_eq!(rec.live_remaining, 240);
             assert_eq!(rec.total_messages, rec.delivered + rec.notices);
-            assert!(rec.peak_per_node_load > 0);
+            assert!(rec.report.peak_round_load > 0);
             assert_eq!(rec.cost.messages_delivered, rec.delivered);
             assert_eq!(rec.cost.messages_sent, rec.sent);
             assert!(rec.cost.node_visits > 0 && rec.cost.seeks > 0);
         }
+    }
+
+    /// The tree's twin of the graph's `failed_verdicts_are_named_in_order`:
+    /// a fault-free tree run is also judged on Theorem 1.1's degree bound
+    /// and Theorem 1.2's diameter bound, and each failure is named.
+    #[test]
+    fn tree_failed_verdicts_are_named_in_order() {
+        let mut rec = record(tree(300, 60, 7, PlannerKind::Random, 1));
+        assert_eq!(rec.verdicts.class(), "held");
+        type Flip = (fn(&mut Verdicts), &'static str);
+        let flips: [Flip; 5] = [
+            (|v| v.distance = Distance::Diameter(false), "diameter_bound"),
+            (
+                |v| v.max_degree_increase = v.degree_bound + 1,
+                "degree_bound",
+            ),
+            (|v| v.connected = false, "connected"),
+            (|v| v.wills_ok = false, "wills_ok"),
+            (|v| v.converged = false, "converged"),
+        ];
+        for (flip, name) in flips {
+            flip(&mut rec.verdicts);
+            assert_eq!(rec.failed_verdict(), Some(name));
+            let class = if name == "diameter_bound" || name == "degree_bound" {
+                "degraded"
+            } else {
+                "broke"
+            };
+            assert_eq!(rec.verdicts.class(), class, "{name}");
+        }
+        rec.scenario.faults = faults("dup");
+        assert_eq!(rec.failed_verdict(), None);
     }
 
     /// The acceptance property at harness level: a second run of the same
@@ -384,11 +380,11 @@ mod tests {
         let rec2 = record(sc);
         let fingerprint = |r: &StressRecord| {
             (
-                r.waves,
-                r.deletions,
+                r.report.waves,
+                r.report.deletions,
                 r.rounds,
                 r.live_remaining,
-                r.peak_per_node_load,
+                r.report.peak_round_load,
                 r.max_per_node_total,
                 r.sent,
                 r.delivered,
@@ -486,7 +482,7 @@ mod tests {
             },
             ..tree(5000, 1000, 50, PlannerKind::Random, 42)
         });
-        assert!(rec.converged && !rec.connected);
+        assert!(rec.verdicts.converged && !rec.connected);
         assert_eq!(rec.failed_verdict(), Some("connected"));
         assert!(rec.to_json().contains("\"connected\": false"));
         // under faults the same booleans are measurements, not verdicts
@@ -521,11 +517,11 @@ mod tests {
         );
         let fp = |r: &StressRecord| {
             (
-                (r.waves, r.deletions, r.rounds),
+                (r.report.waves, r.report.deletions, r.rounds),
                 (r.sent, r.delivered, r.dropped),
                 (r.lost, r.duplicated, r.delayed, r.crashes),
                 r.fault_fingerprint,
-                (r.converged, r.connected),
+                (r.verdicts.converged, r.connected),
             )
         };
         assert_eq!(fp(&rec1), fp(&rec2), "faulty record replays");

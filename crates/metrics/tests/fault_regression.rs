@@ -41,7 +41,12 @@ fn seeded_regression_pins_faulty_ten_thousand_node_figures() {
     assert!(rec.delayed > 0, "chaos delayed no messages");
     assert!(rec.crashes > 0, "chaos crashed no deletions");
     assert_eq!(
-        (rec.insertions, rec.deletions, rec.waves, rec.rounds),
+        (
+            rec.report.insertions,
+            rec.report.deletions,
+            rec.report.waves,
+            rec.rounds
+        ),
         (71, 89, 8, 689),
         "campaign shape"
     );
@@ -60,7 +65,11 @@ fn seeded_regression_pins_faulty_ten_thousand_node_figures() {
         "fault-schedule fingerprint"
     );
     assert_eq!(
-        (rec.converged, rec.connected, rec.wills_ok),
+        (
+            rec.verdicts.converged,
+            rec.verdicts.connected,
+            rec.verdicts.wills_ok
+        ),
         (true, true, false),
         "survival verdicts"
     );

@@ -126,7 +126,12 @@ fn seeded_regression_pins_ten_thousand_node_figures() {
     let (full, _) = measure_stretch_full(out.healed.graph(), out.healed.pristine(), 8, sc.seed);
     assert_eq!(rec.stretch, full, "tracker agrees with the full sweep");
     assert_eq!(
-        (rec.insertions, rec.deletions, rec.waves, rec.rounds),
+        (
+            rec.report.insertions,
+            rec.report.deletions,
+            rec.report.waves,
+            rec.rounds
+        ),
         (71, 89, 8, 320),
         "campaign shape"
     );

@@ -105,7 +105,7 @@ fn make_adversary(name: &str, seed: u64) -> Box<dyn Adversary> {
         "root-attack" => Box::new(RootAdversary),
         "heir-hunter" => Box::new(HeirHunter),
         "hub-siphon" => Box::new(HubSiphon),
-        "diameter-greedy" => Box::new(DiameterGreedy::default()),
+        "diameter-greedy" => Box::new(DiameterGreedy),
         _ => {
             eprintln!("unknown adversary: {name}");
             usage()
@@ -439,23 +439,23 @@ fn cmd_stress(args: &[String]) {
         "  ledger: sent {} = delivered {} + dropped {} (+0 in flight) | notices {} | {joins}total {}",
         rec.sent, rec.delivered, rec.dropped, rec.notices, rec.total_messages
     );
-    if graph {
+    let v = &rec.verdicts;
+    if let Some((stretch, bound)) = v.stretch() {
         println!(
-            "  stretch: {} pairs from {} sources, max {:.2} mean {:.2} (bound {:.0}) | degree +{} (bound {})",
-            rec.stretch.pairs,
-            rec.stretch.sources,
-            rec.stretch.max_stretch,
-            rec.stretch.mean_stretch,
-            rec.stretch_bound,
-            rec.max_degree_increase,
-            rec.degree_bound
+            "  stretch: {} pairs from {} sources, max {:.2} mean {:.2} (bound {bound:.0}) | degree +{} (bound {})",
+            stretch.pairs,
+            stretch.sources,
+            stretch.max_stretch,
+            stretch.mean_stretch,
+            v.max_degree_increase,
+            v.degree_bound
         );
         println!("  stretch tracker: {:.1} ms", rec.stretch_wall_ms);
     }
     let faults = &rec.scenario.faults.name;
     if faults != "none" {
         let wills = if graph {
-            format!(" | wills {}", rec.wills_ok)
+            format!(" | wills {}", v.wills_ok)
         } else {
             String::new()
         };
@@ -465,8 +465,8 @@ fn cmd_stress(args: &[String]) {
             rec.duplicated,
             rec.delayed,
             rec.crashes,
-            rec.converged,
-            rec.connected,
+            v.converged,
+            v.connected,
             rec.fault_fingerprint
         );
     }
@@ -516,13 +516,14 @@ fn cmd_costs(args: &[String]) {
         "--nodes 2000 --events 400 --wave 25 --planner mixed --insert-frac 0.4 --seed 1",
     )));
     let (tree_cost, graph_cost) = (&tree.books.cost, &graph.books.cost);
+    let stretch_cost = graph.healed.stretch_cost();
     let json = Record::new()
         .str("bench", "costs")
         .num("tree_rounds", tree.report.rounds)
         .cost("tree", tree_cost)
         .num("graph_rounds", graph.report.rounds)
         .cost("graph", graph_cost)
-        .cost("graph_stretch", &graph.stretch_cost)
+        .cost("graph_stretch", &stretch_cost)
         .num("schema", 1)
         .render();
     println!(
@@ -540,8 +541,8 @@ fn cmd_costs(args: &[String]) {
         graph_cost.messages_delivered,
         graph_cost.node_visits,
         graph_cost.edge_scans,
-        graph.stretch_cost.node_visits,
-        graph.stretch_cost.seeks
+        stretch_cost.node_visits,
+        stretch_cost.seeks
     );
     write_out(
         flag_value(args, "--out").unwrap_or("BENCH_costs.json"),
