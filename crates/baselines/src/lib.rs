@@ -1,32 +1,23 @@
-//! # ft-baselines — self-healing strategies and the common healer trait
+//! # ft-baselines — the common healer trait
 //!
-//! The paper's introduction motivates the Forgiving Tree by the failure
-//! modes of the naive alternatives, each a [`LocalRule`] that
-//! [`LocalHealer`] applies to the deleted node's surviving neighbors:
+//! [`SelfHealer`] is the interface the trial runner and the claims table
+//! sweep healers through. Three healers implement it:
 //!
-//! - "simply to 'surrogate' one neighbor of the deleted node … an
-//!   intelligent adversary can always cause this approach to increase the
-//!   degree of some node by θ(n)" — [`LocalRule::Surrogate`];
-//! - "connecting neighbors of the deleted node as a straight line" keeps
-//!   degrees small but "the diameter can increase by θ(n)" —
-//!   [`LocalRule::Line`];
-//! - "connecting the neighbors of the deleted node in a binary tree" also
-//!   suffers θ(n) diameter growth over multiple adversarial deletions —
-//!   [`LocalRule::BinaryTree`];
-//! - [`LocalRule::NoRepair`] repairs nothing (a do-nothing reference).
+//! - [`ForgivingHealer`], the Forgiving Tree's message-passing
+//!   [`DistributedForgivingTree`];
+//! - [`DistributedForgivingGraph`], the successor paper's insert/delete
+//!   healer, differential-comparable on the same deletion sweeps;
+//! - [`LocalHealer`], a centralized graph healed by one per-deletion
+//!   [`LocalRule`](ft_core::fgraph::LocalRule): a naive heal the paper's
+//!   introduction contrasts (surrogate, line, binary tree, no repair), or
+//!   the Forgiving Graph's haft.
 //!
-//! All strategies implement [`SelfHealer`], as do [`ForgivingHealer`] (the
-//! paper's data structure) and [`DistributedForgivingGraph`] (the successor
-//! paper's insert/delete healer, differential-comparable on the same
-//! deletion sweeps), so the experiment harness can sweep them uniformly.
-//! Experiment E5 regenerates the quoted blow-ups.
-//!
-//! The two Forgiving healers run the message-passing engines
-//! ([`DistributedForgivingTree`], [`DistributedForgivingGraph`]): each
-//! heal runs to quiescence and its [`HealReport`] is read from the
-//! simulator's ledger. The Forgiving Graph accepts *any* connected graph,
-//! not just a rooted tree, and measures degree increase against its
-//! pristine baseline (all insertions, no deletions):
+//! The two Forgiving healers run the message-passing engines: each heal
+//! runs to quiescence and its [`HealReport`] is read from the simulator's
+//! ledger. A [`LocalHealer`]'s report is a cost model instead. The
+//! Forgiving Graph accepts *any* connected graph, not just a rooted tree,
+//! and measures degree increase against its pristine baseline (all
+//! insertions, no deletions):
 //!
 //! ```
 //! use ft_baselines::SelfHealer;
@@ -41,6 +32,7 @@
 //! ```
 
 use ft_core::distributed::DistributedForgivingTree;
+use ft_core::fgraph::LocalHealer;
 use ft_core::{DistributedForgivingGraph, HealReport};
 use ft_graph::tree::RootedTree;
 use ft_graph::{Graph, NodeId};
@@ -96,106 +88,41 @@ pub trait SelfHealer {
     }
 }
 
-/// Builds a [`HealReport`] for a baseline heal that added `added` edges.
+/// Builds a [`HealReport`] for a [`LocalHealer`] heal that added `added`
+/// edges. The figures are a cost model, not a ledger: each of the
+/// `notified` survivors receives one notice, each added edge costs two
+/// messages, a node's load is its added edges plus its notice, and the
+/// heal takes one round.
 fn baseline_report(v: NodeId, notified: usize, added: Vec<(NodeId, NodeId)>) -> HealReport {
-    let mut per_node: std::collections::BTreeMap<NodeId, usize> = std::collections::BTreeMap::new();
-    let mut total = notified;
-    for (a, b) in &added {
-        total += 2;
-        *per_node.entry(*a).or_insert(0) += 1;
-        *per_node.entry(*b).or_insert(0) += 1;
-    }
+    let mut ends: Vec<NodeId> = added.iter().flat_map(|&(a, b)| [a, b]).collect();
+    ends.sort_unstable();
+    let load = ends.chunk_by(|a, b| a == b).map(<[NodeId]>::len).max();
     HealReport {
         deleted: Some(v),
         notified,
-        total_messages: total,
-        max_messages_per_node: per_node.values().max().copied().unwrap_or(0) + 1,
+        total_messages: notified + 2 * added.len(),
+        max_messages_per_node: load.unwrap_or(0) + 1,
         edges_added: added,
         rounds: 1,
     }
 }
 
-/// A naive repair rule from the paper's introduction. Every rule but
-/// [`LocalRule::NoRepair`] joins the deleted node's surviving neighbors,
-/// listed in ascending ID order, by linking each neighbor after the first
-/// to one before it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LocalRule {
-    /// No repair at all: the reference point for connectivity loss.
-    NoRepair,
-    /// The lowest-ID survivor absorbs all the others.
-    Surrogate,
-    /// The survivors are joined in a path in ascending ID order.
-    Line,
-    /// The survivors are joined as a balanced binary tree (heap layout
-    /// over the ID-sorted list).
-    BinaryTree,
-}
-
-impl LocalRule {
-    /// Short name for tables.
-    fn name(self) -> &'static str {
-        match self {
-            LocalRule::NoRepair => "no-heal",
-            LocalRule::Surrogate => "surrogate",
-            LocalRule::Line => "line",
-            LocalRule::BinaryTree => "binary-tree",
-        }
-    }
-
-    /// The position of the earlier neighbor that neighbor `i ≥ 1` is
-    /// linked to, or `None` when the rule links nothing.
-    fn partner(self, i: usize) -> Option<usize> {
-        match self {
-            LocalRule::NoRepair => None,
-            LocalRule::Surrogate => Some(0),
-            LocalRule::Line => Some(i - 1),
-            LocalRule::BinaryTree => Some((i - 1) / 2),
-        }
-    }
-}
-
-/// A network healed by one [`LocalRule`] after each deletion.
-#[derive(Clone, Debug)]
-pub struct LocalHealer {
-    rule: LocalRule,
-    graph: Graph,
-    orig: Graph,
-}
-
-impl LocalHealer {
-    /// Wraps a network healed by `rule`.
-    pub fn new(rule: LocalRule, graph: Graph) -> Self {
-        let orig = graph.clone();
-        LocalHealer { rule, graph, orig }
-    }
-}
-
 impl SelfHealer for LocalHealer {
     fn name(&self) -> &'static str {
-        self.rule.name()
+        self.rule().name()
     }
 
     fn graph(&self) -> &Graph {
-        &self.graph
+        LocalHealer::graph(self)
     }
 
     fn baseline(&self) -> &Graph {
-        &self.orig
+        LocalHealer::baseline(self)
     }
 
     fn delete(&mut self, v: NodeId) -> HealReport {
-        let nbrs = self.graph.delete_node(v); // ascending order already
-        let mut added = Vec::new();
-        for i in 1..nbrs.len() {
-            let Some(p) = self.rule.partner(i) else {
-                break;
-            };
-            if self.graph.add_edge(nbrs[p], nbrs[i]) {
-                added.push((nbrs[p], nbrs[i]));
-            }
-        }
-        baseline_report(v, nbrs.len(), added)
+        let notified = self.graph().degree(v);
+        baseline_report(v, notified, LocalHealer::delete(self, v))
     }
 }
 
@@ -284,6 +211,7 @@ impl SelfHealer for DistributedForgivingGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_core::fgraph::LocalRule;
     use ft_graph::bfs::diameter_exact;
     use ft_graph::gen;
     use ft_graph::hash::{fnv1a, FNV_BASIS};
@@ -343,7 +271,7 @@ mod tests {
     fn surrogate_hub_absorbs_neighbors() {
         let g = gen::star(5);
         let mut h = LocalHealer::new(LocalRule::Surrogate, g);
-        let r = h.delete(n(0));
+        let r = SelfHealer::delete(&mut h, n(0));
         assert_eq!(r.edges_added.len(), 3);
         assert_eq!(h.graph().degree(n(1)), 3);
         assert!(h.graph().is_connected());

@@ -1,29 +1,28 @@
 //! The Forgiving Graph — healing interleaved insertions *and* deletions.
 //!
-//! Implements the successor paper's data structure (*"The Forgiving Graph: a
-//! distributed data structure for low stretch under adversarial attack"*,
-//! Hayes–Saia–Trehan, arXiv:0902.2501) at spec level, alongside the
-//! Forgiving Tree's RT/will machinery:
+//! The successor paper (*"The Forgiving Graph: a distributed data structure
+//! for low stretch under adversarial attack"*, Hayes–Saia–Trehan,
+//! arXiv:0902.2501) lets the adversary **insert** a fresh node attached to
+//! chosen live nodes, or **delete** any live node, and bounds degree
+//! increase and stretch by **O(log n)** against the *pristine* graph — the
+//! network that would exist had every insertion happened and no deletion
+//! (paper Theorem 1; [`crate::fg_degree_bound`]/[`crate::fg_stretch_bound`]
+//! are the bound constants the test-suite enforces).
 //!
-//! - the adversary may **insert** a fresh node attached to chosen live
-//!   nodes, or **delete** any live node;
-//! - each deletion is healed by a **reconstruction tree** shaped as a
-//!   *half-full tree* ([`haft_edges`]) whose leaves are the victim's surviving
-//!   neighbors in ascending-ID order, with each internal helper position
-//!   simulated by a distinct member (the in-order rule: a helper is played
-//!   by the rightmost leaf of its left subtree);
-//! - the guarantees under arbitrary interleavings are **O(log n)** degree
-//!   increase and **O(log n)** stretch against the *pristine* graph — the
-//!   network that would exist had every insertion happened and no deletion
-//!   (paper Theorem 1; [`fg_degree_bound`]/[`fg_stretch_bound`] are the
-//!   bound constants the test-suite enforces).
+//! This repository heals each deletion with a fresh **reconstruction tree**
+//! shaped as a *half-full tree* ([`haft_edges`]) whose leaves are the
+//! victim's surviving neighbors in ascending-ID order, with each internal
+//! helper position simulated by a distinct member (the in-order rule: a
+//! helper is played by the rightmost leaf of its left subtree). The paper
+//! instead merges it into the reconstruction trees of earlier heals.
 //!
-//! [`ForgivingGraph`] is the reference engine, a test oracle: it performs
-//! the haft surgery directly on the healed [`Graph`] while tracking the
-//! pristine graph. The message-level implementation the healers and
-//! harnesses run lives in [`crate::fgraph_dist`]; it counts the messages,
-//! and it is differential-tested against this engine.
+//! [`LocalHealer`] heals a centralized graph by one per-deletion
+//! [`LocalRule`]. [`LocalRule::Haft`] is the heal above: the test oracle of
+//! the message-level implementation in [`crate::fgraph_dist`], which counts
+//! the messages and is differential-tested against it. The other rules are
+//! the naive heals the Forgiving Tree paper's introduction contrasts.
 
+use crate::bounds::ceil_log2;
 use ft_graph::{Graph, NodeId};
 
 /// The member-level edges of the half-full tree (haft) over `d` members:
@@ -72,35 +71,72 @@ fn haft_split(d: usize) -> usize {
     if d == 2 {
         return 1;
     }
-    let h = usize::BITS - (d - 1).leading_zeros(); // ⌈log₂ d⌉
-    let half = 1usize << (h - 1);
+    let half = 1usize << (ceil_log2(d) - 1);
     half.min(d - half / 2)
 }
 
-/// The degree-increase bound the Forgiving Graph test-suite enforces:
-/// `3·⌈log₂ n⌉ + 3` for an `n`-slot network (the paper's O(log n), with the
-/// additive slack covering tiny graphs).
-pub fn fg_degree_bound(n: usize) -> i64 {
-    3 * (usize::BITS - (n.max(2) - 1).leading_zeros()) as i64 + 3
+/// A per-deletion heal rule: the edges it adds among the victim's
+/// surviving neighbors, listed in ascending ID order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LocalRule {
+    /// No repair at all: the reference point for connectivity loss.
+    NoRepair,
+    /// The lowest-ID survivor absorbs all the others; "an intelligent
+    /// adversary can always cause this approach to increase the degree of
+    /// some node by θ(n)".
+    Surrogate,
+    /// The survivors are joined in a path in ascending ID order; degrees
+    /// stay small but "the diameter can increase by θ(n)".
+    Line,
+    /// The survivors are joined as a balanced binary tree (heap layout
+    /// over the ID-sorted list), which also suffers θ(n) diameter growth
+    /// over repeated adversarial deletions.
+    BinaryTree,
+    /// The survivors are joined by the member-level edges of the haft over
+    /// them ([`haft_edges`]): the Forgiving Graph's heal as this repository
+    /// runs it. Without the paper's merging of reconstruction trees, a
+    /// max-degree attack on a star stretches distances far past
+    /// [`crate::fg_stretch_bound`].
+    Haft,
 }
 
-/// The stretch bound the Forgiving Graph test-suite enforces:
-/// `⌈log₂ n⌉ + 2` for an `n`-slot network (the paper's O(log n) distance
-/// blow-up against the pristine graph).
-pub fn fg_stretch_bound(n: usize) -> f64 {
-    (usize::BITS - (n.max(2) - 1).leading_zeros()) as f64 + 2.0
+impl LocalRule {
+    /// Short name for tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            LocalRule::NoRepair => "no-heal",
+            LocalRule::Surrogate => "surrogate",
+            LocalRule::Line => "line",
+            LocalRule::BinaryTree => "binary-tree",
+            LocalRule::Haft => "haft",
+        }
+    }
+
+    /// The rule's edges over `d` survivors: pairs `(i, j)` of positions
+    /// with `i < j`, in the order the heal adds them.
+    fn edges(self, d: usize) -> Vec<(usize, usize)> {
+        let partner: fn(usize) -> usize = match self {
+            LocalRule::NoRepair => return Vec::new(),
+            LocalRule::Haft => return haft_edges(d),
+            LocalRule::Surrogate => |_| 0,
+            LocalRule::Line => |i| i - 1,
+            LocalRule::BinaryTree => |i| (i - 1) / 2,
+        };
+        (1..d).map(|i| (partner(i), i)).collect()
+    }
 }
 
-/// The Forgiving Graph reference engine: haft surgery on the healed graph,
-/// with the pristine graph tracked for stretch/degree baselines.
-///
-/// # Quickstart
+/// A network healed by one [`LocalRule`] after each deletion, and its
+/// baseline: the initial network plus every insertion, no deletion (the
+/// Forgiving Graph's pristine graph), which degree increase and stretch
+/// are measured against. `LocalHealer::new(LocalRule::Haft, g)` is the
+/// Forgiving Graph's test oracle:
 ///
 /// ```
-/// use ft_core::fgraph::ForgivingGraph;
+/// use ft_core::fgraph::{LocalHealer, LocalRule};
 /// use ft_graph::{gen, NodeId};
 ///
-/// let mut fg = ForgivingGraph::new(&gen::kary_tree(40, 3));
+/// let mut fg = LocalHealer::new(LocalRule::Haft, gen::kary_tree(40, 3));
 ///
 /// // the adversary interleaves an insertion and two deletions
 /// let newcomer = fg.insert_node(&[NodeId(4), NodeId(7)]);
@@ -109,27 +145,32 @@ pub fn fg_stretch_bound(n: usize) -> f64 {
 ///
 /// assert!(fg.graph().is_alive(newcomer));
 /// assert!(fg.graph().is_connected());
-/// assert!(fg.max_degree_increase() <= ft_core::fgraph::fg_degree_bound(fg.graph().capacity()));
+/// let bound = ft_core::fg_degree_bound(fg.graph().capacity());
+/// assert!(fg.graph().max_degree_increase_over(fg.baseline()) <= bound);
 /// ```
 #[derive(Clone, Debug)]
-pub struct ForgivingGraph {
+pub struct LocalHealer {
+    rule: LocalRule,
     /// The healed network.
     graph: Graph,
-    /// All insertions, no deletions: the stretch/degree baseline.
-    pristine: Graph,
-    /// Insertions performed.
-    inserts: usize,
+    /// Every insertion, no deletion.
+    baseline: Graph,
 }
 
-impl ForgivingGraph {
-    /// Arms the structure over an initial network (any graph; the paper's
-    /// guarantees assume it is connected).
-    pub fn new(initial: &Graph) -> Self {
-        ForgivingGraph {
-            graph: initial.clone(),
-            pristine: initial.clone(),
-            inserts: 0,
+impl LocalHealer {
+    /// Arms `rule` over an initial network.
+    pub fn new(rule: LocalRule, graph: Graph) -> Self {
+        let baseline = graph.clone();
+        LocalHealer {
+            rule,
+            graph,
+            baseline,
         }
+    }
+
+    /// The rule this network heals by.
+    pub fn rule(&self) -> LocalRule {
+        self.rule
     }
 
     /// The current healed network.
@@ -137,30 +178,9 @@ impl ForgivingGraph {
         &self.graph
     }
 
-    /// The pristine network: every insertion applied, no deletion — the
-    /// baseline that stretch and degree increase are measured against.
-    pub fn pristine(&self) -> &Graph {
-        &self.pristine
-    }
-
-    /// Insertions performed so far.
-    pub fn inserts(&self) -> usize {
-        self.inserts
-    }
-
-    /// Live node count.
-    pub fn len(&self) -> usize {
-        self.graph.len()
-    }
-
-    /// True when every node has been deleted.
-    pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
-    }
-
-    /// Live node IDs in ascending order.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.graph.nodes()
+    /// The initial network plus every insertion, no deletion.
+    pub fn baseline(&self) -> &Graph {
+        &self.baseline
     }
 
     /// Inserts a fresh node attached to the listed live nodes (the
@@ -178,71 +198,36 @@ impl ForgivingGraph {
             .collect();
         assert!(!live.is_empty(), "insertion with no live neighbor");
         let v = self.graph.add_node();
-        let pv = self.pristine.add_node();
-        debug_assert_eq!(v, pv, "healed/pristine capacities diverged");
-        for &u in &live {
+        self.baseline.add_node();
+        for u in live {
             self.graph.add_edge(v, u);
-            self.pristine.add_edge(v, u);
+            self.baseline.add_edge(v, u);
         }
-        self.inserts += 1;
         v
     }
 
-    /// Deletes `v` (the adversary's move) and heals: the surviving
-    /// neighbors are joined by the member-level edges of the haft over
-    /// them ([`haft_edges`]). Returns the edges the heal inserted,
-    /// as `(a, b)` with `a < b`, ascending.
+    /// Deletes `v` (the adversary's move) and heals: the rule's edges over
+    /// the surviving neighbors. Returns the edges the heal inserted, as
+    /// `(a, b)` with `a < b`, in the rule's order.
     ///
     /// # Panics
     /// Panics if `v` is dead.
     pub fn delete(&mut self, v: NodeId) -> Vec<(NodeId, NodeId)> {
         let members = self.graph.delete_node(v); // ascending-ID order
         let mut added = Vec::new();
-        if members.len() >= 2 {
-            for (i, j) in haft_edges(members.len()) {
-                if self.graph.add_edge(members[i], members[j]) {
-                    added.push((members[i], members[j]));
-                }
+        for (i, j) in self.rule.edges(members.len()) {
+            if self.graph.add_edge(members[i], members[j]) {
+                added.push((members[i], members[j]));
             }
         }
         added
-    }
-
-    /// Largest degree increase any live node currently suffers over the
-    /// pristine baseline.
-    pub fn max_degree_increase(&self) -> i64 {
-        self.graph.max_degree_increase_over(&self.pristine)
-    }
-
-    /// Full invariant audit: the healed network is connected whenever any
-    /// node survives, capacities agree with the pristine baseline, and the
-    /// degree increase respects [`fg_degree_bound`].
-    ///
-    /// # Panics
-    /// Panics on the first violated invariant.
-    pub fn validate(&self) {
-        assert_eq!(
-            self.graph.capacity(),
-            self.pristine.capacity(),
-            "healed/pristine capacities diverged"
-        );
-        assert!(
-            self.graph.is_connected(),
-            "healed graph disconnected with {} live nodes",
-            self.graph.len()
-        );
-        let bound = fg_degree_bound(self.graph.capacity());
-        let worst = self.max_degree_increase();
-        assert!(
-            worst <= bound,
-            "degree increase {worst} exceeds the O(log n) bound {bound}"
-        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{fg_degree_bound, fg_stretch_bound};
     use ft_graph::gen;
     use ft_graph::hash::{fnv1a, FNV_BASIS};
     use rand::rngs::StdRng;
@@ -250,6 +235,37 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    fn haft(g: Graph) -> LocalHealer {
+        LocalHealer::new(LocalRule::Haft, g)
+    }
+
+    fn max_degree_increase(fg: &LocalHealer) -> i64 {
+        fg.graph().max_degree_increase_over(fg.baseline())
+    }
+
+    /// The haft oracle's invariant audit: the healed network is connected
+    /// whenever any node survives, capacities agree with the baseline, and
+    /// the degree increase respects [`fg_degree_bound`].
+    fn validate(fg: &LocalHealer) {
+        let graph = fg.graph();
+        assert_eq!(
+            graph.capacity(),
+            fg.baseline().capacity(),
+            "healed/pristine capacities diverged"
+        );
+        assert!(
+            graph.is_connected(),
+            "healed graph disconnected with {} live nodes",
+            graph.len()
+        );
+        let bound = fg_degree_bound(graph.capacity());
+        let worst = max_degree_increase(fg);
+        assert!(
+            worst <= bound,
+            "degree increase {worst} exceeds the O(log n) bound {bound}"
+        );
     }
 
     /// Degrees of the member-level haft graph.
@@ -273,8 +289,7 @@ mod tests {
         }
         for d in 1..=130 {
             let h = height(d);
-            let expect = usize::BITS - (d - 1).leading_zeros(); // ⌈log₂ d⌉, 0 for d=1
-            assert_eq!(h, expect, "height of haft({d})");
+            assert_eq!(h, ceil_log2(d), "height of haft({d})");
         }
     }
 
@@ -307,40 +322,40 @@ mod tests {
                 g.add_edge(NodeId(i as u32), NodeId(j as u32));
             }
             let diam = ft_graph::bfs::diameter_exact(&g).expect("connected");
-            let bound = 2 * (usize::BITS - (d - 1).leading_zeros()) + 2;
+            let bound = 2 * ceil_log2(d) + 2;
             assert!(diam <= bound, "haft({d}) diameter {diam} > {bound}");
         }
     }
 
     #[test]
     fn delete_reconnects_via_haft() {
-        let mut fg = ForgivingGraph::new(&gen::star(9));
+        let mut fg = haft(gen::star(9));
         let added = fg.delete(n(0));
         assert_eq!(added.len(), haft_edges(8).len());
         assert!(fg.graph().is_connected());
-        assert!(fg.max_degree_increase() <= 4);
+        assert!(max_degree_increase(&fg) <= 4);
     }
 
     #[test]
     fn insert_then_delete_round_trip() {
-        let mut fg = ForgivingGraph::new(&gen::path(5));
+        let mut fg = haft(gen::path(5));
         let v = fg.insert_node(&[n(0), n(4)]);
         assert_eq!(v, n(5));
-        assert!(fg.pristine().has_edge(v, n(0)));
+        assert!(fg.baseline().has_edge(v, n(0)));
         fg.delete(n(2));
         assert!(fg.graph().is_connected());
         let degree = |g: &Graph| g.degree(n(0));
         assert_eq!(
             degree(fg.graph()),
-            degree(fg.pristine()),
+            degree(fg.baseline()),
             "insert is not an increase"
         );
-        fg.validate();
+        validate(&fg);
     }
 
     #[test]
     fn insertion_skips_dead_neighbors() {
-        let mut fg = ForgivingGraph::new(&gen::path(4));
+        let mut fg = haft(gen::path(4));
         fg.delete(n(3));
         let v = fg.insert_node(&[n(3), n(0)]);
         assert_eq!(fg.graph().degree(v), 1, "dead neighbor skipped");
@@ -349,7 +364,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no live neighbor")]
     fn insertion_needs_a_live_neighbor() {
-        let mut fg = ForgivingGraph::new(&gen::path(3));
+        let mut fg = haft(gen::path(3));
         fg.delete(n(2));
         fg.insert_node(&[n(2)]);
     }
@@ -358,23 +373,24 @@ mod tests {
     fn random_churn_keeps_invariants() {
         let mut rng = StdRng::seed_from_u64(11);
         let g = gen::random_tree(60, &mut rng);
-        let mut fg = ForgivingGraph::new(&g);
-        let mut heals = 0;
+        let mut fg = haft(g);
+        let (mut inserts, mut heals) = (0, 0);
         for _ in 0..120 {
             if rng.gen_bool(0.4) {
-                let live: Vec<NodeId> = fg.nodes().collect();
+                let live: Vec<NodeId> = fg.graph().nodes().collect();
                 let a = live[rng.gen_range(0..live.len())];
                 let b = live[rng.gen_range(0..live.len())];
                 let picks: Vec<NodeId> = if a == b { vec![a] } else { vec![a, b] };
                 fg.insert_node(&picks);
-            } else if fg.len() > 2 {
-                let live: Vec<NodeId> = fg.nodes().collect();
+                inserts += 1;
+            } else if fg.graph().len() > 2 {
+                let live: Vec<NodeId> = fg.graph().nodes().collect();
                 fg.delete(live[rng.gen_range(0..live.len())]);
                 heals += 1;
             }
-            fg.validate();
+            validate(&fg);
         }
-        assert!(fg.inserts() > 10);
+        assert!(inserts > 10);
         assert!(heals > 10);
     }
 

@@ -28,10 +28,11 @@
 //! [`DistributedForgivingGraph::check_wills`] audit verifies every filed
 //! will against its owner's true neighborhood.
 //!
-//! The differential test-suite drives this implementation and the
-//! [`crate::fgraph::ForgivingGraph`] spec engine, its test oracle, with
-//! identical churn sequences and asserts the healed graphs are identical
-//! after every event.
+//! The differential test-suite drives this implementation and its test
+//! oracle, the centralized [`crate::fgraph::LocalHealer`] on
+//! [`LocalRule::Haft`](crate::fgraph::LocalRule::Haft), with identical
+//! churn sequences and asserts the healed graphs are identical after every
+//! event.
 
 use crate::fgraph::haft_edges;
 use crate::report::HealReport;
@@ -407,7 +408,7 @@ impl DistributedForgivingGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fgraph::ForgivingGraph;
+    use crate::fgraph::{LocalHealer, LocalRule};
     use ft_graph::{gen, ChurnEvent};
     use ft_sim::{Campaign, CampaignConfig};
     use rand::rngs::StdRng;
@@ -428,7 +429,7 @@ mod tests {
     fn single_deletion_heals_like_the_spec() {
         let g = gen::star(9);
         let mut d = DistributedForgivingGraph::new(&g);
-        let mut s = ForgivingGraph::new(&g);
+        let mut s = LocalHealer::new(LocalRule::Haft, g.clone());
         let dr = d.delete(n(0));
         let added = s.delete(n(0));
         assert_eq!(d.graph(), s.graph(), "healed graphs identical");
@@ -473,7 +474,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let g = gen::gnp_connected(40, 0.08, &mut rng);
         let mut d = DistributedForgivingGraph::new(&g);
-        let mut s = ForgivingGraph::new(&g);
+        let mut s = LocalHealer::new(LocalRule::Haft, g.clone());
         for step in 0..80 {
             if rng.gen_bool(0.35) {
                 let live: Vec<NodeId> = d.nodes().collect();
@@ -497,7 +498,7 @@ mod tests {
             assert_eq!(d.graph(), s.graph(), "graphs diverged at step {step}");
             d.check_wills().expect("wills consistent");
         }
-        assert_eq!(d.pristine(), s.pristine(), "pristine baselines agree");
+        assert_eq!(d.pristine(), s.baseline(), "pristine baselines agree");
         d.network().check_accounting().expect("books balance");
         assert!(d.ledger().joins() > 0);
     }

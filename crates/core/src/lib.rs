@@ -47,9 +47,13 @@
 //! interleaved insertions and deletions on general graphs with O(log n)
 //! degree increase and stretch — lives in [`fgraph_dist`] (the
 //! message-level [`DistributedForgivingGraph`]) and [`fgraph`] (the
-//! [`fgraph::haft_edges`] reconstruction tree and the `ForgivingGraph` spec engine,
-//! its test oracle).
+//! [`fgraph::haft_edges`] reconstruction tree and the centralized
+//! [`fgraph::LocalHealer`], whose [`fgraph::LocalRule::Haft`] is the
+//! protocol's test oracle and whose other rules are the naive heals the
+//! Forgiving Tree paper contrasts). The bounds both test suites enforce
+//! are [`ft_diameter_bound`], [`fg_degree_bound`] and [`fg_stretch_bound`].
 
+mod bounds;
 pub mod distributed;
 pub mod fgraph;
 pub mod fgraph_dist;
@@ -60,10 +64,9 @@ mod sorted;
 pub mod spec;
 mod varena;
 
-pub use fgraph::{fg_degree_bound, fg_stretch_bound};
+pub use bounds::{fg_degree_bound, fg_stretch_bound, ft_diameter_bound};
 pub use fgraph_dist::DistributedForgivingGraph;
 pub use report::HealReport;
-pub use spec::ft_diameter_bound;
 
 #[cfg(test)]
 mod distributed_tests;

@@ -25,24 +25,12 @@
 //!   ([Algorithm 3.3/3.8/3.9]); deleting a leaf short-circuits redundant
 //!   helpers and passes the leaf's role to its parent ([Algorithm 3.4/3.7]).
 
+use crate::ft_diameter_bound;
 use crate::shape::{PortionRef, ShapeConfig, SubRtShape};
 use crate::varena::{VArena, VId, VKind};
 use ft_graph::tree::RootedTree;
 use ft_graph::{Graph, NodeId};
 use std::collections::BTreeMap;
-
-/// The explicit-constant diameter bound of Theorem 1.2 for a spanning tree
-/// of height `h0` and maximum degree `delta0`:
-/// `max(2, 2·h₀·(⌈log₂ max(Δ₀,2)⌉ + 2) + 2)`, the concrete form of
-/// `O(D log Δ)`.
-pub fn ft_diameter_bound(h0: u32, delta0: usize) -> u32 {
-    (2 * h0 * (ceil_log2(delta0.max(2)) + 2) + 2).max(2)
-}
-
-/// `⌈log₂ x⌉` for `x ≥ 1`, in integer arithmetic.
-pub(crate) fn ceil_log2(x: usize) -> u32 {
-    usize::BITS - (x - 1).leading_zeros()
-}
 
 /// A live node's helper status (Figure 3 of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

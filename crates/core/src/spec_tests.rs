@@ -6,8 +6,10 @@
 //! small-scale tests enumerate all deletion orders; proptest covers random
 //! trees and random orders at larger sizes.
 
+use crate::bounds::ceil_log2;
 use crate::distributed::DistributedForgivingTree;
-use crate::spec::{ceil_log2, ft_diameter_bound, ForgivingTree, RoleKind};
+use crate::ft_diameter_bound;
+use crate::spec::{ForgivingTree, RoleKind};
 use ft_graph::bfs::diameter_exact;
 use ft_graph::tree::RootedTree;
 use ft_graph::{gen, NodeId};

@@ -11,8 +11,9 @@
 use crate::scenario::{run, Events, Faults, Initial, Protocol, Scenario};
 use crate::{run_trial, Table, TrialConfig, Workload};
 use ft_adversary::{standard_suite, HighestDegreeAdversary, PlannerKind};
-use ft_baselines::{ForgivingHealer, LocalHealer, LocalRule, SelfHealer};
+use ft_baselines::{ForgivingHealer, SelfHealer};
 use ft_core::distributed::DistributedForgivingTree;
+use ft_core::fgraph::{LocalHealer, LocalRule};
 use ft_core::ft_diameter_bound;
 use ft_core::shape::{ShapeConfig, SubRtShape};
 use ft_core::spec::ForgivingTree;

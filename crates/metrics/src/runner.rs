@@ -2,10 +2,12 @@
 //!
 //! [`run_trial`] drives the adversary loop of Model 2.1, recording a
 //! [`StepMetrics`] time series (diameter measurement can be throttled —
-//! exact diameters cost `O(n·m)`) and a [`TrialSummary`] holding exactly
-//! the quantities the paper's theorems bound: maximum degree increase
-//! (Theorem 1.1), maximum diameter stretch (Theorem 1.2), and worst-case
-//! per-node messages per heal (Theorem 1.3).
+//! exact diameters cost `O(n·m)`) and a [`TrialSummary`] holding the
+//! quantities the paper's theorems bound: maximum degree increase
+//! (Theorem 1.1) and maximum diameter stretch (Theorem 1.2). Its message
+//! figure is the largest load one node carried in one round of any heal,
+//! which can be smaller than the per-node messages per heal that
+//! Theorem 1.3 bounds.
 
 use ft_adversary::{Adversary, AdversaryView};
 use ft_baselines::SelfHealer;
@@ -48,7 +50,9 @@ pub struct TrialSummary {
     pub max_stretch: f64,
     /// Max degree increase ever observed (Theorem 1.1's metric).
     pub max_degree_increase: i64,
-    /// Worst per-node messages in any single heal (Theorem 1.3's metric).
+    /// The largest load one node carried in one round of any heal
+    /// ([`ft_core::HealReport::max_messages_per_node`]); not the node's
+    /// total over the heal, which Theorem 1.3 bounds.
     pub worst_node_messages: usize,
     /// Worst total messages in any single heal.
     pub worst_heal_messages: usize,
@@ -191,7 +195,8 @@ mod tests {
     use super::*;
     use crate::workload::Workload;
     use ft_adversary::{HighestDegreeAdversary, RandomAdversary};
-    use ft_baselines::{ForgivingHealer, LocalHealer, LocalRule};
+    use ft_baselines::ForgivingHealer;
+    use ft_core::fgraph::{LocalHealer, LocalRule};
 
     #[test]
     fn full_deletion_trial_on_forgiving_tree() {

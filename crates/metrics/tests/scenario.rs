@@ -2,14 +2,15 @@
 //! shims build theirs, and pinned findings live on as scenarios.
 
 use ft_adversary::PlannerKind;
-use ft_core::fgraph::ForgivingGraph;
-use ft_graph::{ChurnEvent, Graph, NodeId};
+use ft_core::fgraph::{LocalHealer, LocalRule};
+use ft_graph::{gen, ChurnEvent, Graph, NodeId};
 use ft_metrics::{
     run, run_fault_matrix, run_graph_stress, run_stress, Events, FaultMatrixConfig, Faults,
     GraphStressConfig, Initial, Outcome, Protocol, Scenario, StressConfig, StressRecord,
 };
 use ft_sim::HealCadence;
 use proptest::prelude::*;
+use std::cmp::Reverse;
 
 /// A planned scenario on `nodes` generated nodes.
 fn planned(
@@ -212,11 +213,49 @@ fn eight_node_witness_breaks_the_per_node_degree_bound() {
         4,
         "distributed engine"
     );
-    let mut spec = ForgivingGraph::new(&g);
+    let mut spec = LocalHealer::new(LocalRule::Haft, g);
     for v in victims {
         spec.delete(v);
     }
     assert_eq!(spec.graph().degree(NodeId(4)), 4, "spec engine");
+}
+
+/// The haft rule's stretch failure (ROADMAP item 4): on a 64-node star,
+/// deleting the highest-degree node 32 times heals each hub with a fresh
+/// haft over neighbours that earlier hafts already spread out. Both
+/// engines end with the same graph, whose stretch is far above
+/// `fg_stretch_bound(64)` = 8. Item 4's merging of reconstruction trees
+/// must flip this test: the run must then pass every check.
+#[test]
+fn star_attack_breaks_the_haft_rule_stretch_bound() {
+    let g = gen::star(64);
+    let mut spec = LocalHealer::new(LocalRule::Haft, g.clone());
+    let mut victims = Vec::new();
+    for _ in 0..32 {
+        let graph = spec.graph();
+        let hub = graph.nodes().min_by_key(|&v| Reverse(graph.degree(v)));
+        let hub = hub.expect("a live node");
+        spec.delete(hub);
+        victims.push(hub);
+    }
+    let sc = Scenario {
+        protocol: graph(usize::MAX),
+        initial: Initial::Explicit(g),
+        events: Events::Explicit(
+            victims
+                .iter()
+                .map(|&v| vec![ChurnEvent::Delete(v)])
+                .collect(),
+        ),
+        faults: Faults::default(),
+        seed: 0,
+    };
+    let out = run(&sc);
+    assert_eq!(out.healed.graph(), spec.graph(), "both engines heal alike");
+    assert_eq!(out.verdicts.failed(), Some("stretch_bound"));
+    let (stretch, bound) = out.verdicts.stretch().expect("a graph run");
+    assert_eq!(bound, 8.0);
+    assert_eq!(stretch.max_stretch, 12.5, "measured max stretch");
 }
 
 /// A deletion-only planner may meet a graph smaller than its wave: the

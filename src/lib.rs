@@ -24,10 +24,10 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`core`] (`ft-core`) | both data structures: message-passing protocols + the spec engines they are tested against |
+//! | [`core`] (`ft-core`) | both data structures: message-passing protocols + the spec engines they are tested against; `LocalHealer`'s per-deletion rules (the Forgiving Graph's haft, surrogate/line/binary-tree/no-heal) |
 //! | [`graph`] (`ft-graph`) | graphs (insert + delete), BFS/diameter, rooted trees, generators |
 //! | [`sim`] (`ft-sim`) | synchronous simulator (arrivals + deletions) + BFS setup |
-//! | [`baselines`] (`ft-baselines`) | `SelfHealer`, implemented by both Forgiving protocols and by `LocalHealer`'s naive rules (surrogate/line/binary-tree/no-heal) |
+//! | [`baselines`] (`ft-baselines`) | `SelfHealer`, implemented by both Forgiving protocols and by `LocalHealer` |
 //! | [`adversary`] (`ft-adversary`) | omniscient deletion strategies + wave/churn planners |
 //! | [`metrics`] (`ft-metrics`) | experiment runner, workloads, tables, stretch pass, one `Scenario` value and its `run` behind the stress harnesses and the fault matrix |
 //!
@@ -83,8 +83,9 @@ pub mod prelude {
         LowestDegreeAdversary, MixedChurn, PlannerKind, RandomAdversary, RandomWave, RootAdversary,
         SurgeChurn, TargetedWave, WavePlanner,
     };
-    pub use ft_baselines::{ForgivingHealer, LocalHealer, LocalRule, SelfHealer};
+    pub use ft_baselines::{ForgivingHealer, SelfHealer};
     pub use ft_core::distributed::DistributedForgivingTree;
+    pub use ft_core::fgraph::{LocalHealer, LocalRule};
     pub use ft_core::{fg_degree_bound, fg_stretch_bound, DistributedForgivingGraph, HealReport};
     pub use ft_costs::{CostResult, OperationCost};
     pub use ft_graph::tree::RootedTree;
