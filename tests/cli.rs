@@ -154,6 +154,32 @@ fn reproduce_rejects_unknown_flags() {
     assert_eq!(ftree("reproduce --nodes 5", &[]), 2);
 }
 
+/// CI's `attack`, `duel` and `scaling` smoke commands, plus a CSV series.
+const SMOKE: [&str; 7] = [
+    "attack --workload kary4:256 --adversary random --healer forgiving-tree",
+    "attack --workload kary4:256 --adversary heir-hunter --healer forgiving-tree",
+    "attack --workload kary4:256 --adversary random --healer forgiving-graph",
+    "attack --workload star:1024 --adversary max-degree --healer forgiving-graph --fraction 0.5",
+    "duel --workload star:200",
+    "scaling",
+    "attack --workload kary4:256 --adversary heir-hunter --csv",
+];
+
+#[test]
+fn smoke_outputs_match_the_golden_file() {
+    // every figure these print is seeded and timing-free: any diff means a
+    // figure moved
+    let mut out = String::new();
+    for args in SMOKE {
+        let o = run(args, &[]);
+        assert_eq!(o.status.code(), Some(0), "{args}");
+        out += &format!("$ ftree {args}\n");
+        out += &String::from_utf8(o.stdout).expect("utf-8 stdout");
+    }
+    let golden = include_str!("golden/cli_smoke.txt");
+    assert!(out == golden, "smoke output drifted:\n{out}");
+}
+
 #[test]
 fn cost_and_fault_records_match_the_committed_ones() {
     // the only committed pins on the tree protocol's fault-skip paths (the
