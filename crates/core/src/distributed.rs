@@ -1325,9 +1325,8 @@ pub(crate) fn install_fields<P: Process>(
     }
 }
 
-/// Driver owning the simulated network: the Forgiving Tree engine behind
-/// `ft_baselines::ForgivingHealer` and the adversary's view of the
-/// structure. [`crate::spec::ForgivingTree`] is its test oracle.
+/// Driver owning the simulated network: the Forgiving Tree engine every
+/// campaign runs, and the adversary's view of the structure. [`crate::spec::ForgivingTree`] is its test oracle.
 #[derive(Debug)]
 pub struct DistributedForgivingTree {
     net: Network<FtNode>,

@@ -231,8 +231,7 @@ impl Process for FgNode {
 }
 
 /// Driver owning the simulated network plus the pristine baseline: the
-/// Forgiving Graph engine the stress harnesses drive, and a healer of its
-/// own behind `ft_baselines::SelfHealer`.
+/// Forgiving Graph engine every campaign drives.
 #[derive(Debug)]
 pub struct DistributedForgivingGraph {
     net: Network<FgNode>,

@@ -8,12 +8,11 @@
 //! fixed-precision ratios only, never timings, so the file is byte-stable
 //! across machines and CI can diff a fresh copy against the committed one.
 
-use crate::scenario::{run, Events, Faults, Initial, Protocol, Scenario};
-use crate::{run_trial, Table, TrialConfig, Workload};
-use ft_adversary::{standard_suite, HighestDegreeAdversary, PlannerKind};
-use ft_baselines::{ForgivingHealer, SelfHealer};
+use crate::scenario::{run, Events, Faults, Initial, Protocol, Scenario, Series};
+use crate::{Table, Workload};
+use ft_adversary::PlannerKind;
 use ft_core::distributed::DistributedForgivingTree;
-use ft_core::fgraph::{LocalHealer, LocalRule};
+use ft_core::fgraph::LocalRule;
 use ft_core::ft_diameter_bound;
 use ft_core::shape::{ShapeConfig, SubRtShape};
 use ft_core::spec::ForgivingTree;
@@ -115,45 +114,58 @@ pub fn reproduce() -> Vec<Claim> {
     claims
 }
 
-/// Theorems 1.1 and 1.2, read off one trial grid: every workload of
-/// [`Workload::suite`] against every adversary of `standard_suite`, each
-/// deleting every node. `diameter-greedy` costs `O(n²·m)` per deletion, so
-/// it runs at n = 64 only.
+/// Seeds the attacks' random adversary.
+const ATTACK_SEED: u64 = 42;
+
+/// The exact-diameter series of a one-victim attack that deletes
+/// `fraction` of `w`'s nodes, measured about 64 times.
+fn attack(protocol: Protocol, w: &Workload, planner: PlannerKind, fraction: f64) -> Series {
+    let graph = w.graph();
+    let mut series = Series::new(&graph, graph.len() / 64);
+    let sc = Scenario::attack(protocol, graph, planner, fraction, ATTACK_SEED);
+    run(&sc, |healed, wave| series.observe(healed, wave));
+    series
+}
+
+/// Theorems 1.1 and 1.2, read off one attack grid: every workload of
+/// [`Workload::suite`] against six one-victim adversaries, each deleting
+/// every node. `diameter-greedy` costs `O(n²·m)` per deletion, so it runs
+/// at n = 64 only.
 fn degree_and_diameter(claims: &mut Vec<Claim>) {
-    const SEED: u64 = 42;
+    use PlannerKind::{DiameterGreedy, HeirHunter, MaxDegree, MinDegree, Random, RootAttack};
     let mut diameter_rows = Vec::new();
     for n in [64usize, 256, 1024] {
         let (mut trials, mut worst_degree) = (0, 0);
         // (max diameter, its bound, trial) of the trial closest to its bound
         let mut tightest = (0, 1, String::new());
         for w in Workload::suite(n) {
-            let tree = w.tree();
-            for adversary in standard_suite(SEED).iter_mut() {
-                if adversary.name() == "diameter-greedy" && n > 64 {
+            let height = w.tree().height();
+            for planner in [
+                Random,
+                MaxDegree,
+                MinDegree,
+                RootAttack,
+                HeirHunter,
+                DiameterGreedy,
+            ] {
+                if planner == DiameterGreedy && n > 64 {
                     continue;
                 }
-                let measure_every = (tree.len() / 64).max(1);
-                let cfg = TrialConfig {
-                    workload: w.name(),
-                    delete_fraction: 1.0,
-                    measure_every,
-                };
-                let mut healer = ForgivingHealer::new(&tree);
-                let s = run_trial(&cfg, &mut healer, adversary.as_mut()).summary;
+                let s = attack(Protocol::FORGIVING_TREE, &w, planner, 1.0);
                 trials += 1;
                 worst_degree = worst_degree.max(s.max_degree_increase);
-                let bound = ft_diameter_bound(tree.height(), s.delta0);
+                let bound = ft_diameter_bound(height, s.delta0);
                 if s.max_diameter * tightest.1 > tightest.0 * bound {
-                    let trial = format!("{} vs {}", w.name(), s.adversary);
+                    let trial = format!("{} vs {}", w.name(), planner.name());
                     tightest = (s.max_diameter, bound, trial);
                 }
             }
         }
         let run = format!("{trials} trials: 9 tree families × adversaries, all nodes deleted");
-        let row = Row::new(FT, run, n, Some(SEED));
+        let row = Row::new(FT, run, n, Some(ATTACK_SEED));
         claims.push(row.at_most("Theorem 1.1: degree increase", worst_degree, 3));
         let run = format!("same {trials} trials; closest to its bound: {}", tightest.2);
-        let row = Row::new(FT, run, n, Some(SEED));
+        let row = Row::new(FT, run, n, Some(ATTACK_SEED));
         let claim = "Theorem 1.2: diameter ≤ 2h₀(⌈log₂ Δ₀⌉+2)+2";
         diameter_rows.push(row.at_most(claim, tightest.0, tightest.1));
     }
@@ -194,33 +206,28 @@ fn lower_bound(claims: &mut Vec<Claim>) {
     for delta in [8usize, 32, 128, 512] {
         let w = Workload::Star(delta + 1);
         let run = format!("star K(1,{delta}), max-degree adversary, half the nodes deleted");
-        let healers: [Box<dyn SelfHealer>; 4] = [
-            Box::new(ForgivingHealer::new(&w.tree())),
-            Box::new(LocalHealer::new(LocalRule::Surrogate, w.graph())),
-            Box::new(LocalHealer::new(LocalRule::Line, w.graph())),
-            Box::new(LocalHealer::new(LocalRule::BinaryTree, w.graph())),
+        let local = |rule: LocalRule| (rule.name(), Protocol::Local(rule));
+        let healers = [
+            ("forgiving-tree", Protocol::FORGIVING_TREE),
+            local(LocalRule::Surrogate),
+            local(LocalRule::Line),
+            local(LocalRule::BinaryTree),
         ];
         // (α^(2β+1), healer) of the healer closest to the bound
         let mut weakest = (f64::INFINITY, "");
-        for mut healer in healers {
-            let measure_every = ((delta + 1) / 64).max(1);
-            let cfg = TrialConfig {
-                workload: w.name(),
-                delete_fraction: 0.5,
-                measure_every,
-            };
-            let s = run_trial(&cfg, healer.as_mut(), &mut HighestDegreeAdversary).summary;
+        for (name, protocol) in healers {
+            let s = attack(protocol, &w, PlannerKind::MaxDegree, 0.5);
             // the theorem is stated for α ≥ 3
             let alpha = s.max_degree_increase.max(3) as f64;
-            let tradeoff = alpha.powf(2.0 * s.max_stretch + 1.0);
+            let tradeoff = alpha.powf(2.0 * s.max_stretch() + 1.0);
             if tradeoff < weakest.0 {
-                weakest = (tradeoff, healer.name());
+                weakest = (tradeoff, name);
             }
-            if healer.name() == "forgiving-tree" {
+            if name == "forgiving-tree" {
                 let budget = 2.0 * (delta as f64).ln() / alpha.ln() + 2.0;
                 let claim = "Theorem 2 (§4.2): stretch β ≤ 2·log_α Δ + 2";
                 let row = Row::new(FT, run.clone(), delta + 1, None);
-                tightness_rows.push(row.at_most(claim, s.max_stretch, budget));
+                tightness_rows.push(row.at_most(claim, s.max_stretch(), budget));
             }
         }
         let lowest = format!("{run}; 4 healers, lowest: {}", weakest.1);
@@ -332,7 +339,7 @@ fn forgiving_graph(claims: &mut Vec<Claim>) {
         faults: Faults::default(),
         seed: 1,
     };
-    let v = run(&sc).verdicts;
+    let v = run(&sc, |_, _| {}).verdicts;
     let (stretch, stretch_bound) = v.stretch().expect("a graph run samples its stretch");
     let (n, seed) = (sc.initial.nodes(), Some(sc.seed));
     let run = "uniform random churn only: 400 events in waves of 25, 40% insertions";

@@ -203,7 +203,7 @@ impl FaultMatrixRecord {
 /// fault-free verdicts rather than assert them).
 pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixRecord {
     let cells = cfg.scenarios().into_iter().map(|sc| {
-        let out = catch_unwind(AssertUnwindSafe(|| run(&sc))).ok();
+        let out = catch_unwind(AssertUnwindSafe(|| run(&sc, |_, _| {}))).ok();
         FaultCell {
             protocol: sc.protocol.name(),
             model: sc.faults.name,

@@ -77,7 +77,7 @@ impl GraphStressConfig {
 /// As [`GraphStressConfig::scenario`] and [`run`].
 pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
     let scenario = cfg.scenario();
-    let outcome = run(&scenario);
+    let outcome = run(&scenario, |_, _| {});
     StressRecord::new(scenario, &outcome)
 }
 
@@ -112,7 +112,7 @@ mod tests {
     }
 
     fn record(scenario: Scenario) -> StressRecord {
-        let outcome = run(&scenario);
+        let outcome = run(&scenario, |_, _| {});
         StressRecord::new(scenario, &outcome)
     }
 
@@ -139,7 +139,7 @@ mod tests {
                 },
                 ..graph(250, 80, 8, 3, 8)
             };
-            let out = run(&sc);
+            let out = run(&sc, |_, _| {});
             let rec = StressRecord::new(sc.clone(), &out);
             assert_eq!(
                 rec.report.insertions + rec.report.deletions,
@@ -320,7 +320,7 @@ mod tests {
                 faults: Faults::named(faults).expect("a fault model"),
                 ..graph(2_000, 400, 25, 1, 16)
             };
-            let out = run(&sc);
+            let out = run(&sc, |_, _| {});
             let rec = StressRecord::new(sc.clone(), &out);
             assert_eq!(
                 rec.report.insertions + rec.report.deletions,

@@ -1,20 +1,22 @@
 //! # ft-metrics — experiment harness
 //!
 //! Uniform machinery for the experiments: named workloads ([`workload`]),
-//! a trial runner that drives a healer–adversary pair while recording time
-//! series ([`runner`]), plain-text/CSV/markdown tables ([`table`]), the
+//! plain-text/CSV/markdown tables ([`table`]), the
 //! large-scale wave-campaign stress harnesses behind `ftree stress` —
 //! deletion-only tree campaigns ([`stress`], `BENCH_sim.json`) and mixed
 //! insert/delete Forgiving Graph campaigns ([`graph_stress`],
 //! `BENCH_graph.json`) — and the sampled-pair stretch pass that scores
 //! healed networks against their pristine baseline ([`stretch`]).
 //!
-//! Every campaign is one [`Scenario`] value ([`scenario`]): a protocol, an
+//! Every run is one [`Scenario`] value ([`scenario`]): a protocol (the
+//! Forgiving Tree, the Forgiving Graph, or a centralized local rule), an
 //! initial graph, planned or explicit churn waves and a parsed fault
-//! model. [`run`] drives it through the one wave loop both protocols share
-//! and returns an [`Outcome`]: the report, the [`Books`](ft_sim::Books), the
-//! run's one judgement ([`Verdicts`]) and the realised waves, which replay
-//! the run as explicit events. The stress records read outcomes, and
+//! model. [`run`] drives it through the one wave loop every healer shares,
+//! hands each wave to an observer (the exact-diameter [`Series`] behind
+//! `ftree attack`, `duel` and `scaling`), and returns an [`Outcome`]: the
+//! report, the [`Books`](ft_sim::Books), the run's one judgement
+//! ([`Verdicts`]) and the realised waves, which replay the run as explicit
+//! events. The stress records read outcomes, and
 //! [`fault_matrix`] sweeps every protocol × fault model scenario into the
 //! bounds-survival record behind `ftree faults` (`BENCH_faults.json`).
 //!
@@ -27,7 +29,6 @@ pub mod claims;
 pub mod fault_matrix;
 pub mod graph_stress;
 mod record;
-pub mod runner;
 pub mod scenario;
 pub mod stats;
 pub mod stress;
@@ -39,9 +40,8 @@ pub mod workload;
 pub use fault_matrix::{run_fault_matrix, FaultCell, FaultMatrixConfig, FaultMatrixRecord};
 pub use graph_stress::{run_graph_stress, GraphStressConfig, GraphStressRecord};
 pub use record::Record;
-pub use runner::{run_trial, StepMetrics, Trial, TrialConfig, TrialSummary};
 pub use scenario::{
-    run, Distance, Events, Faults, Healed, Initial, Outcome, Protocol, Scenario, Verdicts,
+    run, Distance, Events, Faults, Healed, Initial, Outcome, Protocol, Scenario, Series, Verdicts,
 };
 pub use stats::log_log_slope;
 pub use stress::{run_stress, StressConfig, StressRecord};

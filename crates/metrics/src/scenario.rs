@@ -1,20 +1,29 @@
 //! One run as one value. A [`Scenario`] names the protocol, the initial
 //! graph, the churn and a parsed fault model; [`run`] drives it through the
-//! one wave loop both protocols share and returns an [`Outcome`]. Names are
-//! parsed before a scenario exists, so `run` reads typed values only. The
-//! engine is deterministic, so a scenario whose events are an outcome's
-//! realised [`Outcome::waves`] replays that run exactly, even when its
-//! planner was adaptive.
+//! one wave loop every healer shares, hands each healed wave to an
+//! observer, and returns an [`Outcome`]. Names are parsed before a scenario
+//! exists, so `run` reads typed values only. The engine is deterministic,
+//! so a scenario whose events are an outcome's realised
+//! [`Outcome::waves`] replays that run exactly, even when its planner was
+//! adaptive.
+//!
+//! A one-victim attack ([`Scenario::attack`]) deletes one node per heal,
+//! down to none if its budget says so; the [`Series`] observer reads the
+//! exact diameter off it every few deletions.
 
 use crate::stretch::StretchReport;
 use crate::stretch_inc::StretchTracker;
 use ft_adversary::{AdversaryView, PlannerKind};
+use ft_baselines::baseline_report;
 use ft_core::distributed::{DistributedForgivingTree, FtNode};
+use ft_core::fgraph::{LocalHealer, LocalRule};
 use ft_core::{fg_degree_bound, fg_stretch_bound, ft_diameter_bound, DistributedForgivingGraph};
 use ft_costs::OperationCost;
-use ft_graph::bfs::diameter_within;
+use ft_graph::bfs::{diameter_exact, diameter_within};
 use ft_graph::{gen, tree::RootedTree, ChurnEvent, Graph, NodeId};
-use ft_sim::{Books, Campaign, CampaignConfig, CampaignReport, FaultConfig, HealCadence};
+use ft_sim::{
+    Books, Campaign, CampaignConfig, CampaignReport, FaultConfig, HealCadence, WaveStats,
+};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Xor-ed into the seed for the fault plan, so the planner and the fault
@@ -36,6 +45,32 @@ pub struct Scenario {
     /// Seeds the generated graph, the planner, the fault plan and the
     /// stretch sample.
     pub seed: u64,
+}
+
+impl Scenario {
+    /// A fault-free one-victim attack: `planner` deletes
+    /// `round(fraction · n)` nodes of `graph`, one per heal, drawing from
+    /// `seed`.
+    pub fn attack(
+        protocol: Protocol,
+        graph: Graph,
+        planner: PlannerKind,
+        fraction: f64,
+        seed: u64,
+    ) -> Scenario {
+        let budget = (graph.len() as f64 * fraction).round() as usize;
+        Scenario {
+            protocol,
+            initial: Initial::Explicit(graph),
+            events: Events::Planned {
+                budget,
+                wave_size: 1,
+                planner,
+            },
+            faults: Faults::default(),
+            seed,
+        }
+    }
 }
 
 /// The protocol a scenario heals with.
@@ -63,14 +98,37 @@ pub enum Protocol {
         /// BFS sources of the stretch sample.
         stretch_sources: usize,
     },
+    /// A centralized heal by one [`LocalRule`] per deletion: the naive
+    /// heals the paper contrasts, or the Forgiving Graph's haft. It takes
+    /// deletions only and keeps no ledger: its books stay zero, and each
+    /// wave's figures are [`baseline_report`]'s stated cost model (one
+    /// notice per survivor, two messages per added edge, one round), not a
+    /// count. It claims no bound, so its verdicts judge connectivity alone.
+    Local(LocalRule),
 }
 
 impl Protocol {
-    /// `tree` or `graph`.
+    /// The Forgiving Tree under the paper's model, one heal per deletion,
+    /// on an explicit tree.
+    pub const FORGIVING_TREE: Protocol = Protocol::Tree {
+        arity: 2,
+        cadence: HealCadence::PerDeletion,
+    };
+
+    /// The Forgiving Graph on an explicit graph, its stretch sampled from
+    /// one source.
+    pub const FORGIVING_GRAPH: Protocol = Protocol::Graph {
+        extra_edges: 0.0,
+        insert_fraction: 0.0,
+        stretch_sources: 1,
+    };
+
+    /// `tree`, `graph`, or the local rule's name.
     pub fn name(&self) -> &'static str {
         match self {
             Protocol::Tree { .. } => "tree",
             Protocol::Graph { .. } => "graph",
+            Protocol::Local(rule) => rule.name(),
         }
     }
 }
@@ -114,6 +172,13 @@ pub enum Events {
 }
 
 impl Events {
+    /// Whether the events are a one-victim attack: deletion waves of one.
+    /// Such a run may delete every node, as the paper's "up to n rounds"
+    /// does; any other wave leaves a survivor.
+    fn one_victim(&self) -> bool {
+        matches!(self, Events::Planned { wave_size: 1, planner, .. } if !planner.inserts())
+    }
+
     /// The budget, wave size and planner name a record echoes; explicit
     /// waves echo their event count, their largest wave and `explicit`.
     pub fn echo(&self) -> (usize, usize, &'static str) {
@@ -161,7 +226,9 @@ impl Faults {
 }
 
 /// What a run's checks found, and the one judgement of them. Each check is
-/// a verdict of a fault-free run and a plain measurement under faults.
+/// a verdict of a fault-free run and a plain measurement under faults. The
+/// empty graph a one-victim run can reach holds every check: it is
+/// connected, within every distance bound, and has no degree increase.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Verdicts {
     /// Every heal quiesced within its round budget.
@@ -256,6 +323,8 @@ pub enum Healed {
     /// The Forgiving Graph's processors and the stretch tracker that
     /// followed their waves.
     Graph(DistributedForgivingGraph, Box<StretchTracker>),
+    /// The centralized graph a local rule healed.
+    Local(LocalHealer),
 }
 
 impl Healed {
@@ -264,14 +333,28 @@ impl Healed {
         match self {
             Healed::Tree(dist, ..) => dist.graph(),
             Healed::Graph(dist, _) => dist.graph(),
+            Healed::Local(healer) => healer.graph(),
+        }
+    }
+
+    /// What the omniscient adversary reads: the graph, and the Forgiving
+    /// Tree's processors.
+    fn view(&self) -> AdversaryView<'_> {
+        let ft = match self {
+            Healed::Tree(dist, ..) => Some(dist),
+            _ => None,
+        };
+        AdversaryView {
+            graph: self.graph(),
+            ft,
         }
     }
 
     /// Operation cost of the stretch sample (zero for the tree).
     pub fn stretch_cost(&self) -> OperationCost {
         match self {
-            Healed::Tree(..) => OperationCost::ZERO,
             Healed::Graph(_, tracker) => tracker.cost(),
+            _ => OperationCost::ZERO,
         }
     }
 
@@ -281,30 +364,51 @@ impl Healed {
         match self {
             Healed::Tree(_, pristine, _) => pristine,
             Healed::Graph(dist, _) => dist.pristine(),
+            Healed::Local(healer) => healer.baseline(),
         }
     }
 
     /// The most events the next planned wave may hold; `None` when none
-    /// can be planned. A wave leaves at least one survivor even if every
-    /// event is a deletion; the churn planners need more than two live
-    /// nodes.
-    fn room(&self) -> Option<usize> {
+    /// can be planned. A one-victim attack may delete every node. Any other
+    /// wave leaves at least one survivor even if every event is a deletion,
+    /// and the churn planners need more than two live nodes.
+    fn room(&self, one_victim: bool) -> Option<usize> {
         let live = self.graph().len();
-        let floor = match self {
-            Healed::Tree(..) => 1,
-            Healed::Graph(..) => 2,
+        let (floor, keep) = match self {
+            _ if one_victim => (0, 0),
+            Healed::Graph(..) => (2, 1),
+            _ => (1, 1),
         };
-        (live > floor).then(|| live - 1)
+        (live > floor).then(|| live - keep)
     }
 
-    fn apply(&mut self, campaign: &mut Campaign, wave: &[ChurnEvent]) {
+    fn apply(&mut self, campaign: &mut Campaign, wave: &[ChurnEvent]) -> WaveStats {
         let no_insertion = |_, _: &[NodeId]| -> FtNode { panic!("a tree takes no insertions") };
         match self {
             Healed::Tree(dist, ..) => {
                 campaign.run_churn_wave(dist.network_mut(), wave, no_insertion)
             }
             Healed::Graph(dist, _) => dist.run_wave(campaign, wave),
-        };
+            Healed::Local(healer) => {
+                let mut ws = WaveStats {
+                    converged: true,
+                    ..WaveStats::default()
+                };
+                for event in wave {
+                    let &ChurnEvent::Delete(v) = event else {
+                        panic!("a local rule takes no insertions")
+                    };
+                    let notified = healer.graph().degree(v);
+                    let heal = baseline_report(v, notified, healer.delete(v));
+                    ws.deletions += 1;
+                    ws.rounds += heal.rounds;
+                    ws.messages += heal.total_messages;
+                    ws.max_per_node = ws.max_per_node.max(heal.max_messages_per_node);
+                }
+                campaign.fold(&ws);
+                ws
+            }
+        }
     }
 }
 
@@ -327,19 +431,100 @@ pub struct Outcome {
     pub stretch_secs: f64,
 }
 
-/// Runs `sc` to its end and checks its books.
+/// A run's exact-diameter series, as a per-wave observer of [`run`]: every
+/// wave's heal figures, the worst degree increase after every wave, and the
+/// exact diameter every `every` deletions and once at most one node lives.
+/// Exact diameters cost `O(n·m)`, so `every` throttles them; the figures
+/// the theorems bound are read after every wave.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Series {
+    every: usize,
+    /// Max degree of the initial graph (Δ₀).
+    pub delta0: usize,
+    /// Exact diameter of the initial graph (D₀; 0 when disconnected).
+    pub diam0: u32,
+    /// Deletions so far.
+    pub deletions: usize,
+    /// The measured points: `(deletions, live nodes, diameter, degree
+    /// increase)`, the diameter `None` when the graph was disconnected.
+    pub steps: Vec<(usize, usize, Option<u32>, i64)>,
+    /// Largest measured diameter, at least D₀.
+    pub max_diameter: u32,
+    /// Largest degree increase over the pristine graph after any wave
+    /// (Theorem 1.1's figure).
+    pub max_degree_increase: i64,
+    /// The largest load one node carried in one round of any wave; not the
+    /// node's total over a heal, which Theorem 1.3 bounds.
+    pub worst_node_messages: usize,
+    /// The most messages any wave took.
+    pub worst_heal_messages: usize,
+    /// Whether every measured graph was connected.
+    pub connected: bool,
+}
+
+impl Series {
+    /// An empty series over the initial graph, measuring the diameter every
+    /// `every` deletions (at least 1).
+    pub fn new(initial: &Graph, every: usize) -> Series {
+        let diam0 = diameter_exact(initial).unwrap_or(0);
+        Series {
+            every: every.max(1),
+            delta0: initial.max_degree(),
+            diam0,
+            deletions: 0,
+            steps: Vec::new(),
+            max_diameter: diam0,
+            max_degree_increase: 0,
+            worst_node_messages: 0,
+            worst_heal_messages: 0,
+            connected: true,
+        }
+    }
+
+    /// Folds in one healed wave.
+    pub fn observe(&mut self, healed: &Healed, wave: &WaveStats) {
+        let g = healed.graph();
+        let increase = g.max_degree_increase_over(healed.pristine());
+        self.deletions += wave.deletions;
+        self.max_degree_increase = self.max_degree_increase.max(increase);
+        self.worst_node_messages = self.worst_node_messages.max(wave.max_per_node);
+        self.worst_heal_messages = self.worst_heal_messages.max(wave.messages);
+        if (self.deletions.is_multiple_of(self.every) || g.len() <= 1) && !g.is_empty() {
+            let diameter = diameter_exact(g);
+            self.max_diameter = self.max_diameter.max(diameter.unwrap_or(0));
+            self.connected &= diameter.is_some();
+            self.steps
+                .push((self.deletions, g.len(), diameter, increase));
+        }
+    }
+
+    /// The largest measured diameter over D₀: the paper's diameter stretch
+    /// (1 when D₀ is 0).
+    pub fn max_stretch(&self) -> f64 {
+        if self.diam0 == 0 {
+            1.0
+        } else {
+            f64::from(self.max_diameter) / f64::from(self.diam0)
+        }
+    }
+}
+
+/// Runs `sc` to its end, calls `observe` with the healed engine and the
+/// figures of every wave, and checks the books.
 ///
 /// # Panics
 /// Panics on a ledger imbalance, and on a malformed scenario: an insertion
-/// for the Forgiving Tree, an explicit tree graph that is not a tree, an
-/// explicit deletion of a dead node, or a graph of fewer than two nodes.
-pub fn run(sc: &Scenario) -> Outcome {
+/// for the Forgiving Tree or a local rule, a local rule without an explicit
+/// graph, an explicit tree graph that is not a tree, an explicit deletion
+/// of a dead node, or a graph of fewer than two nodes.
+pub fn run(sc: &Scenario, mut observe: impl FnMut(&Healed, &WaveStats)) -> Outcome {
     let initial = match (&sc.initial, &sc.protocol) {
         (Initial::Explicit(g), _) => g.clone(),
         (Initial::Nodes(n), Protocol::Tree { arity, .. }) => gen::kary_tree(*n, (*arity).max(2)),
         (Initial::Nodes(n), Protocol::Graph { extra_edges, .. }) => {
             chorded_tree(*n, *extra_edges, sc.seed)
         }
+        (Initial::Nodes(_), Protocol::Local(_)) => panic!("a local rule heals an explicit graph"),
     };
     let faults = sc.faults.config;
     let plan = (!faults.is_zero()).then(|| faults.plan(sc.seed ^ FAULT_SEED_SALT));
@@ -368,6 +553,10 @@ pub fn run(sc: &Scenario) -> Outcome {
             let healed = Healed::Graph(dist, Box::new(tracker));
             (healed, HealCadence::PerDeletion, insert_fraction)
         }
+        Protocol::Local(rule) => {
+            let healed = Healed::Local(LocalHealer::new(rule, initial));
+            (healed, HealCadence::PerDeletion, 0.0)
+        }
     };
 
     let mut next = waves(sc, insert_fraction);
@@ -375,36 +564,42 @@ pub fn run(sc: &Scenario) -> Outcome {
         cadence,
         ..CampaignConfig::default()
     });
-    let mut waves = Vec::new();
-    while let Some(wave) = timed(&mut campaign_secs, || {
-        let wave = next(healed.graph(), healed.room())?;
-        healed.apply(&mut campaign, &wave);
-        Some(wave)
+    let (mut waves, one_victim) = (Vec::new(), sc.events.one_victim());
+    while let Some((wave, stats)) = timed(&mut campaign_secs, || {
+        let wave = next(healed.view(), healed.room(one_victim))?;
+        let stats = healed.apply(&mut campaign, &wave);
+        Some((wave, stats))
     }) {
         if let Healed::Graph(dist, tracker) = &mut healed {
             let journal = dist.network_mut().drain_churn_journal();
             let repair = || tracker.apply_wave(dist.graph(), dist.pristine(), &journal);
             timed(&mut stretch_secs, repair);
         }
+        observe(&healed, &stats);
         waves.push(wave);
     }
 
     let books = match &healed {
         Healed::Tree(dist, ..) => dist.network().books(),
         Healed::Graph(dist, _) => dist.network().books(),
+        Healed::Local(_) => Ok(Books::default()),
     };
     let books = books.expect("message ledger imbalance after the campaign");
     let report = campaign.report().clone();
     let graph = healed.graph();
     let connected = graph.is_connected();
     let (wills_ok, degree_bound, distance) = match &healed {
-        &Healed::Tree(.., bound) => (true, 3, Distance::Diameter(diameter_within(graph, bound))),
+        &Healed::Tree(.., bound) => {
+            let held = graph.is_empty() || diameter_within(graph, bound);
+            (true, 3, Distance::Diameter(held))
+        }
         Healed::Graph(dist, tracker) => {
             let report = timed(&mut stretch_secs, || tracker.report(graph));
             let n = graph.capacity();
             let distance = Distance::Stretch(report, fg_stretch_bound(n));
             (dist.check_wills().is_ok(), fg_degree_bound(n), distance)
         }
+        Healed::Local(_) => (true, i64::MAX, Distance::Diameter(connected)),
     };
     let verdicts = Verdicts {
         converged: report.converged,
@@ -437,9 +632,10 @@ fn timed<T>(secs: &mut f64, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The next wave against the live graph, holding at most the room the
-/// engine leaves; `None` ends the run.
-type WaveSource<'a> = Box<dyn FnMut(&Graph, Option<usize>) -> Option<Vec<ChurnEvent>> + 'a>;
+/// The next wave against the adversary's view, holding at most the room
+/// the engine leaves; `None` ends the run.
+type WaveSource<'a> =
+    Box<dyn FnMut(AdversaryView<'_>, Option<usize>) -> Option<Vec<ChurnEvent>> + 'a>;
 
 /// The scenario's wave source.
 fn waves(sc: &Scenario, insert_fraction: f64) -> WaveSource<'_> {
@@ -453,11 +649,12 @@ fn waves(sc: &Scenario, insert_fraction: f64) -> WaveSource<'_> {
             wave_size,
             planner,
         } => {
-            let mut planner = planner.churn_planner(sc.seed, insert_fraction);
+            let one_victim = sc.events.one_victim();
+            let mut planner = planner.planner(sc.seed, insert_fraction, one_victim);
             let (mut remaining, wave_size) = (*budget, (*wave_size).max(1));
-            Box::new(move |graph, room| {
+            Box::new(move |view, room| {
                 let k = remaining.min(wave_size).min(room?);
-                let wave = (k > 0).then(|| planner.plan(AdversaryView { graph, ft: None }, k))?;
+                let wave = (k > 0).then(|| planner.plan(view, k))?;
                 remaining = remaining.saturating_sub(wave.len());
                 (!wave.is_empty()).then_some(wave)
             })

@@ -76,7 +76,7 @@ impl StressConfig {
 /// As [`StressConfig::scenario`] and [`run`].
 pub fn run_stress(cfg: &StressConfig) -> StressRecord {
     let scenario = cfg.scenario();
-    let outcome = run(&scenario);
+    let outcome = run(&scenario, |_, _| {});
     StressRecord::new(scenario, &outcome)
 }
 
@@ -123,7 +123,12 @@ impl std::ops::Deref for StressRecord {
 
 impl StressRecord {
     /// The record of `scenario`'s `outcome`.
+    ///
+    /// # Panics
+    /// Panics for a local rule, which keeps no ledger to record.
     pub fn new(scenario: Scenario, outcome: &Outcome) -> StressRecord {
+        let local = matches!(scenario.protocol, Protocol::Local(_));
+        assert!(!local, "a local rule keeps no ledger to record");
         let (report, v) = (&outcome.report, &outcome.verdicts);
         let stretch = v.stretch().map(|s| s.0.clone()).unwrap_or_default();
         StressRecord {
@@ -242,6 +247,7 @@ impl StressRecord {
                 .num("converged", v.converged)
                 .str("faults", &sc.faults.name)
                 .num("wills_ok", v.wills_ok),
+            Protocol::Local(_) => unreachable!("a stress record is never local"),
         };
         record
             .num("lost", self.lost)
@@ -259,7 +265,7 @@ impl StressRecord {
         let (nodes, planner) = (self.scenario.initial.nodes(), self.scenario.events.echo().2);
         let secs = self.elapsed_secs;
         match self.scenario.protocol {
-            Protocol::Tree { .. } => format!(
+            Protocol::Tree { .. } | Protocol::Local(_) => format!(
                 "{} deletions over {} waves on n={nodes} ({planner} planner): \
                  {secs:.2}s, {events_per_sec:.0} deletions/s, {msgs_per_sec:.0} msgs/s, \
                  peak node load {}, books balanced",
@@ -315,7 +321,7 @@ mod tests {
     }
 
     fn record(scenario: Scenario) -> StressRecord {
-        let outcome = run(&scenario);
+        let outcome = run(&scenario, |_, _| {});
         StressRecord::new(scenario, &outcome)
     }
 

@@ -44,6 +44,19 @@ impl Workload {
         }
     }
 
+    /// The node count; `None` when it overflows a `usize`.
+    pub fn nodes(&self) -> Option<usize> {
+        match *self {
+            Workload::Caterpillar(spine, legs) => spine.checked_mul(legs.checked_add(1)?),
+            Workload::Broom(handle, bristles) => handle.checked_add(bristles),
+            Workload::Path(n)
+            | Workload::Star(n)
+            | Workload::Kary(n, _)
+            | Workload::RandomTree(n, _)
+            | Workload::PrefTree(n, _) => Some(n),
+        }
+    }
+
     /// Materializes the tree graph.
     pub fn graph(&self) -> Graph {
         match *self {
@@ -96,7 +109,16 @@ mod tests {
             assert_eq!(g.num_edges() + 1, g.len(), "{} is not a tree", w.name());
             let t = w.tree();
             assert_eq!(t.len(), g.len());
+            assert_eq!(w.nodes(), Some(g.len()), "{} counts its nodes", w.name());
         }
+    }
+
+    #[test]
+    fn overflowing_node_counts_are_none() {
+        assert_eq!(Workload::Caterpillar(3, usize::MAX).nodes(), None);
+        assert_eq!(Workload::Caterpillar(2, usize::MAX / 2).nodes(), None);
+        assert_eq!(Workload::Broom(2, usize::MAX).nodes(), None);
+        assert_eq!(Workload::Caterpillar(3, 4).nodes(), Some(15));
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn seeded_regression_pins_faulty_ten_thousand_node_figures() {
         faults: chaos(),
         seed: 20_260_807,
     };
-    let rec = StressRecord::new(sc.clone(), &run(&sc));
+    let rec = StressRecord::new(sc.clone(), &run(&sc, |_, _| {}));
     // The books balance on every faulty run (`run` panics otherwise), and
     // the campaign must have realized faults on every axis.
     assert!(rec.lost > 0, "chaos lost no messages");
@@ -98,7 +98,7 @@ fn tree_degrades_instead_of_panicking_under_loss_and_crash() {
             seed,
         };
         // `run` panics on an unbalanced ledger
-        let deleted = run(&sc).report.deletions;
+        let deleted = run(&sc, |_, _| {}).report.deletions;
         assert_eq!(deleted, deletions, "seed {seed}: campaign cut short");
     }
 }

@@ -6,7 +6,7 @@ use ft_core::fgraph::{LocalHealer, LocalRule};
 use ft_graph::{gen, ChurnEvent, Graph, NodeId};
 use ft_metrics::{
     run, run_fault_matrix, run_graph_stress, run_stress, Events, FaultMatrixConfig, Faults,
-    GraphStressConfig, Initial, Outcome, Protocol, Scenario, StressConfig, StressRecord,
+    GraphStressConfig, Initial, Outcome, Protocol, Scenario, Series, StressConfig, StressRecord,
 };
 use ft_sim::HealCadence;
 use proptest::prelude::*;
@@ -89,7 +89,7 @@ fn realised_waves_replay_as_explicit_events() {
     ];
     for sc in &runs {
         let what = format!("{} under {}", sc.protocol.name(), sc.faults.name);
-        let out = run(sc);
+        let out = run(sc, |_, _| {});
         assert!(!out.waves.is_empty(), "{what}: no wave ran");
         if sc.faults.name == "chaos" {
             assert_ne!(
@@ -98,7 +98,7 @@ fn realised_waves_replay_as_explicit_events() {
                 "{what}"
             );
         }
-        let again = run(&replay_of(sc, &out));
+        let again = run(&replay_of(sc, &out), |_, _| {});
         assert_eq!(again.books, out.books, "{what}: books");
         assert_eq!(again.report, out.report, "{what}: campaign report");
         assert_eq!(
@@ -111,6 +111,94 @@ fn realised_waves_replay_as_explicit_events() {
             "{what}: a replay realises its own waves"
         );
     }
+}
+
+/// `sc`'s outcome and its exact-diameter series, measured every `every`
+/// deletions.
+fn observed(sc: &Scenario, every: usize) -> (Outcome, Series) {
+    let Initial::Explicit(initial) = &sc.initial else {
+        panic!("an attack on an explicit graph")
+    };
+    let mut series = Series::new(initial, every);
+    let out = run(sc, |healed, wave| series.observe(healed, wave));
+    (out, series)
+}
+
+#[test]
+fn adaptive_attacks_replay_as_explicit_events() {
+    // heir-hunter reads the tree's processors and diameter-greedy scores
+    // the healed graph: both adapt to the heals, and both replay exactly
+    let attacks = [
+        (
+            Protocol::FORGIVING_TREE,
+            gen::kary_tree(256, 4),
+            PlannerKind::HeirHunter,
+        ),
+        (
+            Protocol::FORGIVING_TREE,
+            gen::star(48),
+            PlannerKind::DiameterGreedy,
+        ),
+        (
+            Protocol::FORGIVING_GRAPH,
+            gen::kary_tree(48, 2),
+            PlannerKind::DiameterGreedy,
+        ),
+        (
+            Protocol::Local(LocalRule::Line),
+            gen::star(48),
+            PlannerKind::DiameterGreedy,
+        ),
+    ];
+    for (protocol, graph, planner) in attacks {
+        let what = format!("{} vs {}", protocol.name(), planner.name());
+        let sc = Scenario::attack(protocol, graph, planner, 0.75, 3);
+        let (out, series) = observed(&sc, 2);
+        let (again, replayed) = observed(&replay_of(&sc, &out), 2);
+        assert_eq!(again.waves, out.waves, "{what}: waves");
+        assert_eq!(again.books, out.books, "{what}: books");
+        assert_eq!(again.report, out.report, "{what}: campaign report");
+        assert_eq!(again.verdicts, out.verdicts, "{what}: verdicts");
+        assert_eq!(replayed, series, "{what}: series");
+    }
+}
+
+#[test]
+fn one_victim_attacks_delete_every_node() {
+    // the paper's "up to n rounds": unlike a wave, a one-victim attack
+    // deletes the last node too, and the empty graph holds every verdict
+    for protocol in [
+        Protocol::FORGIVING_TREE,
+        Protocol::FORGIVING_GRAPH,
+        Protocol::Local(LocalRule::Line),
+    ] {
+        let what = protocol.name();
+        let sc = Scenario::attack(protocol, gen::kary_tree(31, 2), PlannerKind::Random, 1.0, 3);
+        let (out, series) = observed(&sc, 1);
+        assert_eq!(out.report.deletions, 31, "{what}");
+        assert!(out.healed.graph().is_empty(), "{what}");
+        assert_eq!(out.verdicts.failed(), None, "{what}: {:?}", out.verdicts);
+        assert_eq!(series.deletions, 31, "{what}");
+        assert!(series.connected, "{what}");
+        assert!(series.max_degree_increase <= 3, "{what}");
+        // every deletion measured, until none is left to measure
+        assert_eq!(series.steps.len(), 30, "{what}");
+    }
+}
+
+#[test]
+fn attacks_stop_at_their_budget() {
+    let sc = Scenario::attack(
+        Protocol::Local(LocalRule::Line),
+        gen::path(40),
+        PlannerKind::MaxDegree,
+        0.5,
+        0,
+    );
+    let (out, series) = observed(&sc, 5);
+    assert_eq!(out.report.deletions, 20);
+    let measured = series.steps.iter().map(|step| step.0);
+    assert_eq!(measured.collect::<Vec<_>>(), [5, 10, 15, 20]);
 }
 
 /// The stress shims are the only users of their configs: each one's
@@ -134,7 +222,7 @@ fn shims_build_the_records_of_their_scenarios() {
         ..planned(tree(4), 4_000, 2_000, 100, PlannerKind::Random)
     };
     assert_eq!(cfg.scenario(), sc);
-    let rec = StressRecord::new(sc.clone(), &run(&sc));
+    let rec = StressRecord::new(sc.clone(), &run(&sc, |_, _| {}));
     assert_eq!(exact(&run_stress(&cfg).to_json()), exact(&rec.to_json()));
 
     let cfg = GraphStressConfig {
@@ -156,7 +244,7 @@ fn shims_build_the_records_of_their_scenarios() {
         ..planned(graph(4), 1_500, 600, 20, PlannerKind::Mixed)
     };
     assert_eq!(cfg.scenario(), sc);
-    let rec = StressRecord::new(sc.clone(), &run(&sc));
+    let rec = StressRecord::new(sc.clone(), &run(&sc, |_, _| {}));
     assert_eq!(
         exact(&run_graph_stress(&cfg).to_json()),
         exact(&rec.to_json())
@@ -175,10 +263,10 @@ fn chaos_vnode_cycle_run_replays_disconnected() {
         seed: 13,
         ..planned(tree(8), 200, 80, 5, PlannerKind::Random)
     };
-    let out = run(&sc);
+    let out = run(&sc, |_, _| {});
     assert!(!out.verdicts.connected);
     assert_eq!(out.books.fault_fingerprint, 0x150e_142e_cc0b_baa9);
-    let again = run(&replay_of(&sc, &out));
+    let again = run(&replay_of(&sc, &out), |_, _| {});
     assert_eq!(again.books, out.books);
     assert!(!again.verdicts.connected);
 }
@@ -205,7 +293,7 @@ fn eight_node_witness_breaks_the_per_node_degree_bound() {
         faults: Faults::default(),
         seed: 0,
     };
-    let out = run(&sc);
+    let out = run(&sc, |_, _| {});
     assert_eq!(out.report.waves, 3);
     assert_eq!(out.healed.pristine().degree(NodeId(4)), 1);
     assert_eq!(
@@ -250,7 +338,7 @@ fn star_attack_breaks_the_haft_rule_stretch_bound() {
         faults: Faults::default(),
         seed: 0,
     };
-    let out = run(&sc);
+    let out = run(&sc, |_, _| {});
     assert_eq!(out.healed.graph(), spec.graph(), "both engines heal alike");
     assert_eq!(out.verdicts.failed(), Some("stretch_bound"));
     let (stretch, bound) = out.verdicts.stretch().expect("a graph run");
@@ -263,7 +351,7 @@ fn star_attack_breaks_the_haft_rule_stretch_bound() {
 #[test]
 fn a_graph_wave_leaves_a_survivor() {
     let sc = planned(graph(4), 10, 20, 20, PlannerKind::Random);
-    let out = run(&sc);
+    let out = run(&sc, |_, _| {});
     let live = out.healed.graph().len();
     assert!(live >= 1, "{live} live nodes after {:?}", out.waves);
     assert!(out

@@ -121,7 +121,7 @@ fn seeded_regression_pins_ten_thousand_node_figures() {
         faults: Faults::default(),
         seed: 20_260_807,
     };
-    let out = run(&sc);
+    let out = run(&sc, |_, _| {});
     let rec = StressRecord::new(sc.clone(), &out);
     let (full, _) = measure_stretch_full(out.healed.graph(), out.healed.pristine(), 8, sc.seed);
     assert_eq!(rec.stretch, full, "tracker agrees with the full sweep");

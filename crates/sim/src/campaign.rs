@@ -313,6 +313,14 @@ impl Campaign {
         }
         // snapshot delta: covers the events themselves, not just heals
         ws.cost = net.costs() - cost0;
+        self.fold(&ws);
+        ws
+    }
+
+    /// Folds a wave into the report: every wave this campaign runs, and a
+    /// wave healed outside any network (a centralized heal whose figures
+    /// are a stated cost model).
+    pub fn fold(&mut self, ws: &WaveStats) {
         let r = &mut self.report;
         r.waves += 1;
         r.deletions += ws.deletions;
@@ -323,7 +331,6 @@ impl Campaign {
         r.crashes += ws.crashes;
         r.converged &= ws.converged;
         r.cost += ws.cost;
-        ws
     }
 }
 

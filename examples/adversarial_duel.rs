@@ -5,10 +5,10 @@
 //! cargo run --release --example adversarial_duel
 //! ```
 
-use forgiving_tree::metrics::{run_trial, TrialConfig};
 use forgiving_tree::prelude::*;
 
 fn main() {
+    use PlannerKind::{DiameterGreedy, HeirHunter, MaxDegree, MinDegree, Random, RootAttack};
     let mut table = Table::new(
         "adversarial duel: Forgiving Tree vs every strategy (n≈128, full deletion)",
         &[
@@ -21,24 +21,28 @@ fn main() {
         ],
     );
     for w in Workload::suite(128) {
-        for adv in forgiving_tree::adversary::standard_suite(99).iter_mut() {
-            let mut healer = ForgivingHealer::new(&w.tree());
-            let cfg = TrialConfig {
-                workload: w.name(),
-                delete_fraction: 1.0,
-                measure_every: 4,
-            };
-            let t = run_trial(&cfg, &mut healer, adv.as_mut());
-            let ok = t.summary.max_degree_increase <= 3 && t.summary.stayed_connected;
+        for adversary in [
+            Random,
+            MaxDegree,
+            MinDegree,
+            RootAttack,
+            HeirHunter,
+            DiameterGreedy,
+        ] {
+            let graph = w.graph();
+            let mut s = Series::new(&graph, 4);
+            let attack = Scenario::attack(Protocol::FORGIVING_TREE, graph, adversary, 1.0, 99);
+            run(&attack, |healed, wave| s.observe(healed, wave));
+            let ok = s.max_degree_increase <= 3 && s.connected;
             table.push(vec![
-                t.summary.workload.clone(),
-                t.summary.adversary.clone(),
-                format!("{:.2}", t.summary.max_stretch),
-                format!("+{}", t.summary.max_degree_increase),
-                t.summary.worst_node_messages.to_string(),
+                w.name(),
+                adversary.name().into(),
+                format!("{:.2}", s.max_stretch()),
+                format!("+{}", s.max_degree_increase),
+                s.worst_node_messages.to_string(),
                 ok.to_string(),
             ]);
-            assert!(ok, "guarantee broken: {}", t.summary);
+            assert!(ok, "guarantee broken: {} vs {}", w.name(), adversary.name());
         }
     }
     table.print();

@@ -36,33 +36,32 @@ fn main() {
     println!("spanning tree: Δ={}, diameter={}", tree.max_degree(), d0);
 
     // The cascade: always kill the highest-degree surviving peer.
-    let mut contenders: Vec<Box<dyn SelfHealer>> = vec![
-        Box::new(ForgivingHealer::new(&tree)),
-        Box::new(LocalHealer::new(LocalRule::Surrogate, tree.to_graph())),
-        Box::new(LocalHealer::new(LocalRule::Line, tree.to_graph())),
-        Box::new(LocalHealer::new(LocalRule::BinaryTree, tree.to_graph())),
+    let contenders = [
+        ("forgiving-tree", Protocol::FORGIVING_TREE),
+        ("surrogate", Protocol::Local(LocalRule::Surrogate)),
+        ("line", Protocol::Local(LocalRule::Line)),
+        ("binary-tree", Protocol::Local(LocalRule::BinaryTree)),
     ];
     println!("\ncascade: deleting the 600 highest-degree peers, one per round\n");
-    for healer in &mut contenders {
-        let mut adv = HighestDegreeAdversary;
+    for (name, protocol) in contenders {
+        let cascade = Scenario {
+            events: Events::Planned {
+                budget: 600,
+                wave_size: 1,
+                planner: PlannerKind::MaxDegree,
+            },
+            ..Scenario::attack(protocol, tree.to_graph(), PlannerKind::MaxDegree, 0.0, 0)
+        };
         let mut worst_deg = 0;
-        for _ in 0..600 {
-            let view = AdversaryView {
-                graph: healer.graph(),
-                ft: healer.as_forgiving(),
-            };
-            let Some(v) = adv.next_target(view) else {
-                break;
-            };
-            healer.delete(v);
-            worst_deg = worst_deg.max(healer.max_degree_increase());
-        }
-        let diam = diameter_exact(healer.graph());
+        let out = run(&cascade, |healed, _| {
+            let increase = healed.graph().max_degree_increase_over(healed.pristine());
+            worst_deg = worst_deg.max(increase);
+        });
+        let healed = out.healed.graph();
         println!(
-            "{:>14}: degree inc max +{worst_deg:<4} diameter {:>4}  connected: {}",
-            healer.name(),
-            diam.map(|d| d.to_string()).unwrap_or_else(|| "∞".into()),
-            healer.graph().is_connected()
+            "{name:>14}: degree inc max +{worst_deg:<4} diameter {:>4}  connected: {}",
+            diameter_exact(healed).map_or_else(|| "∞".into(), |d| d.to_string()),
+            healed.is_connected()
         );
     }
     println!(

@@ -38,13 +38,23 @@
 //! running on defaults.
 
 use forgiving_tree::metrics::{
-    claims, log_log_slope, run, run_fault_matrix, run_trial, Events, FaultMatrixConfig, Faults,
-    Initial, Protocol, Record, Scenario, StressRecord, Table, TrialConfig, Workload,
+    claims, log_log_slope, run, run_fault_matrix, Events, FaultMatrixConfig, Faults, Initial,
+    Outcome, Protocol, Record, Scenario, Series, StressRecord, Table, Workload,
 };
 use forgiving_tree::prelude::*;
 use std::process::exit;
 
+/// The planner names that insert (`mixed`, `surge`) or only delete.
+fn planner_names(inserts: bool) -> String {
+    let kinds = PlannerKind::ALL
+        .into_iter()
+        .filter(|k| k.inserts() == inserts);
+    kinds.map(PlannerKind::name).collect::<Vec<_>>().join(" ")
+}
+
 fn usage() -> ! {
+    let (deletes, inserts) = (planner_names(false), planner_names(true));
+    let healers = HEALERS.map(|h| h.0).join(" ");
     eprintln!(
         "usage:\n  ftree attack  --workload W --adversary A --healer H [--fraction F] [--dot] [--csv]\n  \
          ftree scaling --healer H --adversary A\n  \
@@ -55,13 +65,18 @@ fn usage() -> ! {
          ftree faults  [--nodes N] [--events E] [--wave K] [--seed S] [--out FILE]\n  \
          ftree reproduce [--out FILE]\n\n\
          workloads : path:N star:N kary<K>:N caterpillar:SxL broom:H+B random:N#S pref:N#S\n\
-         adversaries: random max-degree min-degree root-attack heir-hunter hub-siphon diameter-greedy\n\
-         healers   : forgiving-tree forgiving-graph surrogate line binary-tree no-heal\n\
-         planners  : random targeted heavy-tail (tree stress) | mixed surge (graph stress)\n\
+         adversaries: {deletes}\n\
+         healers   : {healers}\n\
+         planners  : {deletes} (tree stress) | {inserts} (graph stress)\n\
          faults    : none delay loss dup crash partition chaos, or +-joined (loss+crash)\n\
          numbers   : stress counts accept scaled forms (100k, 1m, 1e6, 2.5m)"
     );
     exit(2);
+}
+
+/// Whether `n` nodes' ids fit a [`NodeId`].
+fn ids_fit(n: usize) -> bool {
+    u32::try_from(n.saturating_sub(1)).is_ok()
 }
 
 fn parse_workload(spec: &str) -> Workload {
@@ -73,7 +88,7 @@ fn parse_workload(spec: &str) -> Workload {
     let num = |s: &str| s.parse::<usize>().unwrap_or_else(|_| bad());
     // an empty tree (or a 0-ary one) has no root for the healers to start from
     let size = |s: &str| Some(num(s)).filter(|&v| v > 0).unwrap_or_else(|| bad());
-    match kind {
+    let w = match kind {
         "path" => Workload::Path(size(rest)),
         "star" => Workload::Star(size(rest)),
         k if k.starts_with("kary") => Workload::Kary(size(rest), size(&k[4..])),
@@ -94,38 +109,54 @@ fn parse_workload(spec: &str) -> Workload {
             Workload::PrefTree(size(n), num(s) as u64)
         }
         _ => bad(),
+    };
+    if !w.nodes().is_some_and(ids_fit) {
+        eprintln!("workload {spec} has more nodes than a node id can name");
+        usage();
     }
+    w
 }
 
-fn make_adversary(name: &str, seed: u64) -> Box<dyn Adversary> {
-    match name {
-        "random" => Box::new(RandomAdversary::new(seed)),
-        "max-degree" => Box::new(HighestDegreeAdversary),
-        "min-degree" => Box::new(LowestDegreeAdversary),
-        "root-attack" => Box::new(RootAdversary),
-        "heir-hunter" => Box::new(HeirHunter),
-        "hub-siphon" => Box::new(HubSiphon),
-        "diameter-greedy" => Box::new(DiameterGreedy),
-        _ => {
-            eprintln!("unknown adversary: {name}");
-            usage()
-        }
-    }
+/// Every healer by name: the Forgiving protocols, then the local rules.
+const HEALERS: [(&str, Protocol); 6] = [
+    ("forgiving-tree", Protocol::FORGIVING_TREE),
+    ("forgiving-graph", Protocol::FORGIVING_GRAPH),
+    ("surrogate", Protocol::Local(LocalRule::Surrogate)),
+    ("line", Protocol::Local(LocalRule::Line)),
+    ("binary-tree", Protocol::Local(LocalRule::BinaryTree)),
+    ("no-heal", Protocol::Local(LocalRule::NoRepair)),
+];
+
+/// Runs `protocol` against a one-victim `adversary` that deletes
+/// `fraction` of `w`'s nodes, measuring the exact diameter every `every`
+/// deletions.
+fn attack(
+    protocol: Protocol,
+    adversary: PlannerKind,
+    w: &Workload,
+    fraction: f64,
+    seed: u64,
+    every: usize,
+) -> (Outcome, Series) {
+    let graph = w.graph();
+    let mut series = Series::new(&graph, every);
+    let sc = Scenario::attack(protocol, graph, adversary, fraction, seed);
+    let outcome = run(&sc, |healed, wave| series.observe(healed, wave));
+    (outcome, series)
 }
 
-fn make_healer(name: &str, w: &Workload) -> Box<dyn SelfHealer> {
-    match name {
-        "forgiving-tree" => Box::new(ForgivingHealer::new(&w.tree())),
-        "forgiving-graph" => Box::new(DistributedForgivingGraph::new(&w.graph())),
-        "surrogate" => Box::new(LocalHealer::new(LocalRule::Surrogate, w.graph())),
-        "line" => Box::new(LocalHealer::new(LocalRule::Line, w.graph())),
-        "binary-tree" => Box::new(LocalHealer::new(LocalRule::BinaryTree, w.graph())),
-        "no-heal" => Box::new(LocalHealer::new(LocalRule::NoRepair, w.graph())),
-        _ => {
-            eprintln!("unknown healer: {name}");
-            usage()
-        }
-    }
+/// Reads `--healer` (default `forgiving-tree`).
+fn parse_healer(args: &[String]) -> (&'static str, Protocol) {
+    parse_name(args, "--healer", "forgiving-tree", |name| {
+        HEALERS.into_iter().find(|h| h.0 == name)
+    })
+}
+
+/// Reads `--adversary` (default `max-degree`): any deletion-only planner.
+fn parse_adversary(args: &[String]) -> PlannerKind {
+    parse_name(args, "--adversary", "max-degree", |name| {
+        PlannerKind::from_name(name).filter(|kind| !kind.inserts())
+    })
 }
 
 /// Exits with usage unless every argument is one of `flags` followed by
@@ -220,6 +251,17 @@ fn parse_count(args: &[String], flag: &str, default: usize, min: usize) -> usize
     v
 }
 
+/// Reads `--nodes` like [`parse_count`], rejecting a count whose ids do not
+/// fit a [`NodeId`].
+fn parse_nodes(args: &[String], default: usize, min: usize) -> usize {
+    let n = parse_count(args, "--nodes", default, min);
+    if !ids_fit(n) {
+        eprintln!("--nodes {n} is more than a node id can name");
+        usage();
+    }
+    n
+}
+
 fn cmd_attack(args: &[String]) {
     check_flags(
         args,
@@ -227,67 +269,59 @@ fn cmd_attack(args: &[String]) {
         &["--dot", "--csv"],
     );
     let w = parse_workload(flag_value(args, "--workload").unwrap_or("kary4:256"));
-    let adv_name = flag_value(args, "--adversary").unwrap_or("max-degree");
-    let healer_name = flag_value(args, "--healer").unwrap_or("forgiving-tree");
+    let adversary = parse_adversary(args);
+    let (healer, protocol) = parse_healer(args);
     let fraction = parse_fraction(args, "--fraction", 1.0);
-    let mut adv = make_adversary(adv_name, 42);
-    let mut healer = make_healer(healer_name, &w);
-    let cfg = TrialConfig {
-        workload: w.name(),
-        delete_fraction: fraction,
-        measure_every: (w.graph().len() / 32).max(1),
-    };
-    let trial = run_trial(&cfg, healer.as_mut(), adv.as_mut());
+    let every = w.graph().len() / 32;
+    let (outcome, s) = attack(protocol, adversary, &w, fraction, 42, every);
     if args.iter().any(|a| a == "--csv") {
         let mut t = Table::new("series", &["deletions", "alive", "diameter", "deg_inc"]);
-        for s in trial.steps.iter().filter(|s| s.diameter.is_some()) {
-            t.push(vec![
-                s.deletions.to_string(),
-                s.alive.to_string(),
-                s.diameter.map(|d| d.to_string()).unwrap_or_default(),
-                s.max_degree_increase.to_string(),
-            ]);
+        for &(deletions, alive, diameter, increase) in &s.steps {
+            if let Some(d) = diameter {
+                let (deletions, alive) = (deletions.to_string(), alive.to_string());
+                t.push(vec![deletions, alive, d.to_string(), increase.to_string()]);
+            }
         }
         print!("{}", t.to_csv());
     }
-    println!("{}", trial.summary);
+    println!(
+        "{healer} vs {} on {}: stretch {:.2}, deg +{}, worst node msgs {}",
+        adversary.name(),
+        w.name(),
+        s.max_stretch(),
+        s.max_degree_increase,
+        s.worst_node_messages
+    );
     println!(
         "  D0={} Δ0={} | max diameter {} (stretch {:.2}) | max degree +{} | worst heal: {} msgs, {} per node | connected: {}",
-        trial.summary.diam0,
-        trial.summary.delta0,
-        trial.summary.max_diameter,
-        trial.summary.max_stretch,
-        trial.summary.max_degree_increase,
-        trial.summary.worst_heal_messages,
-        trial.summary.worst_node_messages,
-        trial.summary.stayed_connected,
+        s.diam0,
+        s.delta0,
+        s.max_diameter,
+        s.max_stretch(),
+        s.max_degree_increase,
+        s.worst_heal_messages,
+        s.worst_node_messages,
+        s.connected,
     );
     if args.iter().any(|a| a == "--dot") {
-        println!("{}", healer.graph().to_dot("healed"));
+        println!("{}", outcome.healed.graph().to_dot("healed"));
     }
 }
 
 fn cmd_scaling(args: &[String]) {
     check_flags(args, &["--healer", "--adversary"], &[]);
-    let healer_name = flag_value(args, "--healer").unwrap_or("forgiving-tree");
-    let adv_name = flag_value(args, "--adversary").unwrap_or("max-degree");
+    let (_, protocol) = parse_healer(args);
+    let adversary = parse_adversary(args);
     let mut deg_points = Vec::new();
     let mut diam_points = Vec::new();
     for n in [32usize, 64, 128, 256] {
-        let w = Workload::Star(n);
-        let mut adv = make_adversary(adv_name, 7);
-        let mut healer = make_healer(healer_name, &w);
-        let cfg = TrialConfig {
-            workload: w.name(),
-            delete_fraction: 0.5,
-            measure_every: 4,
-        };
-        let t = run_trial(&cfg, healer.as_mut(), adv.as_mut());
-        deg_points.push((n as f64, (t.summary.max_degree_increase.max(1)) as f64));
-        diam_points.push((n as f64, t.summary.max_diameter.max(1) as f64));
+        let star = Workload::Star(n);
+        let (_, s) = attack(protocol.clone(), adversary, &star, 0.5, 7, 4);
+        deg_points.push((n as f64, (s.max_degree_increase.max(1)) as f64));
+        diam_points.push((n as f64, s.max_diameter.max(1) as f64));
         println!(
             "n={n:>4}: max degree +{}, max diameter {}",
-            t.summary.max_degree_increase, t.summary.max_diameter
+            s.max_degree_increase, s.max_diameter
         );
     }
     println!(
@@ -305,28 +339,18 @@ fn cmd_duel(args: &[String]) {
         format!("duel on {}", w.name()),
         &["healer", "adversary", "deg inc", "stretch", "connected"],
     );
-    for healer_name in [
-        "forgiving-tree",
-        "forgiving-graph",
-        "surrogate",
-        "line",
-        "binary-tree",
-    ] {
-        for adv_name in ["random", "max-degree", "hub-siphon", "diameter-greedy"] {
-            let mut adv = make_adversary(adv_name, 3);
-            let mut healer = make_healer(healer_name, &w);
-            let cfg = TrialConfig {
-                workload: w.name(),
-                delete_fraction: 0.75,
-                measure_every: (w.graph().len() / 16).max(1),
-            };
-            let t = run_trial(&cfg, healer.as_mut(), adv.as_mut());
+    // every healer but no-heal, which repairs nothing to compare
+    for (healer, protocol) in &HEALERS[..5] {
+        use PlannerKind::{DiameterGreedy, HubSiphon, MaxDegree, Random};
+        for adversary in [Random, MaxDegree, HubSiphon, DiameterGreedy] {
+            let every = w.graph().len() / 16;
+            let (_, s) = attack(protocol.clone(), adversary, &w, 0.75, 3, every);
             table.push(vec![
-                healer_name.into(),
-                adv_name.into(),
-                format!("+{}", t.summary.max_degree_increase),
-                format!("{:.2}", t.summary.max_stretch),
-                t.summary.stayed_connected.to_string(),
+                healer.to_string(),
+                adversary.name().into(),
+                format!("+{}", s.max_degree_increase),
+                format!("{:.2}", s.max_stretch()),
+                s.connected.to_string(),
             ]);
         }
     }
@@ -348,8 +372,8 @@ fn parse_name<T>(
     })
 }
 
-/// Reads `--planner`: a churn planner for the graph model, a deletion-only
-/// wave planner for the tree.
+/// Reads `--planner`: an insert/delete planner for the graph model, a
+/// deletion-only one for the tree.
 fn parse_planner(args: &[String], default: &str, graph: bool) -> PlannerKind {
     parse_name(args, "--planner", default, |name| {
         PlannerKind::from_name(name).filter(|kind| kind.inserts() == graph)
@@ -363,7 +387,7 @@ fn tree_scenario(args: &[String]) -> Scenario {
             arity: parse_count(args, "--arity", 8, 2),
             cadence: parse_name(args, "--cadence", "per-deletion", HealCadence::from_name),
         },
-        initial: Initial::Nodes(parse_count(args, "--nodes", 100_000, 1)),
+        initial: Initial::Nodes(parse_nodes(args, 100_000, 1)),
         events: Events::Planned {
             budget: parse_count(args, "--deletions", 1_000, 0),
             wave_size: parse_count(args, "--wave", 50, 1),
@@ -383,7 +407,7 @@ fn graph_scenario(args: &[String]) -> Scenario {
             stretch_sources: parse_count(args, "--sources", 16, 1),
         },
         // the churn planners need more than two live nodes
-        initial: Initial::Nodes(parse_count(args, "--nodes", 10_000, 3)),
+        initial: Initial::Nodes(parse_nodes(args, 10_000, 3)),
         events: Events::Planned {
             budget: parse_count(args, "--events", 2_000, 0),
             wave_size: parse_count(args, "--wave", 50, 1),
@@ -423,11 +447,12 @@ fn cmd_stress(args: &[String]) {
     // run panics (non-zero exit) on a ledger imbalance; a fault-free run
     // that failed a verdict exits 1 below — the signals CI must treat as
     // failures.
-    let outcome = run(&scenario);
+    let outcome = run(&scenario, |_, _| {});
     let rec = StressRecord::new(scenario, &outcome);
     let (campaign, graph) = match rec.scenario.protocol {
-        Protocol::Tree { cadence, .. } => (cadence.name(), false),
         Protocol::Graph { .. } => ("graph", true),
+        Protocol::Tree { cadence, .. } => (cadence.name(), false),
+        Protocol::Local(rule) => (rule.name(), false),
     };
     println!("{}", rec.summary());
     let joins = if graph {
@@ -509,12 +534,18 @@ fn cmd_costs(args: &[String]) {
     // cost-model drift.
     let smoke =
         |flags: &str| -> Vec<String> { flags.split_whitespace().map(String::from).collect() };
-    let tree = run(&tree_scenario(&smoke(
-        "--nodes 2000 --deletions 400 --wave 25 --planner heavy-tail --seed 1",
-    )));
-    let graph = run(&graph_scenario(&smoke(
-        "--nodes 2000 --events 400 --wave 25 --planner mixed --insert-frac 0.4 --seed 1",
-    )));
+    let tree = run(
+        &tree_scenario(&smoke(
+            "--nodes 2000 --deletions 400 --wave 25 --planner heavy-tail --seed 1",
+        )),
+        |_, _| {},
+    );
+    let graph = run(
+        &graph_scenario(&smoke(
+            "--nodes 2000 --events 400 --wave 25 --planner mixed --insert-frac 0.4 --seed 1",
+        )),
+        |_, _| {},
+    );
     let (tree_cost, graph_cost) = (&tree.books.cost, &graph.books.cost);
     let stretch_cost = graph.healed.stretch_cost();
     let json = Record::new()
@@ -560,7 +591,7 @@ fn cmd_faults(args: &[String]) {
     let cfg = FaultMatrixConfig {
         // the graph cells' churn driver plans only while more than two
         // nodes live
-        nodes: parse_count(args, "--nodes", defaults.nodes, 3),
+        nodes: parse_nodes(args, defaults.nodes, 3),
         events: parse_count(args, "--events", defaults.events, 0),
         wave_size: parse_count(args, "--wave", defaults.wave_size, 1),
         seed: parse_count(args, "--seed", defaults.seed as usize, 0) as u64,

@@ -150,6 +150,38 @@ fn empty_workloads_and_bad_fractions_are_rejected() {
 }
 
 #[test]
+fn oversized_workloads_and_node_counts_are_rejected() {
+    // node ids are u32: a total that wraps or outgrows them once panicked
+    // ("add_edge: n0 is not alive", exit 101) or aborted on a 160 GB
+    // allocation (exit 134)
+    for args in [
+        "attack --workload caterpillar:3x18446744073709551615",
+        "attack --workload broom:2+18446744073709551615",
+        "attack --workload path:5000000000",
+        "attack --workload caterpillar:65536x65536",
+        "duel --workload star:4294967297",
+        "stress --nodes 5000000000",
+        "stress --model graph --nodes 5e9",
+        "faults --nodes 4294967297",
+    ] {
+        assert_eq!(ftree(args, &[]), 2, "{args}");
+    }
+}
+
+#[test]
+fn unknown_adversaries_and_healers_are_rejected() {
+    for args in [
+        "attack --adversary nope",
+        "attack --adversary mixed",
+        "attack --healer forgiving",
+        "scaling --healer nope",
+        "scaling --adversary surge",
+    ] {
+        assert_eq!(ftree(args, &[]), 2, "{args}");
+    }
+}
+
+#[test]
 fn reproduce_rejects_unknown_flags() {
     assert_eq!(ftree("reproduce --nodes 5", &[]), 2);
 }

@@ -3,7 +3,6 @@
 
 use forgiving_tree::core::spec::ForgivingTree;
 use forgiving_tree::graph::bfs::diameter_exact;
-use forgiving_tree::metrics::{run_trial, TrialConfig};
 use forgiving_tree::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -31,23 +30,40 @@ fn general_graph_pipeline_survives_full_deletion() {
     assert!(ft.is_empty());
 }
 
+/// Runs `protocol` on `w` against a one-victim `adversary` that deletes
+/// `fraction` of its nodes, measuring the exact diameter every `every`
+/// deletions.
+fn attack(
+    protocol: Protocol,
+    w: &Workload,
+    adversary: PlannerKind,
+    fraction: f64,
+    every: usize,
+) -> (Outcome, Series) {
+    let graph = w.graph();
+    let mut series = Series::new(&graph, every);
+    let sc = Scenario::attack(protocol, graph, adversary, fraction, 7);
+    let out = run(&sc, |healed, wave| series.observe(healed, wave));
+    (out, series)
+}
+
 #[test]
 fn every_adversary_loses_on_every_workload() {
+    use PlannerKind::{DiameterGreedy, HeirHunter, MaxDegree, MinDegree, Random, RootAttack};
     for w in Workload::suite(48) {
-        for adv in forgiving_tree::adversary::standard_suite(7).iter_mut() {
-            let mut healer = ForgivingHealer::new(&w.tree());
-            let cfg = TrialConfig {
-                workload: w.name(),
-                delete_fraction: 1.0,
-                measure_every: 2,
-            };
-            let t = run_trial(&cfg, &mut healer, adv.as_mut());
-            assert!(
-                t.summary.max_degree_increase <= 3,
-                "Theorem 1.1 broken: {}",
-                t.summary
-            );
-            assert!(t.summary.stayed_connected, "disconnected: {}", t.summary);
+        for adversary in [
+            Random,
+            MaxDegree,
+            MinDegree,
+            RootAttack,
+            HeirHunter,
+            DiameterGreedy,
+        ] {
+            let (out, s) = attack(Protocol::FORGIVING_TREE, &w, adversary, 1.0, 2);
+            let what = format!("{} vs {}", w.name(), adversary.name());
+            assert!(s.max_degree_increase <= 3, "Theorem 1.1 broken: {what}");
+            assert!(s.connected, "disconnected: {what}");
+            assert!(out.healed.graph().is_empty(), "{what} deletes every node");
         }
     }
 }
@@ -74,23 +90,16 @@ fn theorem2_tradeoff_holds_for_all_healers() {
     // star K(1,64): any healer's measured (α, β) satisfies α^(2β+1) ≥ Δ
     let delta = 64usize;
     let w = Workload::Star(delta + 1);
-    let healers: Vec<Box<dyn SelfHealer>> = vec![
-        Box::new(ForgivingHealer::new(&w.tree())),
-        Box::new(LocalHealer::new(LocalRule::Surrogate, w.graph())),
-        Box::new(LocalHealer::new(LocalRule::Line, w.graph())),
-        Box::new(LocalHealer::new(LocalRule::BinaryTree, w.graph())),
-    ];
-    for mut h in healers {
-        let mut adv = HighestDegreeAdversary;
-        let cfg = TrialConfig {
-            workload: w.name(),
-            delete_fraction: 0.5,
-            measure_every: 1,
-        };
-        let name = h.name();
-        let t = run_trial(&cfg, h.as_mut(), &mut adv);
-        let alpha = t.summary.max_degree_increase.max(3) as f64;
-        let beta = t.summary.max_stretch;
+    for protocol in [
+        Protocol::FORGIVING_TREE,
+        Protocol::Local(LocalRule::Surrogate),
+        Protocol::Local(LocalRule::Line),
+        Protocol::Local(LocalRule::BinaryTree),
+    ] {
+        let name = protocol.name();
+        let (_, s) = attack(protocol, &w, PlannerKind::MaxDegree, 0.5, 1);
+        let alpha = s.max_degree_increase.max(3) as f64;
+        let beta = s.max_stretch();
         assert!(
             alpha.powf(2.0 * beta + 1.0) >= delta as f64 * 0.99,
             "{name}: α={alpha}, β={beta} beats the lower bound?!"
@@ -102,40 +111,42 @@ fn theorem2_tradeoff_holds_for_all_healers() {
 fn forgiving_tree_beats_baselines_where_the_paper_says() {
     // star center deletion: FT keeps stretch ~log Δ, line suffers Θ(n)
     let nn = 65;
-    let w = Workload::Star(nn);
-    let mut ft = ForgivingHealer::new(&w.tree());
-    let mut line = LocalHealer::new(LocalRule::Line, w.graph());
-    ft.delete(NodeId(0));
-    line.delete(NodeId(0));
-    let d_ft = diameter_exact(ft.graph()).expect("connected");
-    let d_line = diameter_exact(line.graph()).expect("connected");
+    let center = |protocol| {
+        let sc = Scenario {
+            events: Events::Explicit(vec![vec![ChurnEvent::Delete(NodeId(0))]]),
+            ..Scenario::attack(protocol, gen::star(nn), PlannerKind::MaxDegree, 0.0, 0)
+        };
+        diameter_exact(run(&sc, |_, _| {}).healed.graph()).expect("connected")
+    };
+    let d_ft = center(Protocol::FORGIVING_TREE);
+    let d_line = center(Protocol::Local(LocalRule::Line));
     assert!(d_ft <= 2 * ((nn as f64).log2().ceil() as u32 + 2));
     assert_eq!(d_line as usize, nn - 2, "line chains all leaves");
     assert!(d_ft < d_line / 3, "FT({d_ft}) must beat line({d_line})");
 
     // hub-siphon: surrogate blows up degree, FT stays ≤ +3
-    let w2 = Workload::Kary(63, 2);
-    let mut sur = LocalHealer::new(LocalRule::Surrogate, w2.graph());
-    let mut ft2 = ForgivingHealer::new(&w2.tree());
-    let mut adv = HubSiphon;
-    for _ in 0..30 {
-        let view = AdversaryView {
-            graph: sur.graph(),
-            ft: None,
+    let siphon = |protocol| {
+        let events = Events::Planned {
+            budget: 30,
+            wave_size: 1,
+            planner: PlannerKind::HubSiphon,
         };
-        if let Some(v) = adv.next_target(view) {
-            sur.delete(v);
-        }
-        let view = AdversaryView {
-            graph: ft2.graph(),
-            ft: ft2.as_forgiving(),
-        };
-        if let Some(v) = adv.next_target(view) {
-            ft2.delete(v);
-        }
-    }
-    assert!(sur.max_degree_increase() >= 10, "surrogate hub blow-up");
-    assert!(ft2.max_degree_increase() <= 3, "FT bounded");
+        let attack = Scenario::attack(
+            protocol,
+            gen::kary_tree(63, 2),
+            PlannerKind::HubSiphon,
+            0.0,
+            0,
+        );
+        let out = run(&Scenario { events, ..attack }, |_, _| {});
+        assert_eq!(out.report.deletions, 30);
+        out.verdicts.max_degree_increase
+    };
+    assert!(
+        siphon(Protocol::Local(LocalRule::Surrogate)) >= 10,
+        "surrogate hub blow-up"
+    );
+    assert!(siphon(Protocol::FORGIVING_TREE) <= 3, "FT bounded");
 }
 
 #[test]
@@ -162,24 +173,6 @@ fn heal_reports_are_consistent_across_engines() {
     }
 }
 
-/// Wraps an adversary and records the victims it names.
-struct Recording<'a> {
-    inner: &'a mut dyn Adversary,
-    victims: Vec<NodeId>,
-}
-
-impl Adversary for Recording<'_> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn next_target(&mut self, view: AdversaryView<'_>) -> Option<NodeId> {
-        let target = self.inner.next_target(view);
-        self.victims.extend(target);
-        target
-    }
-}
-
 /// The victim `root-attack` (`root`) or `heir-hunter` names, read from the
 /// spec engine's structure instead of the processors' fields.
 fn spec_victim(spec: &ForgivingTree, root: bool) -> Option<NodeId> {
@@ -202,28 +195,24 @@ fn spec_victim(spec: &ForgivingTree, root: bool) -> Option<NodeId> {
 fn structure_aware_adversaries_choose_alike_on_both_engines() {
     for w in [Workload::Kary(256, 4), Workload::PrefTree(256, 1)] {
         let tree = w.tree();
-        let mut advs: [(Box<dyn Adversary>, bool); 2] = [
-            (Box::new(RootAdversary), true),
-            (Box::new(HeirHunter), false),
-        ];
-        for (adv, root) in &mut advs {
-            let mut rec = Recording {
-                inner: adv.as_mut(),
-                victims: Vec::new(),
+        for (adversary, root) in [
+            (PlannerKind::RootAttack, true),
+            (PlannerKind::HeirHunter, false),
+        ] {
+            let (out, series) = attack(Protocol::FORGIVING_TREE, &w, adversary, 1.0, 4);
+            let s = format!("{} vs {}", w.name(), adversary.name());
+            let deleted = |wave: &Vec<ChurnEvent>| match wave[..] {
+                [ChurnEvent::Delete(v)] => v,
+                _ => panic!("a one-victim attack deletes one node per wave"),
             };
-            let cfg = TrialConfig {
-                workload: w.name(),
-                delete_fraction: 1.0,
-                measure_every: 4,
-            };
-            let s = run_trial(&cfg, &mut ForgivingHealer::new(&tree), &mut rec).summary;
-            assert_eq!(rec.victims.len(), tree.len(), "{}", s);
+            let victims: Vec<NodeId> = out.waves.iter().map(deleted).collect();
+            assert_eq!(victims.len(), tree.len(), "{s}");
 
             // the same attack, on the spec engine
             let mut spec = ForgivingTree::new(&tree);
-            let (mut max_degree, mut max_diameter) = (0, s.diam0);
-            for (i, &v) in rec.victims.iter().enumerate() {
-                assert_eq!(spec_victim(&spec, *root), Some(v), "step {i} of {s}");
+            let (mut max_degree, mut max_diameter) = (0, series.diam0);
+            for (i, &v) in victims.iter().enumerate() {
+                assert_eq!(spec_victim(&spec, root), Some(v), "step {i} of {s}");
                 spec.delete(v);
                 max_degree = max_degree.max(spec.max_degree_increase());
                 if ((i + 1) % 4 == 0 || spec.len() <= 1) && !spec.is_empty() {
@@ -231,8 +220,8 @@ fn structure_aware_adversaries_choose_alike_on_both_engines() {
                     max_diameter = max_diameter.max(d);
                 }
             }
-            assert_eq!(max_degree, s.max_degree_increase, "{s}");
-            assert_eq!(max_diameter, s.max_diameter, "{s}");
+            assert_eq!(max_degree, series.max_degree_increase, "{s}");
+            assert_eq!(max_diameter, series.max_diameter, "{s}");
         }
     }
 }

@@ -7,13 +7,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Drives `events` churn events planned by [`MixedChurn`] against a seeded
+/// Drives `events` churn events planned by the `mixed` planner against a seeded
 /// connected workload, auditing after every wave (panics on any violation).
 fn run_churn(nn: usize, seed: u64, insert_pct: u8, events: usize) -> DistributedForgivingGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::gnp_connected(nn, 2.0 / nn as f64, &mut rng);
     let mut dist = DistributedForgivingGraph::new(&g);
-    let mut planner = MixedChurn::new(seed, f64::from(insert_pct) / 100.0);
+    let mut planner = PlannerKind::Mixed.planner(seed, f64::from(insert_pct) / 100.0, false);
     let mut campaign = Campaign::new(CampaignConfig::default());
     let mut remaining = events;
     while remaining > 0 && dist.len() > 2 {
@@ -82,7 +82,7 @@ fn degree_increase_regression_on_seeded_campaign() {
     let mut rng = StdRng::seed_from_u64(1234);
     let g = gen::gnp_connected(400, 0.006, &mut rng);
     let mut dist = DistributedForgivingGraph::new(&g);
-    let mut planner = MixedChurn::new(99, 0.35);
+    let mut planner = PlannerKind::Mixed.planner(99, 0.35, false);
     let mut campaign = Campaign::new(CampaignConfig::default());
     for _ in 0..20 {
         let plan = planner.plan(
