@@ -42,12 +42,11 @@
 //! engine with identical deletion sequences and asserts the healed graphs
 //! are identical after every step.
 
-use crate::report::HealReport;
 use crate::shape::{HelperPlan, Portion, PortionRef, SubRtShape};
 use crate::sorted::{map_insert, map_remove};
 use ft_graph::tree::RootedTree;
-use ft_graph::{Graph, InlineVec, NodeId, SortedIds};
-use ft_sim::{Ctx, Network, Process};
+use ft_graph::{ChurnEvent, Graph, InlineVec, NodeId, SortedIds};
+use ft_sim::{Campaign, Ctx, Network, Process, WaveStats};
 
 /// A virtual-node reference: the real simulator plus which of its (at most
 /// two) virtual nodes is meant. The default, node 0's position, only fills
@@ -1416,12 +1415,25 @@ impl DistributedForgivingTree {
         &mut self.net
     }
 
-    /// Deletes `v` and runs the recovery phase to quiescence.
+    /// Applies one wave of deletions through a campaign driver, healing as
+    /// its cadence says.
+    ///
+    /// # Panics
+    /// Panics if a victim is dead or an event is an insertion: the tree
+    /// takes deletions only.
+    pub fn run_wave(&mut self, campaign: &mut Campaign, events: &[ChurnEvent]) -> WaveStats {
+        campaign.run_churn_wave(&mut self.net, events, |_, _| -> FtNode {
+            panic!("a tree takes no insertions")
+        })
+    }
+
+    /// Deletes `v` as a one-event wave and runs the recovery phase to
+    /// quiescence.
     ///
     /// # Panics
     /// Panics if `v` is dead or the protocol fails to quiesce within the
-    /// O(1) round budget.
-    pub fn delete(&mut self, v: NodeId) -> HealReport {
-        crate::report::heal(&mut self.net, v, 12)
+    /// O(1) round budget of 12 rounds.
+    pub fn delete(&mut self, v: NodeId) -> WaveStats {
+        crate::one_event_wave(12, |c| self.run_wave(c, &[ChurnEvent::Delete(v)]))
     }
 }

@@ -49,9 +49,9 @@ fn differential_run(tree: &RootedTree, order: &[NodeId]) {
             dr.rounds
         );
         assert!(
-            dr.max_messages_per_node <= 40,
+            dr.max_per_node <= 40,
             "a node handled {} messages in one heal",
-            dr.max_messages_per_node
+            dr.max_per_node
         );
         assert_same_structure(&spec, &dist);
         assert_caches_fresh(&dist);
@@ -368,6 +368,16 @@ fn heal_planted_cycle(plant: fn(&mut Network<FtNode>), faulty: bool) -> Vec<Node
 }
 
 #[test]
+#[should_panic(expected = "did not quiesce within 12 rounds")]
+fn a_heal_that_does_not_quiesce_panics() {
+    // the wave of a heal cut off by its round budget reads `converged: false`
+    crate::one_event_wave(12, |campaign| {
+        assert_eq!(campaign.config().max_rounds_per_heal, 12);
+        ft_sim::WaveStats::default()
+    });
+}
+
+#[test]
 fn splice_sites_skip_vnode_cycles_under_faults_only() {
     // 0's helper hangs under 2's helper and has it as its other child:
     // losing leaf 1 would short-circuit 0's helper onto 2's as its parent
@@ -466,17 +476,20 @@ fn golden_heal_trace() {
     order.shuffle(&mut StdRng::seed_from_u64(15));
     let mut h = FNV_BASIS;
     for &v in &order[..1000] {
+        let before = dist.graph().clone();
         let r = dist.delete(v);
         for x in [
             u64::from(r.rounds),
-            r.notified as u64,
-            r.total_messages as u64,
-            r.max_messages_per_node as u64,
+            before.degree(v) as u64,
+            r.messages as u64,
+            r.max_per_node as u64,
         ] {
             h = fnv1a(h, x.to_le_bytes());
         }
-        for (a, b) in r.edges_added {
-            h = fnv1a(h, (u64::from(a.0) << 32 | u64::from(b.0)).to_le_bytes());
+        for (a, b) in dist.graph().edges() {
+            if !before.has_edge(a, b) {
+                h = fnv1a(h, (u64::from(a.0) << 32 | u64::from(b.0)).to_le_bytes());
+            }
         }
     }
     assert_eq!(h, 0x17c1_f797_9b71_9d4e, "heal trace drifted: {h:#018x}");

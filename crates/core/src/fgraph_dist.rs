@@ -35,10 +35,9 @@
 //! event.
 
 use crate::fgraph::haft_edges;
-use crate::report::HealReport;
 use crate::sorted::{map_get, map_get_mut, map_insert, map_remove, set_insert, set_remove};
-use ft_graph::{Graph, NodeId};
-use ft_sim::{Ctx, Network, Process};
+use ft_graph::{ChurnEvent, Graph, NodeId};
+use ft_sim::{Campaign, Ctx, HealCadence, Network, Process, WaveStats};
 
 /// Protocol messages of the distributed Forgiving Graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -313,14 +312,10 @@ impl DistributedForgivingGraph {
     /// adversarial event, so a survivor always holds the victim's current
     /// will (`PerWave` would let a neighbor die while its will exchange is
     /// still in flight).
-    pub fn run_wave(
-        &mut self,
-        campaign: &mut ft_sim::Campaign,
-        events: &[ft_graph::ChurnEvent],
-    ) -> ft_sim::WaveStats {
+    pub fn run_wave(&mut self, campaign: &mut Campaign, events: &[ChurnEvent]) -> WaveStats {
         assert_eq!(
             campaign.config().cadence,
-            ft_sim::HealCadence::PerDeletion,
+            HealCadence::PerDeletion,
             "the Forgiving Graph protocol needs quiescence between events"
         );
         let pristine = &mut self.pristine;
@@ -334,35 +329,31 @@ impl DistributedForgivingGraph {
         })
     }
 
-    /// Inserts a fresh node wired to the live entries of `neighbors` and
-    /// runs the join exchange to quiescence.
+    /// Inserts a fresh node wired to the live entries of `neighbors` as a
+    /// one-event wave and runs the join exchange to quiescence; returns the
+    /// newcomer's ID and the wave.
     ///
     /// # Panics
-    /// Panics when no listed neighbor is alive.
-    pub fn insert(&mut self, neighbors: &[NodeId]) -> NodeId {
-        let live: Vec<NodeId> = neighbors
-            .iter()
-            .copied()
-            .filter(|&u| self.net.graph().is_alive(u))
-            .collect();
-        assert!(!live.is_empty(), "insertion with no live neighbor");
-        let (v, _) = self.net.insert_node(&live, |id| FgNode::joiner(id, &live));
-        let pv = self.pristine.add_node();
-        assert_eq!(pv, v, "healed/pristine capacities diverged");
-        for &u in &live {
-            self.pristine.add_edge(pv, u);
-        }
-        let ((_rounds, _merged), _cost) = self.net.run_until_quiet(8);
-        v
+    /// Panics when no listed neighbor is alive, or the exchange fails to
+    /// quiesce within 8 rounds.
+    pub fn insert(&mut self, neighbors: &[NodeId]) -> (NodeId, WaveStats) {
+        let v = NodeId(self.pristine.capacity() as u32);
+        let wave = [ChurnEvent::Insert {
+            neighbors: neighbors.to_vec(),
+        }];
+        let ws = crate::one_event_wave(8, |c| self.run_wave(c, &wave));
+        assert_eq!(ws.insertions, 1, "insertion with no live neighbor");
+        (v, ws)
     }
 
-    /// Deletes `v` and runs the recovery phase to quiescence.
+    /// Deletes `v` as a one-event wave and runs the recovery phase to
+    /// quiescence.
     ///
     /// # Panics
     /// Panics if `v` is dead or the protocol fails to quiesce within the
-    /// O(1) round budget.
-    pub fn delete(&mut self, v: NodeId) -> HealReport {
-        crate::report::heal(&mut self.net, v, 8)
+    /// O(1) round budget of 8 rounds.
+    pub fn delete(&mut self, v: NodeId) -> WaveStats {
+        crate::one_event_wave(8, |c| self.run_wave(c, &[ChurnEvent::Delete(v)]))
     }
 
     /// Largest degree increase any live node currently suffers over the
@@ -408,8 +399,8 @@ impl DistributedForgivingGraph {
 mod tests {
     use super::*;
     use crate::fgraph::{LocalHealer, LocalRule};
-    use ft_graph::{gen, ChurnEvent};
-    use ft_sim::{Campaign, CampaignConfig};
+    use ft_graph::gen;
+    use ft_sim::CampaignConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -429,10 +420,16 @@ mod tests {
         let g = gen::star(9);
         let mut d = DistributedForgivingGraph::new(&g);
         let mut s = LocalHealer::new(LocalRule::Haft, g.clone());
-        let dr = d.delete(n(0));
+        d.delete(n(0));
         let added = s.delete(n(0));
         assert_eq!(d.graph(), s.graph(), "healed graphs identical");
-        assert_eq!(dr.edges_added, added);
+        let net_added: Vec<_> = d
+            .graph()
+            .edges()
+            .into_iter()
+            .filter(|&(a, b)| !g.has_edge(a, b))
+            .collect();
+        assert_eq!(net_added, added);
         assert!(d.graph().is_connected());
         d.check_wills().expect("wills refreshed");
         d.network().check_accounting().expect("books balance");
@@ -441,7 +438,8 @@ mod tests {
     #[test]
     fn insertion_exchanges_wills() {
         let mut d = DistributedForgivingGraph::new(&gen::path(4));
-        let v = d.insert(&[n(3), n(0)]);
+        let (v, ws) = d.insert(&[n(3), n(0)]);
+        assert_eq!((ws.insertions, ws.deletions), (1, 0));
         assert_eq!(v, n(4));
         assert_eq!(d.node(v).neighbors(), [n(0), n(3)]);
         assert_eq!(d.node(n(3)).will_of(v), Some(&[n(0), n(3)][..]));
@@ -485,7 +483,7 @@ mod tests {
                         picks.push(c);
                     }
                 }
-                let dv = d.insert(&picks);
+                let (dv, _) = d.insert(&picks);
                 let sv = s.insert_node(&picks);
                 assert_eq!(dv, sv, "insert IDs agree at step {step}");
             } else if d.len() > 2 {
@@ -507,11 +505,19 @@ mod tests {
     fn per_wave_cadence_is_rejected() {
         let mut d = DistributedForgivingGraph::new(&gen::path(4));
         let mut campaign = Campaign::new(CampaignConfig {
-            cadence: ft_sim::HealCadence::PerWave,
+            cadence: HealCadence::PerWave,
             max_rounds_per_heal: 8,
             ..CampaignConfig::default()
         });
         d.run_wave(&mut campaign, &[ChurnEvent::Delete(n(1))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "insertion with no live neighbor")]
+    fn insertion_without_a_live_anchor_is_rejected() {
+        let mut d = DistributedForgivingGraph::new(&gen::path(4));
+        d.delete(n(0));
+        d.insert(&[n(0)]);
     }
 
     #[test]

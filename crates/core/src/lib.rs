@@ -17,8 +17,8 @@
 //!
 //! - [`distributed::DistributedForgivingTree`]: per-node processors
 //!   exchanging real messages over the `ft-sim` synchronous network. The
-//!   healers, the adversary and the claims table run it, and every
-//!   [`HealReport`] is read from its message ledger;
+//!   healers, the adversary and the claims table run it, and every heal's
+//!   [`WaveStats`] is read from its message ledger;
 //! - [`spec::ForgivingTree`]: the exact virtual-tree semantics in one data
 //!   structure, with a full invariant audit. It is the test oracle the
 //!   differential suites check the protocol against after every deletion.
@@ -34,13 +34,14 @@
 //! let t = RootedTree::from_tree_graph(&g, NodeId(0));
 //! let mut ft = DistributedForgivingTree::new(&t);
 //!
-//! // the adversary deletes the root, then an internal node
+//! // the adversary deletes the root, then an internal node: each deletion
+//! // is a one-event wave, healed to quiescence
 //! ft.delete(NodeId(0));
-//! let report = ft.delete(NodeId(1));
+//! let heal = ft.delete(NodeId(1));
 //!
 //! assert!(ft.graph().is_connected());
 //! assert!(ft.graph().max_degree_increase_over(&g) <= 3);
-//! assert!(report.rounds <= 8 && report.max_messages_per_node <= 40);
+//! assert!(heal.rounds <= 8 && heal.max_per_node <= 40);
 //! ```
 //!
 //! The successor paper's structure — *The Forgiving Graph*, healing
@@ -58,7 +59,6 @@ pub mod distributed;
 pub mod fgraph;
 pub mod fgraph_dist;
 mod invariants;
-pub mod report;
 pub mod shape;
 mod sorted;
 pub mod spec;
@@ -66,7 +66,27 @@ mod varena;
 
 pub use bounds::{fg_degree_bound, fg_stretch_bound, ft_diameter_bound};
 pub use fgraph_dist::DistributedForgivingGraph;
-pub use report::HealReport;
+
+use ft_sim::{Campaign, CampaignConfig, WaveStats};
+
+/// Runs one adversarial event as a wave of its own through a fresh
+/// [`PerDeletion`](ft_sim::HealCadence::PerDeletion) campaign whose heal
+/// gets `budget` rounds: the engines' `delete` and `insert`.
+///
+/// # Panics
+/// Panics if the heal does not quiesce within `budget` rounds.
+fn one_event_wave(budget: u32, wave: impl FnOnce(&mut Campaign) -> WaveStats) -> WaveStats {
+    let mut campaign = Campaign::new(CampaignConfig {
+        max_rounds_per_heal: budget,
+        ..CampaignConfig::default()
+    });
+    let ws = wave(&mut campaign);
+    assert!(
+        ws.converged,
+        "protocol did not quiesce within {budget} rounds"
+    );
+    ws
+}
 
 #[cfg(test)]
 mod distributed_tests;

@@ -299,7 +299,7 @@ fn messages_per_node_are_bounded() {
         order.shuffle(&mut rng);
         for v in order {
             ft.delete(v);
-            worst = worst.max(dist.delete(v).max_messages_per_node);
+            worst = worst.max(dist.delete(v).max_per_node);
             assert_eq!(ft.graph(), dist.graph(), "engines diverged at {v:?}");
         }
     }
@@ -332,6 +332,7 @@ fn report_counts_are_consistent() {
     let mut ft = ForgivingTree::new(&t);
     let mut dist = DistributedForgivingTree::new(&t);
     let added = ft.delete(n(1));
+    let notified = dist.graph().degree(n(1));
     let r = dist.delete(n(1));
     // every added edge is present in the healed graph
     for (a, b) in &added {
@@ -342,10 +343,15 @@ fn report_counts_are_consistent() {
     }
     // the protocol's net additions are among the oracle's, and its ledger
     // counts every notice
-    assert!(r.edges_added.iter().all(|e| added.contains(e)));
-    assert_eq!(r.deleted, Some(n(1)));
-    assert!(r.total_messages >= r.notified);
-    assert!(r.max_messages_per_node <= r.total_messages);
+    let net_added = dist
+        .graph()
+        .edges()
+        .into_iter()
+        .filter(|&(a, b)| !g.has_edge(a, b));
+    assert!(net_added.into_iter().all(|e| added.contains(&e)));
+    assert_eq!((r.deletions, dist.graph().is_alive(n(1))), (1, false));
+    assert!(r.messages >= notified);
+    assert!(r.max_per_node <= r.messages);
 }
 
 #[test]

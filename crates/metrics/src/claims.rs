@@ -187,7 +187,7 @@ fn messages(claims: &mut Vec<Claim>) {
             let mut dist = DistributedForgivingTree::new(&tree);
             for &v in &order {
                 let r = dist.delete(v);
-                msgs = msgs.max(r.max_messages_per_node);
+                msgs = msgs.max(r.max_per_node);
                 rounds = rounds.max(r.rounds);
             }
         }

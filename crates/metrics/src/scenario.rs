@@ -14,8 +14,7 @@
 use crate::stretch::StretchReport;
 use crate::stretch_inc::StretchTracker;
 use ft_adversary::{AdversaryView, PlannerKind};
-use ft_baselines::baseline_report;
-use ft_core::distributed::{DistributedForgivingTree, FtNode};
+use ft_core::distributed::DistributedForgivingTree;
 use ft_core::fgraph::{LocalHealer, LocalRule};
 use ft_core::{fg_degree_bound, fg_stretch_bound, ft_diameter_bound, DistributedForgivingGraph};
 use ft_costs::OperationCost;
@@ -101,7 +100,7 @@ pub enum Protocol {
     /// A centralized heal by one [`LocalRule`] per deletion: the naive
     /// heals the paper contrasts, or the Forgiving Graph's haft. It takes
     /// deletions only and keeps no ledger: its books stay zero, and each
-    /// wave's figures are [`baseline_report`]'s stated cost model (one
+    /// wave's figures are a stated cost model (one
     /// notice per survivor, two messages per added edge, one round), not a
     /// count. It claims no bound, so its verdicts judge connectivity alone.
     Local(LocalRule),
@@ -383,11 +382,8 @@ impl Healed {
     }
 
     fn apply(&mut self, campaign: &mut Campaign, wave: &[ChurnEvent]) -> WaveStats {
-        let no_insertion = |_, _: &[NodeId]| -> FtNode { panic!("a tree takes no insertions") };
         match self {
-            Healed::Tree(dist, ..) => {
-                campaign.run_churn_wave(dist.network_mut(), wave, no_insertion)
-            }
+            Healed::Tree(dist, ..) => dist.run_wave(campaign, wave),
             Healed::Graph(dist, _) => dist.run_wave(campaign, wave),
             Healed::Local(healer) => {
                 let mut ws = WaveStats {
@@ -399,16 +395,35 @@ impl Healed {
                         panic!("a local rule takes no insertions")
                     };
                     let notified = healer.graph().degree(v);
-                    let heal = baseline_report(v, notified, healer.delete(v));
-                    ws.deletions += 1;
+                    let heal = baseline_report(notified, &healer.delete(v));
+                    ws.deletions += heal.deletions;
                     ws.rounds += heal.rounds;
-                    ws.messages += heal.total_messages;
-                    ws.max_per_node = ws.max_per_node.max(heal.max_messages_per_node);
+                    ws.messages += heal.messages;
+                    ws.max_per_node = ws.max_per_node.max(heal.max_per_node);
                 }
                 campaign.fold(&ws);
                 ws
             }
         }
+    }
+}
+
+/// The stated cost model of a local heal that notified `notified`
+/// survivors and added the edges `added`, as a wave of one deletion. The
+/// figures are a model, not a ledger: each notified survivor receives one
+/// notice, each added edge costs two messages, a node's load is its added
+/// edges plus its notice, and the heal takes one round.
+fn baseline_report(notified: usize, added: &[(NodeId, NodeId)]) -> WaveStats {
+    let mut ends: Vec<NodeId> = added.iter().flat_map(|&(a, b)| [a, b]).collect();
+    ends.sort_unstable();
+    let load = ends.chunk_by(|a, b| a == b).map(<[NodeId]>::len).max();
+    WaveStats {
+        deletions: 1,
+        rounds: 1,
+        messages: notified + 2 * added.len(),
+        max_per_node: load.unwrap_or(0) + 1,
+        converged: true,
+        ..WaveStats::default()
     }
 }
 
@@ -680,4 +695,68 @@ fn chorded_tree(nodes: usize, extra_edges: f64, seed: u64) -> Graph {
         }
     }
     g
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ft_graph::hash::{fnv1a, FNV_BASIS};
+    use rand::seq::SliceRandom;
+
+    #[test]
+    fn baseline_report_prices_a_line_heal() {
+        let mut line = LocalHealer::new(LocalRule::Line, gen::star(5));
+        let notified = line.graph().degree(NodeId(0));
+        let heal = baseline_report(notified, &line.delete(NodeId(0)));
+        // four notices, then two messages for each of the three path edges
+        assert_eq!((heal.messages, heal.rounds), (10, 1));
+    }
+
+    #[test]
+    fn naive_heal_reports_are_pinned() {
+        // FNV-1a over every figure of every heal the four naive rules
+        // produce while deleting seeded trees down to nothing: the victim,
+        // the survivors notified, the stated cost and the added edges. The
+        // attack, duel and claims figures of the naive heals derive from
+        // these.
+        let mut rng = StdRng::seed_from_u64(32);
+        let graphs = [
+            gen::star(48),
+            gen::kary_tree(85, 4),
+            gen::random_tree(96, &mut rng),
+        ];
+        let mut h = FNV_BASIS;
+        for g in &graphs {
+            let mut order: Vec<NodeId> = g.nodes().collect();
+            order.shuffle(&mut rng);
+            let rules = [
+                LocalRule::NoRepair,
+                LocalRule::Surrogate,
+                LocalRule::Line,
+                LocalRule::BinaryTree,
+            ];
+            for rule in rules {
+                let mut healer = LocalHealer::new(rule, g.clone());
+                for &v in &order {
+                    let notified = healer.graph().degree(v);
+                    let added = healer.delete(v);
+                    let heal = baseline_report(notified, &added);
+                    for x in [
+                        u64::from(v.0),
+                        notified as u64,
+                        heal.messages as u64,
+                        heal.max_per_node as u64,
+                        u64::from(heal.rounds),
+                    ] {
+                        h = fnv1a(h, x.to_le_bytes());
+                    }
+                    for (a, b) in added {
+                        h = fnv1a(h, (u64::from(a.0) << 32 | u64::from(b.0)).to_le_bytes());
+                    }
+                }
+                assert!(healer.graph().is_empty());
+            }
+        }
+        assert_eq!(h, 0x8eeb_765b_88a5_3bd2, "naive heals drifted: {h:#018x}");
+    }
 }

@@ -272,11 +272,11 @@ fn chaos_vnode_cycle_run_replays_disconnected() {
 }
 
 /// The smallest Forgiving Graph degree witness an exhaustive search over
-/// 8-node trees found (ROADMAP item 4). The paper keeps a node of degree
-/// d in G′ at degree ≤ 3d; here leaf 4 has d = 1 and ends at degree 4 on
-/// both engines, because each deletion heals with a fresh haft over the
-/// victim's current neighbours. Item 4's merge of reconstruction trees
-/// must flip both assertions to at most 3.
+/// 8-node trees found. The paper keeps a node of degree d in G′ at degree
+/// ≤ 3d; here leaf 4 has d = 1 and ends at degree 4 on both engines, as
+/// each deletion heals with a fresh haft over the victim's neighbours. The
+/// RT merge of the ROADMAP item "The Forgiving Graph is not the paper's
+/// algorithm" must flip both assertions to at most 3.
 #[test]
 fn eight_node_witness_breaks_the_per_node_degree_bound() {
     let g = Graph::from_edges(8, &[(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (3, 7)]);
@@ -308,12 +308,13 @@ fn eight_node_witness_breaks_the_per_node_degree_bound() {
     assert_eq!(spec.graph().degree(NodeId(4)), 4, "spec engine");
 }
 
-/// The haft rule's stretch failure (ROADMAP item 4): on a 64-node star,
-/// deleting the highest-degree node 32 times heals each hub with a fresh
-/// haft over neighbours that earlier hafts already spread out. Both
-/// engines end with the same graph, whose stretch is far above
-/// `fg_stretch_bound(64)` = 8. Item 4's merging of reconstruction trees
-/// must flip this test: the run must then pass every check.
+/// The haft rule's stretch failure: on a 64-node star, deleting the
+/// highest-degree node 32 times heals each hub with a fresh haft over
+/// neighbours that earlier hafts already spread out. Both engines end with
+/// the same graph, whose stretch is far above `fg_stretch_bound(64)` = 8.
+/// The RT merge of the ROADMAP item "The Forgiving Graph is not the
+/// paper's algorithm" must flip this test: the run must then pass every
+/// check.
 #[test]
 fn star_attack_breaks_the_haft_rule_stretch_bound() {
     let g = gen::star(64);

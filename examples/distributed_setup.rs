@@ -42,8 +42,8 @@ fn main() {
     for &v in order.iter().take(deletions) {
         let r = dft.delete(v);
         worst_rounds = worst_rounds.max(r.rounds);
-        worst_node_msgs = worst_node_msgs.max(r.max_messages_per_node);
-        total_msgs += r.total_messages;
+        worst_node_msgs = worst_node_msgs.max(r.max_per_node);
+        total_msgs += r.messages;
     }
     println!(
         "{deletions} heals: worst latency {worst_rounds} rounds, worst {worst_node_msgs} msgs at one node, {:.1} msgs/heal mean",

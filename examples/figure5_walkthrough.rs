@@ -56,8 +56,8 @@ fn main() {
             "heal: {} edges added; {} rounds, {} msgs, at most {} per node",
             added.len(),
             report.rounds,
-            report.total_messages,
-            report.max_messages_per_node
+            report.messages,
+            report.max_per_node
         );
         println!("virtual tree:\n{}", ft.virtual_dot());
         println!("healed network:\n{}", ft.graph().to_dot("healed"));

@@ -41,8 +41,7 @@ fn main() {
                 "after {deleted:3} deletions: alive={}, diameter={d}, max deg inc=+{}, last heal: {} msgs ({} max/node)",
                 ft.len(),
                 ft.graph().max_degree_increase_over(&graph),
-                report.total_messages,
-                report.max_messages_per_node
+                report.messages, report.max_per_node
             );
         }
     }

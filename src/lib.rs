@@ -27,7 +27,6 @@
 //! | [`core`] (`ft-core`) | both data structures: message-passing protocols + the spec engines they are tested against; `LocalHealer`'s per-deletion rules (the Forgiving Graph's haft, surrogate/line/binary-tree/no-heal) |
 //! | [`graph`] (`ft-graph`) | graphs (insert + delete), BFS/diameter, rooted trees, generators |
 //! | [`sim`] (`ft-sim`) | synchronous simulator (arrivals + deletions) + BFS setup |
-//! | [`baselines`] (`ft-baselines`) | `baseline_report`, the stated cost model of a `LocalHealer` heal |
 //! | [`adversary`] (`ft-adversary`) | every omniscient strategy, one-victim or wave, behind one `Planner` trait and named by `PlannerKind` |
 //! | [`metrics`] (`ft-metrics`) | workloads, tables, stretch pass, one `Scenario` value and its `run`: the one driver behind every command, for both protocols and the local rules |
 //!
@@ -41,14 +40,14 @@
 //! let graph = gen::kary_tree(85, 4);
 //! let mut ft = DistributedForgivingTree::new(&RootedTree::from_tree_graph(&graph, NodeId(0)));
 //!
-//! // the adversary deletes the root and an internal node
+//! // each deletion is a one-event wave, healed to quiescence
 //! ft.delete(NodeId(0));
-//! let report = ft.delete(NodeId(2));
+//! let heal = ft.delete(NodeId(2));
 //!
 //! assert!(ft.graph().is_connected());
 //! assert!(ft.graph().max_degree_increase_over(&graph) <= 3);
 //! // the heal's cost, read from the simulator's message ledger
-//! assert!(report.rounds <= 8 && report.max_messages_per_node <= 40);
+//! assert!(heal.rounds <= 8 && heal.max_per_node <= 40);
 //!
 //! // or let an omniscient adversary delete every node, one per heal,
 //! // through the one driver every command uses
@@ -65,7 +64,7 @@
 //!
 //! let mut fg = DistributedForgivingGraph::new(&gen::kary_tree(85, 4));
 //!
-//! let newcomer = fg.insert(&[NodeId(3), NodeId(7)]);
+//! let (newcomer, _) = fg.insert(&[NodeId(3), NodeId(7)]);
 //! fg.delete(NodeId(0));
 //! fg.delete(NodeId(3));
 //!
@@ -74,8 +73,12 @@
 //! assert!(fg.max_degree_increase() <= fg_degree_bound(fg.graph().capacity()));
 //! ```
 
+/// The README's quickstart snippets, run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+mod readme {}
+
 pub use ft_adversary as adversary;
-pub use ft_baselines as baselines;
 pub use ft_core as core;
 pub use ft_costs as costs;
 pub use ft_graph as graph;
@@ -87,7 +90,7 @@ pub mod prelude {
     pub use ft_adversary::{AdversaryView, Planner, PlannerKind};
     pub use ft_core::distributed::DistributedForgivingTree;
     pub use ft_core::fgraph::{LocalHealer, LocalRule};
-    pub use ft_core::{fg_degree_bound, fg_stretch_bound, DistributedForgivingGraph, HealReport};
+    pub use ft_core::{fg_degree_bound, fg_stretch_bound, DistributedForgivingGraph};
     pub use ft_costs::{CostResult, OperationCost};
     pub use ft_graph::tree::RootedTree;
     pub use ft_graph::{gen, ChurnEvent, Graph, NodeId};

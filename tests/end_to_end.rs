@@ -158,7 +158,7 @@ fn heal_reports_are_consistent_across_engines() {
     let mut dist = DistributedForgivingTree::new(&tree);
     let added = spec.delete(NodeId(1));
     let dr = dist.delete(NodeId(1));
-    assert_eq!(dr.deleted, Some(NodeId(1)));
+    assert_eq!((dr.deletions, dist.graph().is_alive(NodeId(1))), (1, false));
     // both engines produce the same *net* new edges (the spec transcript
     // may additionally log edges that were re-routed within the heal)
     let net: Vec<(NodeId, NodeId)> = spec
@@ -167,7 +167,13 @@ fn heal_reports_are_consistent_across_engines() {
         .into_iter()
         .filter(|&(a, b)| !before.has_edge(a, b))
         .collect();
-    assert_eq!(net, dr.edges_added);
+    let dist_net: Vec<(NodeId, NodeId)> = dist
+        .graph()
+        .edges()
+        .into_iter()
+        .filter(|&(a, b)| !before.has_edge(a, b))
+        .collect();
+    assert_eq!(net, dist_net);
     for e in &net {
         assert!(added.contains(e), "spec transcript misses {e:?}");
     }

@@ -7,30 +7,42 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// `budget` events of the `mixed` planner, in waves of `wave_size`, against
+/// `g` with a share `inserts` of them insertions, seeded by `seed`.
+fn mixed_churn(g: Graph, inserts: f64, budget: usize, wave_size: usize, seed: u64) -> Scenario {
+    Scenario {
+        protocol: Protocol::Graph {
+            extra_edges: 0.0,
+            insert_fraction: inserts,
+            stretch_sources: 1,
+        },
+        initial: Initial::Explicit(g),
+        events: Events::Planned {
+            budget,
+            wave_size,
+            planner: PlannerKind::Mixed,
+        },
+        faults: Faults::default(),
+        seed,
+    }
+}
+
+/// The Forgiving Graph's processors of a healed graph run.
+fn forgiving_graph(healed: &Healed) -> &DistributedForgivingGraph {
+    let Healed::Graph(dist, _) = healed else {
+        panic!("a Forgiving Graph run heals with the graph protocol")
+    };
+    dist
+}
+
 /// Drives `events` churn events planned by the `mixed` planner against a seeded
 /// connected workload, auditing after every wave (panics on any violation).
-fn run_churn(nn: usize, seed: u64, insert_pct: u8, events: usize) -> DistributedForgivingGraph {
+fn run_churn(nn: usize, seed: u64, insert_pct: u8, events: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::gnp_connected(nn, 2.0 / nn as f64, &mut rng);
-    let mut dist = DistributedForgivingGraph::new(&g);
-    let mut planner = PlannerKind::Mixed.planner(seed, f64::from(insert_pct) / 100.0, false);
-    let mut campaign = Campaign::new(CampaignConfig::default());
-    let mut remaining = events;
-    while remaining > 0 && dist.len() > 2 {
-        let k = remaining.min(6);
-        let plan = planner.plan(
-            AdversaryView {
-                graph: dist.graph(),
-                ft: None,
-            },
-            k,
-        );
-        if plan.is_empty() {
-            break;
-        }
-        remaining -= plan.len();
-        dist.run_wave(&mut campaign, &plan);
-
+    let churn = mixed_churn(g, f64::from(insert_pct) / 100.0, events, 6, seed);
+    run(&churn, |healed, _| {
+        let dist = forgiving_graph(healed);
         let capacity = dist.graph().capacity();
         assert!(dist.graph().is_connected(), "healer lost connectivity");
         let deg = dist.max_degree_increase();
@@ -52,8 +64,7 @@ fn run_churn(nn: usize, seed: u64, insert_pct: u8, events: usize) -> Distributed
         );
         dist.check_wills().expect("wills consistent");
         dist.network().check_accounting().expect("books balance");
-    }
-    dist
+    });
 }
 
 proptest! {
@@ -81,23 +92,15 @@ proptest! {
 fn degree_increase_regression_on_seeded_campaign() {
     let mut rng = StdRng::seed_from_u64(1234);
     let g = gen::gnp_connected(400, 0.006, &mut rng);
-    let mut dist = DistributedForgivingGraph::new(&g);
-    let mut planner = PlannerKind::Mixed.planner(99, 0.35, false);
-    let mut campaign = Campaign::new(CampaignConfig::default());
-    for _ in 0..20 {
-        let plan = planner.plan(
-            AdversaryView {
-                graph: dist.graph(),
-                ft: None,
-            },
-            10,
-        );
-        dist.run_wave(&mut campaign, &plan);
-    }
+    let out = run(&mixed_churn(g, 0.35, 200, 10, 99), |_, _| {});
     assert_eq!(
-        campaign.report().insertions + campaign.report().deletions,
-        200
+        (
+            out.report.waves,
+            out.report.insertions + out.report.deletions
+        ),
+        (20, 200)
     );
+    let dist = forgiving_graph(&out.healed);
     assert!(dist.graph().is_connected());
     dist.check_wills().expect("wills consistent");
     dist.network().check_accounting().expect("books balance");

@@ -48,7 +48,7 @@ proptest! {
         for v in order {
             spec.delete(v);
             let dr = dist.delete(v);
-            prop_assert!(dr.max_messages_per_node <= 40, "dist: {}", dr.max_messages_per_node);
+            prop_assert!(dr.max_per_node <= 40, "dist: {}", dr.max_per_node);
             prop_assert!(dr.rounds <= 8);
             prop_assert_eq!(spec.graph(), dist.graph());
         }
