@@ -100,9 +100,9 @@ pub enum Protocol {
     /// A centralized heal by one [`LocalRule`] per deletion: the naive
     /// heals the paper contrasts, or the Forgiving Graph's haft. It takes
     /// deletions only and keeps no ledger: its books stay zero, and each
-    /// wave's figures are a stated cost model (one
-    /// notice per survivor, two messages per added edge, one round), not a
-    /// count. It claims no bound, so its verdicts judge connectivity alone.
+    /// wave's figures are a stated cost model (one notice per survivor,
+    /// two messages per added edge, one round), not a count. It claims no
+    /// bound, so its verdicts judge connectivity alone.
     Local(LocalRule),
 }
 
