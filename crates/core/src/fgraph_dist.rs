@@ -35,8 +35,8 @@
 //! event.
 
 use crate::fgraph::haft_edges;
-use crate::sorted::{map_get, map_get_mut, map_insert, map_remove, set_insert, set_remove};
-use ft_graph::{ChurnEvent, Graph, NodeId};
+use crate::sorted::{map_get, map_get_mut, map_insert, map_remove};
+use ft_graph::{ChurnEvent, Graph, NodeId, SortedIds};
 use ft_sim::{Campaign, Ctx, HealCadence, Network, Process, WaveStats};
 
 /// Protocol messages of the distributed Forgiving Graph.
@@ -57,26 +57,27 @@ pub enum FgMsg {
 
 /// One processor of the distributed Forgiving Graph.
 ///
-/// State is flat sorted vectors, the layout [`Graph`] uses for adjacency:
-/// degrees stay O(log n), so a binary search plus a short shift beats a
-/// tree allocation per entry.
+/// Its neighbor set and every filed will are [`SortedIds`], the layout
+/// [`Graph`] uses for adjacency: up to seven IDs sit inline, so a node
+/// whose neighbors all have degree at most seven keeps one heap block, its
+/// will map, instead of one per set.
 #[derive(Debug)]
 pub struct FgNode {
     id: NodeId,
-    /// My current neighbor set, ascending (kept in lockstep with the
-    /// topology).
-    neighbors: Vec<NodeId>,
+    /// My current neighbor set (kept in lockstep with the topology).
+    neighbors: SortedIds,
     /// Wills filed with me, ascending by owner: each neighbor's current
-    /// neighbor list, itself ascending.
-    wills: Vec<(NodeId, Vec<NodeId>)>,
+    /// neighbor set.
+    wills: Vec<(NodeId, SortedIds)>,
     /// Fresh arrival that still has to announce itself on start.
     joiner: bool,
 }
 
 impl FgNode {
     /// Node `id` of `initial`, settled with its neighbors' wills
-    /// pre-distributed (initial setup). Adjacency is ascending, so both
-    /// lists come out sorted without sorting.
+    /// pre-distributed (initial setup). Adjacency is ascending, so the
+    /// will map is collected in owner order and each set is built by
+    /// appends, with no shift.
     fn settled(id: NodeId, initial: &Graph) -> Self {
         FgNode {
             id,
@@ -92,12 +93,9 @@ impl FgNode {
     /// A freshly inserted node wired to `neighbors`; announces its will on
     /// start and collects its anchors' wills in the first exchange.
     pub fn joiner(id: NodeId, neighbors: &[NodeId]) -> Self {
-        let mut neighbors = neighbors.to_vec();
-        neighbors.sort_unstable();
-        neighbors.dedup();
         FgNode {
             id,
-            neighbors,
+            neighbors: neighbors.iter().copied().collect(),
             wills: Vec::new(),
             joiner: true,
         }
@@ -111,12 +109,21 @@ impl FgNode {
 
     /// The will `owner` has filed with me (ascending), if any.
     pub fn will_of(&self, owner: NodeId) -> Option<&[NodeId]> {
-        map_get(&self.wills, owner).map(Vec::as_slice)
+        map_get(&self.wills, owner).map(|w| &**w)
+    }
+
+    /// Whether my neighbor set lives on the heap, and the owners of the
+    /// filed wills that do.
+    #[cfg(test)]
+    fn spilled(&self) -> (bool, Vec<NodeId>) {
+        let wills = self.wills.iter().filter(|(_, w)| w.is_spilled());
+        let owners = wills.map(|&(o, _)| o).collect();
+        (self.neighbors.is_spilled(), owners)
     }
 
     /// Sends my full will to `to`.
     fn send_will(&self, to: NodeId, ctx: &mut Ctx<'_, FgMsg>) {
-        ctx.send(to, FgMsg::Will(self.neighbors.clone()));
+        ctx.send(to, FgMsg::Will(self.neighbors.to_vec()));
     }
 
     /// Announces a batched neighborhood change to every retained neighbor
@@ -125,7 +132,7 @@ impl FgNode {
         if added.is_empty() && removed.is_empty() {
             return;
         }
-        for &u in &self.neighbors {
+        for &u in self.neighbors.iter() {
             if !added.contains(&u) {
                 ctx.send(
                     u,
@@ -145,14 +152,14 @@ impl Process for FgNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, FgMsg>) {
         if self.joiner {
             self.joiner = false;
-            for &u in &self.neighbors {
+            for &u in self.neighbors.iter() {
                 self.send_will(u, ctx);
             }
         }
     }
 
     fn on_neighbor_joined(&mut self, new: NodeId, ctx: &mut Ctx<'_, FgMsg>) {
-        set_insert(&mut self.neighbors, new);
+        self.neighbors.insert(new);
         self.send_will(new, ctx);
         self.send_deltas(&[new], &[], ctx);
     }
@@ -166,10 +173,10 @@ impl Process for FgNode {
         // panics — there a missing will is an engine bug, not weather.
         let Some(members) = map_remove(&mut self.wills, dead) else {
             assert!(ctx.faulty(), "{:?}: no will filed by {dead:?}", self.id);
-            set_remove(&mut self.neighbors, dead);
+            self.neighbors.remove(dead);
             return;
         };
-        set_remove(&mut self.neighbors, dead);
+        self.neighbors.remove(dead);
         let Ok(me) = members.binary_search(&self.id) else {
             assert!(ctx.faulty(), "{:?}: not in {dead:?}'s will", self.id);
             // A stale will (its refresh was lost) that no longer lists us:
@@ -186,7 +193,7 @@ impl Process for FgNode {
                 } else {
                     continue;
                 };
-                if set_insert(&mut self.neighbors, partner) {
+                if self.neighbors.insert(partner) {
                     ctx.add_edge(partner);
                     fresh.push(partner);
                 }
@@ -203,13 +210,9 @@ impl Process for FgNode {
     fn on_message(&mut self, from: NodeId, msg: FgMsg, ctx: &mut Ctx<'_, FgMsg>) {
         match msg {
             FgMsg::Will(list) => {
-                // the sender's own neighbor vector, ascending: file it as-is
-                debug_assert!(
-                    list.windows(2).all(|w| w[0] < w[1]),
-                    "unsorted will from {from:?}"
-                );
-                map_insert(&mut self.wills, from, list);
-                if set_insert(&mut self.neighbors, from) {
+                // the sender's own neighbor set, ascending: filed by appends
+                map_insert(&mut self.wills, from, list.into_iter().collect());
+                if self.neighbors.insert(from) {
                     // defensive: an edge formed without my participation —
                     // complete the handshake so `from` learns my will too.
                     self.send_will(from, ctx);
@@ -218,10 +221,10 @@ impl Process for FgNode {
             FgMsg::WillDelta { added, removed } => {
                 if let Some(w) = map_get_mut(&mut self.wills, from) {
                     for a in added {
-                        set_insert(w, a);
+                        w.insert(a);
                     }
                     for r in removed {
-                        set_remove(w, r);
+                        w.remove(r);
                     }
                 }
             }
@@ -458,12 +461,67 @@ mod tests {
             tamper(d.net.process_mut(n(1)));
             d.check_wills().expect_err("tampering must be caught")
         };
-        let err = tampered(|p| p.neighbors.retain(|&u| u != n(2)));
+        let err = tampered(|p| assert!(p.neighbors.remove(n(2))));
         assert!(err.contains("n1 believes neighbors [n0]"), "{err}");
-        let err = tampered(|p| p.wills.retain(|&(o, _)| o != n(0)));
+        let err = tampered(|p| assert!(map_remove(&mut p.wills, n(0)).is_some()));
         assert!(err.contains("n1 holds no will of n0"), "{err}");
-        let err = tampered(|p| p.wills[0].1.push(n(3)));
+        let err = tampered(|p| assert!(p.wills[0].1.insert(n(3))));
         assert!(err.contains("n1 holds a stale will of n0"), "{err}");
+    }
+
+    #[test]
+    fn fg_layout_is_pinned() {
+        use std::mem::size_of;
+        // the engine stages each send as `(from, to, msg)` and charges
+        // exactly this many heap bytes for it: a change here moves
+        // `cost.heap_bytes` in every graph pin
+        assert_eq!(size_of::<(NodeId, NodeId, FgMsg)>(), 56);
+        // the network keeps one slot per ID ever seen, dead IDs included,
+        // so a 10^6-node graph pays this figure a million times: the
+        // neighbor set sits inline and the wills behind one map keep it here
+        assert_eq!(size_of::<Option<FgNode>>(), 64);
+    }
+
+    #[test]
+    fn fg_state_sits_inline() {
+        // degree at most four everywhere: no set, own or filed, allocates
+        let g = gen::kary_tree(4096, 3);
+        let mut d = DistributedForgivingGraph::new(&g);
+        for v in d.nodes() {
+            assert_eq!(d.node(v).spilled(), (false, vec![]), "{v:?} spilled");
+        }
+        // the wills stay true under seeded mixed churn through the campaign
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut campaign = Campaign::new(CampaignConfig::default());
+        for _ in 0..40 {
+            let live: Vec<NodeId> = d.nodes().collect();
+            let mut events: Vec<ChurnEvent> = Vec::new();
+            for _ in 0..10 {
+                let v = live[rng.gen_range(0..live.len())];
+                if rng.gen_bool(0.4) {
+                    let mut neighbors = vec![v, live[rng.gen_range(0..live.len())]];
+                    neighbors.dedup();
+                    events.push(ChurnEvent::Insert { neighbors });
+                } else if !events.contains(&ChurnEvent::Delete(v)) {
+                    events.push(ChurnEvent::Delete(v));
+                }
+            }
+            d.run_wave(&mut campaign, &events);
+            d.check_wills().expect("wills consistent after churn");
+        }
+        let report = campaign.report();
+        assert!(
+            report.insertions > 100 && report.deletions > 200,
+            "{report:?}"
+        );
+        d.network().check_accounting().expect("books balance");
+        // a hub of fifteen spills its own set and its will at every leaf
+        let d = DistributedForgivingGraph::new(&gen::star(16));
+        assert_eq!(d.node(n(0)).spilled(), (true, vec![]));
+        for leaf in (1..16).map(n) {
+            assert_eq!(d.node(leaf).spilled(), (false, vec![n(0)]), "{leaf:?}");
+        }
+        d.check_wills().expect("spilled wills consistent");
     }
 
     #[test]

@@ -1,26 +1,9 @@
-//! Sorted-vector sets and maps: the flat layout of the processors' state.
+//! Sorted-vector maps: the flat layout of the processors' keyed state.
 //!
 //! Degrees, wills and shapes stay small, so a binary search plus a short
 //! shift beats a tree allocation per entry, and iteration is ascending by
-//! construction. A map is a `Vec<(K, V)>` ascending by key.
-
-/// Inserts `x` into the ascending `set`; returns whether it was new.
-pub(crate) fn set_insert<T: Ord>(set: &mut Vec<T>, x: T) -> bool {
-    match set.binary_search(&x) {
-        Ok(_) => false,
-        Err(pos) => {
-            set.insert(pos, x);
-            true
-        }
-    }
-}
-
-/// Removes `x` from the ascending `set`, if present.
-pub(crate) fn set_remove<T: Ord>(set: &mut Vec<T>, x: T) {
-    if let Ok(pos) = set.binary_search(&x) {
-        set.remove(pos);
-    }
-}
+//! construction. A map is a `Vec<(K, V)>` ascending by key; a set of node
+//! IDs is an [`ft_graph::SortedIds`].
 
 /// Position of `key` in `map`, or where it would go.
 pub(crate) fn map_slot<K: Ord + Copy, V>(map: &[(K, V)], key: K) -> Result<usize, usize> {
@@ -53,19 +36,6 @@ pub(crate) fn map_remove<K: Ord + Copy, V>(map: &mut Vec<(K, V)>, key: K) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sets_stay_ascending_and_unique() {
-        let mut s = Vec::new();
-        for x in [5, 1, 3, 1, 9, 5] {
-            set_insert(&mut s, x);
-        }
-        assert_eq!(s, [1, 3, 5, 9]);
-        assert!(!set_insert(&mut s, 3));
-        set_remove(&mut s, 3);
-        set_remove(&mut s, 4);
-        assert_eq!(s, [1, 5, 9]);
-    }
 
     #[test]
     fn maps_upsert_get_and_remove_by_key() {

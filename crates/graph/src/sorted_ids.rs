@@ -17,9 +17,11 @@ pub(crate) const INLINE: usize = 7;
 /// reallocate, until it is replaced by a fresh one.
 ///
 /// It is the one sorted-ID-set type of the workspace: each [`crate::Graph`]
-/// slot's neighbour list, and each Forgiving Tree processor's set of held
-/// edge interests. Membership tests and mutations are `O(log d)` binary
-/// searches plus an `O(d)` shift. It dereferences to the ascending slice.
+/// slot's neighbour list, each Forgiving Tree processor's set of held
+/// edge interests, and each Forgiving Graph processor's neighbour set and
+/// every will filed with it. Membership tests and mutations are
+/// `O(log d)` binary searches plus an `O(d)` shift. It dereferences to the
+/// ascending slice.
 ///
 /// ```
 /// use ft_graph::{NodeId, SortedIds};
